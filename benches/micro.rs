@@ -2,12 +2,12 @@
 //! assembler, interpreter stepping throughput, cache and predictor
 //! simulation, translation, and an end-to-end translated run. These
 //! quantify the *simulator's* host-side cost, complementing the
-//! guest-cycle experiments in `src/bin/`.
+//! guest-cycle experiments behind `strata bench`.
 //!
 //! Criterion is not available in the offline build environment, so this is
 //! a self-contained `harness = false` benchmark: each workload is timed
 //! over enough iterations to exceed a minimum measurement window and the
-//! median per-iteration time is reported (`cargo bench -p strata-bench`).
+//! median per-iteration time is reported (`cargo bench --bench micro`).
 //!
 //! Medians are also persisted as an artifact-shaped JSON document
 //! (default `results/microbench.json`, override with `STRATA_BENCH_OUT`,
@@ -406,11 +406,9 @@ fn main() {
 
     println!("{}", b.table.render_text());
 
-    // `cargo bench` sets the working directory to the package root
-    // (`crates/bench/`), so anchor the default at the workspace root.
-    let out = std::env::var("STRATA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/microbench.json").into()
-    });
+    // Anchored at the package root, whatever directory cargo runs us in.
+    let out = std::env::var("STRATA_BENCH_OUT")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/results/microbench.json").into());
     if out != "-" {
         b.write_json(&out);
     }

@@ -54,8 +54,8 @@ pub use model::{ArchModel, ModelStats};
 pub use predictor::{Btb, CondPredictor, Ras};
 pub use profile::ArchProfile;
 pub use target::{
-    predictor, set_predictor, IdealOracle, Ittage, NoPredict, PredictorParseError, PredictorSpec,
-    SetAssocBtb, TargetPredictor,
+    IdealOracle, Ittage, NoPredict, PredictorParseError, PredictorSpec, SetAssocBtb,
+    TargetPredictor,
 };
 
 pub use strata_machine::RetireEvent;

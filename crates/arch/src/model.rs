@@ -85,16 +85,14 @@ fn class_cost(p: &ArchProfile, class: InstrClass) -> (u64, u64) {
 }
 
 impl ArchModel {
-    /// Creates a cold model for the given profile, using the process-wide
-    /// predictor selection ([`crate::predictor`]; [`PredictorSpec::Legacy`]
-    /// unless `--predictor`/`STRATA_PREDICTOR` chose otherwise).
+    /// Creates a cold model for the given profile under the legacy
+    /// predictor ([`PredictorSpec::Legacy`]: the profile's own BTB).
     pub fn new(profile: ArchProfile) -> ArchModel {
-        ArchModel::with_predictor_spec(profile, crate::predictor())
+        ArchModel::with_predictor_spec(profile, PredictorSpec::Legacy)
     }
 
     /// Creates a cold model charging indirect transfers with the given
-    /// predictor spec, ignoring the process-wide selection — how fig22
-    /// sweeps every model in one process.
+    /// predictor spec.
     pub fn with_predictor_spec(profile: ArchProfile, spec: PredictorSpec) -> ArchModel {
         let mut class_costs = [(0, 0); InstrClass::COUNT];
         for class in InstrClass::ALL {

@@ -23,14 +23,11 @@
 //!   target history of geometrically increasing lengths.
 //! * [`IdealOracle`] — always correct; bounds prediction-limited speedup.
 //!
-//! The active model is selected process-wide by [`set_predictor`] (the CLI
-//! `--predictor` flag) or the `STRATA_PREDICTOR` environment variable
-//! (fleet workers), mirroring the `--tier`/`--sampled` pattern; embedders
-//! that sweep predictors per run use
+//! A model is an explicit input: [`ArchModel::new`](crate::ArchModel::new)
+//! builds the legacy one, and
 //! [`ArchModel::with_predictor_spec`](crate::ArchModel::with_predictor_spec)
-//! instead of the global.
-
-use std::sync::OnceLock;
+//! any other — how the CLI's `--predictor` flag reaches a run (through
+//! `strata_expt::RunContext`) and how fig22 sweeps the zoo in one process.
 
 use crate::{ArchProfile, Btb};
 
@@ -449,10 +446,11 @@ impl TargetPredictor for Ittage {
 /// ```text
 /// legacy | none | ideal | btb:<entries> | btb:<sets>x<ways> | ittage[:<tables>]
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredictorSpec {
     /// The profile's own direct-mapped BTB (`btb_entries`) — the default;
     /// byte-identical to the pre-predictor-layer cost model.
+    #[default]
     Legacy,
     /// No indirect prediction at all, regardless of profile.
     None,
@@ -634,32 +632,6 @@ impl PredictorSpec {
             PredictorSpec::Ittage { tables } => Box::new(Ittage::new(tables)),
         }
     }
-}
-
-static PREDICTOR: OnceLock<PredictorSpec> = OnceLock::new();
-
-/// Selects the process-wide predictor model. First caller wins (matching
-/// `--tier`/`--sampled` semantics); call before any [`ArchModel`]
-/// construction. The CLI forwards `--predictor` here.
-///
-/// [`ArchModel`]: crate::ArchModel
-pub fn set_predictor(spec: PredictorSpec) {
-    let _ = PREDICTOR.set(spec);
-}
-
-/// The process-wide predictor spec: whatever [`set_predictor`] installed,
-/// else the `STRATA_PREDICTOR` environment variable (how fleet workers
-/// inherit the coordinator's mode), else [`PredictorSpec::Legacy`].
-///
-/// # Panics
-///
-/// Panics if `STRATA_PREDICTOR` is set but unparsable.
-pub fn predictor() -> PredictorSpec {
-    *PREDICTOR.get_or_init(|| match std::env::var("STRATA_PREDICTOR") {
-        Ok(s) => PredictorSpec::parse(&s)
-            .unwrap_or_else(|e| panic!("bad STRATA_PREDICTOR value '{s}': {e}")),
-        Err(_) => PredictorSpec::Legacy,
-    })
 }
 
 #[cfg(test)]

@@ -69,8 +69,8 @@ impl ExecutionObserver for NativeObserver {
     }
 }
 
-/// Runs `program` directly (no translation) under the cost model for
-/// `profile`.
+/// Runs `program` directly (no translation) on the interpreter under a
+/// fresh legacy-predictor cost model for `profile`.
 ///
 /// # Errors
 ///
@@ -82,10 +82,10 @@ pub fn run_native(
     profile: ArchProfile,
     fuel: u64,
 ) -> Result<NativeRun, SdtError> {
-    run_native_tiered(program, profile, fuel, ExecTier::Interp)
+    run_native_with_model(program, ArchModel::new(profile), fuel, ExecTier::Interp)
 }
 
-/// [`run_native`] with an explicit execution tier.
+/// [`run_native`] with an explicit cost model and execution tier.
 ///
 /// The tier decides how the host executes guest instructions (pure
 /// interpretation vs direct-threaded superblock translation of hot
@@ -97,9 +97,9 @@ pub fn run_native(
 /// # Errors
 ///
 /// Same contract as [`run_native`].
-pub fn run_native_tiered(
+pub fn run_native_with_model(
     program: &Program,
-    profile: ArchProfile,
+    model: ArchModel,
     fuel: u64,
     tier: ExecTier,
 ) -> Result<NativeRun, SdtError> {
@@ -108,7 +108,7 @@ pub fn run_native_tiered(
     machine.set_tier(tier);
     let mut syscalls = SyscallState::new();
     let mut obs = NativeObserver {
-        model: ArchModel::new(profile),
+        model,
         indirect_jumps: 0,
         indirect_calls: 0,
         returns: 0,

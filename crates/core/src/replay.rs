@@ -148,7 +148,8 @@ fn ret_predictor_mode(cfg: &SdtConfig) -> Option<bool> {
 
 impl DispatchReplay {
     /// Builds a replay instance: a fresh [`Sdt`] for `config` and
-    /// `program`, costing translator work under `profile`.
+    /// `program`, costing translator work under `profile` with the legacy
+    /// predictor as the hardware mirror.
     ///
     /// # Errors
     ///
@@ -158,12 +159,11 @@ impl DispatchReplay {
         program: &Program,
         profile: ArchProfile,
     ) -> Result<DispatchReplay, SdtError> {
-        DispatchReplay::with_predictor(config, program, profile, strata_arch::predictor())
+        DispatchReplay::with_predictor(config, program, profile, PredictorSpec::Legacy)
     }
 
     /// Like [`DispatchReplay::new`], with an explicit predictor spec for
-    /// the hardware mirror instead of the process-wide selection (fig22
-    /// sweeps predictors per cell).
+    /// the hardware mirror (fig22 sweeps predictors per cell).
     pub fn with_predictor(
         config: SdtConfig,
         program: &Program,

@@ -318,7 +318,7 @@ impl Sdt {
     }
 
     /// Executes the program under translation until `halt`, costing
-    /// execution with a fresh [`ArchModel`] for `profile`.
+    /// execution with a fresh legacy-predictor [`ArchModel`] for `profile`.
     ///
     /// `fuel` bounds retired guest instructions (application plus all
     /// translation overhead). A second call continues with a warm fragment
@@ -336,9 +336,8 @@ impl Sdt {
         self.run_with_model(ArchModel::new(profile), fuel)
     }
 
-    /// [`Sdt::run`] with an explicit cost model — how fig22 sweeps
-    /// [`strata_arch::PredictorSpec`]s per run without touching the
-    /// process-wide predictor selection:
+    /// [`Sdt::run`] with an explicit cost model — how a run is priced
+    /// under a non-legacy [`strata_arch::PredictorSpec`]:
     /// `sdt.run_with_model(ArchModel::with_predictor_spec(profile, spec), fuel)`.
     ///
     /// # Errors

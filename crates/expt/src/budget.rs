@@ -117,21 +117,20 @@ impl BudgetBook {
     }
 }
 
-/// Reorders `cells` longest-known-budget-first, consulting the book
-/// under `prefix` (the store's key namespace — `""` exact, `"sampled/"`
-/// sampled mode — so estimated budgets never steer the exact schedule).
+/// Reorders `cells` longest-known-budget-first, asking `budget` for each
+/// cell's observed cost ([`Store::budget`](crate::Store::budget) looks it
+/// up under the store's own namespace, so estimated budgets never steer
+/// the exact schedule).
 ///
 /// The sort is stable with unknown budgets treated as zero, so cells the
 /// book has never seen keep their FIFO order after the known ones, and an
 /// empty book returns the input order unchanged.
-pub fn order_longest_first(cells: &[CellKey], book: &BudgetBook, prefix: &str) -> Vec<CellKey> {
+pub fn order_longest_first(
+    cells: &[CellKey],
+    budget: impl Fn(&CellKey) -> Option<u64>,
+) -> Vec<CellKey> {
     let mut ordered: Vec<CellKey> = cells.to_vec();
-    ordered.sort_by_key(|cell| {
-        std::cmp::Reverse(
-            book.get(&format!("{prefix}{}", cell.key_string()))
-                .unwrap_or(0),
-        )
-    });
+    ordered.sort_by_cached_key(|cell| std::cmp::Reverse(budget(cell).unwrap_or(0)));
     ordered
 }
 
@@ -173,6 +172,10 @@ mod tests {
             .collect()
     }
 
+    fn by_book(book: &BudgetBook) -> impl Fn(&CellKey) -> Option<u64> + '_ {
+        |cell| book.get(&cell.key_string())
+    }
+
     fn durations(order: &[CellKey], book: &BudgetBook) -> Vec<u64> {
         order
             .iter()
@@ -183,7 +186,7 @@ mod tests {
     #[test]
     fn empty_book_degrades_to_fifo() {
         let set = cells(5);
-        assert_eq!(order_longest_first(&set, &BudgetBook::new(), ""), set);
+        assert_eq!(order_longest_first(&set, |_| None), set);
     }
 
     #[test]
@@ -191,7 +194,7 @@ mod tests {
         let set = cells(4);
         let mut book = BudgetBook::new();
         book.record(&set[2].key_string(), 100);
-        let ordered = order_longest_first(&set, &book, "");
+        let ordered = order_longest_first(&set, by_book(&book));
         // The known-expensive cell moves to the front; the unknown cells
         // keep their relative FIFO order.
         assert_eq!(ordered[0], set[2]);
@@ -211,7 +214,10 @@ mod tests {
             book.record(&cell.key_string(), cost);
         }
         let fifo = makespan(&durations(&set, &book), 2);
-        let lpt = makespan(&durations(&order_longest_first(&set, &book, ""), &book), 2);
+        let lpt = makespan(
+            &durations(&order_longest_first(&set, by_book(&book)), &book),
+            2,
+        );
         assert_eq!(fifo, 120, "three cheap cells wait behind the giant");
         assert_eq!(lpt, 100, "the giant starts first and hides the cheap tail");
     }
@@ -234,7 +240,7 @@ mod tests {
             }
             for jobs in [1usize, 2, 4, 7] {
                 let fifo = makespan(&durations(&set, &book), jobs);
-                let ordered = order_longest_first(&set, &book, "");
+                let ordered = order_longest_first(&set, by_book(&book));
                 let lpt = makespan(&durations(&ordered, &book), jobs);
                 assert!(lpt <= fifo, "n={n} jobs={jobs}: LPT {lpt} > FIFO {fifo}");
             }

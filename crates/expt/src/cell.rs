@@ -15,6 +15,7 @@
 
 use strata_arch::ArchProfile;
 use strata_core::{NativeRun, RunReport, SdtConfig};
+use strata_trace::fnv1a64;
 use strata_workloads::Params;
 
 /// What kind of run a cell is.
@@ -107,16 +108,6 @@ impl CellKey {
     }
 }
 
-/// FNV-1a 64-bit hash — used only to derive disk-cache file names.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The measured outcome of one cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellResult {
@@ -199,13 +190,5 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), keys.len(), "all keys distinct: {keys:?}");
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Frozen reference values for the FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use strata_core::{run_native_tiered, Sdt};
+use strata_core::{run_native_with_model, Sdt};
 use strata_machine::{ExecTier, Program};
 use strata_workloads::{by_name, Params};
 
@@ -40,26 +40,20 @@ pub const FUEL: u64 = 4_000_000_000;
 /// Process-wide execution tier for native (untranslated) runs.
 ///
 /// Tier choice cannot change any rendered number — retire streams are
-/// bit-identical across tiers — so it is process-global configuration
-/// like `--jobs`, not part of any cell key. Resolved once: an explicit
-/// [`set_exec_tier`] (the CLI's `--tier` flag) wins; otherwise the
-/// `STRATA_TIER` environment variable (`interp`, `threaded`,
-/// `threaded:<threshold>`) so fleet workers inherit the tier from their
-/// environment; otherwise the interpreter.
+/// bit-identical across tiers — so it is host-only configuration like
+/// `--jobs`: in no cell key, no fingerprint, and not in the
+/// [`RunContext`](crate::RunContext). Set once by [`set_exec_tier`] (the
+/// CLI's `--tier` flag); the interpreter otherwise.
 static EXEC_TIER: OnceLock<ExecTier> = OnceLock::new();
 
-/// Pins the execution tier for this process (first caller wins; later
-/// calls and the env fallback are ignored).
+/// Pins the execution tier for this process (first caller wins).
 pub fn set_exec_tier(tier: ExecTier) {
     let _ = EXEC_TIER.set(tier);
 }
 
-/// The resolved process-wide execution tier.
+/// The process-wide execution tier.
 pub fn exec_tier() -> ExecTier {
-    *EXEC_TIER.get_or_init(|| match std::env::var("STRATA_TIER") {
-        Ok(spec) => ExecTier::parse(&spec).unwrap_or_else(|e| panic!("STRATA_TIER: {e}")),
-        Err(_) => ExecTier::Interp,
-    })
+    *EXEC_TIER.get_or_init(|| ExecTier::Interp)
 }
 
 /// Builds the program a cell runs (workload at the cell's params).
@@ -71,13 +65,16 @@ pub fn build_program(workload: &str, params: Params) -> Program {
 /// Computes (or recalls) the result of one cell. Translated cells verify
 /// their checksum against the memoized native baseline.
 ///
-/// In sampled mode (`--sampled`) every cell is served from trace-driven
-/// estimation instead of exact simulation; see [`crate::sampled`]. Exact
-/// mode refuses scaled-tier workloads — their full runs are exactly what
-/// sampled mode exists to avoid.
+/// How the cell is produced is the store's [`RunContext`](crate::RunContext):
+/// in sampled mode every cell is served from trace-driven estimation
+/// instead of exact simulation (see [`crate::sampled`]), and exact runs are
+/// priced under the context's predictor. Exact mode refuses scaled-tier
+/// workloads — their full runs are exactly what sampled mode exists to
+/// avoid.
 pub fn cell_result(store: &Store, key: &CellKey, program: &Program) -> Arc<CellResult> {
-    if let Some(dir) = crate::sampled::sampled_mode() {
-        return crate::sampled::sampled_cell_result(store, key, dir);
+    let ctx = store.context();
+    if ctx.traces_dir().is_some() {
+        return crate::sampled::sampled_cell_result(store, key);
     }
     assert!(
         key.params.scale < strata_workloads::SAMPLED_ONLY_SCALE,
@@ -88,9 +85,10 @@ pub fn cell_result(store: &Store, key: &CellKey, program: &Program) -> Arc<CellR
     match &key.kind {
         RunKind::Native => store.get_or_compute(key, || {
             CellResult::Native(
-                run_native_tiered(program, key.profile.clone(), FUEL, exec_tier()).unwrap_or_else(
-                    |e| panic!("native {} on {}: {e}", key.workload, key.profile.name),
-                ),
+                run_native_with_model(program, ctx.model(key.profile.clone()), FUEL, exec_tier())
+                    .unwrap_or_else(|e| {
+                        panic!("native {} on {}: {e}", key.workload, key.profile.name)
+                    }),
             )
         }),
         RunKind::Translated(cfg) => {
@@ -101,7 +99,7 @@ pub fn cell_result(store: &Store, key: &CellKey, program: &Program) -> Arc<CellR
                     .unwrap_or_else(|e| {
                         panic!("sdt for {} / {}: {e}", key.workload, cfg.describe())
                     })
-                    .run(key.profile.clone(), FUEL)
+                    .run_with_model(ctx.model(key.profile.clone()), FUEL)
                     .unwrap_or_else(|e| {
                         panic!(
                             "run {} / {} on {}: {e}",
@@ -157,17 +155,12 @@ pub fn execute(store: &Store, cells: &[CellKey], jobs: usize) {
     }
 
     // Longest-first within each phase, from budgets observed on previous
-    // runs (empty book = FIFO). The snapshot is taken once up front so
-    // this run's own recordings cannot perturb its schedule.
-    let book = store.budget_book();
-    let jobs = jobs.max(1);
-    for phase in [&natives, &translated] {
-        run_phase(
-            store,
-            &order_longest_first(phase, &book, store.key_prefix()),
-            &programs,
-            jobs,
-        );
+    // runs (empty book = FIFO). Both phases are ordered up front so this
+    // run's own recordings cannot perturb its schedule.
+    let ordered =
+        [&natives, &translated].map(|phase| order_longest_first(phase, |cell| store.budget(cell)));
+    for phase in &ordered {
+        run_phase(store, phase, &programs, jobs.max(1));
     }
     store.flush_budgets();
 }

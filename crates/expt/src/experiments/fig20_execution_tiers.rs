@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use strata_arch::ArchProfile;
+use strata_arch::{ArchModel, ArchProfile};
 use strata_stats::{geomean, Table};
 use strata_workloads::registry;
 
@@ -34,7 +34,7 @@ use super::Output;
 use crate::cell::CellKey;
 use crate::exec::{build_program, FUEL};
 use crate::view::View;
-use strata_core::run_native_tiered;
+use strata_core::run_native_with_model;
 use strata_machine::{ExecTier, TierConfig};
 
 /// The threaded tier under test: default promotion threshold and block cap.
@@ -70,11 +70,18 @@ pub fn render(view: &View) -> Output {
     let mut speedups = Vec::new();
     let mut lines = Vec::new();
     let mut validated = (0usize, 0usize, 0usize);
+    // The model the suite's native baselines were priced under: the
+    // context's in exact mode; trace headers always record the legacy one.
+    let ctx = view.context();
+    let baseline_model = || match ctx.traces_dir() {
+        None => ctx.model(x86.clone()),
+        Some(_) => ArchModel::new(x86.clone()),
+    };
     for spec in registry() {
         let program = build_program(spec.name, view.params());
         let timed = |tier: ExecTier| {
             let start = Instant::now();
-            let run = run_native_tiered(&program, x86.clone(), FUEL, tier)
+            let run = run_native_with_model(&program, baseline_model(), FUEL, tier)
                 .unwrap_or_else(|e| panic!("fig20: native {} ({tier:?}): {e}", spec.name));
             (start.elapsed(), run)
         };

@@ -10,7 +10,7 @@
 //! estimate with its 95% confidence interval, then reports relative
 //! error, interval coverage, and the work reduction. The
 //! `pred_mispredicts` row does the same for the hardware-predictor
-//! mirror (under the process-wide [`PredictorSpec`](strata_arch::PredictorSpec)),
+//! mirror (under the run context's [`PredictorSpec`](strata_arch::PredictorSpec)),
 //! gating the predictor-aware cycle charge sampled mode synthesizes.
 //!
 //! The verdict line (`FIDELITY PASS`/`FAIL`) gates CI: every gated
@@ -24,13 +24,15 @@
 //!
 //! [`DispatchReplay`]: strata_core::DispatchReplay
 
+use std::path::Path;
+
 use strata_arch::ArchProfile;
 use strata_core::SdtConfig;
 use strata_stats::{Estimate, Table};
 
 use super::Output;
 use crate::cell::CellKey;
-use crate::sampled::{ensure_bundle, estimate_cell, full_trace_counters_with_spec, sampled_mode};
+use crate::sampled::{ensure_bundle, estimate_cell_with_spec, full_trace_counters};
 use crate::view::View;
 
 /// CI gate: maximum relative error of any gated dispatch-count estimate.
@@ -62,15 +64,6 @@ fn representatives() -> [(&'static str, SdtConfig); 4] {
     ]
 }
 
-/// The traces directory this render reads (and, on first run, records
-/// into): the sampled-mode directory when the mode is on, otherwise the
-/// default reference location.
-fn traces_dir() -> std::path::PathBuf {
-    sampled_mode()
-        .map(|d| d.to_path_buf())
-        .unwrap_or_else(|| std::path::PathBuf::from(crate::sampled::DEFAULT_TRACES_DIR))
-}
-
 /// Cells: the probe workloads' x86 native baselines — all shared with
 /// (and deduped against) fig2/table1. The estimate-vs-exact comparison
 /// happens in `render` over trace bundles, not store cells, so this
@@ -92,7 +85,14 @@ fn bar(e: &Estimate) -> f64 {
 /// Renders Figure 21.
 pub fn render(view: &View) -> Output {
     let x86 = ArchProfile::x86_like();
-    let dir = traces_dir();
+    // The traces directory this render reads (and, on first run, records
+    // into): the context's in sampled mode, otherwise the default
+    // reference location.
+    let dir = view
+        .context()
+        .traces_dir()
+        .unwrap_or(Path::new(crate::sampled::DEFAULT_TRACES_DIR));
+    let spec = view.context().predictor;
     let mut out = Output::default();
     let mut t = Table::new(
         "Fig. 21: sampled-simulation fidelity (x86-like)",
@@ -116,7 +116,7 @@ pub fn render(view: &View) -> Output {
 
     for &workload in &WORKLOADS {
         let bundle =
-            ensure_bundle(&dir, workload, view.params()).unwrap_or_else(|e| panic!("fig21: {e}"));
+            ensure_bundle(dir, workload, view.params()).unwrap_or_else(|e| panic!("fig21: {e}"));
         coverage_notes.push(format!(
             "  {:<8} {} intervals of {} instrs, {} simulation points ({:.1}% coverage)",
             workload,
@@ -126,18 +126,12 @@ pub fn render(view: &View) -> Output {
             bundle.points.coverage() * 100.0,
         ));
         for (figure, cfg) in representatives() {
-            let cell = estimate_cell(&dir, workload, view.params(), cfg, x86.clone())
-                .unwrap_or_else(|e| panic!("fig21: {e}"));
-            let spec = strata_arch::predictor();
-            let (truth, pred_truth) = full_trace_counters_with_spec(
-                &bundle,
-                workload,
-                view.params(),
-                cfg,
-                x86.clone(),
-                spec,
-            )
-            .unwrap_or_else(|e| panic!("fig21: {e}"));
+            let cell =
+                estimate_cell_with_spec(dir, workload, view.params(), cfg, x86.clone(), spec)
+                    .unwrap_or_else(|e| panic!("fig21: {e}"));
+            let (truth, pred_truth) =
+                full_trace_counters(&bundle, workload, view.params(), cfg, x86.clone(), spec)
+                    .unwrap_or_else(|e| panic!("fig21: {e}"));
             max_work = max_work.max(cell.work_fraction());
             trace_total += cell.trace_records;
             replayed_total += cell.replayed_records;

@@ -32,7 +32,7 @@ use strata_stats::Table;
 use super::{fx, Output};
 use crate::cell::CellKey;
 use crate::exec::FUEL;
-use crate::sampled::{estimate_cell_with_spec, program_for, sampled_mode};
+use crate::sampled::{estimate_cell_with_spec, program_for};
 use crate::view::View;
 
 /// The probe workload: a mix of polymorphic indirect jumps and deep
@@ -79,7 +79,7 @@ pub fn cells(params: strata_workloads::Params) -> Vec<CellKey> {
 /// Total cycles for one (mechanism, predictor) cell, exact or sampled,
 /// with the run's indirect-mispredict count.
 fn cell_cycles(view: &View, cfg: SdtConfig, spec: PredictorSpec) -> (u64, u64) {
-    if let Some(dir) = sampled_mode() {
+    if let Some(dir) = view.context().traces_dir() {
         let cell = estimate_cell_with_spec(
             dir,
             WORKLOAD,
@@ -109,7 +109,7 @@ pub fn render(view: &View) -> Output {
     let x86 = ArchProfile::x86_like();
     let native_cycles = view.native(WORKLOAD, &x86).total_cycles;
     let mut out = Output::default();
-    let mode = if sampled_mode().is_some() {
+    let mode = if view.context().traces_dir().is_some() {
         "estimated (--sampled)"
     } else {
         "exact"

@@ -31,9 +31,9 @@
 //! strata bench --cache                 # resumable on-disk cell cache
 //! ```
 //!
-//! The historical `strata-bench` binaries (`fig4_ibtc_size_sweep`, …)
-//! remain as thin delegates to [`run_single`], so one code path defines
-//! each experiment.
+//! Exact vs sampled execution and the hardware predictor model — the two
+//! settings that change what a cell's result *is* — travel in one
+//! [`RunContext`] owned by the [`Store`]; see [`context`].
 //!
 //! [`SdtConfig`]: strata_core::SdtConfig
 //! [`ArchProfile`]: strata_arch::ArchProfile
@@ -42,10 +42,10 @@
 
 pub mod budget;
 pub mod cell;
+pub mod context;
 pub mod exec;
 pub mod experiments;
 pub mod fsutil;
-pub mod knobs;
 pub mod registry;
 pub mod sampled;
 pub mod store;
@@ -54,16 +54,17 @@ pub mod view;
 
 pub use budget::{makespan, order_longest_first, BudgetBook};
 pub use cell::{CellKey, CellResult, RunKind};
+pub use context::{Mode, RunContext};
 pub use exec::{exec_tier, execute, set_exec_tier, FUEL};
 pub use experiments::Output;
 pub use fsutil::{atomic_write, atomic_write_bytes};
-pub use knobs::EnvKnobs;
 pub use registry::{by_id, registry, Experiment};
-pub use sampled::{sampled_mode, set_sampled, SampledCell, DEFAULT_TRACES_DIR};
+pub use sampled::{SampledCell, DEFAULT_TRACES_DIR};
 pub use store::{parse_record, render_record, Store, StoreStats};
+/// The workspace's one FNV-1a 64 (defined beside the trace checksums).
+pub use strata_trace::fnv1a64;
 pub use suite::{
-    baseline_gate, manifest_fingerprint, render_from_store, run_shard, run_single, run_suite,
-    select, validate_filter, work_manifest, write_artifacts, OutputFormat, Shard, ShardReport,
-    SuiteOptions, SuiteReport,
+    baseline_gate, render_from_store, run_shard, run_suite, select, validate_filter, work_manifest,
+    write_artifacts, OutputFormat, Shard, ShardReport, SuiteOptions, SuiteReport,
 };
 pub use view::View;

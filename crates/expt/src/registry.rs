@@ -13,8 +13,6 @@ pub struct Experiment {
     /// Stable short id (`table1`, `fig2`, …) used by `--filter` and as
     /// the `results/<id>.json` file stem.
     pub id: &'static str,
-    /// The historical `strata-bench` binary name that regenerates it.
-    pub bin: &'static str,
     /// One-line title.
     pub title: &'static str,
     /// Expands the experiment into simulation cells.
@@ -27,7 +25,6 @@ macro_rules! experiment {
     ($id:literal, $module:ident, $title:literal) => {
         Experiment {
             id: $id,
-            bin: stringify!($module),
             title: $title,
             cells: experiments::$module::cells,
             render: experiments::$module::render,

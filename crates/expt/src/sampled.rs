@@ -23,14 +23,15 @@
 //!    [`CounterEstimates`] side channel to print estimate-vs-exact rows
 //!    with stated error bars.
 //!
-//! The mode is strictly opt-in (`strata bench --sampled`, or
-//! `STRATA_SAMPLED` for fleet workers); when off, nothing here runs and
+//! The mode is strictly opt-in (`--sampled`, which sets
+//! [`Mode::Sampled`](crate::Mode) in the store's
+//! [`RunContext`](crate::RunContext)); when off, nothing here runs and
 //! exact mode is byte-identical to before. Sampled results are memoized
-//! and budgeted under a `sampled/` key prefix so they can never collide
+//! and budgeted under the context's namespace so they can never collide
 //! with exact cells (see [`crate::store`]).
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use strata_arch::{ArchProfile, PredictorSpec};
@@ -54,51 +55,6 @@ pub const DEFAULT_TRACES_DIR: &str = "results/traces";
 /// non-contiguous simulation point, so cold mechanism state does not
 /// bleed into the measured deltas.
 const WARMUP_INTERVALS: u64 = 1;
-
-/// Process-wide sampled-mode switch, mirroring
-/// [`crate::exec::exec_tier`]: an explicit [`set_sampled`] (the CLI's
-/// `--sampled` flag) wins; otherwise the `STRATA_SAMPLED` environment
-/// variable (a traces directory, or `1` for [`DEFAULT_TRACES_DIR`]) so
-/// fleet workers inherit the mode; otherwise off (exact mode).
-static MODE: OnceLock<Option<PathBuf>> = OnceLock::new();
-
-/// Turns sampled mode on for this process with traces under
-/// `traces_dir` (first caller wins; the env fallback is then ignored).
-pub fn set_sampled(traces_dir: PathBuf) {
-    let _ = MODE.set(Some(traces_dir));
-}
-
-/// The resolved traces directory when sampled mode is on, `None` in
-/// exact mode.
-pub fn sampled_mode() -> Option<&'static Path> {
-    MODE.get_or_init(|| match std::env::var("STRATA_SAMPLED") {
-        Ok(v) if v.is_empty() || v == "0" => None,
-        Ok(v) if v == "1" => Some(PathBuf::from(DEFAULT_TRACES_DIR)),
-        Ok(v) => Some(PathBuf::from(v)),
-        Err(_) => None,
-    })
-    .as_deref()
-}
-
-/// The store/budget key prefix for the current mode: `"sampled/"` when
-/// sampled mode is on, plus a `pred-<label>/` component when a
-/// non-legacy [`PredictorSpec`] is selected, `""` in the default exact
-/// mode. Keeps estimated results, predictor-model results, and their
-/// cycle budgets fully disjoint from exact legacy ones.
-pub fn key_prefix() -> &'static str {
-    static PREFIX: OnceLock<String> = OnceLock::new();
-    PREFIX.get_or_init(|| {
-        let mut s = String::new();
-        if sampled_mode().is_some() {
-            s.push_str("sampled/");
-        }
-        let spec = strata_arch::predictor();
-        if spec != PredictorSpec::Legacy {
-            s.push_str(&format!("pred-{}/", spec.label()));
-        }
-        s
-    })
-}
 
 /// Deterministic sampling interval for a trace of `instructions`
 /// retired instructions: targets ~250 intervals (so k-means sees enough
@@ -393,19 +349,11 @@ pub fn estimate_cell(
     cfg: SdtConfig,
     profile: ArchProfile,
 ) -> Result<SampledCell, String> {
-    estimate_cell_with_spec(
-        dir,
-        workload,
-        params,
-        cfg,
-        profile,
-        strata_arch::predictor(),
-    )
+    estimate_cell_with_spec(dir, workload, params, cfg, profile, PredictorSpec::Legacy)
 }
 
-/// [`estimate_cell`] with an explicit [`PredictorSpec`] — how fig22
-/// sweeps predictor models per cell without touching the process-wide
-/// selection.
+/// [`estimate_cell`] with an explicit [`PredictorSpec`] for the replay's
+/// hardware mirror instead of the legacy one.
 ///
 /// # Errors
 ///
@@ -660,39 +608,16 @@ fn synthesize_report(
     })
 }
 
-/// Exact whole-trace counters for a configuration — the fidelity
-/// experiment's ground truth. Replays *every* record (no sampling);
-/// the replay-exactness tests prove this equals exact-mode counters.
+/// Exact whole-trace mechanism counters for a configuration, plus the
+/// replay's hardware-predictor mirror counters under `spec` — the
+/// fidelity experiment's ground truth. Replays *every* record (no
+/// sampling); the replay-exactness tests prove this equals exact-mode
+/// counters.
 ///
 /// # Errors
 ///
 /// Returns a message on construction failure or desync.
 pub fn full_trace_counters(
-    bundle: &Bundle,
-    workload: &str,
-    params: Params,
-    cfg: SdtConfig,
-    profile: ArchProfile,
-) -> Result<MechanismStats, String> {
-    full_trace_counters_with_spec(
-        bundle,
-        workload,
-        params,
-        cfg,
-        profile,
-        strata_arch::predictor(),
-    )
-    .map(|(mech, _)| mech)
-}
-
-/// [`full_trace_counters`] with an explicit [`PredictorSpec`], also
-/// returning the replay's hardware-predictor mirror counters — the
-/// fidelity ground truth for fig22's predictor-aware cycles.
-///
-/// # Errors
-///
-/// As [`full_trace_counters`].
-pub fn full_trace_counters_with_spec(
     bundle: &Bundle,
     workload: &str,
     params: Params,
@@ -714,9 +639,17 @@ pub fn full_trace_counters_with_spec(
 
 /// The sampled-mode twin of [`crate::exec::cell_result`]: native cells
 /// are served exactly from the trace header's per-profile baselines;
-/// translated cells are estimated via [`estimate_cell`]. Results are
-/// memoized in the store under the `sampled/` key prefix.
-pub fn sampled_cell_result(store: &Store, key: &CellKey, dir: &Path) -> Arc<CellResult> {
+/// translated cells are estimated via [`estimate_cell_with_spec`] under
+/// the store context's predictor.
+///
+/// # Panics
+///
+/// Panics when the store's context is not sampled.
+pub fn sampled_cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
+    let ctx = store.context();
+    let dir = ctx
+        .traces_dir()
+        .expect("sampled cells need a sampled context");
     match &key.kind {
         RunKind::Native => store.get_or_compute(key, || {
             let bundle = ensure_bundle(dir, key.workload, key.params)
@@ -736,8 +669,16 @@ pub fn sampled_cell_result(store: &Store, key: &CellKey, dir: &Path) -> Arc<Cell
         RunKind::Translated(cfg) => {
             let cfg = *cfg;
             store.get_or_compute(key, || {
-                let cell = estimate_cell(dir, key.workload, key.params, cfg, key.profile.clone())
-                    .unwrap_or_else(|e| panic!("sampled cell: {e}"));
+                let profile = key.profile.clone();
+                let cell = estimate_cell_with_spec(
+                    dir,
+                    key.workload,
+                    key.params,
+                    cfg,
+                    profile,
+                    ctx.predictor,
+                )
+                .unwrap_or_else(|e| panic!("sampled cell: {e}"));
                 CellResult::Translated(Box::new(cell.report))
             })
         }
@@ -747,6 +688,7 @@ pub fn sampled_cell_result(store: &Store, key: &CellKey, dir: &Path) -> Arc<Cell
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("strata-sampled-{tag}-{}", std::process::id()));
@@ -833,8 +775,9 @@ mod tests {
         assert!(cell.work_fraction() <= 0.2, "{}", cell.work_fraction());
         assert_eq!(cell.report.checksum, bundle.trace.checksum);
 
-        let truth =
-            full_trace_counters(&bundle, "gzip", params, cfg, ArchProfile::x86_like()).unwrap();
+        let x86 = ArchProfile::x86_like();
+        let (truth, _) =
+            full_trace_counters(&bundle, "gzip", params, cfg, x86, PredictorSpec::Legacy).unwrap();
         let err = cell.est.ib_dispatches.rel_error(truth.ib_dispatches as f64);
         assert!(
             err < 0.25,

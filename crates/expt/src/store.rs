@@ -7,12 +7,12 @@
 //! persisted as versioned flat-text records that embed their full key, so
 //! stale or hash-colliding files are ignored rather than trusted.
 //!
-//! Sampled mode stores its estimated results under a `sampled/` key
-//! prefix (see [`crate::sampled::key_prefix`]): memo entries, disk
-//! records, and budget-book rows all carry the prefix, so estimates can
-//! never be served for exact cells (or pollute the exact LPT schedule)
-//! and vice versa — the two populations share a cache directory but are
-//! fully disjoint.
+//! Every store belongs to one [`RunContext`] and keeps its memo entries,
+//! disk records and budget rows under that context's
+//! [`namespace`](RunContext::namespace), so estimates or another predictor
+//! model's results can never be served for exact legacy cells (or steer
+//! their LPT schedule) and vice versa — the populations share a cache
+//! directory but are fully disjoint.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -21,10 +21,12 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use strata_core::{MechanismStats, NativeRun, RunReport};
+use strata_trace::fnv1a64;
 use strata_workloads::Params;
 
 use crate::budget::BudgetBook;
-use crate::cell::{fnv1a64, CellKey, CellResult};
+use crate::cell::{CellKey, CellResult};
+use crate::context::RunContext;
 use crate::fsutil::atomic_write;
 
 /// On-disk record format version; bump on any layout change.
@@ -46,62 +48,57 @@ pub struct Store {
     cells: Mutex<HashMap<String, Arc<CellResult>>>,
     disk: Option<PathBuf>,
     budgets: Mutex<BudgetBook>,
-    /// Key-namespace prefix (`""` exact, `"sampled/"` sampled mode).
-    prefix: &'static str,
+    context: RunContext,
+    /// `context.namespace()`, rendered once.
+    namespace: String,
     computed: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
 }
 
 impl Store {
-    /// A purely in-memory store in the current mode's key namespace.
-    pub fn in_memory() -> Store {
-        Store::in_memory_prefixed(crate::sampled::key_prefix())
-    }
-
-    /// An in-memory store with an explicit key prefix (tests use this to
-    /// exercise the sampled namespace without flipping the process-wide
-    /// mode).
-    pub fn in_memory_prefixed(prefix: &'static str) -> Store {
+    /// A store for results produced under `context`. With a `disk_dir`,
+    /// cells are additionally persisted there (created on first write)
+    /// and previously recorded per-cell cycle budgets are loaded from it
+    /// for longest-first scheduling.
+    pub fn new(context: RunContext, disk_dir: Option<PathBuf>) -> Store {
         Store {
             cells: Mutex::new(HashMap::new()),
-            disk: None,
-            budgets: Mutex::new(BudgetBook::new()),
-            prefix,
+            budgets: Mutex::new(
+                disk_dir
+                    .as_deref()
+                    .map_or_else(BudgetBook::new, BudgetBook::load),
+            ),
+            disk: disk_dir,
+            namespace: context.namespace(),
+            context,
             computed: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
         }
     }
 
-    /// A store that additionally persists cells under `dir` (created on
-    /// first write), in the current mode's key namespace. Previously
-    /// recorded per-cell cycle budgets are loaded from the same directory
-    /// for longest-first scheduling.
+    /// A purely in-memory store in the default (exact, legacy-predictor)
+    /// context.
+    pub fn in_memory() -> Store {
+        Store::new(RunContext::default(), None)
+    }
+
+    /// A disk-backed store in the default context.
     pub fn with_disk_cache(dir: PathBuf) -> Store {
-        Store::with_disk_cache_prefixed(dir, crate::sampled::key_prefix())
+        Store::new(RunContext::default(), Some(dir))
     }
 
-    /// Disk-backed store with an explicit key prefix (see
-    /// [`Store::in_memory_prefixed`]).
-    pub fn with_disk_cache_prefixed(dir: PathBuf, prefix: &'static str) -> Store {
-        Store {
-            budgets: Mutex::new(BudgetBook::load(&dir)),
-            disk: Some(dir),
-            ..Store::in_memory_prefixed(prefix)
-        }
+    /// The context this store's results are produced under.
+    pub fn context(&self) -> &RunContext {
+        &self.context
     }
 
-    /// This store's key-namespace prefix (`""` in exact mode).
-    pub fn key_prefix(&self) -> &'static str {
-        self.prefix
-    }
-
-    /// The namespaced key string results are stored under. With the empty
-    /// prefix this is exactly [`CellKey::key_string`], so exact-mode disk
+    /// The namespaced key string results are stored under. In the default
+    /// context this is exactly [`CellKey::key_string`], so exact-mode disk
     /// caches and budget books from before sampled mode remain valid.
     fn eff_key(&self, key: &CellKey) -> String {
-        format!("{}{}", self.prefix, key.key_string())
+        format!("{}{}", self.namespace, key.key_string())
     }
 
     /// Number of distinct cells held in memory.
@@ -132,10 +129,14 @@ impl Store {
             .cloned()
     }
 
-    /// A snapshot of the cycle-budget book (recorded this run plus any
-    /// loaded from the disk cache).
-    pub fn budget_book(&self) -> BudgetBook {
-        self.budgets.lock().expect("budget lock").clone()
+    /// The cycle budget observed for `key` under this store's context
+    /// (this run or loaded from the disk cache) — the scheduling cost the
+    /// local executor and the fleet coordinator both order by.
+    pub fn budget(&self, key: &CellKey) -> Option<u64> {
+        self.budgets
+            .lock()
+            .expect("budget lock")
+            .get(&self.eff_key(key))
     }
 
     /// Persists the budget book into the disk-cache directory, merged
@@ -262,9 +263,9 @@ impl Store {
     }
 }
 
-/// Disk file name for a (possibly prefixed) key string. With the empty
-/// prefix this equals [`CellKey::cache_file_name`], so existing exact-mode
-/// caches stay valid; the `sampled/` prefix hashes to disjoint names.
+/// Disk file name for a namespaced key string. In the default context
+/// this equals [`CellKey::cache_file_name`], so existing exact-mode caches
+/// stay valid; every other namespace hashes to disjoint names.
 fn disk_file_name(ks: &str) -> String {
     format!("{:016x}.cell", fnv1a64(ks.as_bytes()))
 }
@@ -274,14 +275,14 @@ fn disk_file_name(ks: &str) -> String {
 /// schedule never sorts on dead keys. Keys are grouped by the params
 /// embedded in their tail and checked against the full registry's
 /// manifest at those params; a key whose params do not parse is stale by
-/// definition. Sampled-namespace keys (`sampled/...`) are validated
-/// against the same manifest after stripping the prefix — the estimated
+/// definition. Keys of every context's namespace are validated against
+/// the same manifest after [`RunContext::strip_namespace`] — each
 /// population is the same cell grid, just measured differently. If the
 /// manifest itself cannot be built, everything is conservatively kept.
 fn prune_stale(book: &mut BudgetBook) {
     let mut live: HashMap<(u32, u64), Option<HashSet<String>>> = HashMap::new();
     book.retain(|key| {
-        let key = key.strip_prefix("sampled/").unwrap_or(key);
+        let key = RunContext::strip_namespace(key);
         let Some(params) = params_of_key(key) else {
             return false;
         };
@@ -670,71 +671,30 @@ mod tests {
     }
 
     #[test]
-    fn sampled_and_exact_namespaces_are_disjoint() {
-        let dir = std::env::temp_dir().join(format!("strata-store-ns-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CellKey::native("gzip", ArchProfile::x86_like(), Params::default());
-        let exact = Store::with_disk_cache_prefixed(dir.clone(), "");
-        let sampled = Store::with_disk_cache_prefixed(dir.clone(), "sampled/");
-
-        let mut estimated = sample_native();
-        estimated.total_cycles = 42; // deliberately different from exact
-        exact.put(&key, CellResult::Native(sample_native()));
-        sampled.put(&key, CellResult::Native(estimated.clone()));
-
-        // Each namespace serves its own result, through memory and disk.
-        assert_eq!(
-            exact.get(&key).unwrap().as_native().unwrap(),
-            &sample_native()
-        );
-        assert_eq!(sampled.get(&key).unwrap().as_native().unwrap(), &estimated);
-        let fresh_exact = Store::with_disk_cache_prefixed(dir.clone(), "");
-        let fresh_sampled = Store::with_disk_cache_prefixed(dir.clone(), "sampled/");
-        assert_eq!(
-            fresh_exact.cached(&key).unwrap().as_native().unwrap(),
-            &sample_native()
-        );
-        assert_eq!(
-            fresh_sampled.cached(&key).unwrap().as_native().unwrap(),
-            &estimated
-        );
-
-        // Budget rows are namespaced too: each store records under its
-        // own prefix, so the exact LPT schedule never sorts on estimates.
-        exact.flush_budgets();
-        sampled.flush_budgets();
-        let book = BudgetBook::load(&dir);
-        assert_eq!(
-            book.get(&key.key_string()),
-            Some(sample_native().total_cycles)
-        );
-        assert_eq!(
-            book.get(&format!("sampled/{}", key.key_string())),
-            Some(42),
-            "both rows visible in the shared book file"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flush_keeps_live_sampled_keys_and_prunes_ghosts() {
+    fn flush_keeps_live_keys_of_every_namespace_and_prunes_ghosts() {
         let dir = std::env::temp_dir().join(format!("strata-store-sns-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let live = CellKey::native("gzip", ArchProfile::x86_like(), Params::default());
+        let live = CellKey::native("gzip", ArchProfile::x86_like(), Params::default()).key_string();
+        let ghost = "ghost|native|x86-like|s1v0";
+        let namespaces = ["", "sampled/", "pred-ittage:4/", "sampled/pred-ittage:4/"];
         let mut book = BudgetBook::new();
-        book.record(&live.key_string(), 1);
-        book.record(&format!("sampled/{}", live.key_string()), 2);
-        book.record("sampled/ghost|native|x86-like|s1v0", 3);
+        for (i, ns) in namespaces.iter().enumerate() {
+            book.record(&format!("{ns}{live}"), i as u64);
+            book.record(&format!("{ns}{ghost}"), 99);
+        }
+        // A live key behind something that is no context's namespace is
+        // as dead as a ghost.
+        for malformed in ["bogus/", "pred-tage/", "pred-/", "sampled/sampled/"] {
+            book.record(&format!("{malformed}{live}"), 99);
+        }
         book.save(&dir);
 
-        Store::with_disk_cache_prefixed(dir.clone(), "").flush_budgets();
+        Store::with_disk_cache(dir.clone()).flush_budgets();
         let pruned = BudgetBook::load(&dir);
-        assert_eq!(pruned.get(&live.key_string()), Some(1));
-        assert_eq!(
-            pruned.get(&format!("sampled/{}", live.key_string())),
-            Some(2)
-        );
-        assert_eq!(pruned.len(), 2, "ghost sampled key dropped");
+        for (i, ns) in namespaces.iter().enumerate() {
+            assert_eq!(pruned.get(&format!("{ns}{live}")), Some(i as u64), "`{ns}`");
+        }
+        assert_eq!(pruned.len(), namespaces.len(), "every ghost key dropped");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

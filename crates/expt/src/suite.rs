@@ -14,10 +14,10 @@ use strata_stats::Json;
 use strata_workloads::Params;
 
 use crate::cell::CellKey;
+use crate::context::RunContext;
 use crate::exec::execute;
 use crate::experiments::Output;
-use crate::knobs::EnvKnobs;
-use crate::registry::{registry, Experiment};
+use crate::registry::{by_id, registry, Experiment};
 use crate::store::{Store, StoreStats};
 use crate::view::View;
 
@@ -49,7 +49,8 @@ impl OutputFormat {
 pub struct SuiteOptions {
     /// Worker threads (default: available parallelism).
     pub jobs: usize,
-    /// Comma-separated experiment-id substrings; `None` runs everything.
+    /// Comma-separated experiment-id patterns (see [`select`]); `None`
+    /// runs everything.
     pub filter: Option<String>,
     /// Stdout format.
     pub format: OutputFormat,
@@ -57,6 +58,10 @@ pub struct SuiteOptions {
     pub params: Params,
     /// Enable the on-disk cell cache under this directory.
     pub cache_dir: Option<PathBuf>,
+    /// What the cells' results mean: exact or sampled, and under which
+    /// predictor model. [`run_suite`] and [`run_shard`] build their store
+    /// from it; [`render_from_store`] reads the store's own.
+    pub context: RunContext,
 }
 
 impl Default for SuiteOptions {
@@ -69,6 +74,7 @@ impl Default for SuiteOptions {
             format: OutputFormat::Text,
             params: Params::default(),
             cache_dir: None,
+            context: RunContext::default(),
         }
     }
 }
@@ -108,13 +114,23 @@ fn patterns(filter: Option<&str>) -> Vec<&str> {
         .collect()
 }
 
-/// Selects experiments matching `filter` (comma-separated substrings of
-/// experiment ids; `None` or empty selects all), in registry order.
+/// Whether `pattern` selects experiment `id`: a pattern that *is* an
+/// experiment id selects exactly that experiment (`fig2` is fig2 alone,
+/// not fig20–22 too); any other pattern selects every id containing it.
+fn pattern_selects(pattern: &str, id: &str) -> bool {
+    match by_id(pattern) {
+        Some(exact) => exact.id == id,
+        None => id.contains(pattern),
+    }
+}
+
+/// Selects experiments matching `filter` (comma-separated patterns, see
+/// [`pattern_selects`]; `None` or empty selects all), in registry order.
 pub fn select(filter: Option<&str>) -> Vec<&'static Experiment> {
     let patterns = patterns(filter);
     registry()
         .iter()
-        .filter(|e| patterns.is_empty() || patterns.iter().any(|p| e.id.contains(p)))
+        .filter(|e| patterns.is_empty() || patterns.iter().any(|p| pattern_selects(p, e.id)))
         .collect()
 }
 
@@ -128,7 +144,7 @@ pub fn select(filter: Option<&str>) -> Vec<&'static Experiment> {
 /// Returns a message naming the dead pattern and every valid id.
 pub fn validate_filter(filter: Option<&str>) -> Result<(), String> {
     for pattern in patterns(filter) {
-        if !registry().iter().any(|e| e.id.contains(pattern)) {
+        if !registry().iter().any(|e| pattern_selects(pattern, e.id)) {
             let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
             return Err(format!(
                 "filter pattern `{pattern}` matches no experiment (ids: {})",
@@ -166,7 +182,7 @@ fn expand_cells(selected: &[&'static Experiment], params: Params) -> Vec<CellKey
 /// (filter, params), so work can be assigned by *manifest index* over the
 /// wire and verified against the full key string; no cell-key codec is
 /// needed, and any registry skew between the two binaries is caught by
-/// [`manifest_fingerprint`] before any work is handed out.
+/// [`RunContext::fingerprint`] before any work is handed out.
 ///
 /// # Errors
 ///
@@ -188,32 +204,6 @@ pub fn work_manifest(filter: Option<&str>, params: Params) -> Result<Vec<CellKey
         }
     }
     Ok(out)
-}
-
-/// A stable fingerprint of a work manifest (FNV-1a over every key string
-/// in order, prefixed by the execution mode). Coordinator and workers
-/// compare fingerprints during the fleet handshake: a mismatch means the
-/// two binaries expand different cell sets — version skew — and the
-/// worker refuses the session instead of silently computing the wrong
-/// grid. Sampled mode salts the fingerprint, so a sampled coordinator
-/// and an exact worker (or vice versa) refuse each other at handshake
-/// instead of mixing estimated and exact results in one store. A
-/// non-legacy `--predictor` selection salts it the same way, so every
-/// fleet member prices cycles under the same target-predictor model.
-pub fn manifest_fingerprint(cells: &[CellKey]) -> u64 {
-    let mut joined = String::new();
-    if crate::sampled::sampled_mode().is_some() {
-        joined.push_str("sampled\n");
-    }
-    let spec = strata_arch::predictor();
-    if spec != strata_arch::PredictorSpec::Legacy {
-        joined.push_str(&format!("predictor {}\n", spec.label()));
-    }
-    for cell in cells {
-        joined.push_str(&cell.key_string());
-        joined.push('\n');
-    }
-    crate::cell::fnv1a64(joined.as_bytes())
 }
 
 /// One `--shard index/count` slice of a suite run.
@@ -283,7 +273,7 @@ pub fn run_shard(opts: &SuiteOptions, shard: Shard) -> Result<ShardReport, Strin
         .cloned()
         .collect();
 
-    let store = Store::with_disk_cache(cache_dir.clone());
+    let store = Store::new(opts.context.clone(), Some(cache_dir.clone()));
     execute(&store, &mine, opts.jobs);
     Ok(ShardReport {
         total_cells: all.len(),
@@ -301,11 +291,7 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, String> {
     validate_filter(opts.filter.as_deref())?;
     let selected = select(opts.filter.as_deref());
 
-    let store = match &opts.cache_dir {
-        Some(dir) => Store::with_disk_cache(dir.clone()),
-        None => Store::in_memory(),
-    };
-
+    let store = Store::new(opts.context.clone(), opts.cache_dir.clone());
     let cells = expand_cells(&selected, opts.params);
     execute(&store, &cells, opts.jobs);
     render_from_store(&store, opts)
@@ -399,47 +385,6 @@ pub fn write_artifacts(report: &SuiteReport, dir: &Path) -> Result<Vec<PathBuf>,
     Ok(written)
 }
 
-/// Runs one experiment by exact id with default options — the entry point
-/// the `strata-bench` binaries delegate to. Prints text tables (plus CSV
-/// when `STRATA_CSV=1`) to stdout.
-///
-/// # Panics
-///
-/// Panics on an unknown id; the ids are compiled in, so this is a
-/// programming error in the calling binary.
-pub fn run_single(id: &str) {
-    let knobs = EnvKnobs::from_env();
-    crate::registry::by_id(id).unwrap_or_else(|| panic!("unknown experiment id `{id}`"));
-    let opts = SuiteOptions {
-        // An exact id is also a substring of itself; restrict to the exact
-        // match below rather than substring expansion.
-        filter: Some(id.to_string()),
-        params: knobs.params(),
-        ..SuiteOptions::default()
-    };
-    let selected = select(opts.filter.as_deref());
-    let store = Store::in_memory();
-    let exact: Vec<_> = selected.into_iter().filter(|e| e.id == id).collect();
-    let mut cells = Vec::new();
-    for e in &exact {
-        cells.extend((e.cells)(opts.params));
-    }
-    execute(&store, &cells, opts.jobs);
-    let view = View::new(&store, opts.params);
-    for e in &exact {
-        let output = (e.render)(&view);
-        for table in &output.tables {
-            println!("{}", table.render_text());
-            if knobs.csv {
-                println!("{}", table.render_csv());
-            }
-        }
-        for note in &output.notes {
-            println!("{note}");
-        }
-    }
-}
-
 /// Diffs a fresh suite report against the committed baseline snapshot
 /// under `baseline_dir` at `tolerance_pct`.
 ///
@@ -530,17 +475,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn select_filters_by_substring() {
+    fn select_matches_exact_ids_then_substrings() {
+        let ids = |filter| -> Vec<&str> { select(Some(filter)).iter().map(|e| e.id).collect() };
         assert_eq!(select(None).len(), 23);
         assert_eq!(select(Some("")).len(), 23);
-        let tables: Vec<&str> = select(Some("table")).iter().map(|e| e.id).collect();
-        assert_eq!(tables, ["table1", "table2"]);
-        let picked: Vec<&str> = select(Some("fig4, fig7")).iter().map(|e| e.id).collect();
-        assert_eq!(picked, ["fig4", "fig7"]);
-        // fig1 is a substring of fig10..fig19.
-        assert_eq!(select(Some("fig1")).len(), 10);
-        // fig2 is likewise a substring of fig20..fig22.
-        assert_eq!(select(Some("fig2")).len(), 4);
+        assert_eq!(ids("table"), ["table1", "table2"]);
+        assert_eq!(ids("fig4, fig7"), ["fig4", "fig7"]);
+        // An experiment id selects that experiment alone, although it is
+        // also a substring of fig20..fig22.
+        assert_eq!(ids("fig2"), ["fig2"]);
+        // fig1 is no experiment, so it stays a substring of fig10..fig19.
+        let teens: Vec<String> = (10..20).map(|n| format!("fig{n}")).collect();
+        assert_eq!(ids("fig1"), teens);
+        assert_eq!(ids("fig").len(), 21, "every figure, neither table");
+        // What the benchmark's workloads pass.
+        assert_eq!(ids("table1"), ["table1"]);
+        assert_eq!(ids("fig3,fig13,fig14"), ["fig3", "fig13", "fig14"]);
+        assert_eq!(ids("fig20,fig21,fig22"), ["fig20", "fig21", "fig22"]);
         assert!(select(Some("nope")).is_empty());
     }
 

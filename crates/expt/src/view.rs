@@ -1,8 +1,8 @@
 //! Read-side API experiments render from.
 //!
 //! A [`View`] wraps the shared [`Store`] and the suite's workload
-//! [`Params`], exposing the same vocabulary the old per-binary `Lab`
-//! harness had (`native`, `translated`, `slowdown`, `geomean_slowdown`).
+//! [`Params`], exposing the vocabulary experiments are written in
+//! (`native`, `translated`, `slowdown`, `geomean_slowdown`).
 //! The parallel executor pre-warms every declared cell, so renders are
 //! normally pure store lookups; a cell an experiment forgot to declare is
 //! computed on the spot (serially) rather than crashing the suite.
@@ -13,6 +13,7 @@ use strata_stats::{geomean, Table};
 use strata_workloads::{registry, Params};
 
 use crate::cell::{CellKey, CellResult};
+use crate::context::RunContext;
 use crate::exec::{build_program, cell_result};
 use crate::store::Store;
 
@@ -31,6 +32,12 @@ impl<'a> View<'a> {
     /// The suite's workload parameters.
     pub fn params(&self) -> Params {
         self.params
+    }
+
+    /// The context the store's results are produced under — what the
+    /// renders that simulate on the spot (fig20–22) must match.
+    pub fn context(&self) -> &'a RunContext {
+        self.store.context()
     }
 
     /// Benchmark names in presentation order.

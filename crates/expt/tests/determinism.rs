@@ -18,6 +18,7 @@ fn suite(jobs: usize, format: OutputFormat) -> strata_expt::SuiteReport {
         format,
         params: Params::default(),
         cache_dir: None,
+        ..SuiteOptions::default()
     };
     run_suite(&opts).expect("suite runs")
 }
@@ -136,6 +137,7 @@ fn disk_cache_round_trips_suite_cells() {
         format: OutputFormat::Text,
         params: Params::default(),
         cache_dir: Some(dir.clone()),
+        ..SuiteOptions::default()
     };
     let cold = run_suite(&opts).expect("cold run");
     assert!(cold.store_stats.computed > 0);
@@ -163,6 +165,7 @@ fn store_counts_are_consistent() {
         format: OutputFormat::Csv,
         params: Params::default(),
         cache_dir: None,
+        ..SuiteOptions::default()
     };
     let report = run_suite(&opts).expect("suite runs");
     // fig2: reentry config across all 12 workloads + 12 natives.

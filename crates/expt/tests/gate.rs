@@ -21,6 +21,7 @@ fn opts(filter: &str, cache_dir: Option<PathBuf>) -> SuiteOptions {
         format: OutputFormat::Text,
         params: Params::default(),
         cache_dir,
+        ..SuiteOptions::default()
     }
 }
 

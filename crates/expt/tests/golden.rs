@@ -54,6 +54,7 @@ fn table1(format: OutputFormat) -> strata_expt::SuiteReport {
         format,
         params: Params::default(),
         cache_dir: None,
+        ..SuiteOptions::default()
     };
     run_suite(&opts).expect("suite runs")
 }

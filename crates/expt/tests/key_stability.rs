@@ -6,11 +6,109 @@
 //! configurations onto one memoization slot.
 
 use std::collections::BTreeSet;
+use std::path::PathBuf;
 
-use strata_arch::ArchProfile;
+use strata_arch::{ArchProfile, PredictorSpec};
 use strata_core::{FlagsPolicy, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, SdtConfig};
-use strata_expt::{execute, registry, CellKey, Store};
+use strata_expt::{execute, fnv1a64, registry, BudgetBook, CellKey, Mode, RunContext, Store};
 use strata_workloads::Params;
+
+/// The four kinds of run context, with the key namespace and the
+/// fingerprint salt each has had since its axis was introduced. These
+/// literals are what existing `*.cell` caches, `budgets.v1` files and
+/// fleet peers were built against; a context must keep producing them
+/// byte for byte.
+fn contexts() -> [(RunContext, &'static str, &'static str); 4] {
+    let sampled = || Mode::Sampled {
+        traces_dir: PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("key-traces"),
+    };
+    let ittage = PredictorSpec::Ittage { tables: 4 };
+    let ctx = |mode, predictor| RunContext { mode, predictor };
+    [
+        (ctx(Mode::Exact, PredictorSpec::Legacy), "", ""),
+        (
+            ctx(sampled(), PredictorSpec::Legacy),
+            "sampled/",
+            "sampled\n",
+        ),
+        (
+            ctx(Mode::Exact, ittage),
+            "pred-ittage:4/",
+            "predictor ittage:4\n",
+        ),
+        (
+            ctx(sampled(), ittage),
+            "sampled/pred-ittage:4/",
+            "sampled\npredictor ittage:4\n",
+        ),
+    ]
+}
+
+#[test]
+fn context_namespaces_and_fingerprint_salts_are_frozen() {
+    let cells = [
+        CellKey::native("gzip", ArchProfile::x86_like(), Params::default()),
+        CellKey::translated(
+            "gzip",
+            SdtConfig::ibtc_inline(512),
+            ArchProfile::x86_like(),
+            Params::default(),
+        ),
+    ];
+    let keys: String = cells.iter().map(|c| c.key_string() + "\n").collect();
+    for (context, namespace, salt) in contexts() {
+        assert_eq!(context.namespace(), namespace);
+        assert_eq!(
+            context.fingerprint(&cells),
+            fnv1a64(format!("{salt}{keys}").as_bytes()),
+            "fingerprint under `{namespace}`"
+        );
+    }
+    assert_eq!(RunContext::default(), contexts()[0].0);
+}
+
+#[test]
+fn contexts_sharing_a_cache_directory_never_serve_each_others_cells() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("key-shared-cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let x86 = ArchProfile::x86_like();
+    let native = CellKey::native("gzip", x86.clone(), Params::default());
+    // A fig2 cell: flushing prunes budgets of cells no experiment produces.
+    let cell = CellKey::translated("gzip", SdtConfig::reentry(), x86, Params::default());
+
+    // Every context computes the cell for itself, although all four write
+    // into one directory...
+    for (context, namespace, _) in contexts() {
+        let store = Store::new(context, Some(dir.clone()));
+        execute(&store, std::slice::from_ref(&cell), 1);
+        assert_eq!(
+            store.stats().computed,
+            2,
+            "`{namespace}` was served a foreign cell"
+        );
+        assert_eq!(store.stats().disk_hits, 0, "`{namespace}`");
+    }
+    // ...and afterwards each finds its own records again, under its own
+    // namespace, in the cell files and the shared budget book alike.
+    let book = BudgetBook::load(&dir);
+    assert_eq!(book.len(), 8, "two rows per context survive every flush");
+    let mut cycles = BTreeSet::new();
+    for (context, namespace, _) in contexts() {
+        let store = Store::new(context, Some(dir.clone()));
+        let result = store.cached(&cell).expect("disk hit");
+        assert!(store.cached(&native).is_some());
+        assert_eq!(store.stats().disk_hits, 2, "`{namespace}`");
+        assert_eq!(store.budget(&cell), Some(result.total_cycles()));
+        assert_eq!(
+            book.get(&format!("{namespace}{}", cell.key_string())),
+            Some(result.total_cycles())
+        );
+        cycles.insert((namespace.starts_with("sampled/"), result.total_cycles()));
+    }
+    // Exact and estimated cycles differ, so a mix-up would have shown.
+    assert!(cycles.len() >= 2, "{cycles:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 /// Expands every registered experiment and returns the deduplicated,
 /// sorted key set.

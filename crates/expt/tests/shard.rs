@@ -18,6 +18,7 @@ fn shards_cover_the_suite_and_merge_renders_from_disk() {
         format: OutputFormat::Text,
         params: Params::default(),
         cache_dir: cache,
+        ..SuiteOptions::default()
     };
 
     const COUNT: u32 = 3;

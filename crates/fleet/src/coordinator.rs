@@ -41,8 +41,7 @@ use std::time::{Duration, Instant};
 
 use strata_expt::cell::RunKind;
 use strata_expt::{
-    manifest_fingerprint, parse_record, render_from_store, work_manifest, CellKey, Store,
-    SuiteOptions, SuiteReport,
+    parse_record, render_from_store, work_manifest, CellKey, Store, SuiteOptions, SuiteReport,
 };
 use strata_stats::Json;
 
@@ -78,7 +77,9 @@ pub struct ServeOptions {
     pub bind: String,
     /// Suite selection and rendering options — the same struct a local
     /// `strata bench` uses, so the two runs are comparable by
-    /// construction. `cache_dir` doubles as the result store.
+    /// construction. `cache_dir` doubles as the result store, and
+    /// `context` salts the handshake fingerprint so only workers in the
+    /// same context are admitted.
     pub suite: SuiteOptions,
     /// Lease duration: a cell unrefreshed for this long is reassigned.
     pub lease: Duration,
@@ -201,11 +202,11 @@ impl Coordinator {
     pub fn bind(opts: ServeOptions) -> Result<Coordinator, String> {
         let manifest = work_manifest(opts.suite.filter.as_deref(), opts.suite.params)?;
         let keys: Vec<String> = manifest.iter().map(CellKey::key_string).collect();
-        let fingerprint = manifest_fingerprint(&manifest);
-        let store = Arc::new(match &opts.suite.cache_dir {
-            Some(dir) => Store::with_disk_cache(dir.clone()),
-            None => Store::in_memory(),
-        });
+        let fingerprint = opts.suite.context.fingerprint(&manifest);
+        let store = Arc::new(Store::new(
+            opts.suite.context.clone(),
+            opts.suite.cache_dir.clone(),
+        ));
 
         // Resume: anything already in the cache is done before dispatch.
         let mut done = vec![false; manifest.len()];
@@ -221,8 +222,10 @@ impl Coordinator {
         // executor uses), longest observed budget first within each
         // phase; unknown budgets keep manifest order after the known
         // ones (the sort is stable).
-        let book = store.budget_book();
-        let budgets: Vec<u64> = keys.iter().map(|k| book.get(k).unwrap_or(0)).collect();
+        let budgets: Vec<u64> = manifest
+            .iter()
+            .map(|cell| store.budget(cell).unwrap_or(0))
+            .collect();
         let mut order: Vec<u32> = (0..manifest.len() as u32)
             .filter(|&i| !done[i as usize])
             .collect();
@@ -653,6 +656,56 @@ mod tests {
         assert_eq!(Progress::parse("json"), Ok(Progress::Json));
         assert_eq!(Progress::parse("none"), Ok(Progress::Silent));
         assert!(Progress::parse("loud").is_err());
+    }
+
+    /// The dispatch queue must be ordered by the budgets recorded under
+    /// the coordinator's own context: `Store::put` files a sampled run's
+    /// observations under `sampled/`, so that is where a sampled
+    /// coordinator has to look — never at the exact population.
+    #[test]
+    fn dispatch_order_follows_the_contexts_own_budgets() {
+        use strata_expt::{BudgetBook, Mode, RunContext};
+
+        let dir = std::env::temp_dir().join(format!("strata-fleet-ns-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = work_manifest(Some("table1"), Default::default()).expect("manifest");
+        let last = manifest.len() as u32 - 1;
+        // Exact budgets rank the manifest front to back, sampled budgets
+        // back to front.
+        let mut book = BudgetBook::new();
+        for (i, cell) in manifest.iter().enumerate() {
+            let key = cell.key_string();
+            book.record(&key, 1000 - i as u64);
+            book.record(&format!("sampled/{key}"), 1000 + i as u64);
+        }
+        book.save(&dir);
+
+        let queue_under = |context: RunContext| -> Vec<u32> {
+            let coordinator = Coordinator::bind(ServeOptions {
+                bind: "127.0.0.1:0".into(),
+                suite: SuiteOptions {
+                    filter: Some("table1".into()),
+                    cache_dir: Some(dir.clone()),
+                    context,
+                    ..SuiteOptions::default()
+                },
+                ..ServeOptions::default()
+            })
+            .expect("bind");
+            let d = coordinator.shared.state.lock().expect("dispatch lock");
+            d.queue.iter().copied().collect()
+        };
+        let forward: Vec<u32> = (0..=last).collect();
+        let backward: Vec<u32> = (0..=last).rev().collect();
+        assert_eq!(queue_under(RunContext::default()), forward);
+        let sampled = RunContext {
+            mode: Mode::Sampled {
+                traces_dir: dir.join("traces"),
+            },
+            ..RunContext::default()
+        };
+        assert_eq!(queue_under(sampled), backward);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use std::io::{Read, Write};
 
-use strata_expt::cell::fnv1a64;
+use strata_expt::fnv1a64;
 
 /// Protocol version; bump on any frame-layout or semantics change.
 pub const PROTO_VERSION: u16 = 1;
@@ -59,7 +59,7 @@ pub enum Frame {
         variant: u64,
         /// Number of cells in the canonical manifest.
         manifest_len: u32,
-        /// [`strata_expt::manifest_fingerprint`] of the manifest.
+        /// [`strata_expt::RunContext::fingerprint`] of the manifest.
         fingerprint: u64,
     },
     /// Worker → coordinator: manifest verified, ready for work.

@@ -15,8 +15,10 @@
 //! scale, variant) plus a fingerprint of the expanded manifest. The
 //! worker re-derives [`work_manifest`] locally and refuses to register
 //! on a mismatch — a version-skewed binary would otherwise execute the
-//! wrong cells under the right indices. `Assign` frames still carry the
-//! full key string, which the worker cross-checks per cell.
+//! wrong cells under the right indices, and a worker in another
+//! [`RunContext`] would stream a different kind of result under the right
+//! keys. `Assign` frames still carry the full key string, which the
+//! worker cross-checks per cell.
 //!
 //! ## Failure handling
 //!
@@ -34,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use strata_expt::exec::{build_program, cell_result};
-use strata_expt::{manifest_fingerprint, render_record, work_manifest, CellKey, Store};
+use strata_expt::{render_record, work_manifest, CellKey, RunContext, Store};
 use strata_machine::Program;
 use strata_workloads::Params;
 
@@ -54,6 +56,10 @@ pub struct WorkOptions {
     pub backoff: Duration,
     /// Heartbeat interval while connected.
     pub heartbeat: Duration,
+    /// The context cells execute under. Must equal the coordinator's: it
+    /// salts the manifest fingerprint, so a mismatched worker is refused
+    /// at handshake rather than mixing result kinds.
+    pub context: RunContext,
     /// Test hook: exit abruptly (no result, no goodbye) after taking
     /// this many assignments. Simulates a mid-run crash.
     pub abandon_after: Option<usize>,
@@ -67,6 +73,7 @@ impl Default for WorkOptions {
             retries: 5,
             backoff: Duration::from_millis(500),
             heartbeat: Duration::from_secs(2),
+            context: RunContext::default(),
             abandon_after: None,
         }
     }
@@ -112,7 +119,7 @@ struct WorkerState {
 /// mismatch — a version-skewed binary must not execute cells).
 pub fn work(opts: WorkOptions) -> Result<WorkerReport, String> {
     let mut state = WorkerState {
-        store: Store::in_memory(),
+        store: Store::new(opts.context.clone(), None),
         programs: HashMap::new(),
         pending: None,
         executed: 0,
@@ -201,12 +208,12 @@ fn session(
     };
     let cells = work_manifest(filter_opt, params)
         .map_err(|e| format!("{}: coordinator sent unusable selection: {e}", opts.name))?;
-    if cells.len() != manifest_len as usize || manifest_fingerprint(&cells) != fingerprint {
+    if cells.len() != manifest_len as usize || opts.context.fingerprint(&cells) != fingerprint {
         // Fatal on purpose: executing under a skewed manifest would
         // stream wrong results under valid-looking indices.
         return Err(format!(
             "{}: manifest mismatch with coordinator (local {} cells, remote {}): \
-             coordinator and worker binaries disagree — update one of them",
+             the two binaries differ, or --sampled/--predictor do",
             opts.name,
             cells.len(),
             manifest_len

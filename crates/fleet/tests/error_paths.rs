@@ -20,8 +20,7 @@ use std::time::Duration;
 
 use strata_expt::exec::{build_program, cell_result};
 use strata_expt::{
-    manifest_fingerprint, render_record, run_suite, work_manifest, OutputFormat, Store,
-    SuiteOptions,
+    render_record, run_suite, work_manifest, Mode, OutputFormat, RunContext, Store, SuiteOptions,
 };
 use strata_fleet::protocol::Frame;
 use strata_fleet::{work, Coordinator, FleetReport, Progress, ServeOptions, WorkOptions};
@@ -36,6 +35,7 @@ fn suite_opts() -> SuiteOptions {
         format: OutputFormat::Text,
         params: Params::default(),
         cache_dir: None,
+        ..SuiteOptions::default()
     }
 }
 
@@ -60,50 +60,63 @@ fn worker_opts(addr: &str, name: &str) -> WorkOptions {
         backoff: Duration::from_millis(50),
         heartbeat: Duration::from_millis(200),
         abandon_after: None,
+        ..WorkOptions::default()
     }
 }
 
 /// Scenario 1: the worker re-derives the manifest locally and must
-/// refuse to register under a fingerprint it cannot reproduce. The
-/// refusal is fatal — no reconnect attempts against a skewed peer.
+/// refuse to register under a fingerprint it cannot reproduce — a
+/// version-skewed binary's, or a coordinator's in another run context
+/// (an exact worker must never feed a sampled store). The refusal is
+/// fatal — no reconnect attempts against a skewed peer.
 #[test]
 fn worker_refuses_stale_manifest_fingerprint() {
     let cells = work_manifest(Some(FILTER), Params::default()).expect("manifest");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake coordinator");
-    let addr = listener.local_addr().expect("addr").to_string();
+    let sampled = RunContext {
+        mode: Mode::Sampled {
+            traces_dir: "unused".into(),
+        },
+        ..RunContext::default()
+    };
+    for bad_fingerprint in [
+        RunContext::default().fingerprint(&cells) ^ 1,
+        sampled.fingerprint(&cells),
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake coordinator");
+        let addr = listener.local_addr().expect("addr").to_string();
 
-    // Fake coordinator: correct filter, params, and manifest length, but
-    // a doctored fingerprint — exactly what a version-skewed coordinator
-    // binary would announce.
-    let manifest_len = cells.len() as u32;
-    let bad_fingerprint = manifest_fingerprint(&cells) ^ 1;
-    let fake = std::thread::spawn(move || {
-        let (mut conn, _) = listener.accept().expect("accept");
-        Frame::Welcome {
-            filter: FILTER.into(),
-            scale: 1,
-            variant: 0,
-            manifest_len,
-            fingerprint: bad_fingerprint,
-        }
-        .write_to(&mut conn)
-        .expect("send welcome");
-        // Hold the socket open until the worker hangs up, so the worker's
-        // exit is its own decision rather than a dropped connection.
-        let _ = Frame::read_from(&mut conn);
-    });
+        // Fake coordinator: correct filter, params, and manifest length,
+        // but a fingerprint the worker cannot reproduce.
+        let manifest_len = cells.len() as u32;
+        let fake = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            Frame::Welcome {
+                filter: FILTER.into(),
+                scale: 1,
+                variant: 0,
+                manifest_len,
+                fingerprint: bad_fingerprint,
+            }
+            .write_to(&mut conn)
+            .expect("send welcome");
+            // Hold the socket open until the worker hangs up, so the
+            // worker's exit is its own decision rather than a dropped
+            // connection.
+            let _ = Frame::read_from(&mut conn);
+        });
 
-    let err = work(WorkOptions {
-        // Zero retries: a fatal refusal must not consume any.
-        retries: 0,
-        ..worker_opts(&addr, "skewed")
-    })
-    .expect_err("worker must refuse a stale manifest");
-    assert!(
-        err.contains("manifest mismatch"),
-        "refusal must name the manifest mismatch, got: {err}"
-    );
-    fake.join().expect("fake coordinator thread");
+        let err = work(WorkOptions {
+            // Zero retries: a fatal refusal must not consume any.
+            retries: 0,
+            ..worker_opts(&addr, "skewed")
+        })
+        .expect_err("worker must refuse a stale manifest");
+        assert!(
+            err.contains("manifest mismatch"),
+            "refusal must name the manifest mismatch, got: {err}"
+        );
+        fake.join().expect("fake coordinator thread");
+    }
 }
 
 /// Scenario 2: a peer that takes a lease and then emits garbage bytes is

@@ -16,6 +16,7 @@ fn suite_opts(filter: &str) -> SuiteOptions {
         format: OutputFormat::Text,
         params: Params::default(),
         cache_dir: None,
+        ..SuiteOptions::default()
     }
 }
 
@@ -38,6 +39,7 @@ fn worker_opts(addr: &str, name: &str) -> WorkOptions {
         backoff: Duration::from_millis(50),
         heartbeat: Duration::from_millis(200),
         abandon_after: None,
+        ..WorkOptions::default()
     }
 }
 

@@ -1,6 +1,6 @@
 //! # strata-stats — small statistics and reporting toolkit
 //!
-//! Every experiment binary in `strata-bench` renders its table or figure
+//! Every experiment behind `strata bench` renders its table or figure
 //! through this crate so the output format is uniform: aligned text for the
 //! terminal plus CSV for post-processing. "Figures" are rendered as data
 //! tables (one row per x-value, one column per series) — the shape of the

@@ -38,10 +38,10 @@ pub use file::{NativeSummary, Trace, TraceError, TraceInfo};
 pub use record::{record, Recorded};
 pub use simpoints::{select, SimPoint, SimPoints};
 
-/// FNV-1a 64-bit hash — block checksums and header checksums.
-///
-/// Same constants as `strata_expt::cell::fnv1a64`; duplicated here because
-/// the dependency points the other way (`strata-expt` consumes traces).
+/// FNV-1a 64-bit hash — the workspace's one checksum: trace block and
+/// header checksums here, cell-cache file names, shard partitioning and
+/// manifest fingerprints in `strata-expt`, frame checksums in
+/// `strata-fleet`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -56,8 +56,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_matches_expt() {
-        // Frozen vectors shared with strata_expt::cell::fnv1a64.
+    fn fnv_is_stable() {
+        // Frozen reference values for the FNV-1a 64 test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);

@@ -1,7 +1,7 @@
 //! Reference-run recording: one native pass, four cost models, one
 //! retire stream.
 //!
-//! This mirrors [`strata_core::run_native_tiered`]'s loop exactly — same
+//! This mirrors [`strata_core::run_native_with_model`]'s loop exactly — same
 //! machine construction, same syscall handling, same fuel accounting —
 //! but chains an [`ArchModel`] per profile plus a [`RetireLog`] onto the
 //! single execution, so the resulting [`Trace`] header carries native
@@ -72,7 +72,7 @@ impl ExecutionObserver for MultiObserver {
 ///
 /// # Errors
 ///
-/// Same contract as [`strata_core::run_native_tiered`]: reserved traps
+/// Same contract as [`strata_core::run_native_with_model`]: reserved traps
 /// and machine faults (including fuel exhaustion) are [`SdtError`]s.
 pub fn record(program: &Program, fuel: u64, tier: ExecTier) -> Result<Recorded, SdtError> {
     let profiles = recording_profiles();

@@ -39,16 +39,37 @@
 use std::process::ExitCode;
 
 use strata_lab::arch::ArchProfile;
-use strata_lab::cli::{parse_config, parse_flag, parse_policy, parse_shard, parse_tier};
-use strata_lab::core::{run_native_tiered, Origin, RetMechanism, Sdt, SdtConfig};
-use strata_lab::expt::{self, EnvKnobs, OutputFormat, SuiteOptions};
+use strata_lab::cli::{
+    parse_config, parse_context, parse_flag, parse_params, parse_policy, parse_shard, parse_tier,
+};
+use strata_lab::core::{run_native_with_model, Origin, RetMechanism, Sdt, SdtConfig};
+use strata_lab::expt::{self, OutputFormat, SuiteOptions};
 use strata_lab::machine::{ExecTier, TierConfig};
 use strata_lab::stats::Table;
 use strata_lab::workloads::{by_name, registry, Params};
 
 const FUEL: u64 = 8_000_000_000;
 
+/// Environment variables earlier versions read as flag fallbacks, with the
+/// flag that replaces each. Setting one is an error rather than a silent
+/// no-op: a run configured by a variable that nothing reads would measure
+/// something other than what was asked.
+const REMOVED_ENV: [(&str, &str); 6] = [
+    ("STRATA_TIER", "--tier SPEC"),
+    ("STRATA_SAMPLED", "--sampled [--traces DIR]"),
+    ("STRATA_PREDICTOR", "--predictor SPEC"),
+    ("STRATA_SCALE", "--scale N"),
+    ("STRATA_VARIANT", "--variant N"),
+    ("STRATA_CSV", "--format csv"),
+];
+
 fn main() -> ExitCode {
+    for (name, flag) in REMOVED_ENV {
+        if std::env::var_os(name).is_some() {
+            eprintln!("{name} is no longer read; pass {flag}");
+            return ExitCode::from(2);
+        }
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
@@ -105,36 +126,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--sampled` / `--traces DIR` and pins sampled mode for the
-/// process (like `parse_tier` + `set_exec_tier`). `--traces` without
-/// `--sampled` is rejected so a typo cannot silently run exact mode.
-/// Absent both flags, the `STRATA_SAMPLED` environment variable applies.
-fn parse_sampled(args: &[String]) -> Result<(), String> {
-    let sampled = args.iter().any(|a| a == "--sampled");
-    let traces = parse_flag(args, "--traces");
-    if traces.is_some() && !sampled {
-        return Err("--traces only applies with --sampled".into());
-    }
-    if sampled {
-        expt::set_sampled(
-            traces
-                .unwrap_or_else(|| expt::DEFAULT_TRACES_DIR.into())
-                .into(),
-        );
-    }
-    Ok(())
-}
-
-/// Parses `--predictor SPEC` and pins the process-wide target-predictor
-/// model (like `parse_sampled`). Absent the flag, the `STRATA_PREDICTOR`
-/// environment variable applies, then the legacy direct-mapped BTB.
-fn parse_predictor_flag(args: &[String]) -> Result<(), String> {
-    if let Some(spec) = parse_flag(args, "--predictor") {
-        strata_lab::arch::set_predictor(strata_lab::cli::parse_predictor(&spec)?);
-    }
-    Ok(())
-}
-
 fn dispatch(result: Result<(), String>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -171,24 +162,18 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, String> {
         Some("mips") => ArchProfile::mips_like(),
         Some(other) => return Err(format!("unknown arch `{other}` (x86|sparc|mips)")),
     };
-    let scale = match parse_flag(args, "--scale") {
-        Some(s) => s.parse().map_err(|_| format!("bad --scale `{s}`"))?,
-        None => 1,
-    };
-    let variant = match parse_flag(args, "--variant") {
-        Some(v) => v.parse().map_err(|_| format!("bad --variant `{v}`"))?,
-        None => 0,
-    };
     Ok(CommonArgs {
         workload,
         profile,
-        params: Params { scale, variant },
+        params: parse_params(args)?,
     })
 }
 
 fn run_cmd(args: &[String]) -> Result<(), String> {
     let common = parse_common(args)?;
-    parse_predictor_flag(args)?;
+    // Both sides are priced under `--predictor` (legacy by default).
+    let context = parse_context(args, false)?;
+    let model = || context.model(common.profile.clone());
     let mut cfg = match parse_flag(args, "--config") {
         Some(spec) => parse_config(&spec)?,
         None => SdtConfig::ibtc_inline(4096),
@@ -213,10 +198,11 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
     let tier = parse_tier(args)?.unwrap_or(ExecTier::Interp);
 
     let program = (common.workload.build)(&common.params);
-    let native = run_native_tiered(&program, common.profile.clone(), FUEL, tier)
-        .map_err(|e| e.to_string())?;
+    let native = run_native_with_model(&program, model(), FUEL, tier).map_err(|e| e.to_string())?;
     let mut sdt = Sdt::new(cfg, &program).map_err(|e| e.to_string())?;
-    let report = sdt.run(common.profile, FUEL).map_err(|e| e.to_string())?;
+    let report = sdt
+        .run_with_model(model(), FUEL)
+        .map_err(|e| e.to_string())?;
 
     let pct = |c: u64| format!("{:.1}%", c as f64 * 100.0 / report.total_cycles as f64);
     let mut t = Table::new(
@@ -282,21 +268,16 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// Runs the experiment suite through the `strata-expt` orchestrator.
-///
-/// `STRATA_SCALE` / `STRATA_VARIANT` provide defaults for `--scale` /
-/// `--variant`; JSON artifacts land in `results/` unless `--no-artifacts`.
+/// JSON artifacts land in `results/` unless `--no-artifacts`.
 fn bench_cmd(args: &[String]) -> Result<(), String> {
-    let knobs = EnvKnobs::from_env();
     // Pin the process-wide execution tier for native cells before any
-    // cell runs. Absent flags, `exec_tier()` falls back to the
-    // STRATA_TIER environment variable, then the interpreter.
+    // cell runs (the interpreter absent the flag).
     if let Some(tier) = parse_tier(args)? {
         expt::set_exec_tier(tier);
     }
-    parse_sampled(args)?;
-    parse_predictor_flag(args)?;
     let mut opts = SuiteOptions {
-        params: knobs.params(),
+        params: parse_params(args)?,
+        context: parse_context(args, false)?,
         ..SuiteOptions::default()
     };
     // `--list` prints the selected experiments (honoring `--filter`) with
@@ -305,14 +286,13 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
         let filter = parse_flag(args, "--filter");
         expt::validate_filter(filter.as_deref())?;
         let selected = expt::select(filter.as_deref());
-        let params = knobs.params();
         let mut t = Table::new(
             format!("{} experiment(s) selected", selected.len()),
             &["id", "cells", "title"],
         );
         let mut total = 0usize;
         for e in &selected {
-            let count = (e.cells)(params).len();
+            let count = (e.cells)(opts.params).len();
             total += count;
             t.row([e.id.to_string(), count.to_string(), e.title.to_string()]);
         }
@@ -330,22 +310,12 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
     if let Some(format) = parse_flag(args, "--format") {
         opts.format = OutputFormat::parse(&format)?;
     }
-    if let Some(scale) = parse_flag(args, "--scale") {
-        opts.params.scale = scale
-            .parse()
-            .map_err(|_| format!("bad --scale `{scale}`"))?;
-    }
-    if let Some(variant) = parse_flag(args, "--variant") {
-        opts.params.variant = variant
-            .parse()
-            .map_err(|_| format!("bad --variant `{variant}`"))?;
-    }
     if args.iter().any(|a| a == "--cache") {
         opts.cache_dir = Some("results/cache".into());
     }
     let artifacts_dir = parse_flag(args, "--artifacts-dir").unwrap_or_else(|| "results".into());
     let baseline_dir = parse_flag(args, "--baseline");
-    if baseline_dir.is_some() && expt::sampled_mode().is_some() {
+    if baseline_dir.is_some() && opts.context.traces_dir().is_some() {
         return Err(
             "--baseline gates exact results; estimated (--sampled) runs cannot be gated \
              against it"
@@ -398,13 +368,6 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
 
     let report = expt::run_suite(&opts)?;
     print!("{}", report.rendered);
-    if knobs.csv && opts.format == OutputFormat::Text {
-        for section in &report.sections {
-            for table in &section.output.tables {
-                println!("{}", table.render_csv());
-            }
-        }
-    }
 
     if !args.iter().any(|a| a == "--no-artifacts") {
         let written = expt::write_artifacts(&report, artifacts_dir.as_ref())?;
@@ -458,12 +421,10 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("serve") => {
             let args = &args[1..];
-            parse_sampled(args)?;
-            parse_predictor_flag(args)?;
-            let knobs = EnvKnobs::from_env();
             let mut serve = fleet::ServeOptions {
                 suite: SuiteOptions {
-                    params: knobs.params(),
+                    params: parse_params(args)?,
+                    context: parse_context(args, false)?,
                     ..SuiteOptions::default()
                 },
                 ..fleet::ServeOptions::default()
@@ -474,16 +435,6 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
             serve.suite.filter = parse_flag(args, "--filter");
             if let Some(format) = parse_flag(args, "--format") {
                 serve.suite.format = OutputFormat::parse(&format)?;
-            }
-            if let Some(scale) = parse_flag(args, "--scale") {
-                serve.suite.params.scale = scale
-                    .parse()
-                    .map_err(|_| format!("bad --scale `{scale}`"))?;
-            }
-            if let Some(variant) = parse_flag(args, "--variant") {
-                serve.suite.params.variant = variant
-                    .parse()
-                    .map_err(|_| format!("bad --variant `{variant}`"))?;
             }
             if args.iter().any(|a| a == "--cache") {
                 serve.suite.cache_dir = Some("results/cache".into());
@@ -545,19 +496,17 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
             // Workers run native cells through the same process-global
             // tier as `strata bench`; results are bit-identical either
             // way, so tier choice is per-worker and never part of the
-            // protocol. Absent the flag, STRATA_TIER applies.
+            // protocol.
             if let Some(tier) = parse_tier(args)? {
                 expt::set_exec_tier(tier);
             }
-            // Sampled mode and predictor model must match the
-            // coordinator's — the suite fingerprint is salted by both, so
-            // a mismatched worker is refused at handshake rather than
-            // mixing result kinds.
-            parse_sampled(args)?;
-            parse_predictor_flag(args)?;
             let mut opts = fleet::WorkOptions {
                 connect: parse_flag(args, "--connect")
                     .ok_or("fleet work needs --connect <host:port>")?,
+                // Must match the coordinator's — the suite fingerprint is
+                // salted by it, so a mismatched worker is refused at
+                // handshake rather than mixing result kinds.
+                context: parse_context(args, false)?,
                 ..fleet::WorkOptions::default()
             };
             if let Some(name) = parse_flag(args, "--name") {
@@ -591,21 +540,14 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
 
     let verb = args.first().map(String::as_str);
     let rest = if args.is_empty() { args } else { &args[1..] };
-    let dir_of = |a: &[String]| {
-        std::path::PathBuf::from(
-            parse_flag(a, "--traces").unwrap_or_else(|| sampled::DEFAULT_TRACES_DIR.into()),
-        )
-    };
-    let params_of = |a: &[String]| -> Result<Params, String> {
-        let scale = match parse_flag(a, "--scale") {
-            Some(s) => s.parse().map_err(|_| format!("bad --scale `{s}`"))?,
-            None => 1,
-        };
-        let variant = match parse_flag(a, "--variant") {
-            Some(v) => v.parse().map_err(|_| format!("bad --variant `{v}`"))?,
-            None => 0,
-        };
-        Ok(Params { scale, variant })
+    // The trace verbs work on a traces directory whether or not
+    // `--sampled` is spelled out, so their context is always sampled.
+    let dir_of = |a: &[String]| -> Result<std::path::PathBuf, String> {
+        let context = parse_context(a, true)?;
+        Ok(context
+            .traces_dir()
+            .expect("always_sampled yields a sampled context")
+            .to_path_buf())
     };
 
     match verb {
@@ -617,8 +559,8 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
                 .first()
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("usage: strata trace record <workload|all> ...")?;
-            let dir = dir_of(rest);
-            let params = params_of(rest)?;
+            let dir = dir_of(rest)?;
+            let params = parse_params(rest)?;
             let names: Vec<&str> = if target == "all" {
                 registry().iter().map(|s| s.name).collect()
             } else {
@@ -692,8 +634,8 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
                 .ok_or("usage: strata trace simpoints <workload> ...")?;
             let spec = by_name(name)
                 .ok_or_else(|| format!("unknown workload `{name}` (try `strata list`)"))?;
-            let dir = dir_of(rest);
-            let params = params_of(rest)?;
+            let dir = dir_of(rest)?;
+            let params = parse_params(rest)?;
             let bundle = sampled::ensure_bundle(&dir, spec.name, params)?;
             let p = &bundle.points;
             let mut t = Table::new(
@@ -898,11 +840,12 @@ const VERIFY_SWEEP: &[(&str, &str)] = &[
 
 fn compare_cmd(args: &[String]) -> Result<(), String> {
     let common = parse_common(args)?;
-    parse_predictor_flag(args)?;
+    // Both sides are priced under `--predictor` (legacy by default).
+    let context = parse_context(args, false)?;
+    let model = || context.model(common.profile.clone());
     let tier = parse_tier(args)?.unwrap_or(ExecTier::Interp);
     let program = (common.workload.build)(&common.params);
-    let native = run_native_tiered(&program, common.profile.clone(), FUEL, tier)
-        .map_err(|e| e.to_string())?;
+    let native = run_native_with_model(&program, model(), FUEL, tier).map_err(|e| e.to_string())?;
 
     let mut fast = SdtConfig::ibtc_inline(4096);
     fast.ret = RetMechanism::FastReturn;
@@ -923,7 +866,7 @@ fn compare_cmd(args: &[String]) -> Result<(), String> {
     );
     for cfg in configs {
         let report = Sdt::new(cfg, &program)
-            .and_then(|mut s| s.run(common.profile.clone(), FUEL))
+            .and_then(|mut s| s.run_with_model(model(), FUEL))
             .map_err(|e| e.to_string())?;
         t.row([
             report.config.clone(),

@@ -5,7 +5,9 @@ use strata_arch::PredictorSpec;
 use strata_core::{
     ClassPolicy, FlagsPolicy, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, SdtConfig,
 };
+use strata_expt::{Mode, RunContext, DEFAULT_TRACES_DIR};
 use strata_machine::{ExecTier, TierConfig};
+use strata_workloads::Params;
 
 /// Returns the value following `flag` in `args`, if present.
 pub fn parse_flag(args: &[String], flag: &str) -> Option<String> {
@@ -13,6 +15,55 @@ pub fn parse_flag(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// Parses `--scale N` / `--variant N` into workload [`Params`] (defaults
+/// 1 and 0).
+///
+/// # Errors
+///
+/// Returns a message naming the flag whose value is not a number.
+pub fn parse_params(args: &[String]) -> Result<Params, String> {
+    let mut params = Params::default();
+    if let Some(s) = parse_flag(args, "--scale") {
+        params.scale = s.parse().map_err(|_| format!("bad --scale `{s}`"))?;
+    }
+    if let Some(v) = parse_flag(args, "--variant") {
+        params.variant = v.parse().map_err(|_| format!("bad --variant `{v}`"))?;
+    }
+    Ok(params)
+}
+
+/// Builds the [`RunContext`] — the settings that change what a cell's
+/// result *is* — from `--sampled`, `--traces DIR` and `--predictor SPEC`:
+/// the one place any verb turns flags into a context. `always_sampled` is
+/// for the `trace` verbs, which work on a traces directory whether or not
+/// `--sampled` is spelled out; everywhere else `--traces` without
+/// `--sampled` is rejected so a typo cannot silently run exact mode.
+///
+/// # Errors
+///
+/// Returns a message for a stray `--traces` or a malformed `--predictor`
+/// (see [`parse_predictor`]).
+pub fn parse_context(args: &[String], always_sampled: bool) -> Result<RunContext, String> {
+    let sampled = always_sampled || args.iter().any(|a| a == "--sampled");
+    let traces = parse_flag(args, "--traces");
+    if traces.is_some() && !sampled {
+        return Err("--traces only applies with --sampled".into());
+    }
+    Ok(RunContext {
+        mode: if sampled {
+            Mode::Sampled {
+                traces_dir: traces.unwrap_or_else(|| DEFAULT_TRACES_DIR.into()).into(),
+            }
+        } else {
+            Mode::Exact
+        },
+        predictor: match parse_flag(args, "--predictor") {
+            Some(spec) => parse_predictor(&spec)?,
+            None => PredictorSpec::Legacy,
+        },
+    })
 }
 
 /// Parses a `--shard` spec of the form `i/n` into `(index, count)` with
@@ -47,8 +98,7 @@ pub fn parse_shard(spec: &str) -> Result<(u32, u32), String> {
 /// Resolves the execution-tier flags: `--tier interp|threaded[:threshold]`
 /// plus the standalone `--tier-threshold N` knob (which implies
 /// `--tier threaded`). Returns `None` when neither flag is present so
-/// callers can fall through to their own default (usually the `STRATA_TIER`
-/// environment variable, then the interpreter).
+/// callers can fall through to their own default (the interpreter).
 ///
 /// # Errors
 ///
@@ -739,6 +789,48 @@ mod tests {
         // A trailing flag with no value yields None rather than panicking.
         let args = vec!["--arch".to_string()];
         assert_eq!(parse_flag(&args, "--arch"), None);
+    }
+
+    #[test]
+    fn context_flag_parsing() {
+        let parse = |words: &[&str], always_sampled| {
+            let args: Vec<String> = words.iter().map(|s| s.to_string()).collect();
+            parse_context(&args, always_sampled)
+        };
+        assert_eq!(parse(&[], false), Ok(RunContext::default()));
+        assert_eq!(
+            parse(&["--predictor", "legacy"], false),
+            Ok(RunContext::default())
+        );
+        let sampled = |dir: &str, predictor| RunContext {
+            mode: Mode::Sampled {
+                traces_dir: dir.into(),
+            },
+            predictor,
+        };
+        assert_eq!(
+            parse(&["--sampled"], false),
+            Ok(sampled(DEFAULT_TRACES_DIR, PredictorSpec::Legacy))
+        );
+        assert_eq!(
+            parse(
+                &["--sampled", "--traces", "t", "--predictor", "ittage"],
+                false
+            ),
+            Ok(sampled("t", PredictorSpec::Ittage { tables: 4 }))
+        );
+        // `trace` verbs are sampled by construction; elsewhere a stray
+        // `--traces` is an error, not a silent exact run.
+        assert_eq!(
+            parse(&["--traces", "t"], true),
+            Ok(sampled("t", PredictorSpec::Legacy))
+        );
+        assert!(parse(&["--traces", "t"], false)
+            .unwrap_err()
+            .contains("--sampled"));
+        assert!(parse(&["--predictor", "tage"], false)
+            .unwrap_err()
+            .contains("bad --predictor"));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! * [`fleet`] — the coordinator/worker pair behind `strata fleet`, for
 //!   spreading a suite run across machines over TCP.
 //!
-//! See `examples/quickstart.rs` for a end-to-end tour and the
-//! `strata-bench` crate for the binaries that regenerate each table and
-//! figure of the paper.
+//! See `examples/quickstart.rs` for a end-to-end tour and
+//! `strata bench --filter <id>` for regenerating each table and figure of
+//! the paper.
 
 pub mod cli;
 

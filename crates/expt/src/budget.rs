@@ -1,13 +1,16 @@
-//! Per-cell cycle budgets and longest-first scheduling.
+//! Per-cell cycle budgets and the one dispatch order.
 //!
-//! The executor's work queue hands cells to workers in list order, so the
-//! *order* of the list determines the parallel makespan: with FIFO order a
-//! multi-second gcc or perlbmk cell claimed last leaves every other worker
-//! idle while it finishes. A [`BudgetBook`] records each cell's observed
-//! `total_cycles` (an excellent proxy for host wall time — the simulator's
-//! cost is linear in simulated work) in the disk-cache directory, and
-//! [`order_longest_first`] feeds it back as a priority: known-expensive
-//! cells start first, so the tail of the schedule is made of cheap cells.
+//! Whoever hands cells to workers — the local executor's work queue or
+//! the fleet coordinator's lease queue — hands them out in list order, so
+//! the *order* of the list determines the parallel makespan: with FIFO
+//! order a multi-second gcc or perlbmk cell claimed last leaves every
+//! other worker idle while it finishes. A [`BudgetBook`] records each
+//! cell's observed `total_cycles` (an excellent proxy for host wall time —
+//! the simulator's cost is linear in simulated work) in the disk-cache
+//! directory, and [`dispatch_order`] feeds it back as a priority: native
+//! baselines first (translated cells verify against them), then
+//! known-expensive cells, so the tail of the schedule is made of cheap
+//! cells.
 //!
 //! Longest-processing-time-first list scheduling is a classic 4/3-
 //! approximation of optimal makespan; FIFO is only bounded by 2. The
@@ -16,13 +19,14 @@
 //! tests assert this).
 //!
 //! Missing data degrades gracefully: cells without a recorded budget keep
-//! their FIFO position relative to each other (after the known ones), and
-//! an empty book reproduces FIFO exactly.
+//! their manifest position relative to each other (after the known ones),
+//! and an empty book reproduces manifest order within each kind exactly.
 
 use std::collections::HashMap;
 use std::path::Path;
 
-use crate::cell::CellKey;
+use crate::cell::{CellKey, RunKind};
+use crate::store::Store;
 
 /// File name of the budget record inside the cache directory.
 pub const BUDGET_FILE: &str = "budgets.v1";
@@ -117,24 +121,27 @@ impl BudgetBook {
     }
 }
 
-/// Reorders `cells` longest-known-budget-first, asking `budget` for each
-/// cell's observed cost ([`Store::budget`](crate::Store::budget) looks it
-/// up under the store's own namespace, so estimated budgets never steer
-/// the exact schedule).
+/// The order `cells` are dispatched in, as indices into `cells`: native
+/// baselines first, then longest recorded budget first within each kind.
+/// [`Store::budget`] looks costs up under the store's own namespace, so
+/// estimated budgets never steer the exact schedule. The local executor
+/// and the fleet coordinator both hand out work in this order.
 ///
 /// The sort is stable with unknown budgets treated as zero, so cells the
-/// book has never seen keep their FIFO order after the known ones, and an
-/// empty book returns the input order unchanged.
-pub fn order_longest_first(
-    cells: &[CellKey],
-    budget: impl Fn(&CellKey) -> Option<u64>,
-) -> Vec<CellKey> {
-    let mut ordered: Vec<CellKey> = cells.to_vec();
-    ordered.sort_by_cached_key(|cell| std::cmp::Reverse(budget(cell).unwrap_or(0)));
-    ordered
+/// book has never seen keep their manifest order after the known ones,
+/// and an empty book leaves each kind in manifest order.
+pub fn dispatch_order(store: &Store, cells: &[CellKey]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_cached_key(|&i| {
+        (
+            matches!(cells[i].kind, RunKind::Translated(_)),
+            std::cmp::Reverse(store.budget(&cells[i]).unwrap_or(0)),
+        )
+    });
+    order
 }
 
-/// Simulates the executor's work queue: each of `jobs` workers takes the
+/// Simulates a work queue: each of `jobs` workers takes the
 /// next unclaimed cell whenever it goes idle. Returns the makespan of
 /// running `durations` in list order. Used by the scheduler tests to show
 /// longest-first never loses to FIFO on recorded budgets.
@@ -172,8 +179,21 @@ mod tests {
             .collect()
     }
 
-    fn by_book(book: &BudgetBook) -> impl Fn(&CellKey) -> Option<u64> + '_ {
-        |cell| book.get(&cell.key_string())
+    /// A store whose budget book is `book`, loaded the way a run's is:
+    /// from the cache directory, at construction.
+    fn store_with(book: &BudgetBook, tag: &str) -> Store {
+        let dir = std::env::temp_dir().join(format!("strata-order-{tag}-{}", std::process::id()));
+        book.save(&dir);
+        let store = Store::with_disk_cache(dir.clone());
+        let _ = std::fs::remove_dir_all(&dir);
+        store
+    }
+
+    fn dispatched(store: &Store, set: &[CellKey]) -> Vec<CellKey> {
+        dispatch_order(store, set)
+            .into_iter()
+            .map(|i| set[i].clone())
+            .collect()
     }
 
     fn durations(order: &[CellKey], book: &BudgetBook) -> Vec<u64> {
@@ -186,7 +206,19 @@ mod tests {
     #[test]
     fn empty_book_degrades_to_fifo() {
         let set = cells(5);
-        assert_eq!(order_longest_first(&set, |_| None), set);
+        assert_eq!(dispatched(&Store::in_memory(), &set), set);
+    }
+
+    #[test]
+    fn natives_lead_and_each_kind_keeps_manifest_order() {
+        // A cold run (no budgets) dispatches in the order the manifest
+        // lists the cells, natives pulled to the front.
+        let x86 = ArchProfile::x86_like();
+        let p = Params::default();
+        let sdt = |w| CellKey::translated(w, SdtConfig::reentry(), x86.clone(), p);
+        let native = |w| CellKey::native(w, x86.clone(), p);
+        let set = [native("gzip"), sdt("gzip"), native("gcc"), sdt("gcc")];
+        assert_eq!(dispatch_order(&Store::in_memory(), &set), [0, 2, 1, 3]);
     }
 
     #[test]
@@ -194,7 +226,7 @@ mod tests {
         let set = cells(4);
         let mut book = BudgetBook::new();
         book.record(&set[2].key_string(), 100);
-        let ordered = order_longest_first(&set, by_book(&book));
+        let ordered = dispatched(&store_with(&book, "partial"), &set);
         // The known-expensive cell moves to the front; the unknown cells
         // keep their relative FIFO order.
         assert_eq!(ordered[0], set[2]);
@@ -215,7 +247,7 @@ mod tests {
         }
         let fifo = makespan(&durations(&set, &book), 2);
         let lpt = makespan(
-            &durations(&order_longest_first(&set, by_book(&book)), &book),
+            &durations(&dispatched(&store_with(&book, "tail"), &set), &book),
             2,
         );
         assert_eq!(fifo, 120, "three cheap cells wait behind the giant");
@@ -238,9 +270,9 @@ mod tests {
             for cell in &set {
                 book.record(&cell.key_string(), next() % 1000);
             }
+            let ordered = dispatched(&store_with(&book, &format!("random{n}")), &set);
             for jobs in [1usize, 2, 4, 7] {
                 let fifo = makespan(&durations(&set, &book), jobs);
-                let ordered = order_longest_first(&set, by_book(&book));
                 let lpt = makespan(&durations(&ordered, &book), jobs);
                 assert!(lpt <= fifo, "n={n} jobs={jobs}: LPT {lpt} > FIFO {fifo}");
             }

@@ -91,21 +91,6 @@ impl CellKey {
     pub fn cache_file_name(&self) -> String {
         format!("{:016x}.cell", fnv1a64(self.key_string().as_bytes()))
     }
-
-    /// Which of `count` shards owns this cell (`--shard i/n`).
-    ///
-    /// The partition hashes the full [`CellKey::key_string`], so it is
-    /// stable across machines and processes: every shard of a run agrees
-    /// on ownership without coordinating, and the per-shard disk caches
-    /// are disjoint (up to shared native baselines) and merge cleanly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn shard_of(&self, count: u32) -> u32 {
-        assert!(count > 0, "shard count must be nonzero");
-        (fnv1a64(self.key_string().as_bytes()) % count as u64) as u32
-    }
 }
 
 /// The measured outcome of one cell.

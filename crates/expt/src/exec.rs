@@ -1,20 +1,23 @@
-//! The work-queue executor.
+//! The work-queue executor — the local consumer of the work plan.
 //!
-//! Simulation cells are pure, single-threaded, and independent, so the
-//! scheduler is embarrassingly simple: dedupe the requested cells, then
-//! let a `--jobs N` pool of scoped threads claim indices off a shared
-//! atomic counter. Execution runs in two phases — native baselines first,
-//! translated cells second — so that every translated cell can verify its
+//! A run's plan is decided in three places, each the only one of its
+//! kind: [`work_manifest`](crate::work_manifest) says *which* cells (the
+//! selected experiments' cells, deduped, each native baseline directly
+//! before the first translated cell implying it — [`with_implied_natives`]
+//! is that completion step), [`dispatch_order`] says *in what order*
+//! (natives first, then longest recorded budget first, unknown budgets in
+//! manifest order), and [`program_for`] is where every cell's `Program`
+//! comes from. [`execute`] here, the fleet coordinator and the fleet
+//! worker consume that one plan and differ only in who pulls the next
+//! cell: `execute` lets a `--jobs N` pool of scoped threads claim indices
+//! off a shared atomic counter.
+//!
+//! Execution runs in two phases — the order's native prefix, then its
+//! translated rest — so that every translated cell can verify its
 //! checksum against an already-memoized native result without ever racing
-//! another thread to compute the same baseline.
-//!
-//! Within each phase, cells run **longest-first**: the [`BudgetBook`]
-//! loaded from the disk cache ranks cells by their previously observed
-//! `total_cycles`, so the gcc/perlbmk-sized cells that dominate the tail
-//! start immediately instead of serializing at the end of the run. Cells
-//! without a recorded budget fall back to FIFO order after the known ones
-//! (see [`crate::budget`]); observed costs are recorded back into the
-//! cache for the next run.
+//! another thread to compute the same baseline. Observed costs are
+//! recorded back into the disk cache's budget book for the next run (see
+//! [`crate::budget`]).
 //!
 //! Parallelism and scheduling order only change *when* results land in
 //! the [`Store`]; the results themselves are deterministic functions of
@@ -22,15 +25,15 @@
 //! output is bit-identical for every `--jobs` value and for every budget
 //! ordering.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use strata_core::{run_native_with_model, Sdt};
 use strata_machine::{ExecTier, Program};
 use strata_workloads::{by_name, Params};
 
-use crate::budget::order_longest_first;
+use crate::budget::dispatch_order;
 use crate::cell::{CellKey, CellResult, RunKind};
 use crate::store::Store;
 
@@ -56,10 +59,31 @@ pub fn exec_tier() -> ExecTier {
     *EXEC_TIER.get_or_init(|| ExecTier::Interp)
 }
 
-/// Builds the program a cell runs (workload at the cell's params).
-pub fn build_program(workload: &str, params: Params) -> Program {
-    let spec = by_name(workload).unwrap_or_else(|| panic!("unknown workload `{workload}`"));
-    (spec.build)(&params)
+/// The program a workload builds at `params`, built once per process —
+/// the one source of programs for exact cells, trace recording, sampled
+/// replay and the experiments that simulate on the spot. [`cell_result`]
+/// fetches it only once it knows it has to run something: a store hit
+/// never builds.
+///
+/// # Panics
+///
+/// Panics on a workload the registry does not know.
+pub fn program_for(workload: &str, params: Params) -> Arc<Program> {
+    type ProgramKey = (String, u32, u64);
+    static CACHE: OnceLock<Mutex<HashMap<ProgramKey, Arc<Program>>>> = OnceLock::new();
+    let mut cache = CACHE
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .expect("program cache lock");
+    Arc::clone(
+        cache
+            .entry((workload.to_string(), params.scale, params.variant))
+            .or_insert_with(|| {
+                let spec =
+                    by_name(workload).unwrap_or_else(|| panic!("unknown workload `{workload}`"));
+                Arc::new((spec.build)(&params))
+            }),
+    )
 }
 
 /// Computes (or recalls) the result of one cell. Translated cells verify
@@ -70,8 +94,10 @@ pub fn build_program(workload: &str, params: Params) -> Program {
 /// instead of exact simulation (see [`crate::sampled`]), and exact runs are
 /// priced under the context's predictor. Exact mode refuses scaled-tier
 /// workloads — their full runs are exactly what sampled mode exists to
-/// avoid.
-pub fn cell_result(store: &Store, key: &CellKey, program: &Program) -> Arc<CellResult> {
+/// avoid; [`SuiteOptions::manifest`](crate::SuiteOptions::manifest) turns
+/// that into an error before any cell starts, so the assertion here only
+/// guards the invariant.
+pub fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
     let ctx = store.context();
     if ctx.traces_dir().is_some() {
         return crate::sampled::sampled_cell_result(store, key);
@@ -84,18 +110,20 @@ pub fn cell_result(store: &Store, key: &CellKey, program: &Program) -> Arc<CellR
     );
     match &key.kind {
         RunKind::Native => store.get_or_compute(key, || {
+            let program = program_for(key.workload, key.params);
             CellResult::Native(
-                run_native_with_model(program, ctx.model(key.profile.clone()), FUEL, exec_tier())
+                run_native_with_model(&program, ctx.model(key.profile.clone()), FUEL, exec_tier())
                     .unwrap_or_else(|e| {
                         panic!("native {} on {}: {e}", key.workload, key.profile.name)
                     }),
             )
         }),
         RunKind::Translated(cfg) => {
-            let native = cell_result(store, &key.native_counterpart(), program);
+            let native = cell_result(store, &key.native_counterpart());
             let cfg = *cfg;
             store.get_or_compute(key, || {
-                let report = Sdt::new(cfg, program)
+                let program = program_for(key.workload, key.params);
+                let report = Sdt::new(cfg, &program)
                     .unwrap_or_else(|e| {
                         panic!("sdt for {} / {}: {e}", key.workload, cfg.describe())
                     })
@@ -121,68 +149,61 @@ pub fn cell_result(store: &Store, key: &CellKey, program: &Program) -> Arc<CellR
     }
 }
 
+/// Completes a cell list into a work list: deduped by key string in
+/// first-seen order, with every translated cell's native counterpart
+/// inserted directly before the first translated cell that implies it (a
+/// translated run verifies against the native checksum, and a render needs
+/// the baseline for slowdowns). Idempotent.
+pub(crate) fn with_implied_natives(cells: impl IntoIterator<Item = CellKey>) -> Vec<CellKey> {
+    let mut seen = HashSet::new();
+    let mut out = Vec::new();
+    for cell in cells {
+        if matches!(cell.kind, RunKind::Translated(_)) {
+            let native = cell.native_counterpart();
+            if seen.insert(native.key_string()) {
+                out.push(native);
+            }
+        }
+        if seen.insert(cell.key_string()) {
+            out.push(cell);
+        }
+    }
+    out
+}
+
 /// Executes `cells` (deduped) on `jobs` worker threads, populating `store`.
 ///
 /// Every translated cell's native counterpart is scheduled too, so after
 /// this returns the store can answer any slowdown query the cells imply.
 pub fn execute(store: &Store, cells: &[CellKey], jobs: usize) {
-    // Dedupe by key string, preserving first-seen order, and split into
-    // the two phases.
-    let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut natives: Vec<CellKey> = Vec::new();
-    let mut translated: Vec<CellKey> = Vec::new();
-    let mut push = |key: CellKey, natives: &mut Vec<CellKey>, translated: &mut Vec<CellKey>| {
-        if seen.insert(key.key_string(), ()).is_none() {
-            match key.kind {
-                RunKind::Native => natives.push(key),
-                RunKind::Translated(_) => translated.push(key),
-            }
-        }
-    };
-    for cell in cells {
-        if matches!(cell.kind, RunKind::Translated(_)) {
-            push(cell.native_counterpart(), &mut natives, &mut translated);
-        }
-        push(cell.clone(), &mut natives, &mut translated);
+    let cells = with_implied_natives(cells.iter().cloned());
+    // The whole order is fixed up front, so this run's own budget
+    // recordings cannot perturb its schedule.
+    let order = dispatch_order(store, &cells);
+    // Programs live as long as the process; machines come and go, 16 MiB
+    // each. Build the former here, before the first of the latter exists:
+    // a program built between two machines lands in the hole the last one
+    // left in the worker's malloc arena, the next machine no longer fits
+    // it, and peak RSS grows by a machine (20 -> 36 MB on `--filter table1
+    // --scale 9 --tier threaded --jobs 1`).
+    for cell in cells.iter().filter(|c| store.get(c).is_none()) {
+        program_for(cell.workload, cell.params);
     }
-
-    // Build each (workload, params) program once, shared by all workers.
-    let mut programs: HashMap<(&'static str, u32, u64), Program> = HashMap::new();
-    for key in natives.iter().chain(&translated) {
-        programs
-            .entry((key.workload, key.params.scale, key.params.variant))
-            .or_insert_with(|| build_program(key.workload, key.params));
-    }
-
-    // Longest-first within each phase, from budgets observed on previous
-    // runs (empty book = FIFO). Both phases are ordered up front so this
-    // run's own recordings cannot perturb its schedule.
-    let ordered =
-        [&natives, &translated].map(|phase| order_longest_first(phase, |cell| store.budget(cell)));
-    for phase in &ordered {
-        run_phase(store, phase, &programs, jobs.max(1));
+    let natives = order.partition_point(|&i| cells[i].kind == RunKind::Native);
+    for phase in [&order[..natives], &order[natives..]] {
+        run_phase(store, &cells, phase, jobs.max(1));
     }
     store.flush_budgets();
 }
 
-fn run_phase(
-    store: &Store,
-    cells: &[CellKey],
-    programs: &HashMap<(&'static str, u32, u64), Program>,
-    jobs: usize,
-) {
-    if cells.is_empty() {
-        return;
-    }
+fn run_phase(store: &Store, cells: &[CellKey], phase: &[usize], jobs: usize) {
     let next = AtomicUsize::new(0);
-    let workers = jobs.min(cells.len());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(key) = cells.get(i) else { break };
-                let program = &programs[&(key.workload, key.params.scale, key.params.variant)];
-                cell_result(store, key, program);
+        for _ in 0..jobs.min(phase.len()) {
+            scope.spawn(|| {
+                while let Some(&i) = phase.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    cell_result(store, &cells[i]);
+                }
             });
         }
     });
@@ -209,5 +230,24 @@ mod tests {
         execute(&store, &cells, 2);
         assert_eq!(store.stats().computed, 2);
         assert!(store.get(&CellKey::native("gzip", x86, p)).is_some());
+    }
+
+    #[test]
+    fn a_hit_builds_no_program() {
+        // No workload is called `ghost`, so building its program panics:
+        // lookups of results the store already holds must not get there.
+        let store = Store::in_memory();
+        let x86 = ArchProfile::x86_like();
+        let p = Params::default();
+        let result = cell_result(&store, &CellKey::native("gzip", x86.clone(), p));
+        let native = CellKey::native("ghost", x86.clone(), p);
+        let translated = CellKey::translated("ghost", SdtConfig::reentry(), x86.clone(), p);
+        for key in [&native, &translated] {
+            store.put(key, (*result).clone());
+            assert_eq!(cell_result(&store, key), result);
+        }
+        let view = crate::View::new(&store, p);
+        assert_eq!(Some(&view.native("ghost", &x86)), result.as_native());
+        assert_eq!(store.stats().computed, 1, "gzip alone was simulated");
     }
 }

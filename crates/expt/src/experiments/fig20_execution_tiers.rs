@@ -32,7 +32,7 @@ use strata_workloads::registry;
 
 use super::Output;
 use crate::cell::CellKey;
-use crate::exec::{build_program, FUEL};
+use crate::exec::{program_for, FUEL};
 use crate::view::View;
 use strata_core::run_native_with_model;
 use strata_machine::{ExecTier, TierConfig};
@@ -78,7 +78,7 @@ pub fn render(view: &View) -> Output {
         Some(_) => ArchModel::new(x86.clone()),
     };
     for spec in registry() {
-        let program = build_program(spec.name, view.params());
+        let program = program_for(spec.name, view.params());
         let timed = |tier: ExecTier| {
             let start = Instant::now();
             let run = run_native_with_model(&program, baseline_model(), FUEL, tier)

@@ -31,8 +31,8 @@ use strata_stats::Table;
 
 use super::{fx, Output};
 use crate::cell::CellKey;
-use crate::exec::FUEL;
-use crate::sampled::{estimate_cell_with_spec, program_for};
+use crate::exec::{program_for, FUEL};
+use crate::sampled::estimate_cell_with_spec;
 use crate::view::View;
 
 /// The probe workload: a mix of polymorphic indirect jumps and deep

@@ -52,10 +52,10 @@ pub mod store;
 pub mod suite;
 pub mod view;
 
-pub use budget::{makespan, order_longest_first, BudgetBook};
+pub use budget::{dispatch_order, makespan, BudgetBook};
 pub use cell::{CellKey, CellResult, RunKind};
 pub use context::{Mode, RunContext};
-pub use exec::{exec_tier, execute, set_exec_tier, FUEL};
+pub use exec::{cell_result, exec_tier, execute, program_for, set_exec_tier, FUEL};
 pub use experiments::Output;
 pub use fsutil::{atomic_write, atomic_write_bytes};
 pub use registry::{by_id, registry, Experiment};
@@ -64,7 +64,7 @@ pub use store::{parse_record, render_record, Store, StoreStats};
 /// The workspace's one FNV-1a 64 (defined beside the trace checksums).
 pub use strata_trace::fnv1a64;
 pub use suite::{
-    baseline_gate, render_from_store, run_shard, run_suite, select, validate_filter, work_manifest,
-    write_artifacts, OutputFormat, Shard, ShardReport, SuiteOptions, SuiteReport,
+    baseline_gate, render_from_store, run_suite, select, validate_filter, work_manifest,
+    write_artifacts, OutputFormat, SuiteOptions, SuiteReport,
 };
 pub use view::View;

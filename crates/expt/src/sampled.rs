@@ -38,13 +38,12 @@ use strata_arch::{ArchProfile, PredictorSpec};
 use strata_core::{
     ClassReport, DispatchReplay, MechanismStats, PredictorStats, RunReport, SdtConfig,
 };
-use strata_machine::Program;
 use strata_stats::{stratified_estimate, Estimate, Stratum};
 use strata_trace::{record, select, SimPoints, Trace};
 use strata_workloads::{by_name, Params};
 
 use crate::cell::{CellKey, CellResult, RunKind};
-use crate::exec::{build_program, exec_tier, FUEL};
+use crate::exec::{exec_tier, program_for, FUEL};
 use crate::fsutil::{atomic_write, atomic_write_bytes};
 use crate::store::Store;
 
@@ -96,25 +95,6 @@ pub struct Bundle {
 fn bundle_cache() -> &'static Mutex<HashMap<String, Arc<Bundle>>> {
     static CACHE: OnceLock<Mutex<HashMap<String, Arc<Bundle>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Program cache key: (workload, scale, variant).
-type ProgramKey = (String, u32, u64);
-
-fn program_cache() -> &'static Mutex<HashMap<ProgramKey, Arc<Program>>> {
-    static CACHE: OnceLock<Mutex<HashMap<ProgramKey, Arc<Program>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The (cached) program for a workload at `params`.
-pub fn program_for(workload: &str, params: Params) -> Arc<Program> {
-    let key: ProgramKey = (workload.to_string(), params.scale, params.variant);
-    let mut cache = program_cache().lock().expect("program cache lock");
-    Arc::clone(
-        cache
-            .entry(key)
-            .or_insert_with(|| Arc::new(build_program(workload, params))),
-    )
 }
 
 /// Loads — or records, selects, and persists — the trace + SimPoints

@@ -1,6 +1,7 @@
-//! Suite orchestration: select experiments, expand their cells, execute
-//! the deduped cell set in parallel, then render every experiment
-//! serially — text, CSV, or JSON — with per-experiment JSON artifacts.
+//! Suite orchestration: select experiments, expand them into the one
+//! [`work_manifest`], execute it in parallel, then render every
+//! experiment serially — text, CSV, or JSON — with per-experiment JSON
+//! artifacts.
 //!
 //! Rendering happens strictly after execution and in registry order, so
 //! the output is byte-identical for any `--jobs` value (the parallel
@@ -15,7 +16,7 @@ use strata_workloads::Params;
 
 use crate::cell::CellKey;
 use crate::context::RunContext;
-use crate::exec::execute;
+use crate::exec::{execute, with_implied_natives};
 use crate::experiments::Output;
 use crate::registry::{by_id, registry, Experiment};
 use crate::store::{Store, StoreStats};
@@ -59,8 +60,8 @@ pub struct SuiteOptions {
     /// Enable the on-disk cell cache under this directory.
     pub cache_dir: Option<PathBuf>,
     /// What the cells' results mean: exact or sampled, and under which
-    /// predictor model. [`run_suite`] and [`run_shard`] build their store
-    /// from it; [`render_from_store`] reads the store's own.
+    /// predictor model. [`run_suite`] builds its store from it;
+    /// [`render_from_store`] reads the store's own.
     pub context: RunContext,
 }
 
@@ -76,6 +77,32 @@ impl Default for SuiteOptions {
             cache_dir: None,
             context: RunContext::default(),
         }
+    }
+}
+
+impl SuiteOptions {
+    /// The [`work_manifest`] of this selection, checked against the
+    /// context it is about to run under — what [`run_suite`] and the fleet
+    /// coordinator both plan from.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when any filter pattern matches no experiment, or
+    /// when an exact context is asked for a scale only sampled mode runs.
+    pub fn manifest(&self) -> Result<Vec<CellKey>, String> {
+        let cells = work_manifest(self.filter.as_deref(), self.params)?;
+        if self.context.traces_dir().is_none() {
+            if let Some(cell) = cells
+                .iter()
+                .find(|c| c.params.scale >= strata_workloads::SAMPLED_ONLY_SCALE)
+            {
+                return Err(format!(
+                    "{} at scale {} is sampled-only; run with --sampled",
+                    cell.workload, cell.params.scale
+                ));
+            }
+        }
+        Ok(cells)
     }
 }
 
@@ -155,144 +182,38 @@ pub fn validate_filter(filter: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-/// Expands the selected experiments into their cells, deduped by key
-/// string in first-seen order — the canonical work list both `run_suite`
-/// and the shard partition operate on.
-fn expand_cells(selected: &[&'static Experiment], params: Params) -> Vec<CellKey> {
-    let mut seen = std::collections::HashSet::new();
-    let mut cells = Vec::new();
-    for e in selected {
-        for cell in (e.cells)(params) {
-            if seen.insert(cell.key_string()) {
-                cells.push(cell);
-            }
-        }
-    }
-    cells
-}
-
-/// The canonical work manifest for a distributed run: the selected
-/// experiments' cells **plus** every translated cell's implied native
-/// counterpart (a worker must verify against the native checksum, and the
-/// coordinator must be able to render slowdowns), deduped by key string
+/// The canonical work manifest — the only expansion of a selection into
+/// cells: the selected experiments' cells **plus** every translated cell's
+/// implied native counterpart (a worker must verify against the native
+/// checksum, and a render needs it for slowdowns), deduped by key string
 /// in deterministic order — each native counterpart directly precedes the
 /// first translated cell that implies it.
 ///
-/// Coordinator and workers both derive this list independently from
-/// (filter, params), so work can be assigned by *manifest index* over the
-/// wire and verified against the full key string; no cell-key codec is
-/// needed, and any registry skew between the two binaries is caught by
-/// [`RunContext::fingerprint`] before any work is handed out.
+/// A local run executes this list; in a fleet, coordinator and workers
+/// both derive it independently from (filter, params), so work can be
+/// assigned by *manifest index* over the wire and verified against the
+/// full key string; no cell-key codec is needed, and any registry skew
+/// between the two binaries is caught by [`RunContext::fingerprint`]
+/// before any work is handed out.
 ///
 /// # Errors
 ///
 /// Returns an error when any filter pattern matches no experiment.
 pub fn work_manifest(filter: Option<&str>, params: Params) -> Result<Vec<CellKey>, String> {
     validate_filter(filter)?;
-    let selected = select(filter);
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for cell in expand_cells(&selected, params) {
-        if let crate::cell::RunKind::Translated(_) = cell.kind {
-            let native = cell.native_counterpart();
-            if seen.insert(native.key_string()) {
-                out.push(native);
-            }
-        }
-        if seen.insert(cell.key_string()) {
-            out.push(cell);
-        }
-    }
-    Ok(out)
-}
-
-/// One `--shard index/count` slice of a suite run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// Zero-based shard index, `< count`.
-    pub index: u32,
-    /// Total number of shards, `>= 1`.
-    pub count: u32,
-}
-
-/// The result of one shard's execution (no rendering happens in shard
-/// mode — see [`run_shard`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardReport {
-    /// Distinct cells the selected experiments expand into, suite-wide.
-    pub total_cells: usize,
-    /// How many of those this shard owns and executed.
-    pub shard_cells: usize,
-    /// Store counters (computed / memo hits / disk hits).
-    pub store_stats: StoreStats,
-}
-
-/// Executes one shard of the suite's cell set into the disk cache and
-/// returns counts — **without rendering**.
-///
-/// The partition assigns each unique cell to exactly one shard by a
-/// stable hash of its key string ([`CellKey::shard_of`]), so `n`
-/// machines running `--shard 0/n .. (n-1)/n` cover the suite exactly
-/// once. Rendering is deliberately skipped: a render would lazily
-/// compute every cell the other shards own, defeating the split. Merge
-/// the shards' `*.cell` files into one cache directory and render with
-/// a plain `strata bench --cache` (all disk hits).
-///
-/// Translated cells verify against their native baseline, so a shard
-/// also computes the (few, cheap) native counterparts of its translated
-/// cells even when those hash to another shard — duplicated native work
-/// is the price of coordination-free verification, and merging is still
-/// well-defined because cell results are pure functions of their keys.
-///
-/// # Errors
-///
-/// Returns an error for a malformed shard (`index >= count` or zero
-/// `count`), a missing `cache_dir` (a shard's only output is the disk
-/// cache), or a filter pattern matching no experiment.
-pub fn run_shard(opts: &SuiteOptions, shard: Shard) -> Result<ShardReport, String> {
-    if shard.count == 0 {
-        return Err("shard count must be at least 1".into());
-    }
-    if shard.index >= shard.count {
-        return Err(format!(
-            "shard index {} out of range for {} shard(s)",
-            shard.index, shard.count
-        ));
-    }
-    validate_filter(opts.filter.as_deref())?;
-    let Some(cache_dir) = &opts.cache_dir else {
-        return Err(
-            "--shard requires the disk cache (a shard's only output is results/cache/)".into(),
-        );
-    };
-    let selected = select(opts.filter.as_deref());
-    let all = expand_cells(&selected, opts.params);
-    let mine: Vec<CellKey> = all
-        .iter()
-        .filter(|c| c.shard_of(shard.count) == shard.index)
-        .cloned()
-        .collect();
-
-    let store = Store::new(opts.context.clone(), Some(cache_dir.clone()));
-    execute(&store, &mine, opts.jobs);
-    Ok(ShardReport {
-        total_cells: all.len(),
-        shard_cells: mine.len(),
-        store_stats: store.stats(),
-    })
+    Ok(with_implied_natives(
+        select(filter).into_iter().flat_map(|e| (e.cells)(params)),
+    ))
 }
 
 /// Runs the suite: execute all selected cells in parallel, then render.
 ///
 /// # Errors
 ///
-/// Returns an error when any filter pattern matches no experiment.
+/// As [`SuiteOptions::manifest`]; nothing is simulated on an error.
 pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, String> {
-    validate_filter(opts.filter.as_deref())?;
-    let selected = select(opts.filter.as_deref());
-
+    let cells = opts.manifest()?;
     let store = Store::new(opts.context.clone(), opts.cache_dir.clone());
-    let cells = expand_cells(&selected, opts.params);
     execute(&store, &cells, opts.jobs);
     render_from_store(&store, opts)
 }
@@ -514,53 +435,32 @@ mod tests {
     }
 
     #[test]
-    fn shard_partition_is_disjoint_and_complete() {
-        let selected = select(None);
-        let all = expand_cells(&selected, Params::default());
-        assert!(
-            all.len() > 100,
-            "expected the full suite grid, got {}",
-            all.len()
-        );
-        for count in [1u32, 2, 3, 8] {
-            let mut covered = 0usize;
-            for index in 0..count {
-                let mine: Vec<_> = all.iter().filter(|c| c.shard_of(count) == index).collect();
-                covered += mine.len();
-            }
-            // Every cell's shard index is in range and deterministic, so
-            // counting per-index membership covers each cell exactly once.
-            assert_eq!(covered, all.len(), "count={count}");
-            assert!(
-                all.iter().all(|c| c.shard_of(count) < count),
-                "count={count}"
-            );
-        }
-        // One shard owns everything.
-        assert!(all.iter().all(|c| c.shard_of(1) == 0));
-    }
-
-    #[test]
-    fn run_shard_rejects_bad_specs() {
-        let cached = SuiteOptions {
-            cache_dir: Some(std::env::temp_dir().join("strata-shard-unused")),
+    fn exact_runs_refuse_sampled_only_scales_before_any_cell_starts() {
+        let exact = SuiteOptions {
+            filter: Some("table1".into()),
+            params: Params {
+                scale: strata_workloads::SAMPLED_ONLY_SCALE,
+                variant: 0,
+            },
             ..SuiteOptions::default()
         };
-        let err = run_shard(&cached, Shard { index: 2, count: 2 }).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
-        let err = run_shard(&cached, Shard { index: 0, count: 0 }).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-
-        let uncached = SuiteOptions::default();
-        let err = run_shard(&uncached, Shard { index: 0, count: 2 }).unwrap_err();
-        assert!(err.contains("disk cache"), "{err}");
-
-        let bad_filter = SuiteOptions {
-            filter: Some("zzz".into()),
-            cache_dir: Some(std::env::temp_dir().join("strata-shard-unused")),
-            ..SuiteOptions::default()
+        let err = run_suite(&exact).unwrap_err();
+        assert_eq!(err, "gzip at scale 10 is sampled-only; run with --sampled");
+        // The same selection is a plan under a sampled context, and one
+        // scale down it is a plan under an exact one.
+        let sampled = SuiteOptions {
+            context: RunContext {
+                mode: crate::Mode::Sampled {
+                    traces_dir: "unused".into(),
+                },
+                ..RunContext::default()
+            },
+            ..exact.clone()
         };
-        assert!(run_shard(&bad_filter, Shard { index: 0, count: 2 }).is_err());
+        assert_eq!(sampled.manifest().map(|m| m.len()), Ok(12));
+        let mut below = exact;
+        below.params.scale -= 1;
+        assert_eq!(below.manifest().map(|m| m.len()), Ok(12));
     }
 
     #[test]

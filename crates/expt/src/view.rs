@@ -4,8 +4,9 @@
 //! [`Params`], exposing the vocabulary experiments are written in
 //! (`native`, `translated`, `slowdown`, `geomean_slowdown`).
 //! The parallel executor pre-warms every declared cell, so renders are
-//! normally pure store lookups; a cell an experiment forgot to declare is
-//! computed on the spot (serially) rather than crashing the suite.
+//! normally pure store lookups that build no program; a cell an
+//! experiment forgot to declare is computed on the spot (serially) rather
+//! than crashing the suite.
 
 use strata_arch::ArchProfile;
 use strata_core::{NativeRun, RunReport, SdtConfig};
@@ -14,7 +15,7 @@ use strata_workloads::{registry, Params};
 
 use crate::cell::{CellKey, CellResult};
 use crate::context::RunContext;
-use crate::exec::{build_program, cell_result};
+use crate::exec::cell_result;
 use crate::store::Store;
 
 /// Accessor for memoized cell results at a fixed parameter point.
@@ -58,7 +59,7 @@ impl<'a> View<'a> {
         params: Params,
     ) -> NativeRun {
         let key = CellKey::native(name, profile.clone(), params);
-        let result = cell_result(self.store, &key, &build_program(name, params));
+        let result = cell_result(self.store, &key);
         result
             .as_native()
             .expect("native key yields native result")
@@ -84,7 +85,7 @@ impl<'a> View<'a> {
         params: Params,
     ) -> RunReport {
         let key = CellKey::translated(name, cfg, profile.clone(), params);
-        let result = cell_result(self.store, &key, &build_program(name, params));
+        let result = cell_result(self.store, &key);
         result
             .as_translated()
             .expect("translated key yields report")

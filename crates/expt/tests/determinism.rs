@@ -4,7 +4,7 @@
 
 use strata_arch::ArchProfile;
 use strata_core::SdtConfig;
-use strata_expt::{run_suite, CellKey, OutputFormat, Store, SuiteOptions};
+use strata_expt::{run_suite, work_manifest, CellKey, OutputFormat, Store, SuiteOptions};
 use strata_workloads::Params;
 
 /// A small but representative filter: table1 touches every workload's
@@ -155,6 +155,40 @@ fn disk_cache_round_trips_suite_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The recipe for machines that cannot reach a coordinator: each runs its
+/// own `--filter … --cache`, the `*.cell` files are copied into one
+/// directory, and a run of the union renders from it without simulating.
+#[test]
+fn caches_of_filtered_runs_merge_and_render_from_disk() {
+    let root = std::env::temp_dir().join(format!("strata-expt-merge-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let opts = |filter: &str, cache: Option<std::path::PathBuf>| SuiteOptions {
+        jobs: 2,
+        filter: Some(filter.into()),
+        cache_dir: cache,
+        ..SuiteOptions::default()
+    };
+    let (a, b) = (root.join("a"), root.join("b"));
+    run_suite(&opts("fig14", Some(a.clone()))).expect("machine a");
+    run_suite(&opts("fig2", Some(b.clone()))).expect("machine b");
+    for entry in std::fs::read_dir(&b).expect("cache b") {
+        let path = entry.expect("entry").path();
+        if path.extension().is_some_and(|e| e == "cell") {
+            std::fs::copy(&path, a.join(path.file_name().expect("name"))).expect("copy");
+        }
+    }
+    let merged = run_suite(&opts("fig2,fig14", Some(a))).expect("merged render");
+    assert_eq!(
+        merged.store_stats.computed, 0,
+        "the merge must not simulate"
+    );
+    let fresh = run_suite(&opts("fig2,fig14", None)).expect("fresh run");
+    assert_eq!(merged.unique_cells, fresh.unique_cells);
+    assert_eq!(merged.rendered, fresh.rendered);
+    assert_eq!(merged.artifacts, fresh.artifacts);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn store_counts_are_consistent() {
     let store = Store::in_memory();
@@ -170,5 +204,9 @@ fn store_counts_are_consistent() {
     let report = run_suite(&opts).expect("suite runs");
     // fig2: reentry config across all 12 workloads + 12 natives.
     assert_eq!(report.unique_cells, 24);
+    // The store holds exactly the manifest: a local run and a fleet run
+    // (which leases manifest entries) compute the same set.
+    let manifest = work_manifest(Some("fig2"), opts.params).expect("manifest");
+    assert_eq!(report.unique_cells, manifest.len());
     assert!(report.rendered.starts_with("# fig2:"));
 }

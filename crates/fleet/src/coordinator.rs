@@ -4,15 +4,16 @@
 //!
 //! ## Dispatch model
 //!
-//! The coordinator derives the canonical [`work_manifest`] for the
-//! selected experiments, marks cells already present in the disk cache as
-//! done (a restarted coordinator resumes instead of redispatching), and
-//! orders the rest for dispatch: native baselines first (mirroring the
-//! local executor's phases), longest observed budget first within each
-//! phase (`results/cache/budgets.v1`, hash/FIFO order for unknown cells).
+//! The coordinator plans from the same work plan a local `strata bench`
+//! does: [`SuiteOptions::manifest`] says which cells (the canonical
+//! [`work_manifest`](strata_expt::work_manifest)) and [`dispatch_order`]
+//! in what order — native baselines first, longest observed budget first
+//! (`results/cache/budgets.v1`), manifest order for unknown cells. Cells
+//! already present in the disk cache are marked done and dropped from the
+//! queue (a restarted coordinator resumes instead of redispatching).
 //! Workers pull one cell at a time — pull-based dispatch *is* the
 //! work-stealing: a fast worker simply comes back for more, so skewed
-//! cell budgets never strand the tail behind a static shard split.
+//! cell budgets never strand the tail behind a static split.
 //!
 //! ## Robustness
 //!
@@ -39,9 +40,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use strata_expt::cell::RunKind;
 use strata_expt::{
-    parse_record, render_from_store, work_manifest, CellKey, Store, SuiteOptions, SuiteReport,
+    dispatch_order, parse_record, render_from_store, CellKey, Store, SuiteOptions, SuiteReport,
 };
 use strata_stats::Json;
 
@@ -192,15 +192,15 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Expands the manifest, preloads cached cells, orders the dispatch
-    /// queue, and binds the listen socket.
+    /// Expands the manifest, preloads cached cells, queues the rest in
+    /// dispatch order, and binds the listen socket.
     ///
     /// # Errors
     ///
-    /// Returns an error for a dead filter pattern or an unbindable
-    /// address.
+    /// Returns an error for a selection that is no plan (see
+    /// [`SuiteOptions::manifest`]) or an unbindable address.
     pub fn bind(opts: ServeOptions) -> Result<Coordinator, String> {
-        let manifest = work_manifest(opts.suite.filter.as_deref(), opts.suite.params)?;
+        let manifest = opts.suite.manifest()?;
         let keys: Vec<String> = manifest.iter().map(CellKey::key_string).collect();
         let fingerprint = opts.suite.context.fingerprint(&manifest);
         let store = Arc::new(Store::new(
@@ -218,23 +218,16 @@ impl Coordinator {
             }
         }
 
-        // Dispatch order: natives first (the phase split the local
-        // executor uses), longest observed budget first within each
-        // phase; unknown budgets keep manifest order after the known
-        // ones (the sort is stable).
+        // Predicted cost per cell, for the progress line's ETA.
         let budgets: Vec<u64> = manifest
             .iter()
             .map(|cell| store.budget(cell).unwrap_or(0))
             .collect();
-        let mut order: Vec<u32> = (0..manifest.len() as u32)
-            .filter(|&i| !done[i as usize])
+        let queue: VecDeque<u32> = dispatch_order(&store, &manifest)
+            .into_iter()
+            .filter(|&i| !done[i])
+            .map(|i| i as u32)
             .collect();
-        order.sort_by_key(|&i| {
-            (
-                matches!(manifest[i as usize].kind, RunKind::Translated(_)),
-                std::cmp::Reverse(budgets[i as usize]),
-            )
-        });
 
         let listener =
             TcpListener::bind(&opts.bind).map_err(|e| format!("bind {}: {e}", opts.bind))?;
@@ -254,7 +247,7 @@ impl Coordinator {
             lease: opts.lease,
             finished: AtomicBool::new(all_done),
             state: Mutex::new(Dispatch {
-                queue: order.into(),
+                queue,
                 leases: HashMap::new(),
                 done,
                 done_count,
@@ -658,18 +651,18 @@ mod tests {
         assert!(Progress::parse("loud").is_err());
     }
 
-    /// The dispatch queue must be ordered by the budgets recorded under
-    /// the coordinator's own context: `Store::put` files a sampled run's
+    /// The initial queue is the shared [`dispatch_order`] over what the
+    /// cache does not hold yet, read from the budgets recorded under the
+    /// coordinator's own context: `Store::put` files a sampled run's
     /// observations under `sampled/`, so that is where a sampled
     /// coordinator has to look — never at the exact population.
     #[test]
     fn dispatch_order_follows_the_contexts_own_budgets() {
-        use strata_expt::{BudgetBook, Mode, RunContext};
+        use strata_expt::{work_manifest, BudgetBook, Mode, RunContext};
 
         let dir = std::env::temp_dir().join(format!("strata-fleet-ns-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let manifest = work_manifest(Some("table1"), Default::default()).expect("manifest");
-        let last = manifest.len() as u32 - 1;
+        let manifest = work_manifest(Some("fig2"), Default::default()).expect("manifest");
         // Exact budgets rank the manifest front to back, sampled budgets
         // back to front.
         let mut book = BudgetBook::new();
@@ -679,12 +672,19 @@ mod tests {
             book.record(&format!("sampled/{key}"), 1000 + i as u64);
         }
         book.save(&dir);
+        // One exact result is already cached: a resumed coordinator must
+        // not queue it.
+        let cached = 0usize;
+        {
+            let store = Store::with_disk_cache(dir.clone());
+            strata_expt::cell_result(&store, &manifest[cached]);
+        }
 
-        let queue_under = |context: RunContext| -> Vec<u32> {
+        let queue_under = |context: RunContext| -> Vec<usize> {
             let coordinator = Coordinator::bind(ServeOptions {
                 bind: "127.0.0.1:0".into(),
                 suite: SuiteOptions {
-                    filter: Some("table1".into()),
+                    filter: Some("fig2".into()),
                     cache_dir: Some(dir.clone()),
                     context,
                     ..SuiteOptions::default()
@@ -693,18 +693,31 @@ mod tests {
             })
             .expect("bind");
             let d = coordinator.shared.state.lock().expect("dispatch lock");
-            d.queue.iter().copied().collect()
+            d.queue.iter().map(|&i| i as usize).collect()
         };
-        let forward: Vec<u32> = (0..=last).collect();
-        let backward: Vec<u32> = (0..=last).rev().collect();
-        assert_eq!(queue_under(RunContext::default()), forward);
         let sampled = RunContext {
             mode: Mode::Sampled {
                 traces_dir: dir.join("traces"),
             },
             ..RunContext::default()
         };
-        assert_eq!(queue_under(sampled), backward);
+        let planned = |context: &RunContext| {
+            dispatch_order(&Store::new(context.clone(), Some(dir.clone())), &manifest)
+        };
+        let exact_queue = queue_under(RunContext::default());
+        let mut expected = planned(&RunContext::default());
+        expected.retain(|&i| i != cached);
+        assert_eq!(exact_queue, expected);
+        let sampled_queue = queue_under(sampled.clone());
+        assert_eq!(sampled_queue, planned(&sampled));
+        // fig2's manifest alternates native, translated: natives lead in
+        // both, each kind by its own context's budgets.
+        let natives = manifest.len() / 2;
+        assert_eq!(exact_queue[..3], [2, 4, 6]);
+        assert_eq!(exact_queue[natives - 1..natives + 2], [1, 3, 5]);
+        let last = manifest.len() - 1;
+        assert_eq!(sampled_queue[..2], [last - 1, last - 3]);
+        assert_eq!(sampled_queue[natives..natives + 2], [last, last - 2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,10 +4,9 @@
 //!
 //! Workers hold no suite state beyond a session-local memo [`Store`]
 //! (so a translated cell reuses its native baseline when the
-//! coordinator assigns both to the same worker) and a program cache
-//! keyed by `(workload, params)`. All durable state lives at the
-//! coordinator; a worker can die at any moment and the only cost is the
-//! lease it was holding.
+//! coordinator assigns both to the same worker). All durable state lives
+//! at the coordinator; a worker can die at any moment and the only cost
+//! is the lease it was holding.
 //!
 //! ## Manifest handshake
 //!
@@ -29,15 +28,12 @@
 //! background thread heartbeats every couple of seconds so the
 //! coordinator can tell "slow cell" from "dead worker".
 
-use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use strata_expt::exec::{build_program, cell_result};
-use strata_expt::{render_record, work_manifest, CellKey, RunContext, Store};
-use strata_machine::Program;
+use strata_expt::{cell_result, render_record, work_manifest, CellKey, RunContext, Store};
 use strata_workloads::Params;
 
 use crate::protocol::Frame;
@@ -102,7 +98,6 @@ enum SessionEnd {
 /// Session-local execution state that survives reconnects.
 struct WorkerState {
     store: Store,
-    programs: HashMap<(&'static str, u32, u64), Program>,
     /// Executed-but-unacknowledged result, resent after reconnect.
     pending: Option<Frame>,
     executed: usize,
@@ -120,7 +115,6 @@ struct WorkerState {
 pub fn work(opts: WorkOptions) -> Result<WorkerReport, String> {
     let mut state = WorkerState {
         store: Store::new(opts.context.clone(), None),
-        programs: HashMap::new(),
         pending: None,
         executed: 0,
         taken: 0,
@@ -302,11 +296,7 @@ fn session_loop(
                 if cell.key_string() != key {
                     return SessionEnd::Lost(format!("assigned key mismatch at index {index}"));
                 }
-                let program = state
-                    .programs
-                    .entry((cell.workload, cell.params.scale, cell.params.variant))
-                    .or_insert_with(|| build_program(cell.workload, cell.params));
-                let result = cell_result(&state.store, cell, program);
+                let result = cell_result(&state.store, cell);
                 state.executed += 1;
                 state.pending = Some(Frame::Result {
                     index,

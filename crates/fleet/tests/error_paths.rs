@@ -18,7 +18,7 @@
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use strata_expt::exec::{build_program, cell_result};
+use strata_expt::exec::cell_result;
 use strata_expt::{
     render_record, run_suite, work_manifest, Mode, OutputFormat, RunContext, Store, SuiteOptions,
 };
@@ -198,8 +198,7 @@ fn duplicate_result_delivery_is_deduplicated() {
     let cell = &cells[index as usize];
     assert_eq!(cell.key_string(), key, "assignment key must match manifest");
     let store = Store::in_memory();
-    let program = build_program(cell.workload, cell.params);
-    let result = cell_result(&store, cell, &program);
+    let result = cell_result(&store, cell);
     let delivery = Frame::Result {
         index,
         key,

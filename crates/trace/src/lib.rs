@@ -39,9 +39,8 @@ pub use record::{record, Recorded};
 pub use simpoints::{select, SimPoint, SimPoints};
 
 /// FNV-1a 64-bit hash — the workspace's one checksum: trace block and
-/// header checksums here, cell-cache file names, shard partitioning and
-/// manifest fingerprints in `strata-expt`, frame checksums in
-/// `strata-fleet`.
+/// header checksums here, cell-cache file names and manifest
+/// fingerprints in `strata-expt`, frame checksums in `strata-fleet`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

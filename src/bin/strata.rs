@@ -1,31 +1,18 @@
-//! `strata` — command-line driver for the SDT laboratory.
+//! `strata` — command-line driver for the SDT laboratory: `list`, `run`,
+//! `compare`, `verify`, `bench`, `fleet serve|work` and
+//! `trace record|info|simpoints`. [`VERBS`] holds each verb's usage
+//! synopsis, which is also the table of `--flags` the verb reads: a flag
+//! that is not in it exits 2 naming the flag and the verb instead of
+//! running on defaults.
 //!
-//! ```text
-//! strata list
-//! strata run <workload> [--config <spec>] [--ib-policy <spec>] [--arch <name>]
-//!            [--scale N] [--instrument] [--cache-limit BYTES] [--dump-cache N]
-//! strata compare <workload> [--arch <name>] [--scale N]
-//! strata verify [<workload>] [--config <spec>] [--ib-policy <spec>] [--all]
-//!               [--arch <name>] [--scale N] [--format text|json]
-//!               [--validate-tiers]
-//! strata bench [--jobs N] [--filter <ids>] [--format text|csv|json]
-//!              [--scale N] [--variant N] [--cache] [--no-artifacts]
-//!              [--artifacts-dir DIR] [--baseline DIR] [--tolerance PCT]
-//!              [--shard I/N] [--list]
-//! strata fleet serve [--bind ADDR] [--filter <ids>] [--format text|csv|json]
-//!              [--scale N] [--variant N] [--cache] [--lease SECS]
-//!              [--progress text|json|none] [--no-artifacts] [--artifacts-dir DIR]
-//! strata fleet work --connect ADDR [--name NAME] [--retries N]
-//! ```
-//!
-//! `--baseline DIR` diffs the run's artifacts against the committed
+//! `bench --baseline DIR` diffs the run's artifacts against the committed
 //! snapshot under `DIR` and exits nonzero when any metric drifts more
 //! than `--tolerance` percent (default 5) — the CI regression gate.
 //!
-//! `--shard I/N` executes only the Ith of N stable-hash slices of the
-//! suite's cell set into the disk cache (implies `--cache`), for
-//! fanning a run out across machines; merge the shards' `*.cell` files
-//! and render with a plain `strata bench --cache`.
+//! A run is partitioned across machines by `strata fleet serve` /
+//! `strata fleet work`; machines that cannot reach a coordinator each run
+//! their own `bench --filter … --cache`, and a plain `bench --cache` over
+//! the merged `*.cell` files renders the union.
 //!
 //! Config specs mirror `SdtConfig::describe()` loosely:
 //! `reentry`, `ibtc:<entries>`, `ibtc-outline:<entries>`,
@@ -40,10 +27,13 @@ use std::process::ExitCode;
 
 use strata_lab::arch::ArchProfile;
 use strata_lab::cli::{
-    parse_config, parse_context, parse_flag, parse_params, parse_policy, parse_shard, parse_tier,
+    check_flags, parse_config, parse_context, parse_flag, parse_params, parse_policy, parse_suite,
+    parse_tier, usage_verb, SuiteArgs,
 };
 use strata_lab::core::{run_native_with_model, Origin, RetMechanism, Sdt, SdtConfig};
-use strata_lab::expt::{self, OutputFormat, SuiteOptions};
+use strata_lab::expt::sampled;
+use strata_lab::expt::{self, SuiteReport};
+use strata_lab::fleet;
 use strata_lab::machine::{ExecTier, TierConfig};
 use strata_lab::stats::Table;
 use strata_lab::workloads::{by_name, registry, Params};
@@ -63,6 +53,75 @@ const REMOVED_ENV: [(&str, &str); 6] = [
     ("STRATA_CSV", "--format csv"),
 ];
 
+type Verb = fn(&[String]) -> Result<(), String>;
+
+/// Every verb: its usage synopsis and its entry point. The synopsis names
+/// the verb (`cli::usage_verb`), is what `strata` prints without one, and
+/// is the table of `--flags` the verb reads (`cli::check_flags`) — a flag
+/// a verb starts reading has to be added here to be accepted at all.
+const VERBS: [(&str, Verb); 10] = [
+    ("strata list", list_cmd),
+    (
+        "strata run <workload> [--config SPEC] [--ib-policy SPEC] [--arch x86|sparc|mips]\n\
+         \x20          [--scale N] [--variant N] [--instrument] [--cache-limit BYTES]\n\
+         \x20          [--dump-cache N] [--tier interp|threaded[:M]] [--tier-threshold M]\n\
+         \x20          [--predictor SPEC]",
+        run_cmd,
+    ),
+    (
+        "strata compare <workload> [--arch NAME] [--scale N] [--variant N] [--tier SPEC]\n\
+         \x20            [--tier-threshold M] [--predictor SPEC]",
+        compare_cmd,
+    ),
+    (
+        "strata verify [<workload>] [--config SPEC] [--ib-policy SPEC] [--all]\n\
+         \x20            [--arch NAME] [--scale N] [--format text|json] [--validate-tiers]",
+        verify_cmd,
+    ),
+    (
+        "strata bench [--jobs N] [--filter IDS] [--format text|csv|json]\n\
+         \x20            [--scale N] [--variant N] [--cache] [--no-artifacts]\n\
+         \x20            [--artifacts-dir DIR] [--baseline DIR] [--tolerance PCT]\n\
+         \x20            [--list] [--sampled] [--traces DIR]\n\
+         \x20            [--tier interp|threaded[:M]] [--tier-threshold M] [--predictor SPEC]",
+        bench_cmd,
+    ),
+    (
+        "strata fleet serve [--bind ADDR] [--filter IDS] [--format text|csv|json]\n\
+         \x20            [--scale N] [--variant N] [--cache] [--lease SECS]\n\
+         \x20            [--progress text|json|none] [--no-artifacts]\n\
+         \x20            [--artifacts-dir DIR] [--sampled] [--traces DIR] [--predictor SPEC]",
+        fleet_serve_cmd,
+    ),
+    (
+        "strata fleet work --connect ADDR [--name NAME] [--retries N] [--tier SPEC]\n\
+         \x20            [--tier-threshold M] [--sampled] [--traces DIR] [--predictor SPEC]",
+        fleet_work_cmd,
+    ),
+    (
+        "strata trace record <workload|all> [--scale N] [--variant N]\n\
+         \x20            [--traces DIR] [--tier SPEC] [--tier-threshold M]",
+        trace_record_cmd,
+    ),
+    ("strata trace info <file.strace>", trace_info_cmd),
+    (
+        "strata trace simpoints <workload> [--scale N] [--variant N] [--traces DIR]",
+        trace_simpoints_cmd,
+    ),
+];
+
+const SPECS: &str = "\
+config SPECs: reentry | ibtc:4096 | ibtc-outline:4096 | ibtc-persite:64
+              | sieve:4096 | tuned:4096,1024 | fastret:4096
+              | shadow:4096,1024  (+noflags, +nolink)
+policy SPECs: jump=sieve:4096,call=ibtc:512x2,ret=retcache:1024
+              classes jump|call|ret; strategies inherit | reentry
+              | ibtc:N[x2] | ibtc-outline:N | ibtc-persite:N[x2]
+              | sieve:N | adaptive[:ibtc,sieve[,arity]]
+              | predictive[:sieve,probation];
+              ret: asib | retcache:N | rc:N | fastret | shadow:N
+predictor SPECs: legacy | none | ideal | btb:N | btb:SxW | ittage[:T]";
+
 fn main() -> ExitCode {
     for (name, flag) in REMOVED_ENV {
         if std::env::var_os(name).is_some() {
@@ -71,77 +130,40 @@ fn main() -> ExitCode {
         }
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            list();
-            ExitCode::SUCCESS
+    for (usage, run) in VERBS {
+        let named = usage_verb(usage).count();
+        if !usage_verb(usage).eq(args.iter().take(named)) {
+            continue;
         }
-        Some("run") => dispatch(run_cmd(&args[1..])),
-        Some("compare") => dispatch(compare_cmd(&args[1..])),
-        Some("bench") => dispatch(bench_cmd(&args[1..])),
-        Some("fleet") => dispatch(fleet_cmd(&args[1..])),
-        Some("trace") => dispatch(trace_cmd(&args[1..])),
-        Some("verify") => dispatch(verify_cmd(&args[1..])),
-        _ => {
-            eprintln!(
-                "usage: strata <list|run|compare> ...\n\
-                 \n\
-                 strata list\n\
-                 strata run <workload> [--config SPEC] [--ib-policy SPEC] [--arch x86|sparc|mips]\n\
-                 \x20          [--scale N] [--instrument] [--cache-limit BYTES] [--dump-cache N]\n\
-                 \x20          [--tier interp|threaded[:M]] [--tier-threshold M] [--predictor SPEC]\n\
-                 strata compare <workload> [--arch NAME] [--scale N] [--tier SPEC]\n\
-                 \x20            [--predictor SPEC]\n\
-                 strata verify [<workload>] [--config SPEC] [--ib-policy SPEC] [--all]\n\
-                 \x20            [--arch NAME] [--scale N] [--format text|json]\n\
-                 strata bench [--jobs N] [--filter IDS] [--format text|csv|json]\n\
-                 \x20            [--scale N] [--variant N] [--cache] [--no-artifacts]\n\
-                 \x20            [--artifacts-dir DIR] [--baseline DIR] [--tolerance PCT]\n\
-                 \x20            [--shard I/N] [--list] [--sampled] [--traces DIR]\n\
-                 \x20            [--tier interp|threaded[:M]] [--tier-threshold M] [--predictor SPEC]\n\
-                 strata fleet serve [--bind ADDR] [--filter IDS] [--format text|csv|json]\n\
-                 \x20            [--scale N] [--variant N] [--cache] [--lease SECS]\n\
-                 \x20            [--progress text|json|none] [--no-artifacts]\n\
-                 \x20            [--artifacts-dir DIR] [--sampled] [--traces DIR] [--predictor SPEC]\n\
-                 strata fleet work --connect ADDR [--name NAME] [--retries N] [--tier SPEC]\n\
-                 \x20            [--sampled] [--traces DIR] [--predictor SPEC]\n\
-                 strata trace record <workload|all> [--scale N] [--variant N]\n\
-                 \x20            [--traces DIR] [--tier SPEC]\n\
-                 strata trace info <file.strace>\n\
-                 strata trace simpoints <workload> [--scale N] [--variant N] [--traces DIR]\n\
-                 \n\
-                 config SPECs: reentry | ibtc:4096 | ibtc-outline:4096 | ibtc-persite:64\n\
-                 \x20             | sieve:4096 | tuned:4096,1024 | fastret:4096\n\
-                 \x20             | shadow:4096,1024  (+noflags, +nolink)\n\
-                 policy SPECs: jump=sieve:4096,call=ibtc:512x2,ret=retcache:1024\n\
-                 \x20             classes jump|call|ret; strategies inherit | reentry\n\
-                 \x20             | ibtc:N[x2] | ibtc-outline:N | ibtc-persite:N[x2]\n\
-                 \x20             | sieve:N | adaptive[:ibtc,sieve[,arity]]\n\
-                 \x20             | predictive[:sieve,probation];\n\
-                 \x20             ret: asib | retcache:N | rc:N | fastret | shadow:N\n\
-                 predictor SPECs: legacy | none | ideal | btb:N | btb:SxW | ittage[:T]"
-            );
-            ExitCode::from(2)
+        // First thing in any verb: a command line it would not read as
+        // written is refused, not run on defaults.
+        if let Err(message) = check_flags(usage, &args[named..]) {
+            eprintln!("{message}");
+            return ExitCode::from(2);
         }
+        return match run(&args[named..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(message) => {
+                eprintln!("error: {message}");
+                ExitCode::FAILURE
+            }
+        };
     }
+    eprintln!("usage: strata <verb> ...\n");
+    for (usage, _) in VERBS {
+        eprintln!("{usage}");
+    }
+    eprintln!("\n{SPECS}");
+    ExitCode::from(2)
 }
 
-fn dispatch(result: Result<(), String>) -> ExitCode {
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn list() {
+fn list_cmd(_args: &[String]) -> Result<(), String> {
     let mut t = Table::new("available workloads", &["name", "models", "summary"]);
     for spec in registry() {
         t.row([spec.name, "SPEC CINT2000", spec.summary]);
     }
     println!("{}", t.render_text());
+    Ok(())
 }
 
 struct CommonArgs {
@@ -267,6 +289,18 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Prints a rendered suite and writes its JSON artifacts — the report
+/// tail `bench` and `fleet serve` share.
+fn report_suite(report: &SuiteReport, suite: &SuiteArgs) -> Result<(), String> {
+    print!("{}", report.rendered);
+    if suite.write_artifacts {
+        let dir = &suite.artifacts_dir;
+        let written = expt::write_artifacts(report, dir.as_ref())?;
+        eprintln!("wrote {} artifact(s) under {dir}/", written.len());
+    }
+    Ok(())
+}
+
 /// Runs the experiment suite through the `strata-expt` orchestrator.
 /// JSON artifacts land in `results/` unless `--no-artifacts`.
 fn bench_cmd(args: &[String]) -> Result<(), String> {
@@ -275,24 +309,20 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
     if let Some(tier) = parse_tier(args)? {
         expt::set_exec_tier(tier);
     }
-    let mut opts = SuiteOptions {
-        params: parse_params(args)?,
-        context: parse_context(args, false)?,
-        ..SuiteOptions::default()
-    };
+    let mut suite = parse_suite(args)?;
     // `--list` prints the selected experiments (honoring `--filter`) with
     // their cell counts and runs nothing.
     if args.iter().any(|a| a == "--list") {
-        let filter = parse_flag(args, "--filter");
-        expt::validate_filter(filter.as_deref())?;
-        let selected = expt::select(filter.as_deref());
+        let filter = suite.opts.filter.as_deref();
+        expt::validate_filter(filter)?;
+        let selected = expt::select(filter);
         let mut t = Table::new(
             format!("{} experiment(s) selected", selected.len()),
             &["id", "cells", "title"],
         );
         let mut total = 0usize;
         for e in &selected {
-            let count = (e.cells)(opts.params).len();
+            let count = (e.cells)(suite.opts.params).len();
             total += count;
             t.row([e.id.to_string(), count.to_string(), e.title.to_string()]);
         }
@@ -301,57 +331,18 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     if let Some(jobs) = parse_flag(args, "--jobs") {
-        opts.jobs = jobs.parse().map_err(|_| format!("bad --jobs `{jobs}`"))?;
-        if opts.jobs == 0 {
+        suite.opts.jobs = jobs.parse().map_err(|_| format!("bad --jobs `{jobs}`"))?;
+        if suite.opts.jobs == 0 {
             return Err("--jobs must be at least 1".into());
         }
     }
-    opts.filter = parse_flag(args, "--filter");
-    if let Some(format) = parse_flag(args, "--format") {
-        opts.format = OutputFormat::parse(&format)?;
-    }
-    if args.iter().any(|a| a == "--cache") {
-        opts.cache_dir = Some("results/cache".into());
-    }
-    let artifacts_dir = parse_flag(args, "--artifacts-dir").unwrap_or_else(|| "results".into());
     let baseline_dir = parse_flag(args, "--baseline");
-    if baseline_dir.is_some() && opts.context.traces_dir().is_some() {
+    if baseline_dir.is_some() && suite.opts.context.traces_dir().is_some() {
         return Err(
             "--baseline gates exact results; estimated (--sampled) runs cannot be gated \
              against it"
                 .into(),
         );
-    }
-
-    // Shard mode: execute this machine's slice of the cell set into the
-    // disk cache and stop — no rendering, no artifacts, no gate. Merge
-    // the shards' cache directories, then render with `--cache`.
-    if let Some(spec) = parse_flag(args, "--shard") {
-        let (index, count) = parse_shard(&spec)?;
-        if baseline_dir.is_some() {
-            return Err(
-                "--baseline needs the full suite; run it on the merged cache, not a shard".into(),
-            );
-        }
-        // A shard's only output is the cell cache, so imply `--cache`.
-        let cache_dir = opts
-            .cache_dir
-            .get_or_insert_with(|| "results/cache".into())
-            .clone();
-        let report = expt::run_shard(&opts, expt::Shard { index, count })?;
-        let s = report.store_stats;
-        eprintln!(
-            "shard {index}/{count}: {} of {} cell(s) ({} simulated, {} memo hits, {} disk hits) \
-             on {} job(s) -> {}",
-            report.shard_cells,
-            report.total_cells,
-            s.computed,
-            s.memo_hits,
-            s.disk_hits,
-            opts.jobs,
-            cache_dir.display(),
-        );
-        return Ok(());
     }
     let tolerance = match parse_flag(args, "--tolerance") {
         Some(t) => {
@@ -366,17 +357,12 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
         None => 5.0,
     };
 
-    let report = expt::run_suite(&opts)?;
-    print!("{}", report.rendered);
-
-    if !args.iter().any(|a| a == "--no-artifacts") {
-        let written = expt::write_artifacts(&report, artifacts_dir.as_ref())?;
-        eprintln!("wrote {} artifact(s) under {artifacts_dir}/", written.len());
-    }
+    let report = expt::run_suite(&suite.opts)?;
+    report_suite(&report, &suite)?;
     let s = report.store_stats;
     eprintln!(
         "cells: {} unique ({} simulated, {} memo hits, {} disk hits) on {} job(s)",
-        report.unique_cells, s.computed, s.memo_hits, s.disk_hits, opts.jobs
+        report.unique_cells, s.computed, s.memo_hits, s.disk_hits, suite.opts.jobs
     );
 
     // The regression gate: diff against the committed baseline and fail
@@ -387,7 +373,8 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
         let delta = expt::baseline_gate(&report, dir.as_ref(), tolerance)?;
         let text = delta.render_text();
         print!("{text}");
-        let report_dir = std::path::Path::new(&artifacts_dir);
+        let artifacts_dir = &suite.artifacts_dir;
+        let report_dir = std::path::Path::new(artifacts_dir);
         if let Err(e) = std::fs::create_dir_all(report_dir) {
             eprintln!("warning: create {artifacts_dir}/: {e}");
         }
@@ -411,261 +398,230 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the distributed-fleet commands: `serve` hosts a coordinator that
-/// leases the selected suite's cells to TCP workers and renders the
-/// merged result exactly like a local `strata bench`; `work` connects to
-/// a coordinator and executes cells until the suite is done.
-fn fleet_cmd(args: &[String]) -> Result<(), String> {
-    use strata_lab::fleet;
-
-    match args.first().map(String::as_str) {
-        Some("serve") => {
-            let args = &args[1..];
-            let mut serve = fleet::ServeOptions {
-                suite: SuiteOptions {
-                    params: parse_params(args)?,
-                    context: parse_context(args, false)?,
-                    ..SuiteOptions::default()
-                },
-                ..fleet::ServeOptions::default()
-            };
-            if let Some(bind) = parse_flag(args, "--bind") {
-                serve.bind = bind;
-            }
-            serve.suite.filter = parse_flag(args, "--filter");
-            if let Some(format) = parse_flag(args, "--format") {
-                serve.suite.format = OutputFormat::parse(&format)?;
-            }
-            if args.iter().any(|a| a == "--cache") {
-                serve.suite.cache_dir = Some("results/cache".into());
-            }
-            if let Some(lease) = parse_flag(args, "--lease") {
-                let secs: u64 = lease
-                    .parse()
-                    .map_err(|_| format!("bad --lease `{lease}`"))?;
-                if secs == 0 {
-                    return Err("--lease must be at least 1 second".into());
-                }
-                serve.lease = std::time::Duration::from_secs(secs);
-            }
-            if let Some(mode) = parse_flag(args, "--progress") {
-                serve.progress = fleet::Progress::parse(&mode)?;
-            }
-            let artifacts_dir =
-                parse_flag(args, "--artifacts-dir").unwrap_or_else(|| "results".into());
-
-            let coordinator = fleet::Coordinator::bind(serve)?;
-            eprintln!(
-                "fleet: serving on {}; point workers at it with \
-                 `strata fleet work --connect <host:port>`",
-                coordinator.local_addr()?
-            );
-            let report = coordinator.run()?;
-            print!("{}", report.suite.rendered);
-            if !args.iter().any(|a| a == "--no-artifacts") {
-                let written = expt::write_artifacts(&report.suite, artifacts_dir.as_ref())?;
-                eprintln!("wrote {} artifact(s) under {artifacts_dir}/", written.len());
-            }
-            let s = &report.stats;
-            let per_worker = s
-                .per_worker
-                .iter()
-                .map(|(name, n)| format!("{name}:{n}"))
-                .collect::<Vec<_>>()
-                .join(" ");
-            eprintln!(
-                "fleet: {} cell(s): {} preloaded, {} received, {} requeued, \
-                 {} duplicate(s), {} rejected, {} worker(s){}",
-                s.cells,
-                s.preloaded,
-                s.received,
-                s.requeued,
-                s.duplicates,
-                s.rejected,
-                s.workers_seen,
-                if per_worker.is_empty() {
-                    String::new()
-                } else {
-                    format!(" [{per_worker}]")
-                },
-            );
-            Ok(())
-        }
-        Some("work") => {
-            let args = &args[1..];
-            // Workers run native cells through the same process-global
-            // tier as `strata bench`; results are bit-identical either
-            // way, so tier choice is per-worker and never part of the
-            // protocol.
-            if let Some(tier) = parse_tier(args)? {
-                expt::set_exec_tier(tier);
-            }
-            let mut opts = fleet::WorkOptions {
-                connect: parse_flag(args, "--connect")
-                    .ok_or("fleet work needs --connect <host:port>")?,
-                // Must match the coordinator's — the suite fingerprint is
-                // salted by it, so a mismatched worker is refused at
-                // handshake rather than mixing result kinds.
-                context: parse_context(args, false)?,
-                ..fleet::WorkOptions::default()
-            };
-            if let Some(name) = parse_flag(args, "--name") {
-                opts.name = name;
-            }
-            if let Some(retries) = parse_flag(args, "--retries") {
-                opts.retries = retries
-                    .parse()
-                    .map_err(|_| format!("bad --retries `{retries}`"))?;
-            }
-            let name = opts.name.clone();
-            let report = fleet::work(opts)?;
-            eprintln!(
-                "fleet: {name} executed {} cell(s), {} reconnect(s)",
-                report.executed, report.reconnects
-            );
-            Ok(())
-        }
-        _ => Err("usage: strata fleet <serve|work> ... (see `strata` for flags)".into()),
+/// `strata fleet serve` — hosts a coordinator that leases the selected
+/// suite's cells to TCP workers and renders the merged result exactly like
+/// a local `strata bench`.
+fn fleet_serve_cmd(args: &[String]) -> Result<(), String> {
+    let suite = parse_suite(args)?;
+    let mut serve = fleet::ServeOptions {
+        suite: suite.opts.clone(),
+        ..fleet::ServeOptions::default()
+    };
+    if let Some(bind) = parse_flag(args, "--bind") {
+        serve.bind = bind;
     }
+    if let Some(lease) = parse_flag(args, "--lease") {
+        let secs: u64 = lease
+            .parse()
+            .map_err(|_| format!("bad --lease `{lease}`"))?;
+        if secs == 0 {
+            return Err("--lease must be at least 1 second".into());
+        }
+        serve.lease = std::time::Duration::from_secs(secs);
+    }
+    if let Some(mode) = parse_flag(args, "--progress") {
+        serve.progress = fleet::Progress::parse(&mode)?;
+    }
+
+    let coordinator = fleet::Coordinator::bind(serve)?;
+    eprintln!(
+        "fleet: serving on {}; point workers at it with \
+         `strata fleet work --connect <host:port>`",
+        coordinator.local_addr()?
+    );
+    let report = coordinator.run()?;
+    report_suite(&report.suite, &suite)?;
+    let s = &report.stats;
+    let per_worker = s
+        .per_worker
+        .iter()
+        .map(|(name, n)| format!("{name}:{n}"))
+        .collect::<Vec<_>>()
+        .join(" ");
+    eprintln!(
+        "fleet: {} cell(s): {} preloaded, {} received, {} requeued, \
+         {} duplicate(s), {} rejected, {} worker(s){}",
+        s.cells,
+        s.preloaded,
+        s.received,
+        s.requeued,
+        s.duplicates,
+        s.rejected,
+        s.workers_seen,
+        if per_worker.is_empty() {
+            String::new()
+        } else {
+            format!(" [{per_worker}]")
+        },
+    );
+    Ok(())
 }
 
-/// `strata trace` — records reference retire traces, inspects them, and
-/// elects SimPoints, independent of any bench run. `record all`
-/// refreshes the canonical per-workload traces that `bench --sampled`
-/// replays; `record` always re-records (it never trusts a stale file),
-/// while `simpoints` reuses an existing valid trace.
-fn trace_cmd(args: &[String]) -> Result<(), String> {
-    use strata_lab::expt::sampled;
-    use strata_lab::trace::{select, Trace};
-
-    let verb = args.first().map(String::as_str);
-    let rest = if args.is_empty() { args } else { &args[1..] };
-    // The trace verbs work on a traces directory whether or not
-    // `--sampled` is spelled out, so their context is always sampled.
-    let dir_of = |a: &[String]| -> Result<std::path::PathBuf, String> {
-        let context = parse_context(a, true)?;
-        Ok(context
-            .traces_dir()
-            .expect("always_sampled yields a sampled context")
-            .to_path_buf())
-    };
-
-    match verb {
-        Some("record") => {
-            if let Some(tier) = parse_tier(rest)? {
-                expt::set_exec_tier(tier);
-            }
-            let target = rest
-                .first()
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("usage: strata trace record <workload|all> ...")?;
-            let dir = dir_of(rest)?;
-            let params = parse_params(rest)?;
-            let names: Vec<&str> = if target == "all" {
-                registry().iter().map(|s| s.name).collect()
-            } else {
-                vec![
-                    by_name(target)
-                        .ok_or_else(|| format!("unknown workload `{target}` (try `strata list`)"))?
-                        .name,
-                ]
-            };
-            let mut t = Table::new(
-                format!("recorded {} trace(s) under {}", names.len(), dir.display()),
-                &[
-                    "workload",
-                    "instructions",
-                    "interval",
-                    "points",
-                    "coverage",
-                    "bytes",
-                ],
-            );
-            for name in names {
-                let trace = sampled::record_trace(&dir, name, params)?;
-                // `record_trace` elected and persisted the sidecar;
-                // re-electing here is deterministic, so the printed rows
-                // match the file even if the directory is unwritable.
-                let points = select(&trace);
-                let path = dir.join(sampled::trace_file_name(name, params));
-                let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                t.row([
-                    name.to_string(),
-                    trace.records.len().to_string(),
-                    trace.interval.to_string(),
-                    points.points.len().to_string(),
-                    format!("{:.1}%", points.coverage() * 100.0),
-                    bytes.to_string(),
-                ]);
-            }
-            println!("{}", t.render_text());
-            Ok(())
-        }
-        Some("info") => {
-            let path = rest
-                .first()
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("usage: strata trace info <file.strace>")?;
-            let info = Trace::info(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-            let mut t = Table::new(format!("trace {path}"), &["field", "value"]);
-            t.row(["workload", &info.workload]);
-            t.row(["scale", &info.scale.to_string()]);
-            t.row(["variant", &info.variant.to_string()]);
-            t.row(["instructions", &info.instructions.to_string()]);
-            t.row(["interval", &info.interval.to_string()]);
-            t.row(["blocks", &info.blocks.to_string()]);
-            t.row(["checksum", &format!("{:#010x}", info.checksum)]);
-            t.row(["baselines", &info.profiles.join(", ")]);
-            t.row(["file bytes", &info.file_bytes.to_string()]);
-            t.row([
-                "bytes/instr",
-                &format!(
-                    "{:.3}",
-                    info.file_bytes as f64 / info.instructions.max(1) as f64
-                ),
-            ]);
-            println!("{}", t.render_text());
-            Ok(())
-        }
-        Some("simpoints") => {
-            let name = rest
-                .first()
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("usage: strata trace simpoints <workload> ...")?;
-            let spec = by_name(name)
-                .ok_or_else(|| format!("unknown workload `{name}` (try `strata list`)"))?;
-            let dir = dir_of(rest)?;
-            let params = parse_params(rest)?;
-            let bundle = sampled::ensure_bundle(&dir, spec.name, params)?;
-            let p = &bundle.points;
-            let mut t = Table::new(
-                format!(
-                    "{}: {} point(s) over {} interval(s) of {} instr ({} phase(s))",
-                    spec.name,
-                    p.points.len(),
-                    p.intervals,
-                    p.interval,
-                    p.k
-                ),
-                &["interval", "weight", "cluster"],
-            );
-            for pt in &p.points {
-                t.row([
-                    pt.interval.to_string(),
-                    pt.weight.to_string(),
-                    pt.cluster.to_string(),
-                ]);
-            }
-            println!("{}", t.render_text());
-            eprintln!(
-                "coverage {:.2}% of {} recorded instruction(s)",
-                p.coverage() * 100.0,
-                p.instructions
-            );
-            Ok(())
-        }
-        _ => Err("usage: strata trace <record|info|simpoints> ... (see `strata` for flags)".into()),
+/// `strata fleet work` — connects to a coordinator and executes cells
+/// until the suite is done.
+fn fleet_work_cmd(args: &[String]) -> Result<(), String> {
+    // Workers run native cells through the same process-global tier as
+    // `strata bench`; results are bit-identical either way, so tier
+    // choice is per-worker and never part of the protocol.
+    if let Some(tier) = parse_tier(args)? {
+        expt::set_exec_tier(tier);
     }
+    let mut opts = fleet::WorkOptions {
+        connect: parse_flag(args, "--connect").ok_or("fleet work needs --connect <host:port>")?,
+        // Must match the coordinator's — the suite fingerprint is salted
+        // by it, so a mismatched worker is refused at handshake rather
+        // than mixing result kinds.
+        context: parse_context(args, false)?,
+        ..fleet::WorkOptions::default()
+    };
+    if let Some(name) = parse_flag(args, "--name") {
+        opts.name = name;
+    }
+    if let Some(retries) = parse_flag(args, "--retries") {
+        opts.retries = retries
+            .parse()
+            .map_err(|_| format!("bad --retries `{retries}`"))?;
+    }
+    let name = opts.name.clone();
+    let report = fleet::work(opts)?;
+    eprintln!(
+        "fleet: {name} executed {} cell(s), {} reconnect(s)",
+        report.executed, report.reconnects
+    );
+    Ok(())
+}
+
+/// The traces directory the `trace` verbs work on: their context is
+/// sampled by construction, there is no `--sampled` to spell out.
+fn traces_dir(args: &[String]) -> Result<std::path::PathBuf, String> {
+    let context = parse_context(args, true)?;
+    Ok(context
+        .traces_dir()
+        .expect("always_sampled yields a sampled context")
+        .to_path_buf())
+}
+
+/// `strata trace record <workload|all>` — records reference retire
+/// traces independent of any bench run. `all` refreshes the canonical
+/// per-workload traces that `bench --sampled` replays; `record` always
+/// re-records (it never trusts a stale file).
+fn trace_record_cmd(args: &[String]) -> Result<(), String> {
+    if let Some(tier) = parse_tier(args)? {
+        expt::set_exec_tier(tier);
+    }
+    let target = args
+        .first()
+        .filter(|a| !a.starts_with("--"))
+        .ok_or("usage: strata trace record <workload|all> ...")?;
+    let dir = traces_dir(args)?;
+    let params = parse_params(args)?;
+    let names: Vec<&str> = if target == "all" {
+        registry().iter().map(|s| s.name).collect()
+    } else {
+        vec![
+            by_name(target)
+                .ok_or_else(|| format!("unknown workload `{target}` (try `strata list`)"))?
+                .name,
+        ]
+    };
+    let mut t = Table::new(
+        format!("recorded {} trace(s) under {}", names.len(), dir.display()),
+        &[
+            "workload",
+            "instructions",
+            "interval",
+            "points",
+            "coverage",
+            "bytes",
+        ],
+    );
+    for name in names {
+        let trace = sampled::record_trace(&dir, name, params)?;
+        // `record_trace` elected and persisted the sidecar; re-electing
+        // here is deterministic, so the printed rows match the file even
+        // if the directory is unwritable.
+        let points = strata_lab::trace::select(&trace);
+        let path = dir.join(sampled::trace_file_name(name, params));
+        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        t.row([
+            name.to_string(),
+            trace.records.len().to_string(),
+            trace.interval.to_string(),
+            points.points.len().to_string(),
+            format!("{:.1}%", points.coverage() * 100.0),
+            bytes.to_string(),
+        ]);
+    }
+    println!("{}", t.render_text());
+    Ok(())
+}
+
+/// `strata trace info <file.strace>` — prints a trace file's header.
+fn trace_info_cmd(args: &[String]) -> Result<(), String> {
+    let path = args
+        .first()
+        .ok_or("usage: strata trace info <file.strace>")?;
+    let info =
+        strata_lab::trace::Trace::info(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    let mut t = Table::new(format!("trace {path}"), &["field", "value"]);
+    t.row(["workload", &info.workload]);
+    t.row(["scale", &info.scale.to_string()]);
+    t.row(["variant", &info.variant.to_string()]);
+    t.row(["instructions", &info.instructions.to_string()]);
+    t.row(["interval", &info.interval.to_string()]);
+    t.row(["blocks", &info.blocks.to_string()]);
+    t.row(["checksum", &format!("{:#010x}", info.checksum)]);
+    t.row(["baselines", &info.profiles.join(", ")]);
+    t.row(["file bytes", &info.file_bytes.to_string()]);
+    t.row([
+        "bytes/instr",
+        &format!(
+            "{:.3}",
+            info.file_bytes as f64 / info.instructions.max(1) as f64
+        ),
+    ]);
+    println!("{}", t.render_text());
+    Ok(())
+}
+
+/// `strata trace simpoints <workload>` — elects SimPoints, reusing an
+/// existing valid trace.
+fn trace_simpoints_cmd(args: &[String]) -> Result<(), String> {
+    let name = args
+        .first()
+        .filter(|a| !a.starts_with("--"))
+        .ok_or("usage: strata trace simpoints <workload> ...")?;
+    let spec =
+        by_name(name).ok_or_else(|| format!("unknown workload `{name}` (try `strata list`)"))?;
+    let dir = traces_dir(args)?;
+    let params = parse_params(args)?;
+    let bundle = sampled::ensure_bundle(&dir, spec.name, params)?;
+    let p = &bundle.points;
+    let mut t = Table::new(
+        format!(
+            "{}: {} point(s) over {} interval(s) of {} instr ({} phase(s))",
+            spec.name,
+            p.points.len(),
+            p.intervals,
+            p.interval,
+            p.k
+        ),
+        &["interval", "weight", "cluster"],
+    );
+    for pt in &p.points {
+        t.row([
+            pt.interval.to_string(),
+            pt.weight.to_string(),
+            pt.cluster.to_string(),
+        ]);
+    }
+    println!("{}", t.render_text());
+    eprintln!(
+        "coverage {:.2}% of {} recorded instruction(s)",
+        p.coverage() * 100.0,
+        p.instructions
+    );
+    Ok(())
 }
 
 /// Statically verifies the code the translator emits: runs the workload

@@ -5,7 +5,7 @@ use strata_arch::PredictorSpec;
 use strata_core::{
     ClassPolicy, FlagsPolicy, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, SdtConfig,
 };
-use strata_expt::{Mode, RunContext, DEFAULT_TRACES_DIR};
+use strata_expt::{Mode, OutputFormat, RunContext, SuiteOptions, DEFAULT_TRACES_DIR};
 use strata_machine::{ExecTier, TierConfig};
 use strata_workloads::Params;
 
@@ -15,6 +15,55 @@ pub fn parse_flag(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// Flags earlier versions read, with what to do instead. Naming one is
+/// an error like any unknown flag, with the replacement spelled out.
+const REMOVED_FLAGS: [(&str, &str); 1] = [(
+    "--shard",
+    "partition a run with strata fleet serve / strata fleet work \
+     (or --filter … --cache per machine)",
+)];
+
+/// The words of a usage synopsis that name its verb: `fleet`, `work` for
+/// `strata fleet work --connect ADDR [--name NAME] …`.
+pub fn usage_verb(usage: &str) -> impl Iterator<Item = &str> {
+    let words = usage.split_whitespace().skip(1);
+    words.take_while(|w| w.chars().all(char::is_alphabetic))
+}
+
+/// Checks `args` against the verb's usage synopsis, which is thereby the
+/// table of `--flags` the verb reads: every word of `args` starting with
+/// `--` must appear in it, and where the synopsis follows a flag with a
+/// value (`[--jobs N]`, not `[--cache]`) so must `args`. `parse_flag`
+/// only looks for the names it knows, so without this a misspelled flag —
+/// `--job 1` — would run the verb on its defaults without a word,
+/// measuring something other than what was asked.
+///
+/// # Errors
+///
+/// Returns the message the driver exits 2 on: the unknown flag and the
+/// verb, or the replacement of a removed flag.
+pub fn check_flags(usage: &str, args: &[String]) -> Result<(), String> {
+    let synopsis: Vec<&str> = usage
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|w| !w.is_empty())
+        .collect();
+    let verb = usage_verb(usage).collect::<Vec<_>>().join(" ");
+    let mut words = args.iter();
+    while let Some(word) = words.find(|w| w.starts_with("--")) {
+        if let Some((flag, instead)) = REMOVED_FLAGS.iter().find(|(f, _)| f == word) {
+            return Err(format!("{flag} is gone; {instead}"));
+        }
+        let Some(at) = synopsis.iter().position(|w| w == word) else {
+            return Err(format!("unknown flag `{word}` for `strata {verb}`"));
+        };
+        let takes_value = synopsis.get(at + 1).is_some_and(|w| !w.starts_with("--"));
+        if takes_value && words.next().is_none() {
+            return Err(format!("{word} needs a value (`strata {verb}`)"));
+        }
+    }
+    Ok(())
 }
 
 /// Parses `--scale N` / `--variant N` into workload [`Params`] (defaults
@@ -66,33 +115,46 @@ pub fn parse_context(args: &[String], always_sampled: bool) -> Result<RunContext
     })
 }
 
-/// Parses a `--shard` spec of the form `i/n` into `(index, count)` with
-/// `index < count` and `count >= 1`. Both sides must be plain decimal
-/// digits — shard specs are copied between machines, so decorated forms
-/// (`+1/2`, ` 1/2`) that `u32::parse` would tolerate are rejected too.
+/// The suite selection `bench` and `fleet serve` share: what to run and
+/// render, and where its artifacts go.
+#[derive(Debug)]
+pub struct SuiteArgs {
+    /// Filter, format, params, cache directory and context (`jobs` stays
+    /// at its default; only `bench` reads `--jobs`).
+    pub opts: SuiteOptions,
+    /// `--artifacts-dir` (default `results`).
+    pub artifacts_dir: String,
+    /// False under `--no-artifacts`.
+    pub write_artifacts: bool,
+}
+
+/// Parses `--filter`, `--format`, `--cache`, `--artifacts-dir` and
+/// `--no-artifacts`, plus what [`parse_params`] and [`parse_context`]
+/// read, into a [`SuiteArgs`] — the one suite front-end.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for malformed specs (`3`, `a/b`,
-/// `1/0`, `+1/2`) and out-of-range indices (`2/2`).
-pub fn parse_shard(spec: &str) -> Result<(u32, u32), String> {
-    let (i, n) = spec
-        .split_once('/')
-        .ok_or_else(|| format!("bad --shard `{spec}` (expected `i/n`, e.g. `0/4`)"))?;
-    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    let index: u32 = if digits(i) { i.parse().ok() } else { None }
-        .ok_or_else(|| format!("bad shard index `{i}` in `{spec}`"))?;
-    let count: u32 = if digits(n) { n.parse().ok() } else { None }
-        .ok_or_else(|| format!("bad shard count `{n}` in `{spec}`"))?;
-    if count == 0 {
-        return Err(format!("shard count must be at least 1 in `{spec}`"));
+/// Returns a message for a malformed `--format`, `--scale`, `--variant`,
+/// `--predictor`, or a stray `--traces`.
+pub fn parse_suite(args: &[String]) -> Result<SuiteArgs, String> {
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let mut opts = SuiteOptions {
+        params: parse_params(args)?,
+        context: parse_context(args, false)?,
+        filter: parse_flag(args, "--filter"),
+        ..SuiteOptions::default()
+    };
+    if let Some(format) = parse_flag(args, "--format") {
+        opts.format = OutputFormat::parse(&format)?;
     }
-    if index >= count {
-        return Err(format!(
-            "shard index {index} out of range for {count} shard(s)"
-        ));
+    if has("--cache") {
+        opts.cache_dir = Some("results/cache".into());
     }
-    Ok((index, count))
+    Ok(SuiteArgs {
+        opts,
+        artifacts_dir: parse_flag(args, "--artifacts-dir").unwrap_or_else(|| "results".into()),
+        write_artifacts: !has("--no-artifacts"),
+    })
 }
 
 /// Resolves the execution-tier flags: `--tier interp|threaded[:threshold]`
@@ -748,33 +810,6 @@ mod tests {
                 "`{spec}` caret must sit under the offending token:\n{err}"
             );
         }
-    }
-
-    #[test]
-    fn shard_specs() {
-        assert_eq!(parse_shard("0/1"), Ok((0, 1)));
-        assert_eq!(parse_shard("3/8"), Ok((3, 8)));
-        assert_eq!(parse_shard("0/4294967295"), Ok((0, u32::MAX)));
-        #[rustfmt::skip]
-        let bad_specs = [
-            // structurally malformed
-            "", "3", "a/b", "1/2/3", "/", "1/", "/4",
-            // zero shards or index out of range
-            "1/0", "0/0", "2/2", "5/4",
-            // decorated or non-decimal numbers
-            "-1/2", "+1/2", "1/+2", " 1/2", "1/2 ", "0x1/4", "1_0/20",
-            // overflow
-            "0/4294967296", "99999999999/4",
-        ];
-        for bad in bad_specs {
-            assert!(parse_shard(bad).is_err(), "`{bad}` must be rejected");
-        }
-        // Errors carry the offending spec so multi-machine scripts fail
-        // debuggably.
-        assert!(parse_shard("7/4")
-            .expect_err("err")
-            .contains("out of range"));
-        assert!(parse_shard("1/0").expect_err("err").contains("at least 1"));
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! No silently ignored configuration: the `STRATA_*` variables earlier
-//! versions read as flag fallbacks are rejected by name, through the
-//! real binary, with the flag that replaces each.
+//! No silently ignored configuration, through the real binary: the
+//! `STRATA_*` variables earlier versions read as flag fallbacks are
+//! rejected by name with the flag that replaces each, a `--flag` the verb
+//! does not read is rejected by name instead of running on defaults, and
+//! a selection that is no plan is an error before any cell starts.
 
 use std::process::Command;
 
@@ -13,31 +15,92 @@ const REMOVED: [(&str, &str); 6] = [
     ("STRATA_CSV", "--format csv"),
 ];
 
-fn strata() -> Command {
+fn strata(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_strata"));
     for (name, _) in REMOVED {
         cmd.env_remove(name);
     }
-    cmd.arg("list");
+    cmd.args(args);
     cmd
+}
+
+/// Asserts that `cmd` refuses to run: the exit code, nothing on stdout,
+/// and exactly `message` on stderr.
+fn assert_refused(mut cmd: Command, code: i32, message: &str) {
+    let out = cmd.output().expect("strata runs");
+    assert_eq!(out.status.code(), Some(code), "{cmd:?}");
+    assert!(out.stdout.is_empty(), "{cmd:?} still ran the verb");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.trim_end(), message, "{cmd:?}");
 }
 
 #[test]
 fn removed_env_vars_are_rejected_by_name() {
     for (name, flag) in REMOVED {
-        let out = strata().env(name, "1").output().expect("strata runs");
-        assert_eq!(out.status.code(), Some(2), "{name}");
-        assert!(out.stdout.is_empty(), "{name} still ran the verb");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stderr).trim_end(),
-            format!("{name} is no longer read; pass {flag}")
-        );
+        let mut cmd = strata(&["list"]);
+        cmd.env(name, "1");
+        let message = format!("{name} is no longer read; pass {flag}");
+        assert_refused(cmd, 2, &message);
     }
     // The variables that are still read do not trip the check.
-    let out = strata()
+    let out = strata(&["list"])
         .env("STRATA_TIER_TIMING", "1")
         .env("STRATA_BENCH_OUT", "-")
         .output()
         .expect("strata runs");
     assert!(out.status.success());
+}
+
+#[test]
+fn flags_a_verb_does_not_read_are_rejected_by_name() {
+    // The typo'd flags used to be skipped: the whole of table1 ran on the
+    // default job count.
+    let typos = [
+        "bench", "--filter", "table1", "--job", "1", "--shrad", "0/2",
+    ];
+    assert_refused(strata(&typos), 2, "unknown flag `--job` for `strata bench`");
+    let verbs = [
+        "list",
+        "run",
+        "compare",
+        "verify",
+        "bench",
+        "fleet serve",
+        "fleet work",
+        "trace record",
+        "trace info",
+        "trace simpoints",
+    ];
+    for verb in verbs {
+        let mut args: Vec<&str> = verb.split(' ').collect();
+        args.push("--bogus");
+        let message = format!("unknown flag `--bogus` for `strata {verb}`");
+        assert_refused(strata(&args), 2, &message);
+    }
+    // Another verb's flag is not this verb's, and a value is not optional.
+    for (args, message) in [
+        (
+            &["fleet", "serve", "--jobs", "2"][..],
+            "unknown flag `--jobs` for `strata fleet serve`",
+        ),
+        (
+            &["bench", "--jobs"],
+            "--jobs needs a value (`strata bench`)",
+        ),
+        (
+            &["bench", "--shard", "0/2"],
+            "--shard is gone; partition a run with strata fleet serve / strata fleet work \
+             (or --filter … --cache per machine)",
+        ),
+    ] {
+        assert_refused(strata(args), 2, message);
+    }
+}
+
+#[test]
+fn exact_mode_refuses_sampled_only_scales_with_an_error() {
+    // Used to be exit 101 with a worker-thread backtrace.
+    let args = ["bench", "--filter", "table1", "--scale", "10"];
+    let message = "error: gzip at scale 10 is sampled-only; run with --sampled";
+    assert_refused(strata(&args), 1, message);
 }

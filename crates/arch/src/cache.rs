@@ -42,6 +42,9 @@ pub struct CacheSim {
     line_shift: u32,
     /// `sets - 1` (sets is a power of two).
     set_mask: u32,
+    /// Line of the previous access (`u64::MAX` before the first): the
+    /// same-line filter in [`CacheSim::access`].
+    last_line: u64,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -68,6 +71,7 @@ impl CacheSim {
             stamps: vec![0; slots],
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: config.sets - 1,
+            last_line: u64::MAX,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -81,10 +85,22 @@ impl CacheSim {
 
     /// Simulates an access to `addr`; returns `true` on hit. Misses
     /// allocate the line, evicting LRU.
-    #[inline]
+    ///
+    /// An access to the line touched by the previous access is answered
+    /// without searching the set. That is exact under LRU: nothing
+    /// intervened, so the line is resident and already the most recent
+    /// stamp in the whole cache; leaving the stamp as it is keeps every
+    /// set's recency order, hence every later hit, miss and eviction.
+    /// Most instruction fetches take this path.
+    #[inline(always)]
     pub fn access(&mut self, addr: u32) -> bool {
-        self.clock += 1;
         let line = (addr >> self.line_shift) as u64;
+        if line == self.last_line {
+            self.hits += 1;
+            return true;
+        }
+        self.last_line = line;
+        self.clock += 1;
         let set = (line as u32) & self.set_mask;
         let base = (set * self.config.ways) as usize;
         let ways = self.config.ways as usize;

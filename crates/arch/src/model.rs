@@ -155,7 +155,11 @@ impl ArchModel {
 
     /// Charges one retired instruction, updating predictor/cache state, and
     /// returns the cycles it cost.
-    #[inline]
+    ///
+    /// Force-inlined: `Machine::exec` hands every dispatch arm an event
+    /// whose `class`, `control.kind` and `mem.is_some()` are literals, so
+    /// each copy keeps only the blocks its instruction shape can reach.
+    #[inline(always)]
     pub fn cost_of(&mut self, ev: &RetireEvent) -> u64 {
         let p = &self.profile;
         self.stats.instructions += 1;
@@ -243,7 +247,7 @@ impl ArchModel {
 }
 
 impl ExecutionObserver for ArchModel {
-    #[inline]
+    #[inline(always)]
     fn on_retire(&mut self, event: &RetireEvent) {
         self.cost_of(event);
     }

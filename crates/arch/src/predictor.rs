@@ -68,7 +68,7 @@ impl CondPredictor {
     /// The history register folded down to the counter-index width. When
     /// the history is no longer than the index this is the history itself,
     /// preserving the classic gshare indexing bit-for-bit.
-    #[inline]
+    #[inline(always)]
     fn folded_history(&self) -> u32 {
         let mut h = self.history;
         let mut f = 0;
@@ -82,7 +82,7 @@ impl CondPredictor {
     /// Returns the prediction for (`pc`, current history), then updates the
     /// predictor with the actual outcome. The return value is whether the
     /// *prediction was correct*.
-    #[inline]
+    #[inline(always)]
     pub fn predict_and_update(&mut self, pc: u32, taken: bool) -> bool {
         let idx = (((pc >> 2) ^ self.folded_history()) & self.mask) as usize;
         let counter = self.counters[idx];
@@ -212,7 +212,7 @@ impl Ras {
     }
 
     /// Records a call whose return will land at `return_addr`.
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, return_addr: u32) {
         if self.depth == 0 {
             return;
@@ -224,7 +224,7 @@ impl Ras {
 
     /// Pops a prediction and compares it with the actual return target.
     /// Returns `true` if predicted correctly.
-    #[inline]
+    #[inline(always)]
     pub fn pop_and_check(&mut self, target: u32) -> bool {
         if self.depth == 0 || self.live == 0 {
             self.misses += 1;

@@ -2,7 +2,7 @@
 //! repo's deterministic [`SmallRng`] rather than an external
 //! property-testing framework.
 
-use strata_arch::{Btb, CacheConfig, CacheSim, CondPredictor, Ras};
+use strata_arch::{ArchProfile, Btb, CacheConfig, CacheSim, CondPredictor, Ras};
 use strata_stats::rng::SmallRng;
 
 #[test]
@@ -67,6 +67,77 @@ fn working_set_within_one_set_capacity_never_thrashes() {
             }
         }
         assert_eq!(c.misses(), misses_after_warmup);
+    }
+}
+
+/// Textbook LRU with no shortcuts: each set is a recency-ordered list of
+/// resident lines, most recent first.
+struct ReferenceLru {
+    config: CacheConfig,
+    sets: Vec<Vec<u32>>,
+}
+
+impl ReferenceLru {
+    fn access(&mut self, addr: u32) -> bool {
+        let line = addr / self.config.line_bytes;
+        let set = &mut self.sets[(line % self.config.sets) as usize];
+        let found = set.iter().position(|&l| l == line);
+        match found {
+            Some(i) => drop(set.remove(i)),
+            None => set.truncate(self.config.ways as usize - 1),
+        }
+        set.insert(0, line);
+        found.is_some()
+    }
+}
+
+#[test]
+fn cache_matches_reference_lru_on_streams_with_same_line_runs() {
+    // `CacheSim::access` answers a repeat of the previous line without
+    // touching the set. Hit for hit, that must be indistinguishable from
+    // plain LRU — on instruction-fetch-like streams (runs inside a line)
+    // and across every geometry the profiles use, plus the degenerate ones.
+    let mut geometries: Vec<CacheConfig> = ArchProfile::all()
+        .iter()
+        .flat_map(|p| [p.icache, p.dcache])
+        .collect();
+    geometries.extend([(64, 1, 32), (1, 4, 32), (1, 1, 4), (2, 1, 16)].map(
+        |(sets, ways, line_bytes)| CacheConfig {
+            sets,
+            ways,
+            line_bytes,
+        },
+    ));
+    let mut rng = SmallRng::seed_from_u64(0xCAC4_0004);
+    for config in geometries {
+        for _ in 0..8 {
+            let mut sim = CacheSim::new(config);
+            let mut reference = ReferenceLru {
+                config,
+                sets: vec![Vec::new(); config.sets as usize],
+            };
+            // Lines drawn from 1x..4x capacity, so sets both fit and thrash.
+            let span = config.capacity() * rng.gen_range(1u32..5);
+            let (mut hits, mut n) = (0u64, 0u64);
+            for _ in 0..rng.gen_range(200usize..600) {
+                let addr = rng.gen_range(0u32..span);
+                let line_base = addr & !(config.line_bytes - 1);
+                // One fresh access, then (half the time) a run in its line.
+                let run = rng.gen_range(0u32..2) * rng.gen_range(1u32..9);
+                for i in 0..=run {
+                    let a = if i == 0 {
+                        addr
+                    } else {
+                        line_base + rng.gen_range(0u32..config.line_bytes)
+                    };
+                    let hit = sim.access(a);
+                    assert_eq!(hit, reference.access(a), "{config:?}: access {n} ({a:#x})");
+                    hits += hit as u64;
+                    n += 1;
+                }
+            }
+            assert_eq!((sim.hits(), sim.misses()), (hits, n - hits), "{config:?}");
+        }
     }
 }
 

@@ -26,8 +26,9 @@ pub(crate) struct Cache {
     base: u32,
     cursor: u32,
     limit: u32,
-    origins: Vec<Origin>,
-    marks: Vec<Mark>,
+    /// `(origin, mark)` per cache word — one vector, so the retire path
+    /// pays one bounds check for both ([`Cache::tags_at`]).
+    tags: Vec<(Origin, Mark)>,
 }
 
 impl Cache {
@@ -37,8 +38,7 @@ impl Cache {
             base,
             cursor: base,
             limit: base + bytes,
-            origins: vec![Origin::App; words],
-            marks: vec![Mark::None; words],
+            tags: vec![(Origin::App, Mark::None); words],
         }
     }
 
@@ -58,10 +58,8 @@ impl Cache {
     pub fn reset_to(&mut self, addr: u32) {
         debug_assert!(addr >= self.base && addr <= self.limit && addr.is_multiple_of(4));
         let first = ((addr - self.base) / 4) as usize;
-        for slot in first..((self.cursor - self.base) / 4) as usize {
-            self.origins[slot] = Origin::App;
-            self.marks[slot] = Mark::None;
-        }
+        let end = ((self.cursor - self.base) / 4) as usize;
+        self.tags[first..end].fill((Origin::App, Mark::None));
         self.cursor = addr;
     }
 
@@ -71,30 +69,25 @@ impl Cache {
         ((addr - self.base) / 4) as usize
     }
 
-    /// Origin tag of the instruction at `pc`, if `pc` is inside the cache.
-    #[inline]
-    pub fn origin_at(&self, pc: u32) -> Option<Origin> {
-        if pc >= self.base && pc < self.limit {
-            Some(self.origins[((pc - self.base) / 4) as usize])
-        } else {
-            None
-        }
+    /// Origin tag and execution mark of the instruction at `pc`, if `pc`
+    /// is inside the cache. An address below `base` wraps to a slot past
+    /// the end, so the slice lookup is the only range check.
+    #[inline(always)]
+    pub fn tags_at(&self, pc: u32) -> Option<(Origin, Mark)> {
+        self.tags
+            .get((pc.wrapping_sub(self.base) / 4) as usize)
+            .copied()
     }
 
-    /// Execution mark of the instruction at `pc`.
-    #[inline]
-    pub fn mark_at(&self, pc: u32) -> Mark {
-        if pc >= self.base && pc < self.limit {
-            self.marks[((pc - self.base) / 4) as usize]
-        } else {
-            Mark::None
-        }
+    /// Origin tag of the instruction at `pc`, if `pc` is inside the cache.
+    pub fn origin_at(&self, pc: u32) -> Option<Origin> {
+        self.tags_at(pc).map(|(origin, _)| origin)
     }
 
     /// Marks the instruction at `addr` (typically a dispatch entry).
     pub fn set_mark(&mut self, addr: u32, mark: Mark) {
         let slot = self.slot(addr);
-        self.marks[slot] = mark;
+        self.tags[slot].1 = mark;
     }
 
     /// Emits one instruction, returning its address.
@@ -116,7 +109,7 @@ impl Cache {
         let addr = self.cursor;
         mem.write_u32(addr, encode(&instr))?;
         let slot = self.slot(addr);
-        self.origins[slot] = origin;
+        self.tags[slot].0 = origin;
         self.cursor += 4;
         Ok(addr)
     }
@@ -167,7 +160,7 @@ impl Cache {
         mem.write_u32(addr, encode(&instr))?;
         if let Some(o) = origin {
             let slot = self.slot(addr);
-            self.origins[slot] = o;
+            self.tags[slot].0 = o;
         }
         Ok(())
     }
@@ -357,9 +350,11 @@ mod tests {
         let mut cache = Cache::new(0x100, 0x100);
         let a = cache.emit(&mut mem, Instr::Nop, Origin::Dispatch).unwrap();
         cache.set_mark(a, Mark::JumpEntry);
-        assert_eq!(cache.mark_at(a), Mark::JumpEntry);
-        assert_eq!(cache.mark_at(a + 4), Mark::None);
-        assert_eq!(cache.mark_at(0), Mark::None);
+        assert_eq!(cache.tags_at(a), Some((Origin::Dispatch, Mark::JumpEntry)));
+        assert_eq!(cache.tags_at(a + 4), Some((Origin::App, Mark::None)));
+        assert_eq!(cache.tags_at(0), None, "below the base");
+        assert_eq!(cache.tags_at(0x1FC).map(|t| t.1), Some(Mark::None));
+        assert_eq!(cache.tags_at(0x200), None, "at the limit");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use strata_arch::{ArchModel, ArchProfile};
 use strata_isa::{ControlKind, Reg};
 use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
 use strata_machine::{
-    layout, ExecTier, ExecutionObserver, Machine, Program, RetireEvent, StepOutcome,
+    layout, ExecTier, ExecutionObserver, Machine, MachineError, Program, RetireEvent, StepOutcome,
 };
 
 use crate::SdtError;
@@ -55,7 +55,7 @@ struct NativeObserver {
 }
 
 impl ExecutionObserver for NativeObserver {
-    #[inline]
+    #[inline(always)]
     fn on_retire(&mut self, ev: &RetireEvent) {
         self.model.cost_of(ev);
         match ev.control.kind {
@@ -119,9 +119,9 @@ pub fn run_native_with_model(
     let mut used = 0u64;
     loop {
         let before = obs.model.stats().instructions;
-        match machine.run(&mut obs, fuel.saturating_sub(used))? {
-            StepOutcome::Halted => break,
-            StepOutcome::Trap(code) => {
+        match machine.run(&mut obs, fuel.saturating_sub(used)) {
+            Ok(StepOutcome::Halted) => break,
+            Ok(StepOutcome::Trap(code)) => {
                 if code >= SDT_TRAP_BASE {
                     return Err(SdtError::ReservedTrap {
                         code,
@@ -130,7 +130,12 @@ pub fn run_native_with_model(
                 }
                 syscalls.handle(code, &machine);
             }
-            StepOutcome::Running => unreachable!("run returns only on halt/trap/error"),
+            Ok(StepOutcome::Running) => unreachable!("run returns only on halt/trap/error"),
+            // `run` names the slice it was handed; report the caller's budget.
+            Err(MachineError::OutOfFuel { .. }) => {
+                return Err(MachineError::OutOfFuel { steps: fuel }.into())
+            }
+            Err(fault) => return Err(fault.into()),
         }
         used += obs.model.stats().instructions - before;
     }
@@ -148,4 +153,22 @@ pub fn run_native_with_model(
         dcache_misses: obs.model.dcache().misses(),
         regs: *machine.cpu().regs(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use strata_asm::assemble;
+
+    #[test]
+    fn out_of_fuel_names_the_callers_budget() {
+        // The trap ends `Machine::run` after one instruction; the second
+        // call runs dry on the remaining 499 and must not report that.
+        let code = assemble(layout::APP_BASE, "trap 0x1\ntop:\njmp top\n").unwrap();
+        let program = Program::new("t", code, Vec::new());
+        match run_native(&program, ArchProfile::x86_like(), 500) {
+            Err(SdtError::Machine(MachineError::OutOfFuel { steps: 500 })) => {}
+            other => panic!("expected OutOfFuel {{ steps: 500 }}, got {other:?}"),
+        }
+    }
 }

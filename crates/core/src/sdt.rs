@@ -324,14 +324,29 @@ impl Sdt {
     /// translation overhead). A second call continues with a warm fragment
     /// cache; the returned checksum is cumulative across runs.
     ///
+    /// Translated code runs through the fused [`Machine::run`] loop, like
+    /// a native run: a *segment* lasts until a `trap` (translator miss or
+    /// application syscall), `halt`, a fault, or the end of the budget.
+    /// Each segment is handed what is left of `fuel` after the
+    /// instructions retired so far, and the translator services the trap
+    /// between segments.
+    ///
     /// # Errors
     ///
     /// Returns [`SdtError::ReservedTrap`] if the application uses an
-    /// SDT-reserved trap code, [`SdtError::SelfModifyingCode`] if the
-    /// application stores into its own code, [`SdtError::CacheFull`] /
+    /// SDT-reserved trap code, [`SdtError::CacheFull`] /
     /// [`SdtError::TableSpaceExhausted`] when resources run out, and
-    /// machine faults (including fuel exhaustion) as
-    /// [`SdtError::Machine`].
+    /// machine faults as [`SdtError::Machine`] — running dry as
+    /// [`MachineError::OutOfFuel`] naming `fuel` itself, not the slice the
+    /// last segment was given.
+    ///
+    /// [`SdtError::SelfModifyingCode`] carries the `(pc, addr)` of the
+    /// *first* store into application code. The machine cannot be stopped
+    /// at that store, so the rest of its segment still executes; the error
+    /// is raised when the segment ends, before its outcome is looked at.
+    /// It therefore wins over a later fault, over fuel exhaustion and over
+    /// the trap that ended the segment: no syscall is folded into the
+    /// checksum and nothing is translated after the store.
     pub fn run(&mut self, profile: ArchProfile, fuel: u64) -> Result<RunReport, SdtError> {
         self.run_with_model(ArchModel::new(profile), fuel)
     }
@@ -360,46 +375,45 @@ impl Sdt {
             model.charge_translator(self.state.stats.translated_app_instrs - before, 1);
         self.machine.cpu_mut().pc = frag.entry;
 
-        let mut steps = 0u64;
-        let mut halted = false;
-        while steps < fuel {
-            let outcome = {
-                let mut obs = Attributing {
+        loop {
+            let used: u64 = buckets.instrs.iter().sum();
+            let result = self.machine.run(
+                &mut Attributing {
                     model: &mut model,
                     cache: &self.state.cache,
                     buckets: &mut buckets,
                     app_code: self.app_code.clone(),
-                };
-                self.machine.step(&mut obs)?
-            };
-            steps += 1;
+                },
+                fuel.saturating_sub(used),
+            );
+            // Before `result` is looked at: a store into application code
+            // outranks whatever ended the segment after it.
             if let Some((pc, addr)) = buckets.smc {
                 return Err(SdtError::SelfModifyingCode { pc, addr });
             }
-            match outcome {
-                StepOutcome::Running => {}
-                StepOutcome::Halted => {
-                    halted = true;
-                    break;
-                }
-                StepOutcome::Trap(TRAP_MISS) => {
+            match result {
+                Ok(StepOutcome::Halted) => break,
+                Ok(StepOutcome::Trap(TRAP_MISS)) => {
                     let w = self.state.handle_trap_miss(&mut self.machine)?;
                     translator_cycles += model.charge_translator(w.new_instrs, w.lookups);
                 }
-                StepOutcome::Trap(TRAP_RC_MISS) => {
+                Ok(StepOutcome::Trap(TRAP_RC_MISS)) => {
                     let w = self.state.handle_trap_rc_miss(&mut self.machine)?;
                     translator_cycles += model.charge_translator(w.new_instrs, w.lookups);
                 }
-                StepOutcome::Trap(code) if code >= SDT_TRAP_BASE => {
+                Ok(StepOutcome::Trap(code)) if code >= SDT_TRAP_BASE => {
                     unreachable!("translator never emits unknown SDT traps ({code:#x})")
                 }
-                StepOutcome::Trap(code) => {
+                Ok(StepOutcome::Trap(code)) => {
                     self.syscalls.handle(code, &self.machine);
                 }
+                Ok(StepOutcome::Running) => unreachable!("run returns only on halt/trap/error"),
+                // `run` names the slice it was handed; report the caller's budget.
+                Err(MachineError::OutOfFuel { .. }) => {
+                    return Err(MachineError::OutOfFuel { steps: fuel }.into())
+                }
+                Err(fault) => return Err(fault.into()),
             }
-        }
-        if !halted {
-            return Err(MachineError::OutOfFuel { steps: fuel }.into());
         }
 
         let (sieve_mean_chain, sieve_max_chain) = self.state.sieve_chain_stats();
@@ -438,7 +452,7 @@ impl Sdt {
         Ok(RunReport {
             config: st.cfg.describe(),
             arch: model.profile().name,
-            halted,
+            halted: true,
             checksum: self.syscalls.checksum(),
             instructions: buckets.instrs.iter().sum(),
             total_cycles: model.total_cycles(),
@@ -497,14 +511,17 @@ struct Attributing<'a> {
 }
 
 impl ExecutionObserver for Attributing<'_> {
-    #[inline]
+    #[inline(always)]
     fn on_retire(&mut self, ev: &RetireEvent) {
         let cycles = self.model.cost_of(ev);
-        let origin = self.cache.origin_at(ev.pc).unwrap_or(Origin::App);
+        let (origin, mark) = self
+            .cache
+            .tags_at(ev.pc)
+            .unwrap_or((Origin::App, Mark::None));
         let i = origin.index();
         self.buckets.cycles[i] += cycles;
         self.buckets.instrs[i] += 1;
-        match self.cache.mark_at(ev.pc) {
+        match mark {
             Mark::None => {}
             Mark::JumpEntry => self.buckets.jump_dispatches += 1,
             Mark::CallEntry => self.buckets.call_dispatches += 1,
@@ -517,5 +534,98 @@ impl ExecutionObserver for Attributing<'_> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use strata_asm::assemble;
+    use strata_isa::{decode, Instr, Reg};
+
+    /// An SDT over `li r4, 9; li r1, 0; li r2, site; <body>` — `sw rX, k(r2)`
+    /// in `body` stores into the program's own code. Returns it with the
+    /// address of `site`.
+    fn sdt_for(body: &str) -> (Sdt, u32) {
+        let src = format!("li r4, 9\nli r1, 0\nli r2, site\n{body}\nsite:\nnop\nhalt\n");
+        let code = assemble(layout::APP_BASE, &src).expect("assembles");
+        let site = layout::APP_BASE + (code.len() as u32 - 2) * 4;
+        let program = Program::new("t", code, Vec::new());
+        let sdt = Sdt::new(SdtConfig::ibtc_inline(64), &program).expect("constructs");
+        (sdt, site)
+    }
+
+    /// Runs to the SMC error and returns its `(pc, addr)`.
+    fn smc(sdt: &mut Sdt, fuel: u64) -> (u32, u32) {
+        match sdt.run(ArchProfile::x86_like(), fuel) {
+            Err(SdtError::SelfModifyingCode { pc, addr }) => (pc, addr),
+            other => panic!("fuel {fuel}: expected SelfModifyingCode, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_fuel_names_the_callers_budget() {
+        // A syscall trap ends the first run segment; the loop then runs dry
+        // on a slice of the budget, and the error must not name the slice.
+        let code = assemble(layout::APP_BASE, "trap 0x1\ntop:\njmp top\n").unwrap();
+        let mut sdt = Sdt::new(
+            SdtConfig::ibtc_inline(64),
+            &Program::new("t", code, Vec::new()),
+        )
+        .unwrap();
+        match sdt.run(ArchProfile::x86_like(), 500) {
+            Err(SdtError::Machine(MachineError::OutOfFuel { steps: 500 })) => {}
+            other => panic!("expected OutOfFuel {{ steps: 500 }}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn smc_outranks_fuel_exhaustion() {
+        // The store is the 7th retired instruction and the segment it sits
+        // in ends only at the loop's exit stub: budgets that run dry inside
+        // the segment, after the store, still report the store.
+        let body = "sw r1, 0(r2)\nnop\nnop\nnop\nnop\ntop:\njmp top";
+        match sdt_for(body).0.run(ArchProfile::x86_like(), 6) {
+            Err(SdtError::Machine(MachineError::OutOfFuel { steps: 6 })) => {}
+            other => panic!("store not reached: expected OutOfFuel, got {other:?}"),
+        }
+        for fuel in [7, 8, 10, 10_000] {
+            let (mut sdt, site) = sdt_for(body);
+            assert_eq!(smc(&mut sdt, fuel).1, site, "fuel {fuel}");
+        }
+    }
+
+    #[test]
+    fn smc_outranks_a_later_fault() {
+        let (mut sdt, _) = sdt_for("sw r1, 0(r2)\nli r5, 0xFFFFFFF0\nlw r3, 0(r5)");
+        smc(&mut sdt, 10_000);
+    }
+
+    #[test]
+    fn smc_outranks_the_trap_that_ended_the_segment() {
+        let (mut sdt, _) = sdt_for("sw r1, 0(r2)\ntrap 0x1");
+        smc(&mut sdt, 10_000);
+        assert_eq!(
+            sdt.syscalls.checksum(),
+            SyscallState::new().checksum(),
+            "the syscall after the store must not be serviced"
+        );
+        assert_eq!(sdt.fragments(), 1, "nothing is translated after the store");
+    }
+
+    #[test]
+    fn smc_reports_the_first_store() {
+        let (mut sdt, site) = sdt_for("sw r1, 4(r2)\nsw r3, 0(r2)");
+        let (pc, addr) = smc(&mut sdt, 10_000);
+        assert_eq!(addr, site + 4);
+        let word = sdt.machine().mem().read_u32(pc).unwrap();
+        assert_eq!(
+            decode(word),
+            Ok(Instr::Sw {
+                rs2: Reg::R1,
+                rs1: Reg::R2,
+                off: 4
+            })
+        );
     }
 }

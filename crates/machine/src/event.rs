@@ -46,9 +46,19 @@ pub struct RetireEvent {
 /// Per-retired-instruction hook.
 ///
 /// Observers are how the architecture cost models (`strata-arch`) and the
-/// SDT's overhead attribution see execution. [`Machine::step`] is generic
-/// over the observer, so the hook is statically dispatched in the hot loop.
+/// SDT's overhead attribution see execution. [`Machine::run`] and
+/// [`Machine::step`] are generic over the observer, so the hook is
+/// statically dispatched in the hot loop.
 ///
+/// An observer on the hot path should mark `on_retire` (and what it calls
+/// per event) `#[inline(always)]`. The interpreter calls it from inside
+/// each instruction's dispatch arm with the event's `class`,
+/// `control.kind` and `mem.is_some()` as literals; inlined, the observer
+/// keeps only the work that shape of instruction can cause. Plain
+/// `#[inline]` leaves it to a heuristic that gives up on a body the size
+/// of a cost model repeated across fifty arms.
+///
+/// [`Machine::run`]: crate::Machine::run
 /// [`Machine::step`]: crate::Machine::step
 pub trait ExecutionObserver {
     /// Called after each instruction retires, including `trap` and `halt`.

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use strata_isa::{ControlKind, DecodeError, Flags, Instr};
+use strata_isa::{ControlKind, DecodeError, Flags, Instr, InstrClass};
 
 use crate::event::{ControlEvent, ExecutionObserver, MemAccess, RetireEvent};
 use crate::tier::{ExitKind, TierBlockMeta, TierEngine, TierMutation};
@@ -291,10 +291,20 @@ impl Machine {
         self.exec(pc, instr, observer)
     }
 
-    /// Executes one already-fetched instruction and retires it. Shared by
-    /// [`Machine::step`] and the fused [`Machine::run`] loop, so the two
-    /// paths cannot drift.
-    #[inline]
+    /// Executes one already-fetched instruction and retires it — the one
+    /// definition of guest semantics, force-inlined into its three callers
+    /// ([`Machine::run`], the tiered loop, [`Machine::step`]) so the paths
+    /// cannot drift.
+    ///
+    /// Each dispatch arm retires its own event instead of falling into a
+    /// shared tail: the event's `class`, `control.kind` and whether `mem`
+    /// is present are literals at the observer call, so an observer that
+    /// is itself `#[inline(always)]` (the cost model) is specialised per
+    /// instruction shape — an ALU arm carries no D-cache or predictor
+    /// code at all. The literals repeat [`Instr::class`] and
+    /// [`Instr::control_kind`]; `tests::every_variant_retires_its_own_shape`
+    /// holds them to it for every variant the decoder produces.
+    #[inline(always)]
     fn exec<O: ExecutionObserver>(
         &mut self,
         pc: u32,
@@ -304,229 +314,211 @@ impl Machine {
         use Instr::*;
 
         let next = pc.wrapping_add(4);
-
-        let mut mem_access: Option<MemAccess> = None;
-        let mut control = ControlEvent {
-            kind: instr.control_kind(),
-            taken: false,
-            target: next,
-            indirect: false,
-        };
-        let mut outcome = StepOutcome::Running;
         let cpu = &mut self.cpu;
         let mem = &mut self.mem;
 
-        macro_rules! load_w {
-            ($addr:expr) => {{
-                let a = $addr;
-                mem_access = Some(MemAccess {
-                    addr: a,
-                    len: 4,
-                    is_store: false,
+        // Sets `pc`, delivers the event, and evaluates to `Running`. The
+        // two-argument form is a fall-through instruction.
+        macro_rules! retire {
+            ($class:ident, $mem:expr) => {
+                retire!($class, None, $mem, false, next, false)
+            };
+            ($class:ident, $kind:ident, $mem:expr, $taken:expr, $target:expr, $indirect:expr) => {{
+                let target = $target;
+                cpu.pc = target;
+                observer.on_retire(&RetireEvent {
+                    pc,
+                    instr,
+                    class: InstrClass::$class,
+                    mem: $mem,
+                    control: ControlEvent {
+                        kind: ControlKind::$kind,
+                        taken: $taken,
+                        target,
+                        indirect: $indirect,
+                    },
                 });
-                mem.read_u32(a)?
+                StepOutcome::Running
             }};
         }
-        macro_rules! store_w {
-            ($addr:expr, $val:expr) => {{
-                let a = $addr;
-                mem_access = Some(MemAccess {
-                    addr: a,
-                    len: 4,
-                    is_store: true,
-                });
-                mem.write_u32(a, $val)?
+        // A register-writing fall-through instruction.
+        macro_rules! set {
+            ($class:ident, $rd:expr, $val:expr) => {{
+                let v = $val;
+                cpu.set_reg($rd, v);
+                retire!($class, None)
             }};
         }
+        // A conditional branch: `target` is the next `pc` either way.
+        macro_rules! branch {
+            ($cond:expr, $off:expr) => {{
+                let taken = $cond;
+                let target = if taken {
+                    next.wrapping_add(($off as i32 as u32).wrapping_mul(4))
+                } else {
+                    next
+                };
+                retire!(CondBranch, Conditional, None, taken, target, false)
+            }};
+        }
+        let load = |addr, len| {
+            Some(MemAccess {
+                addr,
+                len,
+                is_store: false,
+            })
+        };
+        let store = |addr, len| {
+            Some(MemAccess {
+                addr,
+                len,
+                is_store: true,
+            })
+        };
 
-        let mut new_pc = next;
-        match instr {
-            Add { rd, rs1, rs2 } => cpu.set_reg(rd, cpu.reg(rs1).wrapping_add(cpu.reg(rs2))),
-            Sub { rd, rs1, rs2 } => cpu.set_reg(rd, cpu.reg(rs1).wrapping_sub(cpu.reg(rs2))),
-            Mul { rd, rs1, rs2 } => cpu.set_reg(rd, cpu.reg(rs1).wrapping_mul(cpu.reg(rs2))),
+        Ok(match instr {
+            Add { rd, rs1, rs2 } => set!(Alu, rd, cpu.reg(rs1).wrapping_add(cpu.reg(rs2))),
+            Sub { rd, rs1, rs2 } => set!(Alu, rd, cpu.reg(rs1).wrapping_sub(cpu.reg(rs2))),
+            Mul { rd, rs1, rs2 } => set!(Mul, rd, cpu.reg(rs1).wrapping_mul(cpu.reg(rs2))),
             Divu { rd, rs1, rs2 } => {
-                let d = cpu.reg(rs2);
-                let v = cpu.reg(rs1).checked_div(d).unwrap_or(u32::MAX);
-                cpu.set_reg(rd, v);
+                let v = cpu.reg(rs1).checked_div(cpu.reg(rs2)).unwrap_or(u32::MAX);
+                set!(Div, rd, v)
             }
             Remu { rd, rs1, rs2 } => {
-                let d = cpu.reg(rs2);
-                let v = if d == 0 {
-                    cpu.reg(rs1)
-                } else {
-                    cpu.reg(rs1) % d
-                };
-                cpu.set_reg(rd, v);
+                let n = cpu.reg(rs1);
+                set!(Div, rd, n.checked_rem(cpu.reg(rs2)).unwrap_or(n))
             }
-            And { rd, rs1, rs2 } => cpu.set_reg(rd, cpu.reg(rs1) & cpu.reg(rs2)),
-            Or { rd, rs1, rs2 } => cpu.set_reg(rd, cpu.reg(rs1) | cpu.reg(rs2)),
-            Xor { rd, rs1, rs2 } => cpu.set_reg(rd, cpu.reg(rs1) ^ cpu.reg(rs2)),
-            Sll { rd, rs1, rs2 } => cpu.set_reg(rd, cpu.reg(rs1) << (cpu.reg(rs2) & 31)),
-            Srl { rd, rs1, rs2 } => cpu.set_reg(rd, cpu.reg(rs1) >> (cpu.reg(rs2) & 31)),
+            And { rd, rs1, rs2 } => set!(Alu, rd, cpu.reg(rs1) & cpu.reg(rs2)),
+            Or { rd, rs1, rs2 } => set!(Alu, rd, cpu.reg(rs1) | cpu.reg(rs2)),
+            Xor { rd, rs1, rs2 } => set!(Alu, rd, cpu.reg(rs1) ^ cpu.reg(rs2)),
+            Sll { rd, rs1, rs2 } => set!(Alu, rd, cpu.reg(rs1) << (cpu.reg(rs2) & 31)),
+            Srl { rd, rs1, rs2 } => set!(Alu, rd, cpu.reg(rs1) >> (cpu.reg(rs2) & 31)),
             Sra { rd, rs1, rs2 } => {
-                cpu.set_reg(rd, ((cpu.reg(rs1) as i32) >> (cpu.reg(rs2) & 31)) as u32)
+                let v = (cpu.reg(rs1) as i32) >> (cpu.reg(rs2) & 31);
+                set!(Alu, rd, v as u32)
             }
-            Mov { rd, rs } => cpu.set_reg(rd, cpu.reg(rs)),
+            Mov { rd, rs } => set!(Alu, rd, cpu.reg(rs)),
 
-            Addi { rd, rs1, imm } => cpu.set_reg(rd, cpu.reg(rs1).wrapping_add(imm as i32 as u32)),
-            Andi { rd, rs1, imm } => cpu.set_reg(rd, cpu.reg(rs1) & imm as u32),
-            Ori { rd, rs1, imm } => cpu.set_reg(rd, cpu.reg(rs1) | imm as u32),
-            Xori { rd, rs1, imm } => cpu.set_reg(rd, cpu.reg(rs1) ^ imm as u32),
-            Slli { rd, rs1, shamt } => cpu.set_reg(rd, cpu.reg(rs1) << shamt),
-            Srli { rd, rs1, shamt } => cpu.set_reg(rd, cpu.reg(rs1) >> shamt),
-            Srai { rd, rs1, shamt } => cpu.set_reg(rd, ((cpu.reg(rs1) as i32) >> shamt) as u32),
-            Lui { rd, imm } => cpu.set_reg(rd, (imm as u32) << 16),
+            Addi { rd, rs1, imm } => set!(Alu, rd, cpu.reg(rs1).wrapping_add(imm as i32 as u32)),
+            Andi { rd, rs1, imm } => set!(Alu, rd, cpu.reg(rs1) & imm as u32),
+            Ori { rd, rs1, imm } => set!(Alu, rd, cpu.reg(rs1) | imm as u32),
+            Xori { rd, rs1, imm } => set!(Alu, rd, cpu.reg(rs1) ^ imm as u32),
+            Slli { rd, rs1, shamt } => set!(Alu, rd, cpu.reg(rs1) << shamt),
+            Srli { rd, rs1, shamt } => set!(Alu, rd, cpu.reg(rs1) >> shamt),
+            Srai { rd, rs1, shamt } => set!(Alu, rd, ((cpu.reg(rs1) as i32) >> shamt) as u32),
+            Lui { rd, imm } => set!(Alu, rd, (imm as u32) << 16),
 
             Lw { rd, rs1, off } => {
                 let a = cpu.reg(rs1).wrapping_add(off as i32 as u32);
-                let v = load_w!(a);
-                cpu.set_reg(rd, v);
+                cpu.set_reg(rd, mem.read_u32(a)?);
+                retire!(Load, load(a, 4))
             }
             Sw { rs2, rs1, off } => {
                 let a = cpu.reg(rs1).wrapping_add(off as i32 as u32);
-                store_w!(a, cpu.reg(rs2));
+                mem.write_u32(a, cpu.reg(rs2))?;
+                retire!(Store, store(a, 4))
             }
             Lb { rd, rs1, off } => {
                 let a = cpu.reg(rs1).wrapping_add(off as i32 as u32);
-                mem_access = Some(MemAccess {
-                    addr: a,
-                    len: 1,
-                    is_store: false,
-                });
-                let v = mem.read_u8(a)? as i8 as i32 as u32;
-                cpu.set_reg(rd, v);
+                cpu.set_reg(rd, mem.read_u8(a)? as i8 as i32 as u32);
+                retire!(Load, load(a, 1))
             }
             Lbu { rd, rs1, off } => {
                 let a = cpu.reg(rs1).wrapping_add(off as i32 as u32);
-                mem_access = Some(MemAccess {
-                    addr: a,
-                    len: 1,
-                    is_store: false,
-                });
-                let v = mem.read_u8(a)? as u32;
-                cpu.set_reg(rd, v);
+                cpu.set_reg(rd, mem.read_u8(a)? as u32);
+                retire!(Load, load(a, 1))
             }
             Sb { rs2, rs1, off } => {
                 let a = cpu.reg(rs1).wrapping_add(off as i32 as u32);
-                mem_access = Some(MemAccess {
-                    addr: a,
-                    len: 1,
-                    is_store: true,
-                });
                 mem.write_u8(a, cpu.reg(rs2) as u8)?;
+                retire!(Store, store(a, 1))
             }
             Lwa { rd, addr } => {
-                let v = load_w!(addr);
-                cpu.set_reg(rd, v);
+                cpu.set_reg(rd, mem.read_u32(addr)?);
+                retire!(Load, load(addr, 4))
             }
-            Swa { rs, addr } => store_w!(addr, cpu.reg(rs)),
+            Swa { rs, addr } => {
+                mem.write_u32(addr, cpu.reg(rs))?;
+                retire!(Store, store(addr, 4))
+            }
             Push { rs } => {
-                let val = cpu.reg(rs);
                 let sp = cpu.sp().wrapping_sub(4);
-                store_w!(sp, val);
+                mem.write_u32(sp, cpu.reg(rs))?;
                 cpu.set_sp(sp);
+                retire!(Store, store(sp, 4))
             }
             Pop { rd } => {
                 let sp = cpu.sp();
-                let v = load_w!(sp);
+                let v = mem.read_u32(sp)?;
                 cpu.set_sp(sp.wrapping_add(4));
                 cpu.set_reg(rd, v); // rd == sp overrides the increment, like x86
+                retire!(Load, load(sp, 4))
             }
             Pushf => {
                 let sp = cpu.sp().wrapping_sub(4);
-                store_w!(sp, cpu.flags.to_bits());
+                mem.write_u32(sp, cpu.flags.to_bits())?;
                 cpu.set_sp(sp);
+                retire!(FlagsSave, store(sp, 4))
             }
             Popf => {
                 let sp = cpu.sp();
-                let v = load_w!(sp);
+                cpu.flags = Flags::from_bits(mem.read_u32(sp)?);
                 cpu.set_sp(sp.wrapping_add(4));
-                cpu.flags = Flags::from_bits(v);
+                retire!(FlagsRestore, load(sp, 4))
             }
 
-            Cmp { rs1, rs2 } => cpu.flags = Flags::from_compare(cpu.reg(rs1), cpu.reg(rs2)),
-            Cmpi { rs1, imm } => cpu.flags = Flags::from_compare(cpu.reg(rs1), imm as i32 as u32),
-
-            Beq { off } => branch(cpu.flags.eq, off, pc, &mut new_pc, &mut control),
-            Bne { off } => branch(!cpu.flags.eq, off, pc, &mut new_pc, &mut control),
-            Blt { off } => branch(cpu.flags.lt, off, pc, &mut new_pc, &mut control),
-            Bge { off } => branch(!cpu.flags.lt, off, pc, &mut new_pc, &mut control),
-            Bltu { off } => branch(cpu.flags.ltu, off, pc, &mut new_pc, &mut control),
-            Bgeu { off } => branch(!cpu.flags.ltu, off, pc, &mut new_pc, &mut control),
-
-            Jmp { target } => {
-                new_pc = target;
-                control.taken = true;
-                control.target = target;
+            Cmp { rs1, rs2 } => {
+                cpu.flags = Flags::from_compare(cpu.reg(rs1), cpu.reg(rs2));
+                retire!(Alu, None)
             }
+            Cmpi { rs1, imm } => {
+                cpu.flags = Flags::from_compare(cpu.reg(rs1), imm as i32 as u32);
+                retire!(Alu, None)
+            }
+
+            Beq { off } => branch!(cpu.flags.eq, off),
+            Bne { off } => branch!(!cpu.flags.eq, off),
+            Blt { off } => branch!(cpu.flags.lt, off),
+            Bge { off } => branch!(!cpu.flags.lt, off),
+            Bltu { off } => branch!(cpu.flags.ltu, off),
+            Bgeu { off } => branch!(!cpu.flags.ltu, off),
+
+            Jmp { target } => retire!(DirectJump, Direct, None, true, target, false),
             Call { target } => {
                 let sp = cpu.sp().wrapping_sub(4);
-                store_w!(sp, next);
+                mem.write_u32(sp, next)?;
                 cpu.set_sp(sp);
-                new_pc = target;
-                control.taken = true;
-                control.target = target;
+                retire!(DirectCall, Call, store(sp, 4), true, target, false)
             }
-            Jr { rs } => {
-                new_pc = cpu.reg(rs);
-                control.taken = true;
-                control.target = new_pc;
-                control.indirect = true;
-            }
+            Jr { rs } => retire!(IndirectJump, Indirect, None, true, cpu.reg(rs), true),
             Callr { rs } => {
                 let target = cpu.reg(rs);
                 let sp = cpu.sp().wrapping_sub(4);
-                store_w!(sp, next);
+                mem.write_u32(sp, next)?;
                 cpu.set_sp(sp);
-                new_pc = target;
-                control.taken = true;
-                control.target = target;
-                control.indirect = true;
+                retire!(IndirectCall, Call, store(sp, 4), true, target, true)
             }
             Ret => {
                 let sp = cpu.sp();
-                let target = load_w!(sp);
+                let target = mem.read_u32(sp)?;
                 cpu.set_sp(sp.wrapping_add(4));
-                new_pc = target;
-                control.taken = true;
-                control.target = target;
-                control.indirect = true;
+                retire!(Return, Return, load(sp, 4), true, target, true)
             }
             Jmem { addr } => {
-                let target = load_w!(addr);
-                new_pc = target;
-                control.taken = true;
-                control.target = target;
-                control.indirect = true;
+                let target = mem.read_u32(addr)?;
+                retire!(IndirectJump, Indirect, load(addr, 4), true, target, true)
             }
 
-            Trap { code } => outcome = StepOutcome::Trap(code),
-            Halt => outcome = StepOutcome::Halted,
-            Nop => {}
-        }
-
-        self.cpu.pc = new_pc;
-        observer.on_retire(&RetireEvent {
-            pc,
-            instr,
-            class: instr.class(),
-            mem: mem_access,
-            control,
-        });
-        Ok(outcome)
-    }
-}
-
-#[inline]
-fn branch(cond: bool, off: i16, pc: u32, new_pc: &mut u32, control: &mut ControlEvent) {
-    debug_assert_eq!(control.kind, ControlKind::Conditional);
-    if cond {
-        let target = pc
-            .wrapping_add(4)
-            .wrapping_add((off as i32 as u32).wrapping_mul(4));
-        *new_pc = target;
-        control.taken = true;
-        control.target = target;
+            Trap { code } => {
+                retire!(Trap, None);
+                StepOutcome::Trap(code)
+            }
+            Halt => {
+                retire!(Other, None);
+                StepOutcome::Halted
+            }
+            Nop => retire!(Other, None),
+        })
     }
 }
 
@@ -740,6 +732,108 @@ mod tests {
         assert_eq!(w.indirect_taken, 1);
         assert_eq!(w.cond_total, 3);
         assert_eq!(w.stores, 1);
+    }
+
+    /// Every instruction the decoder produces, one per opcode, with
+    /// operands that execute without faulting on [`variant_machine`].
+    fn every_variant() -> Vec<Instr> {
+        // rd = r1, rs1 = r2, rs2 = r0, imm = 16.
+        let instrs: Vec<Instr> = (0..=u8::MAX)
+            .filter_map(|op| strata_isa::decode((op as u32) << 24 | 0x12_0010).ok())
+            .collect();
+        assert!(instrs.len() > 40, "the opcode sweep found {instrs:?}");
+        instrs
+    }
+
+    fn variant_machine(instr: Instr, tier: ExecTier) -> Machine {
+        let mut m = Machine::new(0x80_0000);
+        m.write_code(0x100, &[strata_isa::encode(&instr)]).unwrap();
+        m.cpu_mut().pc = 0x100;
+        m.cpu_mut().set_reg(Reg::R2, 0x2000);
+        m.cpu_mut().set_sp(0x4000);
+        m.set_tier(tier);
+        m
+    }
+
+    #[test]
+    fn every_variant_retires_its_own_shape() {
+        // `exec` writes each arm's class, control kind and memory shape as
+        // literals; this holds them to the ISA's own classification, and
+        // shows all three loops (and translated slots) retire alike.
+        use Instr::*;
+        #[derive(Default)]
+        struct Rec(Vec<RetireEvent>);
+        impl ExecutionObserver for Rec {
+            fn on_retire(&mut self, ev: &RetireEvent) {
+                self.0.push(*ev);
+            }
+        }
+        let threaded = |threshold| {
+            ExecTier::Threaded(crate::TierConfig {
+                threshold,
+                ..Default::default()
+            })
+        };
+        let loops: [(&str, ExecTier, bool); 4] = [
+            ("run", ExecTier::Interp, false),
+            ("step", ExecTier::Interp, true),
+            ("tiered loop, interpreted", threaded(u32::MAX), false),
+            ("tiered loop, translated", threaded(1), false),
+        ];
+        let mut translated = 0;
+        for instr in every_variant() {
+            let is_store = matches!(
+                instr,
+                Sw { .. }
+                    | Sb { .. }
+                    | Swa { .. }
+                    | Push { .. }
+                    | Pushf
+                    | Call { .. }
+                    | Callr { .. }
+            );
+            let is_load = matches!(
+                instr,
+                Lw { .. }
+                    | Lb { .. }
+                    | Lbu { .. }
+                    | Lwa { .. }
+                    | Pop { .. }
+                    | Popf
+                    | Ret
+                    | Jmem { .. }
+            );
+            let indirect = matches!(instr, Jr { .. } | Callr { .. } | Ret | Jmem { .. });
+            for (name, tier, step) in loops {
+                let mut m = variant_machine(instr, tier);
+                let mut rec = Rec::default();
+                let result = if step {
+                    m.step(&mut rec)
+                } else {
+                    m.run(&mut rec, 1)
+                };
+                match (instr, result) {
+                    (Trap { code }, out) => assert_eq!(out, Ok(StepOutcome::Trap(code))),
+                    (Halt, out) => assert_eq!(out, Ok(StepOutcome::Halted)),
+                    (_, out) if step => assert_eq!(out, Ok(StepOutcome::Running)),
+                    (_, out) => assert_eq!(out, Err(MachineError::OutOfFuel { steps: 1 })),
+                }
+                let [ev] = rec.0[..] else {
+                    panic!("{name}: {instr:?} retired {:?}", rec.0)
+                };
+                let ctx = format!("{name}: {instr:?} retired {ev:?}");
+                assert_eq!((ev.pc, ev.instr), (0x100, instr), "{ctx}");
+                assert_eq!(ev.class, instr.class(), "{ctx}");
+                assert_eq!(ev.control.kind, instr.control_kind(), "{ctx}");
+                assert_eq!(ev.control.indirect, indirect, "{ctx}");
+                assert_eq!(ev.control.target, m.cpu().pc, "{ctx}");
+                assert_eq!(ev.control.taken, m.cpu().pc != 0x104, "{ctx}");
+                assert_eq!(ev.mem.is_some(), is_store || is_load, "{ctx}");
+                assert_eq!(ev.mem.is_some_and(|a| a.is_store), is_store, "{ctx}");
+                translated += m.tier_stats().map_or(0, |t| t.translated_retired);
+            }
+        }
+        assert!(translated > 40, "threshold 1 translates on first arrival");
     }
 
     #[test]

@@ -26,19 +26,19 @@ pub(crate) struct Cache {
     base: u32,
     cursor: u32,
     limit: u32,
-    /// `(origin, mark)` per cache word — one vector, so the retire path
-    /// pays one bounds check for both ([`Cache::tags_at`]).
+    /// `(origin, mark)` per *emitted* cache word (it grows and shrinks
+    /// with the cursor) — one vector, so the retire path pays one bounds
+    /// check for both ([`Cache::tags_at`]).
     tags: Vec<(Origin, Mark)>,
 }
 
 impl Cache {
     pub fn new(base: u32, bytes: u32) -> Cache {
-        let words = (bytes / 4) as usize;
         Cache {
             base,
             cursor: base,
             limit: base + bytes,
-            tags: vec![(Origin::App, Mark::None); words],
+            tags: Vec::new(),
         }
     }
 
@@ -52,14 +52,12 @@ impl Cache {
         self.cursor - self.base
     }
 
-    /// Resets the emit cursor to `addr` (a flush), clearing the origin
+    /// Resets the emit cursor to `addr` (a flush), dropping the origin
     /// tags and marks of everything at or beyond it. Stubs emitted below
     /// `addr` survive.
     pub fn reset_to(&mut self, addr: u32) {
-        debug_assert!(addr >= self.base && addr <= self.limit && addr.is_multiple_of(4));
-        let first = ((addr - self.base) / 4) as usize;
-        let end = ((self.cursor - self.base) / 4) as usize;
-        self.tags[first..end].fill((Origin::App, Mark::None));
+        debug_assert!(addr >= self.base && addr <= self.cursor && addr.is_multiple_of(4));
+        self.tags.truncate(((addr - self.base) / 4) as usize);
         self.cursor = addr;
     }
 
@@ -69,9 +67,9 @@ impl Cache {
         ((addr - self.base) / 4) as usize
     }
 
-    /// Origin tag and execution mark of the instruction at `pc`, if `pc`
-    /// is inside the cache. An address below `base` wraps to a slot past
-    /// the end, so the slice lookup is the only range check.
+    /// Origin tag and execution mark of the instruction at `pc`, if one
+    /// has been emitted there. An address below `base` wraps to a slot
+    /// past the end, so the slice lookup is the only range check.
     #[inline(always)]
     pub fn tags_at(&self, pc: u32) -> Option<(Origin, Mark)> {
         self.tags
@@ -79,7 +77,7 @@ impl Cache {
             .copied()
     }
 
-    /// Origin tag of the instruction at `pc`, if `pc` is inside the cache.
+    /// Origin tag of the instruction at `pc`, if one has been emitted there.
     pub fn origin_at(&self, pc: u32) -> Option<Origin> {
         self.tags_at(pc).map(|(origin, _)| origin)
     }
@@ -108,8 +106,7 @@ impl Cache {
         }
         let addr = self.cursor;
         mem.write_u32(addr, encode(&instr))?;
-        let slot = self.slot(addr);
-        self.tags[slot].0 = origin;
+        self.tags.push((origin, Mark::None));
         self.cursor += 4;
         Ok(addr)
     }
@@ -351,10 +348,45 @@ mod tests {
         let a = cache.emit(&mut mem, Instr::Nop, Origin::Dispatch).unwrap();
         cache.set_mark(a, Mark::JumpEntry);
         assert_eq!(cache.tags_at(a), Some((Origin::Dispatch, Mark::JumpEntry)));
-        assert_eq!(cache.tags_at(a + 4), Some((Origin::App, Mark::None)));
+        assert_eq!(cache.tags_at(a + 4), None, "nothing emitted there yet");
         assert_eq!(cache.tags_at(0), None, "below the base");
-        assert_eq!(cache.tags_at(0x1FC).map(|t| t.1), Some(Mark::None));
         assert_eq!(cache.tags_at(0x200), None, "at the limit");
+    }
+
+    #[test]
+    fn tags_after_a_flush_and_re_emit_equal_a_fresh_caches() {
+        let mut mem = Memory::new(0x1000);
+        // A stub that survives the flush, then `body` with a mark on its
+        // second word.
+        let fill = |cache: &mut Cache, mem: &mut Memory, body: &[Origin]| {
+            let mut at = Vec::new();
+            for &origin in body {
+                at.push(cache.emit(mem, Instr::Nop, origin).unwrap());
+            }
+            cache.set_mark(at[1], Mark::RetEntry);
+        };
+        let mut flushed = Cache::new(0x100, 0x100);
+        let stub = flushed
+            .emit(&mut mem, Instr::Halt, Origin::ContextSwitch)
+            .unwrap();
+        let long = [Origin::Dispatch, Origin::CallGlue, Origin::App, Origin::App];
+        fill(&mut flushed, &mut mem, &long);
+        flushed.reset_to(stub + 4);
+        assert_eq!(flushed.used_bytes(), 4);
+        assert_eq!(flushed.origin_at(stub), Some(Origin::ContextSwitch));
+        assert_eq!(flushed.tags_at(stub + 4), None, "flushed words lose tags");
+
+        let short = [Origin::App, Origin::Dispatch];
+        fill(&mut flushed, &mut mem, &short);
+        let mut fresh = Cache::new(0x100, 0x100);
+        fresh
+            .emit(&mut mem, Instr::Halt, Origin::ContextSwitch)
+            .unwrap();
+        fill(&mut fresh, &mut mem, &short);
+        assert_eq!(flushed.addr(), fresh.addr());
+        for pc in (0x100..0x200).step_by(4) {
+            assert_eq!(flushed.tags_at(pc), fresh.tags_at(pc), "pc {pc:#x}");
+        }
     }
 
     #[test]

@@ -282,7 +282,7 @@ impl Sdt {
     }
 
     /// The [`Origin`] tag of the instruction at cache address `pc`, if
-    /// `pc` lies within the fragment-cache region.
+    /// the translator has emitted one there.
     pub fn origin_at(&self, pc: u32) -> Option<Origin> {
         self.state.cache.origin_at(pc)
     }

@@ -180,15 +180,6 @@ pub fn execute(store: &Store, cells: &[CellKey], jobs: usize) {
     // The whole order is fixed up front, so this run's own budget
     // recordings cannot perturb its schedule.
     let order = dispatch_order(store, &cells);
-    // Programs live as long as the process; machines come and go, 16 MiB
-    // each. Build the former here, before the first of the latter exists:
-    // a program built between two machines lands in the hole the last one
-    // left in the worker's malloc arena, the next machine no longer fits
-    // it, and peak RSS grows by a machine (20 -> 36 MB on `--filter table1
-    // --scale 9 --tier threaded --jobs 1`).
-    for cell in cells.iter().filter(|c| store.get(c).is_none()) {
-        program_for(cell.workload, cell.params);
-    }
     let natives = order.partition_point(|&i| cells[i].kind == RunKind::Native);
     for phase in [&order[..natives], &order[natives..]] {
         run_phase(store, &cells, phase, jobs.max(1));

@@ -6,7 +6,9 @@
 //! 1. **Bundle** ([`ensure_bundle`]): one reference recording per
 //!    (workload, params) — a compressed retire trace plus a SimPoint
 //!    sidecar — loaded from the traces directory or recorded on demand
-//!    and persisted (crash-safe, with orphaned artifacts pruned).
+//!    and persisted (crash-safe, with orphaned artifacts pruned). A
+//!    bundle keeps the trace's header and only the records replay reads:
+//!    the elected intervals and their warmups.
 //! 2. **Estimate** ([`estimate_cell`]): a [`DispatchReplay`] walks only
 //!    the elected intervals (plus one warmup interval each), snapshots
 //!    the mechanism counters around every measured interval, and feeds
@@ -30,16 +32,18 @@
 //! and budgeted under the context's namespace so they can never collide
 //! with exact cells (see [`crate::store`]).
 
-use std::collections::HashMap;
-use std::path::Path;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use strata_arch::{ArchProfile, PredictorSpec};
 use strata_core::{
     ClassReport, DispatchReplay, MechanismStats, PredictorStats, RunReport, SdtConfig,
 };
+use strata_machine::observers::CompactRetire;
 use strata_stats::{stratified_estimate, Estimate, Stratum};
-use strata_trace::{record, select, SimPoints, Trace};
+use strata_trace::{record, select, BlockWalker, SimPoints, Trace, TraceHeader};
 use strata_workloads::{by_name, Params};
 
 use crate::cell::{CellKey, CellResult, RunKind};
@@ -82,89 +86,160 @@ pub fn simpts_file_name(workload: &str, params: Params) -> String {
     }
 }
 
-/// A loaded trace plus its SimPoint selection — everything one
-/// (workload, params) needs for any number of sampled cells.
+/// What one (workload, params) needs for any number of sampled cells: the
+/// trace's header, its SimPoint selection, and the records replay reads.
 #[derive(Debug)]
 pub struct Bundle {
-    /// The full recorded trace (header baselines + retire stream).
-    pub trace: Trace,
+    /// The trace's header: identity, interval, record count, checksum
+    /// and the per-profile native baselines.
+    pub header: TraceHeader,
     /// The elected simulation points.
     pub points: SimPoints,
+    /// The `.strace` the bundle was cut from; [`full_trace_counters`]
+    /// streams it.
+    pub path: PathBuf,
+    /// The records held — those of [`resident_ranges`] — as (index of
+    /// the first in the trace, records) runs.
+    resident: Vec<(u64, Vec<CompactRetire>)>,
 }
 
-fn bundle_cache() -> &'static Mutex<HashMap<String, Arc<Bundle>>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<Bundle>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// The record ranges replay reads: every elected interval and the
+/// warmup before it, merged where they touch. A function of the
+/// selection alone, so every cell of a bundle reads the same ranges.
+fn resident_ranges(pts: &SimPoints) -> Vec<Range<u64>> {
+    let interval = pts.interval.max(1);
+    let mut out: Vec<Range<u64>> = Vec::new();
+    for p in &pts.points {
+        let start = p.interval.saturating_sub(WARMUP_INTERVALS) * interval;
+        let end = ((p.interval + 1) * interval).min(pts.instructions);
+        match out.last_mut() {
+            Some(last) if (last.start..=last.end).contains(&start) => last.end = end.max(last.end),
+            _ => out.push(start..end),
+        }
+    }
+    out
+}
+
+impl Bundle {
+    /// Cuts a bundle out of a whole trace held in memory.
+    fn cut(trace: &Trace, points: SimPoints, path: PathBuf) -> Bundle {
+        let records = &trace.records;
+        let resident = resident_ranges(&points)
+            .into_iter()
+            .map(|r| (r.start, records[r.start as usize..r.end as usize].to_vec()))
+            .collect();
+        Bundle {
+            header: trace.header(),
+            points,
+            path,
+            resident,
+        }
+    }
+
+    /// Records `want` of the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `want` lies inside one of [`resident_ranges`].
+    fn slice(&self, want: Range<u64>) -> &[CompactRetire] {
+        let held = self.resident.iter().find_map(|(start, records)| {
+            let lo = want.start.checked_sub(*start)? as usize;
+            records.get(lo..lo + (want.end - want.start) as usize)
+        });
+        held.expect("replay reads resident records only")
+    }
+}
+
+/// The bundle memoized under `key`, produced by `load` when this is the
+/// first request for it. One slot per key: later requests wait on the
+/// slot being filled, not on the map.
+fn memoized(
+    key: String,
+    load: impl FnOnce() -> Result<Bundle, String>,
+) -> Result<Arc<Bundle>, String> {
+    type Slot = Arc<OnceLock<Result<Arc<Bundle>, String>>>;
+    static CACHE: Mutex<BTreeMap<String, Slot>> = Mutex::new(BTreeMap::new());
+    let mut cache = CACHE.lock().expect("bundle cache lock");
+    let slot = Arc::clone(cache.entry(key).or_default());
+    drop(cache);
+    slot.get_or_init(|| load().map(Arc::new)).clone()
 }
 
 /// Loads — or records, selects, and persists — the trace + SimPoints
 /// bundle for `workload` at `params` under `dir`. Bundles are memoized
 /// process-wide, so a suite run records each reference trace at most
-/// once however many cells replay it.
+/// once however many cells replay it, and however many ask at once.
 ///
 /// # Errors
 ///
 /// Returns a message when recording fails or an existing artifact is
 /// unreadable *and* cannot be re-recorded.
 pub fn ensure_bundle(dir: &Path, workload: &str, params: Params) -> Result<Arc<Bundle>, String> {
-    let cache_key = format!(
+    let key = format!(
         "{}|{workload}|s{}v{}",
         dir.display(),
         params.scale,
         params.variant
     );
-    if let Some(hit) = bundle_cache()
-        .lock()
-        .expect("bundle cache lock")
-        .get(&cache_key)
-    {
-        return Ok(Arc::clone(hit));
-    }
-
-    let trace_path = dir.join(trace_file_name(workload, params));
-    let trace = match Trace::read(&trace_path) {
-        Ok(t)
-            if t.workload == workload && t.scale == params.scale && t.variant == params.variant =>
-        {
-            t
-        }
-        // Missing, corrupt, or mislabeled: re-record from scratch. The
-        // recording is deterministic, so an overwrite is always safe.
-        _ => record_trace(dir, workload, params)?,
-    };
-
-    let simpts_path = dir.join(simpts_file_name(workload, params));
-    let points = match std::fs::read_to_string(&simpts_path)
-        .ok()
-        .and_then(|text| SimPoints::parse(&text).ok())
-    {
-        Some(p) if p.interval == trace.interval && p.instructions == trace.records.len() as u64 => {
-            p
-        }
-        _ => {
-            let p = select(&trace);
-            persist_simpoints(dir, &simpts_path, &p);
-            p
-        }
-    };
-
-    let bundle = Arc::new(Bundle { trace, points });
-    bundle_cache()
-        .lock()
-        .expect("bundle cache lock")
-        .insert(cache_key, Arc::clone(&bundle));
-    Ok(bundle)
+    memoized(key, || load_bundle(dir, workload, params))
 }
 
-/// Records a fresh reference trace for `workload` at `params` and
-/// persists it (plus its SimPoint sidecar) under `dir`, pruning
-/// orphaned artifacts of unregistered workloads in the same pass —
-/// the `strata trace record` entry point.
+fn load_bundle(dir: &Path, workload: &str, params: Params) -> Result<Bundle, String> {
+    let path = dir.join(trace_file_name(workload, params));
+    if let Some(bundle) = read_bundle(dir, &path, workload, params) {
+        return Ok(bundle);
+    }
+    // Missing, corrupt, or mislabeled: re-record from scratch. The
+    // recording is deterministic, so an overwrite is always safe.
+    let (trace, points) = record_trace(dir, workload, params)?;
+    Ok(Bundle::cut(&trace, points, path))
+}
+
+/// The bundle of the `.strace` at `path`, if that is a sound trace of
+/// `workload` at `params`: every block is verified, and only the blocks
+/// under [`resident_ranges`] are unpacked.
+fn read_bundle(dir: &Path, path: &Path, workload: &str, params: Params) -> Option<Bundle> {
+    let mut walker = BlockWalker::open_path(path).ok()?;
+    let h = walker.header();
+    if h.workload != workload || h.scale != params.scale || h.variant != params.variant {
+        return None;
+    }
+    let simpts_path = dir.join(simpts_file_name(workload, params));
+    let points = std::fs::read_to_string(&simpts_path)
+        .ok()
+        .and_then(|text| SimPoints::parse(&text).ok())
+        .filter(|p| p.interval == h.interval && p.instructions == h.instructions);
+    let Some(points) = points else {
+        // No sidecar, or one of another recording: electing points takes
+        // the whole trace, this once.
+        let trace = Trace::read(path).ok()?;
+        let points = select(&trace);
+        persist_simpoints(dir, &simpts_path, &points);
+        return Some(Bundle::cut(&trace, points, path.to_path_buf()));
+    };
+    let ranges = resident_ranges(&points);
+    let records = walker.read_ranges(&ranges).ok()?;
+    Some(Bundle {
+        header: walker.header().clone(),
+        points,
+        path: path.to_path_buf(),
+        resident: ranges.iter().map(|r| r.start).zip(records).collect(),
+    })
+}
+
+/// Records a fresh reference trace for `workload` at `params`, elects
+/// its SimPoints and persists both under `dir`, pruning orphaned
+/// artifacts of unregistered workloads in the same pass — the
+/// `strata trace record` entry point.
 ///
 /// # Errors
 ///
 /// Returns a message when the reference run itself fails.
-pub fn record_trace(dir: &Path, workload: &str, params: Params) -> Result<Trace, String> {
+pub fn record_trace(
+    dir: &Path,
+    workload: &str,
+    params: Params,
+) -> Result<(Trace, SimPoints), String> {
     by_name(workload).ok_or_else(|| format!("unknown workload `{workload}`"))?;
     let program = program_for(workload, params);
     let recorded =
@@ -182,7 +257,7 @@ pub fn record_trace(dir: &Path, workload: &str, params: Params) -> Result<Trace,
     }
     let points = select(&trace);
     persist_simpoints(dir, &dir.join(simpts_file_name(workload, params)), &points);
-    Ok(trace)
+    Ok((trace, points))
 }
 
 fn persist_simpoints(dir: &Path, path: &Path, points: &SimPoints) {
@@ -347,25 +422,36 @@ pub fn estimate_cell_with_spec(
     spec: PredictorSpec,
 ) -> Result<SampledCell, String> {
     let bundle = ensure_bundle(dir, workload, params)?;
+    estimate_bundle(&bundle, workload, params, cfg, profile, spec)
+}
+
+/// [`estimate_cell_with_spec`] over a bundle already in hand.
+fn estimate_bundle(
+    bundle: &Bundle,
+    workload: &str,
+    params: Params,
+    cfg: SdtConfig,
+    profile: ArchProfile,
+    spec: PredictorSpec,
+) -> Result<SampledCell, String> {
     let program = program_for(workload, params);
-    let trace = &bundle.trace;
     let pts = &bundle.points;
     let interval = pts.interval.max(1);
-    let records = &trace.records;
     let n_intervals = pts.intervals.max(1);
 
     let mut rp = DispatchReplay::with_predictor(cfg, &program, profile.clone(), spec)
         .map_err(|e| format!("{workload}/{}: {e}", cfg.describe()))?;
     let fail = |e: strata_core::SdtError| format!("{workload}/{}: replay: {e}", cfg.describe());
 
+    let records_of =
+        |i: u64| bundle.slice(i * interval..((i + 1) * interval).min(pts.instructions));
     // Replays records of interval `i`, returning how many were fed.
     let run_interval = |rp: &mut DispatchReplay, i: u64| -> Result<u64, String> {
-        let start = (i * interval) as usize;
-        let end = (((i + 1) * interval) as usize).min(records.len());
-        for ev in &records[start..end] {
+        let records = records_of(i);
+        for ev in records {
             rp.step(ev).map_err(fail)?;
         }
-        Ok((end - start) as u64)
+        Ok(records.len() as u64)
     };
 
     let mut replayed: u64 = 0;
@@ -383,8 +469,7 @@ pub fn estimate_cell_with_spec(
             idx.saturating_sub(WARMUP_INTERVALS)
         };
         if cursor != Some(warm_from) {
-            let first = &records[(warm_from * interval) as usize];
-            rp.seek(first.pc).map_err(fail)?;
+            rp.seek(records_of(warm_from)[0].pc).map_err(fail)?;
         }
         for i in warm_from..idx {
             replayed += run_interval(&mut rp, i)?;
@@ -467,7 +552,7 @@ pub fn estimate_cell_with_spec(
     };
 
     let report = synthesize_report(
-        trace,
+        &bundle.header,
         &profile,
         cfg,
         &est,
@@ -481,7 +566,7 @@ pub fn estimate_cell_with_spec(
         est,
         intervals: pts.intervals,
         points: pts.points.len(),
-        trace_records: records.len() as u64,
+        trace_records: pts.instructions,
         replayed_records: replayed,
     })
 }
@@ -499,7 +584,7 @@ fn round_u64(e: &Estimate) -> u64 {
 /// cycle numbers are labeled estimates.
 #[allow(clippy::too_many_arguments)]
 fn synthesize_report(
-    trace: &Trace,
+    trace: &TraceHeader,
     profile: &ArchProfile,
     cfg: SdtConfig,
     est: &CounterEstimates,
@@ -591,8 +676,10 @@ fn synthesize_report(
 /// Exact whole-trace mechanism counters for a configuration, plus the
 /// replay's hardware-predictor mirror counters under `spec` — the
 /// fidelity experiment's ground truth. Replays *every* record (no
-/// sampling); the replay-exactness tests prove this equals exact-mode
-/// counters.
+/// sampling), streamed off the bundle's `.strace` a block at a time; the
+/// replay-exactness tests prove this equals exact-mode counters. A file
+/// that has gone missing or bad since the bundle was cut is re-recorded,
+/// as a bundle load would.
 ///
 /// # Errors
 ///
@@ -606,15 +693,30 @@ pub fn full_trace_counters(
     spec: PredictorSpec,
 ) -> Result<(MechanismStats, PredictorStats), String> {
     let program = program_for(workload, params);
-    let mut rp = DispatchReplay::with_predictor(cfg, &program, profile, spec)
-        .map_err(|e| format!("{workload}/{}: {e}", cfg.describe()))?;
-    rp.seek(program.entry)
-        .map_err(|e| format!("{workload}: {e}"))?;
-    for ev in &bundle.trace.records {
-        rp.step(ev)
-            .map_err(|e| format!("{workload}/{}: {e}", cfg.describe()))?;
+    let fail = |e: strata_core::SdtError| format!("{workload}/{}: {e}", cfg.describe());
+    let replay = |blocks: &mut dyn Iterator<Item = Result<Vec<CompactRetire>, String>>| {
+        let mut rp =
+            DispatchReplay::with_predictor(cfg, &program, profile.clone(), spec).map_err(fail)?;
+        rp.seek(program.entry).map_err(fail)?;
+        for block in blocks {
+            for ev in &block? {
+                rp.step(ev).map_err(fail)?;
+            }
+        }
+        Ok((rp.stats(), rp.predictor_stats()))
+    };
+    let streamed = BlockWalker::open_path(&bundle.path)
+        .ok()
+        .filter(|walker| walker.header() == &bundle.header)
+        .and_then(|mut walker| {
+            replay(&mut walker.decoded().map(|b| b.map_err(|e| e.to_string()))).ok()
+        });
+    if let Some(counters) = streamed {
+        return Ok(counters);
     }
-    Ok((rp.stats(), rp.predictor_stats()))
+    let dir = bundle.path.parent().unwrap_or(Path::new(""));
+    let (trace, _) = record_trace(dir, workload, params)?;
+    replay(&mut std::iter::once(Ok(trace.records)))
 }
 
 /// The sampled-mode twin of [`crate::exec::cell_result`]: native cells
@@ -635,7 +737,7 @@ pub fn sampled_cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
             let bundle = ensure_bundle(dir, key.workload, key.params)
                 .unwrap_or_else(|e| panic!("sampled native {}: {e}", key.workload));
             let run = bundle
-                .trace
+                .header
                 .native_for(key.profile.name)
                 .unwrap_or_else(|| {
                     panic!(
@@ -737,7 +839,7 @@ mod tests {
         let bundle = ensure_bundle(&dir, "gzip", params).expect("bundle");
         assert!(dir.join("gzip.strace").exists());
         assert!(dir.join("gzip.simpts").exists());
-        assert_eq!(bundle.trace.workload, "gzip");
+        assert_eq!(bundle.header.workload, "gzip");
         assert!(
             bundle.points.coverage() <= 0.2,
             "{}",
@@ -746,14 +848,14 @@ mod tests {
 
         // Determinism: a fresh recording is byte-identical to the file.
         let on_disk = std::fs::read(dir.join("gzip.strace")).unwrap();
-        let again = record_trace(&dir, "gzip", params).expect("re-record");
+        let (again, _) = record_trace(&dir, "gzip", params).expect("re-record");
         assert_eq!(again.to_bytes(), on_disk, "recording is deterministic");
 
         let cfg = SdtConfig::ibtc_inline(512);
         let cell =
             estimate_cell(&dir, "gzip", params, cfg, ArchProfile::x86_like()).expect("estimate");
         assert!(cell.work_fraction() <= 0.2, "{}", cell.work_fraction());
-        assert_eq!(cell.report.checksum, bundle.trace.checksum);
+        assert_eq!(cell.report.checksum, bundle.header.checksum);
 
         let x86 = ArchProfile::x86_like();
         let (truth, _) =
@@ -771,5 +873,123 @@ mod tests {
             .rel_error(truth.ret_dispatches as f64);
         assert!(err < 0.25, "ret dispatch estimate off by {err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_bundle_load_it_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = temp_dir("single-flight");
+        let loads = AtomicUsize::new(0);
+        let gate = std::sync::Barrier::new(4);
+        // A cold directory: whoever loads, records — for long enough that
+        // the other three arrive while the slot is being filled.
+        let request = || {
+            gate.wait();
+            memoized(format!("{}|single-flight", dir.display()), || {
+                loads.fetch_add(1, Ordering::SeqCst);
+                load_bundle(&dir, "gzip", Params::default())
+            })
+        };
+        let bundles: Vec<Arc<Bundle>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4).map(|_| s.spawn(request)).collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("no panic").expect("bundle"))
+                .collect()
+        });
+        assert_eq!(
+            loads.load(Ordering::SeqCst),
+            1,
+            "one load for four requests"
+        );
+        assert!(bundles.iter().all(|b| Arc::ptr_eq(b, &bundles[0])));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn resident_bundles_estimate_exactly_like_whole_traces() {
+        let dir = temp_dir("resident");
+        let params = Params::default();
+        let x86 = ArchProfile::x86_like();
+        for spec in strata_workloads::registry() {
+            let name = spec.name;
+            // Cut from the fresh recording in memory, then read back
+            // from the file through ranged reads: the same bundle.
+            let cut = load_bundle(&dir, name, params).expect("records");
+            let path = dir.join(trace_file_name(name, params));
+            let read = read_bundle(&dir, &path, name, params).expect("file loads");
+            assert_eq!((&read.header, &read.points), (&cut.header, &cut.points));
+            assert_eq!(read.resident, cut.resident);
+
+            // Resident records are the elected intervals and their
+            // warmups, each counted once.
+            let (pts, n) = (&read.points, read.header.instructions);
+            let touched: std::collections::BTreeSet<u64> = pts
+                .points
+                .iter()
+                .flat_map(|p| [p.interval.saturating_sub(WARMUP_INTERVALS), p.interval])
+                .collect();
+            let lengths = touched
+                .iter()
+                .map(|i| ((i + 1) * pts.interval).min(n) - i * pts.interval);
+            let resident: usize = read.resident.iter().map(|(_, r)| r.len()).sum();
+            assert_eq!(resident as u64, lengths.sum::<u64>());
+            assert!(resident as u64 <= n / 4, "{name}");
+
+            let mut walker = BlockWalker::open_path(&path).expect("opens");
+            let records = walker.read_ranges(&[0..n]).expect("whole trace");
+            let whole = Bundle {
+                resident: vec![(0, records.concat())],
+                header: walker.header().clone(),
+                points: pts.clone(),
+                path,
+            };
+            for cfg in [SdtConfig::ibtc_inline(512), SdtConfig::tuned(512, 128)] {
+                let estimate = |b: &Bundle| {
+                    let spec = PredictorSpec::Legacy;
+                    estimate_bundle(b, name, params, cfg, x86.clone(), spec).expect("estimates")
+                };
+                assert_eq!(
+                    format!("{:?}", estimate(&read)),
+                    format!("{:?}", estimate(&whole)),
+                    "{name}/{}",
+                    cfg.describe()
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn full_trace_counters_re_records_a_trace_that_went_missing_or_bad() {
+        let dir = temp_dir("fallback");
+        let params = Params::default();
+        let bundle = load_bundle(&dir, "gzip", params).expect("records");
+        let truth = || {
+            let (cfg, x86) = (SdtConfig::ibtc_inline(512), ArchProfile::x86_like());
+            full_trace_counters(&bundle, "gzip", params, cfg, x86, PredictorSpec::Legacy)
+                .expect("counters")
+        };
+        let streamed = truth();
+        let on_disk = std::fs::read(&bundle.path).unwrap();
+
+        std::fs::remove_file(&bundle.path).unwrap();
+        assert_eq!(truth(), streamed, "deleted");
+        assert_eq!(std::fs::read(&bundle.path).unwrap(), on_disk, "re-recorded");
+
+        let mut bad = on_disk.clone();
+        *bad.last_mut().unwrap() ^= 1;
+        bad[on_disk.len() / 2] ^= 1;
+        std::fs::write(&bundle.path, &bad).unwrap();
+        assert_eq!(truth(), streamed, "corrupt mid-stream");
+        assert_eq!(std::fs::read(&bundle.path).unwrap(), on_disk, "re-recorded");
+
+        // A directory that cannot be created or written (a file sits in
+        // its place): the recording is replayed from memory.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"in the way").unwrap();
+        assert_eq!(truth(), streamed, "unwritable");
+        let _ = std::fs::remove_file(&dir);
     }
 }

@@ -1,3 +1,5 @@
+use std::cell::RefCell;
+
 use strata_isa::{decode, Instr};
 
 use crate::machine::MachineError;
@@ -8,6 +10,19 @@ pub(crate) const PAGE_SHIFT: u32 = 12;
 pub(crate) const PAGE_BYTES: u32 = 1 << PAGE_SHIFT;
 /// Instruction words per predecode page.
 pub(crate) const PAGE_WORDS: usize = (PAGE_BYTES / 4) as usize;
+
+/// log2 of the dirty-tracking chunk size in bytes (64 KiB).
+const CHUNK_SHIFT: u32 = 16;
+
+/// Images a thread keeps parked at most: more machines than any driver
+/// has alive at once (a cell has one, a lockstep comparison two).
+const MAX_SPARES: usize = 8;
+
+thread_local! {
+    /// Images (and dirty maps) of [`Memory`]s dropped on this thread,
+    /// parked for the next [`Memory::new`] of their size.
+    static SPARES: RefCell<Vec<(Vec<u8>, Vec<bool>)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// One dense page of predecoded instructions. `None` means the word has
 /// not been decoded (or failed to decode) since it was last written.
@@ -22,9 +37,13 @@ type CodePage = [Option<Instr>; PAGE_WORDS];
 /// once:
 ///
 /// * **Construction.** A fresh 16 MiB machine allocates a few thousand
-///   page *slots*, not a decode entry per word, so `Memory::new` is
-///   microseconds instead of milliseconds — and the experiment suite
-///   constructs one machine per cell.
+///   page *slots*, not a decode entry per word. The image itself is
+///   recycled: every store marks its 64 KiB chunk dirty, a dropped
+///   `Memory` parks its image among a few thread-local spares, and the
+///   next `Memory::new` of that size on the thread zeroes only the dirty
+///   chunks instead of allocating — and so clearing — all 16 MiB again.
+///   The experiment suite constructs one machine per cell, and without
+///   the spares that cost 1.1–2.2 ms a cell (tens of microseconds with).
 /// * **Store-side invalidation.** The union of allocated pages is
 ///   tracked as a single `[code_lo, code_hi)` byte range. A store first
 ///   does one range compare; only stores that overlap the executable
@@ -39,6 +58,9 @@ type CodePage = [Option<Instr>; PAGE_WORDS];
 #[derive(Debug)]
 pub struct Memory {
     bytes: Vec<u8>,
+    /// One flag per 64 KiB chunk of `bytes`, set by every store into it:
+    /// the chunks a recycled image must zero (see [`Memory::new`]).
+    dirty: Vec<bool>,
     /// Lazily allocated predecode pages, one slot per 4 KiB of memory.
     pages: Vec<Option<Box<CodePage>>>,
     /// Inclusive lower byte bound of the union of allocated code pages
@@ -57,12 +79,31 @@ pub struct Memory {
 
 impl Memory {
     /// Creates a zero-initialized memory of `size` bytes (rounded up to a
-    /// multiple of 4).
+    /// multiple of 4). When this thread last dropped a `Memory` of the
+    /// same size, its image is reused and only the chunks it stored to
+    /// are cleared.
     pub fn new(size: u32) -> Memory {
         let size = (size as usize).next_multiple_of(4);
         let pages = size.div_ceil(PAGE_BYTES as usize);
+        let spare = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let fits = spares.iter().position(|(bytes, _)| bytes.len() == size)?;
+            Some(spares.swap_remove(fits))
+        });
+        let (bytes, dirty) = match spare.ok().flatten() {
+            Some((mut bytes, mut dirty)) => {
+                for (chunk, flag) in bytes.chunks_mut(1 << CHUNK_SHIFT).zip(&mut dirty) {
+                    if std::mem::take(flag) {
+                        chunk.fill(0);
+                    }
+                }
+                (bytes, dirty)
+            }
+            None => (vec![0; size], vec![false; size.div_ceil(1 << CHUNK_SHIFT)]),
+        };
         Memory {
-            bytes: vec![0; size],
+            bytes,
+            dirty,
             pages: (0..pages).map(|_| None).collect(),
             code_lo: u32::MAX,
             code_hi: 0,
@@ -118,6 +159,8 @@ impl Memory {
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MachineError> {
         let i = self.check(addr, 4)?;
         self.bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        self.dirty[i >> CHUNK_SHIFT] = true;
+        self.dirty[(i + 3) >> CHUNK_SHIFT] = true;
         self.maybe_invalidate(addr, 4);
         Ok(())
     }
@@ -142,6 +185,7 @@ impl Memory {
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MachineError> {
         let i = self.check(addr, 1)?;
         self.bytes[i] = value;
+        self.dirty[i >> CHUNK_SHIFT] = true;
         self.maybe_invalidate(addr, 1);
         Ok(())
     }
@@ -154,6 +198,9 @@ impl Memory {
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) -> Result<(), MachineError> {
         let i = self.check(addr, data.len() as u32)?;
         self.bytes[i..i + data.len()].copy_from_slice(data);
+        if !data.is_empty() {
+            self.dirty[i >> CHUNK_SHIFT..=(i + data.len() - 1) >> CHUNK_SHIFT].fill(true);
+        }
         self.maybe_invalidate(addr, data.len() as u32);
         Ok(())
     }
@@ -280,6 +327,24 @@ impl Memory {
                 page[(word as usize) & (PAGE_WORDS - 1)] = None;
             }
         }
+    }
+}
+
+impl Drop for Memory {
+    /// Parks the image for the next same-sized [`Memory::new`] on this
+    /// thread, unless [`MAX_SPARES`] are parked already.
+    fn drop(&mut self) {
+        let image = (
+            std::mem::take(&mut self.bytes),
+            std::mem::take(&mut self.dirty),
+        );
+        // `try_with`: a thread's last `Memory` may go while its locals do.
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() < MAX_SPARES {
+                spares.push(image);
+            }
+        });
     }
 }
 
@@ -555,5 +620,75 @@ mod tests {
             Instr::Nop,
             "post-fetch stores invalidate"
         );
+    }
+
+    /// Sizes of the images parked on this thread, oldest first.
+    fn parked() -> Vec<usize> {
+        SPARES.with(|s| s.borrow().iter().map(|(bytes, _)| bytes.len()).collect())
+    }
+
+    fn assert_pristine(m: &Memory) {
+        let image = m.read_bytes(0, m.size()).unwrap();
+        assert_eq!(image.iter().position(|&b| b != 0), None, "stale byte");
+        assert!(m.dirty.iter().all(|&d| !d));
+        assert!(m.pages.iter().all(Option::is_none));
+        assert_eq!((m.code_lo, m.code_hi, m.code_version), (u32::MAX, 0, 0));
+    }
+
+    #[test]
+    fn a_recycled_image_is_indistinguishable_from_a_first_one() {
+        // Each test runs on a thread of its own, so nothing is parked yet.
+        const CHUNK: u32 = 1 << CHUNK_SHIFT;
+        const SIZE: u32 = 3 * CHUNK;
+        assert_eq!(parked(), []);
+        // One store path at a time, so none can hide behind another's
+        // dirty mark: each round starts from a recycled, cleared image.
+        let stores: [fn(&mut Memory); 6] = [
+            |m| m.write_u8(0, 0xAA).unwrap(),
+            |m| m.write_u8(SIZE - 1, 0xBB).unwrap(),
+            |m| m.write_u32(CHUNK - 2, 0xDEAD_BEEF).unwrap(),
+            |m| m.write_u32(2 * CHUNK - 1, 0xDEAD_BEEF).unwrap(),
+            |m| {
+                m.write_bytes(CHUNK - 3, &vec![0xCC; CHUNK as usize + 6])
+                    .unwrap()
+            },
+            |m| {
+                m.write_u32(64, encode(&Instr::Nop)).unwrap();
+                m.fetch(64).unwrap();
+                m.write_u32(64, encode(&Instr::Halt)).unwrap();
+                assert!(m.code_version() > 0 && m.fetch(64).is_ok());
+            },
+        ];
+        for store in stores {
+            let mut m = Memory::new(SIZE);
+            assert_pristine(&m);
+            store(&mut m);
+            drop(m);
+            assert_eq!(parked(), [SIZE as usize]);
+        }
+        // Machines alive together each get an image of their own, and
+        // each gets it back.
+        let mut pair = [Memory::new(SIZE), Memory::new(SIZE)];
+        assert_eq!(parked(), [], "the spare was taken over");
+        pair[1].write_u8(7, 7).unwrap();
+        drop(pair);
+        let pair = [Memory::new(SIZE), Memory::new(SIZE)];
+        assert_eq!(parked(), []);
+        pair.iter().for_each(assert_pristine);
+    }
+
+    #[test]
+    fn another_size_does_not_reuse_and_spares_are_bounded() {
+        let mut big = Memory::new(1 << 18);
+        big.write_u32(100, 7).unwrap();
+        drop(big);
+        let small = Memory::new(1 << 17);
+        assert_eq!(parked(), [1 << 18], "a different size allocates");
+        assert_pristine(&small);
+        drop(small);
+        assert_eq!(parked(), [1 << 18, 1 << 17]);
+        let more: Vec<Memory> = (0..MAX_SPARES).map(|_| Memory::new(64)).collect();
+        drop(more);
+        assert_eq!(parked().len(), MAX_SPARES);
     }
 }

@@ -5,8 +5,9 @@
 
 use strata_asm::CodeBuilder;
 use strata_isa::{Flags, Instr, Reg};
-use strata_machine::{layout, Machine, NullObserver, StepOutcome};
+use strata_machine::{layout, Cpu, ExecTier, Machine, MachineError, NullObserver, StepOutcome};
 use strata_stats::rng::SmallRng;
+use strata_testgen::wordgen::WordProgram;
 
 fn fresh_machine() -> Machine {
     Machine::new(layout::DEFAULT_MEM_BYTES)
@@ -224,4 +225,34 @@ fn decode_cache_tracks_self_modifying_code() {
     b.halt();
     let m = run_code(b);
     assert_eq!(m.cpu().reg(Reg::R4), 7, "patched instruction must execute");
+}
+
+/// How a word program ends: outcome, CPU state and the whole image.
+type FinalState = (Result<StepOutcome, MachineError>, Cpu, Vec<u8>);
+
+fn final_state(prog: &WordProgram, tier: ExecTier) -> FinalState {
+    let mut m = prog.instantiate();
+    m.set_tier(tier);
+    let out = m.run(&mut NullObserver, 20_000);
+    let image = m.mem().read_bytes(0, m.mem().size()).unwrap().to_vec();
+    (out, m.cpu().clone(), image)
+}
+
+#[test]
+fn a_machine_on_a_recycled_image_ends_where_a_first_machine_does() {
+    // `Memory` parks its image per thread on drop. A thread that has
+    // dropped none builds on a fresh allocation; this one builds every
+    // machine after the first on the image the last program scribbled on.
+    let mut rng = SmallRng::seed_from_u64(0x3AC8_0007);
+    for trial in 0..24 {
+        let prog = WordProgram::generate(&mut rng);
+        let tier = if trial % 2 == 0 {
+            ExecTier::Interp
+        } else {
+            ExecTier::Threaded(Default::default())
+        };
+        let first =
+            std::thread::scope(|s| s.spawn(|| final_state(&prog, tier)).join()).expect("runs");
+        assert!(final_state(&prog, tier) == first, "trial {trial} diverged");
+    }
 }

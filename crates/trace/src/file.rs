@@ -18,7 +18,19 @@
 //! Everything is little-endian and byte-deterministic: recording the
 //! same workload twice produces identical files. All read failures are
 //! [`TraceError`] values.
+//!
+//! Reading is one loop, [`BlockWalker`]: it pulls a file through a
+//! reusable block-sized buffer and checksum-verifies *every* block, and
+//! unpacks the records only of the blocks its caller wants. A whole
+//! [`Trace`], a header summary ([`Trace::info`], which unpacks nothing)
+//! and the records of a few ranges ([`BlockWalker::read_ranges`], which
+//! unpacks only the blocks they overlap) are all walks of it. Blocks are
+//! self-contained (the codec's pc delta restarts in each) and every block
+//! but the last holds exactly [`BLOCK_RECORDS`], which the walker checks,
+//! so block *k* starts at record *k* × 65 536 without an index.
 
+use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
 
 use strata_core::NativeRun;
@@ -91,6 +103,25 @@ pub struct NativeSummary {
     pub run: NativeRun,
 }
 
+/// Everything a `.strace` carries ahead of its record blocks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceHeader {
+    /// Workload name.
+    pub workload: String,
+    /// Workload scale the trace was recorded at.
+    pub scale: u32,
+    /// Workload variant.
+    pub variant: u64,
+    /// Sampling interval (instructions) the trace was cut for.
+    pub interval: u64,
+    /// Total recorded instructions — the record count of the blocks.
+    pub instructions: u64,
+    /// Reference syscall checksum of the recorded run.
+    pub checksum: u32,
+    /// One native baseline per architecture profile.
+    pub natives: Vec<NativeSummary>,
+}
+
 /// A loaded (or about-to-be-written) trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -110,24 +141,11 @@ pub struct Trace {
     pub records: Vec<CompactRetire>,
 }
 
-/// Header-only view for `strata trace info` — everything except the
-/// record stream, plus size accounting.
+/// What `strata trace info` prints: the header plus size accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceInfo {
-    /// Workload name.
-    pub workload: String,
-    /// Workload scale.
-    pub scale: u32,
-    /// Workload variant.
-    pub variant: u64,
-    /// Sampling interval (instructions).
-    pub interval: u64,
-    /// Total recorded instructions.
-    pub instructions: u64,
-    /// Reference syscall checksum.
-    pub checksum: u32,
-    /// Profile names with baselines in the header.
-    pub profiles: Vec<String>,
+    /// The file's header.
+    pub header: TraceHeader,
     /// Total file size in bytes.
     pub file_bytes: u64,
     /// Number of record blocks.
@@ -152,40 +170,25 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(bytes);
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Fills `buf` from `src`; a short source is [`TraceError::Truncated`].
+fn fill(src: &mut impl Read, buf: &mut [u8]) -> Result<(), TraceError> {
+    src.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => TraceError::Truncated,
+        _ => TraceError::Io(e.to_string()),
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        let end = self.pos.checked_add(n).ok_or(TraceError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(TraceError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
+/// The next `N` bytes of `src`, for `from_le_bytes`.
+fn take<const N: usize>(src: &mut impl Read) -> Result<[u8; N], TraceError> {
+    let mut buf = [0; N];
+    fill(src, &mut buf)?;
+    Ok(buf)
+}
 
-    fn u16(&mut self) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, TraceError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| TraceError::Malformed("non-UTF-8 string".into()))
-    }
+fn take_str(src: &mut impl Read) -> Result<String, TraceError> {
+    let mut bytes = vec![0; u16::from_le_bytes(take(src)?) as usize];
+    fill(src, &mut bytes)?;
+    String::from_utf8(bytes).map_err(|_| TraceError::Malformed("non-UTF-8 string".into()))
 }
 
 fn encode_native(out: &mut Vec<u8>, s: &NativeSummary) {
@@ -210,14 +213,14 @@ fn encode_native(out: &mut Vec<u8>, s: &NativeSummary) {
     }
 }
 
-fn decode_native(r: &mut Reader) -> Result<NativeSummary, TraceError> {
-    let profile = r.string()?;
-    let checksum = r.u32()?;
+fn decode_native(r: &mut impl Read) -> Result<NativeSummary, TraceError> {
+    let profile = take_str(r)?;
+    let checksum = u32::from_le_bytes(take(r)?);
     let mut fields = [0u64; 9];
     for f in fields.iter_mut() {
-        *f = r.u64()?;
+        *f = u64::from_le_bytes(take(r)?);
     }
-    let nregs = r.u16()? as usize;
+    let nregs = u16::from_le_bytes(take(r)?) as usize;
     if nregs != Reg::COUNT {
         return Err(TraceError::Malformed(format!(
             "native summary has {nregs} registers, expected {}",
@@ -226,7 +229,7 @@ fn decode_native(r: &mut Reader) -> Result<NativeSummary, TraceError> {
     }
     let mut regs = [0u32; Reg::COUNT];
     for reg in regs.iter_mut() {
-        *reg = r.u32()?;
+        *reg = u32::from_le_bytes(take(r)?);
     }
     Ok(NativeSummary {
         profile,
@@ -246,7 +249,7 @@ fn decode_native(r: &mut Reader) -> Result<NativeSummary, TraceError> {
     })
 }
 
-impl Trace {
+impl TraceHeader {
     /// The native baseline for `profile`, if the header carries one.
     pub fn native_for(&self, profile: &str) -> Option<&NativeRun> {
         self.natives
@@ -255,13 +258,13 @@ impl Trace {
             .map(|n| &n.run)
     }
 
-    fn header_payload(&self) -> Vec<u8> {
+    fn payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         push_str(&mut out, &self.workload);
         push_u32(&mut out, self.scale);
         push_u64(&mut out, self.variant);
         push_u64(&mut out, self.interval);
-        push_u64(&mut out, self.records.len() as u64);
+        push_u64(&mut out, self.instructions);
         push_u32(&mut out, self.checksum);
         push_u16(&mut out, self.natives.len() as u16);
         for n in &self.natives {
@@ -270,11 +273,199 @@ impl Trace {
         out
     }
 
+    fn parse(mut payload: &[u8]) -> Result<TraceHeader, TraceError> {
+        let h = &mut payload;
+        let workload = take_str(h)?;
+        let scale = u32::from_le_bytes(take(h)?);
+        let variant = u64::from_le_bytes(take(h)?);
+        let interval = u64::from_le_bytes(take(h)?);
+        let instructions = u64::from_le_bytes(take(h)?);
+        let checksum = u32::from_le_bytes(take(h)?);
+        let native_count = u16::from_le_bytes(take(h)?);
+        let mut natives = Vec::with_capacity(native_count as usize);
+        for _ in 0..native_count {
+            natives.push(decode_native(h)?);
+        }
+        if !h.is_empty() {
+            return Err(TraceError::Malformed("trailing header bytes".into()));
+        }
+        Ok(TraceHeader {
+            workload,
+            scale,
+            variant,
+            interval,
+            instructions,
+            checksum,
+            natives,
+        })
+    }
+}
+
+/// The one `.strace` parse loop. [`BlockWalker::open`] reads and checks
+/// the header; every read then pulls the file through a reusable
+/// block-sized buffer, verifying each block's framing and checksum
+/// whether or not its records are unpacked.
+#[derive(Debug)]
+pub struct BlockWalker<R> {
+    src: R,
+    header: TraceHeader,
+    payload: Vec<u8>,
+    /// Records in the blocks walked so far — the next block's first.
+    records: u64,
+}
+
+impl BlockWalker<std::fs::File> {
+    /// [`BlockWalker::open`] on the file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem failures surface as [`TraceError::Io`]; structural
+    /// defects as the other variants.
+    pub fn open_path(path: &Path) -> Result<Self, TraceError> {
+        let file = std::fs::File::open(path).map_err(|e| TraceError::Io(e.to_string()))?;
+        BlockWalker::open(file)
+    }
+}
+
+impl<R: Read> BlockWalker<R> {
+    /// Reads magic and header off `src`, leaving it at the first block.
+    ///
+    /// # Errors
+    ///
+    /// Any structural defect yields a [`TraceError`].
+    pub fn open(mut src: R) -> Result<Self, TraceError> {
+        if &take::<8>(&mut src)? != MAGIC {
+            return Err(TraceError::BadMagic);
+        }
+        let header_len = u32::from_le_bytes(take(&mut src)?);
+        if header_len > MAX_BLOCK {
+            return Err(TraceError::Oversized(header_len));
+        }
+        let header_sum = u64::from_le_bytes(take(&mut src)?);
+        let mut payload = vec![0; header_len as usize];
+        fill(&mut src, &mut payload)?;
+        if fnv1a64(&payload) != header_sum {
+            return Err(TraceError::BadChecksum);
+        }
+        Ok(BlockWalker {
+            src,
+            header: TraceHeader::parse(&payload)?,
+            payload,
+            records: 0,
+        })
+    }
+
+    /// The file's header.
+    pub fn header(&self) -> &TraceHeader {
+        &self.header
+    }
+
+    /// Reads and verifies the next block into `self.payload`, returning
+    /// the index of its first record and its record count; `None` once
+    /// the eof mark has been read, nothing follows it, and the blocks
+    /// held as many records as the header promised. Never panics on
+    /// arbitrary input.
+    fn next_block(&mut self) -> Result<Option<(u64, u32)>, TraceError> {
+        let payload_len = u32::from_le_bytes(take(&mut self.src)?);
+        if payload_len == EOF_MARK {
+            match fill(&mut self.src, &mut [0]) {
+                Err(TraceError::Truncated) => {}
+                Err(e) => return Err(e),
+                Ok(()) => {
+                    return Err(TraceError::Malformed(
+                        "trailing bytes after eof mark".into(),
+                    ))
+                }
+            }
+            if self.records != self.header.instructions {
+                return Err(TraceError::Malformed(format!(
+                    "header promises {} records, blocks hold {}",
+                    self.header.instructions, self.records
+                )));
+            }
+            return Ok(None);
+        }
+        if payload_len > MAX_BLOCK {
+            return Err(TraceError::Oversized(payload_len));
+        }
+        let count = u32::from_le_bytes(take(&mut self.src)?);
+        let expected = (self.header.instructions - self.records).min(BLOCK_RECORDS as u64);
+        if count == 0 || u64::from(count) != expected {
+            return Err(TraceError::Malformed(format!(
+                "block {} holds {count} records, expected {expected}",
+                self.records / BLOCK_RECORDS as u64
+            )));
+        }
+        let sum = u64::from_le_bytes(take(&mut self.src)?);
+        self.payload.resize(payload_len as usize, 0);
+        fill(&mut self.src, &mut self.payload)?;
+        if fnv1a64(&self.payload) != sum {
+            return Err(TraceError::BadChecksum);
+        }
+        let start = self.records;
+        self.records += expected;
+        Ok(Some((start, count)))
+    }
+
+    /// Every remaining block, verified and unpacked, one at a time.
+    pub fn decoded(&mut self) -> impl Iterator<Item = Result<Vec<CompactRetire>, TraceError>> + '_ {
+        std::iter::from_fn(move || match self.next_block() {
+            Ok(block) => block.map(|(_, count)| Ok(decode_block(&self.payload, count)?)),
+            Err(e) => Some(Err(e)),
+        })
+    }
+
+    /// Walks every remaining block and returns the records of each of
+    /// `ranges` (record-index ranges, clipped to the trace). Only blocks
+    /// overlapping a range are unpacked.
+    ///
+    /// # Errors
+    ///
+    /// Any structural defect, in a skipped block as in an unpacked one,
+    /// yields a [`TraceError`].
+    pub fn read_ranges(
+        &mut self,
+        ranges: &[Range<u64>],
+    ) -> Result<Vec<Vec<CompactRetire>>, TraceError> {
+        let mut out = vec![Vec::new(); ranges.len()];
+        while let Some((start, count)) = self.next_block()? {
+            let end = start + u64::from(count);
+            if ranges.iter().any(|r| r.start < end && start < r.end) {
+                let records = decode_block(&self.payload, count)?;
+                for (r, out) in ranges.iter().zip(&mut out) {
+                    let (lo, hi) = (r.start.max(start), r.end.min(end));
+                    if lo < hi {
+                        out.extend_from_slice(
+                            &records[(lo - start) as usize..(hi - start) as usize],
+                        );
+                    }
+                }
+            }
+        }
+        out.iter_mut().for_each(Vec::shrink_to_fit);
+        Ok(out)
+    }
+}
+
+impl Trace {
+    /// The header this trace serializes with.
+    pub fn header(&self) -> TraceHeader {
+        TraceHeader {
+            workload: self.workload.clone(),
+            scale: self.scale,
+            variant: self.variant,
+            interval: self.interval,
+            instructions: self.records.len() as u64,
+            checksum: self.checksum,
+            natives: self.natives.clone(),
+        }
+    }
+
     /// Serializes the trace to bytes (the exact `.strace` file image).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.records.len() * 2 + 256);
         out.extend_from_slice(MAGIC);
-        let header = self.header_payload();
+        let header = self.header().payload();
         push_u32(&mut out, header.len() as u32);
         push_u64(&mut out, fnv1a64(&header));
         out.extend_from_slice(&header);
@@ -289,6 +480,23 @@ impl Trace {
         out
     }
 
+    fn from_walker(mut walker: BlockWalker<impl Read>) -> Result<Trace, TraceError> {
+        let mut records = Vec::new();
+        for block in walker.decoded() {
+            records.extend(block?);
+        }
+        let h = walker.header;
+        Ok(Trace {
+            workload: h.workload,
+            scale: h.scale,
+            variant: h.variant,
+            interval: h.interval,
+            checksum: h.checksum,
+            natives: h.natives,
+            records,
+        })
+    }
+
     /// Parses a `.strace` image.
     ///
     /// # Errors
@@ -296,78 +504,7 @@ impl Trace {
     /// Any structural defect yields a [`TraceError`]; this function never
     /// panics on arbitrary input.
     pub fn from_bytes(buf: &[u8]) -> Result<Trace, TraceError> {
-        let mut r = Reader { buf, pos: 0 };
-        if r.take(8)? != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let header_len = r.u32()?;
-        if header_len > MAX_BLOCK {
-            return Err(TraceError::Oversized(header_len));
-        }
-        let header_sum = r.u64()?;
-        let header = r.take(header_len as usize)?;
-        if fnv1a64(header) != header_sum {
-            return Err(TraceError::BadChecksum);
-        }
-        let mut h = Reader {
-            buf: header,
-            pos: 0,
-        };
-        let workload = h.string()?;
-        let scale = h.u32()?;
-        let variant = h.u64()?;
-        let interval = h.u64()?;
-        let instructions = h.u64()?;
-        let checksum = h.u32()?;
-        let native_count = h.u16()?;
-        let mut natives = Vec::with_capacity(native_count as usize);
-        for _ in 0..native_count {
-            natives.push(decode_native(&mut h)?);
-        }
-        if h.pos != header.len() {
-            return Err(TraceError::Malformed("trailing header bytes".into()));
-        }
-
-        let mut records = Vec::new();
-        loop {
-            let payload_len = r.u32()?;
-            if payload_len == EOF_MARK {
-                break;
-            }
-            if payload_len > MAX_BLOCK {
-                return Err(TraceError::Oversized(payload_len));
-            }
-            let count = r.u32()?;
-            if count as usize > BLOCK_RECORDS {
-                return Err(TraceError::Oversized(count));
-            }
-            let sum = r.u64()?;
-            let payload = r.take(payload_len as usize)?;
-            if fnv1a64(payload) != sum {
-                return Err(TraceError::BadChecksum);
-            }
-            records.extend(decode_block(payload, count)?);
-        }
-        if r.pos != buf.len() {
-            return Err(TraceError::Malformed(
-                "trailing bytes after eof mark".into(),
-            ));
-        }
-        if records.len() as u64 != instructions {
-            return Err(TraceError::Malformed(format!(
-                "header promises {instructions} records, blocks hold {}",
-                records.len()
-            )));
-        }
-        Ok(Trace {
-            workload,
-            scale,
-            variant,
-            interval,
-            checksum,
-            natives,
-            records,
-        })
+        Trace::from_walker(BlockWalker::open(buf)?)
     }
 
     /// Reads a trace from disk.
@@ -377,29 +514,25 @@ impl Trace {
     /// Filesystem failures surface as [`TraceError::Io`]; structural
     /// defects as the other variants.
     pub fn read(path: &Path) -> Result<Trace, TraceError> {
-        let buf = std::fs::read(path).map_err(|e| TraceError::Io(e.to_string()))?;
-        Trace::from_bytes(&buf)
+        Trace::from_walker(BlockWalker::open_path(path)?)
     }
 
-    /// Header-only summary of a trace file on disk.
+    /// Header-only summary of a trace file on disk: every block is
+    /// checksum-verified and counted, none is unpacked.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Trace::read`] (the record blocks are still
-    /// checksum-verified and counted).
+    /// Same contract as [`Trace::read`].
     pub fn info(path: &Path) -> Result<TraceInfo, TraceError> {
-        let buf = std::fs::read(path).map_err(|e| TraceError::Io(e.to_string()))?;
-        let trace = Trace::from_bytes(&buf)?;
-        let blocks = (trace.records.len() as u64).div_ceil(BLOCK_RECORDS as u64);
+        let mut walker = BlockWalker::open_path(path)?;
+        let mut blocks = 0;
+        while walker.next_block()?.is_some() {
+            blocks += 1;
+        }
+        let file = std::fs::metadata(path).map_err(|e| TraceError::Io(e.to_string()))?;
         Ok(TraceInfo {
-            workload: trace.workload,
-            scale: trace.scale,
-            variant: trace.variant,
-            interval: trace.interval,
-            instructions: trace.records.len() as u64,
-            checksum: trace.checksum,
-            profiles: trace.natives.iter().map(|n| n.profile.clone()).collect(),
-            file_bytes: buf.len() as u64,
+            header: walker.header,
+            file_bytes: file.len(),
             blocks,
         })
     }
@@ -478,9 +611,9 @@ mod tests {
 
     #[test]
     fn native_lookup_by_profile() {
-        let t = sample_trace(10);
-        assert!(t.native_for("x86-like").is_some());
-        assert!(t.native_for("sparc-like").is_none());
+        let h = sample_trace(10).header();
+        assert!(h.native_for("x86-like").is_some());
+        assert!(h.native_for("sparc-like").is_none());
     }
 
     #[test]
@@ -508,6 +641,130 @@ mod tests {
                 "flipping byte {i} went undetected"
             );
         }
+    }
+
+    /// Three full blocks and a partial one, with its file image.
+    fn multi_block() -> (Trace, Vec<u8>) {
+        let t = sample_trace(3 * BLOCK_RECORDS + 1234);
+        let bytes = t.to_bytes();
+        (t, bytes)
+    }
+
+    fn ranged(bytes: &[u8], ranges: &[Range<u64>]) -> Result<Vec<Vec<CompactRetire>>, TraceError> {
+        BlockWalker::open(bytes)?.read_ranges(ranges)
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn ranged_reads_equal_slices_of_the_full_read() {
+        let (t, bytes) = multi_block();
+        let full = Trace::from_bytes(&bytes).unwrap().records;
+        assert_eq!(full, t.records);
+        let (b, n) = (BLOCK_RECORDS as u64, full.len() as u64);
+        let mut sets: Vec<Vec<Range<u64>>> = vec![
+            vec![],
+            vec![5..5],
+            vec![b - 3..b + 3],
+            vec![n - 100..n],
+            vec![n - 100..n + 500],
+            vec![n + 1..n + 9],
+            vec![0..n],
+            vec![0..1, b - 1..b, b..b + 1, 2 * b - 7..3 * b + 7],
+        ];
+        let mut rng = SmallRng::seed_from_u64(17);
+        for _ in 0..40 {
+            let mut cuts: Vec<u64> = (0..2 * rng.gen_range(0usize..6))
+                .map(|_| rng.gen_range(0..n + 1))
+                .collect();
+            cuts.sort_unstable();
+            sets.push(cuts.chunks(2).map(|c| c[0]..c[1]).collect());
+        }
+        // Overlapping and out of order is fine: each range is its own read.
+        sets.push(vec![b..2 * b + 5, 7..b + 9, 2 * b..2 * b + 1]);
+        for ranges in sets {
+            let want: Vec<&[CompactRetire]> = ranges
+                .iter()
+                .map(|r| &full[(r.start.min(n) as usize)..(r.end.min(n) as usize)])
+                .collect();
+            assert_eq!(ranged(&bytes, &ranges).unwrap(), want, "{ranges:?}");
+        }
+    }
+
+    /// Byte offsets of the block frames of `bytes`, then of the eof mark.
+    fn frame_offsets(bytes: &[u8]) -> Vec<usize> {
+        let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let mut at = 8 + 4 + 8 + header_len;
+        let mut out = vec![at];
+        while bytes[at..at + 4] != EOF_MARK.to_le_bytes() {
+            at += 16 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            out.push(at);
+        }
+        out
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn a_skipped_block_is_verified_like_a_decoded_one() {
+        // A read of records from block 1 alone, a header-only walk and a
+        // full decode must all reject the same damage with the same
+        // error, wherever in the file it sits.
+        let (_, bytes) = multi_block();
+        let b = BLOCK_RECORDS as u64;
+        let frames = frame_offsets(&bytes);
+        assert_eq!(frames.len(), 5, "four blocks and the eof mark");
+        let walk_only = |bytes: &[u8]| -> Result<(), TraceError> {
+            let mut w = BlockWalker::open(bytes)?;
+            while w.next_block()?.is_some() {}
+            Ok(())
+        };
+        let check = |bad: &[u8], what: String| {
+            let full = Trace::from_bytes(bad).map(|_| ()).unwrap_err();
+            assert_eq!(ranged(bad, &[b + 10..b + 20]).unwrap_err(), full, "{what}");
+            assert_eq!(walk_only(bad).unwrap_err(), full, "{what}");
+        };
+
+        let mut rng = SmallRng::seed_from_u64(23);
+        for (k, frame) in frames.windows(2).enumerate() {
+            // Every byte of the block's frame fields, and a sample of its
+            // payload (first and last byte included).
+            let payload = frame[0] + 16..frame[1];
+            let flips = (frame[0]..payload.start)
+                .chain([payload.start, payload.end - 1])
+                .chain((0..24).map(|_| rng.gen_range(payload.clone())));
+            for i in flips.collect::<Vec<_>>() {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << rng.gen_range(0u32..8);
+                check(&bad, format!("flip at byte {i} (block {k})"));
+            }
+        }
+        // Truncation at each block boundary (the last is the eof mark's),
+        // and inside the frame that follows it.
+        for &cut in &frames {
+            check(&bytes[..cut], format!("cut at byte {cut}"));
+            check(&bytes[..cut + 3], format!("cut at byte {}", cut + 3));
+        }
+    }
+
+    #[test]
+    fn info_counts_blocks_without_decoding() {
+        let (t, bytes) = multi_block();
+        let path = std::env::temp_dir().join(format!("strata-info-{}.strace", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let info = Trace::info(&path).unwrap();
+        assert_eq!(info.header, t.header());
+        assert_eq!((info.blocks, info.file_bytes), (4, bytes.len() as u64));
+
+        // A payload that checksums but does not decode: `read` refuses
+        // it, `info` never looks inside.
+        let frames = frame_offsets(&bytes);
+        let mut bad = bytes.clone();
+        bad[frames[0] + 16] = 0xFF;
+        let sum = fnv1a64(&bad[frames[0] + 16..frames[1]]);
+        bad[frames[0] + 8..frames[0] + 16].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(Trace::read(&path), Err(TraceError::Codec(_))));
+        assert_eq!(Trace::info(&path).unwrap(), info);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

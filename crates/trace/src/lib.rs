@@ -34,7 +34,7 @@ pub mod simpoints;
 
 pub use bbv::{bbvs, BBV_DIMS};
 pub use codec::{decode_block, encode_block, CodecError};
-pub use file::{NativeSummary, Trace, TraceError, TraceInfo};
+pub use file::{BlockWalker, NativeSummary, Trace, TraceError, TraceHeader, TraceInfo};
 pub use record::{record, Recorded};
 pub use simpoints::{select, SimPoint, SimPoints};
 

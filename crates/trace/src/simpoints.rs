@@ -147,6 +147,15 @@ impl SimPoints {
                 "point weights sum to {total}, expected {intervals}"
             ));
         }
+        // Replay indexes the trace by these, so they must describe it.
+        if intervals != instructions.div_ceil(interval.max(1))
+            || points.iter().any(|p| p.interval >= intervals)
+        {
+            return Err(format!(
+                "{intervals} intervals of {interval}, or a point beyond them, do not fit \
+                 {instructions} instructions"
+            ));
+        }
         Ok(SimPoints {
             interval,
             intervals,
@@ -309,6 +318,18 @@ mod tests {
             "{SIMPTS_VERSION}\ninterval 100\nintervals 10\ninstructions 1000\nk 1\npoint 0 9 0\n"
         );
         assert!(SimPoints::parse(&text).unwrap_err().contains("sum to 9"));
+    }
+
+    #[test]
+    fn parse_rejects_points_and_counts_that_do_not_fit_the_trace() {
+        let head = format!("{SIMPTS_VERSION}\ninterval 100\n");
+        let beyond = format!("{head}intervals 10\ninstructions 1000\nk 1\npoint 10 10 0\n");
+        let miscut = format!("{head}intervals 10\ninstructions 1001\nk 1\npoint 0 10 0\n");
+        for bad in [beyond, miscut] {
+            assert!(SimPoints::parse(&bad).unwrap_err().contains("do not fit"));
+        }
+        let partial = format!("{head}intervals 11\ninstructions 1001\nk 1\npoint 10 11 0\n");
+        assert!(SimPoints::parse(&partial).is_ok());
     }
 
     #[test]

@@ -536,11 +536,7 @@ fn trace_record_cmd(args: &[String]) -> Result<(), String> {
         ],
     );
     for name in names {
-        let trace = sampled::record_trace(&dir, name, params)?;
-        // `record_trace` elected and persisted the sidecar; re-electing
-        // here is deterministic, so the printed rows match the file even
-        // if the directory is unwritable.
-        let points = strata_lab::trace::select(&trace);
+        let (trace, points) = sampled::record_trace(&dir, name, params)?;
         let path = dir.join(sampled::trace_file_name(name, params));
         let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         t.row([
@@ -563,21 +559,23 @@ fn trace_info_cmd(args: &[String]) -> Result<(), String> {
         .ok_or("usage: strata trace info <file.strace>")?;
     let info =
         strata_lab::trace::Trace::info(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    let h = &info.header;
+    let profiles: Vec<&str> = h.natives.iter().map(|n| n.profile.as_str()).collect();
     let mut t = Table::new(format!("trace {path}"), &["field", "value"]);
-    t.row(["workload", &info.workload]);
-    t.row(["scale", &info.scale.to_string()]);
-    t.row(["variant", &info.variant.to_string()]);
-    t.row(["instructions", &info.instructions.to_string()]);
-    t.row(["interval", &info.interval.to_string()]);
+    t.row(["workload", &h.workload]);
+    t.row(["scale", &h.scale.to_string()]);
+    t.row(["variant", &h.variant.to_string()]);
+    t.row(["instructions", &h.instructions.to_string()]);
+    t.row(["interval", &h.interval.to_string()]);
     t.row(["blocks", &info.blocks.to_string()]);
-    t.row(["checksum", &format!("{:#010x}", info.checksum)]);
-    t.row(["baselines", &info.profiles.join(", ")]);
+    t.row(["checksum", &format!("{:#010x}", h.checksum)]);
+    t.row(["baselines", &profiles.join(", ")]);
     t.row(["file bytes", &info.file_bytes.to_string()]);
     t.row([
         "bytes/instr",
         &format!(
             "{:.3}",
-            info.file_bytes as f64 / info.instructions.max(1) as f64
+            info.file_bytes as f64 / h.instructions.max(1) as f64
         ),
     ]);
     println!("{}", t.render_text());

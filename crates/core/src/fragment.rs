@@ -92,6 +92,69 @@ pub(crate) struct FragMeta {
     pub terminal: Terminal,
 }
 
+/// [`FragMeta`] per translated fragment, addressed rather than hashed: a
+/// replay looks one up per control event, so the table is dense over the
+/// program's code — slot `2 × word + kind` holds one past the entry's index
+/// in `metas`, 0 while the word heads no fragment of that kind. A fragment
+/// headed outside the program's code (a guest executing its data) gets no
+/// entry; nothing but replay reads the table, and a replay arriving there
+/// reports the missing metadata as a desync.
+#[derive(Debug)]
+pub(crate) struct FragMetaTable {
+    code_base: u32,
+    slots: Vec<u32>,
+    metas: Vec<FragMeta>,
+}
+
+impl FragMetaTable {
+    /// An empty table over `code_words` words of code at `code_base`.
+    pub fn new(code_base: u32, code_words: usize) -> FragMetaTable {
+        FragMetaTable {
+            code_base,
+            slots: vec![0; 2 * code_words],
+            metas: Vec::new(),
+        }
+    }
+
+    fn slot(&self, app_addr: u32, kind: FragKind) -> Option<usize> {
+        let word = app_addr.checked_sub(self.code_base)? / 4;
+        Some(2 * word as usize + kind as usize)
+    }
+
+    #[inline]
+    pub fn get(&self, app_addr: u32, kind: FragKind) -> Option<&FragMeta> {
+        let at = *self.slots.get(self.slot(app_addr, kind)?)?;
+        self.metas.get((at as usize).checked_sub(1)?)
+    }
+
+    /// Whether a fragment headed at `app_addr` has a slot at all.
+    pub fn covers(&self, app_addr: u32) -> bool {
+        (self.slot(app_addr, FragKind::Body)).is_some_and(|s| s < self.slots.len())
+    }
+
+    /// Records `meta` for the fragment, in place of what a translation of
+    /// the same head recorded before.
+    pub fn insert(&mut self, app_addr: u32, kind: FragKind, meta: FragMeta) {
+        let slot = self.slot(app_addr, kind);
+        let Some(slot) = slot.and_then(|s| self.slots.get_mut(s)) else {
+            return;
+        };
+        match (*slot as usize).checked_sub(1) {
+            Some(at) => self.metas[at] = meta,
+            None => {
+                self.metas.push(meta);
+                *slot = u32::try_from(self.metas.len()).expect("fragments fit the cache, so u32");
+            }
+        }
+    }
+
+    /// Forgets every entry (a cache flush discarded the fragments).
+    pub fn clear(&mut self) {
+        self.slots.fill(0);
+        self.metas.clear();
+    }
+}
+
 /// A recorded miss site: who trapped, and what the runtime should do about
 /// it. Site ids index into the site table and travel through
 /// [`SLOT_SITE`](crate::protocol::SLOT_SITE).
@@ -144,5 +207,40 @@ mod tests {
         assert_eq!(m.get(0x1000, FragKind::ReturnPoint), Some(rc));
         assert_eq!(m.get(0x1004, FragKind::Body), None);
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn metadata_is_addressed_by_word_and_kind() {
+        let meta = |term_pc| FragMeta {
+            term_pc,
+            elided_jmp_pcs: vec![term_pc - 4],
+            terminal: Terminal::Halt,
+        };
+        let mut t = FragMetaTable::new(0x1000, 4);
+        t.insert(0x1000, FragKind::Body, meta(0x1008));
+        t.insert(0x1000, FragKind::ReturnPoint, meta(0x100C));
+        t.insert(0x100C, FragKind::Body, meta(0x100C));
+        assert_eq!(t.get(0x1000, FragKind::Body), Some(&meta(0x1008)));
+        assert_eq!(t.get(0x1000, FragKind::ReturnPoint), Some(&meta(0x100C)));
+        assert_eq!(t.get(0x100C, FragKind::Body), Some(&meta(0x100C)));
+        assert_eq!(t.get(0x100C, FragKind::ReturnPoint), None);
+        assert_eq!(t.get(0x1004, FragKind::Body), None);
+        // Outside the program's code there is no slot: nothing is kept,
+        // nothing is found, nothing panics.
+        for outside in [0x0FFC, 0x1010, 0, u32::MAX] {
+            t.insert(outside, FragKind::Body, meta(0x2000));
+            assert_eq!(t.get(outside, FragKind::Body), None, "{outside:#x}");
+            assert!(!t.covers(outside), "{outside:#x}");
+        }
+        assert!(t.covers(0x1000) && t.covers(0x100C));
+        // A second translation of a head replaces the first's entry.
+        t.insert(0x1000, FragKind::Body, meta(0x1004));
+        assert_eq!(t.get(0x1000, FragKind::Body), Some(&meta(0x1004)));
+        assert_eq!(t.get(0x1000, FragKind::ReturnPoint), Some(&meta(0x100C)));
+        assert_eq!(t.metas.len(), 3, "and leaves no orphan");
+        t.clear();
+        assert_eq!(t.get(0x1000, FragKind::Body), None);
+        t.insert(0x1000, FragKind::Body, meta(0x1004));
+        assert_eq!(t.get(0x1000, FragKind::Body), Some(&meta(0x1004)));
     }
 }

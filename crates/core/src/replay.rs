@@ -22,7 +22,6 @@
 use std::collections::HashSet;
 
 use strata_arch::{ArchModel, ArchProfile, PredictorSpec, Ras, TargetPredictor};
-use strata_isa::{ControlKind, Instr};
 use strata_machine::observers::CompactRetire;
 use strata_machine::{Memory, Program};
 
@@ -77,6 +76,26 @@ pub struct DispatchReplay {
     jump_mispredicts: u64,
     call_mispredicts: u64,
     ret_mispredicts: u64,
+}
+
+/// Where each counter sits in [`DispatchReplay::rate_counters`].
+pub mod rate {
+    pub const IB_DISPATCHES: usize = 0;
+    pub const JUMP_DISPATCHES: usize = 1;
+    pub const CALL_DISPATCHES: usize = 2;
+    pub const RET_DISPATCHES: usize = 3;
+    pub const IB_MISSES: usize = 4;
+    pub const RC_MISSES: usize = 5;
+    /// `(dispatches, misses)` of row `row` of
+    /// [`per_class`](super::DispatchReplay::per_class), three rows.
+    pub const fn class(row: usize) -> (usize, usize) {
+        (6 + 2 * row, 7 + 2 * row)
+    }
+    pub const JUMP_MISPREDICTS: usize = 12;
+    pub const CALL_MISPREDICTS: usize = 13;
+    pub const RET_MISPREDICTS: usize = 14;
+    /// How many counters there are.
+    pub const COUNT: usize = 15;
 }
 
 /// Per-class indirect mispredictions accumulated by the replay's hardware
@@ -217,19 +236,7 @@ impl DispatchReplay {
     /// Propagates translation failures ([`SdtError::CacheFull`] when the
     /// mechanism forbids flushing, reserved traps, machine faults).
     pub fn seek(&mut self, app_pc: u32) -> Result<(), SdtError> {
-        let before = self.sdt.state.stats.translated_app_instrs;
-        let flushes_before = self.sdt.state.stats.cache_flushes;
-        self.sdt.state.ensure_fragment_flushing(
-            self.sdt.machine.mem_mut(),
-            app_pc,
-            FragKind::Body,
-        )?;
-        self.translator_cycles += self
-            .model
-            .charge_translator(self.sdt.state.stats.translated_app_instrs - before, 1);
-        if self.sdt.state.stats.cache_flushes > flushes_before {
-            self.clear_sim();
-        }
+        self.translate_body(app_pc)?;
         self.cur = Some((app_pc, FragKind::Body));
         Ok(())
     }
@@ -245,22 +252,23 @@ impl DispatchReplay {
     /// the fragment graph (wrong trace, or no [`seek`](Self::seek) yet);
     /// translation failures propagate as from [`Sdt::run`].
     pub fn step(&mut self, ev: &CompactRetire) -> Result<(), SdtError> {
-        if ev.kind == ControlKind::None {
+        if !ev.is_control() {
             return Ok(());
         }
         let (cur_app, cur_kind) = self.cur.ok_or(SdtError::ReplayDesync {
             pc: ev.pc,
             detail: String::new(),
         })?;
-        let meta = self
-            .sdt
-            .state
-            .frag_meta
-            .get(&(cur_app, cur_kind))
-            .cloned()
+        let table = &self.sdt.state.frag_meta;
+        let meta = table
+            .get(cur_app, cur_kind)
             .ok_or_else(|| SdtError::ReplayDesync {
                 pc: ev.pc,
-                detail: format!("no metadata for fragment {cur_app:#x} ({cur_kind:?})"),
+                detail: if table.covers(cur_app) {
+                    format!("no metadata for fragment {cur_app:#x} ({cur_kind:?})")
+                } else {
+                    format!("fragment {cur_app:#x} is outside the program's code: no metadata")
+                },
             })?;
         if ev.pc != meta.term_pc {
             if meta.elided_jmp_pcs.contains(&ev.pc) {
@@ -408,10 +416,17 @@ impl DispatchReplay {
             .sdt
             .state
             .frag_meta
-            .contains_key(&(app_pc, FragKind::Body))
+            .get(app_pc, FragKind::Body)
+            .is_some()
         {
             return Ok(());
         }
+        self.translate_body(app_pc)
+    }
+
+    /// Finds or translates the body fragment at `app_pc` as the
+    /// translator's entry path would, charging the work.
+    fn translate_body(&mut self, app_pc: u32) -> Result<(), SdtError> {
         let before = self.sdt.state.stats.translated_app_instrs;
         let flushes_before = self.sdt.state.stats.cache_flushes;
         self.sdt.state.ensure_fragment_flushing(
@@ -439,7 +454,7 @@ impl DispatchReplay {
             });
         };
         let head = self.sdt.machine.mem().read_u32(patch_addr)?;
-        if matches!(strata_isa::decode(head), Ok(Instr::Jmp { .. })) {
+        if strata_isa::is_jmp(head) {
             return Ok(());
         }
         self.service_miss(target, site)?;
@@ -641,15 +656,16 @@ impl DispatchReplay {
     pub fn stats(&self) -> MechanismStats {
         let st = &self.sdt.state;
         let s = &st.stats;
+        let c = self.rate_counters();
         let (sieve_mean_chain, sieve_max_chain) = st.sieve_chain_stats();
         let promotions = |b: &Bind| b.promotions_to_ibtc + b.promotions_to_sieve;
         MechanismStats {
-            ib_dispatches: self.jump_dispatches + self.call_dispatches,
-            jump_dispatches: self.jump_dispatches,
-            call_dispatches: self.call_dispatches,
-            ib_misses: s.ib_misses,
-            ret_dispatches: self.ret_dispatches,
-            rc_misses: s.rc_misses,
+            ib_dispatches: c[rate::IB_DISPATCHES],
+            jump_dispatches: c[rate::JUMP_DISPATCHES],
+            call_dispatches: c[rate::CALL_DISPATCHES],
+            ib_misses: c[rate::IB_MISSES],
+            ret_dispatches: c[rate::RET_DISPATCHES],
+            rc_misses: c[rate::RC_MISSES],
             exit_misses: s.exit_misses,
             exit_links: s.exit_links,
             translator_entries: s.translator_entries,
@@ -667,32 +683,63 @@ impl DispatchReplay {
     /// Per-branch-class dispatch breakdown, exact-mode shape.
     pub fn per_class(&self) -> Vec<ClassReport> {
         let st = &self.sdt.state;
+        let c = self.rate_counters();
         let promotions = |b: &Bind| b.promotions_to_ibtc + b.promotions_to_sieve;
         let jump_bind = &st.binds[st.class_bind[0]];
         let call_bind = &st.binds[st.class_bind[1]];
+        let row = |row, class: BranchClass, mechanism, promotions| {
+            let (dispatches, misses) = rate::class(row);
+            ClassReport {
+                class: class.label(),
+                mechanism,
+                dispatches: c[dispatches],
+                misses: c[misses],
+                promotions,
+            }
+        };
         vec![
-            ClassReport {
-                class: BranchClass::Jump.label(),
-                mechanism: jump_bind.strategy.describe(),
-                dispatches: self.jump_dispatches,
-                misses: jump_bind.misses,
-                promotions: promotions(jump_bind),
-            },
-            ClassReport {
-                class: BranchClass::Call.label(),
-                mechanism: call_bind.strategy.describe(),
-                dispatches: self.call_dispatches,
-                misses: call_bind.misses,
-                promotions: promotions(call_bind),
-            },
-            ClassReport {
-                class: BranchClass::Ret.label(),
-                mechanism: st.ret_strat.describe(),
-                dispatches: self.ret_dispatches,
-                misses: st.stats.rc_misses,
-                promotions: 0,
-            },
+            row(
+                0,
+                BranchClass::Jump,
+                jump_bind.strategy.describe(),
+                promotions(jump_bind),
+            ),
+            row(
+                1,
+                BranchClass::Call,
+                call_bind.strategy.describe(),
+                promotions(call_bind),
+            ),
+            row(2, BranchClass::Ret, st.ret_strat.describe(), 0),
         ]
+    }
+
+    /// The counters sampled replay extrapolates, cheap enough to read
+    /// around every measured interval and laid out as [`rate`] names
+    /// them. [`stats`](Self::stats), [`per_class`](Self::per_class) and
+    /// [`predictor_stats`](Self::predictor_stats) report these numbers.
+    pub fn rate_counters(&self) -> [u64; rate::COUNT] {
+        let st = &self.sdt.state;
+        let mut c = [0; rate::COUNT];
+        c[rate::IB_DISPATCHES] = self.jump_dispatches + self.call_dispatches;
+        c[rate::JUMP_DISPATCHES] = self.jump_dispatches;
+        c[rate::CALL_DISPATCHES] = self.call_dispatches;
+        c[rate::RET_DISPATCHES] = self.ret_dispatches;
+        c[rate::IB_MISSES] = st.stats.ib_misses;
+        c[rate::RC_MISSES] = st.stats.rc_misses;
+        let rows = [
+            (self.jump_dispatches, st.binds[st.class_bind[0]].misses),
+            (self.call_dispatches, st.binds[st.class_bind[1]].misses),
+            (self.ret_dispatches, st.stats.rc_misses),
+        ];
+        for (row, (dispatched, missed)) in rows.into_iter().enumerate() {
+            let (dispatches, misses) = rate::class(row);
+            (c[dispatches], c[misses]) = (dispatched, missed);
+        }
+        c[rate::JUMP_MISPREDICTS] = self.jump_mispredicts;
+        c[rate::CALL_MISPREDICTS] = self.call_mispredicts;
+        c[rate::RET_MISPREDICTS] = self.ret_mispredicts;
+        c
     }
 
     /// Host-side translator cycles charged so far (translation work plus
@@ -703,10 +750,11 @@ impl DispatchReplay {
 
     /// Per-class mispredictions from the hardware predictor mirror.
     pub fn predictor_stats(&self) -> PredictorStats {
+        let c = self.rate_counters();
         PredictorStats {
-            jump_mispredicts: self.jump_mispredicts,
-            call_mispredicts: self.call_mispredicts,
-            ret_mispredicts: self.ret_mispredicts,
+            jump_mispredicts: c[rate::JUMP_MISPREDICTS],
+            call_mispredicts: c[rate::CALL_MISPREDICTS],
+            ret_mispredicts: c[rate::RET_MISPREDICTS],
         }
     }
 }
@@ -720,4 +768,79 @@ fn probe_tagged(mem: &Memory, table: TableRef, target: u32) -> Result<bool, SdtE
         16 => mem.read_u32(e)? == target || mem.read_u32(e + 8)? == target,
         other => unreachable!("tagged probe of {other}-byte entries"),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use strata_isa::{decode, Instr};
+    use strata_stats::rng::SmallRng;
+
+    #[test]
+    fn the_link_test_agrees_with_the_decoder() {
+        // `traverse_exit` asks `is_jmp` of a trampoline head where it
+        // used to decode it: same answer for every opcode, whatever the
+        // operand bits.
+        let mut rng = SmallRng::seed_from_u64(0x114B);
+        let mut jumps = 0;
+        for opcode in 0..=u8::MAX {
+            let lows = [0, 0x00FF_FFFF].into_iter();
+            for low in lows.chain((0..64).map(|_| rng.gen_range(0u32..1 << 24))) {
+                let word = u32::from(opcode) << 24 | low;
+                let decoded = matches!(decode(word), Ok(Instr::Jmp { .. }));
+                assert_eq!(strata_isa::is_jmp(word), decoded, "{word:#010x}");
+                jumps += usize::from(decoded);
+            }
+        }
+        assert_eq!(jumps, 66, "one opcode is `jmp`");
+    }
+
+    #[test]
+    fn fragment_metadata_goes_with_a_flush_and_returns_with_translation() {
+        let code = strata_asm::assemble(
+            strata_machine::layout::APP_BASE,
+            "top:\naddi r4, r4, 1\ncmpi r4, 9\nbne top\nhalt\n",
+        )
+        .expect("assembles");
+        let prog = Program::new("loop", code, Vec::new());
+        let profile = ArchProfile::x86_like();
+        let mut rp = DispatchReplay::new(SdtConfig::ibtc_inline(64), &prog, profile).unwrap();
+        let meta = |rp: &DispatchReplay| {
+            let table = &rp.sdt.state.frag_meta;
+            table.get(prog.entry, FragKind::Body).map(|m| m.term_pc)
+        };
+        assert_eq!(meta(&rp), None);
+        rp.seek(prog.entry).unwrap();
+        assert_eq!(meta(&rp), Some(prog.entry + 8));
+        let sdt = &mut rp.sdt;
+        sdt.state.flush_cache(sdt.machine.mem_mut()).unwrap();
+        assert_eq!(meta(&rp), None, "flushed with the fragment");
+        rp.seek(prog.entry).unwrap();
+        assert_eq!(meta(&rp), Some(prog.entry + 8), "re-translated");
+    }
+
+    #[test]
+    fn a_fragment_outside_the_code_desyncs_by_that_name() {
+        // A guest executing its data gets fragments, but no metadata:
+        // the table spans the program's code only.
+        let code = strata_asm::assemble(strata_machine::layout::APP_BASE, "halt\n").unwrap();
+        let halt = strata_isa::encode(&Instr::Halt).to_le_bytes().to_vec();
+        let prog = Program::new("data", code, halt);
+        let cfg = SdtConfig::ibtc_inline(64);
+        let mut rp = DispatchReplay::new(cfg, &prog, ArchProfile::x86_like()).unwrap();
+        rp.seek(prog.data_base).unwrap();
+        let ev = CompactRetire {
+            pc: prog.data_base,
+            kind: strata_isa::ControlKind::Direct,
+            taken: true,
+            indirect: false,
+            target: prog.entry,
+            mem: strata_machine::observers::MemClass::None,
+        };
+        let err = rp.step(&ev).unwrap_err().to_string();
+        assert!(err.contains("outside the program's code"), "{err}");
+        rp.seek(prog.entry).unwrap();
+        let err = rp.step(&ev).unwrap_err().to_string();
+        assert!(err.contains("expected terminal"), "{err}");
+    }
 }

@@ -8,7 +8,7 @@ use strata_machine::{
 
 use crate::config::{BranchClass, IbtcPlacement, IbtcScope};
 use crate::emitter::{Cache, Mark, TableAlloc};
-use crate::fragment::{FragKind, FragMeta, FragmentMap, Site};
+use crate::fragment::{FragKind, FragMetaTable, FragmentMap, Site};
 use crate::protocol::{bind_sentinel, MAX_BINDS, TRAP_MISS, TRAP_RC_MISS};
 use crate::report::{ClassReport, HostStats, MechanismStats};
 use crate::strategy::adaptive::AdaptiveSite;
@@ -40,8 +40,8 @@ pub(crate) struct SdtState {
     pub shadow: Option<(u32, u32)>,
     pub stats: HostStats,
     /// Control-flow metadata per translated fragment, for trace replay;
-    /// keyed like the fragment map and cleared with it on flushes.
-    pub frag_meta: std::collections::HashMap<(u32, FragKind), FragMeta>,
+    /// cleared with the fragment map on flushes.
+    pub frag_meta: FragMetaTable,
     /// Exit-site ids recorded by `emit_exit` during the current
     /// `translate_fragment` invocation (saved/restored around nested
     /// translations, so each fragment sees only its own exits).
@@ -207,7 +207,7 @@ impl Sdt {
             rc_tab,
             shadow,
             stats: HostStats::default(),
-            frag_meta: std::collections::HashMap::new(),
+            frag_meta: FragMetaTable::new(program.code_base, program.code.len()),
             exit_scratch: Vec::new(),
             block_counters: Vec::new(),
             flushed_counts: std::collections::HashMap::new(),

@@ -324,7 +324,8 @@ impl SdtState {
             }
         };
         self.frag_meta.insert(
-            (app_addr, kind),
+            app_addr,
+            kind,
             FragMeta {
                 term_pc,
                 elided_jmp_pcs,

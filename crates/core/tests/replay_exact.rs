@@ -7,7 +7,7 @@
 use strata_arch::ArchProfile;
 use strata_asm::assemble;
 use strata_core::{
-    ClassPolicy, DispatchReplay, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, Sdt,
+    rate, ClassPolicy, DispatchReplay, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, Sdt,
     SdtConfig,
 };
 use strata_machine::observers::{CompactRetire, RetireLog};
@@ -274,6 +274,97 @@ fn replay_matches_exact_mode_on_call_loop() {
         ret
         ",
     ));
+}
+
+/// One configuration per `mechanism_registry()` id (and the shapes the
+/// ids fan out into), plus a predictive policy beside `configs()`'s
+/// adaptive one.
+fn registry_shapes() -> Vec<SdtConfig> {
+    let mut cfgs = configs();
+    let mut predictive = SdtConfig::ibtc_inline(256);
+    predictive.policy.jump = ClassPolicy::Predictive {
+        sieve_buckets: 64,
+        probation: 8,
+    };
+    cfgs.push(predictive);
+    let mut elide = SdtConfig::tuned(512, 128);
+    elide.elide_direct_jumps = true;
+    cfgs.push(elide);
+    cfgs
+}
+
+#[test]
+fn control_records_alone_replay_like_the_whole_stream() {
+    // Sampled bundles keep a trace's control records only. That is exact
+    // because `step` returns at once on anything else — so a replay fed
+    // the filtered stream must end in the very state of one fed every
+    // record, flushes, promotions and predictor mirror included.
+    let spec = strata_workloads::by_name("gcc").expect("registered");
+    let prog = (spec.build)(&strata_workloads::Params::default());
+    let log = native_log(&prog);
+    let control: Vec<CompactRetire> = log.iter().filter(|r| r.is_control()).copied().collect();
+    assert!(
+        control.len() * 2 < log.len(),
+        "most records are not control"
+    );
+    let mut covered = std::collections::BTreeSet::new();
+    for mut cfg in registry_shapes() {
+        // A cache small enough to flush, wherever flushing is allowed.
+        if cfg.ret != RetMechanism::FastReturn {
+            cfg.cache_limit = Some(8192);
+        }
+        let end_state = |stream: &[CompactRetire]| {
+            let mut rp = DispatchReplay::new(cfg, &prog, ArchProfile::x86_like()).unwrap();
+            rp.seek(prog.entry).unwrap();
+            for ev in stream {
+                rp.step(ev)
+                    .unwrap_or_else(|e| panic!("{}: {e}", cfg.describe()));
+            }
+            let counters = rp.rate_counters();
+            let stats = (rp.stats(), rp.per_class(), rp.predictor_stats());
+            (stats, counters, rp.translator_cycles())
+        };
+        let whole = end_state(&log);
+        assert_eq!(end_state(&control), whole, "{}", cfg.describe());
+
+        let ((mech, per_class, pred), counters, _) = whole;
+        assert_eq!(
+            mech.cache_flushes > 0,
+            cfg.cache_limit.is_some(),
+            "{}",
+            cfg.describe()
+        );
+        // Each `rate` name leads to the number the reports give under
+        // it, and the names share no position and leave none unnamed.
+        let mut named = vec![
+            (rate::IB_DISPATCHES, mech.ib_dispatches),
+            (rate::JUMP_DISPATCHES, mech.jump_dispatches),
+            (rate::CALL_DISPATCHES, mech.call_dispatches),
+            (rate::RET_DISPATCHES, mech.ret_dispatches),
+            (rate::IB_MISSES, mech.ib_misses),
+            (rate::RC_MISSES, mech.rc_misses),
+            (rate::JUMP_MISPREDICTS, pred.jump_mispredicts),
+            (rate::CALL_MISPREDICTS, pred.call_mispredicts),
+            (rate::RET_MISPREDICTS, pred.ret_mispredicts),
+        ];
+        for (row, class) in per_class.iter().enumerate() {
+            let (dispatches, misses) = rate::class(row);
+            named.extend([(dispatches, class.dispatches), (misses, class.misses)]);
+        }
+        named.sort_unstable();
+        let at: Vec<usize> = named.iter().map(|&(at, _)| at).collect();
+        assert_eq!(at, (0..rate::COUNT).collect::<Vec<_>>());
+        let want: Vec<u64> = named.iter().map(|&(_, n)| n).collect();
+        assert_eq!(counters.to_vec(), want, "{}", cfg.describe());
+        covered.extend(per_class.iter().map(|c| c.mechanism.clone()));
+    }
+    // Every registered mechanism took part, by the name it reports (a
+    // return cache describes itself as `rc(n)`).
+    for info in strata_core::mechanism_registry() {
+        let name = if info.id == "retcache" { "rc" } else { info.id };
+        let seen = covered.iter().any(|m| m.starts_with(name));
+        assert!(seen, "no configuration covers `{}`: {covered:?}", info.id);
+    }
 }
 
 #[test]

@@ -8,7 +8,9 @@
 //!    sidecar — loaded from the traces directory or recorded on demand
 //!    and persisted (crash-safe, with orphaned artifacts pruned). A
 //!    bundle keeps the trace's header and only the records replay reads:
-//!    the elected intervals and their warmups.
+//!    the control transfers of the elected intervals and their warmups
+//!    (a [`DispatchReplay`] returns at once on anything else), plus the
+//!    pc each of those intervals starts at.
 //! 2. **Estimate** ([`estimate_cell`]): a [`DispatchReplay`] walks only
 //!    the elected intervals (plus one warmup interval each), snapshots
 //!    the mechanism counters around every measured interval, and feeds
@@ -39,7 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use strata_arch::{ArchProfile, PredictorSpec};
 use strata_core::{
-    ClassReport, DispatchReplay, MechanismStats, PredictorStats, RunReport, SdtConfig,
+    rate, ClassReport, DispatchReplay, MechanismStats, PredictorStats, RunReport, SdtConfig,
 };
 use strata_machine::observers::CompactRetire;
 use strata_stats::{stratified_estimate, Estimate, Stratum};
@@ -98,9 +100,53 @@ pub struct Bundle {
     /// The `.strace` the bundle was cut from; [`full_trace_counters`]
     /// streams it.
     pub path: PathBuf,
-    /// The records held — those of [`resident_ranges`] — as (index of
-    /// the first in the trace, records) runs.
-    resident: Vec<(u64, Vec<CompactRetire>)>,
+    /// What is held of the records of [`resident_ranges`], a run each.
+    resident: Vec<Run>,
+}
+
+/// One resident stretch of a trace — whole intervals, the last of a trace
+/// possibly partial — reduced to what replay reads of it.
+#[derive(Debug, PartialEq)]
+struct Run {
+    /// Index of the run's first interval.
+    first: u64,
+    /// Per interval of the run: the pc of its first record (where a
+    /// `seek` lands) and the offset in `control` of its first control
+    /// record.
+    heads: Vec<(u32, usize)>,
+    /// The run's control records, in trace order.
+    control: Vec<CompactRetire>,
+}
+
+/// Where a bundle's records come from: the `.strace` being walked, or a
+/// recording still in memory.
+enum Source<'a> {
+    File(BlockWalker<std::fs::File>),
+    Recording(&'a [CompactRetire]),
+}
+
+impl Source<'_> {
+    /// Streams the records of `ranges` (sorted, disjoint) to `visit`,
+    /// each with its index.
+    fn visit(
+        &mut self,
+        ranges: &[Range<u64>],
+        mut visit: impl FnMut(u64, CompactRetire),
+    ) -> Result<(), String> {
+        match self {
+            Source::File(walker) => walker
+                .visit_ranges(ranges, visit)
+                .map_err(|e| e.to_string()),
+            Source::Recording(records) => {
+                // Clipped to the recording, as the walker clips to the file.
+                let n = records.len() as u64;
+                for i in ranges.iter().flat_map(|r| r.start.min(n)..r.end.min(n)) {
+                    visit(i, records[i as usize]);
+                }
+                Ok(())
+            }
+        }
+    }
 }
 
 /// The record ranges replay reads: every elected interval and the
@@ -121,32 +167,61 @@ fn resident_ranges(pts: &SimPoints) -> Vec<Range<u64>> {
 }
 
 impl Bundle {
-    /// Cuts a bundle out of a whole trace held in memory.
-    fn cut(trace: &Trace, points: SimPoints, path: PathBuf) -> Bundle {
-        let records = &trace.records;
-        let resident = resident_ranges(&points)
-            .into_iter()
-            .map(|r| (r.start, records[r.start as usize..r.end as usize].to_vec()))
-            .collect();
-        Bundle {
-            header: trace.header(),
+    /// Cuts the bundle of `points` out of `source` — the one place
+    /// records are reduced to what stays resident.
+    fn cut(
+        header: TraceHeader,
+        points: SimPoints,
+        path: PathBuf,
+        mut source: Source,
+    ) -> Result<Bundle, String> {
+        let interval = points.interval.max(1);
+        let ranges = resident_ranges(&points);
+        let mut resident: Vec<Run> = Vec::with_capacity(ranges.len());
+        source.visit(&ranges, |index, record| {
+            if ranges.get(resident.len()).is_some_and(|r| r.start == index) {
+                resident.push(Run {
+                    first: index / interval,
+                    heads: Vec::new(),
+                    control: Vec::new(),
+                });
+            }
+            // Ranges start on interval boundaries, so a run is open.
+            let Some(run) = resident.last_mut() else {
+                return;
+            };
+            if index % interval == 0 {
+                run.heads.push((record.pc, run.control.len()));
+            }
+            if record.is_control() {
+                run.control.push(record);
+            }
+        })?;
+        resident
+            .iter_mut()
+            .for_each(|run| run.control.shrink_to_fit());
+        Ok(Bundle {
+            header,
             points,
             path,
             resident,
-        }
+        })
     }
 
-    /// Records `want` of the trace.
+    /// Interval `i` of the trace: the pc it starts at and its control
+    /// records.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `want` lies inside one of [`resident_ranges`].
-    fn slice(&self, want: Range<u64>) -> &[CompactRetire] {
-        let held = self.resident.iter().find_map(|(start, records)| {
-            let lo = want.start.checked_sub(*start)? as usize;
-            records.get(lo..lo + (want.end - want.start) as usize)
+    /// A message unless the interval lies inside [`resident_ranges`].
+    fn interval(&self, i: u64) -> Result<(u32, &[CompactRetire]), String> {
+        let held = self.resident.iter().find_map(|run| {
+            let at = usize::try_from(i.checked_sub(run.first)?).ok()?;
+            let &(pc, lo) = run.heads.get(at)?;
+            let hi = run.heads.get(at + 1).map_or(run.control.len(), |h| h.1);
+            Some((pc, run.control.get(lo..hi)?))
         });
-        held.expect("replay reads resident records only")
+        held.ok_or_else(|| format!("{}: interval {i} is not resident", self.header.workload))
     }
 }
 
@@ -192,15 +267,20 @@ fn load_bundle(dir: &Path, workload: &str, params: Params) -> Result<Bundle, Str
     // Missing, corrupt, or mislabeled: re-record from scratch. The
     // recording is deterministic, so an overwrite is always safe.
     let (trace, points) = record_trace(dir, workload, params)?;
-    Ok(Bundle::cut(&trace, points, path))
+    Bundle::cut(
+        trace.header(),
+        points,
+        path,
+        Source::Recording(&trace.records),
+    )
 }
 
 /// The bundle of the `.strace` at `path`, if that is a sound trace of
 /// `workload` at `params`: every block is verified, and only the blocks
 /// under [`resident_ranges`] are unpacked.
 fn read_bundle(dir: &Path, path: &Path, workload: &str, params: Params) -> Option<Bundle> {
-    let mut walker = BlockWalker::open_path(path).ok()?;
-    let h = walker.header();
+    let walker = BlockWalker::open_path(path).ok()?;
+    let h = walker.header().clone();
     if h.workload != workload || h.scale != params.scale || h.variant != params.variant {
         return None;
     }
@@ -215,16 +295,10 @@ fn read_bundle(dir: &Path, path: &Path, workload: &str, params: Params) -> Optio
         let trace = Trace::read(path).ok()?;
         let points = select(&trace);
         persist_simpoints(dir, &simpts_path, &points);
-        return Some(Bundle::cut(&trace, points, path.to_path_buf()));
+        let records = Source::Recording(&trace.records);
+        return Bundle::cut(h, points, path.to_path_buf(), records).ok();
     };
-    let ranges = resident_ranges(&points);
-    let records = walker.read_ranges(&ranges).ok()?;
-    Some(Bundle {
-        header: walker.header().clone(),
-        points,
-        path: path.to_path_buf(),
-        resident: ranges.iter().map(|r| r.start).zip(records).collect(),
-    })
+    Bundle::cut(h, points, path.to_path_buf(), Source::File(walker)).ok()
 }
 
 /// Records a fresh reference trace for `workload` at `params`, elects
@@ -343,49 +417,6 @@ impl SampledCell {
     }
 }
 
-/// Counter snapshot around a measured interval.
-struct Snap {
-    mech: MechanismStats,
-    class: Vec<(u64, u64)>,
-    pred: PredictorStats,
-}
-
-fn snap(rp: &DispatchReplay) -> Snap {
-    Snap {
-        mech: rp.stats(),
-        class: rp
-            .per_class()
-            .iter()
-            .map(|c| (c.dispatches, c.misses))
-            .collect(),
-        pred: rp.predictor_stats(),
-    }
-}
-
-/// Per-interval deltas, in the fixed layout the estimator strata use:
-/// `[ib, jump, call, ret, ib_miss, rc_miss, class0_d, class0_m, ...,
-/// jump_mis, call_mis, ret_mis]`. The predictor counters append after
-/// the per-class pairs so every pre-existing index is unchanged.
-fn deltas(before: &Snap, after: &Snap) -> Vec<f64> {
-    let d = |a: u64, b: u64| (a - b) as f64;
-    let mut v = vec![
-        d(after.mech.ib_dispatches, before.mech.ib_dispatches),
-        d(after.mech.jump_dispatches, before.mech.jump_dispatches),
-        d(after.mech.call_dispatches, before.mech.call_dispatches),
-        d(after.mech.ret_dispatches, before.mech.ret_dispatches),
-        d(after.mech.ib_misses, before.mech.ib_misses),
-        d(after.mech.rc_misses, before.mech.rc_misses),
-    ];
-    for ((ad, am), (bd, bm)) in after.class.iter().zip(&before.class) {
-        v.push(d(*ad, *bd));
-        v.push(d(*am, *bm));
-    }
-    v.push(d(after.pred.jump_mispredicts, before.pred.jump_mispredicts));
-    v.push(d(after.pred.call_mispredicts, before.pred.call_mispredicts));
-    v.push(d(after.pred.ret_mispredicts, before.pred.ret_mispredicts));
-    v
-}
-
 /// Estimates one translated cell from its workload's bundle: replays
 /// the elected intervals (each preceded by a warmup interval unless the
 /// replay is already positioned there), stratifies the per-interval
@@ -443,23 +474,22 @@ fn estimate_bundle(
         .map_err(|e| format!("{workload}/{}: {e}", cfg.describe()))?;
     let fail = |e: strata_core::SdtError| format!("{workload}/{}: replay: {e}", cfg.describe());
 
-    let records_of =
-        |i: u64| bundle.slice(i * interval..((i + 1) * interval).min(pts.instructions));
-    // Replays records of interval `i`, returning how many were fed.
+    // Replays interval `i`, returning how many records it spans — the
+    // work it stands for, of which only the control records are fed.
     let run_interval = |rp: &mut DispatchReplay, i: u64| -> Result<u64, String> {
-        let records = records_of(i);
-        for ev in records {
+        for ev in bundle.interval(i)?.1 {
             rp.step(ev).map_err(fail)?;
         }
-        Ok(records.len() as u64)
+        Ok(((i + 1) * interval).min(pts.instructions) - i * interval)
     };
 
     let mut replayed: u64 = 0;
     // The next interval index the replay is positioned at (having
     // consumed the stream contiguously up to its first record).
     let mut cursor: Option<u64> = None;
-    // (cluster, per-counter deltas) per measured point, in point order.
-    let mut samples: Vec<(u32, Vec<f64>)> = Vec::with_capacity(pts.points.len());
+    // (cluster, per-counter deltas) per measured point, in point order;
+    // counters at their `rate` positions.
+    let mut samples: Vec<(u32, [f64; rate::COUNT])> = Vec::with_capacity(pts.points.len());
 
     for p in &pts.points {
         let idx = p.interval;
@@ -469,21 +499,23 @@ fn estimate_bundle(
             idx.saturating_sub(WARMUP_INTERVALS)
         };
         if cursor != Some(warm_from) {
-            rp.seek(records_of(warm_from)[0].pc).map_err(fail)?;
+            rp.seek(bundle.interval(warm_from)?.0).map_err(fail)?;
         }
         for i in warm_from..idx {
             replayed += run_interval(&mut rp, i)?;
         }
-        let before = snap(&rp);
+        let before = rp.rate_counters();
         replayed += run_interval(&mut rp, idx)?;
-        let after = snap(&rp);
-        samples.push((p.cluster, deltas(&before, &after)));
+        let after = rp.rate_counters();
+        samples.push((
+            p.cluster,
+            std::array::from_fn(|c| (after[c] - before[c]) as f64),
+        ));
         cursor = Some(idx + 1);
     }
 
     // Per-cluster strata: weight = the cluster's share of all intervals,
     // samples = its measured points' deltas for one counter at a time.
-    let n_counters = samples.first().map_or(6, |(_, d)| d.len());
     let cluster_weight: HashMap<u32, u64> = {
         let mut w: HashMap<u32, u64> = HashMap::new();
         for p in &pts.points {
@@ -515,40 +547,21 @@ fn estimate_bundle(
         }
     };
 
-    let final_snap = snap(&rp);
-    let zero = Estimate {
-        mean: 0.0,
-        ci95: 0.0,
-    };
-    // Predictor counters sit after the per-class pairs (see `deltas`).
-    let pred_base = 6 + 2 * final_snap.class.len();
-    let pred_estimate = |off: usize| {
-        if pred_base + off < n_counters {
-            estimate(pred_base + off)
-        } else {
-            zero
-        }
-    };
+    let per_class = rp.per_class();
     let est = CounterEstimates {
-        ib_dispatches: estimate(0),
-        jump_dispatches: estimate(1),
-        call_dispatches: estimate(2),
-        ret_dispatches: estimate(3),
-        ib_misses: estimate(4),
-        rc_misses: estimate(5),
-        per_class: (0..final_snap.class.len())
-            .map(|c| {
-                let base = 6 + 2 * c;
-                if base + 1 < n_counters {
-                    (estimate(base), estimate(base + 1))
-                } else {
-                    (zero, zero)
-                }
-            })
+        ib_dispatches: estimate(rate::IB_DISPATCHES),
+        jump_dispatches: estimate(rate::JUMP_DISPATCHES),
+        call_dispatches: estimate(rate::CALL_DISPATCHES),
+        ret_dispatches: estimate(rate::RET_DISPATCHES),
+        ib_misses: estimate(rate::IB_MISSES),
+        rc_misses: estimate(rate::RC_MISSES),
+        per_class: (0..per_class.len())
+            .map(rate::class)
+            .map(|(dispatches, misses)| (estimate(dispatches), estimate(misses)))
             .collect(),
-        jump_mispredicts: pred_estimate(0),
-        call_mispredicts: pred_estimate(1),
-        ret_mispredicts: pred_estimate(2),
+        jump_mispredicts: estimate(rate::JUMP_MISPREDICTS),
+        call_mispredicts: estimate(rate::CALL_MISPREDICTS),
+        ret_mispredicts: estimate(rate::RET_MISPREDICTS),
     };
 
     let report = synthesize_report(
@@ -556,8 +569,8 @@ fn estimate_bundle(
         &profile,
         cfg,
         &est,
-        &final_snap.mech,
-        &rp.per_class(),
+        &rp.stats(),
+        &per_class,
         rp.translator_cycles(),
     )?;
 
@@ -694,29 +707,32 @@ pub fn full_trace_counters(
 ) -> Result<(MechanismStats, PredictorStats), String> {
     let program = program_for(workload, params);
     let fail = |e: strata_core::SdtError| format!("{workload}/{}: {e}", cfg.describe());
-    let replay = |blocks: &mut dyn Iterator<Item = Result<Vec<CompactRetire>, String>>| {
+    let replay = |mut source: Source, records: u64| {
         let mut rp =
             DispatchReplay::with_predictor(cfg, &program, profile.clone(), spec).map_err(fail)?;
         rp.seek(program.entry).map_err(fail)?;
-        for block in blocks {
-            for ev in &block? {
-                rp.step(ev).map_err(fail)?;
+        let mut desync = None;
+        source.visit(std::slice::from_ref(&(0..records)), |_, ev| {
+            if ev.is_control() && desync.is_none() {
+                desync = rp.step(&ev).err();
             }
-        }
+        })?;
+        desync.map_or(Ok(()), |e| Err(fail(e)))?;
         Ok((rp.stats(), rp.predictor_stats()))
     };
     let streamed = BlockWalker::open_path(&bundle.path)
         .ok()
         .filter(|walker| walker.header() == &bundle.header)
-        .and_then(|mut walker| {
-            replay(&mut walker.decoded().map(|b| b.map_err(|e| e.to_string()))).ok()
-        });
+        .and_then(|walker| replay(Source::File(walker), bundle.header.instructions).ok());
     if let Some(counters) = streamed {
         return Ok(counters);
     }
     let dir = bundle.path.parent().unwrap_or(Path::new(""));
     let (trace, _) = record_trace(dir, workload, params)?;
-    replay(&mut std::iter::once(Ok(trace.records)))
+    replay(
+        Source::Recording(&trace.records),
+        trace.records.len() as u64,
+    )
 }
 
 /// The sampled-mode twin of [`crate::exec::cell_result`]: native cells
@@ -907,7 +923,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::single_range_in_vec_init)]
     fn resident_bundles_estimate_exactly_like_whole_traces() {
         let dir = temp_dir("resident");
         let params = Params::default();
@@ -915,33 +930,64 @@ mod tests {
         for spec in strata_workloads::registry() {
             let name = spec.name;
             // Cut from the fresh recording in memory, then read back
-            // from the file through ranged reads: the same bundle.
+            // from the file through the streamed walk: the same bundle.
             let cut = load_bundle(&dir, name, params).expect("records");
             let path = dir.join(trace_file_name(name, params));
             let read = read_bundle(&dir, &path, name, params).expect("file loads");
             assert_eq!((&read.header, &read.points), (&cut.header, &cut.points));
             assert_eq!(read.resident, cut.resident);
 
-            // Resident records are the elected intervals and their
-            // warmups, each counted once.
+            // What is resident is the control records of the elected
+            // intervals and their warmups, and where each interval starts.
+            let mut full = Vec::new();
+            let mut walker = BlockWalker::open_path(&path).expect("opens");
+            let all = std::slice::from_ref(&(0..u64::MAX));
+            let whole_trace = walker.visit_ranges(all, |_, r| full.push(r));
+            whole_trace.expect("whole trace");
             let (pts, n) = (&read.points, read.header.instructions);
+            let ranges = resident_ranges(pts);
+            assert_eq!(ranges.len(), read.resident.len());
+            for (r, run) in ranges.iter().zip(&read.resident) {
+                let held = &full[r.start as usize..r.end as usize];
+                let control: Vec<_> = held.iter().filter(|r| r.is_control()).copied().collect();
+                assert_eq!(run.control, control, "{name} {r:?}");
+                assert_eq!(run.first * pts.interval, r.start);
+                for (i, &(pc, at)) in (run.first..).zip(&run.heads) {
+                    let head = (i * pts.interval) as usize;
+                    assert_eq!(pc, full[head].pc, "{name}: interval {i}");
+                    let before = full[r.start as usize..head].iter();
+                    assert_eq!(at, before.filter(|r| r.is_control()).count());
+                }
+                assert_eq!(
+                    run.heads.len() as u64,
+                    (r.end - r.start).div_ceil(pts.interval)
+                );
+            }
             let touched: std::collections::BTreeSet<u64> = pts
                 .points
                 .iter()
                 .flat_map(|p| [p.interval.saturating_sub(WARMUP_INTERVALS), p.interval])
                 .collect();
-            let lengths = touched
-                .iter()
-                .map(|i| ((i + 1) * pts.interval).min(n) - i * pts.interval);
-            let resident: usize = read.resident.iter().map(|(_, r)| r.len()).sum();
-            assert_eq!(resident as u64, lengths.sum::<u64>());
-            assert!(resident as u64 <= n / 4, "{name}");
+            let span = |i: &u64| ((i + 1) * pts.interval).min(n) - i * pts.interval;
+            let replayed: u64 = touched.iter().map(span).sum();
+            assert_eq!(
+                replayed,
+                ranges.iter().map(|r| r.end - r.start).sum::<u64>()
+            );
+            assert!(replayed <= n / 4, "{name}");
+            assert!(read.interval(pts.intervals).is_err(), "beyond the trace");
 
-            let mut walker = BlockWalker::open_path(&path).expect("opens");
-            let records = walker.read_ranges(&[0..n]).expect("whole trace");
+            // A bundle holding every record of the trace, control or not.
             let whole = Bundle {
-                resident: vec![(0, records.concat())],
-                header: walker.header().clone(),
+                resident: vec![Run {
+                    first: 0,
+                    heads: (0..pts.intervals as usize)
+                        .map(|i| i * pts.interval as usize)
+                        .map(|at| (full[at].pc, at))
+                        .collect(),
+                    control: full,
+                }],
+                header: read.header.clone(),
                 points: pts.clone(),
                 path,
             };
@@ -950,8 +996,12 @@ mod tests {
                     let spec = PredictorSpec::Legacy;
                     estimate_bundle(b, name, params, cfg, x86.clone(), spec).expect("estimates")
                 };
+                let cell = estimate(&read);
+                // The work a cell stands for is the span it replays, as
+                // it was when every record of the span was resident.
+                assert_eq!(cell.replayed_records, replayed, "{name}");
                 assert_eq!(
-                    format!("{:?}", estimate(&read)),
+                    format!("{cell:?}"),
                     format!("{:?}", estimate(&whole)),
                     "{name}/{}",
                     cfg.describe()

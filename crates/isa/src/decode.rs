@@ -31,6 +31,20 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Whether `word` decodes to a direct [`Instr::Jmp`], judged by its
+/// opcode byte alone (every `jmp` word is valid) — what a translator
+/// asks of a patched exit-trampoline head, without a full [`decode`].
+///
+/// ```
+/// use strata_isa::{encode, is_jmp, Instr};
+/// assert!(is_jmp(encode(&Instr::Jmp { target: 0x40 })));
+/// assert!(!is_jmp(encode(&Instr::Call { target: 0x40 })));
+/// ```
+#[inline]
+pub fn is_jmp(word: u32) -> bool {
+    (word >> 24) as u8 == op::JMP
+}
+
 /// Decodes a 32-bit machine word into an [`Instr`].
 ///
 /// # Errors

@@ -38,7 +38,7 @@ mod instr;
 mod reg;
 
 pub use class::{ControlKind, InstrClass};
-pub use decode::{decode, DecodeError};
+pub use decode::{decode, is_jmp, DecodeError};
 pub use encode::encode;
 pub use instr::{Flags, Instr};
 pub use reg::Reg;

@@ -76,7 +76,11 @@ impl Machine {
     /// Creates a machine with `mem_bytes` of zeroed memory and the stack
     /// pointer initialized to the top of memory.
     pub fn new(mem_bytes: u32) -> Machine {
-        let mem = Memory::new(mem_bytes);
+        Machine::with_memory(Memory::new(mem_bytes))
+    }
+
+    /// [`Machine::new`] around a memory already built.
+    pub fn with_memory(mem: Memory) -> Machine {
         let mut cpu = Cpu::new();
         cpu.set_sp(mem.size());
         Machine {

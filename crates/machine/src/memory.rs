@@ -1,4 +1,4 @@
-use std::cell::RefCell;
+use std::sync::Mutex;
 
 use strata_isa::{decode, Instr};
 
@@ -14,14 +14,25 @@ pub(crate) const PAGE_WORDS: usize = (PAGE_BYTES / 4) as usize;
 /// log2 of the dirty-tracking chunk size in bytes (64 KiB).
 const CHUNK_SHIFT: u32 = 16;
 
-/// Images a thread keeps parked at most: more machines than any driver
-/// has alive at once (a cell has one, a lockstep comparison two).
+/// Images the process keeps parked at most: more machines than a worker
+/// pool has alive at once (a cell has one, a lockstep comparison two).
 const MAX_SPARES: usize = 8;
 
-thread_local! {
-    /// Images (and dirty maps) of [`Memory`]s dropped on this thread,
-    /// parked for the next [`Memory::new`] of their size.
-    static SPARES: RefCell<Vec<(Vec<u8>, Vec<bool>)>> = const { RefCell::new(Vec::new()) };
+/// Images (and dirty maps) of dropped [`Memory`]s, parked for the next
+/// [`Memory::new`] of their size.
+type Spares = Mutex<Vec<(Vec<u8>, Vec<bool>)>>;
+
+/// The spares of every [`Memory::new`]. Process-wide, so an image outlives
+/// the thread that dropped it: a worker pool that exits and a second one
+/// that starts (the executor's two phases) share one set of images, where
+/// thread-local spares were freed with the first pool and the second's
+/// were carved from the allocator's heap.
+static SPARES: Spares = Mutex::new(Vec::new());
+
+/// Locks a spare list. No update leaves it half-done, so a lock poisoned by
+/// a panicking holder is still sound to use (and `Drop` must not panic).
+fn lock(spares: &Spares) -> std::sync::MutexGuard<'_, Vec<(Vec<u8>, Vec<bool>)>> {
+    spares.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One dense page of predecoded instructions. `None` means the word has
@@ -39,8 +50,8 @@ type CodePage = [Option<Instr>; PAGE_WORDS];
 /// * **Construction.** A fresh 16 MiB machine allocates a few thousand
 ///   page *slots*, not a decode entry per word. The image itself is
 ///   recycled: every store marks its 64 KiB chunk dirty, a dropped
-///   `Memory` parks its image among a few thread-local spares, and the
-///   next `Memory::new` of that size on the thread zeroes only the dirty
+///   `Memory` parks its image among a few process-wide spares, and the
+///   next `Memory::new` of that size zeroes only the dirty
 ///   chunks instead of allocating — and so clearing — all 16 MiB again.
 ///   The experiment suite constructs one machine per cell, and without
 ///   the spares that cost 1.1–2.2 ms a cell (tens of microseconds with).
@@ -75,22 +86,36 @@ pub struct Memory {
     /// mismatch — a cross-structure "icache flush" signal that costs
     /// nothing on the overwhelming store-misses-code path.
     code_version: u64,
+    /// Where the image came from and is parked on drop; `None` for a
+    /// [`Memory::fresh`] one, which does neither.
+    spares: Option<&'static Spares>,
 }
 
 impl Memory {
     /// Creates a zero-initialized memory of `size` bytes (rounded up to a
-    /// multiple of 4). When this thread last dropped a `Memory` of the
-    /// same size, its image is reused and only the chunks it stored to
-    /// are cleared.
+    /// multiple of 4). When a dropped `Memory` of the same size is parked,
+    /// its image is reused and only the chunks it stored to are cleared.
     pub fn new(size: u32) -> Memory {
+        Memory::with_spares(size, Some(&SPARES))
+    }
+
+    /// [`Memory::new`] on an image allocated now, never a parked one, and
+    /// not parked on drop either: the reference a recycled image is tested
+    /// against.
+    #[doc(hidden)]
+    pub fn fresh(size: u32) -> Memory {
+        Memory::with_spares(size, None)
+    }
+
+    fn with_spares(size: u32, spares: Option<&'static Spares>) -> Memory {
         let size = (size as usize).next_multiple_of(4);
         let pages = size.div_ceil(PAGE_BYTES as usize);
-        let spare = SPARES.try_with(|spares| {
-            let mut spares = spares.borrow_mut();
-            let fits = spares.iter().position(|(bytes, _)| bytes.len() == size)?;
-            Some(spares.swap_remove(fits))
+        let spare = spares.and_then(|spares| {
+            let mut spares = lock(spares);
+            let fits = spares.iter().position(|(bytes, _)| bytes.len() == size);
+            fits.map(|i| spares.swap_remove(i))
         });
-        let (bytes, dirty) = match spare.ok().flatten() {
+        let (bytes, dirty) = match spare {
             Some((mut bytes, mut dirty)) => {
                 for (chunk, flag) in bytes.chunks_mut(1 << CHUNK_SHIFT).zip(&mut dirty) {
                     if std::mem::take(flag) {
@@ -108,6 +133,7 @@ impl Memory {
             code_lo: u32::MAX,
             code_hi: 0,
             code_version: 0,
+            spares,
         }
     }
 
@@ -331,20 +357,17 @@ impl Memory {
 }
 
 impl Drop for Memory {
-    /// Parks the image for the next same-sized [`Memory::new`] on this
-    /// thread, unless [`MAX_SPARES`] are parked already.
+    /// Parks the image for the next same-sized [`Memory::new`], unless
+    /// `MAX_SPARES` images are parked already.
     fn drop(&mut self) {
-        let image = (
-            std::mem::take(&mut self.bytes),
-            std::mem::take(&mut self.dirty),
-        );
-        // `try_with`: a thread's last `Memory` may go while its locals do.
-        let _ = SPARES.try_with(|spares| {
-            let mut spares = spares.borrow_mut();
-            if spares.len() < MAX_SPARES {
-                spares.push(image);
-            }
-        });
+        let Some(spares) = self.spares else { return };
+        let mut spares = lock(spares);
+        if spares.len() < MAX_SPARES {
+            spares.push((
+                std::mem::take(&mut self.bytes),
+                std::mem::take(&mut self.dirty),
+            ));
+        }
     }
 }
 
@@ -622,9 +645,14 @@ mod tests {
         );
     }
 
-    /// Sizes of the images parked on this thread, oldest first.
-    fn parked() -> Vec<usize> {
-        SPARES.with(|s| s.borrow().iter().map(|(bytes, _)| bytes.len()).collect())
+    /// A memory on a spare list of the test's own: what `Memory::new` does
+    /// on the process's, which every other test of this binary shares.
+    fn pooled(size: u32, spares: &'static Spares) -> Memory {
+        Memory::with_spares(size, Some(spares))
+    }
+
+    fn parked(spares: &Spares) -> usize {
+        lock(spares).len()
     }
 
     fn assert_pristine(m: &Memory) {
@@ -637,10 +665,9 @@ mod tests {
 
     #[test]
     fn a_recycled_image_is_indistinguishable_from_a_first_one() {
-        // Each test runs on a thread of its own, so nothing is parked yet.
         const CHUNK: u32 = 1 << CHUNK_SHIFT;
         const SIZE: u32 = 3 * CHUNK;
-        assert_eq!(parked(), []);
+        static POOL: Spares = Mutex::new(Vec::new());
         // One store path at a time, so none can hide behind another's
         // dirty mark: each round starts from a recycled, cleared image.
         let stores: [fn(&mut Memory); 6] = [
@@ -660,35 +687,80 @@ mod tests {
             },
         ];
         for store in stores {
-            let mut m = Memory::new(SIZE);
+            let mut m = pooled(SIZE, &POOL);
             assert_pristine(&m);
             store(&mut m);
             drop(m);
-            assert_eq!(parked(), [SIZE as usize]);
+            assert_eq!(parked(&POOL), 1);
         }
         // Machines alive together each get an image of their own, and
         // each gets it back.
-        let mut pair = [Memory::new(SIZE), Memory::new(SIZE)];
-        assert_eq!(parked(), [], "the spare was taken over");
+        let mut pair = [pooled(SIZE, &POOL), pooled(SIZE, &POOL)];
+        assert_eq!(parked(&POOL), 0, "the spare was taken over");
         pair[1].write_u8(7, 7).unwrap();
         drop(pair);
-        let pair = [Memory::new(SIZE), Memory::new(SIZE)];
-        assert_eq!(parked(), []);
+        let pair = [pooled(SIZE, &POOL), pooled(SIZE, &POOL)];
+        assert_eq!(parked(&POOL), 0);
         pair.iter().for_each(assert_pristine);
     }
 
     #[test]
+    fn an_image_outlives_the_thread_that_dropped_it() {
+        // The executor's shape: a pool of short-lived workers builds and
+        // drops machines, exits, and a second pool does the same. Both
+        // phases' machines sit on the one image the first ever allocated.
+        const SIZE: u32 = 5 << CHUNK_SHIFT;
+        static POOL: Spares = Mutex::new(Vec::new());
+        let worker = || {
+            let mut m = pooled(SIZE, &POOL);
+            assert_pristine(&m);
+            m.write_u32(SIZE - 4, 0xFEED).unwrap();
+            m.bytes.as_ptr() as usize
+        };
+        let mut images = Vec::new();
+        for _phase in 0..2 {
+            for _cell in 0..3 {
+                images.push(std::thread::scope(|s| s.spawn(worker).join()).expect("runs"));
+                assert_eq!(parked(&POOL), 1);
+            }
+        }
+        assert!(images.iter().all(|&at| at == images[0]), "{images:x?}");
+    }
+
+    #[test]
     fn another_size_does_not_reuse_and_spares_are_bounded() {
-        let mut big = Memory::new(1 << 18);
+        static POOL: Spares = Mutex::new(Vec::new());
+        let mut big = pooled(1 << 18, &POOL);
         big.write_u32(100, 7).unwrap();
         drop(big);
-        let small = Memory::new(1 << 17);
-        assert_eq!(parked(), [1 << 18], "a different size allocates");
+        let small = pooled(1 << 17, &POOL);
+        assert_eq!(parked(&POOL), 1, "a different size allocates");
         assert_pristine(&small);
         drop(small);
-        assert_eq!(parked(), [1 << 18, 1 << 17]);
-        let more: Vec<Memory> = (0..MAX_SPARES).map(|_| Memory::new(64)).collect();
+        assert_eq!(parked(&POOL), 2);
+        // The bound is on the list, whatever the sizes in it.
+        let more: Vec<Memory> = (0..MAX_SPARES + 3).map(|_| pooled(68, &POOL)).collect();
         drop(more);
-        assert_eq!(parked().len(), MAX_SPARES);
+        assert_eq!(parked(&POOL), MAX_SPARES);
+        let sizes = |n| lock(&POOL).iter().filter(|(b, _)| b.len() == n).count();
+        assert_eq!((sizes(1 << 18), sizes(1 << 17), sizes(68)), (1, 1, 6));
+    }
+
+    #[test]
+    fn a_fresh_memory_stays_out_of_the_spares() {
+        // Taking and parking both go through `spares`: `new` has the
+        // process's list there, `fresh` none. No other test builds this
+        // size, so the process's list can be asked about it.
+        const SIZE: u32 = 7 << CHUNK_SHIFT;
+        assert!(Memory::new(64)
+            .spares
+            .is_some_and(|s| std::ptr::eq(s, &SPARES)));
+        let mut fresh = Memory::fresh(SIZE);
+        assert!(fresh.spares.is_none());
+        assert_pristine(&fresh);
+        fresh.write_u8(9, 9).unwrap();
+        drop(fresh);
+        let parked = lock(&SPARES).iter().any(|(b, _)| b.len() == SIZE as usize);
+        assert!(!parked, "a fresh image was parked");
     }
 }

@@ -58,6 +58,13 @@ impl CompactRetire {
             },
         }
     }
+
+    /// Whether this is a control transfer — the only records trace replay
+    /// reads; everything else it skips.
+    #[inline]
+    pub fn is_control(&self) -> bool {
+        self.kind != ControlKind::None
+    }
 }
 
 /// The trace recorder: captures every retired instruction as a

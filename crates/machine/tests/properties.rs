@@ -5,7 +5,9 @@
 
 use strata_asm::CodeBuilder;
 use strata_isa::{Flags, Instr, Reg};
-use strata_machine::{layout, Cpu, ExecTier, Machine, MachineError, NullObserver, StepOutcome};
+use strata_machine::{
+    layout, Cpu, ExecTier, Machine, MachineError, Memory, NullObserver, StepOutcome,
+};
 use strata_stats::rng::SmallRng;
 use strata_testgen::wordgen::WordProgram;
 
@@ -230,8 +232,7 @@ fn decode_cache_tracks_self_modifying_code() {
 /// How a word program ends: outcome, CPU state and the whole image.
 type FinalState = (Result<StepOutcome, MachineError>, Cpu, Vec<u8>);
 
-fn final_state(prog: &WordProgram, tier: ExecTier) -> FinalState {
-    let mut m = prog.instantiate();
+fn final_state(mut m: Machine, tier: ExecTier) -> FinalState {
     m.set_tier(tier);
     let out = m.run(&mut NullObserver, 20_000);
     let image = m.mem().read_bytes(0, m.mem().size()).unwrap().to_vec();
@@ -240,9 +241,11 @@ fn final_state(prog: &WordProgram, tier: ExecTier) -> FinalState {
 
 #[test]
 fn a_machine_on_a_recycled_image_ends_where_a_first_machine_does() {
-    // `Memory` parks its image per thread on drop. A thread that has
-    // dropped none builds on a fresh allocation; this one builds every
-    // machine after the first on the image the last program scribbled on.
+    // `Memory` parks its image on drop, process-wide, and `Machine::new`
+    // builds on a parked one: from the second trial on, the image the
+    // last trial's program (or a concurrent test's) scribbled on. A store
+    // path that misses its dirty mark leaves residue there that the
+    // reference, on an image no one has ever stored to, does not have.
     let mut rng = SmallRng::seed_from_u64(0x3AC8_0007);
     for trial in 0..24 {
         let prog = WordProgram::generate(&mut rng);
@@ -251,8 +254,11 @@ fn a_machine_on_a_recycled_image_ends_where_a_first_machine_does() {
         } else {
             ExecTier::Threaded(Default::default())
         };
-        let first =
-            std::thread::scope(|s| s.spawn(|| final_state(&prog, tier)).join()).expect("runs");
-        assert!(final_state(&prog, tier) == first, "trial {trial} diverged");
+        let pristine = Machine::with_memory(Memory::fresh(layout::DEFAULT_MEM_BYTES));
+        let first = final_state(prog.instantiate_on(pristine), tier);
+        assert!(
+            final_state(prog.instantiate(), tier) == first,
+            "trial {trial} diverged"
+        );
     }
 }

@@ -256,7 +256,12 @@ impl WordProgram {
     /// Every call returns an identical machine, which is what makes
     /// lockstep comparison meaningful.
     pub fn instantiate(&self) -> Machine {
-        let mut m = Machine::new(layout::DEFAULT_MEM_BYTES);
+        self.instantiate_on(Machine::new(layout::DEFAULT_MEM_BYTES))
+    }
+
+    /// [`instantiate`](Self::instantiate) on a machine the caller built
+    /// (of [`layout::DEFAULT_MEM_BYTES`], nothing loaded yet).
+    pub fn instantiate_on(&self, mut m: Machine) -> Machine {
         m.write_code(layout::APP_BASE, &self.words).unwrap();
         let cpu = m.cpu_mut();
         cpu.pc = layout::APP_BASE;

@@ -184,18 +184,24 @@ pub fn encode_block(records: &[CompactRetire]) -> Vec<u8> {
     out
 }
 
-/// Unpacks a block payload, expecting exactly `count` records.
+/// Unpacks a block payload record by record into `visit`, expecting
+/// exactly `count` records — the one decode loop. `visit` has seen every
+/// record ahead of a defect by the time the defect is reported.
 ///
 /// # Errors
 ///
 /// Any structural defect — truncation, unknown flag bits, varint
 /// overflow, record-count disagreement — is returned as a [`CodecError`].
-pub fn decode_block(payload: &[u8], count: u32) -> Result<Vec<CompactRetire>, CodecError> {
-    let mut records = Vec::with_capacity(count as usize);
+pub fn visit_block(
+    payload: &[u8],
+    count: u32,
+    mut visit: impl FnMut(CompactRetire),
+) -> Result<(), CodecError> {
+    let mut found: u32 = 0;
     let mut prev_pc: u32 = 0;
     let mut pos = 0usize;
     while pos < payload.len() {
-        if records.len() as u32 >= count {
+        if found >= count {
             return Err(CodecError::CountMismatch {
                 expected: count,
                 found: count + 1,
@@ -219,7 +225,7 @@ pub fn decode_block(payload: &[u8], count: u32) -> Result<Vec<CompactRetire>, Co
         } else {
             pc.wrapping_add(4)
         };
-        records.push(CompactRetire {
+        visit(CompactRetire {
             pc,
             kind,
             taken,
@@ -227,14 +233,29 @@ pub fn decode_block(payload: &[u8], count: u32) -> Result<Vec<CompactRetire>, Co
             target,
             mem,
         });
+        found += 1;
         prev_pc = pc;
     }
-    if records.len() as u32 != count {
+    if found != count {
         return Err(CodecError::CountMismatch {
             expected: count,
-            found: records.len() as u32,
+            found,
         });
     }
+    Ok(())
+}
+
+/// Unpacks a block payload into a vector, expecting exactly `count`
+/// records.
+///
+/// # Errors
+///
+/// As [`visit_block`].
+pub fn decode_block(payload: &[u8], count: u32) -> Result<Vec<CompactRetire>, CodecError> {
+    // A record takes at least a byte, which bounds what a bad count can
+    // make this reserve.
+    let mut records = Vec::with_capacity((count as usize).min(payload.len()));
+    visit_block(payload, count, |r| records.push(r))?;
     Ok(records)
 }
 

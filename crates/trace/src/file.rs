@@ -21,10 +21,12 @@
 //!
 //! Reading is one loop, [`BlockWalker`]: it pulls a file through a
 //! reusable block-sized buffer and checksum-verifies *every* block, and
-//! unpacks the records only of the blocks its caller wants. A whole
-//! [`Trace`], a header summary ([`Trace::info`], which unpacks nothing)
-//! and the records of a few ranges ([`BlockWalker::read_ranges`], which
-//! unpacks only the blocks they overlap) are all walks of it. Blocks are
+//! unpacks the records only of the blocks its caller wants, streaming
+//! them to a callback ([`BlockWalker::visit_ranges`]) with no vector in
+//! between. A whole [`Trace`] (one range, pushed), a header summary
+//! ([`Trace::info`], which unpacks nothing) and the records of a few
+//! ranges (which unpacks only the blocks they overlap) are all walks of
+//! it. Blocks are
 //! self-contained (the codec's pc delta restarts in each) and every block
 //! but the last holds exactly [`BLOCK_RECORDS`], which the walker checks,
 //! so block *k* starts at record *k* × 65 536 without an index.
@@ -37,7 +39,7 @@ use strata_core::NativeRun;
 use strata_isa::Reg;
 use strata_machine::observers::CompactRetire;
 
-use crate::codec::{decode_block, encode_block, CodecError};
+use crate::codec::{encode_block, visit_block, CodecError};
 use crate::fnv1a64;
 
 /// File magic, first eight bytes of every `.strace`.
@@ -407,43 +409,61 @@ impl<R: Read> BlockWalker<R> {
         Ok(Some((start, count)))
     }
 
-    /// Every remaining block, verified and unpacked, one at a time.
-    pub fn decoded(&mut self) -> impl Iterator<Item = Result<Vec<CompactRetire>, TraceError>> + '_ {
-        std::iter::from_fn(move || match self.next_block() {
-            Ok(block) => block.map(|(_, count)| Ok(decode_block(&self.payload, count)?)),
-            Err(e) => Some(Err(e)),
-        })
-    }
-
-    /// Walks every remaining block and returns the records of each of
-    /// `ranges` (record-index ranges, clipped to the trace). Only blocks
-    /// overlapping a range are unpacked.
+    /// Walks every remaining block and streams the records of `ranges`
+    /// (record-index ranges, sorted and disjoint, clipped to the trace) to
+    /// `visit` in trace order, each with its index. Only blocks
+    /// overlapping a range are unpacked. `visit` may have seen records by
+    /// the time a defect further on is reported.
     ///
     /// # Errors
     ///
     /// Any structural defect, in a skipped block as in an unpacked one,
-    /// yields a [`TraceError`].
-    pub fn read_ranges(
+    /// yields a [`TraceError`]; so do ranges out of order.
+    pub fn visit_ranges(
         &mut self,
         ranges: &[Range<u64>],
-    ) -> Result<Vec<Vec<CompactRetire>>, TraceError> {
-        let mut out = vec![Vec::new(); ranges.len()];
-        while let Some((start, count)) = self.next_block()? {
-            let end = start + u64::from(count);
-            if ranges.iter().any(|r| r.start < end && start < r.end) {
-                let records = decode_block(&self.payload, count)?;
-                for (r, out) in ranges.iter().zip(&mut out) {
-                    let (lo, hi) = (r.start.max(start), r.end.min(end));
-                    if lo < hi {
-                        out.extend_from_slice(
-                            &records[(lo - start) as usize..(hi - start) as usize],
-                        );
-                    }
-                }
-            }
+        mut visit: impl FnMut(u64, CompactRetire),
+    ) -> Result<(), TraceError> {
+        if ranges.windows(2).any(|w| w[0].end > w[1].start) {
+            return Err(TraceError::Malformed("record ranges out of order".into()));
         }
-        out.iter_mut().for_each(Vec::shrink_to_fit);
-        Ok(out)
+        // The first range not wholly behind record `at`, or one no record
+        // is in once the ranges are spent.
+        let mut rest = ranges.iter();
+        let mut next = |at: u64| {
+            let found = rest.find(|r| r.end > at).cloned();
+            found.unwrap_or(u64::MAX..u64::MAX)
+        };
+        let mut want = next(0);
+        while let Some((start, count)) = self.next_block()? {
+            if want.end <= start {
+                want = next(start);
+            }
+            let end = start + u64::from(count);
+            if end <= want.start {
+                continue;
+            }
+            let mut index = start;
+            if want.start <= start && end <= want.end {
+                // Wholly wanted (every block of a whole-trace read): no
+                // per-record range test.
+                visit_block(&self.payload, count, |record| {
+                    visit(index, record);
+                    index += 1;
+                })?;
+                continue;
+            }
+            visit_block(&self.payload, count, |record| {
+                if want.end <= index {
+                    want = next(index);
+                }
+                if want.start <= index {
+                    visit(index, record);
+                }
+                index += 1;
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -482,9 +502,8 @@ impl Trace {
 
     fn from_walker(mut walker: BlockWalker<impl Read>) -> Result<Trace, TraceError> {
         let mut records = Vec::new();
-        for block in walker.decoded() {
-            records.extend(block?);
-        }
+        let whole = std::slice::from_ref(&(0..u64::MAX));
+        walker.visit_ranges(whole, |_, record| records.push(record))?;
         let h = walker.header;
         Ok(Trace {
             workload: h.workload,
@@ -617,13 +636,16 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)]
     fn every_prefix_truncation_is_an_error() {
         let bytes = sample_trace(300).to_bytes();
         for cut in 0..bytes.len() {
-            assert!(
-                Trace::from_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes parsed cleanly"
-            );
+            let full = Trace::from_bytes(&bytes[..cut]).map(|_| ());
+            assert!(full.is_err(), "prefix of {cut} bytes parsed cleanly");
+            // A visit of a few records, or of none, fails the same way.
+            for ranges in [&[10..20u64][..], &[]] {
+                assert_eq!(ranged(&bytes[..cut], ranges).map(|_| ()), full, "{cut}");
+            }
         }
     }
 
@@ -650,8 +672,14 @@ mod tests {
         (t, bytes)
     }
 
-    fn ranged(bytes: &[u8], ranges: &[Range<u64>]) -> Result<Vec<Vec<CompactRetire>>, TraceError> {
-        BlockWalker::open(bytes)?.read_ranges(ranges)
+    /// The streamed visit of `ranges`, as (index, record) pairs.
+    fn ranged(
+        bytes: &[u8],
+        ranges: &[Range<u64>],
+    ) -> Result<Vec<(u64, CompactRetire)>, TraceError> {
+        let mut seen = Vec::new();
+        BlockWalker::open(bytes)?.visit_ranges(ranges, |i, r| seen.push((i, r)))?;
+        Ok(seen)
     }
 
     #[test]
@@ -669,7 +697,11 @@ mod tests {
             vec![n - 100..n + 500],
             vec![n + 1..n + 9],
             vec![0..n],
+            vec![0..u64::MAX],
             vec![0..1, b - 1..b, b..b + 1, 2 * b - 7..3 * b + 7],
+            // The last interval of a trace is partial, and may be alone
+            // in the last block.
+            vec![3 * b - 2000..3 * b, 3 * b..n],
         ];
         let mut rng = SmallRng::seed_from_u64(17);
         for _ in 0..40 {
@@ -679,14 +711,20 @@ mod tests {
             cuts.sort_unstable();
             sets.push(cuts.chunks(2).map(|c| c[0]..c[1]).collect());
         }
-        // Overlapping and out of order is fine: each range is its own read.
-        sets.push(vec![b..2 * b + 5, 7..b + 9, 2 * b..2 * b + 1]);
         for ranges in sets {
-            let want: Vec<&[CompactRetire]> = ranges
+            let want: Vec<(u64, CompactRetire)> = ranges
                 .iter()
-                .map(|r| &full[(r.start.min(n) as usize)..(r.end.min(n) as usize)])
+                .flat_map(|r| r.start.min(n)..r.end.min(n))
+                .map(|i| (i, full[i as usize]))
                 .collect();
             assert_eq!(ranged(&bytes, &ranges).unwrap(), want, "{ranges:?}");
+        }
+        // One pass cannot serve ranges that overlap or go backwards.
+        for ranges in [vec![b..2 * b + 5, 7..b + 9], vec![0..9, 8..20]] {
+            assert!(
+                matches!(ranged(&bytes, &ranges), Err(TraceError::Malformed(_))),
+                "{ranges:?}"
+            );
         }
     }
 
@@ -738,11 +776,22 @@ mod tests {
             }
         }
         // Truncation at each block boundary (the last is the eof mark's),
-        // and inside the frame that follows it.
-        for &cut in &frames {
+        // inside the frame that follows it, and anywhere.
+        let cuts = frames.iter().flat_map(|&cut| [cut, cut + 3]);
+        for cut in cuts.chain((0..48).map(|_| rng.gen_range(0..bytes.len()))) {
             check(&bytes[..cut], format!("cut at byte {cut}"));
-            check(&bytes[..cut + 3], format!("cut at byte {}", cut + 3));
         }
+
+        // A payload that checksums but does not unpack is a codec error
+        // to whoever unpacks it, mid-visit as in a full read.
+        let mut bad = bytes.clone();
+        bad[frames[1] + 16] = 0xFF;
+        let sum = fnv1a64(&bad[frames[1] + 16..frames[2]]);
+        bad[frames[1] + 8..frames[1] + 16].copy_from_slice(&sum.to_le_bytes());
+        let full = Trace::from_bytes(&bad).map(|_| ()).unwrap_err();
+        assert!(matches!(full, TraceError::Codec(_)), "{full:?}");
+        assert_eq!(ranged(&bad, &[b - 1..b + 20]).unwrap_err(), full);
+        assert_eq!(ranged(&bad, &[0..b, 2 * b..3 * b]).map(|_| ()), Ok(()));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod record;
 pub mod simpoints;
 
 pub use bbv::{bbvs, BBV_DIMS};
-pub use codec::{decode_block, encode_block, CodecError};
+pub use codec::{decode_block, encode_block, visit_block, CodecError};
 pub use file::{BlockWalker, NativeSummary, Trace, TraceError, TraceHeader, TraceInfo};
 pub use record::{record, Recorded};
 pub use simpoints::{select, SimPoint, SimPoints};

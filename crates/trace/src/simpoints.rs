@@ -156,6 +156,11 @@ impl SimPoints {
                  {instructions} instructions"
             ));
         }
+        // `select` writes points sorted, one per interval: a repeat would
+        // be sampled twice, and the trace is read in one forward pass.
+        if points.windows(2).any(|w| w[0].interval >= w[1].interval) {
+            return Err("point lines are not strictly increasing".into());
+        }
         Ok(SimPoints {
             interval,
             intervals,
@@ -330,6 +335,20 @@ mod tests {
         }
         let partial = format!("{head}intervals 11\ninstructions 1001\nk 1\npoint 10 11 0\n");
         assert!(SimPoints::parse(&partial).is_ok());
+    }
+
+    #[test]
+    fn parse_rejects_points_out_of_order() {
+        let head =
+            format!("{SIMPTS_VERSION}\ninterval 100\nintervals 10\ninstructions 1000\nk 2\n");
+        let sorted = format!("{head}point 2 4 0\npoint 3 3 1\npoint 7 3 1\n");
+        assert!(SimPoints::parse(&sorted).is_ok());
+        let repeated = format!("{head}point 2 4 0\npoint 3 3 1\npoint 3 3 1\n");
+        let descending = format!("{head}point 2 4 0\npoint 7 3 1\npoint 3 3 1\n");
+        for bad in [repeated, descending] {
+            let err = SimPoints::parse(&bad).unwrap_err();
+            assert!(err.contains("strictly increasing"), "{err}");
+        }
     }
 
     #[test]

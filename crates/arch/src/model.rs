@@ -43,7 +43,12 @@ impl ModelStats {
 ///
 /// Use it directly as an [`ExecutionObserver`] for whole-run costing, or
 /// call [`ArchModel::cost_of`] per event when the embedder needs to
-/// attribute cycles (the SDT buckets them by instruction origin).
+/// attribute cycles (the SDT buckets them by instruction origin). A
+/// driver that sees dispatch events rather than retired instructions
+/// (sampled replay) drives the same predictors through
+/// [`predict_indirect`](Self::predict_indirect),
+/// [`push_return`](Self::push_return) and
+/// [`predict_return`](Self::predict_return).
 #[derive(Debug)]
 pub struct ArchModel {
     profile: ArchProfile,
@@ -153,6 +158,27 @@ impl ArchModel {
         self.cond.mispredicts()
     }
 
+    /// Predicts the indirect transfer at `pc` through the target
+    /// predictor, then trains it on `target`. Returns whether the
+    /// prediction was correct.
+    #[inline(always)]
+    pub fn predict_indirect(&mut self, pc: u32, target: u32) -> bool {
+        self.target.predict_and_update(pc, target)
+    }
+
+    /// Pushes a call's return address onto the return-address stack.
+    #[inline(always)]
+    pub fn push_return(&mut self, return_addr: u32) {
+        self.ras.push(return_addr);
+    }
+
+    /// Predicts a return through the return-address stack. Returns
+    /// whether the popped address was `target`.
+    #[inline(always)]
+    pub fn predict_return(&mut self, target: u32) -> bool {
+        self.ras.pop_and_check(target)
+    }
+
     /// Charges one retired instruction, updating predictor/cache state, and
     /// returns the cycles it cost.
     ///
@@ -184,41 +210,44 @@ impl ArchModel {
             }
         }
 
-        // Control flow.
+        // Control flow: the predictors are reached through the same
+        // methods sampled replay drives them with.
+        let (taken_cost, mispredict) = (p.taken_branch_cost, p.mispredict_penalty);
+        let trap_cost = p.trap_cost;
         let mut branch_stall = 0;
         match ev.control.kind {
             ControlKind::None => {}
             ControlKind::Conditional => {
                 if !self.cond.predict_and_update(ev.pc, ev.control.taken) {
-                    branch_stall += p.mispredict_penalty;
+                    branch_stall += mispredict;
                 }
                 if ev.control.taken {
-                    branch_stall += p.taken_branch_cost;
+                    branch_stall += taken_cost;
                 }
             }
-            ControlKind::Direct => branch_stall += p.taken_branch_cost,
+            ControlKind::Direct => branch_stall += taken_cost,
             ControlKind::Call => {
-                branch_stall += p.taken_branch_cost;
-                self.ras.push(ev.pc.wrapping_add(4));
+                branch_stall += taken_cost;
+                self.push_return(ev.pc.wrapping_add(4));
                 if ev.control.indirect {
                     self.stats.indirect_transfers += 1;
-                    if !self.target.predict_and_update(ev.pc, ev.control.target) {
-                        branch_stall += p.mispredict_penalty;
+                    if !self.predict_indirect(ev.pc, ev.control.target) {
+                        branch_stall += mispredict;
                     }
                 }
             }
             ControlKind::Indirect => {
                 self.stats.indirect_transfers += 1;
-                branch_stall += p.taken_branch_cost;
-                if !self.target.predict_and_update(ev.pc, ev.control.target) {
-                    branch_stall += p.mispredict_penalty;
+                branch_stall += taken_cost;
+                if !self.predict_indirect(ev.pc, ev.control.target) {
+                    branch_stall += mispredict;
                 }
             }
             ControlKind::Return => {
                 self.stats.indirect_transfers += 1;
-                branch_stall += p.taken_branch_cost;
-                if !self.ras.pop_and_check(ev.control.target) {
-                    branch_stall += p.mispredict_penalty;
+                branch_stall += taken_cost;
+                if !self.predict_return(ev.control.target) {
+                    branch_stall += mispredict;
                 }
             }
         }
@@ -227,8 +256,8 @@ impl ArchModel {
 
         // Trap crossing.
         if ev.class == InstrClass::Trap {
-            self.stats.trap_cycles += p.trap_cost;
-            cycles += p.trap_cost;
+            self.stats.trap_cycles += trap_cost;
+            cycles += trap_cost;
         }
 
         cycles
@@ -243,6 +272,14 @@ impl ArchModel {
             + lookups * self.profile.translator_lookup_cost;
         self.stats.trap_cycles += cycles;
         cycles
+    }
+}
+
+/// A bare profile prices a run under the legacy predictor:
+/// [`ArchModel::new`].
+impl From<ArchProfile> for ArchModel {
+    fn from(profile: ArchProfile) -> ArchModel {
+        ArchModel::new(profile)
     }
 }
 

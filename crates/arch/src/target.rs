@@ -26,16 +26,21 @@
 //! A model is an explicit input: [`ArchModel::new`](crate::ArchModel::new)
 //! builds the legacy one, and
 //! [`ArchModel::with_predictor_spec`](crate::ArchModel::with_predictor_spec)
-//! any other — how the CLI's `--predictor` flag reaches a run (through
-//! `strata_expt::RunContext`) and how fig22 sweeps the zoo in one process.
+//! any other. A run is handed the model it is priced under — exact
+//! execution and sampled replay alike — so the predictor lives in that
+//! one model; this is how the CLI's `--predictor` flag reaches a run
+//! (through `strata_expt::RunContext::model`) and how fig22 sweeps the
+//! zoo in one process.
 
 use crate::{ArchProfile, Btb};
 
 /// An indirect-branch target predictor: one `predict → train` step per
-/// retired indirect transfer, with cumulative hit/miss counters.
+/// indirect transfer, with cumulative hit/miss counters.
 ///
 /// Object-safe so [`ArchModel`](crate::ArchModel) can hold any model
-/// behind one box on the retire fast path.
+/// behind one box on the retire fast path. Only the model owns one:
+/// exact runs reach it per retired transfer, sampled replay per replayed
+/// dispatch, through the same [`ArchModel`](crate::ArchModel) methods.
 pub trait TargetPredictor: std::fmt::Debug + Send {
     /// Predicts the target of the indirect transfer at `pc`, then trains
     /// on the actual `target`. Returns whether the prediction was correct.
@@ -637,38 +642,26 @@ impl PredictorSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// SplitMix64 — deterministic stream for property tests.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-    }
+    use strata_stats::rng::SmallRng;
 
     /// A synthetic indirect-branch trace: `sites` branch pcs, each with a
     /// target set whose element is chosen by a per-site repeating pattern.
     fn synthetic_trace(seed: u64, len: usize) -> Vec<(u32, u32)> {
-        let mut rng = Rng(seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
         let sites: Vec<(u32, Vec<u32>, usize)> = (0..8)
             .map(|i| {
                 let pc = 0x1000 + i * 0x40;
-                let arity = 1 + (rng.next() % 4) as usize;
+                let arity = 1 + (rng.next_u64() % 4) as usize;
                 let targets: Vec<u32> = (0..arity)
                     .map(|t| 0x20000 + (t as u32) * 0x100 + i)
                     .collect();
-                let period = 1 + (rng.next() % 6) as usize;
+                let period = 1 + (rng.next_u64() % 6) as usize;
                 (pc, targets, period)
             })
             .collect();
         let mut out = Vec::with_capacity(len);
         for step in 0..len {
-            let (pc, targets, period) = &sites[(rng.next() % sites.len() as u64) as usize];
+            let (pc, targets, period) = &sites[(rng.next_u64() % sites.len() as u64) as usize];
             out.push((*pc, targets[(step / period) % targets.len()]));
         }
         out

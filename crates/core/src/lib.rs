@@ -96,7 +96,7 @@ pub use meta::{
     StubsMeta, TableKind, TableMeta,
 };
 pub use origin::Origin;
-pub use replay::{rate, DispatchReplay, PredictorStats};
+pub use replay::{rate, DispatchReplay};
 pub use report::{ClassReport, MechanismStats, RunReport};
 pub use sdt::Sdt;
 pub use strategy::{mechanism_registry, MechanismInfo};

@@ -18,10 +18,17 @@
 //! equal exact mode's [`RunReport::mech`](crate::RunReport); sampled
 //! (SimPoint) execution instead [`seek`](DispatchReplay::seek)s between
 //! intervals and pays only for the events it measures.
+//!
+//! A replay is handed the [`ArchModel`] it is priced under, as an exact
+//! [`Sdt::run`] is. Translator work is charged to it, and its own
+//! indirect-target predictor and return-address stack predict every
+//! replayed dispatch — through the methods [`ArchModel::cost_of`] uses
+//! on the exact retire stream, keyed by dispatch-site shape (see
+//! [`Key`]).
 
 use std::collections::HashSet;
 
-use strata_arch::{ArchModel, ArchProfile, PredictorSpec, Ras, TargetPredictor};
+use strata_arch::ArchModel;
 use strata_machine::observers::CompactRetire;
 use strata_machine::{Memory, Program};
 
@@ -39,8 +46,10 @@ use crate::{Sdt, SdtConfig, SdtError};
 #[derive(Debug)]
 pub struct DispatchReplay {
     sdt: Sdt,
+    /// The model the replay is priced under: translator work is charged
+    /// to it and its predictors see every dispatch. Predictor state
+    /// survives cache flushes: it models the CPU, not the translator.
     model: ArchModel,
-    translator_cycles: u64,
     jump_dispatches: u64,
     call_dispatches: u64,
     ret_dispatches: u64,
@@ -53,26 +62,10 @@ pub struct DispatchReplay {
     /// (empty unless the shadow-stack mechanism is configured).
     shadow_slots: Vec<u32>,
     shadow_sp: usize,
-    /// Hardware indirect-target predictor mirror — how sampled mode
-    /// models predictor stalls per transfer class. Keyed by the
-    /// mechanism's dispatch-site shape (see [`shared_dispatch_key`]):
-    /// per-site probe code retires its final indirect transfer at a
-    /// distinct host pc per site (key = the application branch pc),
-    /// while a shared out-of-line routine — and the translator re-entry
-    /// path — funnels every site through one (key = one synthetic pc
-    /// per class). Predictor state survives cache flushes: it models the
-    /// CPU, not the translator.
-    target_pred: Box<dyn TargetPredictor>,
-    /// Whether the jump class dispatches through one shared host-level
-    /// indirect transfer (see `target_pred`).
-    jump_key_shared: bool,
-    /// Same, for the indirect-call class.
-    call_key_shared: bool,
-    /// Return prediction mode (see [`ret_predictor_mode`]).
-    ret_key_shared: Option<bool>,
-    /// Hardware return-address stack mirror (pushes on every call
-    /// terminal, pops on returns), matching the exact model's RAS role.
-    ras: Ras,
+    /// How the model's predictors see each class's dispatch transfer.
+    jump_key: Key,
+    call_key: Key,
+    ret_key: Key,
     jump_mispredicts: u64,
     call_mispredicts: u64,
     ret_mispredicts: u64,
@@ -98,77 +91,62 @@ pub mod rate {
     pub const COUNT: usize = 15;
 }
 
-/// Per-class indirect mispredictions accumulated by the replay's hardware
-/// predictor mirror.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictorStats {
-    /// Indirect-jump dispatches the target predictor missed.
-    pub jump_mispredicts: u64,
-    /// Indirect-call dispatches the target predictor missed.
-    pub call_mispredicts: u64,
-    /// Returns the return-address stack missed.
-    pub ret_mispredicts: u64,
+/// How the hardware sees one class's dispatch transfer — what the
+/// model's predictors are keyed by for it.
+#[derive(Debug, Clone, Copy)]
+enum Key {
+    /// Per-site probe code retires its final indirect transfer at a
+    /// distinct host pc per site: the application branch pc stands in.
+    Site,
+    /// One shared routine funnels every site through one transfer: a
+    /// synthetic pc per class, outside the application address range so
+    /// it never collides with a per-site key.
+    Shared(u32),
+    /// Fast returns jump straight to the pushed translated address: the
+    /// host-level transfer is call/return paired, so the return-address
+    /// stack predicts it.
+    ReturnStack,
 }
 
-impl PredictorStats {
-    /// All classes combined.
-    pub fn total(&self) -> u64 {
-        self.jump_mispredicts + self.call_mispredicts + self.ret_mispredicts
-    }
-}
-
-/// Synthetic host pcs for shared dispatch routines, one per class —
-/// outside the application address range, so they never collide with a
-/// per-site key.
-const SHARED_JUMP_KEY: u32 = 0xFFFF_FF00;
-const SHARED_CALL_KEY: u32 = 0xFFFF_FF04;
-const SHARED_RET_KEY: u32 = 0xFFFF_FF08;
-
-/// Whether `class` dispatches through one shared host-level indirect
-/// transfer under `cfg` — the translator re-entry context switch or an
-/// out-of-line IBTC routine. Inline probes (shared *table* or not),
-/// sieve hash stanzas, and adaptive/predictive sites all emit per-site
-/// probe code whose final indirect transfer has its own host pc.
-fn shared_dispatch_key(cfg: &SdtConfig, class: BranchClass) -> bool {
-    let policy = match class {
-        BranchClass::Jump => cfg.policy.jump,
-        BranchClass::Call => cfg.policy.call,
-        BranchClass::Ret => return false,
+/// How `class` dispatches under `cfg`, as the hardware sees it. A
+/// mechanism funnels through one transfer when it is the translator
+/// re-entry context switch or an out-of-line IBTC routine; inline probes
+/// (shared *table* or not), sieve hash stanzas and adaptive/predictive
+/// sites emit per-site probe code. Returns other than fast returns
+/// dispatch through an indirect *jump*, invisible to a return-address
+/// stack: per site under a return cache or shadow stack, and keyed like
+/// the IB mechanism when they dispatch as indirect branches.
+fn dispatch_key(cfg: &SdtConfig, class: BranchClass) -> Key {
+    let (policy, shared_pc) = match (class, cfg.ret) {
+        (BranchClass::Jump, _) => (cfg.policy.jump, 0xFFFF_FF00),
+        (BranchClass::Call, _) => (cfg.policy.call, 0xFFFF_FF04),
+        (BranchClass::Ret, RetMechanism::AsIb) => (ClassPolicy::Inherit, 0xFFFF_FF08),
+        (BranchClass::Ret, RetMechanism::FastReturn) => return Key::ReturnStack,
+        (BranchClass::Ret, _) => return Key::Site,
     };
     let mech = match policy {
         ClassPolicy::Inherit => cfg.ib,
         ClassPolicy::Fixed { mech, .. } => mech,
-        ClassPolicy::Adaptive { .. } | ClassPolicy::Predictive { .. } => return false,
+        ClassPolicy::Adaptive { .. } | ClassPolicy::Predictive { .. } => return Key::Site,
     };
-    match mech {
+    let funnels = match mech {
         IbMechanism::Reentry => true,
         IbMechanism::Ibtc { placement, .. } => placement == IbtcPlacement::OutOfLine,
         IbMechanism::Sieve { .. } => false,
-    }
-}
-
-/// How the hardware mirror predicts returns under `cfg`: `None` means
-/// the return-address stack (fast returns jump straight to the pushed
-/// translated address — the host-level transfer is call/return paired),
-/// `Some(shared)` means the target predictor (the emitted dispatch is an
-/// indirect *jump*, invisible to a hardware RAS), with the same
-/// shared-vs-per-site key split as `shared_dispatch_key`.
-fn ret_predictor_mode(cfg: &SdtConfig) -> Option<bool> {
-    match cfg.ret {
-        RetMechanism::FastReturn => None,
-        RetMechanism::ReturnCache { .. } | RetMechanism::ShadowStack { .. } => Some(false),
-        RetMechanism::AsIb => Some(match cfg.ib {
-            IbMechanism::Reentry => true,
-            IbMechanism::Ibtc { placement, .. } => placement == IbtcPlacement::OutOfLine,
-            IbMechanism::Sieve { .. } => false,
-        }),
+    };
+    if funnels {
+        Key::Shared(shared_pc)
+    } else {
+        Key::Site
     }
 }
 
 impl DispatchReplay {
     /// Builds a replay instance: a fresh [`Sdt`] for `config` and
-    /// `program`, costing translator work under `profile` with the legacy
-    /// predictor as the hardware mirror.
+    /// `program`, priced under `model` — an [`ArchProfile`] means its
+    /// legacy-predictor model.
+    ///
+    /// [`ArchProfile`]: strata_arch::ArchProfile
     ///
     /// # Errors
     ///
@@ -176,33 +154,20 @@ impl DispatchReplay {
     pub fn new(
         config: SdtConfig,
         program: &Program,
-        profile: ArchProfile,
-    ) -> Result<DispatchReplay, SdtError> {
-        DispatchReplay::with_predictor(config, program, profile, PredictorSpec::Legacy)
-    }
-
-    /// Like [`DispatchReplay::new`], with an explicit predictor spec for
-    /// the hardware mirror (fig22 sweeps predictors per cell).
-    pub fn with_predictor(
-        config: SdtConfig,
-        program: &Program,
-        profile: ArchProfile,
-        spec: PredictorSpec,
+        model: impl Into<ArchModel>,
     ) -> Result<DispatchReplay, SdtError> {
         let sdt = Sdt::new(config, program)?;
-        let depth = match sdt.config().ret {
+        let cfg = sdt.config();
+        let depth = match cfg.ret {
             RetMechanism::ShadowStack { depth } => depth as usize,
             _ => 0,
         };
-        let target_pred = spec.build(&profile);
-        let ras = Ras::new(profile.ras_depth);
-        let jump_key_shared = shared_dispatch_key(sdt.config(), BranchClass::Jump);
-        let call_key_shared = shared_dispatch_key(sdt.config(), BranchClass::Call);
-        let ret_key_shared = ret_predictor_mode(sdt.config());
         Ok(DispatchReplay {
+            jump_key: dispatch_key(cfg, BranchClass::Jump),
+            call_key: dispatch_key(cfg, BranchClass::Call),
+            ret_key: dispatch_key(cfg, BranchClass::Ret),
             sdt,
-            model: ArchModel::with_predictor_spec(profile, spec),
-            translator_cycles: 0,
+            model: model.into(),
             jump_dispatches: 0,
             call_dispatches: 0,
             ret_dispatches: 0,
@@ -210,11 +175,6 @@ impl DispatchReplay {
             sim_sieve: HashSet::new(),
             shadow_slots: vec![0; depth],
             shadow_sp: 0,
-            target_pred,
-            jump_key_shared,
-            call_key_shared,
-            ret_key_shared,
-            ras,
             jump_mispredicts: 0,
             call_mispredicts: 0,
             ret_mispredicts: 0,
@@ -299,18 +259,13 @@ impl DispatchReplay {
             }
             Terminal::DirectCall { site, ret_app } => {
                 self.shadow_push(ret_app);
-                self.ras.push(ret_app);
+                self.model.push_return(ret_app);
                 self.traverse_exit(site, ev.target)?;
                 self.cur = Some((ev.target, FragKind::Body));
             }
             Terminal::IndirectJump { site } => {
                 self.jump_dispatches += 1;
-                let key = if self.jump_key_shared {
-                    SHARED_JUMP_KEY
-                } else {
-                    ev.pc
-                };
-                if !self.target_pred.predict_and_update(key, ev.target) {
+                if !self.predicted(self.jump_key, ev) {
                     self.jump_mispredicts += 1;
                 }
                 let bind = self.sdt.state.bind_for(BranchClass::Jump);
@@ -320,13 +275,8 @@ impl DispatchReplay {
             Terminal::IndirectCall { site, ret_app } => {
                 self.call_dispatches += 1;
                 self.shadow_push(ret_app);
-                self.ras.push(ret_app);
-                let key = if self.call_key_shared {
-                    SHARED_CALL_KEY
-                } else {
-                    ev.pc
-                };
-                if !self.target_pred.predict_and_update(key, ev.target) {
+                self.model.push_return(ret_app);
+                if !self.predicted(self.call_key, ev) {
                     self.call_mispredicts += 1;
                 }
                 let bind = self.sdt.state.bind_for(BranchClass::Call);
@@ -334,14 +284,7 @@ impl DispatchReplay {
                 self.cur = Some((ev.target, FragKind::Body));
             }
             Terminal::Ret { site } => {
-                let hit = match self.ret_key_shared {
-                    None => self.ras.pop_and_check(ev.target),
-                    Some(shared) => {
-                        let key = if shared { SHARED_RET_KEY } else { ev.pc };
-                        self.target_pred.predict_and_update(key, ev.target)
-                    }
-                };
-                if !hit {
+                if !self.predicted(self.ret_key, ev) {
                     self.ret_mispredicts += 1;
                 }
                 self.replay_ret(site, ev.target)?;
@@ -354,6 +297,17 @@ impl DispatchReplay {
             }
         }
         Ok(())
+    }
+
+    /// Whether the model's predictors, keyed `key`, saw the dispatch
+    /// transfer ending at `ev.target` coming (and trains them on it).
+    #[inline(always)]
+    fn predicted(&mut self, key: Key, ev: &CompactRetire) -> bool {
+        match key {
+            Key::Site => self.model.predict_indirect(ev.pc, ev.target),
+            Key::Shared(pc) => self.model.predict_indirect(pc, ev.target),
+            Key::ReturnStack => self.model.predict_return(ev.target),
+        }
     }
 
     /// One return dispatch, per the configured mechanism.
@@ -434,8 +388,7 @@ impl DispatchReplay {
             app_pc,
             FragKind::Body,
         )?;
-        self.translator_cycles += self
-            .model
+        self.model
             .charge_translator(self.sdt.state.stats.translated_app_instrs - before, 1);
         if self.sdt.state.stats.cache_flushes > flushes_before {
             self.clear_sim();
@@ -602,7 +555,7 @@ impl DispatchReplay {
         mem.write_u32(SLOT_SITE, site_word)?;
         let flushes_before = self.sdt.state.stats.cache_flushes;
         let w = self.sdt.state.handle_trap_miss(&mut self.sdt.machine)?;
-        self.translator_cycles += self.model.charge_translator(w.new_instrs, w.lookups);
+        self.model.charge_translator(w.new_instrs, w.lookups);
         let flushed = self.sdt.state.stats.cache_flushes > flushes_before;
         if flushed {
             self.clear_sim();
@@ -615,7 +568,7 @@ impl DispatchReplay {
         self.sdt.machine.mem_mut().write_u32(SLOT_TARGET, target)?;
         let flushes_before = self.sdt.state.stats.cache_flushes;
         let w = self.sdt.state.handle_trap_rc_miss(&mut self.sdt.machine)?;
-        self.translator_cycles += self.model.charge_translator(w.new_instrs, w.lookups);
+        self.model.charge_translator(w.new_instrs, w.lookups);
         if self.sdt.state.stats.cache_flushes > flushes_before {
             self.clear_sim();
         }
@@ -716,8 +669,9 @@ impl DispatchReplay {
 
     /// The counters sampled replay extrapolates, cheap enough to read
     /// around every measured interval and laid out as [`rate`] names
-    /// them. [`stats`](Self::stats), [`per_class`](Self::per_class) and
-    /// [`predictor_stats`](Self::predictor_stats) report these numbers.
+    /// them. [`stats`](Self::stats) and [`per_class`](Self::per_class)
+    /// report these numbers; the three `*_MISPREDICTS` sum to the
+    /// model's [`indirect_mispredicts`](ArchModel::indirect_mispredicts).
     pub fn rate_counters(&self) -> [u64; rate::COUNT] {
         let st = &self.sdt.state;
         let mut c = [0; rate::COUNT];
@@ -742,20 +696,12 @@ impl DispatchReplay {
         c
     }
 
-    /// Host-side translator cycles charged so far (translation work plus
-    /// fragment-map lookups, same accounting as exact mode).
-    pub fn translator_cycles(&self) -> u64 {
-        self.translator_cycles
-    }
-
-    /// Per-class mispredictions from the hardware predictor mirror.
-    pub fn predictor_stats(&self) -> PredictorStats {
-        let c = self.rate_counters();
-        PredictorStats {
-            jump_mispredicts: c[rate::JUMP_MISPREDICTS],
-            call_mispredicts: c[rate::CALL_MISPREDICTS],
-            ret_mispredicts: c[rate::RET_MISPREDICTS],
-        }
+    /// The model the replay is priced under. The replay charges it
+    /// nothing but translator work, so its `trap_cycles` are exact mode's
+    /// [`RunReport::translator_cycles`](crate::RunReport) (translation
+    /// work plus fragment-map lookups).
+    pub fn model(&self) -> &ArchModel {
+        &self.model
     }
 }
 
@@ -773,6 +719,7 @@ fn probe_tagged(mem: &Memory, table: TableRef, target: u32) -> Result<bool, SdtE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strata_arch::ArchProfile;
     use strata_isa::{decode, Instr};
     use strata_stats::rng::SmallRng;
 

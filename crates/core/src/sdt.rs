@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use strata_arch::{ArchModel, ArchProfile};
+use strata_arch::ArchModel;
 use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
 use strata_machine::{
     layout, ExecutionObserver, Machine, MachineError, Program, RetireEvent, StepOutcome,
@@ -93,7 +93,7 @@ impl SdtState {
 ///
 /// Construction loads the program into a fresh machine and emits the
 /// runtime stubs; [`Sdt::run`] translates lazily from the program entry and
-/// executes from the fragment cache under an [`ArchProfile`] cost model.
+/// executes from the fragment cache under the [`ArchModel`] it is handed.
 /// Running again continues with a *warm* cache (useful for measuring
 /// steady-state behaviour).
 ///
@@ -318,7 +318,9 @@ impl Sdt {
     }
 
     /// Executes the program under translation until `halt`, costing
-    /// execution with a fresh legacy-predictor [`ArchModel`] for `profile`.
+    /// execution with `model` — the one model the run is priced under;
+    /// an [`ArchProfile`](strata_arch::ArchProfile) means its
+    /// legacy-predictor model, `ArchModel::with_predictor_spec` any other.
     ///
     /// `fuel` bounds retired guest instructions (application plus all
     /// translation overhead). A second call continues with a warm fragment
@@ -347,22 +349,8 @@ impl Sdt {
     /// It therefore wins over a later fault, over fuel exhaustion and over
     /// the trap that ended the segment: no syscall is folded into the
     /// checksum and nothing is translated after the store.
-    pub fn run(&mut self, profile: ArchProfile, fuel: u64) -> Result<RunReport, SdtError> {
-        self.run_with_model(ArchModel::new(profile), fuel)
-    }
-
-    /// [`Sdt::run`] with an explicit cost model — how a run is priced
-    /// under a non-legacy [`strata_arch::PredictorSpec`]:
-    /// `sdt.run_with_model(ArchModel::with_predictor_spec(profile, spec), fuel)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Sdt::run`].
-    pub fn run_with_model(
-        &mut self,
-        mut model: ArchModel,
-        fuel: u64,
-    ) -> Result<RunReport, SdtError> {
+    pub fn run(&mut self, model: impl Into<ArchModel>, fuel: u64) -> Result<RunReport, SdtError> {
+        let mut model = model.into();
         let mut buckets = Buckets::default();
         let mut translator_cycles = 0u64;
 
@@ -540,6 +528,7 @@ impl ExecutionObserver for Attributing<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strata_arch::ArchProfile;
     use strata_asm::assemble;
     use strata_isa::{decode, Instr, Reg};
 

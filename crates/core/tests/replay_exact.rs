@@ -4,7 +4,7 @@
 //! mechanism configuration. This is the fidelity contract the sampled
 //! execution mode is built on.
 
-use strata_arch::ArchProfile;
+use strata_arch::{ArchModel, ArchProfile, PredictorSpec};
 use strata_asm::assemble;
 use strata_core::{
     rate, ClassPolicy, DispatchReplay, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, Sdt,
@@ -135,8 +135,9 @@ fn check_replay_exact(prog: &Program) {
             prog.name,
             cfg.describe()
         );
+        // The replay charges its model nothing but translator work.
         assert_eq!(
-            rp.translator_cycles(),
+            rp.model().stats().trap_cycles,
             report.translator_cycles,
             "[{}] translator cycles diverge under {}",
             prog.name,
@@ -298,7 +299,8 @@ fn control_records_alone_replay_like_the_whole_stream() {
     // Sampled bundles keep a trace's control records only. That is exact
     // because `step` returns at once on anything else — so a replay fed
     // the filtered stream must end in the very state of one fed every
-    // record, flushes, promotions and predictor mirror included.
+    // record, flushes, promotions and the model's predictors included,
+    // whichever predictor the model is built with.
     let spec = strata_workloads::by_name("gcc").expect("registered");
     let prog = (spec.build)(&strata_workloads::Params::default());
     let log = native_log(&prog);
@@ -307,56 +309,75 @@ fn control_records_alone_replay_like_the_whole_stream() {
         control.len() * 2 < log.len(),
         "most records are not control"
     );
+    let predictors = [
+        PredictorSpec::Legacy,
+        PredictorSpec::None,
+        PredictorSpec::Ittage { tables: 4 },
+    ];
+    let mispredict_slots = [
+        rate::JUMP_MISPREDICTS,
+        rate::CALL_MISPREDICTS,
+        rate::RET_MISPREDICTS,
+    ];
     let mut covered = std::collections::BTreeSet::new();
     for mut cfg in registry_shapes() {
         // A cache small enough to flush, wherever flushing is allowed.
         if cfg.ret != RetMechanism::FastReturn {
             cfg.cache_limit = Some(8192);
         }
-        let end_state = |stream: &[CompactRetire]| {
-            let mut rp = DispatchReplay::new(cfg, &prog, ArchProfile::x86_like()).unwrap();
-            rp.seek(prog.entry).unwrap();
-            for ev in stream {
-                rp.step(ev)
-                    .unwrap_or_else(|e| panic!("{}: {e}", cfg.describe()));
-            }
-            let counters = rp.rate_counters();
-            let stats = (rp.stats(), rp.per_class(), rp.predictor_stats());
-            (stats, counters, rp.translator_cycles())
-        };
-        let whole = end_state(&log);
-        assert_eq!(end_state(&control), whole, "{}", cfg.describe());
+        for predictor in predictors {
+            let what = format!("{} under {}", cfg.describe(), predictor.label());
+            let end_state = |stream: &[CompactRetire]| {
+                let model = ArchModel::with_predictor_spec(ArchProfile::x86_like(), predictor);
+                let mut rp = DispatchReplay::new(cfg, &prog, model).unwrap();
+                rp.seek(prog.entry).unwrap();
+                for ev in stream {
+                    rp.step(ev).unwrap_or_else(|e| panic!("{what}: {e}"));
+                }
+                let counters = rp.rate_counters();
+                // Every prediction goes through the handed model: its
+                // mispredicts are the three slots', no more, no fewer.
+                let slots: u64 = mispredict_slots.iter().map(|&at| counters[at]).sum();
+                assert_eq!(slots, rp.model().indirect_mispredicts(), "{what}");
+                ((rp.stats(), rp.per_class()), counters, *rp.model().stats())
+            };
+            let whole = end_state(&log);
+            assert_eq!(end_state(&control), whole, "{what}");
 
-        let ((mech, per_class, pred), counters, _) = whole;
-        assert_eq!(
-            mech.cache_flushes > 0,
-            cfg.cache_limit.is_some(),
-            "{}",
-            cfg.describe()
-        );
-        // Each `rate` name leads to the number the reports give under
-        // it, and the names share no position and leave none unnamed.
-        let mut named = vec![
-            (rate::IB_DISPATCHES, mech.ib_dispatches),
-            (rate::JUMP_DISPATCHES, mech.jump_dispatches),
-            (rate::CALL_DISPATCHES, mech.call_dispatches),
-            (rate::RET_DISPATCHES, mech.ret_dispatches),
-            (rate::IB_MISSES, mech.ib_misses),
-            (rate::RC_MISSES, mech.rc_misses),
-            (rate::JUMP_MISPREDICTS, pred.jump_mispredicts),
-            (rate::CALL_MISPREDICTS, pred.call_mispredicts),
-            (rate::RET_MISPREDICTS, pred.ret_mispredicts),
-        ];
-        for (row, class) in per_class.iter().enumerate() {
-            let (dispatches, misses) = rate::class(row);
-            named.extend([(dispatches, class.dispatches), (misses, class.misses)]);
+            let ((mech, per_class), counters, _) = whole;
+            assert_eq!(mech.cache_flushes > 0, cfg.cache_limit.is_some(), "{what}");
+            // Each `rate` name leads to the number the reports give under
+            // it, and the names share no position and leave none unnamed.
+            let mut named = vec![
+                (rate::IB_DISPATCHES, mech.ib_dispatches),
+                (rate::JUMP_DISPATCHES, mech.jump_dispatches),
+                (rate::CALL_DISPATCHES, mech.call_dispatches),
+                (rate::RET_DISPATCHES, mech.ret_dispatches),
+                (rate::IB_MISSES, mech.ib_misses),
+                (rate::RC_MISSES, mech.rc_misses),
+            ];
+            named.extend(mispredict_slots.map(|at| (at, counters[at])));
+            for (row, class) in per_class.iter().enumerate() {
+                let (dispatches, misses) = rate::class(row);
+                named.extend([(dispatches, class.dispatches), (misses, class.misses)]);
+            }
+            named.sort_unstable();
+            let at: Vec<usize> = named.iter().map(|&(at, _)| at).collect();
+            assert_eq!(at, (0..rate::COUNT).collect::<Vec<_>>());
+            let want: Vec<u64> = named.iter().map(|&(_, n)| n).collect();
+            assert_eq!(counters.to_vec(), want, "{what}");
+            // With no target predictor, every dispatch it sees misses:
+            // each mispredict slot counts its own class (fast returns
+            // excepted — the return-address stack predicts those).
+            if predictor == PredictorSpec::None {
+                assert_eq!(counters[rate::JUMP_MISPREDICTS], mech.jump_dispatches);
+                assert_eq!(counters[rate::CALL_MISPREDICTS], mech.call_dispatches);
+                if cfg.ret != RetMechanism::FastReturn {
+                    assert_eq!(counters[rate::RET_MISPREDICTS], mech.ret_dispatches);
+                }
+            }
+            covered.extend(per_class.iter().map(|c| c.mechanism.clone()));
         }
-        named.sort_unstable();
-        let at: Vec<usize> = named.iter().map(|&(at, _)| at).collect();
-        assert_eq!(at, (0..rate::COUNT).collect::<Vec<_>>());
-        let want: Vec<u64> = named.iter().map(|&(_, n)| n).collect();
-        assert_eq!(counters.to_vec(), want, "{}", cfg.describe());
-        covered.extend(per_class.iter().map(|c| c.mechanism.clone()));
     }
     // Every registered mechanism took part, by the name it reports (a
     // return cache describes itself as `rc(n)`).

@@ -127,7 +127,7 @@ pub fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
                     .unwrap_or_else(|e| {
                         panic!("sdt for {} / {}: {e}", key.workload, cfg.describe())
                     })
-                    .run_with_model(ctx.model(key.profile.clone()), FUEL)
+                    .run(ctx.model(key.profile.clone()), FUEL)
                     .unwrap_or_else(|e| {
                         panic!(
                             "run {} / {} on {}: {e}",

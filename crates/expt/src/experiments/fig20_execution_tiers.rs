@@ -148,10 +148,11 @@ pub fn render(view: &View) -> Output {
         let geo = geomean(speedups.iter().copied()).expect("nonempty registry");
         out.note(format!(
             "geomean speedup {geo:.2}x. Both tiers drive the same cost-model \
-             observer (~7 ns/instr of charged-cycle accounting), so Amdahl caps \
-             the costed speedup well below the >=2x the tier shows on uncosted \
-             hot loops (see results/microbench.json, machine/dispatch_warm_400k_instrs \
-             vs its threaded variant)."
+             observer, which costs about twice what either tier spends \
+             dispatching an instruction, so Amdahl caps the costed speedup \
+             well below the uncosted one (see BENCH_*.json: \
+             machine.run_interp_ns_per_instr and machine.run_threaded_ns_per_instr \
+             against arch.cost_ns_per_event)."
         ));
     } else {
         out.note(

@@ -9,9 +9,9 @@
 //! to exact execution by the replay-exactness tests) and the **sampled**
 //! estimate with its 95% confidence interval, then reports relative
 //! error, interval coverage, and the work reduction. The
-//! `pred_mispredicts` row does the same for the hardware-predictor
-//! mirror (under the run context's [`PredictorSpec`](strata_arch::PredictorSpec)),
-//! gating the predictor-aware cycle charge sampled mode synthesizes.
+//! `pred_mispredicts` row does the same for the mispredicts of the
+//! replay's model (the run context's, [`RunContext::model`]), gating the
+//! predictor-aware cycle charge sampled mode synthesizes.
 //!
 //! The verdict line (`FIDELITY PASS`/`FAIL`) gates CI: every gated
 //! metric must estimate within [`MAX_REL_ERROR`] and inside its printed
@@ -23,16 +23,17 @@
 //! render is byte-stable like every other experiment.
 //!
 //! [`DispatchReplay`]: strata_core::DispatchReplay
+//! [`RunContext::model`]: crate::RunContext::model
 
 use std::path::Path;
 
 use strata_arch::ArchProfile;
-use strata_core::SdtConfig;
+use strata_core::{rate, SdtConfig};
 use strata_stats::{Estimate, Table};
 
 use super::Output;
 use crate::cell::CellKey;
-use crate::sampled::{ensure_bundle, estimate_cell_with_spec, full_trace_counters};
+use crate::sampled::{ensure_bundle, estimate_cell, full_trace_counters};
 use crate::view::View;
 
 /// CI gate: maximum relative error of any gated dispatch-count estimate.
@@ -92,7 +93,7 @@ pub fn render(view: &View) -> Output {
         .context()
         .traces_dir()
         .unwrap_or(Path::new(crate::sampled::DEFAULT_TRACES_DIR));
-    let spec = view.context().predictor;
+    let model = || view.context().model(x86.clone());
     let mut out = Output::default();
     let mut t = Table::new(
         "Fig. 21: sampled-simulation fidelity (x86-like)",
@@ -126,43 +127,50 @@ pub fn render(view: &View) -> Output {
             bundle.points.coverage() * 100.0,
         ));
         for (figure, cfg) in representatives() {
-            let cell =
-                estimate_cell_with_spec(dir, workload, view.params(), cfg, x86.clone(), spec)
-                    .unwrap_or_else(|e| panic!("fig21: {e}"));
-            let (truth, pred_truth) =
-                full_trace_counters(&bundle, workload, view.params(), cfg, x86.clone(), spec)
+            let cell = estimate_cell(dir, workload, view.params(), cfg, model())
+                .unwrap_or_else(|e| panic!("fig21: {e}"));
+            let (truth, counters) =
+                full_trace_counters(&bundle, workload, view.params(), cfg, model)
                     .unwrap_or_else(|e| panic!("fig21: {e}"));
             max_work = max_work.max(cell.work_fraction());
             trace_total += cell.trace_records;
             replayed_total += cell.replayed_records;
             // The predictor-aware cycle charge is linear in the summed
             // mispredict estimate, so gating it gates the cycles too.
+            let mispredicts = [
+                rate::JUMP_MISPREDICTS,
+                rate::CALL_MISPREDICTS,
+                rate::RET_MISPREDICTS,
+            ];
+            let [jump, call, ret] = mispredicts.map(|at| cell.est[at]);
             let pred_est = Estimate {
-                mean: cell.est.jump_mispredicts.mean
-                    + cell.est.call_mispredicts.mean
-                    + cell.est.ret_mispredicts.mean,
-                ci95: cell.est.jump_mispredicts.ci95
-                    + cell.est.call_mispredicts.ci95
-                    + cell.est.ret_mispredicts.ci95,
+                mean: jump.mean + call.mean + ret.mean,
+                ci95: jump.ci95 + call.ci95 + ret.ci95,
             };
+            let pred_truth = mispredicts.iter().map(|&at| counters[at]).sum();
             // Gated metrics: the dispatch counts every figure's overhead
             // model is linear in. Misses ride along as information — they
             // are rarer events with proportionally wider intervals.
             let gated = [
                 (
                     "ib_dispatches",
-                    &cell.est.ib_dispatches,
+                    &cell.est[rate::IB_DISPATCHES],
                     truth.ib_dispatches,
                     true,
                 ),
                 (
                     "ret_dispatches",
-                    &cell.est.ret_dispatches,
+                    &cell.est[rate::RET_DISPATCHES],
                     truth.ret_dispatches,
                     true,
                 ),
-                ("ib_misses", &cell.est.ib_misses, truth.ib_misses, false),
-                ("pred_mispredicts", &pred_est, pred_truth.total(), true),
+                (
+                    "ib_misses",
+                    &cell.est[rate::IB_MISSES],
+                    truth.ib_misses,
+                    false,
+                ),
+                ("pred_mispredicts", &pred_est, pred_truth, true),
             ];
             for (metric, est, exact, gates) in gated {
                 let err = est.rel_error(exact as f64);

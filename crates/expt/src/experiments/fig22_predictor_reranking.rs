@@ -15,25 +15,26 @@
 //! between predictor models — the paper's claim is that this count is
 //! nonzero, i.e. no mechanism ranking is predictor-independent.
 //!
-//! In exact mode each (mechanism, predictor) cell is a full [`Sdt`] run
-//! under [`ArchModel::with_predictor_spec`]; under `--sampled` it is a
-//! SimPoint estimate via
-//! [`estimate_cell_with_spec`](crate::sampled::estimate_cell_with_spec).
-//! Both are deterministic functions of the workload (and, in sampled
-//! mode, its recorded trace), so the render is byte-stable. Like fig21,
+//! Each (mechanism, predictor) cell is handed the model
+//! [`RunContext::model`] builds for that predictor: in exact mode it
+//! prices a full [`Sdt::run`], under `--sampled` a SimPoint estimate via
+//! [`estimate_cell`]. Both are deterministic functions of the workload
+//! (and, in sampled mode, its recorded trace), so the render is
+//! byte-stable. Like fig21,
 //! `cells` contributes only the shared native baseline — the sweep
 //! happens in `render`, so `cells.json` and the baseline gate are
 //! untouched.
 
-use strata_arch::{ArchModel, ArchProfile, PredictorSpec};
+use strata_arch::{ArchProfile, PredictorSpec};
 use strata_core::{ClassPolicy, Sdt, SdtConfig};
 use strata_stats::Table;
 
 use super::{fx, Output};
 use crate::cell::CellKey;
 use crate::exec::{program_for, FUEL};
-use crate::sampled::estimate_cell_with_spec;
+use crate::sampled::estimate_cell;
 use crate::view::View;
+use crate::RunContext;
 
 /// The probe workload: a mix of polymorphic indirect jumps and deep
 /// call/return recursion, the class blend where per-site and shared
@@ -79,29 +80,19 @@ pub fn cells(params: strata_workloads::Params) -> Vec<CellKey> {
 /// Total cycles for one (mechanism, predictor) cell, exact or sampled,
 /// with the run's indirect-mispredict count.
 fn cell_cycles(view: &View, cfg: SdtConfig, spec: PredictorSpec) -> (u64, u64) {
-    if let Some(dir) = view.context().traces_dir() {
-        let cell = estimate_cell_with_spec(
-            dir,
-            WORKLOAD,
-            view.params(),
-            cfg,
-            ArchProfile::x86_like(),
-            spec,
-        )
-        .unwrap_or_else(|e| panic!("fig22: {e}"));
-        (cell.report.total_cycles, cell.report.indirect_mispredicts)
-    } else {
-        let program = program_for(WORKLOAD, view.params());
-        let report = Sdt::new(cfg, &program)
-            .and_then(|mut s| {
-                s.run_with_model(
-                    ArchModel::with_predictor_spec(ArchProfile::x86_like(), spec),
-                    FUEL,
-                )
-            })
-            .unwrap_or_else(|e| panic!("fig22: {e}"));
-        (report.total_cycles, report.indirect_mispredicts)
-    }
+    let ctx = RunContext {
+        predictor: spec,
+        ..view.context().clone()
+    };
+    let model = ctx.model(ArchProfile::x86_like());
+    let report = match ctx.traces_dir() {
+        Some(dir) => estimate_cell(dir, WORKLOAD, view.params(), cfg, model).map(|c| c.report),
+        None => Sdt::new(cfg, &program_for(WORKLOAD, view.params()))
+            .and_then(|mut s| s.run(model, FUEL))
+            .map_err(|e| e.to_string()),
+    };
+    let report = report.unwrap_or_else(|e| panic!("fig22: {e}"));
+    (report.total_cycles, report.indirect_mispredicts)
 }
 
 /// Renders Figure 22.

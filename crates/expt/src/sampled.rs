@@ -11,21 +11,24 @@
 //!    the control transfers of the elected intervals and their warmups
 //!    (a [`DispatchReplay`] returns at once on anything else), plus the
 //!    pc each of those intervals starts at.
-//! 2. **Estimate** ([`estimate_cell`]): a [`DispatchReplay`] walks only
-//!    the elected intervals (plus one warmup interval each), snapshots
-//!    the mechanism counters around every measured interval, and feeds
-//!    the per-cluster deltas through
+//! 2. **Estimate** ([`estimate_cell`]): a [`DispatchReplay`], handed
+//!    the [`ArchModel`] the cell is priced under, walks only the elected
+//!    intervals (plus one warmup interval each), snapshots its
+//!    [`rate_counters`](DispatchReplay::rate_counters) around every
+//!    measured interval, and feeds the per-cluster deltas through
 //!    [`strata_stats::stratified_estimate`]. Rate counters (dispatches,
-//!    misses) are extrapolated with 95% confidence intervals; structural
-//!    counters (fragments, cache bytes, translator work) come from the
-//!    replay's final state.
+//!    misses, the model's mispredicts) are extrapolated with 95%
+//!    confidence intervals, one [`Estimate`] per [`rate`] name;
+//!    structural counters (fragments, cache bytes, translator work) come
+//!    from the replay's final state.
 //! 3. **Synthesize**: the estimates are assembled into an ordinary
 //!    [`RunReport`] — cycles from the exact per-profile native baseline
 //!    recorded in the trace header plus an analytic dispatch-overhead
-//!    model over the [`ArchProfile`] cost tables — so every existing
-//!    renderer works unchanged. `fig21_sampled_fidelity` reads the raw
-//!    [`CounterEstimates`] side channel to print estimate-vs-exact rows
-//!    with stated error bars.
+//!    model over the model's [`ArchProfile`](strata_arch::ArchProfile)
+//!    cost tables — so every existing renderer works unchanged.
+//!    `fig21_sampled_fidelity` reads the raw estimates
+//!    ([`SampledCell::est`]) to print estimate-vs-exact rows with stated
+//!    error bars.
 //!
 //! The mode is strictly opt-in (`--sampled`, which sets
 //! [`Mode::Sampled`](crate::Mode) in the store's
@@ -39,10 +42,8 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use strata_arch::{ArchProfile, PredictorSpec};
-use strata_core::{
-    rate, ClassReport, DispatchReplay, MechanismStats, PredictorStats, RunReport, SdtConfig,
-};
+use strata_arch::ArchModel;
+use strata_core::{rate, ClassReport, DispatchReplay, MechanismStats, RunReport, SdtConfig};
 use strata_machine::observers::CompactRetire;
 use strata_stats::{stratified_estimate, Estimate, Stratum};
 use strata_trace::{record, select, BlockWalker, SimPoints, Trace, TraceHeader};
@@ -360,33 +361,6 @@ pub fn prune_orphans(dir: &Path) {
     }
 }
 
-/// Whole-run estimates (with 95% confidence half-widths) for the rate
-/// counters sampled replay extrapolates. Structural counters are not
-/// listed here — they are read off the replay's final state.
-#[derive(Debug, Clone)]
-pub struct CounterEstimates {
-    /// All indirect-branch dispatches (jumps + indirect calls).
-    pub ib_dispatches: Estimate,
-    /// Indirect-jump dispatches.
-    pub jump_dispatches: Estimate,
-    /// Indirect-call dispatches.
-    pub call_dispatches: Estimate,
-    /// Return dispatches.
-    pub ret_dispatches: Estimate,
-    /// IB mechanism misses.
-    pub ib_misses: Estimate,
-    /// Return-mechanism misses.
-    pub rc_misses: Estimate,
-    /// Per class row (replay order): (dispatches, misses).
-    pub per_class: Vec<(Estimate, Estimate)>,
-    /// Hardware target-predictor mispredicts on indirect jumps.
-    pub jump_mispredicts: Estimate,
-    /// Hardware target-predictor mispredicts on indirect calls.
-    pub call_mispredicts: Estimate,
-    /// Return-address-stack mispredicts on returns.
-    pub ret_mispredicts: Estimate,
-}
-
 /// One estimated cell: the synthesized [`RunReport`] every renderer
 /// consumes, plus the raw estimates and sampling accounting the
 /// fidelity experiment reports.
@@ -394,8 +368,10 @@ pub struct CounterEstimates {
 pub struct SampledCell {
     /// The synthesized report (counters rounded from the estimates).
     pub report: RunReport,
-    /// Raw whole-run estimates with confidence intervals.
-    pub est: CounterEstimates,
+    /// Raw whole-run estimates with confidence intervals, one per rate
+    /// counter, at the positions [`rate`] names. Structural counters are
+    /// not here — they are read off the replay's final state.
+    pub est: [Estimate; rate::COUNT],
     /// Total intervals in the trace.
     pub intervals: u64,
     /// Simulation points replayed.
@@ -417,11 +393,13 @@ impl SampledCell {
     }
 }
 
-/// Estimates one translated cell from its workload's bundle: replays
-/// the elected intervals (each preceded by a warmup interval unless the
-/// replay is already positioned there), stratifies the per-interval
-/// counter deltas by phase cluster, and synthesizes a [`RunReport`]
-/// from the whole-run estimates plus the replay's structural state.
+/// Estimates one translated cell from its workload's bundle, priced
+/// under `model` (an [`ArchProfile`](strata_arch::ArchProfile) means its
+/// legacy-predictor model): replays the elected intervals (each preceded
+/// by a warmup interval unless the replay is already positioned there),
+/// stratifies the per-interval counter deltas by phase cluster, and
+/// synthesizes a [`RunReport`] from the whole-run estimates plus the
+/// replay's structural state.
 ///
 /// # Errors
 ///
@@ -433,44 +411,26 @@ pub fn estimate_cell(
     workload: &str,
     params: Params,
     cfg: SdtConfig,
-    profile: ArchProfile,
-) -> Result<SampledCell, String> {
-    estimate_cell_with_spec(dir, workload, params, cfg, profile, PredictorSpec::Legacy)
-}
-
-/// [`estimate_cell`] with an explicit [`PredictorSpec`] for the replay's
-/// hardware mirror instead of the legacy one.
-///
-/// # Errors
-///
-/// As [`estimate_cell`].
-pub fn estimate_cell_with_spec(
-    dir: &Path,
-    workload: &str,
-    params: Params,
-    cfg: SdtConfig,
-    profile: ArchProfile,
-    spec: PredictorSpec,
+    model: impl Into<ArchModel>,
 ) -> Result<SampledCell, String> {
     let bundle = ensure_bundle(dir, workload, params)?;
-    estimate_bundle(&bundle, workload, params, cfg, profile, spec)
+    estimate_bundle(&bundle, workload, params, cfg, model.into())
 }
 
-/// [`estimate_cell_with_spec`] over a bundle already in hand.
+/// [`estimate_cell`] over a bundle already in hand.
 fn estimate_bundle(
     bundle: &Bundle,
     workload: &str,
     params: Params,
     cfg: SdtConfig,
-    profile: ArchProfile,
-    spec: PredictorSpec,
+    model: ArchModel,
 ) -> Result<SampledCell, String> {
     let program = program_for(workload, params);
     let pts = &bundle.points;
     let interval = pts.interval.max(1);
     let n_intervals = pts.intervals.max(1);
 
-    let mut rp = DispatchReplay::with_predictor(cfg, &program, profile.clone(), spec)
+    let mut rp = DispatchReplay::new(cfg, &program, model)
         .map_err(|e| format!("{workload}/{}: {e}", cfg.describe()))?;
     let fail = |e: strata_core::SdtError| format!("{workload}/{}: replay: {e}", cfg.describe());
 
@@ -547,31 +507,14 @@ fn estimate_bundle(
         }
     };
 
-    let per_class = rp.per_class();
-    let est = CounterEstimates {
-        ib_dispatches: estimate(rate::IB_DISPATCHES),
-        jump_dispatches: estimate(rate::JUMP_DISPATCHES),
-        call_dispatches: estimate(rate::CALL_DISPATCHES),
-        ret_dispatches: estimate(rate::RET_DISPATCHES),
-        ib_misses: estimate(rate::IB_MISSES),
-        rc_misses: estimate(rate::RC_MISSES),
-        per_class: (0..per_class.len())
-            .map(rate::class)
-            .map(|(dispatches, misses)| (estimate(dispatches), estimate(misses)))
-            .collect(),
-        jump_mispredicts: estimate(rate::JUMP_MISPREDICTS),
-        call_mispredicts: estimate(rate::CALL_MISPREDICTS),
-        ret_mispredicts: estimate(rate::RET_MISPREDICTS),
-    };
-
+    let est = std::array::from_fn(estimate);
     let report = synthesize_report(
         &bundle.header,
-        &profile,
+        rp.model(),
         cfg,
         &est,
-        &rp.stats(),
-        &per_class,
-        rp.translator_cycles(),
+        rp.stats(),
+        rp.per_class(),
     )?;
 
     Ok(SampledCell {
@@ -590,21 +533,22 @@ fn round_u64(e: &Estimate) -> u64 {
 
 /// Assembles a [`RunReport`] from sampled estimates: rate counters are
 /// the rounded whole-run estimates, structural counters come from the
-/// replay's final state, and cycles are the exact native baseline from
-/// the trace header plus an analytic dispatch/miss overhead model over
-/// the profile's cost table. The model is deliberately coarse — sampled
-/// mode's fidelity contract is on the *counters* (gated by fig21); the
-/// cycle numbers are labeled estimates.
-#[allow(clippy::too_many_arguments)]
+/// replay's final state (its `model`'s trap cycles are the translator's),
+/// and cycles are the exact native baseline from the trace header plus
+/// an analytic dispatch/miss overhead formula over the model profile's
+/// cost table. The formula is deliberately coarse — sampled mode's
+/// fidelity contract is on the *counters* (gated by fig21); the cycle
+/// numbers are labeled estimates.
 fn synthesize_report(
     trace: &TraceHeader,
-    profile: &ArchProfile,
+    model: &ArchModel,
     cfg: SdtConfig,
-    est: &CounterEstimates,
-    final_mech: &MechanismStats,
-    final_class: &[ClassReport],
-    translator_cycles: u64,
+    est: &[Estimate; rate::COUNT],
+    mut mech: MechanismStats,
+    mut per_class: Vec<ClassReport>,
 ) -> Result<RunReport, String> {
+    let profile = model.profile();
+    let translator_cycles = model.stats().trap_cycles;
     let native = trace.native_for(profile.name).ok_or_else(|| {
         format!(
             "trace for {} lacks a {} baseline",
@@ -612,18 +556,16 @@ fn synthesize_report(
         )
     })?;
 
-    let mut mech = *final_mech;
-    mech.ib_dispatches = round_u64(&est.ib_dispatches);
-    mech.jump_dispatches = round_u64(&est.jump_dispatches);
-    mech.call_dispatches = round_u64(&est.call_dispatches);
-    mech.ret_dispatches = round_u64(&est.ret_dispatches);
-    mech.ib_misses = round_u64(&est.ib_misses);
-    mech.rc_misses = round_u64(&est.rc_misses);
-
-    let mut per_class: Vec<ClassReport> = final_class.to_vec();
-    for (row, (d, m)) in per_class.iter_mut().zip(&est.per_class) {
-        row.dispatches = round_u64(d);
-        row.misses = round_u64(m);
+    mech.ib_dispatches = round_u64(&est[rate::IB_DISPATCHES]);
+    mech.jump_dispatches = round_u64(&est[rate::JUMP_DISPATCHES]);
+    mech.call_dispatches = round_u64(&est[rate::CALL_DISPATCHES]);
+    mech.ret_dispatches = round_u64(&est[rate::RET_DISPATCHES]);
+    mech.ib_misses = round_u64(&est[rate::IB_MISSES]);
+    mech.rc_misses = round_u64(&est[rate::RC_MISSES]);
+    for (row, class) in per_class.iter_mut().enumerate() {
+        let (dispatches, misses) = rate::class(row);
+        class.dispatches = round_u64(&est[dispatches]);
+        class.misses = round_u64(&est[misses]);
     }
 
     // Analytic overhead model: a hit-path dispatch is flags save/restore
@@ -640,12 +582,12 @@ fn synthesize_report(
     let glue_cost = p.store_cost + p.alu_cost;
     let dispatches = mech.ib_dispatches + mech.ret_dispatches;
     let misses = mech.ib_misses + mech.rc_misses;
-    // The hardware target predictor's contribution per transfer class:
-    // every mispredicted dispatch-site indirect eats the profile's
-    // flush penalty on top of the analytic dispatch sequence.
-    let indirect_mispredicts = round_u64(&est.jump_mispredicts)
-        + round_u64(&est.call_mispredicts)
-        + round_u64(&est.ret_mispredicts);
+    // The model's predictors' contribution per transfer class: every
+    // mispredicted dispatch-site indirect eats the profile's flush
+    // penalty on top of the analytic dispatch sequence.
+    let indirect_mispredicts = round_u64(&est[rate::JUMP_MISPREDICTS])
+        + round_u64(&est[rate::CALL_MISPREDICTS])
+        + round_u64(&est[rate::RET_MISPREDICTS]);
     let cycles_by_origin = [
         native.total_cycles,
         native.direct_calls * glue_cost,
@@ -686,13 +628,14 @@ fn synthesize_report(
     })
 }
 
-/// Exact whole-trace mechanism counters for a configuration, plus the
-/// replay's hardware-predictor mirror counters under `spec` — the
-/// fidelity experiment's ground truth. Replays *every* record (no
-/// sampling), streamed off the bundle's `.strace` a block at a time; the
+/// Exact whole-trace mechanism counters for a configuration, beside the
+/// replay's [`rate_counters`](DispatchReplay::rate_counters) (the model's
+/// mispredicts among them) — the fidelity experiment's ground truth.
+/// Replays *every* record (no sampling), streamed off the bundle's
+/// `.strace` a block at a time, under a fresh model from `model`; the
 /// replay-exactness tests prove this equals exact-mode counters. A file
 /// that has gone missing or bad since the bundle was cut is re-recorded,
-/// as a bundle load would.
+/// as a bundle load would, and replayed under another fresh model.
 ///
 /// # Errors
 ///
@@ -702,14 +645,12 @@ pub fn full_trace_counters(
     workload: &str,
     params: Params,
     cfg: SdtConfig,
-    profile: ArchProfile,
-    spec: PredictorSpec,
-) -> Result<(MechanismStats, PredictorStats), String> {
+    model: impl Fn() -> ArchModel,
+) -> Result<(MechanismStats, [u64; rate::COUNT]), String> {
     let program = program_for(workload, params);
     let fail = |e: strata_core::SdtError| format!("{workload}/{}: {e}", cfg.describe());
     let replay = |mut source: Source, records: u64| {
-        let mut rp =
-            DispatchReplay::with_predictor(cfg, &program, profile.clone(), spec).map_err(fail)?;
+        let mut rp = DispatchReplay::new(cfg, &program, model()).map_err(fail)?;
         rp.seek(program.entry).map_err(fail)?;
         let mut desync = None;
         source.visit(std::slice::from_ref(&(0..records)), |_, ev| {
@@ -718,7 +659,7 @@ pub fn full_trace_counters(
             }
         })?;
         desync.map_or(Ok(()), |e| Err(fail(e)))?;
-        Ok((rp.stats(), rp.predictor_stats()))
+        Ok((rp.stats(), rp.rate_counters()))
     };
     let streamed = BlockWalker::open_path(&bundle.path)
         .ok()
@@ -737,8 +678,8 @@ pub fn full_trace_counters(
 
 /// The sampled-mode twin of [`crate::exec::cell_result`]: native cells
 /// are served exactly from the trace header's per-profile baselines;
-/// translated cells are estimated via [`estimate_cell_with_spec`] under
-/// the store context's predictor.
+/// translated cells are estimated via [`estimate_cell`] under the store
+/// context's model.
 ///
 /// # Panics
 ///
@@ -767,16 +708,9 @@ pub fn sampled_cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
         RunKind::Translated(cfg) => {
             let cfg = *cfg;
             store.get_or_compute(key, || {
-                let profile = key.profile.clone();
-                let cell = estimate_cell_with_spec(
-                    dir,
-                    key.workload,
-                    key.params,
-                    cfg,
-                    profile,
-                    ctx.predictor,
-                )
-                .unwrap_or_else(|e| panic!("sampled cell: {e}"));
+                let model = ctx.model(key.profile.clone());
+                let cell = estimate_cell(dir, key.workload, key.params, cfg, model)
+                    .unwrap_or_else(|e| panic!("sampled cell: {e}"));
                 CellResult::Translated(Box::new(cell.report))
             })
         }
@@ -787,6 +721,7 @@ pub fn sampled_cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use strata_arch::ArchProfile;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("strata-sampled-{tag}-{}", std::process::id()));
@@ -873,20 +808,17 @@ mod tests {
         assert!(cell.work_fraction() <= 0.2, "{}", cell.work_fraction());
         assert_eq!(cell.report.checksum, bundle.header.checksum);
 
-        let x86 = ArchProfile::x86_like();
-        let (truth, _) =
-            full_trace_counters(&bundle, "gzip", params, cfg, x86, PredictorSpec::Legacy).unwrap();
-        let err = cell.est.ib_dispatches.rel_error(truth.ib_dispatches as f64);
+        let x86 = || ArchModel::new(ArchProfile::x86_like());
+        let (truth, _) = full_trace_counters(&bundle, "gzip", params, cfg, x86).unwrap();
+        let ib = &cell.est[rate::IB_DISPATCHES];
+        let err = ib.rel_error(truth.ib_dispatches as f64);
         assert!(
             err < 0.25,
             "ib dispatch estimate off by {err} (est {} vs {})",
-            cell.est.ib_dispatches.mean,
+            ib.mean,
             truth.ib_dispatches
         );
-        let err = cell
-            .est
-            .ret_dispatches
-            .rel_error(truth.ret_dispatches as f64);
+        let err = cell.est[rate::RET_DISPATCHES].rel_error(truth.ret_dispatches as f64);
         assert!(err < 0.25, "ret dispatch estimate off by {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -993,8 +925,7 @@ mod tests {
             };
             for cfg in [SdtConfig::ibtc_inline(512), SdtConfig::tuned(512, 128)] {
                 let estimate = |b: &Bundle| {
-                    let spec = PredictorSpec::Legacy;
-                    estimate_bundle(b, name, params, cfg, x86.clone(), spec).expect("estimates")
+                    estimate_bundle(b, name, params, cfg, x86.clone().into()).expect("estimates")
                 };
                 let cell = estimate(&read);
                 // The work a cell stands for is the span it replays, as
@@ -1017,8 +948,8 @@ mod tests {
         let params = Params::default();
         let bundle = load_bundle(&dir, "gzip", params).expect("records");
         let truth = || {
-            let (cfg, x86) = (SdtConfig::ibtc_inline(512), ArchProfile::x86_like());
-            full_trace_counters(&bundle, "gzip", params, cfg, x86, PredictorSpec::Legacy)
+            let x86 = || ArchModel::new(ArchProfile::x86_like());
+            full_trace_counters(&bundle, "gzip", params, SdtConfig::ibtc_inline(512), x86)
                 .expect("counters")
         };
         let streamed = truth();

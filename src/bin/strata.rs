@@ -222,9 +222,7 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
     let program = (common.workload.build)(&common.params);
     let native = run_native_with_model(&program, model(), FUEL, tier).map_err(|e| e.to_string())?;
     let mut sdt = Sdt::new(cfg, &program).map_err(|e| e.to_string())?;
-    let report = sdt
-        .run_with_model(model(), FUEL)
-        .map_err(|e| e.to_string())?;
+    let report = sdt.run(model(), FUEL).map_err(|e| e.to_string())?;
 
     let pct = |c: u64| format!("{:.1}%", c as f64 * 100.0 / report.total_cycles as f64);
     let mut t = Table::new(
@@ -820,7 +818,7 @@ fn compare_cmd(args: &[String]) -> Result<(), String> {
     );
     for cfg in configs {
         let report = Sdt::new(cfg, &program)
-            .and_then(|mut s| s.run_with_model(model(), FUEL))
+            .and_then(|mut s| s.run(model(), FUEL))
             .map_err(|e| e.to_string())?;
         t.row([
             report.config.clone(),

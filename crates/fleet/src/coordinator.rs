@@ -1,6 +1,16 @@
 //! The fleet coordinator: owns the work manifest, leases cells to
-//! workers, requeues what crashed workers drop, and renders the suite
-//! once every cell has streamed back.
+//! workers, requeues what silent or departed connections held, and
+//! renders the suite once every cell has streamed back.
+//!
+//! ## Sans-IO
+//!
+//! [`Coordinator`] is a state machine: [`Coordinator::on`] takes the
+//! current time and one [`Event`] (a connection opened, bytes arrived, a
+//! connection closed, time passed) and returns the [`Action`]s that follow
+//! (send these bytes, close that connection, the run is done). It names no
+//! socket, thread, lock or clock. [`crate::tcp`] drives it over TCP in
+//! wall-clock time; `tests/sim.rs` drives it over a simulated network in
+//! virtual time.
 //!
 //! ## Dispatch model
 //!
@@ -17,14 +27,17 @@
 //!
 //! ## Robustness
 //!
-//! Every assignment is a **lease**: it expires unless refreshed by the
-//! owning connection's heartbeats, and a disconnect requeues the holder's
-//! leases immediately. Delivery is therefore at-least-once, and the
-//! coordinator dedupes by cell key — the first result for a cell wins,
-//! later copies are counted and dropped. Unparsable or mis-keyed results
-//! are rejected and the cell requeued, so a corrupt worker cannot poison
-//! the store (results are validated with the same
-//! [`parse_record`] path the disk cache trusts).
+//! Every assignment is a **lease** held by one connection, and there is
+//! one requeue rule: *a connection that delivers no frame for longer than
+//! the lease is closed, and its leases go back to the front of the
+//! queue.* Live workers heartbeat, so silence means a hung or vanished
+//! peer. A connection that breaks the protocol — a corrupt frame, work
+//! before `Register`, a second `Register`, a rejected result — is closed
+//! at once, and a connection the peer closes is released the same way.
+//! Delivery is therefore at-least-once, and the coordinator dedupes by
+//! cell — the first result for a cell wins, later copies are counted and
+//! dropped. Results are validated with the same [`parse_record`] path the
+//! disk cache trusts, so a lying worker cannot poison the store.
 //!
 //! ## Byte-identical merge
 //!
@@ -32,13 +45,11 @@
 //! fills, and rendering goes through the same
 //! [`render_from_store`] tail — so a fleet run's stdout and
 //! artifacts are byte-identical to a single-machine run of the same
-//! filter (the e2e tests and the CI smoke diff them at tolerance 0).
+//! filter (the simulator, the socket smoke and CI diff them at
+//! tolerance 0).
 
-use std::collections::{HashMap, VecDeque};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, VecDeque};
+use std::time::Duration;
 
 use strata_expt::{
     dispatch_order, parse_record, render_from_store, CellKey, Store, SuiteOptions, SuiteReport,
@@ -46,6 +57,43 @@ use strata_expt::{
 use strata_stats::Json;
 
 use crate::protocol::Frame;
+
+/// The shortest lease a coordinator may run with: workers heartbeat every
+/// [`HEARTBEAT`](crate::worker::HEARTBEAT), and a connection silent for
+/// one lease is closed, so a lease must outlast two heartbeats.
+pub const MIN_LEASE: Duration = Duration::from_secs(5);
+
+/// How long a finished coordinator waits for its workers to read
+/// `Finished` and hang up before it stops serving.
+const DRAIN: Duration = Duration::from_secs(5);
+
+/// A connection, numbered by the driver.
+pub type ConnId = u64;
+
+/// Something that happened to the coordinator.
+#[derive(Debug)]
+pub enum Event {
+    /// A worker connected.
+    Connected(ConnId),
+    /// Bytes arrived on a connection, chunked however the transport liked.
+    Bytes(ConnId, Vec<u8>),
+    /// The peer closed the connection, or the transport lost it.
+    Closed(ConnId),
+    /// Time passed.
+    Tick,
+}
+
+/// What the driver must do next.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Action {
+    /// Write one encoded frame to a connection.
+    Send(ConnId, Vec<u8>),
+    /// Close a connection (its leases are already requeued).
+    Close(ConnId),
+    /// Every cell has a result and the workers have been told; call
+    /// [`Coordinator::finish`].
+    Done,
+}
 
 /// How the coordinator reports long-run progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,12 +129,11 @@ pub struct ServeOptions {
     /// `context` salts the handshake fingerprint so only workers in the
     /// same context are admitted.
     pub suite: SuiteOptions,
-    /// Lease duration: a cell unrefreshed for this long is reassigned.
+    /// A connection that delivers no frame for this long is closed and
+    /// its cells reassigned. At least [`MIN_LEASE`].
     pub lease: Duration,
     /// Progress reporting mode.
     pub progress: Progress,
-    /// Interval between progress reports.
-    pub progress_every: Duration,
 }
 
 impl Default for ServeOptions {
@@ -96,7 +143,6 @@ impl Default for ServeOptions {
             suite: SuiteOptions::default(),
             lease: Duration::from_secs(60),
             progress: Progress::Text,
-            progress_every: Duration::from_secs(5),
         }
     }
 }
@@ -110,16 +156,17 @@ pub struct FleetStats {
     pub preloaded: usize,
     /// Results accepted from workers.
     pub received: usize,
-    /// Lease reassignments (expiry or worker disconnect).
+    /// Leases sent back to the queue by a closed connection.
     pub requeued: u64,
     /// At-least-once duplicates dropped by key dedup.
     pub duplicates: u64,
     /// Results rejected (bad key/index or unparsable record).
     pub rejected: u64,
-    /// Distinct worker registrations over the run's lifetime.
+    /// Worker registrations over the run's lifetime.
     pub workers_seen: u32,
-    /// Cells completed per worker, sorted by worker name.
-    pub per_worker: Vec<(String, u64)>,
+    /// Cells completed per worker name: a worker that reconnected
+    /// registered several times but is one machine to the operator.
+    pub per_worker: BTreeMap<String, u64>,
 }
 
 /// The outcome of a completed fleet run.
@@ -131,512 +178,334 @@ pub struct FleetReport {
     pub stats: FleetStats,
 }
 
-struct Lease {
-    owner: u64,
-    refreshed: Instant,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cell {
+    Queued,
+    Leased(ConnId),
+    Done,
 }
 
-struct WorkerInfo {
-    name: String,
-    completed: u64,
-    /// False once the connection closed; the entry is kept so the final
-    /// stats cover workers that left before the run ended.
-    active: bool,
+#[derive(Default)]
+struct Conn {
+    inbox: Vec<u8>,
+    /// When the last whole frame arrived (the connect time before one).
+    heard: Duration,
+    /// The worker's name once registered.
+    worker: Option<String>,
 }
 
-/// Mutable dispatch state behind the coordinator's single mutex.
-struct Dispatch {
-    /// Indices awaiting assignment, in dispatch order.
-    queue: VecDeque<u32>,
-    /// Outstanding assignments by manifest index.
-    leases: HashMap<u32, Lease>,
-    /// Completion flags by manifest index.
-    done: Vec<bool>,
-    done_count: usize,
-    preloaded: usize,
-    received: usize,
-    requeued: u64,
-    duplicates: u64,
-    rejected: u64,
-    /// Per-connection worker info (registered connections only).
-    workers: HashMap<u64, WorkerInfo>,
-    workers_seen: u32,
-    /// Connections currently being served (registered or not).
-    open_conns: u32,
-    /// Sum of predicted budgets for cells completed by workers.
-    done_budget: u64,
-    start: Instant,
-}
-
-struct Shared {
-    manifest: Vec<CellKey>,
-    keys: Vec<String>,
-    budgets: Vec<u64>,
-    fingerprint: u64,
-    filter: String,
-    scale: u32,
-    variant: u64,
-    lease: Duration,
-    finished: AtomicBool,
-    state: Mutex<Dispatch>,
-}
-
-/// A bound coordinator, ready to [`run`](Coordinator::run). Binding is
-/// split from running so callers (tests, scripts) can learn the actual
-/// port before starting workers.
+/// The coordinator's state machine; see the module docs.
 pub struct Coordinator {
-    listener: TcpListener,
     opts: ServeOptions,
-    store: Arc<Store>,
-    shared: Arc<Shared>,
+    store: Store,
+    manifest: Vec<CellKey>,
+    welcome: Vec<u8>,
+    cells: Vec<Cell>,
+    /// Cells to hand out, in dispatch order; entries no longer `Queued`
+    /// are skipped.
+    queue: VecDeque<u32>,
+    conns: BTreeMap<ConnId, Conn>,
+    stats: FleetStats,
+    /// Sum of predicted budgets (cycles) of the cells workers completed,
+    /// for the progress line's ETA.
+    done_budget: u64,
+    /// When the last cell arrived.
+    finished_at: Option<Duration>,
 }
 
 impl Coordinator {
-    /// Expands the manifest, preloads cached cells, queues the rest in
-    /// dispatch order, and binds the listen socket.
+    /// Expands the manifest, preloads cached cells and queues the rest in
+    /// dispatch order.
     ///
     /// # Errors
     ///
     /// Returns an error for a selection that is no plan (see
-    /// [`SuiteOptions::manifest`]) or an unbindable address.
-    pub fn bind(opts: ServeOptions) -> Result<Coordinator, String> {
+    /// [`SuiteOptions::manifest`]).
+    pub fn new(opts: ServeOptions) -> Result<Coordinator, String> {
         let manifest = opts.suite.manifest()?;
-        let keys: Vec<String> = manifest.iter().map(CellKey::key_string).collect();
-        let fingerprint = opts.suite.context.fingerprint(&manifest);
-        let store = Arc::new(Store::new(
-            opts.suite.context.clone(),
-            opts.suite.cache_dir.clone(),
-        ));
-
+        let store = Store::new(opts.suite.context.clone(), opts.suite.cache_dir.clone());
         // Resume: anything already in the cache is done before dispatch.
-        let mut done = vec![false; manifest.len()];
-        let mut preloaded = 0usize;
-        for (i, cell) in manifest.iter().enumerate() {
-            if store.cached(cell).is_some() {
-                done[i] = true;
-                preloaded += 1;
-            }
-        }
-
-        // Predicted cost per cell, for the progress line's ETA.
-        let budgets: Vec<u64> = manifest
+        let cells: Vec<Cell> = manifest
             .iter()
-            .map(|cell| store.budget(cell).unwrap_or(0))
+            .map(|cell| match store.cached(cell) {
+                Some(_) => Cell::Done,
+                None => Cell::Queued,
+            })
             .collect();
-        let queue: VecDeque<u32> = dispatch_order(&store, &manifest)
+        let stats = FleetStats {
+            cells: manifest.len(),
+            preloaded: cells.iter().filter(|&&c| c == Cell::Done).count(),
+            ..FleetStats::default()
+        };
+        let queue = dispatch_order(&store, &manifest)
             .into_iter()
-            .filter(|&i| !done[i])
+            .filter(|&i| cells[i] == Cell::Queued)
             .map(|i| i as u32)
             .collect();
-
-        let listener =
-            TcpListener::bind(&opts.bind).map_err(|e| format!("bind {}: {e}", opts.bind))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
-
-        let done_count = preloaded;
-        let all_done = done_count == manifest.len();
-        let shared = Arc::new(Shared {
-            keys,
-            budgets,
-            fingerprint,
+        let welcome = Frame::Welcome {
             filter: opts.suite.filter.clone().unwrap_or_default(),
             scale: opts.suite.params.scale,
             variant: opts.suite.params.variant,
-            lease: opts.lease,
-            finished: AtomicBool::new(all_done),
-            state: Mutex::new(Dispatch {
-                queue,
-                leases: HashMap::new(),
-                done,
-                done_count,
-                preloaded,
-                received: 0,
-                requeued: 0,
-                duplicates: 0,
-                rejected: 0,
-                workers: HashMap::new(),
-                workers_seen: 0,
-                open_conns: 0,
-                done_budget: 0,
-                start: Instant::now(),
-            }),
-            manifest,
-        });
+            manifest_len: manifest.len() as u32,
+            fingerprint: opts.suite.context.fingerprint(&manifest),
+        }
+        .encode();
         Ok(Coordinator {
-            listener,
             opts,
             store,
-            shared,
+            manifest,
+            welcome,
+            cells,
+            queue,
+            conns: BTreeMap::new(),
+            stats,
+            done_budget: 0,
+            finished_at: None,
         })
     }
 
-    /// The bound listen address (useful with port 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket error as a message.
-    pub fn local_addr(&self) -> Result<std::net::SocketAddr, String> {
-        self.listener.local_addr().map_err(|e| e.to_string())
+    fn done(&self) -> usize {
+        self.stats.preloaded + self.stats.received
     }
 
-    /// Serves workers until every manifest cell has a result, then
-    /// flushes budgets and renders the suite from the populated store.
+    /// Advances the machine by one event at time `now` (any clock that
+    /// never runs backwards) and returns what the driver must do. Once it
+    /// returns [`Action::Done`], the driver stops serving.
+    pub fn on(&mut self, now: Duration, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        match event {
+            Event::Connected(id) => {
+                self.conns.entry(id).or_default().heard = now;
+                out.push(Action::Send(id, self.welcome.clone()));
+            }
+            Event::Bytes(id, bytes) => self.receive(now, id, &bytes, &mut out),
+            Event::Closed(id) => self.release(id),
+            Event::Tick => {}
+        }
+        let lease = self.opts.lease;
+        let silent =
+            |(&id, c): (&ConnId, &Conn)| (now.saturating_sub(c.heard) > lease).then_some(id);
+        while let Some(id) = self.conns.iter().find_map(silent) {
+            self.close(id, &mut out);
+        }
+        if self.done() == self.cells.len() {
+            let since = *self.finished_at.get_or_insert(now);
+            if self.conns.is_empty() || now >= since + DRAIN {
+                out.push(Action::Done);
+            }
+        }
+        out
+    }
+
+    fn receive(&mut self, now: Duration, id: ConnId, bytes: &[u8], out: &mut Vec<Action>) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.inbox.extend_from_slice(bytes);
+        }
+        while let Some(conn) = self.conns.get_mut(&id) {
+            match Frame::next(&mut conn.inbox) {
+                Ok(None) => return,
+                Ok(Some(frame)) => {
+                    conn.heard = now;
+                    if !self.handle(id, frame, out) {
+                        self.close(id, out);
+                    }
+                }
+                Err(_) => self.close(id, out),
+            }
+        }
+    }
+
+    /// Serves one frame; `false` means the peer broke the protocol.
+    fn handle(&mut self, id: ConnId, frame: Frame, out: &mut Vec<Action>) -> bool {
+        let registered = self.conns[&id].worker.clone();
+        match (frame, registered) {
+            (Frame::Register { worker }, None) => {
+                self.stats.workers_seen += 1;
+                self.stats.per_worker.entry(worker.clone()).or_insert(0);
+                self.conns.get_mut(&id).expect("open connection").worker = Some(worker);
+            }
+            (Frame::Fetch, Some(_)) => {
+                let reply = self.assign(id);
+                out.push(Action::Send(id, reply.encode()));
+            }
+            (Frame::Ping, Some(_)) => {}
+            (Frame::Result { index, key, record }, Some(worker)) => {
+                return self.accept(&worker, index, &key, &record, out);
+            }
+            // Work before `Register`, a second `Register`, or a frame
+            // only a coordinator sends.
+            _ => return false,
+        }
+        true
+    }
+
+    /// The reply to `id`'s `Fetch`: the first queued cell, leased to it.
+    fn assign(&mut self, id: ConnId) -> Frame {
+        if self.done() == self.cells.len() {
+            return Frame::Finished;
+        }
+        while let Some(index) = self.queue.pop_front() {
+            let i = index as usize;
+            if self.cells[i] == Cell::Queued {
+                self.cells[i] = Cell::Leased(id);
+                let key = self.manifest[i].key_string();
+                return Frame::Assign { index, key };
+            }
+        }
+        Frame::Wait { millis: 200 }
+    }
+
+    /// Validates and ingests one streamed result from `worker`; `false`
+    /// rejects it. The first result for a cell wins, whoever holds the
+    /// lease.
+    fn accept(
+        &mut self,
+        worker: &str,
+        index: u32,
+        key: &str,
+        record: &str,
+        out: &mut Vec<Action>,
+    ) -> bool {
+        let i = index as usize;
+        let parsed = match self.manifest.get(i) {
+            Some(cell) if cell.key_string() == key => parse_record(record, key),
+            _ => None,
+        };
+        let Some(result) = parsed else {
+            self.stats.rejected += 1;
+            return false;
+        };
+        if self.cells[i] == Cell::Done {
+            self.stats.duplicates += 1;
+            return true;
+        }
+        // The predicted cost, read before `put` records the observed one.
+        self.done_budget += self.store.budget(&self.manifest[i]).unwrap_or(0);
+        self.store.put(&self.manifest[i], result);
+        self.cells[i] = Cell::Done;
+        self.stats.received += 1;
+        *self.stats.per_worker.get_mut(worker).expect("registered") += 1;
+        if self.done() == self.cells.len() {
+            for (&id, conn) in &self.conns {
+                if conn.worker.is_some() {
+                    out.push(Action::Send(id, Frame::Finished.encode()));
+                }
+            }
+        }
+        true
+    }
+
+    /// Forgets connection `id` and puts every cell it held back at the
+    /// front of the queue.
+    fn release(&mut self, id: ConnId) {
+        self.conns.remove(&id);
+        for (i, cell) in self.cells.iter_mut().enumerate() {
+            if *cell == Cell::Leased(id) {
+                *cell = Cell::Queued;
+                self.queue.push_front(i as u32);
+                self.stats.requeued += 1;
+            }
+        }
+    }
+
+    fn close(&mut self, id: ConnId, out: &mut Vec<Action>) {
+        if self.conns.contains_key(&id) {
+            self.release(id);
+            out.push(Action::Close(id));
+        }
+    }
+
+    /// The store results land in: preloaded from the disk cache, then
+    /// filled by workers.
+    pub fn store(&self) -> &Store {
+        &self.store
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> &FleetStats {
+        &self.stats
+    }
+
+    /// Flushes budgets and renders the suite from the populated store.
     ///
     /// # Errors
     ///
-    /// Returns an error if the final render fails (dead filter — already
-    /// caught at bind — or artifact assembly problems).
-    pub fn run(self) -> Result<FleetReport, String> {
-        let mut last_progress = Instant::now();
-        let mut conn_id = 0u64;
-        while !self.shared.finished.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    conn_id += 1;
-                    let shared = Arc::clone(&self.shared);
-                    let store = Arc::clone(&self.store);
-                    let id = conn_id;
-                    std::thread::spawn(move || handle_connection(id, stream, &shared, &store));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => {
-                    // Transient accept failures (EMFILE, resets) should
-                    // not kill a long run; note and keep serving.
-                    eprintln!("fleet: accept: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            }
-            if self.opts.progress != Progress::Silent
-                && last_progress.elapsed() >= self.opts.progress_every
-            {
-                eprintln!("{}", self.progress_line());
-                last_progress = Instant::now();
-            }
-        }
-        if self.opts.progress != Progress::Silent {
-            eprintln!("{}", self.progress_line());
-        }
-        // Drain: give connected workers a moment to fetch their
-        // `Finished` and hang up cleanly — without this, the process
-        // exit kills handler threads mid-conversation and the worker
-        // that delivered the last result burns its retry budget
-        // reconnecting to a dead address. Late arrivals during the
-        // grace period are still accepted and told the suite is done.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let open = self.shared.state.lock().expect("dispatch lock").open_conns;
-            if open == 0 || Instant::now() >= deadline {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    conn_id += 1;
-                    let shared = Arc::clone(&self.shared);
-                    let store = Arc::clone(&self.store);
-                    let id = conn_id;
-                    std::thread::spawn(move || handle_connection(id, stream, &shared, &store));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
+    /// Returns an error if the render fails (artifact assembly problems;
+    /// a dead filter is already refused by [`Coordinator::new`]).
+    pub fn finish(self) -> Result<FleetReport, String> {
         // Budgets observed this run (via Store::put) feed the next run's
         // LPT schedule; flush prunes keys the registry no longer makes.
         self.store.flush_budgets();
         let suite = render_from_store(&self.store, &self.opts.suite)?;
-        Ok(FleetReport {
-            suite,
-            stats: self.stats(),
-        })
+        let stats = self.stats;
+        Ok(FleetReport { suite, stats })
     }
 
-    fn stats(&self) -> FleetStats {
-        let d = self.shared.state.lock().expect("dispatch lock");
-        // Aggregate by name: a worker that reconnected shows up under
-        // several connection ids but is one machine to the operator.
-        let mut by_name = std::collections::BTreeMap::<String, u64>::new();
-        for w in d.workers.values() {
-            *by_name.entry(w.name.clone()).or_insert(0) += w.completed;
-        }
-        let per_worker: Vec<(String, u64)> = by_name.into_iter().collect();
-        FleetStats {
-            cells: self.shared.manifest.len(),
-            preloaded: d.preloaded,
-            received: d.received,
-            requeued: d.requeued,
-            duplicates: d.duplicates,
-            rejected: d.rejected,
-            workers_seen: d.workers_seen,
-            per_worker,
-        }
-    }
-
-    fn progress_line(&self) -> String {
-        let d = self.shared.state.lock().expect("dispatch lock");
-        let total = self.shared.manifest.len();
-        let elapsed = d.start.elapsed().as_secs_f64().max(1e-9);
-        let remaining_budget: u64 = (0..total)
-            .filter(|&i| !d.done[i])
-            .map(|i| self.shared.budgets[i])
+    /// One progress report in the configured mode, `now` into the run;
+    /// `None` when progress is silent.
+    pub fn progress_line(&self, now: Duration) -> Option<String> {
+        let s = &self.stats;
+        let done = self.done();
+        let elapsed = now.as_secs_f64().max(1e-9);
+        let remaining_budget: u64 = (self.manifest.iter().zip(&self.cells))
+            .filter(|(_, &c)| c != Cell::Done)
+            .map(|(cell, _)| self.store.budget(cell).unwrap_or(0))
             .sum();
-        let cells_per_sec = d.received as f64 / elapsed;
-        let cycle_rate = d.done_budget as f64 / elapsed;
+        let cells_per_sec = s.received as f64 / elapsed;
+        let cycle_rate = self.done_budget as f64 / elapsed;
         // ETA from remaining *predicted* budget when the book knows the
         // cells; cells-per-second otherwise.
         let eta_secs = if remaining_budget > 0 && cycle_rate > 0.0 {
-            Some(remaining_budget as f64 / cycle_rate)
+            Some((remaining_budget as f64 / cycle_rate).round() as u64)
         } else if cells_per_sec > 0.0 {
-            Some((total - d.done_count) as f64 / cells_per_sec)
+            Some(((s.cells - done) as f64 / cells_per_sec).round() as u64)
         } else {
             None
         };
-        let active = d.workers.values().filter(|w| w.active).count();
-        let mut by_name = std::collections::BTreeMap::<&str, u64>::new();
-        for w in d.workers.values() {
-            *by_name.entry(w.name.as_str()).or_insert(0) += w.completed;
-        }
-        let workers: Vec<(&str, u64)> = by_name.into_iter().collect();
-        match self.opts.progress {
-            Progress::Json => Json::obj([
-                ("done", Json::uint(d.done_count as u64)),
-                ("total", Json::uint(total as u64)),
-                ("preloaded", Json::uint(d.preloaded as u64)),
-                ("leased", Json::uint(d.leases.len() as u64)),
-                ("queued", Json::uint(d.queue.len() as u64)),
-                ("requeued", Json::uint(d.requeued)),
-                ("duplicates", Json::uint(d.duplicates)),
-                ("workers", Json::uint(active as u64)),
-                (
-                    "cells_per_sec",
-                    Json::num((cells_per_sec * 1000.0).round() / 1000.0),
-                ),
-                (
-                    "eta_secs",
-                    match eta_secs {
-                        Some(s) => Json::uint(s.round() as u64),
-                        None => Json::Null,
-                    },
-                ),
-            ])
-            .render(),
-            _ => {
-                let per_worker = workers
-                    .iter()
+        let leased = (self.cells.iter())
+            .filter(|c| matches!(c, Cell::Leased(_)))
+            .count();
+        let queued = s.cells - leased - done;
+        Some(match self.opts.progress {
+            Progress::Silent => return None,
+            Progress::Json => {
+                let active = self.conns.values().filter(|c| c.worker.is_some()).count();
+                let rate = Json::num((cells_per_sec * 1000.0).round() / 1000.0);
+                Json::obj([
+                    ("done", Json::uint(done as u64)),
+                    ("total", Json::uint(s.cells as u64)),
+                    ("preloaded", Json::uint(s.preloaded as u64)),
+                    ("leased", Json::uint(leased as u64)),
+                    ("queued", Json::uint(queued as u64)),
+                    ("requeued", Json::uint(s.requeued)),
+                    ("duplicates", Json::uint(s.duplicates)),
+                    ("workers", Json::uint(active as u64)),
+                    ("cells_per_sec", rate),
+                    ("eta_secs", eta_secs.map_or(Json::Null, Json::uint)),
+                ])
+                .render()
+            }
+            Progress::Text => {
+                let eta = eta_secs.map_or("ETA unknown".into(), |s| format!("ETA {s}s"));
+                let workers: Vec<String> = (s.per_worker.iter())
                     .map(|(n, c)| format!("{n}:{c}"))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                let eta = match eta_secs {
-                    Some(s) => format!("ETA {}s", s.round() as u64),
-                    None => "ETA unknown".into(),
+                    .collect();
+                let workers = match workers.is_empty() {
+                    true => String::new(),
+                    false => format!(", workers [{}]", workers.join(" ")),
+                };
+                let duplicates = match s.duplicates {
+                    0 => String::new(),
+                    n => format!(", {n} duplicate(s)"),
                 };
                 format!(
-                    "fleet: {}/{} done ({} preloaded), {} leased, {} queued, {} requeued, \
-                     {:.2} cells/s, {eta}{}{}",
-                    d.done_count,
-                    total,
-                    d.preloaded,
-                    d.leases.len(),
-                    d.queue.len(),
-                    d.requeued,
-                    cells_per_sec,
-                    if per_worker.is_empty() {
-                        String::new()
-                    } else {
-                        format!(", workers [{per_worker}]")
-                    },
-                    if d.duplicates > 0 {
-                        format!(", {} duplicate(s)", d.duplicates)
-                    } else {
-                        String::new()
-                    },
+                    "fleet: {done}/{} done ({} preloaded), {leased} leased, {queued} queued, \
+                     {} requeued, {cells_per_sec:.2} cells/s, {eta}{workers}{duplicates}",
+                    s.cells, s.preloaded, s.requeued,
                 )
             }
-        }
+        })
     }
-}
-
-/// Serves one worker connection: handshake, then a fetch/result loop.
-/// Any read error — disconnect, timeout, corrupt frame — requeues the
-/// connection's outstanding leases and drops the connection; the worker
-/// reconnects (or another worker steals the cells).
-fn handle_connection(conn_id: u64, stream: TcpStream, shared: &Shared, store: &Store) {
-    let _ = stream.set_nodelay(true);
-    // Heartbeats arrive every couple of seconds from live workers, so a
-    // silent connection this long is dead even mid-compute.
-    let read_timeout = (shared.lease * 2).max(Duration::from_secs(10));
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let mut stream = stream;
-
-    shared.state.lock().expect("dispatch lock").open_conns += 1;
-    let welcome = Frame::Welcome {
-        filter: shared.filter.clone(),
-        scale: shared.scale,
-        variant: shared.variant,
-        manifest_len: shared.manifest.len() as u32,
-        fingerprint: shared.fingerprint,
-    };
-    if welcome.write_to(&mut stream).is_err() {
-        release_connection(conn_id, shared);
-        return;
-    }
-
-    loop {
-        match Frame::read_from(&mut stream) {
-            Ok(Frame::Register { worker }) => {
-                let mut d = shared.state.lock().expect("dispatch lock");
-                d.workers_seen += 1;
-                d.workers.insert(
-                    conn_id,
-                    WorkerInfo {
-                        name: worker,
-                        completed: 0,
-                        active: true,
-                    },
-                );
-            }
-            Ok(Frame::Fetch) => {
-                let reply = next_assignment(conn_id, shared);
-                if reply.write_to(&mut stream).is_err() {
-                    break;
-                }
-            }
-            Ok(Frame::Result { index, key, record }) => {
-                accept_result(conn_id, shared, store, index, &key, &record);
-            }
-            Ok(Frame::Ping) => {
-                let now = Instant::now();
-                let mut d = shared.state.lock().expect("dispatch lock");
-                for lease in d.leases.values_mut().filter(|l| l.owner == conn_id) {
-                    lease.refreshed = now;
-                }
-            }
-            // A coordinator-bound connection has no business sending
-            // coordinator frames; treat as a protocol violation.
-            Ok(_) | Err(_) => break,
-        }
-    }
-    release_connection(conn_id, shared);
-}
-
-/// Picks the next cell for `conn_id`: queue head first, then any expired
-/// lease (the work-stealing path for crashed-but-connected workers).
-fn next_assignment(conn_id: u64, shared: &Shared) -> Frame {
-    if shared.finished.load(Ordering::SeqCst) {
-        return Frame::Finished;
-    }
-    let mut d = shared.state.lock().expect("dispatch lock");
-    if d.queue.is_empty() {
-        // Steal expired leases back onto the queue.
-        let now = Instant::now();
-        let expired: Vec<u32> = d
-            .leases
-            .iter()
-            .filter(|(_, l)| now.duration_since(l.refreshed) > shared.lease)
-            .map(|(&i, _)| i)
-            .collect();
-        for &i in &expired {
-            d.leases.remove(&i);
-            d.queue.push_back(i);
-        }
-        d.requeued += expired.len() as u64;
-    }
-    match d.queue.pop_front() {
-        Some(index) => {
-            d.leases.insert(
-                index,
-                Lease {
-                    owner: conn_id,
-                    refreshed: Instant::now(),
-                },
-            );
-            Frame::Assign {
-                index,
-                key: shared.keys[index as usize].clone(),
-            }
-        }
-        None if d.done_count == shared.manifest.len() => Frame::Finished,
-        None => Frame::Wait { millis: 200 },
-    }
-}
-
-/// Validates and ingests one streamed result. At-least-once delivery is
-/// deduplicated here: the first result for a cell wins, duplicates are
-/// counted and dropped, and malformed results requeue the cell.
-fn accept_result(
-    conn_id: u64,
-    shared: &Shared,
-    store: &Store,
-    index: u32,
-    key: &str,
-    record: &str,
-) {
-    let i = index as usize;
-    let valid_key = shared.keys.get(i).is_some_and(|k| k == key);
-    let parsed = if valid_key {
-        parse_record(record, key)
-    } else {
-        None
-    };
-    match parsed {
-        Some(result) => {
-            // Idempotent: the store keeps the first result for the key.
-            store.put(&shared.manifest[i], result);
-            let mut d = shared.state.lock().expect("dispatch lock");
-            d.leases.remove(&index);
-            if d.done[i] {
-                d.duplicates += 1;
-                return;
-            }
-            d.done[i] = true;
-            d.done_count += 1;
-            d.received += 1;
-            d.done_budget += shared.budgets[i];
-            if let Some(w) = d.workers.get_mut(&conn_id) {
-                w.completed += 1;
-            }
-            if d.done_count == shared.manifest.len() {
-                shared.finished.store(true, Ordering::SeqCst);
-            }
-        }
-        None => {
-            let mut d = shared.state.lock().expect("dispatch lock");
-            d.rejected += 1;
-            if !valid_key {
-                return;
-            }
-            // Requeue so the run still converges, unless someone else
-            // already finished or holds the cell.
-            let held = d.leases.remove(&index).is_some();
-            if !d.done[i] && (held || !d.queue.contains(&index)) {
-                d.queue.push_front(index);
-            }
-        }
-    }
-}
-
-/// Requeues every lease the departing connection holds — the crash path:
-/// a killed worker's cells go back to the front of the queue immediately
-/// instead of waiting out their leases.
-fn release_connection(conn_id: u64, shared: &Shared) {
-    let mut d = shared.state.lock().expect("dispatch lock");
-    let held: Vec<u32> = d
-        .leases
-        .iter()
-        .filter(|(_, l)| l.owner == conn_id)
-        .map(|(&i, _)| i)
-        .collect();
-    for &i in &held {
-        d.leases.remove(&i);
-        d.queue.push_front(i);
-    }
-    d.requeued += held.len() as u64;
-    if let Some(w) = d.workers.get_mut(&conn_id) {
-        w.active = false;
-    }
-    d.open_conns = d.open_conns.saturating_sub(1);
 }
 
 #[cfg(test)]
@@ -681,8 +550,7 @@ mod tests {
         }
 
         let queue_under = |context: RunContext| -> Vec<usize> {
-            let coordinator = Coordinator::bind(ServeOptions {
-                bind: "127.0.0.1:0".into(),
+            let coordinator = Coordinator::new(ServeOptions {
                 suite: SuiteOptions {
                     filter: Some("fig2".into()),
                     cache_dir: Some(dir.clone()),
@@ -691,9 +559,8 @@ mod tests {
                 },
                 ..ServeOptions::default()
             })
-            .expect("bind");
-            let d = coordinator.shared.state.lock().expect("dispatch lock");
-            d.queue.iter().map(|&i| i as usize).collect()
+            .expect("plan");
+            coordinator.queue.iter().map(|&i| i as usize).collect()
         };
         let sampled = RunContext {
             mode: Mode::Sampled {
@@ -730,22 +597,101 @@ mod tests {
             },
             ..ServeOptions::default()
         };
-        assert!(Coordinator::bind(opts)
+        assert!(Coordinator::new(opts)
             .err()
             .expect("rejects")
             .contains("zzz"));
 
         let opts = ServeOptions {
             bind: "256.0.0.1:0".into(),
-            suite: SuiteOptions {
-                filter: Some("table1".into()),
-                ..SuiteOptions::default()
-            },
+            suite: table1(),
             ..ServeOptions::default()
         };
-        assert!(Coordinator::bind(opts)
-            .err()
-            .expect("rejects")
+        assert!(crate::tcp::serve(opts, |_| {})
+            .expect_err("rejects")
             .contains("bind"));
+    }
+
+    fn table1() -> SuiteOptions {
+        SuiteOptions {
+            filter: Some("table1".into()),
+            ..SuiteOptions::default()
+        }
+    }
+
+    fn wire(frames: &[Frame]) -> Vec<u8> {
+        frames.iter().flat_map(Frame::encode).collect()
+    }
+
+    fn register() -> Frame {
+        Frame::Register { worker: "w".into() }
+    }
+
+    /// Registers connection `id` and fetches: the frame the coordinator
+    /// answers with.
+    fn fetch_as(c: &mut Coordinator, id: ConnId) -> Frame {
+        c.on(Duration::ZERO, Event::Connected(id));
+        let reply = c.on(
+            Duration::ZERO,
+            Event::Bytes(id, wire(&[register(), Frame::Fetch])),
+        );
+        match &reply[..] {
+            [Action::Send(to, bytes)] if *to == id => Frame::decode(bytes).expect("a frame").0,
+            other => panic!("expected one reply, got {other:?}"),
+        }
+    }
+
+    /// Work before `Register`, a second `Register` and a coordinator's
+    /// own frame each close the connection; only first registrations
+    /// count as workers.
+    #[test]
+    fn out_of_order_frames_close_the_connection() {
+        let mut c = Coordinator::new(ServeOptions {
+            suite: table1(),
+            ..ServeOptions::default()
+        })
+        .expect("plan");
+        let result = Frame::Result {
+            index: 0,
+            key: String::new(),
+            record: String::new(),
+        };
+        for (id, frames) in [
+            (1, vec![Frame::Fetch]),
+            (2, vec![Frame::Ping]),
+            (3, vec![result]),
+            (4, vec![register(), register()]),
+            (5, vec![register(), Frame::Finished]),
+        ] {
+            c.on(Duration::ZERO, Event::Connected(id));
+            let actions = c.on(Duration::ZERO, Event::Bytes(id, wire(&frames)));
+            assert_eq!(actions, vec![Action::Close(id)], "{frames:?}");
+        }
+        assert_eq!(c.stats().workers_seen, 2);
+        assert_eq!(c.stats().requeued, 0);
+    }
+
+    /// A result under the wrong key closes its sender and requeues the
+    /// lease at once; the sender's heartbeats cannot keep it alive.
+    #[test]
+    fn a_rejected_result_closes_the_sender_and_requeues_its_lease() {
+        let mut c = Coordinator::new(ServeOptions {
+            suite: table1(),
+            ..ServeOptions::default()
+        })
+        .expect("plan");
+        let Frame::Assign { index, key } = fetch_as(&mut c, 1) else {
+            panic!("expected an assignment");
+        };
+        let lie = Frame::Result {
+            index,
+            key: format!("{key}-not"),
+            record: String::new(),
+        };
+        let actions = c.on(Duration::ZERO, Event::Bytes(1, lie.encode()));
+        assert_eq!(actions, vec![Action::Close(1)]);
+        assert_eq!(fetch_as(&mut c, 2), Frame::Assign { index, key });
+        let stats = c.stats();
+        assert_eq!((stats.rejected, stats.requeued), (1, 1));
     }
 }

@@ -6,25 +6,30 @@
 //! that cell set across machines with nothing shared but a TCP
 //! connection:
 //!
-//! * [`coordinator`] — `strata fleet serve` loads the cell manifest for
-//!   the selected experiments, orders it by observed budgets (longest
-//!   first), and leases cells to workers over the wire protocol.
-//!   Results stream back, land in the same memoized [`Store`] a local
-//!   run fills, and the final render goes through the same code path —
-//!   so fleet output is **byte-identical** to a single-machine
-//!   `strata bench` of the same selection.
-//! * [`worker`] — `strata fleet work` connects, verifies it derives the
-//!   exact same manifest (fingerprint handshake), then pulls, executes,
-//!   and streams results until the coordinator says the suite is done.
+//! * [`coordinator`] — the state machine behind `strata fleet serve`:
+//!   loads the cell manifest for the selected experiments, orders it by
+//!   observed budgets (longest first), and leases cells to workers over
+//!   the wire protocol. Results stream back, land in the same memoized
+//!   [`Store`] a local run fills, and the final render goes through the
+//!   same code path — so fleet output is **byte-identical** to a
+//!   single-machine `strata bench` of the same selection.
+//! * [`worker`] — the state machine behind `strata fleet work`:
+//!   connects, verifies it derives the exact same manifest (fingerprint
+//!   handshake), then pulls, executes, and streams results until the
+//!   coordinator says the suite is done.
 //! * [`protocol`] — the versioned, length-prefixed, checksummed frame
 //!   format both sides speak. Hand-rolled and serde-free, like the rest
 //!   of the workspace's serialization.
+//! * [`tcp`] — the one driver: runs either state machine over TCP
+//!   sockets and wall-clock time. Neither state machine does I/O or reads
+//!   a clock, so `tests/sim.rs` runs both over a simulated network in
+//!   virtual time.
 //!
-//! Crash-safety is end to end: leases expire and reassign, worker
-//! disconnects requeue instantly, delivery is at-least-once with
-//! first-result-wins dedup at the coordinator, and the disk cache doubles
-//! as a resume log — restarting the coordinator redispatches only the
-//! cells without cached results.
+//! Crash-safety is end to end: a connection silent for a lease is closed
+//! and its cells requeued, as are a departed or misbehaving worker's,
+//! delivery is at-least-once with first-result-wins dedup at the
+//! coordinator, and the disk cache doubles as a resume log — restarting
+//! the coordinator redispatches only the cells without cached results.
 //!
 //! ```text
 //! machine A$ strata fleet serve --filter fig4,fig7 --cache
@@ -36,8 +41,10 @@
 
 pub mod coordinator;
 pub mod protocol;
+pub mod tcp;
 pub mod worker;
 
-pub use coordinator::{Coordinator, FleetReport, FleetStats, Progress, ServeOptions};
+pub use coordinator::{Coordinator, FleetReport, FleetStats, Progress, ServeOptions, MIN_LEASE};
 pub use protocol::{Frame, ProtoError, MAX_PAYLOAD, PROTO_VERSION};
-pub use worker::{work, WorkOptions, WorkerReport};
+pub use tcp::{serve, work};
+pub use worker::{WorkOptions, Worker, WorkerReport, HEARTBEAT};

@@ -16,11 +16,14 @@
 //! check  u64  fnv1a64(ver ‖ kind ‖ len ‖ payload)
 //! ```
 //!
-//! Every decode error is a value, never a panic: a truncated stream, a
-//! flipped bit, an oversized length, or an unknown discriminant yields a
-//! [`ProtoError`] the caller maps to "drop this connection" (coordinator)
-//! or "reconnect with backoff" (worker). The property tests round-trip
-//! randomized frames and mutilate them byte-by-byte to pin this down.
+//! Every decode error is a value, never a panic. [`Frame::decode`] is the
+//! one decoder, and [`Frame::next`] feeds it a connection's bytes as they
+//! arrive: [`ProtoError::Truncated`] means "wait for more bytes"; any
+//! other error — a flipped bit, an oversized length, an unknown
+//! discriminant — is what the caller maps to "drop this connection"
+//! (coordinator) or "reconnect with backoff" (worker). The property tests
+//! stream randomized frames in random chunks and mutilate them
+//! bit-by-bit to pin this down.
 //!
 //! Work assignment rides on *manifest indices*, not serialized cell keys:
 //! coordinator and workers independently derive the same
@@ -28,8 +31,6 @@
 //! params) announced in [`Frame::Welcome`], verify agreement via the
 //! manifest fingerprint, and then name cells by index — with the full key
 //! string echoed alongside as a belt-and-braces check.
-
-use std::io::{Read, Write};
 
 use strata_expt::fnv1a64;
 
@@ -99,11 +100,9 @@ pub enum Frame {
     Ping,
 }
 
-/// Why a frame failed to decode or a stream failed to deliver one.
+/// Why a frame failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
-    /// Underlying transport error (includes EOF mid-frame).
-    Io(String),
     /// First four bytes were not [`MAGIC`].
     BadMagic(u32),
     /// Peer speaks a different [`PROTO_VERSION`].
@@ -112,7 +111,8 @@ pub enum ProtoError {
     UnknownKind(u8),
     /// Declared payload length exceeds [`MAX_PAYLOAD`].
     Oversized(u32),
-    /// Buffer ended before the declared frame did.
+    /// Buffer ended before the declared frame did: the rest has not
+    /// arrived yet.
     Truncated,
     /// Checksum mismatch — the frame was corrupted in flight.
     BadChecksum,
@@ -124,62 +124,26 @@ pub enum ProtoError {
 impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtoError::Io(e) => write!(f, "i/o: {e}"),
-            ProtoError::BadMagic(m) => write!(f, "bad frame magic {m:#010x}"),
             ProtoError::BadVersion(v) => {
                 write!(f, "protocol version {v} (this side speaks {PROTO_VERSION})")
             }
-            ProtoError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
-            ProtoError::Oversized(n) => write!(f, "payload length {n} exceeds {MAX_PAYLOAD}"),
-            ProtoError::Truncated => write!(f, "truncated frame"),
-            ProtoError::BadChecksum => write!(f, "frame checksum mismatch"),
-            ProtoError::BadPayload => write!(f, "malformed frame payload"),
+            other => write!(f, "malformed frame: {other:?}"),
         }
-    }
-}
-
-impl From<std::io::Error> for ProtoError {
-    fn from(e: std::io::Error) -> ProtoError {
-        ProtoError::Io(e.to_string())
     }
 }
 
 // --- encoding ----------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
+    out.extend((s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
 
 impl Frame {
-    fn kind(&self) -> u8 {
-        match self {
-            Frame::Welcome { .. } => 1,
-            Frame::Register { .. } => 2,
-            Frame::Fetch => 3,
-            Frame::Assign { .. } => 4,
-            Frame::Wait { .. } => 5,
-            Frame::Finished => 6,
-            Frame::Result { .. } => 7,
-            Frame::Ping => 8,
-        }
-    }
-
-    fn payload(&self) -> Vec<u8> {
+    /// The frame's discriminant and payload.
+    fn payload(&self) -> (u8, Vec<u8>) {
         let mut p = Vec::new();
-        match self {
+        let kind = match self {
             Frame::Welcome {
                 filter,
                 scale,
@@ -188,41 +152,52 @@ impl Frame {
                 fingerprint,
             } => {
                 put_str(&mut p, filter);
-                put_u32(&mut p, *scale);
-                put_u64(&mut p, *variant);
-                put_u32(&mut p, *manifest_len);
-                put_u64(&mut p, *fingerprint);
+                p.extend(scale.to_le_bytes());
+                p.extend(variant.to_le_bytes());
+                p.extend(manifest_len.to_le_bytes());
+                p.extend(fingerprint.to_le_bytes());
+                1
             }
-            Frame::Register { worker } => put_str(&mut p, worker),
-            Frame::Fetch | Frame::Finished | Frame::Ping => {}
+            Frame::Register { worker } => {
+                put_str(&mut p, worker);
+                2
+            }
+            Frame::Fetch => 3,
             Frame::Assign { index, key } => {
-                put_u32(&mut p, *index);
+                p.extend(index.to_le_bytes());
                 put_str(&mut p, key);
+                4
             }
-            Frame::Wait { millis } => put_u32(&mut p, *millis),
+            Frame::Wait { millis } => {
+                p.extend(millis.to_le_bytes());
+                5
+            }
+            Frame::Finished => 6,
             Frame::Result { index, key, record } => {
-                put_u32(&mut p, *index);
+                p.extend(index.to_le_bytes());
                 put_str(&mut p, key);
                 put_str(&mut p, record);
+                7
             }
-        }
-        p
+            Frame::Ping => 8,
+        };
+        (kind, p)
     }
 
     /// Serializes the frame, checksum included.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
+        let (kind, payload) = self.payload();
         let mut out = Vec::with_capacity(23 + payload.len());
-        put_u32(&mut out, MAGIC);
-        put_u16(&mut out, PROTO_VERSION);
-        out.push(self.kind());
-        put_u32(&mut out, payload.len() as u32);
+        out.extend(MAGIC.to_le_bytes());
+        out.extend(PROTO_VERSION.to_le_bytes());
+        out.push(kind);
+        out.extend((payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&payload);
         // The checksum covers everything after the magic, so any
         // single-bit corruption of version, kind, length, or payload is
         // caught (corrupting the magic itself fails the magic check).
         let check = fnv1a64(&out[4..]);
-        put_u64(&mut out, check);
+        out.extend(check.to_le_bytes());
         out
     }
 
@@ -234,18 +209,24 @@ impl Frame {
     /// Structural errors are reported in validation order: magic, then
     /// version, then length bound, then truncation, then checksum, then
     /// kind/payload shape — so a corrupted stream fails loudly and
-    /// specifically rather than panicking or misparsing.
+    /// specifically rather than panicking or misparsing. Every proper
+    /// prefix of a valid frame is [`ProtoError::Truncated`] and nothing
+    /// else, which is what lets [`Frame::next`] wait for the rest.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), ProtoError> {
-        let mut c = Cursor { buf, at: 0 };
+        let mut c = Cursor {
+            buf,
+            at: 0,
+            short: ProtoError::Truncated,
+        };
         let magic = c.u32()?;
         if magic != MAGIC {
             return Err(ProtoError::BadMagic(magic));
         }
-        let version = c.u16()?;
+        let version = u16::from_le_bytes(c.array()?);
         if version != PROTO_VERSION {
             return Err(ProtoError::BadVersion(version));
         }
-        let kind = c.u8()?;
+        let [kind] = c.array()?;
         let len = c.u32()?;
         if len > MAX_PAYLOAD {
             return Err(ProtoError::Oversized(len));
@@ -260,50 +241,24 @@ impl Frame {
         Ok((frame, c.at))
     }
 
-    /// Writes the frame to `w` as one `write_all`.
+    /// Takes the first complete frame off the front of `received` — one
+    /// connection's bytes so far, in whatever chunks they arrived — or
+    /// `None` while it is still arriving. The streaming side of
+    /// [`Frame::decode`].
     ///
     /// # Errors
     ///
-    /// Propagates transport errors.
-    pub fn write_to(&self, w: &mut impl Write) -> Result<(), ProtoError> {
-        w.write_all(&self.encode())?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Reads exactly one frame from `r` (blocking).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Io`] on EOF or transport failure, otherwise the
-    /// decode error for the malformed frame.
-    pub fn read_from(r: &mut impl Read) -> Result<Frame, ProtoError> {
-        // magic(4) + version(2) + kind(1) + len(4)
-        let mut head = [0u8; 11];
-        r.read_exact(&mut head)?;
-        let magic = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes"));
-        if magic != MAGIC {
-            return Err(ProtoError::BadMagic(magic));
+    /// Any decode error but truncation: the stream is corrupt and the
+    /// connection unusable.
+    pub fn next(received: &mut Vec<u8>) -> Result<Option<Frame>, ProtoError> {
+        match Frame::decode(received) {
+            Ok((frame, used)) => {
+                received.drain(..used);
+                Ok(Some(frame))
+            }
+            Err(ProtoError::Truncated) => Ok(None),
+            Err(e) => Err(e),
         }
-        let version = u16::from_le_bytes(head[4..6].try_into().expect("2 bytes"));
-        if version != PROTO_VERSION {
-            return Err(ProtoError::BadVersion(version));
-        }
-        let kind = head[6];
-        let len = u32::from_le_bytes(head[7..11].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD {
-            return Err(ProtoError::Oversized(len));
-        }
-        let mut rest = vec![0u8; len as usize + 8];
-        r.read_exact(&mut rest)?;
-        let (payload, check_bytes) = rest.split_at(len as usize);
-        let check = u64::from_le_bytes(check_bytes.try_into().expect("8 bytes"));
-        let mut summed = head[4..].to_vec();
-        summed.extend_from_slice(payload);
-        if fnv1a64(&summed) != check {
-            return Err(ProtoError::BadChecksum);
-        }
-        parse_payload(kind, payload)
     }
 }
 
@@ -311,6 +266,7 @@ fn parse_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     let mut c = Cursor {
         buf: payload,
         at: 0,
+        short: ProtoError::BadPayload,
     };
     let frame = match kind {
         1 => Frame::Welcome {
@@ -346,47 +302,40 @@ fn parse_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     Ok(frame)
 }
 
-/// Bounds-checked little-endian reader over a byte slice. Payload-level
-/// underruns are [`ProtoError::BadPayload`] (the checksum already passed,
-/// so the frame is structurally wrong, not cut short in flight);
-/// header-level underruns in [`Frame::decode`] surface as
-/// [`ProtoError::Truncated`] via the `bytes`/fixed readers before any
-/// payload parsing happens.
+/// Bounds-checked little-endian reader over a byte slice; an underrun is
+/// `short`. Payload-level underruns are [`ProtoError::BadPayload`] (the
+/// checksum already passed, so the frame is structurally wrong, not cut
+/// short in flight); frame-level underruns in [`Frame::decode`] are
+/// [`ProtoError::Truncated`].
 struct Cursor<'a> {
     buf: &'a [u8],
     at: usize,
+    short: ProtoError,
 }
 
 impl<'a> Cursor<'a> {
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.at.checked_add(n).ok_or(ProtoError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(ProtoError::Truncated);
-        }
-        let s = &self.buf[self.at..end];
+        let end = self.at.saturating_add(n);
+        let s = self.buf.get(self.at..end).ok_or(self.short.clone())?;
         self.at = end;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().expect("2")))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
+        Ok(self.bytes(N)?.try_into().expect("N bytes"))
     }
 
     fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn string(&mut self) -> Result<String, ProtoError> {
         let len = self.u32()? as usize;
-        let bytes = self.bytes(len).map_err(|_| ProtoError::BadPayload)?;
+        let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadPayload)
     }
 }
@@ -430,9 +379,39 @@ mod tests {
             let (back, used) = Frame::decode(&bytes).expect("decodes");
             assert_eq!(back, frame);
             assert_eq!(used, bytes.len());
-            // Stream reader agrees with the buffer decoder.
-            let from_stream = Frame::read_from(&mut &bytes[..]).expect("reads");
-            assert_eq!(from_stream, frame);
+        }
+    }
+
+    /// A checksummed frame of `kind` around an arbitrary payload.
+    fn framed(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend(MAGIC.to_le_bytes());
+        out.extend(PROTO_VERSION.to_le_bytes());
+        out.push(kind);
+        out.extend((payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        let check = fnv1a64(&out[4..]);
+        out.extend(check.to_le_bytes());
+        out
+    }
+
+    /// A whole, checksummed frame whose payload is too short for its kind
+    /// is malformed, not "wait for more bytes": a connection must be
+    /// dropped over it rather than stall on it forever.
+    #[test]
+    fn short_payload_is_bad_payload_not_truncated() {
+        // Wait (a u32), Assign (u32 + string) and Welcome cut inside a
+        // fixed-width field, and Register cut inside a string length.
+        for (kind, payload) in [
+            (5, &[][..]),
+            (5, &[1, 2][..]),
+            (4, &[1, 0][..]),
+            (1, &[0, 0, 0, 0, 1, 0, 0, 0, 2][..]),
+            (2, &[3, 0, 0][..]),
+        ] {
+            let bytes = framed(kind, payload);
+            assert_eq!(Frame::decode(&bytes).unwrap_err(), ProtoError::BadPayload);
+            assert_eq!(Frame::next(&mut bytes.clone()), Err(ProtoError::BadPayload));
         }
     }
 
@@ -456,11 +435,7 @@ mod tests {
         let mut bytes = Frame::Ping.encode();
         bytes[7..11].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            Frame::decode(&bytes).unwrap_err(),
-            ProtoError::Oversized(u32::MAX)
-        );
-        assert_eq!(
-            Frame::read_from(&mut &bytes[..]).unwrap_err(),
+            Frame::decode(&bytes[..11]).unwrap_err(),
             ProtoError::Oversized(u32::MAX)
         );
     }

@@ -8,6 +8,15 @@
 //! at the coordinator; a worker can die at any moment and the only cost
 //! is the lease it was holding.
 //!
+//! ## Sans-IO
+//!
+//! [`Worker`] is the worker's state machine, in the coordinator's shape:
+//! [`Worker::on`] takes the time and one [`Event`] and returns the
+//! [`Action`]s that follow. It decides when to connect, what to send and
+//! which cell to run; the driver ([`crate::tcp::work`], or the simulator)
+//! connects, sends, and executes each `Execute { index }`, handing the
+//! record back as `Executed { index, record }`.
+//!
 //! ## Manifest handshake
 //!
 //! The coordinator's `Welcome` carries the suite selection (filter,
@@ -23,20 +32,29 @@
 //!
 //! A lost connection is retried with bounded exponential backoff; the
 //! consecutive-failure budget resets after each successful registration.
-//! An executed-but-unsent result survives the reconnect and is resent
-//! first (the coordinator dedupes, so at-least-once is safe). A
-//! background thread heartbeats every couple of seconds so the
-//! coordinator can tell "slow cell" from "dead worker".
+//! A cell that finishes while the worker is disconnected is sent first
+//! after the reconnect (the coordinator dedupes, so at-least-once is
+//! safe; and it requeued the lease when the connection dropped, so a
+//! result lost in flight costs time, never a cell). A registered worker
+//! sends a `Ping` every [`HEARTBEAT`], so the coordinator can tell "slow
+//! cell" from "dead worker".
+//!
+//! [`cell_result`]: strata_expt::cell_result
+//! [`Store`]: strata_expt::Store
 
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use strata_expt::{cell_result, render_record, work_manifest, CellKey, RunContext, Store};
+use strata_expt::{work_manifest, CellKey, RunContext};
 use strata_workloads::Params;
 
 use crate::protocol::Frame;
+
+/// How often a registered worker sends a `Ping`.
+pub const HEARTBEAT: Duration = Duration::from_secs(2);
+
+/// The first reconnect delay; it doubles per consecutive failure, capped
+/// at 30 s.
+const BACKOFF: Duration = Duration::from_millis(500);
 
 /// Options for one worker process.
 #[derive(Debug, Clone)]
@@ -47,18 +65,10 @@ pub struct WorkOptions {
     pub name: String,
     /// Consecutive connection failures tolerated before giving up.
     pub retries: u32,
-    /// Initial reconnect backoff; doubles per consecutive failure,
-    /// capped at 30s.
-    pub backoff: Duration,
-    /// Heartbeat interval while connected.
-    pub heartbeat: Duration,
     /// The context cells execute under. Must equal the coordinator's: it
     /// salts the manifest fingerprint, so a mismatched worker is refused
     /// at handshake rather than mixing result kinds.
     pub context: RunContext,
-    /// Test hook: exit abruptly (no result, no goodbye) after taking
-    /// this many assignments. Simulates a mid-run crash.
-    pub abandon_after: Option<usize>,
 }
 
 impl Default for WorkOptions {
@@ -67,10 +77,7 @@ impl Default for WorkOptions {
             connect: "127.0.0.1:7841".into(),
             name: format!("worker-{}", std::process::id()),
             retries: 5,
-            backoff: Duration::from_millis(500),
-            heartbeat: Duration::from_secs(2),
             context: RunContext::default(),
-            abandon_after: None,
         }
     }
 }
@@ -80,238 +87,242 @@ impl Default for WorkOptions {
 pub struct WorkerReport {
     /// Cells executed locally (whether or not the send was the winner).
     pub executed: usize,
-    /// Sessions lost and re-established.
+    /// Registered sessions lost.
     pub reconnects: u32,
-    /// True if the `abandon_after` test hook fired.
-    pub abandoned: bool,
 }
 
-enum SessionEnd {
-    /// Coordinator reported the suite complete.
+/// Something that happened to the worker.
+#[derive(Debug)]
+pub enum Event {
+    /// Bytes arrived from the coordinator.
+    Bytes(Vec<u8>),
+    /// The connection failed to open, or was lost; the reason.
+    Closed(String),
+    /// Time passed.
+    Tick,
+    /// The cell of an [`Action::Execute`] ran; its serialized record.
+    Executed {
+        /// Manifest index of the cell.
+        index: u32,
+        /// [`strata_expt::render_record`] serialization of the result.
+        record: String,
+    },
+}
+
+/// What the driver must do next.
+#[derive(Debug, PartialEq)]
+pub enum Action {
+    /// Open a connection to the coordinator; report [`Event::Closed`] if
+    /// that fails.
+    Connect,
+    /// Write one encoded frame to the connection.
+    Send(Vec<u8>),
+    /// Close the connection.
+    Close,
+    /// Run one cell ([`Worker::cell`]) and report [`Event::Executed`].
+    Execute {
+        /// Manifest index of the cell.
+        index: u32,
+    },
+    /// The worker is through: the suite finished, or it gave up.
+    Done(Result<WorkerReport, String>),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    /// Not connected; connect again at this time.
+    Down(Duration),
+    /// Connecting, or connected and waiting for `Welcome`.
+    Connected,
+    Registered,
     Finished,
-    /// The `abandon_after` hook fired: drop everything on the floor.
-    Abandoned,
-    /// Connection lost (or protocol violation); reconnect and resume.
-    Lost(String),
 }
 
-/// Session-local execution state that survives reconnects.
-struct WorkerState {
-    store: Store,
-    /// Executed-but-unacknowledged result, resent after reconnect.
-    pending: Option<Frame>,
-    executed: usize,
-    taken: usize,
+/// The worker's state machine; see the module docs.
+pub struct Worker {
+    opts: WorkOptions,
+    link: Link,
+    inbox: Vec<u8>,
+    /// When to send the next `Ping`.
+    ping_at: Duration,
+    /// When to fetch again after a `Wait`.
+    fetch_at: Option<Duration>,
+    /// The verified manifest.
+    cells: Vec<CellKey>,
+    /// Consecutive connection failures.
+    failures: u32,
+    /// The key of the cell being executed.
+    running: Option<String>,
+    /// A result not sent yet: it finished while the worker was
+    /// disconnected.
+    pending: Option<Vec<u8>>,
+    report: WorkerReport,
 }
 
-/// Runs a worker until the coordinator reports the suite finished, the
-/// retry budget is exhausted, or the crash-test hook fires.
-///
-/// # Errors
-///
-/// Returns an error when the coordinator stays unreachable past the
-/// retry budget, or on a fatal handshake problem (manifest fingerprint
-/// mismatch — a version-skewed binary must not execute cells).
-pub fn work(opts: WorkOptions) -> Result<WorkerReport, String> {
-    let mut state = WorkerState {
-        store: Store::new(opts.context.clone(), None),
-        pending: None,
-        executed: 0,
-        taken: 0,
-    };
-    let mut reconnects = 0u32;
-    let mut failures = 0u32;
-    loop {
-        let stream = match TcpStream::connect(&opts.connect) {
-            Ok(s) => s,
-            Err(e) => {
-                failures += 1;
-                if failures > opts.retries {
-                    return Err(format!(
-                        "{}: gave up after {} attempt(s): connect {}: {e}",
-                        opts.name, failures, opts.connect
-                    ));
+impl Worker {
+    /// A worker that connects on its first event.
+    pub fn new(opts: WorkOptions) -> Worker {
+        Worker {
+            opts,
+            link: Link::Down(Duration::ZERO),
+            inbox: Vec::new(),
+            ping_at: Duration::ZERO,
+            fetch_at: None,
+            cells: Vec::new(),
+            failures: 0,
+            running: None,
+            pending: None,
+            report: WorkerReport::default(),
+        }
+    }
+
+    /// Advances the machine by one event at time `now` (any clock that
+    /// never runs backwards) and returns what the driver must do.
+    pub fn on(&mut self, now: Duration, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        match event {
+            _ if self.link == Link::Finished => return out,
+            Event::Bytes(bytes) => {
+                self.inbox.extend_from_slice(&bytes);
+                while matches!(self.link, Link::Connected | Link::Registered) {
+                    match Frame::next(&mut self.inbox) {
+                        Ok(None) => break,
+                        Ok(Some(frame)) => self.handle(now, frame, &mut out),
+                        Err(e) => self.drop_link(now, format!("read: {e}"), &mut out),
+                    }
                 }
-                std::thread::sleep(backoff_delay(opts.backoff, failures));
-                continue;
             }
-        };
-        match session(stream, &opts, &mut state, &mut failures)? {
-            SessionEnd::Finished => {
-                return Ok(WorkerReport {
-                    executed: state.executed,
-                    reconnects,
-                    abandoned: false,
-                })
-            }
-            SessionEnd::Abandoned => {
-                return Ok(WorkerReport {
-                    executed: state.executed,
-                    reconnects,
-                    abandoned: true,
-                })
-            }
-            SessionEnd::Lost(why) => {
-                reconnects += 1;
-                failures += 1;
-                if failures > opts.retries {
-                    return Err(format!(
-                        "{}: gave up after {} consecutive failure(s): {why}",
-                        opts.name, failures
-                    ));
+            Event::Closed(why) => self.lost(now, why, &mut out),
+            Event::Tick => {}
+            Event::Executed { index, record } => {
+                self.report.executed += 1;
+                let key = self.running.take().expect("one cell runs at a time");
+                self.pending = Some(Frame::Result { index, key, record }.encode());
+                if self.link == Link::Registered {
+                    self.fetch(&mut out);
                 }
-                std::thread::sleep(backoff_delay(opts.backoff, failures));
             }
         }
+        match self.link {
+            Link::Down(at) if now >= at => {
+                self.link = Link::Connected;
+                self.inbox.clear();
+                self.fetch_at = None;
+                out.push(Action::Connect);
+            }
+            Link::Registered => {
+                if self.fetch_at.is_some_and(|at| now >= at) {
+                    self.fetch_at = None;
+                    self.fetch(&mut out);
+                }
+                if now >= self.ping_at {
+                    self.ping_at = now + HEARTBEAT;
+                    out.push(Action::Send(Frame::Ping.encode()));
+                }
+            }
+            _ => {}
+        }
+        out
+    }
+
+    /// The manifest cell at `index`, as an [`Action::Execute`] names it.
+    pub fn cell(&self, index: u32) -> &CellKey {
+        &self.cells[index as usize]
+    }
+
+    fn handle(&mut self, now: Duration, frame: Frame, out: &mut Vec<Action>) {
+        match frame {
+            Frame::Welcome {
+                filter,
+                scale,
+                variant,
+                manifest_len,
+                fingerprint,
+            } if self.link == Link::Connected => {
+                let name = &self.opts.name;
+                let filter = (!filter.is_empty()).then_some(filter.as_str());
+                // Refusals are fatal on purpose: executing under a skewed
+                // manifest would stream wrong results under valid-looking
+                // indices.
+                let refusal = match work_manifest(filter, Params { scale, variant }) {
+                    Ok(cells)
+                        if cells.len() == manifest_len as usize
+                            && self.opts.context.fingerprint(&cells) == fingerprint =>
+                    {
+                        let worker = name.clone();
+                        out.push(Action::Send(Frame::Register { worker }.encode()));
+                        (self.cells, self.failures) = (cells, 0);
+                        (self.link, self.ping_at) = (Link::Registered, now + HEARTBEAT);
+                        if self.running.is_none() {
+                            self.fetch(out);
+                        }
+                        return;
+                    }
+                    Ok(cells) => format!(
+                        "{name}: manifest mismatch with coordinator (local {} cells, remote \
+                         {manifest_len}): the two binaries differ, or --sampled/--predictor do",
+                        cells.len()
+                    ),
+                    Err(e) => format!("{name}: coordinator sent unusable selection: {e}"),
+                };
+                self.stop(Err(refusal), out);
+            }
+            Frame::Assign { index, key } if self.running.is_none() => {
+                match self.cells.get(index as usize) {
+                    Some(cell) if cell.key_string() == key => {
+                        self.running = Some(key);
+                        out.push(Action::Execute { index });
+                    }
+                    _ => self.drop_link(now, format!("assigned unknown cell {index} `{key}`"), out),
+                }
+            }
+            Frame::Wait { millis } => {
+                self.fetch_at = Some(now + Duration::from_millis(millis.min(5_000).into()));
+            }
+            Frame::Finished => self.stop(Ok(self.report.clone()), out),
+            other => self.drop_link(now, format!("unexpected {other:?}"), out),
+        }
+    }
+
+    /// Sends the pending result, if any, and asks for the next cell.
+    fn fetch(&mut self, out: &mut Vec<Action>) {
+        out.extend(self.pending.take().map(Action::Send));
+        out.push(Action::Send(Frame::Fetch.encode()));
+    }
+
+    fn drop_link(&mut self, now: Duration, why: String, out: &mut Vec<Action>) {
+        out.push(Action::Close);
+        self.lost(now, why, out);
+    }
+
+    /// The connection is gone: back off, or give up past the retry
+    /// budget.
+    fn lost(&mut self, now: Duration, why: String, out: &mut Vec<Action>) {
+        match self.link {
+            Link::Down(_) | Link::Finished => return,
+            Link::Connected => {}
+            Link::Registered => self.report.reconnects += 1,
+        }
+        self.failures += 1;
+        self.link = Link::Down(now + backoff_delay(self.failures));
+        if self.failures > self.opts.retries {
+            let (name, n) = (&self.opts.name, self.failures);
+            let error = format!("{name}: gave up after {n} consecutive failure(s): {why}");
+            self.stop(Err(error), out);
+        }
+    }
+
+    /// Ends the run; the driver drops the connection.
+    fn stop(&mut self, result: Result<WorkerReport, String>, out: &mut Vec<Action>) {
+        self.link = Link::Finished;
+        out.push(Action::Done(result));
     }
 }
 
 /// Exponential backoff for the nth consecutive failure, capped at 30s.
-fn backoff_delay(base: Duration, failures: u32) -> Duration {
+fn backoff_delay(failures: u32) -> Duration {
     let factor = 1u32 << failures.saturating_sub(1).min(16);
-    base.saturating_mul(factor).min(Duration::from_secs(30))
-}
-
-/// One connected session: handshake, register, then fetch/execute/send
-/// until told to stop or the link drops.
-fn session(
-    stream: TcpStream,
-    opts: &WorkOptions,
-    state: &mut WorkerState,
-    failures: &mut u32,
-) -> Result<SessionEnd, String> {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    let mut reader = stream;
-
-    let (filter, params, manifest_len, fingerprint) = match Frame::read_from(&mut reader) {
-        Ok(Frame::Welcome {
-            filter,
-            scale,
-            variant,
-            manifest_len,
-            fingerprint,
-        }) => (filter, Params { scale, variant }, manifest_len, fingerprint),
-        Ok(_) => return Ok(SessionEnd::Lost("expected Welcome".into())),
-        Err(e) => return Ok(SessionEnd::Lost(format!("welcome: {e}"))),
-    };
-    let filter_opt = if filter.is_empty() {
-        None
-    } else {
-        Some(filter.as_str())
-    };
-    let cells = work_manifest(filter_opt, params)
-        .map_err(|e| format!("{}: coordinator sent unusable selection: {e}", opts.name))?;
-    if cells.len() != manifest_len as usize || opts.context.fingerprint(&cells) != fingerprint {
-        // Fatal on purpose: executing under a skewed manifest would
-        // stream wrong results under valid-looking indices.
-        return Err(format!(
-            "{}: manifest mismatch with coordinator (local {} cells, remote {}): \
-             the two binaries differ, or --sampled/--predictor do",
-            opts.name,
-            cells.len(),
-            manifest_len
-        ));
-    }
-
-    // Writer shared between the main loop and the heartbeat thread. A
-    // try_clone'd socket shares the fd, so the Mutex keeps frames whole.
-    let writer = match reader.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(e) => return Ok(SessionEnd::Lost(format!("clone socket: {e}"))),
-    };
-    let send = |frame: &Frame| -> Result<(), String> {
-        let mut w = writer.lock().expect("writer lock");
-        frame.write_to(&mut *w).map_err(|e| e.to_string())
-    };
-
-    if send(&Frame::Register {
-        worker: opts.name.clone(),
-    })
-    .is_err()
-    {
-        return Ok(SessionEnd::Lost("register: connection lost".into()));
-    }
-    // Registered: the consecutive-failure budget starts over.
-    *failures = 0;
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let heartbeat = {
-        let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
-        let every = opts.heartbeat;
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(every);
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let mut w = writer.lock().expect("writer lock");
-                if Frame::Ping.write_to(&mut *w).is_err() {
-                    break;
-                }
-            }
-        })
-    };
-    let end = session_loop(&mut reader, &send, opts, state, &cells);
-
-    // Stop the heartbeat and actively shut the socket down: the
-    // heartbeat thread holds a clone of the fd, so without the shutdown
-    // the coordinator would not see the disconnect until the thread
-    // wakes from its sleep and drops its clone.
-    stop.store(true, Ordering::SeqCst);
-    let _ = reader.shutdown(std::net::Shutdown::Both);
-    let _ = heartbeat.join();
-    Ok(end)
-}
-
-/// The registered fetch/execute/send loop; any send/read failure ends
-/// the session with `Lost` and the caller reconnects.
-fn session_loop(
-    reader: &mut TcpStream,
-    send: &dyn Fn(&Frame) -> Result<(), String>,
-    opts: &WorkOptions,
-    state: &mut WorkerState,
-    cells: &[CellKey],
-) -> SessionEnd {
-    loop {
-        if let Some(result) = state.pending.take() {
-            if send(&result).is_err() {
-                state.pending = Some(result);
-                return SessionEnd::Lost("resend result: lost".into());
-            }
-        }
-        if send(&Frame::Fetch).is_err() {
-            return SessionEnd::Lost("fetch: lost".into());
-        }
-        match Frame::read_from(reader) {
-            Ok(Frame::Assign { index, key }) => {
-                state.taken += 1;
-                if opts.abandon_after.is_some_and(|k| state.taken > k) {
-                    return SessionEnd::Abandoned;
-                }
-                let Some(cell) = cells.get(index as usize) else {
-                    return SessionEnd::Lost(format!("assigned out-of-range index {index}"));
-                };
-                if cell.key_string() != key {
-                    return SessionEnd::Lost(format!("assigned key mismatch at index {index}"));
-                }
-                let result = cell_result(&state.store, cell);
-                state.executed += 1;
-                state.pending = Some(Frame::Result {
-                    index,
-                    key,
-                    record: render_record(&cell.key_string(), &result),
-                });
-            }
-            Ok(Frame::Wait { millis }) => {
-                std::thread::sleep(Duration::from_millis(u64::from(millis.min(5_000))));
-            }
-            Ok(Frame::Finished) => return SessionEnd::Finished,
-            Ok(_) => return SessionEnd::Lost("unexpected frame".into()),
-            Err(e) => return SessionEnd::Lost(format!("read: {e}")),
-        }
-    }
+    BACKOFF.saturating_mul(factor).min(Duration::from_secs(30))
 }
 
 #[cfg(test)]
@@ -320,23 +331,28 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let base = Duration::from_millis(500);
-        assert_eq!(backoff_delay(base, 1), Duration::from_millis(500));
-        assert_eq!(backoff_delay(base, 2), Duration::from_millis(1000));
-        assert_eq!(backoff_delay(base, 3), Duration::from_millis(2000));
-        assert_eq!(backoff_delay(base, 20), Duration::from_secs(30));
+        assert_eq!(backoff_delay(1), Duration::from_millis(500));
+        assert_eq!(backoff_delay(2), Duration::from_millis(1000));
+        assert_eq!(backoff_delay(3), Duration::from_millis(2000));
+        assert_eq!(backoff_delay(20), Duration::from_secs(30));
     }
 
     #[test]
     fn unreachable_coordinator_exhausts_retries() {
-        let opts = WorkOptions {
-            // Reserved port on localhost that nothing listens on.
-            connect: "127.0.0.1:1".into(),
+        let mut worker = Worker::new(WorkOptions {
             retries: 1,
-            backoff: Duration::from_millis(1),
             ..WorkOptions::default()
-        };
-        let err = work(opts).unwrap_err();
-        assert!(err.contains("gave up"), "unexpected error: {err}");
+        });
+        let ms = Duration::from_millis;
+        let refused = || Event::Closed("connect: refused".into());
+        assert_eq!(worker.on(ms(0), Event::Tick), vec![Action::Connect]);
+        assert!(worker.on(ms(0), refused()).is_empty());
+        assert!(worker.on(ms(499), Event::Tick).is_empty());
+        assert_eq!(worker.on(ms(500), Event::Tick), vec![Action::Connect]);
+        match &worker.on(ms(500), refused())[..] {
+            [Action::Done(Err(e))] => assert!(e.contains("gave up"), "unexpected error: {e}"),
+            other => panic!("expected the worker to give up, got {other:?}"),
+        }
+        assert!(worker.on(ms(60_000), Event::Tick).is_empty());
     }
 }

@@ -1,8 +1,9 @@
-//! Property tests for the fleet wire protocol: randomized frames must
-//! round-trip exactly, and every way of mutilating a valid frame —
-//! truncation at any prefix, corruption of any single byte — must yield
-//! a [`ProtoError`] value, never a panic and never a silently wrong
-//! frame.
+//! Property tests for the fleet wire protocol, through the streaming
+//! buffer both state machines decode with ([`Frame::next`]): randomized
+//! frame sequences fed in random chunk sizes come out exactly as encoded,
+//! every proper prefix of a frame is "need more" and never an error, and
+//! every single-bit flip is an error — a [`ProtoError`] value, never a
+//! panic and never a silently wrong frame.
 
 use strata_fleet::protocol::{Frame, ProtoError, MAGIC};
 use strata_stats::rng::SmallRng;
@@ -50,6 +51,22 @@ fn rand_frame(rng: &mut SmallRng) -> Frame {
     }
 }
 
+/// Feeds `wire` into a receive buffer in random chunks of 1 to
+/// `max_chunk` bytes, taking frames off as they complete.
+fn stream(rng: &mut SmallRng, wire: &[u8], max_chunk: u64) -> Vec<Frame> {
+    let (mut received, mut frames, mut at) = (Vec::new(), Vec::new(), 0);
+    while at < wire.len() {
+        let chunk = (rng.gen_range(1..max_chunk + 1) as usize).min(wire.len() - at);
+        received.extend_from_slice(&wire[at..at + chunk]);
+        at += chunk;
+        while let Some(frame) = Frame::next(&mut received).expect("a valid stream") {
+            frames.push(frame);
+        }
+    }
+    assert!(received.is_empty(), "bytes left over after the last frame");
+    frames
+}
+
 #[test]
 fn random_frames_roundtrip() {
     let mut rng = SmallRng::seed_from_u64(0x5EED_F1EE_7000_0001);
@@ -59,8 +76,16 @@ fn random_frames_roundtrip() {
         let (decoded, used) = Frame::decode(&bytes).expect("valid frame decodes");
         assert_eq!(decoded, frame);
         assert_eq!(used, bytes.len(), "decode must consume the whole frame");
-        let streamed = Frame::read_from(&mut &bytes[..]).expect("valid frame reads");
-        assert_eq!(streamed, frame);
+    }
+    // Sequences, chunked from single bytes up to several frames at once.
+    for max_chunk in [1, 2, 7, 64, 4096] {
+        for _ in 0..10 {
+            let frames: Vec<Frame> = (0..rng.gen_range(1u64..12))
+                .map(|_| rand_frame(&mut rng))
+                .collect();
+            let wire: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+            assert_eq!(stream(&mut rng, &wire, max_chunk), frames);
+        }
     }
 }
 
@@ -71,17 +96,23 @@ fn truncation_at_every_length_errors_never_panics() {
         let bytes = rand_frame(&mut rng).encode();
         for cut in 0..bytes.len() {
             let prefix = &bytes[..cut];
-            assert!(
-                Frame::decode(prefix).is_err(),
-                "prefix of {cut}/{} bytes must not decode",
+            assert_eq!(
+                Frame::decode(prefix).unwrap_err(),
+                ProtoError::Truncated,
+                "a prefix of {cut}/{} bytes is \"need more\", nothing else",
                 bytes.len()
             );
-            // The stream reader reports truncation as an I/O error
-            // (EOF mid-frame).
-            assert!(Frame::read_from(&mut &prefix[..]).is_err());
+            assert_eq!(Frame::next(&mut prefix.to_vec()), Ok(None));
         }
     }
 }
+
+/// Where the payload length sits in a frame: after magic, version and
+/// kind.
+const LEN_FIELD: std::ops::Range<usize> = 7..11;
+
+/// A frame's bytes besides its payload: the header and the checksum.
+const OVERHEAD: usize = 11 + 8;
 
 #[test]
 fn single_byte_corruption_errors_never_panics() {
@@ -90,23 +121,31 @@ fn single_byte_corruption_errors_never_panics() {
         let frame = rand_frame(&mut rng);
         let bytes = frame.encode();
         for at in 0..bytes.len() {
-            let flip = 1u8 << rng.gen_range(0u64..8);
-            let mut bad = bytes.clone();
-            bad[at] ^= flip;
-            // Either decoder rejects the frame, or — impossible with a
-            // single flipped bit given the checksum — returns the
-            // original. It must never return a *different* frame.
-            match Frame::decode(&bad) {
-                Err(_) => {}
-                Ok((got, _)) => panic!(
-                    "flipping bit {flip:#04x} at byte {at} yielded {got:?} instead of an error"
-                ),
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << bit;
+                match Frame::next(&mut bad.clone()) {
+                    Err(_) => continue,
+                    Ok(Some(got)) => panic!("flipping bit {bit} of byte {at} yielded {got:?}"),
+                    Ok(None) => {}
+                }
+                // Only a raised length field waits for more: it wants bytes
+                // the peer never sent, and once they come (any bytes) the
+                // checksum refuses the frame. A connection stuck waiting
+                // delivers no frame, so the coordinator's silence rule
+                // closes it.
+                assert!(LEN_FIELD.contains(&at), "a flip at byte {at} must not wait");
+                let declared = u32::from_le_bytes(bad[LEN_FIELD].try_into().expect("4 bytes"));
+                let frame_len = OVERHEAD + declared as usize;
+                assert!(frame_len > bytes.len());
+                if frame_len - bytes.len() <= 1 << 16 {
+                    bad.resize(frame_len, 0);
+                    assert!(matches!(Frame::next(&mut bad), Err(e) if e != ProtoError::Truncated));
+                }
             }
-            assert!(Frame::read_from(&mut &bad[..]).is_err());
         }
     }
 }
-
 #[test]
 fn corrupt_magic_and_checksum_report_specific_errors() {
     let bytes = Frame::Fetch.encode();

@@ -412,22 +412,29 @@ fn fleet_serve_cmd(args: &[String]) -> Result<(), String> {
         let secs: u64 = lease
             .parse()
             .map_err(|_| format!("bad --lease `{lease}`"))?;
-        if secs == 0 {
-            return Err("--lease must be at least 1 second".into());
-        }
         serve.lease = std::time::Duration::from_secs(secs);
+        if serve.lease < fleet::MIN_LEASE {
+            // A usage error like an unknown flag: a connection silent for
+            // a lease is closed, so live workers would lose their cells.
+            eprintln!(
+                "--lease must be at least {} seconds: workers heartbeat every {} s, and a \
+                 connection silent for a lease is closed",
+                fleet::MIN_LEASE.as_secs(),
+                fleet::HEARTBEAT.as_secs()
+            );
+            std::process::exit(2);
+        }
     }
     if let Some(mode) = parse_flag(args, "--progress") {
         serve.progress = fleet::Progress::parse(&mode)?;
     }
 
-    let coordinator = fleet::Coordinator::bind(serve)?;
-    eprintln!(
-        "fleet: serving on {}; point workers at it with \
-         `strata fleet work --connect <host:port>`",
-        coordinator.local_addr()?
-    );
-    let report = coordinator.run()?;
+    let report = fleet::serve(serve, |addr| {
+        eprintln!(
+            "fleet: serving on {addr}; point workers at it with \
+             `strata fleet work --connect <host:port>`"
+        )
+    })?;
     report_suite(&report.suite, &suite)?;
     let s = &report.stats;
     let per_worker = s

@@ -97,6 +97,19 @@ fn flags_a_verb_does_not_read_are_rejected_by_name() {
     }
 }
 
+/// A connection silent for a lease is closed, so a lease live workers'
+/// heartbeats cannot keep alive would steal their cells: refused up
+/// front, naming the heartbeat.
+#[test]
+fn fleet_serve_refuses_a_lease_shorter_than_two_heartbeats() {
+    let message = "--lease must be at least 5 seconds: workers heartbeat every 2 s, and a \
+                   connection silent for a lease is closed";
+    for lease in ["0", "4"] {
+        let args = ["fleet", "serve", "--filter", "table1", "--lease", lease];
+        assert_refused(strata(&args), 2, message);
+    }
+}
+
 #[test]
 fn exact_mode_refuses_sampled_only_scales_with_an_error() {
     // Used to be exit 101 with a worker-thread backtrace.

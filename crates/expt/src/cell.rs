@@ -93,31 +93,67 @@ impl CellKey {
     }
 }
 
-/// The measured outcome of one cell.
+/// The step of a cell's computation that failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// An exact run was asked for a scale only sampled mode runs.
+    Scale,
+    /// Building the workload's program: no such workload.
+    Build,
+    /// The native run, or a translated cell's native baseline.
+    Native,
+    /// Constructing the translator: a configuration `Sdt::new` refuses.
+    Translate,
+    /// The translated run.
+    Run,
+    /// The translated run's checksum differs from the native one.
+    Checksum,
+    /// Sampled mode: loading the trace bundle or estimating from it.
+    Estimate,
+}
+
+/// A stage is named by its variant, lowercased: `build`, `checksum`, ….
+impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+        f.write_str(&format!("{self:?}").to_lowercase())
+    }
+}
+
+impl Stage {
+    /// The stage a record or message names, if any.
+    pub fn parse(name: &str) -> Option<Stage> {
+        use Stage::*;
+        let all = [Scale, Build, Native, Translate, Run, Checksum, Estimate];
+        all.into_iter().find(|s| s.to_string() == name)
+    }
+}
+
+/// The outcome of one cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellResult {
     /// Outcome of a native run.
     Native(NativeRun),
     /// Outcome of a translated run.
     Translated(Box<RunReport>),
+    /// A cell that could not be computed. Memoized like any result, so
+    /// it is computed once, but never persisted or budgeted.
+    Failed {
+        /// Where the computation stopped.
+        stage: Stage,
+        /// Why.
+        error: String,
+    },
 }
 
 impl CellResult {
-    /// The run's syscall checksum (the observable program result).
-    pub fn checksum(&self) -> u32 {
-        match self {
-            CellResult::Native(n) => n.checksum,
-            CellResult::Translated(r) => r.checksum,
-        }
-    }
-
     /// The run's total guest cycles — recorded as the cell's budget and
     /// used by the scheduler as its cost proxy (simulation host time is
-    /// linear in simulated work).
+    /// linear in simulated work). A failed cell ran none.
     pub fn total_cycles(&self) -> u64 {
         match self {
             CellResult::Native(n) => n.total_cycles,
             CellResult::Translated(r) => r.total_cycles,
+            CellResult::Failed { .. } => 0,
         }
     }
 
@@ -125,15 +161,23 @@ impl CellResult {
     pub fn as_native(&self) -> Option<&NativeRun> {
         match self {
             CellResult::Native(n) => Some(n),
-            CellResult::Translated(_) => None,
+            _ => None,
         }
     }
 
     /// The translated report, if this is a translated cell.
     pub fn as_translated(&self) -> Option<&RunReport> {
         match self {
-            CellResult::Native(_) => None,
             CellResult::Translated(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// Where and why the cell failed, if it did.
+    pub fn as_failed(&self) -> Option<(Stage, &str)> {
+        match self {
+            CellResult::Failed { stage, error } => Some((*stage, error)),
+            _ => None,
         }
     }
 }

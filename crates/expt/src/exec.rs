@@ -31,10 +31,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use strata_core::{run_native_with_model, Sdt};
 use strata_machine::{ExecTier, Program};
-use strata_workloads::{by_name, Params};
+use strata_workloads::{by_name, Params, SAMPLED_ONLY_SCALE};
 
 use crate::budget::dispatch_order;
-use crate::cell::{CellKey, CellResult, RunKind};
+use crate::cell::{CellKey, CellResult, RunKind, Stage};
+use crate::context::RunContext;
+use crate::sampled::{ensure_bundle, estimate_cell};
 use crate::store::Store;
 
 /// Fuel ceiling for every run — far above any workload at default scale.
@@ -65,88 +67,100 @@ pub fn exec_tier() -> ExecTier {
 /// fetches it only once it knows it has to run something: a store hit
 /// never builds.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a workload the registry does not know.
-pub fn program_for(workload: &str, params: Params) -> Arc<Program> {
+/// Returns a message for a workload the registry does not know.
+pub fn program_for(workload: &str, params: Params) -> Result<Arc<Program>, String> {
     type ProgramKey = (String, u32, u64);
     static CACHE: OnceLock<Mutex<HashMap<ProgramKey, Arc<Program>>>> = OnceLock::new();
+    let spec = by_name(workload).ok_or_else(|| format!("unknown workload `{workload}`"))?;
     let mut cache = CACHE
         .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .expect("program cache lock");
-    Arc::clone(
+    Ok(Arc::clone(
         cache
             .entry((workload.to_string(), params.scale, params.variant))
-            .or_insert_with(|| {
-                let spec =
-                    by_name(workload).unwrap_or_else(|| panic!("unknown workload `{workload}`"));
-                Arc::new((spec.build)(&params))
-            }),
-    )
+            .or_insert_with(|| Arc::new((spec.build)(&params))),
+    ))
 }
 
-/// Computes (or recalls) the result of one cell. Translated cells verify
-/// their checksum against the memoized native baseline.
+/// Computes (or recalls) the result of one cell — the one producer of
+/// results, in both modes. Exact translated cells verify their checksum
+/// against the memoized native baseline, looked up first.
 ///
-/// How the cell is produced is the store's [`RunContext`](crate::RunContext):
-/// in sampled mode every cell is served from trace-driven estimation
-/// instead of exact simulation (see [`crate::sampled`]), and exact runs are
-/// priced under the context's predictor. Exact mode refuses scaled-tier
-/// workloads — their full runs are exactly what sampled mode exists to
-/// avoid; [`SuiteOptions::manifest`](crate::SuiteOptions::manifest) turns
-/// that into an error before any cell starts, so the assertion here only
-/// guards the invariant.
+/// How the cell is produced is the store's [`RunContext`]: in sampled
+/// mode natives are served from the trace header's per-profile baselines
+/// and translated cells are estimated (see [`crate::sampled`]); exact
+/// runs are priced under the context's predictor. A step that fails makes
+/// the cell a [`CellResult::Failed`] naming its [`Stage`] — including an
+/// exact run at a scale only sampled mode runs, which
+/// [`SuiteOptions::manifest`](crate::SuiteOptions::manifest) already
+/// refuses before any cell starts.
 pub fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
     let ctx = store.context();
-    if ctx.traces_dir().is_some() {
-        return crate::sampled::sampled_cell_result(store, key);
-    }
-    assert!(
-        key.params.scale < strata_workloads::SAMPLED_ONLY_SCALE,
-        "{} at scale {} is sampled-only; run with --sampled",
-        key.workload,
-        key.params.scale
-    );
-    match &key.kind {
-        RunKind::Native => store.get_or_compute(key, || {
-            let program = program_for(key.workload, key.params);
-            CellResult::Native(
-                run_native_with_model(&program, ctx.model(key.profile.clone()), FUEL, exec_tier())
-                    .unwrap_or_else(|e| {
-                        panic!("native {} on {}: {e}", key.workload, key.profile.name)
-                    }),
-            )
-        }),
-        RunKind::Translated(cfg) => {
-            let native = cell_result(store, &key.native_counterpart());
-            let cfg = *cfg;
-            store.get_or_compute(key, || {
-                let program = program_for(key.workload, key.params);
-                let report = Sdt::new(cfg, &program)
-                    .unwrap_or_else(|e| {
-                        panic!("sdt for {} / {}: {e}", key.workload, cfg.describe())
-                    })
-                    .run(ctx.model(key.profile.clone()), FUEL)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "run {} / {} on {}: {e}",
-                            key.workload,
-                            cfg.describe(),
-                            key.profile.name
-                        )
-                    });
-                assert_eq!(
-                    report.checksum,
-                    native.checksum(),
-                    "{}/{}: translated run diverged from native",
-                    key.workload,
-                    cfg.describe()
-                );
-                CellResult::Translated(Box::new(report))
-            })
+    let exact_translated = ctx.traces_dir().is_none() && key.kind != RunKind::Native;
+    let native = exact_translated.then(|| cell_result(store, &key.native_counterpart()));
+    store.get_or_compute(key, || {
+        compute(ctx, key, native.as_deref())
+            .unwrap_or_else(|(stage, error)| CellResult::Failed { stage, error })
+    })
+}
+
+/// [`cell_result`] on a store miss; `native` is an exact translated
+/// cell's baseline.
+fn compute(
+    ctx: &RunContext,
+    key: &CellKey,
+    native: Option<&CellResult>,
+) -> Result<CellResult, (Stage, String)> {
+    let (workload, params, arch) = (key.workload, key.params, key.profile.name);
+    let model = || ctx.model(key.profile.clone());
+    let failed_native = native.and_then(CellResult::as_failed);
+    match (&key.kind, ctx.traces_dir(), failed_native) {
+        (RunKind::Native, Some(dir), _) => {
+            let bundle = ensure_bundle(dir, workload, params).map_err(at(Stage::Estimate))?;
+            let lacks =
+                || at(Stage::Estimate)(format!("{workload}'s trace lacks a {arch} baseline"));
+            Ok(CellResult::Native(
+                bundle.header.native_for(arch).ok_or_else(lacks)?.clone(),
+            ))
+        }
+        (RunKind::Translated(cfg), Some(dir), _) => {
+            let cell = estimate_cell(dir, workload, params, *cfg, model());
+            let report = cell.map_err(at(Stage::Estimate))?.report;
+            Ok(CellResult::Translated(Box::new(report)))
+        }
+        _ if params.scale >= SAMPLED_ONLY_SCALE => Err((Stage::Scale, sampled_only(key))),
+        (_, _, Some((stage, error))) => Err(at(Stage::Native)(format!(
+            "baseline failed at {stage}: {error}"
+        ))),
+        (RunKind::Native, None, _) => {
+            let program = program_for(workload, params).map_err(at(Stage::Build))?;
+            let run = run_native_with_model(&program, model(), FUEL, exec_tier());
+            Ok(CellResult::Native(run.map_err(at(Stage::Native))?))
+        }
+        (RunKind::Translated(cfg), None, _) => {
+            let program = program_for(workload, params).map_err(at(Stage::Build))?;
+            let mut sdt = Sdt::new(*cfg, &program).map_err(at(Stage::Translate))?;
+            let report = sdt.run(model(), FUEL).map_err(at(Stage::Run))?;
+            if native.and_then(CellResult::as_native).map(|n| n.checksum) != Some(report.checksum) {
+                return Err(at(Stage::Checksum)("translated run diverged from native"));
+            }
+            Ok(CellResult::Translated(Box::new(report)))
         }
     }
+}
+
+/// Tags an error with the stage it happened at.
+fn at<E: ToString>(stage: Stage) -> impl Fn(E) -> (Stage, String) {
+    move |e| (stage, e.to_string())
+}
+
+/// Why an exact run refuses `cell`, whose scale only sampled mode runs.
+pub(crate) fn sampled_only(cell: &CellKey) -> String {
+    let (workload, scale) = (cell.workload, cell.params.scale);
+    format!("{workload} at scale {scale} is sampled-only; run with --sampled")
 }
 
 /// Completes a cell list into a work list: deduped by key string in
@@ -225,7 +239,7 @@ mod tests {
 
     #[test]
     fn a_hit_builds_no_program() {
-        // No workload is called `ghost`, so building its program panics:
+        // No workload is called `ghost`, so building its program fails:
         // lookups of results the store already holds must not get there.
         let store = Store::in_memory();
         let x86 = ArchProfile::x86_like();
@@ -240,5 +254,61 @@ mod tests {
         let view = crate::View::new(&store, p);
         assert_eq!(Some(&view.native("ghost", &x86)), result.as_native());
         assert_eq!(store.stats().computed, 1, "gzip alone was simulated");
+        // Unheld, the same key is a failed build, not a panic.
+        let fresh = Store::in_memory();
+        let failed = cell_result(&fresh, &native);
+        let (stage, error) = failed.as_failed().expect("a failed cell");
+        assert_eq!((stage, error), (Stage::Build, "unknown workload `ghost`"));
+    }
+
+    /// Every way a cell can fail lands as a `Failed` naming its stage,
+    /// the run goes on, and the cells that can run equal a clean run's.
+    #[test]
+    fn failed_cells_are_results_and_leave_the_rest_alone() {
+        let x86 = ArchProfile::x86_like();
+        let p = Params::default();
+        let big = Params {
+            scale: strata_workloads::SAMPLED_ONLY_SCALE,
+            variant: 0,
+        };
+        let good = vec![
+            CellKey::translated("gzip", SdtConfig::ibtc_inline(512), x86.clone(), p),
+            CellKey::translated("mcf", SdtConfig::reentry(), x86.clone(), p),
+        ];
+        let bad = [
+            // An unknown workload, and a translated cell over its failed
+            // native.
+            CellKey::translated("ghost", SdtConfig::reentry(), x86.clone(), p),
+            // A table size `Sdt::new` refuses.
+            CellKey::translated("gzip", SdtConfig::ibtc_inline(3), x86.clone(), p),
+            // An exact cell at a scale only sampled mode runs.
+            CellKey::native("gzip", x86.clone(), big),
+        ];
+        let store = Store::in_memory();
+        let all: Vec<CellKey> = good.iter().chain(&bad).cloned().collect();
+        execute(&store, &all, 2);
+
+        let stage_of = |key: CellKey| store.get(&key).and_then(|r| r.as_failed().map(|f| f.0));
+        let ghost = CellKey::native("ghost", x86.clone(), p);
+        assert_eq!(stage_of(ghost), Some(Stage::Build));
+        let [over_ghost, bad_config, sampled_only] = bad;
+        assert_eq!(stage_of(over_ghost.clone()), Some(Stage::Native));
+        assert_eq!(stage_of(bad_config), Some(Stage::Translate));
+        assert_eq!(stage_of(sampled_only), Some(Stage::Scale));
+        let reason = store.get(&over_ghost).expect("held");
+        assert_eq!(
+            reason.as_failed().map(|f| f.1),
+            Some("baseline failed at build: unknown workload `ghost`")
+        );
+        let failures = store.failures();
+        assert_eq!(failures.len(), 4, "{failures:?}");
+
+        let clean = Store::in_memory();
+        execute(&clean, &good, 1);
+        assert_eq!(clean.len(), 4, "two translated cells and their natives");
+        let held: HashMap<String, Arc<CellResult>> = store.snapshot().into_iter().collect();
+        for (key, result) in clean.snapshot() {
+            assert_eq!(held.get(&key), Some(&result), "{key}");
+        }
     }
 }

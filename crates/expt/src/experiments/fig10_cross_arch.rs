@@ -33,7 +33,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 10.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let mut t = Table::new(
         "Fig. 10: geomean slowdown by mechanism and architecture",
         &["mechanism", "x86-like", "sparc-like", "mips-like"],
@@ -78,5 +78,5 @@ pub fn render(view: &View) -> Output {
          direct jump) narrows or flips off x86 — mechanism choice is\n\
          architecture-dependent, the paper's central claim.",
     );
-    out
+    Ok(out)
 }

@@ -37,7 +37,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 11.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let mut t = Table::new(
         "Fig. 11: per-site vs shared IBTC (inline, x86-like)",
@@ -75,5 +75,5 @@ pub fn render(view: &View) -> Output {
          covers the global target set the difference vanishes — so shared+large is\n\
          the simpler engineering choice, as the paper concludes.",
     );
-    out
+    Ok(out)
 }

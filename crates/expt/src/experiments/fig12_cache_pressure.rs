@@ -29,7 +29,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 12.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let mips = ArchProfile::mips_like();
     let mut t = Table::new(
         "Fig. 12: I-cache pressure of inlined lookups (mips-like, 8 KiB I-cache)",
@@ -74,5 +74,5 @@ pub fn render(view: &View) -> Output {
          closes on code-footprint-heavy benchmarks — configuration must weigh\n\
          both, per architecture.",
     );
-    out
+    Ok(out)
 }

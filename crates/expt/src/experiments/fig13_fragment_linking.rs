@@ -27,7 +27,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 13.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let (linked, unlinked) = configs();
     let mut t = Table::new(
@@ -66,5 +66,5 @@ pub fn render(view: &View) -> Output {
          branch is a context switch. Linking is the table-stakes optimization the\n\
          paper assumes before it starts optimizing indirect branches.",
     );
-    out
+    Ok(out)
 }

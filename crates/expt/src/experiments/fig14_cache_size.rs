@@ -35,7 +35,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 14.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let mut t = Table::new(
         "Fig. 14: fragment-cache size sweep (IBTC 1024, x86-like)",
@@ -64,5 +64,5 @@ pub fn render(view: &View) -> Output {
          free. Code-expanding mechanisms (inlined lookups, sieve stanzas) move\n\
          this cliff — part of the inline-vs-out-of-line trade-off.",
     );
-    out
+    Ok(out)
 }

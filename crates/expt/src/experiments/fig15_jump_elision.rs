@@ -31,7 +31,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 15.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let (base, elide) = configs();
     let mut out = Output::default();
     for profile in profiles() {
@@ -82,5 +82,5 @@ pub fn render(view: &View) -> Output {
          another configuration knob whose right setting is workload- and\n\
          machine-dependent.",
     );
-    out
+    Ok(out)
 }

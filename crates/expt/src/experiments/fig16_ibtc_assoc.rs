@@ -33,7 +33,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 16.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let mut t = Table::new(
         "Fig. 16: IBTC associativity at equal entry budgets (x86-like)",
@@ -72,5 +72,5 @@ pub fn render(view: &View) -> Output {
          the benefit. Strata-style SDTs ship direct-mapped tables for exactly\n\
          this reason — sizing up is cheaper than associativity.",
     );
-    out
+    Ok(out)
 }

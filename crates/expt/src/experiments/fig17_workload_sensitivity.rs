@@ -42,7 +42,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 17.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let cfg = cfg();
     let points = points(view.params());
@@ -91,5 +91,5 @@ pub fn render(view: &View) -> Output {
          random stream. (Seeds vary data, token streams, opcode mixes, and\n\
          object layouts; code structure is held fixed.)",
     );
-    out
+    Ok(out)
 }

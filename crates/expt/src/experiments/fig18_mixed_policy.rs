@@ -65,7 +65,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 18.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let configs = configs();
     let mut t = Table::new(
@@ -128,5 +128,5 @@ pub fn render(view: &View) -> Output {
          calls, and a return cache or shadow stack for the returns.\n\
          {wins_note}"
     ));
-    out
+    Ok(out)
 }

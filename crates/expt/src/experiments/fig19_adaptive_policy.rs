@@ -53,7 +53,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 19.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let configs = configs();
     let mut t = Table::new(
@@ -98,5 +98,5 @@ pub fn render(view: &View) -> Output {
          cheap probe; switch-heavy workloads promote their hot sites and\n\
          approach the fixed mechanisms' cost from below.",
     );
-    out
+    Ok(out)
 }

@@ -83,8 +83,8 @@ fn bar(e: &Estimate) -> f64 {
     e.ci95.max(BAR_FLOOR * e.mean.abs())
 }
 
-/// Renders Figure 21.
-pub fn render(view: &View) -> Output {
+/// Renders Figure 21, or why a bundle, estimate or replay failed.
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     // The traces directory this render reads (and, on first run, records
     // into): the context's in sampled mode, otherwise the default
@@ -116,8 +116,7 @@ pub fn render(view: &View) -> Output {
     let mut coverage_notes = Vec::new();
 
     for &workload in &WORKLOADS {
-        let bundle =
-            ensure_bundle(dir, workload, view.params()).unwrap_or_else(|e| panic!("fig21: {e}"));
+        let bundle = ensure_bundle(dir, workload, view.params())?;
         coverage_notes.push(format!(
             "  {:<8} {} intervals of {} instrs, {} simulation points ({:.1}% coverage)",
             workload,
@@ -127,11 +126,9 @@ pub fn render(view: &View) -> Output {
             bundle.points.coverage() * 100.0,
         ));
         for (figure, cfg) in representatives() {
-            let cell = estimate_cell(dir, workload, view.params(), cfg, model())
-                .unwrap_or_else(|e| panic!("fig21: {e}"));
+            let cell = estimate_cell(dir, workload, view.params(), cfg, model())?;
             let (truth, counters) =
-                full_trace_counters(&bundle, workload, view.params(), cfg, model)
-                    .unwrap_or_else(|e| panic!("fig21: {e}"));
+                full_trace_counters(&bundle, workload, view.params(), cfg, model)?;
             max_work = max_work.max(cell.work_fraction());
             trace_total += cell.trace_records;
             replayed_total += cell.replayed_records;
@@ -229,5 +226,5 @@ pub fn render(view: &View) -> Output {
         MAX_WORK_FRACTION * 100.0,
         all_in_bar,
     ));
-    out
+    Ok(out)
 }

@@ -79,24 +79,23 @@ pub fn cells(params: strata_workloads::Params) -> Vec<CellKey> {
 
 /// Total cycles for one (mechanism, predictor) cell, exact or sampled,
 /// with the run's indirect-mispredict count.
-fn cell_cycles(view: &View, cfg: SdtConfig, spec: PredictorSpec) -> (u64, u64) {
+fn cell_cycles(view: &View, cfg: SdtConfig, spec: PredictorSpec) -> Result<(u64, u64), String> {
     let ctx = RunContext {
         predictor: spec,
         ..view.context().clone()
     };
     let model = ctx.model(ArchProfile::x86_like());
     let report = match ctx.traces_dir() {
-        Some(dir) => estimate_cell(dir, WORKLOAD, view.params(), cfg, model).map(|c| c.report),
-        None => Sdt::new(cfg, &program_for(WORKLOAD, view.params()))
+        Some(dir) => estimate_cell(dir, WORKLOAD, view.params(), cfg, model)?.report,
+        None => Sdt::new(cfg, &*program_for(WORKLOAD, view.params())?)
             .and_then(|mut s| s.run(model, FUEL))
-            .map_err(|e| e.to_string()),
+            .map_err(|e| format!("{}: {e}", cfg.describe()))?,
     };
-    let report = report.unwrap_or_else(|e| panic!("fig22: {e}"));
-    (report.total_cycles, report.indirect_mispredicts)
+    Ok((report.total_cycles, report.indirect_mispredicts))
 }
 
-/// Renders Figure 22.
-pub fn render(view: &View) -> Output {
+/// Renders Figure 22, or why one of its runs failed.
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let native_cycles = view.native(WORKLOAD, &x86).total_cycles;
     let mut out = Output::default();
@@ -117,7 +116,7 @@ pub fn render(view: &View) -> Output {
         let cells: Vec<(u64, u64)> = mechanisms()
             .iter()
             .map(|&(_, cfg)| cell_cycles(view, cfg, spec))
-            .collect();
+            .collect::<Result<_, _>>()?;
         let mut order: Vec<usize> = (0..cells.len()).collect();
         order.sort_by_key(|&m| (cells[m].0, m));
         let rank_of = |m: usize| order.iter().position(|&o| o == m).unwrap() + 1;
@@ -169,5 +168,5 @@ pub fn render(view: &View) -> Output {
          code out-rank inline IBTC. The mechanism ranking is a property of the \
          (mechanism, predictor) pair, not the mechanism alone.",
     );
-    out
+    Ok(out)
 }

@@ -17,7 +17,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 2.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let mut t = Table::new(
         "Fig. 2: slowdown vs native with translator re-entry for all IBs (x86-like)",
@@ -52,5 +52,5 @@ pub fn render(view: &View) -> Output {
         "Reading: IB-dense benchmarks suffer multi-x slowdowns under re-entry while\n\
          the loop kernels stay near native — IB handling is the dominant overhead.",
     );
-    out
+    Ok(out)
 }

@@ -52,7 +52,7 @@ fn breakdown(view: &View, cfg: SdtConfig, title: &str) -> Table {
 }
 
 /// Renders Figure 3.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let [reentry, tuned] = configs();
     let mut out = Output::default();
     out.table(breakdown(
@@ -70,5 +70,5 @@ pub fn render(view: &View) -> Output {
          IB-dense benchmarks; the tuned configuration converts nearly all of that\n\
          into (much cheaper) in-cache dispatch code.",
     );
-    out
+    Ok(out)
 }

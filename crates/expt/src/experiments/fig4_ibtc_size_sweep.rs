@@ -24,7 +24,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 4.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let mut t = Table::new(
         "Fig. 4: shared inlined IBTC size sweep (x86-like)",
@@ -73,5 +73,5 @@ pub fn render(view: &View) -> Output {
          saturates once the dynamic indirect-target set fits — most benchmarks\n\
          want at least ~1K entries, after which bigger tables buy little.",
     );
-    out
+    Ok(out)
 }

@@ -27,7 +27,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 5.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let mut t = Table::new(
         "Fig. 5: inlined vs out-of-line IBTC lookup (4096 entries, x86-like)",
@@ -72,5 +72,5 @@ pub fn render(view: &View) -> Output {
          inlining wins wherever IBs are frequent — but note the smaller code-cache\n\
          footprint of the out-of-line variant (see fig12 for the I-cache flip side).",
     );
-    out
+    Ok(out)
 }

@@ -33,7 +33,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 6.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let (with, without) = configs();
     let mut t = Table::new(
         "Fig. 6: flags save/restore tax on IBTC dispatch (4096 entries)",
@@ -78,5 +78,5 @@ pub fn render(view: &View) -> Output {
         "Reading: the pushf/popf pair is a real tax on the x86-like profile and\n\
          noise on sparc-like — one of the paper's architecture-dependence levers.",
     );
-    out
+    Ok(out)
 }

@@ -21,7 +21,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 7.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let mut t = Table::new(
         "Fig. 7: sieve bucket-count sweep (x86-like)",
@@ -69,5 +69,5 @@ pub fn render(view: &View) -> Output {
          target count, chains are ~1 stanza and performance saturates. (Chain\n\
          columns report the worst benchmark at each size.)",
     );
-    out
+    Ok(out)
 }

@@ -35,7 +35,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 8.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let configs = head_to_head();
     let mut t = Table::new(
@@ -85,5 +85,5 @@ pub fn render(view: &View) -> Output {
          chains) while a small IBTC thrashes (conflict evictions → translator\n\
          crossings). Which mechanism wins depends on configuration and machine.",
     );
-    out
+    Ok(out)
 }

@@ -35,7 +35,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Figure 9.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let configs = configs();
     let mut t = Table::new(
@@ -73,5 +73,5 @@ pub fn render(view: &View) -> Output {
          shadow stack is the transparent middle ground: exact return matching\n\
          (no hash conflicts) paid for with extra per-call bookkeeping.",
     );
-    out
+    Ok(out)
 }

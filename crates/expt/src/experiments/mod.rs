@@ -1,9 +1,9 @@
-//! One module per DESIGN.md experiment (`table1` … `fig17`).
+//! One module per DESIGN.md experiment (`table1` … `fig22`).
 //!
 //! Each module exports `cells(params)` — the simulation cells the
 //! experiment needs, expanded for the parallel executor — and
 //! `render(view)` — the pure read-side pass that turns memoized cells
-//! into tables and reading notes. The registry in [`crate::registry`]
+//! into tables and reading notes, or returns why it cannot. The registry in [`crate::registry`]
 //! binds them to stable experiment ids.
 
 pub mod fig10_cross_arch;

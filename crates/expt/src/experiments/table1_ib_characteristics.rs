@@ -16,7 +16,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Table 1.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
     let mut t = Table::new(
         "Table 1: dynamic indirect-branch characteristics (native, x86-like)",
@@ -49,5 +49,5 @@ pub fn render(view: &View) -> Output {
          loop kernels (gzip, bzip2, mcf) barely execute IBs — exactly the spread the\n\
          paper relies on to separate mechanism behaviour.",
     );
-    out
+    Ok(out)
 }

@@ -43,7 +43,7 @@ pub fn cells(params: Params) -> Vec<CellKey> {
 }
 
 /// Renders Table 2.
-pub fn render(view: &View) -> Output {
+pub fn render(view: &View) -> Result<Output, String> {
     let mut t = Table::new(
         "Table 2: best configuration per architecture (grid of 18 configs)",
         &["architecture", "rank", "configuration", "geomean slowdown"],
@@ -80,5 +80,5 @@ pub fn render(view: &View) -> Output {
          profiles — choosing (and sizing) the IB mechanism per target architecture\n\
          is what the paper recommends SDT implementers do.",
     );
-    out
+    Ok(out)
 }

@@ -4,7 +4,7 @@
 //! placement × flags policy × architecture × 12 workloads — and many
 //! experiments share simulation work (every figure needs the same native
 //! baselines; several share translated configurations). This crate turns
-//! each DESIGN.md experiment (`table1` … `fig17`) into a declarative job
+//! each DESIGN.md experiment (`table1` … `fig22`) into a declarative job
 //! spec that expands into independent **cells** (workload, [`SdtConfig`],
 //! [`ArchProfile`], [`Params`]) and executes the deduplicated cell set on
 //! a work-queue scheduler over [`std::thread::scope`]:
@@ -53,7 +53,7 @@ pub mod suite;
 pub mod view;
 
 pub use budget::{dispatch_order, makespan, BudgetBook};
-pub use cell::{CellKey, CellResult, RunKind};
+pub use cell::{CellKey, CellResult, RunKind, Stage};
 pub use context::{Mode, RunContext};
 pub use exec::{cell_result, exec_tier, execute, program_for, set_exec_tier, FUEL};
 pub use experiments::Output;

@@ -17,8 +17,8 @@ pub struct Experiment {
     pub title: &'static str,
     /// Expands the experiment into simulation cells.
     pub cells: fn(Params) -> Vec<CellKey>,
-    /// Renders tables + notes from memoized cells.
-    pub render: fn(&View) -> Output,
+    /// Renders tables + notes from memoized cells, or says why it cannot.
+    pub render: fn(&View) -> Result<Output, String>,
 }
 
 macro_rules! experiment {

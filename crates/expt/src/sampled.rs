@@ -49,10 +49,8 @@ use strata_stats::{stratified_estimate, Estimate, Stratum};
 use strata_trace::{record, select, BlockWalker, SimPoints, Trace, TraceHeader};
 use strata_workloads::{by_name, Params};
 
-use crate::cell::{CellKey, CellResult, RunKind};
 use crate::exec::{exec_tier, program_for, FUEL};
 use crate::fsutil::{atomic_write, atomic_write_bytes};
-use crate::store::Store;
 
 /// Where reference traces live unless `--traces` overrides it.
 pub const DEFAULT_TRACES_DIR: &str = "results/traces";
@@ -315,8 +313,7 @@ pub fn record_trace(
     workload: &str,
     params: Params,
 ) -> Result<(Trace, SimPoints), String> {
-    by_name(workload).ok_or_else(|| format!("unknown workload `{workload}`"))?;
-    let program = program_for(workload, params);
+    let program = program_for(workload, params)?;
     let recorded =
         record(&program, FUEL, exec_tier()).map_err(|e| format!("recording {workload}: {e}"))?;
     let interval = pick_interval(recorded.log.records().len() as u64);
@@ -425,7 +422,7 @@ fn estimate_bundle(
     cfg: SdtConfig,
     model: ArchModel,
 ) -> Result<SampledCell, String> {
-    let program = program_for(workload, params);
+    let program = program_for(workload, params)?;
     let pts = &bundle.points;
     let interval = pts.interval.max(1);
     let n_intervals = pts.intervals.max(1);
@@ -647,7 +644,7 @@ pub fn full_trace_counters(
     cfg: SdtConfig,
     model: impl Fn() -> ArchModel,
 ) -> Result<(MechanismStats, [u64; rate::COUNT]), String> {
-    let program = program_for(workload, params);
+    let program = program_for(workload, params)?;
     let fail = |e: strata_core::SdtError| format!("{workload}/{}: {e}", cfg.describe());
     let replay = |mut source: Source, records: u64| {
         let mut rp = DispatchReplay::new(cfg, &program, model()).map_err(fail)?;
@@ -674,47 +671,6 @@ pub fn full_trace_counters(
         Source::Recording(&trace.records),
         trace.records.len() as u64,
     )
-}
-
-/// The sampled-mode twin of [`crate::exec::cell_result`]: native cells
-/// are served exactly from the trace header's per-profile baselines;
-/// translated cells are estimated via [`estimate_cell`] under the store
-/// context's model.
-///
-/// # Panics
-///
-/// Panics when the store's context is not sampled.
-pub fn sampled_cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
-    let ctx = store.context();
-    let dir = ctx
-        .traces_dir()
-        .expect("sampled cells need a sampled context");
-    match &key.kind {
-        RunKind::Native => store.get_or_compute(key, || {
-            let bundle = ensure_bundle(dir, key.workload, key.params)
-                .unwrap_or_else(|e| panic!("sampled native {}: {e}", key.workload));
-            let run = bundle
-                .header
-                .native_for(key.profile.name)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "trace for {} lacks a {} baseline (re-record it)",
-                        key.workload, key.profile.name
-                    )
-                })
-                .clone();
-            CellResult::Native(run)
-        }),
-        RunKind::Translated(cfg) => {
-            let cfg = *cfg;
-            store.get_or_compute(key, || {
-                let model = ctx.model(key.profile.clone());
-                let cell = estimate_cell(dir, key.workload, key.params, cfg, model)
-                    .unwrap_or_else(|e| panic!("sampled cell: {e}"));
-                CellResult::Translated(Box::new(cell.report))
-            })
-        }
-    }
 }
 
 #[cfg(test)]

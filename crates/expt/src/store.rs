@@ -5,7 +5,9 @@
 //! once per suite run, however many experiments request it. An optional
 //! on-disk layer (`results/cache/`) makes re-runs resumable: cells are
 //! persisted as versioned flat-text records that embed their full key, so
-//! stale or hash-colliding files are ignored rather than trusted.
+//! stale or hash-colliding files are ignored rather than trusted. A
+//! failed cell is memoized like any result but never written to disk or
+//! the budget book (see [`Store::failures`]).
 //!
 //! Every store belongs to one [`RunContext`] and keeps its memo entries,
 //! disk records and budget rows under that context's
@@ -25,7 +27,7 @@ use strata_trace::fnv1a64;
 use strata_workloads::Params;
 
 use crate::budget::BudgetBook;
-use crate::cell::{CellKey, CellResult};
+use crate::cell::{CellKey, CellResult, Stage};
 use crate::context::RunContext;
 use crate::fsutil::atomic_write;
 
@@ -165,6 +167,14 @@ impl Store {
         all
     }
 
+    /// Every memoized failed cell as `(key, stage, error)`, sorted by key
+    /// (namespaced, like [`Store::snapshot`]).
+    pub fn failures(&self) -> Vec<(String, Stage, String)> {
+        let cells = self.snapshot().into_iter();
+        let failed = cells.filter_map(|(k, r)| r.as_failed().map(|(s, e)| (k, s, e.to_string())));
+        failed.collect()
+    }
+
     /// Returns the result for `key`, computing it with `compute` on a
     /// miss (after consulting the disk cache, when configured).
     ///
@@ -180,45 +190,24 @@ impl Store {
         compute: impl FnOnce() -> CellResult,
     ) -> Arc<CellResult> {
         let ks = self.eff_key(key);
-        if let Some(hit) = self.cells.lock().expect("store lock").get(&ks) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+        if let Some(hit) = self.memoized(&ks) {
+            return hit;
         }
-        let (result, from_disk) = match self.load_from_disk(&ks) {
-            Some(r) => (r, true),
-            None => (compute(), false),
-        };
-        if from_disk {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.computed.fetch_add(1, Ordering::Relaxed);
-            self.save_to_disk(&ks, &result);
+        if let Some(result) = self.load_from_disk(&ks) {
+            return self.insert(ks, result, false);
         }
-        self.budgets
-            .lock()
-            .expect("budget lock")
-            .record(&ks, result.total_cycles());
-        let mut cells = self.cells.lock().expect("store lock");
-        Arc::clone(cells.entry(ks).or_insert_with(|| Arc::new(result)))
+        self.computed.fetch_add(1, Ordering::Relaxed);
+        self.insert(ks, compute(), true)
     }
 
     /// Inserts an externally computed result — e.g. one streamed back
-    /// from a fleet worker — memoizing it, persisting it to the disk
-    /// cache, and recording its cycle budget, exactly as if it had been
-    /// computed locally. The first result for a key wins; a duplicate
-    /// (at-least-once delivery) returns the existing result unchanged.
+    /// from a fleet worker — exactly as if it had been computed locally.
+    /// The first result for a key wins; a duplicate (at-least-once
+    /// delivery) returns the existing result unchanged.
     pub fn put(&self, key: &CellKey, result: CellResult) -> Arc<CellResult> {
         let ks = self.eff_key(key);
-        if let Some(hit) = self.cells.lock().expect("store lock").get(&ks) {
-            return Arc::clone(hit);
-        }
-        self.save_to_disk(&ks, &result);
-        self.budgets
-            .lock()
-            .expect("budget lock")
-            .record(&ks, result.total_cycles());
-        let mut cells = self.cells.lock().expect("store lock");
-        Arc::clone(cells.entry(ks).or_insert_with(|| Arc::new(result)))
+        self.memoized(&ks)
+            .unwrap_or_else(|| self.insert(ks, result, true))
     }
 
     /// The result for `key` from memory or the disk cache, **without
@@ -226,26 +215,43 @@ impl Store {
     /// cached cells done before dispatching anything.
     pub fn cached(&self, key: &CellKey) -> Option<Arc<CellResult>> {
         let ks = self.eff_key(key);
-        if let Some(hit) = self.cells.lock().expect("store lock").get(&ks) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(hit));
-        }
-        let result = self.load_from_disk(&ks)?;
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.budgets
-            .lock()
-            .expect("budget lock")
-            .record(&ks, result.total_cycles());
-        let mut cells = self.cells.lock().expect("store lock");
-        Some(Arc::clone(
-            cells.entry(ks).or_insert_with(|| Arc::new(result)),
-        ))
+        self.memoized(&ks).or_else(|| {
+            let result = self.load_from_disk(&ks)?;
+            Some(self.insert(ks, result, false))
+        })
     }
 
+    /// The memoized result under `ks`, counted as a memo hit.
+    fn memoized(&self, ks: &str) -> Option<Arc<CellResult>> {
+        let hit = Arc::clone(self.cells.lock().expect("store lock").get(ks)?);
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// The one way a result enters the store: every result is memoized,
+    /// and only a success is budgeted and, unless it came from disk
+    /// (`fresh` is false), persisted — a failed cell is recomputed by the
+    /// next run and never steers a schedule. The first result for a key
+    /// wins.
+    fn insert(&self, ks: String, result: CellResult, fresh: bool) -> Arc<CellResult> {
+        if result.as_failed().is_none() {
+            if fresh {
+                self.save_to_disk(&ks, &result);
+            }
+            let mut budgets = self.budgets.lock().expect("budget lock");
+            budgets.record(&ks, result.total_cycles());
+        }
+        let mut cells = self.cells.lock().expect("store lock");
+        Arc::clone(cells.entry(ks).or_insert_with(|| Arc::new(result)))
+    }
+
+    /// The record under `ks` in the disk cache, counted as a disk hit.
     fn load_from_disk(&self, ks: &str) -> Option<CellResult> {
         let dir = self.disk.as_ref()?;
         let text = std::fs::read_to_string(dir.join(disk_file_name(ks))).ok()?;
-        parse_record(&text, ks)
+        let result = parse_record(&text, ks)?;
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        Some(result)
     }
 
     fn save_to_disk(&self, ks: &str, result: &CellResult) {
@@ -316,6 +322,10 @@ fn params_of_key(key: &str) -> Option<Params> {
 // with `render_record` and the coordinator validates them with
 // `parse_record` against the assigned key, so the on-disk format and the
 // streaming format can never diverge.
+//
+// A failed cell is a record too (`kind=failed`, its stage, and its error
+// escaped onto one line). It crosses the wire but never reaches disk, so
+// adding it left `DISK_VERSION` alone.
 
 /// Serializes a cell result as a versioned flat-text record embedding its
 /// full key — the on-disk `*.cell` format and the fleet result payload.
@@ -403,6 +413,10 @@ pub fn render_record(key: &str, result: &CellResult) -> String {
                     c.class, c.mechanism, c.dispatches, c.misses, c.promotions
                 ));
             }
+        }
+        CellResult::Failed { stage, error } => {
+            let error = escape(error);
+            out.push_str(&format!("kind=failed\nstage={stage}\nerror={error}\n"));
         }
     }
     out
@@ -513,8 +527,28 @@ pub fn parse_record(text: &str, expected_key: &str) -> Option<CellResult> {
                 cond_mispredicts: u("cond_mispredicts")?,
             })))
         }
+        "failed" => Some(CellResult::Failed {
+            stage: Stage::parse(map.get("stage")?)?,
+            error: unescape(map.get("error")?),
+        }),
         _ => None,
     }
+}
+
+/// `text` on one line: `\`, newline and carriage return as `\\`, `\n`
+/// and `\r`, so a multi-line error fits a `field=value` line.
+fn escape(text: &str) -> String {
+    let text = text.replace('\\', "\\\\");
+    text.replace('\n', "\\n").replace('\r', "\\r")
+}
+
+/// The inverse of [`escape`]: between the doubled backslashes, every
+/// backslash left starts a `\n` or `\r`.
+fn unescape(text: &str) -> String {
+    let parts = text
+        .split("\\\\")
+        .map(|p| p.replace("\\n", "\n").replace("\\r", "\r"));
+    parts.collect::<Vec<_>>().join("\\")
 }
 
 /// Maps a stored profile name back to the `&'static str` the live
@@ -595,11 +629,21 @@ mod tests {
         }
     }
 
+    /// A failure whose error is multi-line and holds every character the
+    /// record format treats specially.
+    fn sample_failure() -> CellResult {
+        CellResult::Failed {
+            stage: Stage::Checksum,
+            error: "flagged gzip:\n  a=b \\n is not a newline\r\nend\\".into(),
+        }
+    }
+
     #[test]
     fn records_roundtrip() {
         for result in [
             CellResult::Native(sample_native()),
             CellResult::Translated(Box::new(sample_report())),
+            sample_failure(),
         ] {
             let text = render_record("some|key", &result);
             let back = parse_record(&text, "some|key").expect("parses");
@@ -611,9 +655,61 @@ mod tests {
 
     #[test]
     fn version_mismatch_invalidates() {
-        let text = render_record("k", &CellResult::Native(sample_native()));
-        let old = text.replace(DISK_VERSION, "strata-cell-v0");
-        assert!(parse_record(&old, "k").is_none());
+        for result in [CellResult::Native(sample_native()), sample_failure()] {
+            let text = render_record("k", &result);
+            let old = text.replace(DISK_VERSION, "strata-cell-v0");
+            assert!(parse_record(&old, "k").is_none());
+        }
+    }
+
+    #[test]
+    fn failed_records_fit_one_line_and_name_a_known_stage() {
+        let text = render_record("k", &sample_failure());
+        assert_eq!(text.lines().count(), 5, "{text}");
+        assert!(text.contains("kind=failed\nstage=checksum\n"), "{text}");
+        // An unknown stage does not parse.
+        assert!(parse_record(&text.replace("=checksum", "=rerun"), "k").is_none());
+        for stage in [
+            Stage::Scale,
+            Stage::Build,
+            Stage::Translate,
+            Stage::Estimate,
+        ] {
+            assert_eq!(Stage::parse(&stage.to_string()), Some(stage));
+        }
+    }
+
+    /// A failed cell is memoized, so it is computed once per run, but a
+    /// disk-backed store writes neither its record nor a budget row, and
+    /// the next run computes it again.
+    #[test]
+    fn failed_cells_are_memoized_but_never_persisted() {
+        let dir = std::env::temp_dir().join(format!("strata-store-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = CellKey::native("gzip", ArchProfile::x86_like(), Params::default());
+        for run in 0..2 {
+            let store = Store::with_disk_cache(dir.clone());
+            let mut calls = 0;
+            for _ in 0..2 {
+                let result = store.get_or_compute(&key, || {
+                    calls += 1;
+                    sample_failure()
+                });
+                assert_eq!(*result, sample_failure());
+            }
+            assert_eq!(calls, 1, "run {run}: computed once, then memoized");
+            assert_eq!(store.failures().len(), 1);
+            assert!(store.cached(&key).is_some(), "memoized");
+            store.flush_budgets();
+            assert!(
+                BudgetBook::load(&dir).is_empty(),
+                "run {run}: no budget row"
+            );
+            let cells = std::fs::read_dir(&dir).into_iter().flatten().flatten();
+            let cells = cells.filter(|e| e.path().extension().is_some_and(|x| x == "cell"));
+            assert_eq!(cells.count(), 0, "run {run}: no *.cell file");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,11 +12,11 @@ use std::path::{Path, PathBuf};
 
 use strata_stats::baseline::{self, DeltaReport, Snapshot};
 use strata_stats::Json;
-use strata_workloads::Params;
+use strata_workloads::{Params, SAMPLED_ONLY_SCALE};
 
-use crate::cell::CellKey;
+use crate::cell::{CellKey, Stage};
 use crate::context::RunContext;
-use crate::exec::{execute, with_implied_natives};
+use crate::exec::{execute, sampled_only, with_implied_natives};
 use crate::experiments::Output;
 use crate::registry::{by_id, registry, Experiment};
 use crate::store::{Store, StoreStats};
@@ -92,14 +92,9 @@ impl SuiteOptions {
     pub fn manifest(&self) -> Result<Vec<CellKey>, String> {
         let cells = work_manifest(self.filter.as_deref(), self.params)?;
         if self.context.traces_dir().is_none() {
-            if let Some(cell) = cells
-                .iter()
-                .find(|c| c.params.scale >= strata_workloads::SAMPLED_ONLY_SCALE)
-            {
-                return Err(format!(
-                    "{} at scale {} is sampled-only; run with --sampled",
-                    cell.workload, cell.params.scale
-                ));
+            let sampled_only_cell = cells.iter().find(|c| c.params.scale >= SAMPLED_ONLY_SCALE);
+            if let Some(cell) = sampled_only_cell {
+                return Err(sampled_only(cell));
             }
         }
         Ok(cells)
@@ -130,6 +125,8 @@ pub struct SuiteReport {
     pub unique_cells: usize,
     /// Store counters (computed / memo hits / disk hits).
     pub store_stats: StoreStats,
+    /// Every failed cell as `(key, stage, error)` (see [`Store::failures`]).
+    pub failures: Vec<(String, Stage, String)>,
 }
 
 fn patterns(filter: Option<&str>) -> Vec<&str> {
@@ -223,6 +220,9 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, String> {
 /// missing from the store are computed on the spot by the [`View`]'s lazy
 /// path (serially), so the output is total regardless of how the store
 /// was filled — and byte-identical to a local run over the same cells.
+/// An experiment whose render errs, or which declares a failed cell, gets
+/// a section of one note saying so instead; every other section is what a
+/// clean run prints.
 ///
 /// # Errors
 ///
@@ -233,12 +233,13 @@ pub fn render_from_store(store: &Store, opts: &SuiteOptions) -> Result<SuiteRepo
     let unique_cells = store.len();
 
     let view = View::new(store, opts.params);
+    let failures = store.failures();
     let sections: Vec<SuiteSection> = selected
         .iter()
         .map(|e| SuiteSection {
             id: e.id,
             title: e.title,
-            output: (e.render)(&view),
+            output: render_section(e, &view, store, !failures.is_empty()),
         })
         .collect();
 
@@ -287,6 +288,28 @@ pub fn render_from_store(store: &Store, opts: &SuiteOptions) -> Result<SuiteRepo
         artifacts,
         unique_cells,
         store_stats: store.stats(),
+        failures,
+    })
+}
+
+/// `e`'s section, or a one-note failure section when its render errs or
+/// a cell it declares (or a native those imply) failed. The cells are
+/// only looked at when the store holds a failure at all, and a render
+/// reads only the cells its experiment declares.
+fn render_section(e: &Experiment, view: &View, store: &Store, any_failed: bool) -> Output {
+    let cells = any_failed.then(|| with_implied_natives((e.cells)(view.params())));
+    let failed = cells.into_iter().flatten().find_map(|cell| {
+        let result = store.get(&cell)?;
+        let (stage, error) = result.as_failed()?;
+        Some(format!(
+            "cell {} failed at {stage}: {error}",
+            cell.key_string()
+        ))
+    });
+    let rendered = failed.map_or_else(|| (e.render)(view), Err);
+    rendered.unwrap_or_else(|reason| Output {
+        notes: vec![format!("NOT RENDERED: {reason}")],
+        ..Output::default()
     })
 }
 

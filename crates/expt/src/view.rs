@@ -62,7 +62,7 @@ impl<'a> View<'a> {
         let result = cell_result(self.store, &key);
         result
             .as_native()
-            .expect("native key yields native result")
+            .expect("a native key yields a native result; failed cells never reach a render")
             .clone()
     }
 
@@ -88,7 +88,7 @@ impl<'a> View<'a> {
         let result = cell_result(self.store, &key);
         result
             .as_translated()
-            .expect("translated key yields report")
+            .expect("a translated key yields a report; failed cells never reach a render")
             .clone()
     }
 
@@ -104,7 +104,8 @@ impl<'a> View<'a> {
             .expect("nonempty benchmark set")
     }
 
-    /// Every memoized cell's raw metrics as one table, sorted by cell key.
+    /// Every memoized cell's raw metrics as one table, sorted by cell key;
+    /// failed cells have none and are left out.
     ///
     /// This is the regression gate's finest-grained surface: the
     /// `cells.json` artifact rendered from it pins `total_cycles` and
@@ -123,28 +124,22 @@ impl<'a> View<'a> {
             ],
         );
         for (key, result) in self.store.snapshot() {
-            let (ib, ret) = match result.as_translated() {
-                Some(r) => (
+            let (cycles, instructions, ib, ret) = match &*result {
+                CellResult::Native(n) => {
+                    (n.total_cycles, n.instructions, String::new(), String::new())
+                }
+                CellResult::Translated(r) => (
+                    r.total_cycles,
+                    r.instructions,
                     r.mech.ib_dispatches.to_string(),
                     r.mech.ret_dispatches.to_string(),
                 ),
-                None => (String::new(), String::new()),
+                // A failed cell has no metrics; the sections reading it
+                // say that it failed.
+                CellResult::Failed { .. } => continue,
             };
-            t.row([
-                key,
-                result.total_cycles().to_string(),
-                instructions(&result).to_string(),
-                ib,
-                ret,
-            ]);
+            t.row([key, cycles.to_string(), instructions.to_string(), ib, ret]);
         }
         t
-    }
-}
-
-fn instructions(result: &CellResult) -> u64 {
-    match result {
-        CellResult::Native(n) => n.instructions,
-        CellResult::Translated(r) => r.instructions,
     }
 }

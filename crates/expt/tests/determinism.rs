@@ -4,23 +4,112 @@
 
 use strata_arch::ArchProfile;
 use strata_core::SdtConfig;
-use strata_expt::{run_suite, work_manifest, CellKey, OutputFormat, Store, SuiteOptions};
+use strata_expt::{
+    execute, registry, render_from_store, run_suite, work_manifest, CellKey, CellResult,
+    OutputFormat, Stage, Store, SuiteOptions,
+};
+use strata_stats::Json;
 use strata_workloads::Params;
 
 /// A small but representative filter: table1 touches every workload's
 /// native run, fig14 exercises cache-limit configs on two workloads.
 const FILTER: &str = "table1,fig14";
 
-fn suite(jobs: usize, format: OutputFormat) -> strata_expt::SuiteReport {
-    let opts = SuiteOptions {
+fn opts(jobs: usize, format: OutputFormat) -> SuiteOptions {
+    SuiteOptions {
         jobs,
         filter: Some(FILTER.into()),
         format,
         params: Params::default(),
         cache_dir: None,
         ..SuiteOptions::default()
+    }
+}
+
+fn suite(jobs: usize, format: OutputFormat) -> strata_expt::SuiteReport {
+    run_suite(&opts(jobs, format)).expect("suite runs")
+}
+
+/// One failed fig14 cell, planted before the run: table1's section and
+/// artifact are what a clean run prints, fig14's section is one note
+/// naming the cell, and `cells.json` leaves the cell out.
+#[test]
+fn a_failed_cell_replaces_only_the_sections_that_read_it() {
+    let clean = suite(2, OutputFormat::Text);
+    let opts = opts(2, OutputFormat::Text);
+    let failed_cell = registry()
+        .iter()
+        .find(|e| e.id == "fig14")
+        .map(|e| (e.cells)(opts.params)[0].clone())
+        .expect("fig14 has cells");
+    let key = failed_cell.key_string();
+    let store = Store::in_memory();
+    let planted = CellResult::Failed {
+        stage: Stage::Run,
+        error: "planted".into(),
     };
-    run_suite(&opts).expect("suite runs")
+    store.put(&failed_cell, planted);
+    execute(&store, &opts.manifest().expect("plan"), 2);
+    let report = render_from_store(&store, &opts).expect("renders");
+
+    assert_eq!(
+        report.failures,
+        [(key.clone(), Stage::Run, "planted".into())]
+    );
+    let table1 = |text: &str| text.split("== fig14").next().map(str::to_string);
+    assert_eq!(table1(&report.rendered), table1(&clean.rendered));
+    let artifact = |r: &strata_expt::SuiteReport, name: &str| {
+        let found = r.artifacts.iter().find(|(n, _)| n == name);
+        found.map(|(_, text)| text.clone()).expect(name)
+    };
+    assert_eq!(
+        artifact(&report, "table1.json"),
+        artifact(&clean, "table1.json")
+    );
+    let fig14 = &report.sections[1];
+    assert!(fig14.output.tables.is_empty());
+    assert_eq!(
+        fig14.output.notes,
+        [format!("NOT RENDERED: cell {key} failed at run: planted")]
+    );
+    let rows = |r: &strata_expt::SuiteReport| -> Vec<String> {
+        let doc = Json::parse(&artifact(r, "cells.json")).expect("cells.json parses");
+        cell_keys(&doc)
+    };
+    let mut expected = rows(&clean);
+    expected.retain(|k| *k != key);
+    assert_eq!(rows(&report), expected);
+    assert_eq!(expected.len() + 1, rows(&clean).len());
+}
+
+/// The cell keys of a `cells.json` document, in row order.
+fn cell_keys(doc: &Json) -> Vec<String> {
+    let table = &doc.get("tables").and_then(Json::as_arr).expect("tables")[0];
+    let rows = table.get("rows").and_then(Json::as_arr).expect("rows");
+    rows.iter()
+        .map(|row| row.as_arr().and_then(|r| r[0].as_str()).expect("a key"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// What a section's failure check relies on: a render reads only the
+/// cells its experiment declares. The committed full-suite `cells.json`
+/// holds every cell the renders read, and its rows are exactly the work
+/// manifest's keys.
+#[test]
+fn baseline_cells_are_exactly_the_manifest() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/baseline/cells.json"
+    );
+    let text = std::fs::read_to_string(path).expect("committed baseline");
+    let mut rows = cell_keys(&Json::parse(&text).expect("parses"));
+    let manifest = work_manifest(None, Params::default()).expect("manifest");
+    let mut keys: Vec<String> = manifest.iter().map(CellKey::key_string).collect();
+    rows.sort();
+    keys.sort();
+    assert_eq!(rows, keys);
+    assert_eq!(keys.len(), 1176);
 }
 
 #[test]

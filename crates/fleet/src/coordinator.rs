@@ -39,6 +39,12 @@
 //! dropped. Results are validated with the same [`parse_record`] path the
 //! disk cache trusts, so a lying worker cannot poison the store.
 //!
+//! A cell that fails is a result like any other: its worker streams a
+//! `kind=failed` record, which is accepted once and deduped by cell. A
+//! deterministic failure is therefore never requeued, and no cell needs
+//! an attempt counter or quarantine. The render names it (see
+//! [`render_from_store`]).
+//!
 //! ## Byte-identical merge
 //!
 //! Results land in the same memoized [`Store`] a local `strata bench`

@@ -15,12 +15,19 @@
 //! - `Restart`: the coordinator restarts over its disk cache;
 //! - `Stale`: a worker with another context's fingerprint joins;
 //! - `Resend`: a worker sends every result twice;
-//! - `WrongKeys`: a worker sends its results under the wrong keys.
+//! - `WrongKeys`: a worker sends its results under the wrong keys;
+//! - `Poison`: one manifest cell fails on every worker, which returns a
+//!   `Failed` record for it.
 //!
 //! Every run checks that it terminates within [`VIRTUAL_BOUND`], that
 //! each manifest cell is accepted exactly once across coordinator
 //! restarts, that the coordinator's store equals the local run's record
 //! for record, and that the render is byte-identical to the local run's.
+//! A poisoned cell is a result like any other: the local run it is
+//! compared with holds the same `Failed` cell, the render names it as the
+//! run's one failure, a coordinator accepts it once (a restarted one
+//! again, since failures never reach its disk cache), and never assigns
+//! it again once it holds it.
 //!
 //! A failure prints a one-line reproducer:
 //! `STRATA_FLEET_SEED=<n> cargo test -p strata-fleet --test sim <test>`
@@ -34,7 +41,8 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use strata_expt::{
-    cell_result, render_from_store, render_record, CellKey, Mode, RunContext, Store, SuiteOptions,
+    cell_result, parse_record, render_from_store, render_record, CellKey, CellResult, Mode,
+    RunContext, Stage, Store, SuiteOptions,
 };
 use strata_fleet::coordinator::{self, ConnId, Coordinator};
 use strata_fleet::worker::{self, WorkOptions, Worker, WorkerReport};
@@ -61,9 +69,10 @@ enum Fault {
     Stale,
     Resend,
     WrongKeys,
+    Poison,
 }
 
-const FAULTS: [Fault; 9] = [
+const FAULTS: [Fault; 10] = [
     Fault::Delay,
     Fault::Cut,
     Fault::Flip,
@@ -73,6 +82,7 @@ const FAULTS: [Fault; 9] = [
     Fault::Stale,
     Fault::Resend,
     Fault::WrongKeys,
+    Fault::Poison,
 ];
 
 /// The selection every simulated run serves: twelve cells, cheap enough
@@ -120,6 +130,35 @@ fn local() -> &'static Local {
             rendered: report.rendered,
             artifacts: report.artifacts,
         }
+    })
+}
+
+/// The record every worker returns for a poisoned cell.
+fn poisoned_record(index: usize) -> String {
+    let failed = CellResult::Failed {
+        stage: Stage::Run,
+        error: "poisoned".into(),
+    };
+    render_record(&local().cells[index].key_string(), &failed)
+}
+
+/// The local run with cell `p` failed: the records a coordinator must
+/// hold, and the render of a local store holding them.
+fn poisoned_local(p: usize) -> Result<Local, String> {
+    let local = local();
+    let mut records = local.records.clone();
+    records[p] = poisoned_record(p);
+    let store = Store::in_memory();
+    for (cell, record) in local.cells.iter().zip(&records) {
+        let result = parse_record(record, &cell.key_string()).ok_or("a local record parses")?;
+        store.put(cell, result);
+    }
+    let report = render_from_store(&store, &suite(None))?;
+    Ok(Local {
+        cells: local.cells.clone(),
+        records,
+        rendered: report.rendered,
+        artifacts: report.artifacts,
     })
 }
 
@@ -192,6 +231,10 @@ struct Sim {
     links: BTreeMap<ConnId, Link>,
     next_conn: ConnId,
     workers: Vec<SimWorker>,
+    /// The manifest index of the `Poison` fault's cell.
+    poisoned: Option<usize>,
+    /// Set when a coordinator assigns the poisoned cell it already holds.
+    reassigned: bool,
 }
 
 impl Sim {
@@ -262,9 +305,20 @@ impl Sim {
             return false;
         };
         let mut done = false;
-        for action in core.on(now, event) {
+        let actions = core.on(now, event);
+        // Whether the coordinator holds the poisoned cell's result, as of
+        // the event (which carries at most one frame).
+        let held = self
+            .poisoned
+            .filter(|&p| core.store().get(&local().cells[p]).is_some());
+        for action in actions {
             match action {
                 coordinator::Action::Send(conn, bytes) => {
+                    if let (Some(p), Ok((Frame::Assign { index, .. }, _))) =
+                        (held, Frame::decode(&bytes))
+                    {
+                        self.reassigned |= index as usize == p;
+                    }
                     if self.chance(Fault::Cut, 0.02) {
                         let keep = self.rng.gen_range(1..bytes.len() as u64) as usize;
                         self.transmit(conn, TO_WORKER, &bytes[..keep]);
@@ -416,7 +470,10 @@ impl Sim {
             }
             Ev::Executed(w, life, index) => {
                 if self.workers[w].life == life {
-                    let record = local().records[index as usize].clone();
+                    let record = match self.poisoned {
+                        Some(p) if p == index as usize => poisoned_record(p),
+                        _ => local().records[index as usize].clone(),
+                    };
                     self.run_worker(w, worker::Event::Executed { index, record });
                 }
             }
@@ -452,7 +509,11 @@ impl Sim {
             }
             Ev::Restart => {
                 if let Some(old) = self.coordinator.take() {
-                    self.accepted_before += old.stats().received;
+                    // A failure is not cached, so the next coordinator
+                    // accepts the poisoned cell again.
+                    let poisoned = self.poisoned.map(|p| &local().cells[p]);
+                    let again = poisoned.is_some_and(|cell| old.store().get(cell).is_some());
+                    self.accepted_before += old.stats().received - usize::from(again);
                     self.life += 1;
                     let old_links: Vec<ConnId> = self.links.keys().copied().collect();
                     for conn in old_links {
@@ -464,6 +525,14 @@ impl Sim {
             }
             Ev::CoordinatorUp => {
                 self.coordinator = Some(Coordinator::new(self.serve.clone()).expect("plan"));
+                // Workers told the run was over have exited, but a failed
+                // cell is never cached, so the new coordinator may need
+                // one: they are started again, as an operator would.
+                for w in 0..self.workers.len() {
+                    if matches!(self.workers[w].outcome, Some(Ok(_))) {
+                        self.at(self.now, Ev::Revive(w));
+                    }
+                }
             }
         }
         false
@@ -523,7 +592,12 @@ fn simulate(test: &str, seed: u64, faults: Option<&[Fault]>) -> Result<(), Strin
         links: BTreeMap::new(),
         next_conn: 0,
         workers: Vec::new(),
+        poisoned: None,
+        reassigned: false,
     };
+    if sim.has(Fault::Poison) {
+        sim.poisoned = Some(sim.rng.gen_range(0..local().cells.len() as u64) as usize);
+    }
     let honest = sim.rng.gen_range(1..4);
     for _ in 0..honest {
         sim.spawn_worker(Role::Honest);
@@ -584,8 +658,13 @@ fn check(sim: &Sim) -> Result<(), String> {
             stats.preloaded
         ));
     }
+    if sim.reassigned {
+        return Err("the poisoned cell was assigned again after its result".into());
+    }
+    let poisoned = sim.poisoned.map(poisoned_local).transpose()?;
+    let expected = poisoned.as_ref().unwrap_or(local);
     let store = coordinator.store();
-    for (cell, record) in local.cells.iter().zip(&local.records) {
+    for (cell, record) in local.cells.iter().zip(&expected.records) {
         let key = cell.key_string();
         let stored = store.get(cell).ok_or(format!("{key} not stored"))?;
         if render_record(&key, &stored) != *record {
@@ -596,8 +675,12 @@ fn check(sim: &Sim) -> Result<(), String> {
     if report.store_stats.computed != 0 {
         return Err("the coordinator simulated cells itself".into());
     }
-    if report.rendered != local.rendered || report.artifacts != local.artifacts {
+    if report.rendered != expected.rendered || report.artifacts != expected.artifacts {
         return Err("render differs from the local run".into());
+    }
+    let named = |p: &usize| (local.cells[*p].key_string(), Stage::Run, "poisoned".into());
+    if report.failures != sim.poisoned.iter().map(named).collect::<Vec<_>>() {
+        return Err(format!("failed cells named as {:?}", report.failures));
     }
     for worker in sim.workers.iter().filter(|w| w.role == Role::Stale) {
         match &worker.outcome {
@@ -682,6 +765,13 @@ fn lying_worker_cannot_wedge_the_run() {
 #[test]
 fn stale_fingerprint_is_refused_fatally() {
     named("stale_fingerprint_is_refused_fatally", &[Fault::Stale]);
+}
+
+/// A cell that fails on every worker is accepted once and rendered as a
+/// failure; the run finishes.
+#[test]
+fn poisoned_cell_is_a_result() {
+    named("poisoned_cell_is_a_result", &[Fault::Poison]);
 }
 
 /// A restarted coordinator resumes from its disk cache.

@@ -299,6 +299,16 @@ fn report_suite(report: &SuiteReport, suite: &SuiteArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// One stderr line per failed cell — its key, stage and error — and the
+/// error the verb exits 1 with; `Ok` when every cell has a result.
+fn failed_cells(report: &SuiteReport) -> Result<(), String> {
+    for (key, stage, error) in &report.failures {
+        eprintln!("failed: {key} at {stage}: {}", error.replace('\n', " "));
+    }
+    let n = report.failures.len();
+    (n == 0).then_some(()).ok_or(format!("{n} cell(s) failed"))
+}
+
 /// Runs the experiment suite through the `strata-expt` orchestrator.
 /// JSON artifacts land in `results/` unless `--no-artifacts`.
 fn bench_cmd(args: &[String]) -> Result<(), String> {
@@ -362,6 +372,7 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
         "cells: {} unique ({} simulated, {} memo hits, {} disk hits) on {} job(s)",
         report.unique_cells, s.computed, s.memo_hits, s.disk_hits, suite.opts.jobs
     );
+    let failed = failed_cells(&report);
 
     // The regression gate: diff against the committed baseline and fail
     // the process on any out-of-tolerance drift. The delta report is
@@ -393,7 +404,7 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
             ));
         }
     }
-    Ok(())
+    failed
 }
 
 /// `strata fleet serve` — hosts a coordinator that leases the selected
@@ -459,7 +470,7 @@ fn fleet_serve_cmd(args: &[String]) -> Result<(), String> {
             format!(" [{per_worker}]")
         },
     );
-    Ok(())
+    failed_cells(&report.suite)
 }
 
 /// `strata fleet work` — connects to a coordinator and executes cells

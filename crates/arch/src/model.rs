@@ -118,11 +118,6 @@ impl ArchModel {
         }
     }
 
-    /// The active indirect-target predictor's model name.
-    pub fn predictor_name(&self) -> &'static str {
-        self.target.name()
-    }
-
     /// The profile this model was built from.
     pub fn profile(&self) -> &ArchProfile {
         &self.profile

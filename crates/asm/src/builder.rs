@@ -366,16 +366,6 @@ impl CodeBuilder {
         self
     }
 
-    /// Appends `jmp` to an absolute byte address.
-    pub fn jmp_abs(&mut self, target: u32) -> &mut Self {
-        self.emit(Instr::Jmp { target })
-    }
-
-    /// Appends `call` to an absolute byte address.
-    pub fn call_abs(&mut self, target: u32) -> &mut Self {
-        self.emit(Instr::Call { target })
-    }
-
     /// Appends `jr rs`.
     pub fn jr(&mut self, rs: Reg) -> &mut Self {
         self.emit(Instr::Jr { rs })

@@ -9,7 +9,6 @@
 
 use strata_machine::layout;
 
-use crate::config::BranchClass;
 use crate::fragment::{FragKind, Site};
 use crate::sdt::Sdt;
 use crate::strategy::adaptive::AdaptiveStage;
@@ -337,11 +336,6 @@ impl Sdt {
                 .map(|t| TableMeta::from_ref(t, TableKind::ReturnCache)),
             shadow: st.shadow,
         }
-    }
-
-    /// The strategy binding index serving `class` under the active policy.
-    pub fn bind_for_class(&self, class: BranchClass) -> usize {
-        self.state().bind_for(class)
     }
 }
 

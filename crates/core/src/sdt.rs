@@ -245,25 +245,6 @@ impl Sdt {
         self.state.cache.used_bytes()
     }
 
-    /// Guest bytes dedicated to lookup tables (IBTC tables, sieve buckets,
-    /// return cache), including per-site tables allocated so far.
-    pub fn table_bytes(&self) -> u32 {
-        let fixed: u32 = self
-            .state
-            .binds
-            .iter()
-            .filter_map(|b| b.table)
-            .chain(self.state.rc_tab)
-            .map(|t| t.size_bytes())
-            .sum();
-        fixed.max(
-            self.state
-                .alloc
-                .used_bytes()
-                .saturating_sub(layout::TABLES_BASE),
-        )
-    }
-
     /// Per-class dispatch summary: `(class label, mechanism label)` for
     /// jump, call, and return dispatch under the active policy.
     pub fn policy_summary(&self) -> Vec<(&'static str, String)> {

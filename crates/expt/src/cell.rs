@@ -136,7 +136,7 @@ pub enum CellResult {
     /// Outcome of a translated run.
     Translated(Box<RunReport>),
     /// A cell that could not be computed. Memoized like any result, so
-    /// it is computed once, but never persisted or budgeted.
+    /// it is computed once, but never persisted.
     Failed {
         /// Where the computation stopped.
         stage: Stage,
@@ -146,17 +146,6 @@ pub enum CellResult {
 }
 
 impl CellResult {
-    /// The run's total guest cycles — recorded as the cell's budget and
-    /// used by the scheduler as its cost proxy (simulation host time is
-    /// linear in simulated work). A failed cell ran none.
-    pub fn total_cycles(&self) -> u64 {
-        match self {
-            CellResult::Native(n) => n.total_cycles,
-            CellResult::Translated(r) => r.total_cycles,
-            CellResult::Failed { .. } => 0,
-        }
-    }
-
     /// The native run, if this is a native cell.
     pub fn as_native(&self) -> Option<&NativeRun> {
         match self {

@@ -8,7 +8,7 @@
 //! ([`PredictorSpec`]). A [`RunContext`] carries exactly those two, is
 //! owned by the [`Store`](crate::Store), and is the only place their
 //! consequences for a result's identity are derived: the store-key
-//! namespace, its inverse, and the fleet-handshake fingerprint.
+//! namespace and the fleet-handshake fingerprint.
 //!
 //! Host-only settings — `--jobs`, `--tier`, the cache directory — change
 //! how fast a result arrives, never what it is, and stay out.
@@ -65,8 +65,8 @@ impl RunContext {
         ArchModel::with_predictor_spec(profile, self.predictor)
     }
 
-    /// The prefix this context's memo entries, disk records and budget
-    /// rows are stored under: `sampled/` in sampled mode, then
+    /// The prefix this context's memo entries and disk records are
+    /// stored under: `sampled/` in sampled mode, then
     /// `pred-<label>/` for a non-legacy predictor; empty for the default
     /// context, so exact-mode caches from before either axis existed stay
     /// valid. Populations of different contexts share a cache directory
@@ -80,18 +80,6 @@ impl RunContext {
             ns.push_str(&format!("{PREDICTOR_NS}{}/", self.predictor.label()));
         }
         ns
-    }
-
-    /// The inverse of [`RunContext::namespace`] for a key stored under
-    /// *any* context: the bare [`CellKey::key_string`] behind it. A prefix
-    /// that is not a well-formed namespace is left in place, so the
-    /// result matches no cell.
-    pub fn strip_namespace(stored_key: &str) -> &str {
-        let rest = stored_key.strip_prefix(SAMPLED_NS).unwrap_or(stored_key);
-        rest.strip_prefix(PREDICTOR_NS)
-            .and_then(|tail| tail.split_once('/'))
-            .filter(|(label, _)| PredictorSpec::parse(label).is_ok())
-            .map_or(rest, |(_, bare)| bare)
     }
 
     /// A stable fingerprint of a work manifest under this context (FNV-1a

@@ -5,25 +5,21 @@
 //! selected experiments' cells, deduped, each native baseline directly
 //! before the first translated cell implying it — [`with_implied_natives`]
 //! is that completion step), [`dispatch_order`] says *in what order*
-//! (natives first, then longest recorded budget first, unknown budgets in
-//! manifest order), and [`program_for`] is where every cell's `Program`
-//! comes from. [`execute`] here, the fleet coordinator and the fleet
-//! worker consume that one plan and differ only in who pulls the next
-//! cell: `execute` lets a `--jobs N` pool of scoped threads claim indices
-//! off a shared atomic counter.
+//! (natives first, each kind in manifest order), and [`program_for`] is
+//! where every cell's `Program` comes from. [`execute`] here, the fleet
+//! coordinator and the fleet worker consume that one plan and differ only
+//! in who pulls the next cell: `execute` lets a `--jobs N` pool of scoped
+//! threads claim indices off a shared atomic counter.
 //!
 //! Execution runs in two phases — the order's native prefix, then its
 //! translated rest — so that every translated cell can verify its
 //! checksum against an already-memoized native result without ever racing
-//! another thread to compute the same baseline. Observed costs are
-//! recorded back into the disk cache's budget book for the next run (see
-//! [`crate::budget`]).
+//! another thread to compute the same baseline.
 //!
 //! Parallelism and scheduling order only change *when* results land in
 //! the [`Store`]; the results themselves are deterministic functions of
 //! their keys, and all rendering happens serially afterwards, so suite
-//! output is bit-identical for every `--jobs` value and for every budget
-//! ordering.
+//! output is bit-identical for every `--jobs` value.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,7 +29,6 @@ use strata_core::{run_native_with_model, Sdt};
 use strata_machine::{ExecTier, Program};
 use strata_workloads::{by_name, Params, SAMPLED_ONLY_SCALE};
 
-use crate::budget::dispatch_order;
 use crate::cell::{CellKey, CellResult, RunKind, Stage};
 use crate::context::RunContext;
 use crate::sampled::{ensure_bundle, estimate_cell};
@@ -185,20 +180,27 @@ pub(crate) fn with_implied_natives(cells: impl IntoIterator<Item = CellKey>) -> 
     out
 }
 
+/// The order `cells` are dispatched in, as indices into `cells`: native
+/// baselines first (translated cells verify against them), each kind in
+/// manifest order. The local executor and the fleet coordinator both hand
+/// out work in this order.
+pub fn dispatch_order(cells: &[CellKey]) -> Vec<usize> {
+    let (natives, translated): (Vec<usize>, Vec<usize>) =
+        (0..cells.len()).partition(|&i| cells[i].kind == RunKind::Native);
+    [natives, translated].concat()
+}
+
 /// Executes `cells` (deduped) on `jobs` worker threads, populating `store`.
 ///
 /// Every translated cell's native counterpart is scheduled too, so after
 /// this returns the store can answer any slowdown query the cells imply.
 pub fn execute(store: &Store, cells: &[CellKey], jobs: usize) {
     let cells = with_implied_natives(cells.iter().cloned());
-    // The whole order is fixed up front, so this run's own budget
-    // recordings cannot perturb its schedule.
-    let order = dispatch_order(store, &cells);
+    let order = dispatch_order(&cells);
     let natives = order.partition_point(|&i| cells[i].kind == RunKind::Native);
     for phase in [&order[..natives], &order[natives..]] {
         run_phase(store, &cells, phase, jobs.max(1));
     }
-    store.flush_budgets();
 }
 
 fn run_phase(store: &Store, cells: &[CellKey], phase: &[usize], jobs: usize) {
@@ -235,6 +237,21 @@ mod tests {
         execute(&store, &cells, 2);
         assert_eq!(store.stats().computed, 2);
         assert!(store.get(&CellKey::native("gzip", x86, p)).is_some());
+    }
+
+    #[test]
+    fn natives_lead_and_each_kind_keeps_manifest_order() {
+        let x86 = ArchProfile::x86_like();
+        let p = Params::default();
+        let sdt = |w| CellKey::translated(w, SdtConfig::reentry(), x86.clone(), p);
+        let native = |w| CellKey::native(w, x86.clone(), p);
+        let set = [native("gzip"), sdt("gzip"), native("gcc"), sdt("gcc")];
+        assert_eq!(dispatch_order(&set), [0, 2, 1, 3]);
+        // Whatever the interleaving, nothing but the kind moves a cell.
+        let set = [sdt("mcf"), native("gcc"), sdt("gzip"), native("mcf")];
+        assert_eq!(dispatch_order(&set), [1, 3, 0, 2]);
+        assert_eq!(dispatch_order(&set[..1]), [0]);
+        assert!(dispatch_order(&[]).is_empty());
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Crash-safe writes for the disk-cache artifacts.
 //!
-//! Cell records and the budget book are consumed by later runs (and by
-//! fleet merges), so a process killed mid-write must never leave a
-//! truncated file behind: a half-written `*.cell` would silently fail its
-//! key check and poison the memo cache into recomputing — acceptable —
-//! but a half-written `budgets.v1` would drop the whole schedule, and a
-//! torn write racing a concurrent reader could feed it garbage. All cache
-//! writes therefore go through [`atomic_write`]: the content lands in a
-//! uniquely named temp file in the same directory and is `rename(2)`d
-//! into place, which is atomic on POSIX filesystems.
+//! Cell records, traces and SimPoint sidecars are consumed by later runs
+//! (and by fleet merges), so a process killed mid-write must never leave
+//! a truncated file behind: a half-written `*.cell` only fails its key
+//! check and is recomputed, but a torn write racing a concurrent reader
+//! could feed it garbage. All cache writes therefore go through
+//! [`atomic_write`]: the content lands in a uniquely named temp file in
+//! the same directory and is `rename(2)`d into place, which is atomic on
+//! POSIX filesystems.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

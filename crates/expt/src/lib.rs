@@ -40,7 +40,6 @@
 //! [`Params`]: strata_workloads::Params
 //! [`Store`]: store::Store
 
-pub mod budget;
 pub mod cell;
 pub mod context;
 pub mod exec;
@@ -52,10 +51,9 @@ pub mod store;
 pub mod suite;
 pub mod view;
 
-pub use budget::{dispatch_order, makespan, BudgetBook};
 pub use cell::{CellKey, CellResult, RunKind, Stage};
 pub use context::{Mode, RunContext};
-pub use exec::{cell_result, exec_tier, execute, program_for, set_exec_tier, FUEL};
+pub use exec::{cell_result, dispatch_order, exec_tier, execute, program_for, set_exec_tier, FUEL};
 pub use experiments::Output;
 pub use fsutil::{atomic_write, atomic_write_bytes};
 pub use registry::{by_id, registry, Experiment};

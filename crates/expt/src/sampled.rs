@@ -34,7 +34,7 @@
 //! [`Mode::Sampled`](crate::Mode) in the store's
 //! [`RunContext`](crate::RunContext)); when off, nothing here runs and
 //! exact mode is byte-identical to before. Sampled results are memoized
-//! and budgeted under the context's namespace so they can never collide
+//! and cached under the context's namespace so they can never collide
 //! with exact cells (see [`crate::store`]).
 
 use std::collections::{BTreeMap, HashMap};
@@ -339,9 +339,8 @@ fn persist_simpoints(dir: &Path, path: &Path, points: &SimPoints) {
 }
 
 /// Removes `*.strace` / `*.simpts` files whose workload (the file-name
-/// stem before the first `.`) is no longer registered — the trace-dir
-/// twin of the budget book's stale-key pruning, run on every save so
-/// renamed or deleted workloads cannot leave multi-megabyte orphans.
+/// stem before the first `.`) is no longer registered, run on every save
+/// so renamed or deleted workloads cannot leave multi-megabyte orphans.
 pub fn prune_orphans(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;

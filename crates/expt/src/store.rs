@@ -6,17 +6,18 @@
 //! on-disk layer (`results/cache/`) makes re-runs resumable: cells are
 //! persisted as versioned flat-text records that embed their full key, so
 //! stale or hash-colliding files are ignored rather than trusted. A
-//! failed cell is memoized like any result but never written to disk or
-//! the budget book (see [`Store::failures`]).
+//! failed cell is memoized like any result but never written to disk
+//! (see [`Store::failures`]). The store is only that memo and that disk
+//! cache; it reads no other file in the cache directory and deletes none.
 //!
-//! Every store belongs to one [`RunContext`] and keeps its memo entries,
-//! disk records and budget rows under that context's
+//! Every store belongs to one [`RunContext`] and keeps its memo entries
+//! and disk records under that context's
 //! [`namespace`](RunContext::namespace), so estimates or another predictor
-//! model's results can never be served for exact legacy cells (or steer
-//! their LPT schedule) and vice versa — the populations share a cache
-//! directory but are fully disjoint.
+//! model's results can never be served for exact legacy cells and vice
+//! versa — the populations share a cache directory but are fully
+//! disjoint.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,9 +25,7 @@ use std::sync::Mutex;
 
 use strata_core::{MechanismStats, NativeRun, RunReport};
 use strata_trace::fnv1a64;
-use strata_workloads::Params;
 
-use crate::budget::BudgetBook;
 use crate::cell::{CellKey, CellResult, Stage};
 use crate::context::RunContext;
 use crate::fsutil::atomic_write;
@@ -49,7 +48,6 @@ pub struct StoreStats {
 pub struct Store {
     cells: Mutex<HashMap<String, Arc<CellResult>>>,
     disk: Option<PathBuf>,
-    budgets: Mutex<BudgetBook>,
     context: RunContext,
     /// `context.namespace()`, rendered once.
     namespace: String,
@@ -61,16 +59,10 @@ pub struct Store {
 impl Store {
     /// A store for results produced under `context`. With a `disk_dir`,
     /// cells are additionally persisted there (created on first write)
-    /// and previously recorded per-cell cycle budgets are loaded from it
-    /// for longest-first scheduling.
+    /// and read back from it on a memo miss.
     pub fn new(context: RunContext, disk_dir: Option<PathBuf>) -> Store {
         Store {
             cells: Mutex::new(HashMap::new()),
-            budgets: Mutex::new(
-                disk_dir
-                    .as_deref()
-                    .map_or_else(BudgetBook::new, BudgetBook::load),
-            ),
             disk: disk_dir,
             namespace: context.namespace(),
             context,
@@ -98,7 +90,7 @@ impl Store {
 
     /// The namespaced key string results are stored under. In the default
     /// context this is exactly [`CellKey::key_string`], so exact-mode disk
-    /// caches and budget books from before sampled mode remain valid.
+    /// caches from before sampled mode remain valid.
     fn eff_key(&self, key: &CellKey) -> String {
         format!("{}{}", self.namespace, key.key_string())
     }
@@ -129,30 +121,6 @@ impl Store {
             .expect("store lock")
             .get(&self.eff_key(key))
             .cloned()
-    }
-
-    /// The cycle budget observed for `key` under this store's context
-    /// (this run or loaded from the disk cache) — the scheduling cost the
-    /// local executor and the fleet coordinator both order by.
-    pub fn budget(&self, key: &CellKey) -> Option<u64> {
-        self.budgets
-            .lock()
-            .expect("budget lock")
-            .get(&self.eff_key(key))
-    }
-
-    /// Persists the budget book into the disk-cache directory, merged
-    /// over any records already there (so filtered runs keep budgets for
-    /// cells they did not touch) and pruned of keys the registry no
-    /// longer produces. No-op for in-memory stores.
-    pub fn flush_budgets(&self) {
-        let Some(dir) = self.disk.as_ref() else {
-            return;
-        };
-        let mut merged = BudgetBook::load(dir);
-        merged.merge(&self.budgets.lock().expect("budget lock"));
-        prune_stale(&mut merged);
-        merged.save(dir);
     }
 
     /// Every memoized cell as `(key_string, result)`, sorted by key — the
@@ -229,17 +197,12 @@ impl Store {
     }
 
     /// The one way a result enters the store: every result is memoized,
-    /// and only a success is budgeted and, unless it came from disk
-    /// (`fresh` is false), persisted — a failed cell is recomputed by the
-    /// next run and never steers a schedule. The first result for a key
-    /// wins.
+    /// and only a success that did not come from disk (`fresh`) is
+    /// persisted — a failed cell is recomputed by the next run. The first
+    /// result for a key wins.
     fn insert(&self, ks: String, result: CellResult, fresh: bool) -> Arc<CellResult> {
-        if result.as_failed().is_none() {
-            if fresh {
-                self.save_to_disk(&ks, &result);
-            }
-            let mut budgets = self.budgets.lock().expect("budget lock");
-            budgets.record(&ks, result.total_cycles());
+        if fresh && result.as_failed().is_none() {
+            self.save_to_disk(&ks, &result);
         }
         let mut cells = self.cells.lock().expect("store lock");
         Arc::clone(cells.entry(ks).or_insert_with(|| Arc::new(result)))
@@ -274,43 +237,6 @@ impl Store {
 /// stay valid; every other namespace hashes to disjoint names.
 fn disk_file_name(ks: &str) -> String {
     format!("{:016x}.cell", fnv1a64(ks.as_bytes()))
-}
-
-/// Drops budget entries whose cell keys the registry no longer produces
-/// (configs removed from experiments, renamed workloads), so the LPT
-/// schedule never sorts on dead keys. Keys are grouped by the params
-/// embedded in their tail and checked against the full registry's
-/// manifest at those params; a key whose params do not parse is stale by
-/// definition. Keys of every context's namespace are validated against
-/// the same manifest after [`RunContext::strip_namespace`] — each
-/// population is the same cell grid, just measured differently. If the
-/// manifest itself cannot be built, everything is conservatively kept.
-fn prune_stale(book: &mut BudgetBook) {
-    let mut live: HashMap<(u32, u64), Option<HashSet<String>>> = HashMap::new();
-    book.retain(|key| {
-        let key = RunContext::strip_namespace(key);
-        let Some(params) = params_of_key(key) else {
-            return false;
-        };
-        live.entry((params.scale, params.variant))
-            .or_insert_with(|| {
-                crate::suite::work_manifest(None, params)
-                    .ok()
-                    .map(|cells| cells.iter().map(|c| c.key_string()).collect())
-            })
-            .as_ref()
-            .is_none_or(|set| set.contains(key))
-    });
-}
-
-/// Parses the `s{scale}v{variant}` tail every cell key ends with.
-fn params_of_key(key: &str) -> Option<Params> {
-    let tail = key.rsplit('|').next()?;
-    let (scale, variant) = tail.strip_prefix('s')?.split_once('v')?;
-    Some(Params {
-        scale: scale.parse().ok()?,
-        variant: variant.parse().ok()?,
-    })
 }
 
 // --- flat-text serialization -------------------------------------------
@@ -680,8 +606,8 @@ mod tests {
     }
 
     /// A failed cell is memoized, so it is computed once per run, but a
-    /// disk-backed store writes neither its record nor a budget row, and
-    /// the next run computes it again.
+    /// disk-backed store does not write its record, and the next run
+    /// computes it again.
     #[test]
     fn failed_cells_are_memoized_but_never_persisted() {
         let dir = std::env::temp_dir().join(format!("strata-store-fail-{}", std::process::id()));
@@ -700,11 +626,6 @@ mod tests {
             assert_eq!(calls, 1, "run {run}: computed once, then memoized");
             assert_eq!(store.failures().len(), 1);
             assert!(store.cached(&key).is_some(), "memoized");
-            store.flush_budgets();
-            assert!(
-                BudgetBook::load(&dir).is_empty(),
-                "run {run}: no budget row"
-            );
             let cells = std::fs::read_dir(&dir).into_iter().flatten().flatten();
             let cells = cells.filter(|e| e.path().extension().is_some_and(|x| x == "cell"));
             assert_eq!(cells.count(), 0, "run {run}: no *.cell file");
@@ -743,76 +664,6 @@ mod tests {
         let key = CellKey::native("gzip", ArchProfile::x86_like(), Params::default());
         assert!(store.cached(&key).is_none());
         assert_eq!(store.stats(), StoreStats::default());
-    }
-
-    #[test]
-    fn flush_prunes_stale_budget_keys() {
-        let dir = std::env::temp_dir().join(format!("strata-store-prune-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Seed the budget file with one live key, one key the registry
-        // never produces, and one unparsable key.
-        let live = CellKey::native("gzip", ArchProfile::x86_like(), Params::default());
-        let mut book = BudgetBook::new();
-        book.record(&live.key_string(), 111);
-        book.record("ghost|sdt:ibtc(9,shared,inline)|x86-like|s1v0", 222);
-        book.record("not a cell key at all", 333);
-        book.save(&dir);
-
-        let store = Store::with_disk_cache(dir.clone());
-        store.flush_budgets();
-        let pruned = BudgetBook::load(&dir);
-        assert_eq!(pruned.get(&live.key_string()), Some(111));
-        assert_eq!(pruned.len(), 1, "stale and unparsable keys dropped");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flush_keeps_live_keys_of_every_namespace_and_prunes_ghosts() {
-        let dir = std::env::temp_dir().join(format!("strata-store-sns-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let live = CellKey::native("gzip", ArchProfile::x86_like(), Params::default()).key_string();
-        let ghost = "ghost|native|x86-like|s1v0";
-        let namespaces = ["", "sampled/", "pred-ittage:4/", "sampled/pred-ittage:4/"];
-        let mut book = BudgetBook::new();
-        for (i, ns) in namespaces.iter().enumerate() {
-            book.record(&format!("{ns}{live}"), i as u64);
-            book.record(&format!("{ns}{ghost}"), 99);
-        }
-        // A live key behind something that is no context's namespace is
-        // as dead as a ghost.
-        for malformed in ["bogus/", "pred-tage/", "pred-/", "sampled/sampled/"] {
-            book.record(&format!("{malformed}{live}"), 99);
-        }
-        book.save(&dir);
-
-        Store::with_disk_cache(dir.clone()).flush_budgets();
-        let pruned = BudgetBook::load(&dir);
-        for (i, ns) in namespaces.iter().enumerate() {
-            assert_eq!(pruned.get(&format!("{ns}{live}")), Some(i as u64), "`{ns}`");
-        }
-        assert_eq!(pruned.len(), namespaces.len(), "every ghost key dropped");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn params_parse_from_key_tails() {
-        assert_eq!(
-            params_of_key("gzip|native|x86-like|s1v0"),
-            Some(Params {
-                scale: 1,
-                variant: 0
-            })
-        );
-        assert_eq!(
-            params_of_key("gcc|sdt:ibtc(64,shared,inline)|mips-like|s3v12"),
-            Some(Params {
-                scale: 3,
-                variant: 12
-            })
-        );
-        for bad in ["", "gzip", "gzip|native|x86-like|v0s1", "a|b|c|s1vx"] {
-            assert_eq!(params_of_key(bad), None, "`{bad}`");
-        }
     }
 
     #[test]

@@ -1,63 +1,24 @@
-//! Integration tests for the regression gate and budget-driven
-//! scheduling: budgets are recorded in the cache directory and fed back
-//! as a longest-first order, the reordering never changes rendered
-//! output, and the baseline gate catches perturbed metrics end to end.
+//! Integration tests for the regression gate: the baseline gate catches
+//! perturbed metrics end to end and skips what a filtered run did not
+//! select.
 
 use std::path::PathBuf;
 
-use strata_expt::{
-    baseline_gate, run_suite, write_artifacts, BudgetBook, OutputFormat, SuiteOptions,
-};
+use strata_expt::{baseline_gate, run_suite, write_artifacts, OutputFormat, SuiteOptions};
 use strata_workloads::Params;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("strata-gate-{name}-{}", std::process::id()))
 }
 
-fn opts(filter: &str, cache_dir: Option<PathBuf>) -> SuiteOptions {
+fn opts(filter: &str) -> SuiteOptions {
     SuiteOptions {
         jobs: 4,
         filter: Some(filter.into()),
         format: OutputFormat::Text,
         params: Params::default(),
-        cache_dir,
         ..SuiteOptions::default()
     }
-}
-
-#[test]
-fn budgets_are_recorded_and_budget_ordered_rerun_is_byte_identical() {
-    let dir = tmp("budgets");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Cold run: FIFO schedule (no budget records yet), budgets written.
-    let cold = run_suite(&opts("table1", Some(dir.clone()))).expect("cold run");
-    assert!(cold.store_stats.computed > 0);
-    let book = BudgetBook::load(&dir);
-    assert_eq!(
-        book.len() as u64,
-        cold.store_stats.computed,
-        "every computed cell must record a budget"
-    );
-
-    // Drop the cell cache but keep the budgets: the rerun recomputes
-    // everything under a longest-first schedule.
-    for entry in std::fs::read_dir(&dir).expect("cache dir") {
-        let path = entry.expect("entry").path();
-        if path.extension().is_some_and(|x| x == "cell") {
-            std::fs::remove_file(path).expect("remove cell");
-        }
-    }
-    let warm = run_suite(&opts("table1", Some(dir.clone()))).expect("budget-ordered run");
-    assert_eq!(warm.store_stats.disk_hits, 0, "cell cache was dropped");
-    assert_eq!(warm.store_stats.computed, cold.store_stats.computed);
-    assert_eq!(
-        cold.rendered, warm.rendered,
-        "longest-first scheduling changed rendered output"
-    );
-    assert_eq!(cold.artifacts, warm.artifacts);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -65,7 +26,7 @@ fn gate_detects_a_perturbed_metric_and_names_the_experiment() {
     let baseline_dir = tmp("baseline");
     let _ = std::fs::remove_dir_all(&baseline_dir);
 
-    let run = run_suite(&opts("table1", None)).expect("run");
+    let run = run_suite(&opts("table1")).expect("run");
     write_artifacts(&run, &baseline_dir).expect("write baseline");
 
     // Sanity: unperturbed gate is clean.
@@ -104,7 +65,7 @@ fn gate_detects_a_perturbed_metric_and_names_the_experiment() {
 
 #[test]
 fn gate_errors_on_missing_or_empty_baseline_dir() {
-    let run = run_suite(&opts("table1", None)).expect("run");
+    let run = run_suite(&opts("table1")).expect("run");
     let missing = tmp("missing");
     let _ = std::fs::remove_dir_all(&missing);
     assert!(baseline_gate(&run, &missing, 5.0).is_err());
@@ -120,10 +81,10 @@ fn filtered_run_gates_against_full_baseline_without_failing() {
     // fig14 must be skipped, not failed.
     let baseline_dir = tmp("filtered");
     let _ = std::fs::remove_dir_all(&baseline_dir);
-    let full = run_suite(&opts("table1,fig14", None)).expect("full run");
+    let full = run_suite(&opts("table1,fig14")).expect("full run");
     write_artifacts(&full, &baseline_dir).expect("write baseline");
 
-    let narrow = run_suite(&opts("table1", None)).expect("narrow run");
+    let narrow = run_suite(&opts("table1")).expect("narrow run");
     let delta = baseline_gate(&narrow, &baseline_dir, 5.0).expect("gate");
     assert!(delta.is_clean(), "{}", delta.render_text());
     assert_eq!(delta.skipped_experiments, ["fig14"]);

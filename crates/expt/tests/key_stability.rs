@@ -10,14 +10,13 @@ use std::path::PathBuf;
 
 use strata_arch::{ArchProfile, PredictorSpec};
 use strata_core::{FlagsPolicy, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, SdtConfig};
-use strata_expt::{execute, fnv1a64, registry, BudgetBook, CellKey, Mode, RunContext, Store};
+use strata_expt::{execute, fnv1a64, registry, CellKey, Mode, RunContext, Store};
 use strata_workloads::Params;
 
 /// The four kinds of run context, with the key namespace and the
 /// fingerprint salt each has had since its axis was introduced. These
-/// literals are what existing `*.cell` caches, `budgets.v1` files and
-/// fleet peers were built against; a context must keep producing them
-/// byte for byte.
+/// literals are what existing `*.cell` caches and fleet peers were built
+/// against; a context must keep producing them byte for byte.
 fn contexts() -> [(RunContext, &'static str, &'static str); 4] {
     let sampled = || Mode::Sampled {
         traces_dir: PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("key-traces"),
@@ -73,8 +72,13 @@ fn contexts_sharing_a_cache_directory_never_serve_each_others_cells() {
     let _ = std::fs::remove_dir_all(&dir);
     let x86 = ArchProfile::x86_like();
     let native = CellKey::native("gzip", x86.clone(), Params::default());
-    // A fig2 cell: flushing prunes budgets of cells no experiment produces.
     let cell = CellKey::translated("gzip", SdtConfig::reentry(), x86, Params::default());
+    // A budget file older versions kept beside the cells is neither read
+    // nor deleted.
+    std::fs::create_dir_all(&dir).expect("cache dir");
+    let budgets = dir.join("budgets.v1");
+    let old_book = format!("strata-budgets-v1\n9\t{}\n", cell.key_string());
+    std::fs::write(&budgets, &old_book).expect("old budget file");
 
     // Every context computes the cell for itself, although all four write
     // into one directory...
@@ -89,24 +93,19 @@ fn contexts_sharing_a_cache_directory_never_serve_each_others_cells() {
         assert_eq!(store.stats().disk_hits, 0, "`{namespace}`");
     }
     // ...and afterwards each finds its own records again, under its own
-    // namespace, in the cell files and the shared budget book alike.
-    let book = BudgetBook::load(&dir);
-    assert_eq!(book.len(), 8, "two rows per context survive every flush");
+    // namespace.
     let mut cycles = BTreeSet::new();
     for (context, namespace, _) in contexts() {
         let store = Store::new(context, Some(dir.clone()));
         let result = store.cached(&cell).expect("disk hit");
         assert!(store.cached(&native).is_some());
         assert_eq!(store.stats().disk_hits, 2, "`{namespace}`");
-        assert_eq!(store.budget(&cell), Some(result.total_cycles()));
-        assert_eq!(
-            book.get(&format!("{namespace}{}", cell.key_string())),
-            Some(result.total_cycles())
-        );
-        cycles.insert((namespace.starts_with("sampled/"), result.total_cycles()));
+        let report = result.as_translated().expect("a translated result");
+        cycles.insert((namespace.starts_with("sampled/"), report.total_cycles));
     }
     // Exact and estimated cycles differ, so a mix-up would have shown.
     assert!(cycles.len() >= 2, "{cycles:?}");
+    assert_eq!(std::fs::read_to_string(&budgets).ok(), Some(old_book));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

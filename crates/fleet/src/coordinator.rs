@@ -17,13 +17,12 @@
 //! The coordinator plans from the same work plan a local `strata bench`
 //! does: [`SuiteOptions::manifest`] says which cells (the canonical
 //! [`work_manifest`](strata_expt::work_manifest)) and [`dispatch_order`]
-//! in what order — native baselines first, longest observed budget first
-//! (`results/cache/budgets.v1`), manifest order for unknown cells. Cells
-//! already present in the disk cache are marked done and dropped from the
-//! queue (a restarted coordinator resumes instead of redispatching).
-//! Workers pull one cell at a time — pull-based dispatch *is* the
-//! work-stealing: a fast worker simply comes back for more, so skewed
-//! cell budgets never strand the tail behind a static split.
+//! in what order — native baselines first, each kind in manifest order.
+//! Cells already present in the disk cache are marked done and dropped
+//! from the queue (a restarted coordinator resumes instead of
+//! redispatching). Workers pull one cell at a time — pull-based dispatch
+//! *is* the work-stealing: a fast worker simply comes back for more, so
+//! skewed cell costs never strand the tail behind a static split.
 //!
 //! ## Robustness
 //!
@@ -212,9 +211,6 @@ pub struct Coordinator {
     queue: VecDeque<u32>,
     conns: BTreeMap<ConnId, Conn>,
     stats: FleetStats,
-    /// Sum of predicted budgets (cycles) of the cells workers completed,
-    /// for the progress line's ETA.
-    done_budget: u64,
     /// When the last cell arrived.
     finished_at: Option<Duration>,
 }
@@ -243,7 +239,7 @@ impl Coordinator {
             preloaded: cells.iter().filter(|&&c| c == Cell::Done).count(),
             ..FleetStats::default()
         };
-        let queue = dispatch_order(&store, &manifest)
+        let queue = dispatch_order(&manifest)
             .into_iter()
             .filter(|&i| cells[i] == Cell::Queued)
             .map(|i| i as u32)
@@ -265,7 +261,6 @@ impl Coordinator {
             queue,
             conns: BTreeMap::new(),
             stats,
-            done_budget: 0,
             finished_at: None,
         })
     }
@@ -385,8 +380,6 @@ impl Coordinator {
             self.stats.duplicates += 1;
             return true;
         }
-        // The predicted cost, read before `put` records the observed one.
-        self.done_budget += self.store.budget(&self.manifest[i]).unwrap_or(0);
         self.store.put(&self.manifest[i], result);
         self.cells[i] = Cell::Done;
         self.stats.received += 1;
@@ -432,16 +425,13 @@ impl Coordinator {
         &self.stats
     }
 
-    /// Flushes budgets and renders the suite from the populated store.
+    /// Renders the suite from the populated store.
     ///
     /// # Errors
     ///
     /// Returns an error if the render fails (artifact assembly problems;
     /// a dead filter is already refused by [`Coordinator::new`]).
     pub fn finish(self) -> Result<FleetReport, String> {
-        // Budgets observed this run (via Store::put) feed the next run's
-        // LPT schedule; flush prunes keys the registry no longer makes.
-        self.store.flush_budgets();
         let suite = render_from_store(&self.store, &self.opts.suite)?;
         let stats = self.stats;
         Ok(FleetReport { suite, stats })
@@ -453,21 +443,9 @@ impl Coordinator {
         let s = &self.stats;
         let done = self.done();
         let elapsed = now.as_secs_f64().max(1e-9);
-        let remaining_budget: u64 = (self.manifest.iter().zip(&self.cells))
-            .filter(|(_, &c)| c != Cell::Done)
-            .map(|(cell, _)| self.store.budget(cell).unwrap_or(0))
-            .sum();
         let cells_per_sec = s.received as f64 / elapsed;
-        let cycle_rate = self.done_budget as f64 / elapsed;
-        // ETA from remaining *predicted* budget when the book knows the
-        // cells; cells-per-second otherwise.
-        let eta_secs = if remaining_budget > 0 && cycle_rate > 0.0 {
-            Some((remaining_budget as f64 / cycle_rate).round() as u64)
-        } else if cells_per_sec > 0.0 {
-            Some(((s.cells - done) as f64 / cells_per_sec).round() as u64)
-        } else {
-            None
-        };
+        let eta_secs =
+            (cells_per_sec > 0.0).then(|| ((s.cells - done) as f64 / cells_per_sec).round() as u64);
         let leased = (self.cells.iter())
             .filter(|c| matches!(c, Cell::Leased(_)))
             .count();
@@ -526,33 +504,26 @@ mod tests {
         assert!(Progress::parse("loud").is_err());
     }
 
-    /// The initial queue is the shared [`dispatch_order`] over what the
-    /// cache does not hold yet, read from the budgets recorded under the
-    /// coordinator's own context: `Store::put` files a sampled run's
-    /// observations under `sampled/`, so that is where a sampled
-    /// coordinator has to look — never at the exact population.
+    /// The initial queue is the shared [`dispatch_order`] over the cells
+    /// the cache holds no result for under the coordinator's own context:
+    /// a sampled coordinator over the same directory finds none of the
+    /// exact results and queues every cell.
     #[test]
-    fn dispatch_order_follows_the_contexts_own_budgets() {
-        use strata_expt::{work_manifest, BudgetBook, Mode, RunContext};
+    fn a_resumed_coordinator_queues_exactly_the_uncached_cells_in_dispatch_order() {
+        use strata_expt::{work_manifest, Mode, RunContext};
 
         let dir = std::env::temp_dir().join(format!("strata-fleet-ns-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let manifest = work_manifest(Some("fig2"), Default::default()).expect("manifest");
-        // Exact budgets rank the manifest front to back, sampled budgets
-        // back to front.
-        let mut book = BudgetBook::new();
-        for (i, cell) in manifest.iter().enumerate() {
-            let key = cell.key_string();
-            book.record(&key, 1000 - i as u64);
-            book.record(&format!("sampled/{key}"), 1000 + i as u64);
-        }
-        book.save(&dir);
-        // One exact result is already cached: a resumed coordinator must
-        // not queue it.
-        let cached = 0usize;
+        // fig2's manifest alternates native, translated. Three exact
+        // results are already cached: the first translated cell (with its
+        // native) and the second native.
+        let cached = [0, 1, 2];
         {
             let store = Store::with_disk_cache(dir.clone());
-            strata_expt::cell_result(&store, &manifest[cached]);
+            strata_expt::cell_result(&store, &manifest[1]);
+            strata_expt::cell_result(&store, &manifest[2]);
+            assert_eq!(store.stats().computed, cached.len() as u64);
         }
 
         let queue_under = |context: RunContext| -> Vec<usize> {
@@ -574,23 +545,18 @@ mod tests {
             },
             ..RunContext::default()
         };
-        let planned = |context: &RunContext| {
-            dispatch_order(&Store::new(context.clone(), Some(dir.clone())), &manifest)
-        };
+        let mut uncached = dispatch_order(&manifest);
+        uncached.retain(|i| !cached.contains(i));
         let exact_queue = queue_under(RunContext::default());
-        let mut expected = planned(&RunContext::default());
-        expected.retain(|&i| i != cached);
-        assert_eq!(exact_queue, expected);
-        let sampled_queue = queue_under(sampled.clone());
-        assert_eq!(sampled_queue, planned(&sampled));
-        // fig2's manifest alternates native, translated: natives lead in
-        // both, each kind by its own context's budgets.
-        let natives = manifest.len() / 2;
-        assert_eq!(exact_queue[..3], [2, 4, 6]);
-        assert_eq!(exact_queue[natives - 1..natives + 2], [1, 3, 5]);
-        let last = manifest.len() - 1;
-        assert_eq!(sampled_queue[..2], [last - 1, last - 3]);
-        assert_eq!(sampled_queue[natives..natives + 2], [last, last - 2]);
+        assert_eq!(exact_queue, uncached);
+        assert_eq!(queue_under(sampled), dispatch_order(&manifest));
+        // Natives lead, each kind in manifest order.
+        let natives = manifest.len() / 2 - 2;
+        assert_eq!(exact_queue[..2], [4, 6]);
+        assert_eq!(
+            exact_queue[natives - 1..natives + 2],
+            [manifest.len() - 2, 3, 5]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

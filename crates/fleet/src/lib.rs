@@ -7,9 +7,9 @@
 //! connection:
 //!
 //! * [`coordinator`] — the state machine behind `strata fleet serve`:
-//!   loads the cell manifest for the selected experiments, orders it by
-//!   observed budgets (longest first), and leases cells to workers over
-//!   the wire protocol. Results stream back, land in the same memoized
+//!   loads the cell manifest for the selected experiments, queues the
+//!   cells its disk cache does not hold (natives first, each kind in
+//!   manifest order), and leases them to workers over the wire protocol. Results stream back, land in the same memoized
 //!   [`Store`] a local run fills, and the final render goes through the
 //!   same code path — so fleet output is **byte-identical** to a
 //!   single-machine `strata bench` of the same selection.

@@ -37,7 +37,7 @@ pub struct TableDoc {
 /// One parsed artifact document (`{id, tables: [{title, columns, rows}]}`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentDoc {
-    /// Experiment id (`table1`, `fig4`, `cells`, `microbench`, …).
+    /// Experiment id (`table1`, `fig4`, `cells`, …).
     pub id: String,
     /// Rendered workload parameters, compared as an opaque string.
     pub params: String,

@@ -205,7 +205,7 @@ impl VerifyReport {
     }
 
     /// Count of findings at exactly `sev`.
-    pub fn count_at(&self, sev: Severity) -> usize {
+    fn count_at(&self, sev: Severity) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity() == sev)

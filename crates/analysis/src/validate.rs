@@ -50,7 +50,9 @@ use std::collections::BTreeSet;
 use strata_core::protocol::{SLOT_JUMP_TARGET, SLOT_RESUME, TRAP_MISS, TRAP_RC_MISS};
 use strata_core::Origin;
 use strata_isa::{decode, Instr};
-use strata_machine::{LoweredOp as Op, Machine, TierBlockMeta};
+use strata_machine::{
+    run_to_halt, ExecTier, InstrCounter, LoweredOp as Op, Machine, Program, TierBlockMeta,
+};
 use strata_stats::Json;
 
 use crate::cfg::Labels;
@@ -144,46 +146,26 @@ pub fn validate_machine_tier(machine: &Machine) -> TierReport {
     })
 }
 
-/// Runs `program` to completion natively under `tier` (no SDT in the
-/// loop — this is the reference execution path), then validates every
-/// superblock the tier translated along the way. This is the whole-
-/// workload entry point `strata verify --validate-tiers` and the
-/// execution-tier experiment use: the blocks checked are exactly the
-/// ones a real run promotes, not a synthetic corpus.
+/// Runs `program` to completion natively under `tier` through
+/// [`run_to_halt`] (no SDT in the loop — this is the reference execution
+/// path), then validates every superblock the tier translated along the
+/// way. This is the whole-workload entry point `strata verify
+/// --validate-tiers` and the execution-tier experiment use: the blocks
+/// checked are exactly the ones a real run promotes, not a synthetic
+/// corpus.
 ///
 /// # Errors
 ///
-/// Returns the machine's own error string when the program faults or
-/// raises a reserved trap — validation needs a completed run.
+/// Returns the driver's error string when the program faults, raises a
+/// reserved trap or exhausts `fuel` — validation needs a completed run.
 pub fn validate_program_tier(
-    program: &strata_machine::Program,
-    tier: strata_machine::ExecTier,
+    program: &Program,
+    tier: ExecTier,
     fuel: u64,
 ) -> Result<TierReport, String> {
-    use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
-    use strata_machine::{layout, InstrCounter, StepOutcome};
-
-    let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
-    program.load(&mut machine).map_err(|e| e.to_string())?;
-    machine.set_tier(tier);
-    let mut syscalls = SyscallState::new();
     let mut counter = InstrCounter::default();
-    loop {
-        let budget = fuel.saturating_sub(counter.retired());
-        match machine
-            .run(&mut counter, budget)
-            .map_err(|e| e.to_string())?
-        {
-            StepOutcome::Halted => break,
-            StepOutcome::Trap(code) if code < SDT_TRAP_BASE => {
-                syscalls.handle(code, &machine);
-            }
-            StepOutcome::Trap(code) => {
-                return Err(format!("reserved trap {code:#x} during native run"));
-            }
-            StepOutcome::Running => return Err("fuel exhausted before halt".into()),
-        }
-    }
+    let (_, machine) = run_to_halt(program, tier, fuel, &mut counter, InstrCounter::retired)
+        .map_err(|e| e.to_string())?;
     Ok(validate_machine_tier(&machine))
 }
 

@@ -97,7 +97,8 @@ impl CodeBuilder {
     }
 
     /// Byte address of the *next* instruction to be emitted.
-    pub fn current_addr(&self) -> u32 {
+    #[cfg(test)]
+    fn current_addr(&self) -> u32 {
         self.base + self.items.len() as u32 * INSTR_BYTES
     }
 

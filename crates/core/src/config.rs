@@ -172,7 +172,8 @@ impl Default for DispatchPolicy {
 impl DispatchPolicy {
     /// Whether both classes inherit the global mechanism (the legacy
     /// configuration space).
-    pub fn is_inherit(&self) -> bool {
+    #[cfg(test)]
+    fn is_inherit(&self) -> bool {
         self.jump == ClassPolicy::Inherit && self.call == ClassPolicy::Inherit
     }
 }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use strata_machine::MachineError;
+use strata_machine::{MachineError, NativeError};
 
 /// Errors produced by the SDT.
 #[derive(Debug)]
@@ -89,6 +89,15 @@ impl std::error::Error for SdtError {
 impl From<MachineError> for SdtError {
     fn from(e: MachineError) -> SdtError {
         SdtError::Machine(e)
+    }
+}
+
+impl From<NativeError> for SdtError {
+    fn from(e: NativeError) -> SdtError {
+        match e {
+            NativeError::ReservedTrap { code, pc } => SdtError::ReservedTrap { code, pc },
+            NativeError::Machine(e) => SdtError::Machine(e),
+        }
     }
 }
 

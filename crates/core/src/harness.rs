@@ -2,11 +2,9 @@
 //! measured against.
 
 use strata_arch::{ArchModel, ArchProfile};
-use strata_isa::{ControlKind, Reg};
-use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
-use strata_machine::{
-    layout, ExecTier, ExecutionObserver, Machine, MachineError, Program, RetireEvent, StepOutcome,
-};
+use strata_isa::Reg;
+use strata_machine::observers::Chain;
+use strata_machine::{run_to_halt, BranchCensus, ExecTier, Machine, Program};
 
 use crate::SdtError;
 
@@ -38,34 +36,28 @@ pub struct NativeRun {
 }
 
 impl NativeRun {
+    /// The measurements of a native run that halted as `machine` with
+    /// syscall checksum `checksum`, priced by `model`.
+    pub fn new(checksum: u32, model: &ArchModel, census: &BranchCensus, machine: &Machine) -> Self {
+        NativeRun {
+            checksum,
+            total_cycles: model.total_cycles(),
+            instructions: model.stats().instructions,
+            indirect_jumps: census.indirect_jumps,
+            indirect_calls: census.indirect_calls,
+            returns: census.returns,
+            direct_calls: census.direct_calls,
+            cond_branches: census.cond_branches,
+            icache_misses: model.icache().misses(),
+            dcache_misses: model.dcache().misses(),
+            regs: *machine.cpu().regs(),
+        }
+    }
+
     /// Dynamic count of all indirect branches (jumps + calls + returns) —
     /// the paper's "IB" count.
     pub fn indirect_branches(&self) -> u64 {
         self.indirect_jumps + self.indirect_calls + self.returns
-    }
-}
-
-struct NativeObserver {
-    model: ArchModel,
-    indirect_jumps: u64,
-    indirect_calls: u64,
-    returns: u64,
-    direct_calls: u64,
-    cond_branches: u64,
-}
-
-impl ExecutionObserver for NativeObserver {
-    #[inline(always)]
-    fn on_retire(&mut self, ev: &RetireEvent) {
-        self.model.cost_of(ev);
-        match ev.control.kind {
-            ControlKind::Indirect => self.indirect_jumps += 1,
-            ControlKind::Call if ev.control.indirect => self.indirect_calls += 1,
-            ControlKind::Call => self.direct_calls += 1,
-            ControlKind::Return => self.returns += 1,
-            ControlKind::Conditional => self.cond_branches += 1,
-            _ => {}
-        }
     }
 }
 
@@ -103,62 +95,23 @@ pub fn run_native_with_model(
     fuel: u64,
     tier: ExecTier,
 ) -> Result<NativeRun, SdtError> {
-    let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
-    program.load(&mut machine)?;
-    machine.set_tier(tier);
-    let mut syscalls = SyscallState::new();
-    let mut obs = NativeObserver {
-        model,
-        indirect_jumps: 0,
-        indirect_calls: 0,
-        returns: 0,
-        direct_calls: 0,
-        cond_branches: 0,
-    };
-
-    let mut used = 0u64;
-    loop {
-        let before = obs.model.stats().instructions;
-        match machine.run(&mut obs, fuel.saturating_sub(used)) {
-            Ok(StepOutcome::Halted) => break,
-            Ok(StepOutcome::Trap(code)) => {
-                if code >= SDT_TRAP_BASE {
-                    return Err(SdtError::ReservedTrap {
-                        code,
-                        pc: machine.cpu().pc.wrapping_sub(4),
-                    });
-                }
-                syscalls.handle(code, &machine);
-            }
-            Ok(StepOutcome::Running) => unreachable!("run returns only on halt/trap/error"),
-            // `run` names the slice it was handed; report the caller's budget.
-            Err(MachineError::OutOfFuel { .. }) => {
-                return Err(MachineError::OutOfFuel { steps: fuel }.into())
-            }
-            Err(fault) => return Err(fault.into()),
-        }
-        used += obs.model.stats().instructions - before;
-    }
-
-    Ok(NativeRun {
-        checksum: syscalls.checksum(),
-        total_cycles: obs.model.total_cycles(),
-        instructions: obs.model.stats().instructions,
-        indirect_jumps: obs.indirect_jumps,
-        indirect_calls: obs.indirect_calls,
-        returns: obs.returns,
-        direct_calls: obs.direct_calls,
-        cond_branches: obs.cond_branches,
-        icache_misses: obs.model.icache().misses(),
-        dcache_misses: obs.model.dcache().misses(),
-        regs: *machine.cpu().regs(),
-    })
+    let mut obs = Chain::new(model, BranchCensus::default());
+    let (checksum, machine) = run_to_halt(program, tier, fuel, &mut obs, |o| {
+        o.first().stats().instructions
+    })?;
+    Ok(NativeRun::new(
+        checksum,
+        obs.first(),
+        obs.second(),
+        &machine,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use strata_asm::assemble;
+    use strata_machine::{layout, MachineError};
 
     #[test]
     fn out_of_fuel_names_the_callers_budget() {

@@ -131,8 +131,8 @@ pub enum Instr {
 
 impl Instr {
     /// Returns `true` for instructions that may transfer control anywhere
-    /// other than the following instruction (including `Halt` and `Trap`,
-    /// which suspend sequential execution from the translator's viewpoint).
+    /// other than the following instruction (including `Halt`, which
+    /// suspends sequential execution from the translator's viewpoint).
     ///
     /// The SDT translator uses this to find basic-block boundaries.
     ///
@@ -177,7 +177,8 @@ impl Instr {
 
     /// Returns `true` for instructions whose behaviour depends on the
     /// current condition flags (the conditional branches and `pushf`).
-    pub fn reads_flags(&self) -> bool {
+    #[cfg(test)]
+    fn reads_flags(&self) -> bool {
         matches!(
             self,
             Instr::Beq { .. }

@@ -24,6 +24,8 @@
 //!   attribution both plug in here.
 //! * [`Program`] / [`layout`] — conventional guest memory layout shared by
 //!   the workload generators and the SDT.
+//! * [`run_to_halt`] / [`BranchCensus`] — the one native run loop and the
+//!   dynamic branch count every native baseline reports.
 //!
 //! ## Example
 //!
@@ -46,6 +48,7 @@ mod event;
 pub mod layout;
 mod machine;
 mod memory;
+mod native;
 pub mod observers;
 mod program;
 pub mod syscall;
@@ -57,6 +60,7 @@ pub use event::{
 };
 pub use machine::{Machine, MachineError, StepOutcome};
 pub use memory::Memory;
+pub use native::{run_to_halt, BranchCensus, NativeError};
 pub use program::Program;
 pub use tier::{
     Cond as LoweredCond, ExecTier, Op as LoweredOp, TierBlockMeta, TierConfig, TierMutation,

@@ -1,10 +1,8 @@
-//! Observer combinators and debugging observers.
+//! Observer combinators and the trace recorder.
 //!
 //! [`Machine::run`](crate::Machine::run) takes a single observer; these
 //! utilities compose several (e.g. an architecture cost model *and* a
-//! trace recorder) and capture recent execution for post-mortem debugging.
-
-use std::collections::VecDeque;
+//! trace recorder).
 
 use strata_isa::ControlKind;
 
@@ -136,77 +134,24 @@ impl<A: ExecutionObserver, B: ExecutionObserver> Chain<A, B> {
     }
 }
 
+/// Force-inlined so a chain of force-inlined observers keeps their
+/// bodies in each dispatch arm (see [`ExecutionObserver`]).
 impl<A: ExecutionObserver, B: ExecutionObserver> ExecutionObserver for Chain<A, B> {
-    #[inline]
+    #[inline(always)]
     fn on_retire(&mut self, event: &RetireEvent) {
         self.first.on_retire(event);
         self.second.on_retire(event);
     }
 }
 
-/// Records the last `capacity` retired instructions in a ring buffer — a
-/// flight recorder for "how did we get here?" debugging of guest crashes.
-///
-/// ```
-/// use strata_machine::observers::TraceRecorder;
-/// let recorder = TraceRecorder::new(64);
-/// assert_eq!(recorder.events().count(), 0);
-/// ```
-#[derive(Debug)]
-pub struct TraceRecorder {
-    ring: VecDeque<RetireEvent>,
-    capacity: usize,
-    total: u64,
-}
-
-impl TraceRecorder {
-    /// Creates a recorder keeping the most recent `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> TraceRecorder {
-        assert!(capacity > 0, "trace capacity must be nonzero");
-        TraceRecorder {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-            total: 0,
-        }
-    }
-
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &RetireEvent> {
-        self.ring.iter()
-    }
-
-    /// Total instructions observed (including those evicted from the
-    /// ring).
-    pub fn total_observed(&self) -> u64 {
-        self.total
-    }
-
-    /// Renders the recorded tail as disassembly, one line per event.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        for ev in &self.ring {
-            s.push_str(&format!("{:#010x}  {}", ev.pc, ev.instr));
-            if ev.control.taken {
-                s.push_str(&format!("  -> {:#x}", ev.control.target));
-            }
-            s.push('\n');
-        }
-        s
-    }
-}
-
-impl ExecutionObserver for TraceRecorder {
+/// Runs every observer in the vector on every retired instruction, in
+/// order.
+impl<O: ExecutionObserver> ExecutionObserver for Vec<O> {
     #[inline]
     fn on_retire(&mut self, event: &RetireEvent) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+        for observer in self {
+            observer.on_retire(event);
         }
-        self.ring.push_back(*event);
-        self.total += 1;
     }
 }
 
@@ -235,26 +180,6 @@ mod tests {
         let (a, b) = chained.into_inner();
         assert_eq!(a.retired(), b.retired());
         assert!(a.retired() > 0);
-    }
-
-    #[test]
-    fn recorder_keeps_only_the_tail() {
-        let mut rec = TraceRecorder::new(8);
-        run_with(&mut rec);
-        assert_eq!(rec.events().count(), 8);
-        assert!(rec.total_observed() > 8);
-        // The final event is the halt.
-        let last = rec.events().last().unwrap();
-        assert_eq!(last.instr, strata_isa::Instr::Halt);
-        let text = rec.render();
-        assert!(text.contains("halt"));
-        assert!(text.contains("->"), "taken branches show their target");
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_capacity_rejected() {
-        TraceRecorder::new(0);
     }
 
     #[test]

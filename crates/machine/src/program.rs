@@ -38,7 +38,7 @@ impl Program {
     }
 
     /// Size of the code in bytes.
-    pub fn code_bytes(&self) -> u32 {
+    pub(crate) fn code_bytes(&self) -> u32 {
         self.code.len() as u32 * 4
     }
 

@@ -25,7 +25,7 @@ use crate::Machine;
 ///
 /// ```
 /// use strata_machine::syscall::SyscallState;
-/// let s = SyscallState::new();
+/// let s = SyscallState::default();
 /// assert_eq!(s.checksum(), 0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -97,7 +97,7 @@ mod tests {
             let mut m = Machine::new(0x20_0000);
             m.write_code(layout::APP_BASE, &code).unwrap();
             m.cpu_mut().pc = layout::APP_BASE;
-            let mut sys = SyscallState::new();
+            let mut sys = SyscallState::default();
             loop {
                 match m.run(&mut NullObserver, 1000).unwrap() {
                     StepOutcome::Trap(code) => {
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn unknown_codes_are_rejected() {
         let m = Machine::new(0x1000);
-        let mut sys = SyscallState::new();
+        let mut sys = SyscallState::default();
         assert!(!sys.handle(SDT_TRAP_BASE, &m));
         assert!(!sys.handle(0x7777, &m));
     }

@@ -1,4 +1,4 @@
-/// A titled, column-aligned table with text, CSV, and Markdown renderers.
+/// A titled, column-aligned table with text and CSV renderers.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
@@ -129,7 +129,8 @@ impl Table {
     }
 
     /// Renders the table as GitHub-flavored Markdown.
-    pub fn render_markdown(&self) -> String {
+    #[cfg(test)]
+    fn render_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("**{}**\n\n", self.title));
         out.push_str(&format!("| {} |\n", self.columns.join(" | ")));

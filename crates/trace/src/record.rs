@@ -1,20 +1,16 @@
-//! Reference-run recording: one native pass, four cost models, one
-//! retire stream.
+//! Reference-run recording: one native run priced under every recording
+//! profile, with its retire stream.
 //!
-//! This mirrors [`strata_core::run_native_with_model`]'s loop exactly — same
-//! machine construction, same syscall handling, same fuel accounting —
-//! but chains an [`ArchModel`] per profile plus a [`RetireLog`] onto the
-//! single execution, so the resulting [`Trace`] header carries native
-//! baselines for *every* profile while the guest runs once.
+//! A recording is [`run_to_halt`] with one [`ArchModel`] per profile, a
+//! [`RetireLog`] and a [`BranchCensus`] chained onto the single
+//! execution, so the resulting [`Trace`] header carries the native
+//! baseline of *every* profile while the guest runs once. Each baseline
+//! equals what [`strata_core::run_native`] reports for that profile.
 
 use strata_arch::{ArchModel, ArchProfile};
 use strata_core::{NativeRun, SdtError};
-use strata_isa::ControlKind;
-use strata_machine::observers::RetireLog;
-use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
-use strata_machine::{
-    layout, ExecTier, ExecutionObserver, Machine, Program, RetireEvent, StepOutcome,
-};
+use strata_machine::observers::{Chain, RetireLog};
+use strata_machine::{run_to_halt, BranchCensus, ExecTier, Program};
 
 use crate::file::{NativeSummary, Trace};
 
@@ -39,34 +35,6 @@ pub fn recording_profiles() -> Vec<ArchProfile> {
     v
 }
 
-struct MultiObserver {
-    models: Vec<ArchModel>,
-    log: RetireLog,
-    indirect_jumps: u64,
-    indirect_calls: u64,
-    returns: u64,
-    direct_calls: u64,
-    cond_branches: u64,
-}
-
-impl ExecutionObserver for MultiObserver {
-    #[inline]
-    fn on_retire(&mut self, ev: &RetireEvent) {
-        for m in &mut self.models {
-            m.cost_of(ev);
-        }
-        self.log.on_retire(ev);
-        match ev.control.kind {
-            ControlKind::Indirect => self.indirect_jumps += 1,
-            ControlKind::Call if ev.control.indirect => self.indirect_calls += 1,
-            ControlKind::Call => self.direct_calls += 1,
-            ControlKind::Return => self.returns += 1,
-            ControlKind::Conditional => self.cond_branches += 1,
-            _ => {}
-        }
-    }
-}
-
 /// Runs `program` natively once, recording the retire stream and a
 /// [`NativeRun`] under every recording profile.
 ///
@@ -76,66 +44,28 @@ impl ExecutionObserver for MultiObserver {
 /// and machine faults (including fuel exhaustion) are [`SdtError`]s.
 pub fn record(program: &Program, fuel: u64, tier: ExecTier) -> Result<Recorded, SdtError> {
     let profiles = recording_profiles();
-    let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
-    program.load(&mut machine)?;
-    machine.set_tier(tier);
-    let mut syscalls = SyscallState::new();
-    let mut obs = MultiObserver {
-        models: profiles.iter().cloned().map(ArchModel::new).collect(),
-        log: RetireLog::new(),
-        indirect_jumps: 0,
-        indirect_calls: 0,
-        returns: 0,
-        direct_calls: 0,
-        cond_branches: 0,
-    };
-
-    let mut used = 0u64;
-    loop {
-        let before = obs.models[0].stats().instructions;
-        match machine.run(&mut obs, fuel.saturating_sub(used))? {
-            StepOutcome::Halted => break,
-            StepOutcome::Trap(code) => {
-                if code >= SDT_TRAP_BASE {
-                    return Err(SdtError::ReservedTrap {
-                        code,
-                        pc: machine.cpu().pc.wrapping_sub(4),
-                    });
-                }
-                syscalls.handle(code, &machine);
-            }
-            StepOutcome::Running => unreachable!("run returns only on halt/trap/error"),
-        }
-        used += obs.models[0].stats().instructions - before;
-    }
-
-    let checksum = syscalls.checksum();
-    let regs = *machine.cpu().regs();
+    let models: Vec<ArchModel> = profiles.iter().cloned().map(ArchModel::new).collect();
+    let mut obs = Chain::new(
+        models,
+        Chain::new(RetireLog::new(), BranchCensus::default()),
+    );
+    let (checksum, machine) = run_to_halt(program, tier, fuel, &mut obs, |o| {
+        o.first()[0].stats().instructions
+    })?;
+    let (models, tail) = obs.into_inner();
+    let (log, census) = tail.into_inner();
     let natives = profiles
         .iter()
-        .zip(&obs.models)
+        .zip(&models)
         .map(|(profile, model)| NativeSummary {
             profile: profile.name.to_string(),
-            run: NativeRun {
-                checksum,
-                total_cycles: model.total_cycles(),
-                instructions: model.stats().instructions,
-                indirect_jumps: obs.indirect_jumps,
-                indirect_calls: obs.indirect_calls,
-                returns: obs.returns,
-                direct_calls: obs.direct_calls,
-                cond_branches: obs.cond_branches,
-                icache_misses: model.icache().misses(),
-                dcache_misses: model.dcache().misses(),
-                regs,
-            },
+            run: NativeRun::new(checksum, model, &census, &machine),
         })
         .collect();
-
     Ok(Recorded {
         checksum,
         natives,
-        log: obs.log,
+        log,
     })
 }
 

@@ -125,25 +125,24 @@ eval_rec:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn gcc_profile() {
         let p = build_gcc(&Params::default());
-        let r = reference::run(&p, 100_000_000).unwrap();
+        let r = crate::native_run(&p, 100_000_000);
         assert!(
-            r.indirect_jumps >= (IR_LEN as u64) * 12,
+            r.census.indirect_jumps >= (IR_LEN as u64) * 12,
             "{}",
-            r.indirect_jumps
+            r.census.indirect_jumps
         );
         assert!(
-            r.direct_calls > 1000,
+            r.census.direct_calls > 1000,
             "case handlers call helpers: {}",
-            r.direct_calls
+            r.census.direct_calls
         );
-        assert!(r.returns > 1000);
+        assert!(r.census.returns > 1000);
         assert_ne!(r.checksum, 0);
         // Deterministic.
-        assert_eq!(r, reference::run(&p, 100_000_000).unwrap());
+        assert_eq!(r, crate::native_run(&p, 100_000_000));
     }
 }

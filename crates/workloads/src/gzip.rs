@@ -89,17 +89,16 @@ flush:                      ; per-pass block flush, the only call site
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn gzip_has_almost_no_indirect_branches() {
         let p = build_gzip(&Params::default());
-        let r = reference::run(&p, 50_000_000).unwrap();
+        let r = crate::native_run(&p, 50_000_000);
         assert!(r.instructions > 400_000, "{}", r.instructions);
-        assert_eq!(r.indirect_jumps, 0);
-        assert_eq!(r.indirect_calls, 0);
-        assert_eq!(r.returns, 1, "one flush per pass at scale 1");
+        assert_eq!(r.census.indirect_jumps, 0);
+        assert_eq!(r.census.indirect_calls, 0);
+        assert_eq!(r.census.returns, 1, "one flush per pass at scale 1");
         assert_ne!(r.checksum, 0);
-        assert_eq!(r, reference::run(&p, 50_000_000).unwrap());
+        assert_eq!(r, crate::native_run(&p, 50_000_000));
     }
 }

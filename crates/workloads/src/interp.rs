@@ -167,35 +167,34 @@ klp:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn perlbmk_is_indirect_jump_dominated() {
         let p = build_perlbmk(&Params::default());
-        let r = reference::run(&p, 50_000_000).unwrap();
-        let a = reference::run(&p, 50_000_000).unwrap();
+        let r = crate::native_run(&p, 50_000_000);
+        let a = crate::native_run(&p, 50_000_000);
         assert_eq!(r, a, "deterministic");
         assert!(r.instructions > 500_000, "{} instrs", r.instructions);
         // One dispatch per bytecode per pass.
-        assert!(r.indirect_jumps >= (PERL_CODE_LEN as u64) * 40);
-        assert!(r.indirect_jumps > r.returns);
+        assert!(r.census.indirect_jumps >= (PERL_CODE_LEN as u64) * 40);
+        assert!(r.census.indirect_jumps > r.census.returns);
         assert_ne!(r.checksum, 0);
     }
 
     #[test]
     fn gap_mixes_dispatch_and_calls() {
         let p = build_gap(&Params::default());
-        let r = reference::run(&p, 50_000_000).unwrap();
-        assert!(r.indirect_jumps >= (GAP_CODE_LEN as u64) * 22);
-        assert!(r.direct_calls >= 22, "kernel called each pass");
-        assert!(r.returns >= 22);
+        let r = crate::native_run(&p, 50_000_000);
+        assert!(r.census.indirect_jumps >= (GAP_CODE_LEN as u64) * 22);
+        assert!(r.census.direct_calls >= 22, "kernel called each pass");
+        assert!(r.census.returns >= 22);
         assert_ne!(r.checksum, 0);
     }
 
     #[test]
     fn scale_scales_work() {
-        let r1 = reference::run(&build_perlbmk(&Params::at_scale(1)), 100_000_000).unwrap();
-        let r2 = reference::run(&build_perlbmk(&Params::at_scale(2)), 100_000_000).unwrap();
+        let r1 = crate::native_run(&build_perlbmk(&Params::at_scale(1)), 100_000_000);
+        let r2 = crate::native_run(&build_perlbmk(&Params::at_scale(2)), 100_000_000);
         assert!(r2.instructions > r1.instructions * 3 / 2);
     }
 }

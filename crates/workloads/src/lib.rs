@@ -37,7 +37,6 @@ mod interp;
 mod mcf;
 mod oo;
 mod parser;
-pub mod reference;
 mod search;
 mod sort;
 
@@ -167,6 +166,33 @@ pub fn by_name(name: &str) -> Option<&'static Spec> {
     registry().iter().find(|s| s.name == name)
 }
 
+/// A workload's native run as its tests check it.
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+struct NativeRun {
+    checksum: u32,
+    instructions: u64,
+    census: strata_machine::BranchCensus,
+}
+
+/// Runs `program` natively to halt, counting instructions and branches.
+#[cfg(test)]
+fn native_run(program: &Program, fuel: u64) -> NativeRun {
+    use strata_machine::observers::Chain;
+    use strata_machine::{run_to_halt, BranchCensus, ExecTier, InstrCounter};
+
+    let mut obs = Chain::new(InstrCounter::default(), BranchCensus::default());
+    let (checksum, _) = run_to_halt(program, ExecTier::Interp, fuel, &mut obs, |o| {
+        o.first().retired()
+    })
+    .expect("workload runs to halt");
+    NativeRun {
+        checksum,
+        instructions: obs.first().retired(),
+        census: *obs.second(),
+    }
+}
+
 /// Scales at or above this are the **reference tier**: full runs at such
 /// scales cost tens of billions of simulated instructions, so exact mode
 /// refuses them and they exist only for sampled (SimPoint) execution.
@@ -253,8 +279,8 @@ mod tests {
                 variant: 1,
             });
             assert_ne!(v0.data, v1.data, "[{name}] variants must differ");
-            let r1a = crate::reference::run(&v1, 200_000_000).unwrap();
-            let r1b = crate::reference::run(&v1, 200_000_000).unwrap();
+            let r1a = crate::native_run(&v1, 200_000_000);
+            let r1b = crate::native_run(&v1, 200_000_000);
             assert_eq!(r1a, r1b, "[{name}] variant runs are deterministic");
             assert_ne!(r1a.checksum, 0);
         }
@@ -267,7 +293,7 @@ mod tests {
         let mut goldens = Vec::new();
         for spec in registry() {
             let p = (spec.build)(&Params::default());
-            let r = crate::reference::run(&p, 500_000_000).unwrap();
+            let r = crate::native_run(&p, 500_000_000);
             goldens.push((spec.name, r.checksum));
         }
         // Computed once and frozen; update deliberately when generators
@@ -276,10 +302,7 @@ mod tests {
             .iter()
             .map(|s| {
                 let p = (s.build)(&Params::default());
-                (
-                    s.name,
-                    crate::reference::run(&p, 500_000_000).unwrap().checksum,
-                )
+                (s.name, crate::native_run(&p, 500_000_000).checksum)
             })
             .collect();
         assert_eq!(

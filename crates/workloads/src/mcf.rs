@@ -53,14 +53,13 @@ walk:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn mcf_is_pure_pointer_chasing() {
         let p = build_mcf(&Params::default());
-        let r = reference::run(&p, 50_000_000).unwrap();
+        let r = crate::native_run(&p, 50_000_000);
         assert!(r.instructions > 800_000);
-        assert_eq!(r.indirect_branches(), 0);
+        assert_eq!(r.census.indirect_branches(), 0);
         assert_ne!(r.checksum, 0);
     }
 

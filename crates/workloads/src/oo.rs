@@ -211,36 +211,35 @@ cost_net:                 ; net-length style cost
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn eon_is_virtual_call_heavy() {
         let p = build_eon(&Params::default());
-        let r = reference::run(&p, 100_000_000).unwrap();
+        let r = crate::native_run(&p, 100_000_000);
         assert!(
-            r.indirect_calls >= (OBJECTS as u64) * 28,
+            r.census.indirect_calls >= (OBJECTS as u64) * 28,
             "{}",
-            r.indirect_calls
+            r.census.indirect_calls
         );
-        assert_eq!(r.indirect_calls, r.returns);
+        assert_eq!(r.census.indirect_calls, r.census.returns);
         assert_ne!(r.checksum, 0);
     }
 
     #[test]
     fn vortex_mixes_indirect_and_direct_calls() {
         let p = build_vortex(&Params::default());
-        let r = reference::run(&p, 100_000_000).unwrap();
-        assert!(r.indirect_calls >= 6_000);
-        assert!(r.direct_calls >= 6_000, "helpers called by each op");
+        let r = crate::native_run(&p, 100_000_000);
+        assert!(r.census.indirect_calls >= 6_000);
+        assert!(r.census.direct_calls >= 6_000, "helpers called by each op");
         assert_ne!(r.checksum, 0);
     }
 
     #[test]
     fn vpr_indirect_calls_are_monomorphic_by_phase() {
         let p = build_vpr(&Params::default());
-        let r = reference::run(&p, 100_000_000).unwrap();
-        assert!(r.indirect_calls >= 22_000);
-        assert_eq!(r.indirect_jumps, 0);
+        let r = crate::native_run(&p, 100_000_000);
+        assert!(r.census.indirect_calls >= 22_000);
+        assert_eq!(r.census.indirect_jumps, 0);
         assert_ne!(r.checksum, 0);
     }
 }

@@ -125,7 +125,6 @@ nested:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn token_stream_is_balanced() {
@@ -146,10 +145,13 @@ mod tests {
     #[test]
     fn parser_is_return_heavy() {
         let p = build_parser(&Params::default());
-        let r = reference::run(&p, 100_000_000).unwrap();
-        assert!(r.returns > 10_000, "{}", r.returns);
-        assert_eq!(r.indirect_jumps, 0);
-        assert!(r.direct_calls == r.returns, "balanced call/ret");
+        let r = crate::native_run(&p, 100_000_000);
+        assert!(r.census.returns > 10_000, "{}", r.census.returns);
+        assert_eq!(r.census.indirect_jumps, 0);
+        assert!(
+            r.census.direct_calls == r.census.returns,
+            "balanced call/ret"
+        );
         assert_ne!(r.checksum, 0);
     }
 }

@@ -176,25 +176,28 @@ penalty:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn crafty_is_call_return_dominated() {
         let p = build_crafty(&Params::default());
-        let r = reference::run(&p, 100_000_000).unwrap();
+        let r = crate::native_run(&p, 100_000_000);
         // 3^7 leaves + internal nodes per search, 8 searches.
-        assert!(r.returns > 20_000, "{}", r.returns);
-        assert_eq!(r.indirect_jumps, 0);
-        assert!(r.returns as f64 / r.instructions as f64 > 0.02);
+        assert!(r.census.returns > 20_000, "{}", r.census.returns);
+        assert_eq!(r.census.indirect_jumps, 0);
+        assert!(r.census.returns as f64 / r.instructions as f64 > 0.02);
         assert_ne!(r.checksum, 0);
     }
 
     #[test]
     fn twolf_dispatches_moves() {
         let p = build_twolf(&Params::default());
-        let r = reference::run(&p, 100_000_000).unwrap();
-        assert!(r.indirect_jumps >= 26_000);
-        assert!(r.returns > 1000, "penalty calls: {}", r.returns);
+        let r = crate::native_run(&p, 100_000_000);
+        assert!(r.census.indirect_jumps >= 26_000);
+        assert!(
+            r.census.returns > 1000,
+            "penalty calls: {}",
+            r.census.returns
+        );
         assert_ne!(r.checksum, 0);
     }
 }

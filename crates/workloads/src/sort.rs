@@ -150,32 +150,31 @@ newrun:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn bzip2_sorts_and_has_no_indirect_branches() {
         let p = build_bzip2(&Params::default());
-        let r = reference::run(&p, 200_000_000).unwrap();
+        let r = crate::native_run(&p, 200_000_000);
         assert!(r.instructions > 300_000, "{}", r.instructions);
-        assert_eq!(r.indirect_branches(), 0);
+        assert_eq!(r.census.indirect_branches(), 0);
         assert_ne!(r.checksum, 0);
-        assert_eq!(r, reference::run(&p, 200_000_000).unwrap());
+        assert_eq!(r, crate::native_run(&p, 200_000_000));
     }
 
     #[test]
     fn sort_actually_sorts() {
         // Execute one pass on the machine and inspect the work buffer.
-        use strata_machine::{Machine, NullObserver, StepOutcome};
+        use strata_machine::{run_to_halt, ExecTier, InstrCounter};
         let p = build_bzip2(&Params::at_scale(1));
-        let mut m = Machine::new(layout::DEFAULT_MEM_BYTES);
-        p.load(&mut m).unwrap();
-        loop {
-            match m.run(&mut NullObserver, 500_000_000).unwrap() {
-                StepOutcome::Trap(_) => continue,
-                StepOutcome::Halted => break,
-                StepOutcome::Running => unreachable!(),
-            }
-        }
+        let mut counter = InstrCounter::default();
+        let (_, m) = run_to_halt(
+            &p,
+            ExecTier::Interp,
+            500_000_000,
+            &mut counter,
+            InstrCounter::retired,
+        )
+        .unwrap();
         let work = layout::APP_DATA_BASE + 0x8000;
         let mut prev = 0u32;
         for i in 0..N {

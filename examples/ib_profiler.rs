@@ -11,8 +11,8 @@
 use std::collections::{BTreeMap, HashSet};
 
 use strata_lab::isa::ControlKind;
-use strata_lab::machine::syscall::SyscallState;
-use strata_lab::machine::{layout, ExecutionObserver, Machine, RetireEvent, StepOutcome};
+use strata_lab::machine::observers::Chain;
+use strata_lab::machine::{run_to_halt, ExecTier, ExecutionObserver, InstrCounter, RetireEvent};
 use strata_lab::stats::Table;
 use strata_lab::workloads::{by_name, Params};
 
@@ -54,19 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let program = (spec.build)(&Params::default());
 
-    let mut machine = Machine::new(layout::DEFAULT_MEM_BYTES);
-    program.load(&mut machine)?;
-    let mut profiler = IbProfiler::default();
-    let mut syscalls = SyscallState::new();
-    loop {
-        match machine.run(&mut profiler, 2_000_000_000)? {
-            StepOutcome::Halted => break,
-            StepOutcome::Trap(code) => {
-                syscalls.handle(code, &machine);
-            }
-            StepOutcome::Running => unreachable!(),
-        }
-    }
+    let mut obs = Chain::new(InstrCounter::default(), IbProfiler::default());
+    run_to_halt(&program, ExecTier::Interp, 2_000_000_000, &mut obs, |o| {
+        o.first().retired()
+    })?;
+    let profiler = obs.second();
 
     let mut sites: Vec<(&u32, &SiteStats)> = profiler.sites.iter().collect();
     sites.sort_by_key(|(_, s)| std::cmp::Reverse(s.executions));

@@ -27,8 +27,8 @@ use std::process::ExitCode;
 
 use strata_lab::arch::ArchProfile;
 use strata_lab::cli::{
-    check_flags, parse_config, parse_context, parse_flag, parse_params, parse_policy, parse_suite,
-    parse_tier, usage_verb, SuiteArgs,
+    check_flags, parse_arch, parse_config, parse_context, parse_flag, parse_params, parse_policy,
+    parse_suite, parse_tier, usage_verb, SuiteArgs,
 };
 use strata_lab::core::{run_native_with_model, Origin, RetMechanism, Sdt, SdtConfig};
 use strata_lab::expt::sampled;
@@ -178,15 +178,9 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, String> {
         .ok_or("missing workload name (try `strata list`)")?;
     let workload =
         by_name(name).ok_or_else(|| format!("unknown workload `{name}` (try `strata list`)"))?;
-    let profile = match parse_flag(args, "--arch").as_deref() {
-        None | Some("x86") => ArchProfile::x86_like(),
-        Some("sparc") => ArchProfile::sparc_like(),
-        Some("mips") => ArchProfile::mips_like(),
-        Some(other) => return Err(format!("unknown arch `{other}` (x86|sparc|mips)")),
-    };
     Ok(CommonArgs {
         workload,
-        profile,
+        profile: parse_arch(args)?,
         params: parse_params(args)?,
     })
 }
@@ -663,17 +657,9 @@ fn verify_cmd(args: &[String]) -> Result<(), String> {
     };
     let workload =
         by_name(&name).ok_or_else(|| format!("unknown workload `{name}` (try `strata list`)"))?;
-    let profile = match parse_flag(args, "--arch").as_deref() {
-        None | Some("x86") => ArchProfile::x86_like(),
-        Some("sparc") => ArchProfile::sparc_like(),
-        Some("mips") => ArchProfile::mips_like(),
-        Some(other) => return Err(format!("unknown arch `{other}` (x86|sparc|mips)")),
-    };
-    let scale = match parse_flag(args, "--scale") {
-        Some(s) => s.parse().map_err(|_| format!("bad --scale `{s}`"))?,
-        None => 1,
-    };
-    let params = Params { scale, variant: 0 };
+    let profile = parse_arch(args)?;
+    // `check_flags` refuses `--variant` here, so this is `--scale` alone.
+    let params = parse_params(args)?;
     let json = match parse_flag(args, "--format").as_deref() {
         None | Some("text") => false,
         Some("json") => true,

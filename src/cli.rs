@@ -1,7 +1,7 @@
 //! Parsing helpers for the `strata` command-line driver, kept in the
 //! library so they are unit-testable.
 
-use strata_arch::PredictorSpec;
+use strata_arch::{ArchProfile, PredictorSpec};
 use strata_core::{
     ClassPolicy, FlagsPolicy, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, SdtConfig,
 };
@@ -64,6 +64,21 @@ pub fn check_flags(usage: &str, args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Parses `--arch x86|sparc|mips` into its cost-model profile (default
+/// x86).
+///
+/// # Errors
+///
+/// Returns a message naming an unknown architecture.
+pub fn parse_arch(args: &[String]) -> Result<ArchProfile, String> {
+    match parse_flag(args, "--arch").as_deref() {
+        None | Some("x86") => Ok(ArchProfile::x86_like()),
+        Some("sparc") => Ok(ArchProfile::sparc_like()),
+        Some("mips") => Ok(ArchProfile::mips_like()),
+        Some(other) => Err(format!("unknown arch `{other}` (x86|sparc|mips)")),
+    }
 }
 
 /// Parses `--scale N` / `--variant N` into workload [`Params`] (defaults
@@ -821,6 +836,12 @@ mod tests {
         assert_eq!(parse_flag(&args, "--arch").as_deref(), Some("sparc"));
         assert_eq!(parse_flag(&args, "--scale").as_deref(), Some("2"));
         assert_eq!(parse_flag(&args, "--missing"), None);
+        assert_eq!(parse_arch(&args).unwrap().name, "sparc-like");
+        assert_eq!(parse_arch(&[]).unwrap().name, "x86-like");
+        let mips = ["--arch".to_string(), "mips".to_string()];
+        assert_eq!(parse_arch(&mips).unwrap().name, "mips-like");
+        let arm = ["--arch".to_string(), "arm".to_string()];
+        assert!(parse_arch(&arm).unwrap_err().contains("unknown arch `arm`"));
         // A trailing flag with no value yields None rather than panicking.
         let args = vec!["--arch".to_string()];
         assert_eq!(parse_flag(&args, "--arch"), None);

@@ -13,12 +13,13 @@
 //! * a per-[`InstrClass`](strata_isa::InstrClass) base cost table,
 //! * set-associative L1 instruction and data cache simulators ([`CacheSim`]),
 //! * a gshare conditional-branch predictor ([`CondPredictor`]),
-//! * a pluggable indirect-target predictor ([`TargetPredictor`]): the
-//!   profile's direct-mapped [`Btb`] by default — profiles may have none,
-//!   modeling era SPARC/MIPS parts with no indirect predictor — or, via
-//!   [`PredictorSpec`] (`--predictor`), [`NoPredict`], a set-associative
-//!   LRU BTB ([`SetAssocBtb`]), an ITTAGE-class tagged-geometric target
-//!   predictor ([`Ittage`]), or an [`IdealOracle`],
+//! * an indirect-target predictor from a closed zoo ([`PredictorSpec`],
+//!   `--predictor`): the profile's direct-mapped [`Btb`] by default —
+//!   profiles may have none, modeling era SPARC/MIPS parts with no
+//!   indirect predictor — or a `sets × ways` true-LRU [`Btb`] of any
+//!   geometry, an ITTAGE-class tagged-geometric target predictor
+//!   ([`Ittage`]), or an ideal one; [`ArchModel`] counts their
+//!   mispredictions,
 //! * a return-address stack ([`Ras`]),
 //! * per-event costs for flags save/restore and traps.
 //!
@@ -53,9 +54,6 @@ pub use cache::{CacheConfig, CacheSim};
 pub use model::{ArchModel, ModelStats};
 pub use predictor::{Btb, CondPredictor, Ras};
 pub use profile::ArchProfile;
-pub use target::{
-    IdealOracle, Ittage, NoPredict, PredictorParseError, PredictorSpec, SetAssocBtb,
-    TargetPredictor,
-};
+pub use target::{Ittage, PredictorParseError, PredictorSpec, TargetPredictor};
 
 pub use strata_machine::RetireEvent;

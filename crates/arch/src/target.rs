@@ -8,20 +8,21 @@
 //! predicts the translated dispatch sequence's final `jmem`/`jr` decides
 //! how much a software mechanism's extra instructions actually cost.
 //!
-//! [`TargetPredictor`] abstracts the model: [`ArchModel`](crate::ArchModel)
-//! charges `mispredict_penalty` whenever the active predictor misses on an
-//! indirect transfer. The zoo:
+//! [`ArchModel`](crate::ArchModel) charges `mispredict_penalty` whenever
+//! the active predictor misses on an indirect transfer, and counts the
+//! miss itself: a predictor only answers [`TargetPredictor`]'s one
+//! question. The zoo is closed — [`PredictorSpec`] lists it and the model
+//! holds one of its members by value:
 //!
-//! * [`NoPredict`] — every indirect transfer mispredicts (era SPARC/MIPS).
-//! * [`Btb`](crate::Btb) — the legacy direct-mapped BTB (the default:
-//!   [`PredictorSpec::Legacy`] builds it from the profile's `btb_entries`,
-//!   so existing configurations stay byte-identical).
-//! * [`SetAssocBtb`] — set-associative geometry with true-LRU replacement,
-//!   the organization BTB reverse-engineering work documents on Arm cores.
+//! * [`Btb`](crate::Btb) — a `sets × ways` true-LRU BTB. The default,
+//!   [`PredictorSpec::Legacy`], builds the profile's direct-mapped one
+//!   from `btb_entries`; zero entries (`none`, or a profile without a BTB
+//!   such as the sparc-like one) is no predictor: every indirect transfer
+//!   mispredicts, as on the era SPARC and MIPS parts.
 //! * [`Ittage`] — an ITTAGE-class tagged-geometric target predictor:
 //!   a tagless base table plus tagged tables indexed by folded global
 //!   target history of geometrically increasing lengths.
-//! * [`IdealOracle`] — always correct; bounds prediction-limited speedup.
+//! * ideal — always correct; bounds prediction-limited speedup.
 //!
 //! A model is an explicit input: [`ArchModel::new`](crate::ArchModel::new)
 //! builds the legacy one, and
@@ -35,198 +36,30 @@
 use crate::{ArchProfile, Btb};
 
 /// An indirect-branch target predictor: one `predict → train` step per
-/// indirect transfer, with cumulative hit/miss counters.
-///
-/// Object-safe so [`ArchModel`](crate::ArchModel) can hold any model
-/// behind one box on the retire fast path. Only the model owns one:
-/// exact runs reach it per retired transfer, sampled replay per replayed
-/// dispatch, through the same [`ArchModel`](crate::ArchModel) methods.
-pub trait TargetPredictor: std::fmt::Debug + Send {
+/// indirect transfer.
+pub trait TargetPredictor {
     /// Predicts the target of the indirect transfer at `pc`, then trains
     /// on the actual `target`. Returns whether the prediction was correct.
     fn predict_and_update(&mut self, pc: u32, target: u32) -> bool;
-
-    /// Mispredictions so far.
-    fn mispredicts(&self) -> u64;
-
-    /// Correct predictions so far.
-    fn correct(&self) -> u64;
-
-    /// Short model name for reports.
-    fn name(&self) -> &'static str;
 }
 
-impl TargetPredictor for Btb {
-    fn predict_and_update(&mut self, pc: u32, target: u32) -> bool {
-        Btb::predict_and_update(self, pc, target)
-    }
-
-    fn mispredicts(&self) -> u64 {
-        Btb::mispredicts(self)
-    }
-
-    fn correct(&self) -> u64 {
-        Btb::correct(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "btb"
-    }
-}
-
-/// No indirect-branch prediction: every transfer pays the full mispredict
-/// penalty, as on the era SPARC and MIPS parts the paper measured.
-#[derive(Debug, Default)]
-pub struct NoPredict {
-    misses: u64,
-}
-
-impl TargetPredictor for NoPredict {
-    fn predict_and_update(&mut self, _pc: u32, _target: u32) -> bool {
-        self.misses += 1;
-        false
-    }
-
-    fn mispredicts(&self) -> u64 {
-        self.misses
-    }
-
-    fn correct(&self) -> u64 {
-        0
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
-    }
-}
-
-/// A perfect oracle: every indirect transfer predicts correctly. Renders
-/// the cost a mechanism would have on a machine whose predictor never
-/// stalls it — the bound the ITTAGE-class models approach.
-#[derive(Debug, Default)]
-pub struct IdealOracle {
-    hits: u64,
-}
-
-impl TargetPredictor for IdealOracle {
-    fn predict_and_update(&mut self, _pc: u32, _target: u32) -> bool {
-        self.hits += 1;
-        true
-    }
-
-    fn mispredicts(&self) -> u64 {
-        0
-    }
-
-    fn correct(&self) -> u64 {
-        self.hits
-    }
-
-    fn name(&self) -> &'static str {
-        "ideal"
-    }
-}
-
-/// One set-associative BTB entry.
-#[derive(Debug, Clone, Copy)]
-struct SaEntry {
-    /// Full `pc` tag; `u32::MAX` marks an invalid way (no aligned
-    /// instruction address can equal it).
-    pc: u32,
-    target: u32,
-    /// LRU stamp: monotone per-access counter, smallest = oldest.
-    stamp: u64,
-}
-
-/// A set-associative branch target buffer with true-LRU replacement — the
-/// organization documented by BTB reverse-engineering on Arm cores, where
-/// associativity (not raw capacity) decides how many concurrently-hot
-/// indirect sites survive without conflict evictions.
+/// The predictor a [`PredictorSpec`] builds: the model matches on this
+/// closed set on the retire path instead of calling through a vtable.
 #[derive(Debug)]
-pub struct SetAssocBtb {
-    /// `sets * ways` entries, way-major within each set.
-    entries: Vec<SaEntry>,
-    set_mask: usize,
-    ways: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+pub(crate) enum Target {
+    Btb(Btb),
+    Ittage(Ittage),
+    Ideal,
 }
 
-impl SetAssocBtb {
-    /// Creates a `sets × ways` BTB.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` is not a power of two or `ways` is not in `1..=16`.
-    pub fn new(sets: u32, ways: u32) -> SetAssocBtb {
-        assert!(
-            sets.is_power_of_two(),
-            "set-associative BTB sets must be a power of two"
-        );
-        assert!((1..=16).contains(&ways), "BTB ways must be in 1..=16");
-        SetAssocBtb {
-            entries: vec![
-                SaEntry {
-                    pc: u32::MAX,
-                    target: 0,
-                    stamp: 0,
-                };
-                (sets * ways) as usize
-            ],
-            set_mask: (sets - 1) as usize,
-            ways: ways as usize,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-impl TargetPredictor for SetAssocBtb {
+impl TargetPredictor for Target {
+    #[inline(always)]
     fn predict_and_update(&mut self, pc: u32, target: u32) -> bool {
-        self.tick += 1;
-        let set = ((pc >> 2) as usize) & self.set_mask;
-        let base = set * self.ways;
-        let ways = &mut self.entries[base..base + self.ways];
-        if let Some(e) = ways.iter_mut().find(|e| e.pc == pc) {
-            let correct = e.target == target;
-            e.target = target;
-            e.stamp = self.tick;
-            if correct {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
-            }
-            return correct;
+        match self {
+            Target::Btb(btb) => btb.predict_and_update(pc, target),
+            Target::Ittage(ittage) => ittage.predict_and_update(pc, target),
+            Target::Ideal => true,
         }
-        // Miss: evict the least recently used way (lowest index on ties,
-        // which also consumes invalid ways first — their stamp is 0).
-        let victim = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, e)| (e.stamp, *i))
-            .map(|(i, _)| i)
-            .expect("ways >= 1");
-        ways[victim] = SaEntry {
-            pc,
-            target,
-            stamp: self.tick,
-        };
-        self.misses += 1;
-        false
-    }
-
-    fn mispredicts(&self) -> u64 {
-        self.misses
-    }
-
-    fn correct(&self) -> u64 {
-        self.hits
-    }
-
-    fn name(&self) -> &'static str {
-        "sa-btb"
     }
 }
 
@@ -306,8 +139,6 @@ pub struct Ittage {
     tables: Vec<TaggedTable>,
     /// Global target-path history: two target bits shifted in per transfer.
     ghr: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Ittage {
@@ -328,13 +159,14 @@ impl Ittage {
                 })
                 .collect(),
             ghr: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 }
 
 impl TargetPredictor for Ittage {
+    /// Out of line: the table walk stays out of the retire arms the BTB
+    /// is inlined into.
+    #[inline(never)]
     fn predict_and_update(&mut self, pc: u32, target: u32) -> bool {
         let base_idx = ((pc >> 2) as usize) & (self.base.len() - 1);
 
@@ -421,29 +253,11 @@ impl TargetPredictor for Ittage {
         // produces distinct history symbols (aligned targets share their
         // low bits).
         self.ghr = (self.ghr << 2) | (fold((target >> 2) as u64, 32, 2) as u64);
-
-        if correct {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
         correct
-    }
-
-    fn mispredicts(&self) -> u64 {
-        self.misses
-    }
-
-    fn correct(&self) -> u64 {
-        self.hits
-    }
-
-    fn name(&self) -> &'static str {
-        "ittage"
     }
 }
 
-/// A `--predictor` specification: which [`TargetPredictor`] the cost model
+/// A `--predictor` specification: which target predictor the cost model
 /// charges indirect transfers with.
 ///
 /// Grammar (see [`PredictorSpec::parse`]):
@@ -461,14 +275,10 @@ pub enum PredictorSpec {
     None,
     /// Perfect prediction, regardless of profile.
     Ideal,
-    /// A direct-mapped BTB of the given size (overrides the profile).
+    /// A `sets × ways` true-LRU BTB (overrides the profile):
+    /// `btb:<entries>` is the direct-mapped (1-way) case.
     Btb {
-        /// Entries (0 = none, else a power of two `1..=65536`).
-        entries: u32,
-    },
-    /// A set-associative BTB with true-LRU replacement.
-    SetAssoc {
-        /// Sets (power of two `1..=65536`).
+        /// Sets (0 = no predictor, else a power of two `1..=65536`).
         sets: u32,
         /// Ways (`1..=16`).
         ways: u32,
@@ -571,7 +381,7 @@ impl PredictorSpec {
                                 a.len() - i - 1,
                             ));
                         }
-                        Ok(PredictorSpec::SetAssoc { sets, ways })
+                        Ok(PredictorSpec::Btb { sets, ways })
                     }
                     None => {
                         let entries = parse_num(a, "btb entries", at)?;
@@ -582,7 +392,10 @@ impl PredictorSpec {
                                 a.len(),
                             ));
                         }
-                        Ok(PredictorSpec::Btb { entries })
+                        Ok(PredictorSpec::Btb {
+                            sets: entries,
+                            ways: 1,
+                        })
                     }
                 }
             }
@@ -620,21 +433,20 @@ impl PredictorSpec {
             PredictorSpec::Legacy => "legacy".to_string(),
             PredictorSpec::None => "none".to_string(),
             PredictorSpec::Ideal => "ideal".to_string(),
-            PredictorSpec::Btb { entries } => format!("btb:{entries}"),
-            PredictorSpec::SetAssoc { sets, ways } => format!("btb:{sets}x{ways}"),
+            PredictorSpec::Btb { sets, ways: 1 } => format!("btb:{sets}"),
+            PredictorSpec::Btb { sets, ways } => format!("btb:{sets}x{ways}"),
             PredictorSpec::Ittage { tables } => format!("ittage:{tables}"),
         }
     }
 
     /// Builds the predictor this spec selects under `profile`.
-    pub fn build(&self, profile: &ArchProfile) -> Box<dyn TargetPredictor> {
+    pub(crate) fn build(&self, profile: &ArchProfile) -> Target {
         match *self {
-            PredictorSpec::Legacy => Box::new(Btb::new(profile.btb_entries)),
-            PredictorSpec::None => Box::new(NoPredict::default()),
-            PredictorSpec::Ideal => Box::new(IdealOracle::default()),
-            PredictorSpec::Btb { entries } => Box::new(Btb::new(entries)),
-            PredictorSpec::SetAssoc { sets, ways } => Box::new(SetAssocBtb::new(sets, ways)),
-            PredictorSpec::Ittage { tables } => Box::new(Ittage::new(tables)),
+            PredictorSpec::Legacy => Target::Btb(Btb::new(profile.btb_entries)),
+            PredictorSpec::None => Target::Btb(Btb::new(0)),
+            PredictorSpec::Ideal => Target::Ideal,
+            PredictorSpec::Btb { sets, ways } => Target::Btb(Btb::with_geometry(sets, ways)),
+            PredictorSpec::Ittage { tables } => Target::Ittage(Ittage::new(tables)),
         }
     }
 }
@@ -667,11 +479,21 @@ mod tests {
         out
     }
 
-    fn drive(p: &mut dyn TargetPredictor, trace: &[(u32, u32)]) -> (u64, u64) {
-        for &(pc, target) in trace {
-            p.predict_and_update(pc, target);
-        }
-        (p.correct(), p.mispredicts())
+    /// `(correct, mispredicted)` over `trace`, counted from the verdicts.
+    fn drive(mut p: impl TargetPredictor, trace: &[(u32, u32)]) -> (u64, u64) {
+        let hits = trace
+            .iter()
+            .filter(|&&(pc, target)| p.predict_and_update(pc, target))
+            .count() as u64;
+        (hits, trace.len() as u64 - hits)
+    }
+
+    /// Mispredictions over `trace`.
+    fn misses(p: &mut impl TargetPredictor, trace: &[(u32, u32)]) -> usize {
+        trace
+            .iter()
+            .filter(|&&(pc, target)| !p.predict_and_update(pc, target))
+            .count()
     }
 
     #[test]
@@ -682,14 +504,14 @@ mod tests {
             let specs = [
                 PredictorSpec::None,
                 PredictorSpec::Ideal,
-                PredictorSpec::Btb { entries: 64 },
-                PredictorSpec::SetAssoc { sets: 16, ways: 4 },
+                PredictorSpec::Btb { sets: 64, ways: 1 },
+                PredictorSpec::Btb { sets: 16, ways: 4 },
                 PredictorSpec::Ittage { tables: 4 },
             ];
             for spec in specs {
                 let profile = ArchProfile::x86_like();
-                let a = drive(spec.build(&profile).as_mut(), &trace);
-                let b = drive(spec.build(&profile).as_mut(), &trace);
+                let a = drive(spec.build(&profile), &trace);
+                let b = drive(spec.build(&profile), &trace);
                 assert_eq!(a, b, "{} not deterministic (seed {seed})", spec.label());
                 assert_eq!(a.0 + a.1, trace.len() as u64);
             }
@@ -700,17 +522,16 @@ mod tests {
     fn no_predict_and_oracle_bound_the_zoo() {
         let trace = synthetic_trace(3, 2000);
         let profile = ArchProfile::x86_like();
-        let (none_hits, none_misses) = drive(PredictorSpec::None.build(&profile).as_mut(), &trace);
-        let (ideal_hits, ideal_misses) =
-            drive(PredictorSpec::Ideal.build(&profile).as_mut(), &trace);
+        let (none_hits, none_misses) = drive(PredictorSpec::None.build(&profile), &trace);
+        let (ideal_hits, ideal_misses) = drive(PredictorSpec::Ideal.build(&profile), &trace);
         assert_eq!((none_hits, none_misses), (0, trace.len() as u64));
         assert_eq!((ideal_hits, ideal_misses), (trace.len() as u64, 0));
         for spec in [
-            PredictorSpec::Btb { entries: 64 },
-            PredictorSpec::SetAssoc { sets: 16, ways: 4 },
+            PredictorSpec::Btb { sets: 64, ways: 1 },
+            PredictorSpec::Btb { sets: 16, ways: 4 },
             PredictorSpec::Ittage { tables: 4 },
         ] {
-            let (hits, misses) = drive(spec.build(&profile).as_mut(), &trace);
+            let (hits, misses) = drive(spec.build(&profile), &trace);
             assert!(
                 hits <= ideal_hits && misses <= none_misses,
                 "{}",
@@ -721,44 +542,19 @@ mod tests {
 
     #[test]
     fn set_assoc_survives_conflicting_sites_where_direct_mapped_thrashes() {
-        // Four monomorphic sites mapping to the same set: a 4-way BTB keeps
-        // all of them; a direct-mapped table of the same capacity evicts on
-        // every access (all four collide in one entry modulo 4... use 4
-        // sets so pcs 0x1000,0x1010,... stride to the same set index).
+        // Four monomorphic sites whose pcs alias in one set of a 4-set
+        // table and in one entry of a 16-entry direct-mapped table: four
+        // ways hold them all after the cold misses; one way of equal
+        // capacity evicts on every access.
         let sets = 4u32;
-        let pcs: Vec<u32> = (0..4).map(|i| 0x1000 + i * (sets * 4)).collect();
-        let mut sa = SetAssocBtb::new(sets, 4);
-        let mut dm = Btb::new(sets * 4); // same capacity, direct mapped
-        for _ in 0..64 {
-            for &pc in &pcs {
-                TargetPredictor::predict_and_update(&mut sa, pc, pc + 0x100);
-                dm.predict_and_update(pc, pc + 0x100);
-            }
-        }
-        // After the 4 cold misses the set-associative table never misses.
-        assert_eq!(TargetPredictor::mispredicts(&sa), 4);
-        // The direct-mapped table of equal capacity conflicts: pcs stride
-        // by sets*4 bytes = 4 entries apart in a 16-entry table, so they
-        // coexist there — widen the stride to force aliasing instead.
-        let alias_pcs: Vec<u32> = (0..4).map(|i| 0x1000 + i * (sets * 4 * 16)).collect();
-        let mut dm2 = Btb::new(sets * 4);
-        let mut sa2 = SetAssocBtb::new(sets, 4);
-        for _ in 0..64 {
-            for &pc in &alias_pcs {
-                dm2.predict_and_update(pc, pc + 0x100);
-                TargetPredictor::predict_and_update(&mut sa2, pc, pc + 0x100);
-            }
-        }
-        assert_eq!(
-            TargetPredictor::mispredicts(&sa2),
-            4,
-            "4 ways hold 4 aliases"
-        );
-        assert!(
-            dm2.mispredicts() > 200,
-            "direct-mapped aliases thrash: {}",
-            dm2.mispredicts()
-        );
+        let trace: Vec<(u32, u32)> = (0..64)
+            .flat_map(|_| (0..4).map(|i| 0x1000 + i * (sets * 4 * 16)))
+            .map(|pc| (pc, pc + 0x100))
+            .collect();
+        let sa = misses(&mut Btb::with_geometry(sets, 4), &trace);
+        assert_eq!(sa, 4, "4 ways hold 4 aliases");
+        let dm = misses(&mut Btb::new(sets * 4), &trace);
+        assert!(dm > 200, "direct-mapped aliases thrash: {dm}");
     }
 
     #[test]
@@ -766,40 +562,23 @@ mod tests {
         // One site alternating A,B,A,B…: the last-target BTB mispredicts
         // every transfer after warmup; ITTAGE's history components lock on.
         let pc = 0x2000;
-        let targets = [0x30000u32, 0x30400];
+        let trace: Vec<(u32, u32)> = (0..1200)
+            .map(|i| (pc, [0x30000u32, 0x30400][i % 2]))
+            .collect();
+        let (warmup, tail) = trace.split_at(1000);
         let mut btb = Btb::new(512);
         let mut it = Ittage::new(4);
-        for i in 0..1000 {
-            let t = targets[i % 2];
-            btb.predict_and_update(pc, t);
-            TargetPredictor::predict_and_update(&mut it, pc, t);
-        }
-        let btb_before = btb.mispredicts();
-        let it_before = TargetPredictor::mispredicts(&it);
-        for i in 1000..1200 {
-            let t = targets[i % 2];
-            btb.predict_and_update(pc, t);
-            TargetPredictor::predict_and_update(&mut it, pc, t);
-        }
-        assert_eq!(btb.mispredicts() - btb_before, 200, "BTB never adapts");
-        assert_eq!(
-            TargetPredictor::mispredicts(&it) - it_before,
-            0,
-            "ITTAGE fully converged"
-        );
+        misses(&mut btb, warmup);
+        misses(&mut it, warmup);
+        assert_eq!(misses(&mut btb, tail), 200, "BTB never adapts");
+        assert_eq!(misses(&mut it, tail), 0, "ITTAGE fully converged");
     }
 
     #[test]
     fn ittage_trains_monomorphic_site_quickly() {
         let mut it = Ittage::new(4);
-        for _ in 0..8 {
-            TargetPredictor::predict_and_update(&mut it, 0x4000, 0x50000);
-        }
-        let before = TargetPredictor::mispredicts(&it);
-        for _ in 0..100 {
-            TargetPredictor::predict_and_update(&mut it, 0x4000, 0x50000);
-        }
-        assert_eq!(TargetPredictor::mispredicts(&it), before);
+        misses(&mut it, &[(0x4000, 0x50000); 8]);
+        assert_eq!(misses(&mut it, &[(0x4000, 0x50000); 100]), 0);
     }
 
     #[test]
@@ -808,9 +587,15 @@ mod tests {
             ("legacy", PredictorSpec::Legacy),
             ("none", PredictorSpec::None),
             ("ideal", PredictorSpec::Ideal),
-            ("btb:1024", PredictorSpec::Btb { entries: 1024 }),
-            ("btb:0", PredictorSpec::Btb { entries: 0 }),
-            ("btb:256x4", PredictorSpec::SetAssoc { sets: 256, ways: 4 }),
+            (
+                "btb:1024",
+                PredictorSpec::Btb {
+                    sets: 1024,
+                    ways: 1,
+                },
+            ),
+            ("btb:0", PredictorSpec::Btb { sets: 0, ways: 1 }),
+            ("btb:256x4", PredictorSpec::Btb { sets: 256, ways: 4 }),
             ("ittage:6", PredictorSpec::Ittage { tables: 6 }),
         ];
         for (s, spec) in cases {
@@ -822,6 +607,10 @@ mod tests {
             PredictorSpec::Ittage { tables: 4 },
             "default table count"
         );
+        // One way is the direct-mapped BTB: one spec, one label.
+        let one_way = PredictorSpec::parse("btb:64x1").unwrap();
+        assert_eq!(one_way, PredictorSpec::parse("btb:64").unwrap());
+        assert_eq!(one_way.label(), "btb:64");
     }
 
     #[test]
@@ -854,7 +643,6 @@ mod tests {
         // sparc has no BTB: every transfer misses, exactly like Btb::new(0).
         assert!(!p.predict_and_update(0x100, 0x200));
         assert!(!p.predict_and_update(0x100, 0x200));
-        assert_eq!(p.correct(), 0);
-        assert_eq!(p.name(), "btb");
+        assert!(matches!(p, Target::Btb(_)));
     }
 }

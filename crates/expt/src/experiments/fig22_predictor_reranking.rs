@@ -46,7 +46,7 @@ fn predictors() -> [PredictorSpec; 5] {
     [
         PredictorSpec::None,
         PredictorSpec::Legacy,
-        PredictorSpec::SetAssoc { sets: 128, ways: 4 },
+        PredictorSpec::Btb { sets: 128, ways: 4 },
         PredictorSpec::Ittage { tables: 4 },
         PredictorSpec::Ideal,
     ]

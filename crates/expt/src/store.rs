@@ -367,6 +367,7 @@ pub fn parse_record(text: &str, expected_key: &str) -> Option<CellResult> {
         return None;
     }
     let u = |name: &str| -> Option<u64> { map.get(name)?.parse().ok() };
+    let u32_field = |name: &str| u32::try_from(u(name)?).ok();
     match map.get("kind").copied()? {
         "native" => {
             let regs_vec = split_u64(map.get("regs")?)?;
@@ -378,7 +379,7 @@ pub fn parse_record(text: &str, expected_key: &str) -> Option<CellResult> {
                 *slot = u32::try_from(value).ok()?;
             }
             Some(CellResult::Native(NativeRun {
-                checksum: u("checksum")? as u32,
+                checksum: u32_field("checksum")?,
                 total_cycles: u("total_cycles")?,
                 instructions: u("instructions")?,
                 indirect_jumps: u("indirect_jumps")?,
@@ -411,7 +412,7 @@ pub fn parse_record(text: &str, expected_key: &str) -> Option<CellResult> {
                 sieve_mean_chain: f64::from_bits(
                     u64::from_str_radix(map.get("sieve_mean_chain")?, 16).ok()?,
                 ),
-                sieve_max_chain: u("sieve_max_chain")? as u32,
+                sieve_max_chain: u32_field("sieve_max_chain")?,
             };
             let mut per_class = Vec::new();
             for class in ["jump", "call", "ret"] {
@@ -439,7 +440,7 @@ pub fn parse_record(text: &str, expected_key: &str) -> Option<CellResult> {
                 config: map.get("config")?.to_string(),
                 arch: arch_static(map.get("arch")?)?,
                 halted: u("halted")? != 0,
-                checksum: u("checksum")? as u32,
+                checksum: u32_field("checksum")?,
                 instructions: u("instructions")?,
                 total_cycles: u("total_cycles")?,
                 cycles_by_origin: fixed6(split_u64(map.get("cycles_by_origin")?)?)?,
@@ -576,6 +577,25 @@ mod tests {
             assert_eq!(back, result);
             // The embedded key is verified.
             assert!(parse_record(&text, "other|key").is_none());
+        }
+    }
+
+    #[test]
+    fn u32_fields_out_of_range_invalidate() {
+        // A wider value must not truncate into a plausible one.
+        let native = render_record("k", &CellResult::Native(sample_native()));
+        let translated = render_record("k", &CellResult::Translated(Box::new(sample_report())));
+        for (text, field) in [
+            (&native, "checksum=3735928559\n"),
+            (&translated, "checksum=42\n"),
+            (&translated, "sieve_max_chain=0\n"),
+        ] {
+            assert!(text.contains(field), "{field}");
+            let name = field.split('=').next().unwrap();
+            let max = text.replace(field, &format!("{name}=4294967295\n"));
+            assert!(parse_record(&max, "k").is_some(), "{name} at u32::MAX");
+            let wide = text.replace(field, &format!("{name}=4294967297\n"));
+            assert!(parse_record(&wide, "k").is_none(), "{name} beyond u32");
         }
     }
 

@@ -115,7 +115,8 @@ impl SimPoints {
         let interval = field(lines.next(), "interval")?;
         let intervals = field(lines.next(), "intervals")?;
         let instructions = field(lines.next(), "instructions")?;
-        let k = field(lines.next(), "k")? as u32;
+        let k = field(lines.next(), "k")?;
+        let k = u32::try_from(k).map_err(|_| format!("k {k} out of range"))?;
         let mut points = Vec::new();
         for line in lines {
             if line.is_empty() {
@@ -134,14 +135,19 @@ impl SimPoints {
             };
             let interval = num("interval")?;
             let weight = num("weight")?;
-            let cluster = num("cluster")? as u32;
+            let cluster = num("cluster")?;
+            let cluster = u32::try_from(cluster)
+                .map_err(|_| format!("point cluster {cluster} out of range in `{line}`"))?;
             points.push(SimPoint {
                 interval,
                 weight,
                 cluster,
             });
         }
-        let total: u64 = points.iter().map(|p| p.weight).sum();
+        let total = points
+            .iter()
+            .try_fold(0u64, |sum, p| sum.checked_add(p.weight))
+            .ok_or("point weights overflow")?;
         if total != intervals {
             return Err(format!(
                 "point weights sum to {total}, expected {intervals}"
@@ -323,6 +329,21 @@ mod tests {
             "{SIMPTS_VERSION}\ninterval 100\nintervals 10\ninstructions 1000\nk 1\npoint 0 9 0\n"
         );
         assert!(SimPoints::parse(&text).unwrap_err().contains("sum to 9"));
+        // Weights that wrap a u64 sum, and counts too wide for their u32
+        // fields, are errors rather than a wrapped or truncated value.
+        let head = format!("{SIMPTS_VERSION}\ninterval 100\nintervals 2\ninstructions 200\n");
+        assert!(SimPoints::parse(&format!("{head}k 1\npoint 0 2 0\n")).is_ok());
+        for (bad, needle) in [
+            (
+                "k 1\npoint 0 18446744073709551615 0\npoint 1 3 0\n",
+                "overflow",
+            ),
+            ("k 1\npoint 0 2 4294967296\n", "cluster 4294967296"),
+            ("k 4294967296\npoint 0 2 0\n", "k 4294967296"),
+        ] {
+            let err = SimPoints::parse(&format!("{head}{bad}")).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -33,10 +33,9 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     config: CacheConfig,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// Resident lines, `ways` per set, each set in recency order (most
+    /// recent first); `u64::MAX` = invalid, so invalid ways sit last.
     tags: Vec<u64>,
-    /// LRU timestamps parallel to `tags`.
-    stamps: Vec<u64>,
     /// `log2(line_bytes)`, so the per-access line computation is a shift
     /// instead of a hardware divide.
     line_shift: u32,
@@ -45,7 +44,6 @@ pub struct CacheSim {
     /// Line of the previous access (`u64::MAX` before the first): the
     /// same-line filter in [`CacheSim::access`].
     last_line: u64,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
@@ -68,11 +66,9 @@ impl CacheSim {
         CacheSim {
             config,
             tags: vec![u64::MAX; slots],
-            stamps: vec![0; slots],
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: config.sets - 1,
             last_line: u64::MAX,
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -86,12 +82,13 @@ impl CacheSim {
     /// Simulates an access to `addr`; returns `true` on hit. Misses
     /// allocate the line, evicting LRU.
     ///
+    /// Each set is kept in recency order: the hit way, or on a miss the
+    /// last (least recent or invalid) way, moves to the front.
+    ///
     /// An access to the line touched by the previous access is answered
     /// without searching the set. That is exact under LRU: nothing
-    /// intervened, so the line is resident and already the most recent
-    /// stamp in the whole cache; leaving the stamp as it is keeps every
-    /// set's recency order, hence every later hit, miss and eviction.
-    /// Most instruction fetches take this path.
+    /// intervened, so the line is resident and already at the front of its
+    /// set. Most instruction fetches take this path.
     #[inline(always)]
     pub fn access(&mut self, addr: u32) -> bool {
         let line = (addr >> self.line_shift) as u64;
@@ -100,28 +97,23 @@ impl CacheSim {
             return true;
         }
         self.last_line = line;
-        self.clock += 1;
-        let set = (line as u32) & self.set_mask;
-        let base = (set * self.config.ways) as usize;
         let ways = self.config.ways as usize;
-
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for slot in base..base + ways {
-            if self.tags[slot] == line {
-                self.stamps[slot] = self.clock;
-                self.hits += 1;
-                return true;
-            }
-            if self.stamps[slot] < victim_stamp {
-                victim_stamp = self.stamps[slot];
-                victim = slot;
-            }
+        let base = ((line as u32) & self.set_mask) as usize * ways;
+        let set = &mut self.tags[base..base + ways];
+        let (way, hit) = match set.iter().position(|&tag| tag == line) {
+            Some(way) => (way, true),
+            None => (ways - 1, false),
+        };
+        for i in (1..=way).rev() {
+            set[i] = set[i - 1];
         }
-        self.tags[victim] = line;
-        self.stamps[victim] = self.clock;
-        self.misses += 1;
-        false
+        set[0] = line;
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
     }
 
     /// Number of hits so far.

@@ -23,6 +23,13 @@
 //! * a return-address stack ([`Ras`]),
 //! * per-event costs for flags save/restore and traps.
 //!
+//! Cost is counted, then priced: the retire path counts instructions by
+//! class ([`Counts`]) and steps only the stateful simulators, and the
+//! cycles are a dot product of those counts with the profile's prices,
+//! taken when read. One execution can therefore be priced under many
+//! models at once — the counts are shared, and each model steps its own
+//! caches and predictors.
+//!
 //! Three ready-made profiles bracket the design space:
 //! [`ArchProfile::x86_like`], [`ArchProfile::sparc_like`], and
 //! [`ArchProfile::mips_like`].
@@ -51,7 +58,7 @@ mod profile;
 mod target;
 
 pub use cache::{CacheConfig, CacheSim};
-pub use model::{ArchModel, ModelStats};
+pub use model::{ArchModel, Counts, ModelStats, BUCKETS};
 pub use predictor::{Btb, CondPredictor, Ras};
 pub use profile::ArchProfile;
 pub use target::{Ittage, PredictorParseError, PredictorSpec, TargetPredictor};

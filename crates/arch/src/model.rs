@@ -4,6 +4,10 @@ use strata_machine::{ExecutionObserver, RetireEvent};
 use crate::target::{PredictorSpec, Target, TargetPredictor};
 use crate::{ArchProfile, CacheSim, CondPredictor, Ras};
 
+/// Attribution buckets a retire stream is counted and priced in: the
+/// SDT's instruction origins. A native run uses bucket 0 alone.
+pub const BUCKETS: usize = 6;
+
 /// Detailed cycle and event accounting produced by an [`ArchModel`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelStats {
@@ -36,25 +40,143 @@ impl ModelStats {
             + self.flags_cycles
             + self.trap_cycles
     }
+
+    fn add(&mut self, other: &ModelStats) {
+        self.base_cycles += other.base_cycles;
+        self.icache_stall_cycles += other.icache_stall_cycles;
+        self.dcache_stall_cycles += other.dcache_stall_cycles;
+        self.branch_stall_cycles += other.branch_stall_cycles;
+        self.flags_cycles += other.flags_cycles;
+        self.trap_cycles += other.trap_cycles;
+        self.instructions += other.instructions;
+        self.indirect_transfers += other.indirect_transfers;
+    }
+}
+
+/// The profile-independent counts of a retire stream, per bucket: retired
+/// instructions by [`InstrClass`] and taken conditional branches. Every
+/// model pricing the same stream shares them, so a run under several
+/// models counts each instruction once ([`Counts::count`]) and steps only
+/// each model's stateful simulators ([`ArchModel::simulate`]).
+///
+/// A class fixes an instruction's control kind (`Instr::class` and
+/// `Instr::control_kind` agree), so the taken-branch bubbles and the
+/// indirect transfers are read off the class counts.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Counts {
+    by_class: [[u64; InstrClass::COUNT]; BUCKETS],
+    cond_taken: [u64; BUCKETS],
+    /// The sum of `by_class`, kept as it goes: a run loop reads it once
+    /// per segment.
+    retired: u64,
+}
+
+/// Classes whose every retirement is a taken transfer.
+fn always_taken(class: InstrClass) -> bool {
+    matches!(
+        class,
+        InstrClass::DirectJump
+            | InstrClass::DirectCall
+            | InstrClass::IndirectJump
+            | InstrClass::IndirectCall
+            | InstrClass::Return
+    )
+}
+
+/// Classes the indirect-target machinery (target predictor or RAS) sees.
+fn indirect(class: InstrClass) -> bool {
+    matches!(
+        class,
+        InstrClass::IndirectJump | InstrClass::IndirectCall | InstrClass::Return
+    )
+}
+
+impl Counts {
+    /// Counts one retired instruction in `bucket`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is not below [`BUCKETS`].
+    #[inline(always)]
+    pub fn count(&mut self, bucket: usize, ev: &RetireEvent) {
+        debug_assert_eq!(
+            always_taken(ev.class),
+            !matches!(
+                ev.control.kind,
+                ControlKind::None | ControlKind::Conditional
+            ),
+            "{:?} retired as {:?}",
+            ev.class,
+            ev.control.kind
+        );
+        self.by_class[bucket][ev.class.index()] += 1;
+        if ev.control.kind == ControlKind::Conditional {
+            self.cond_taken[bucket] += u64::from(ev.control.taken);
+        }
+        self.retired += 1;
+    }
+
+    /// Instructions counted so far, over every bucket.
+    #[inline(always)]
+    pub fn retired(&self) -> u64 {
+        self.retired
+    }
+
+    /// Instructions counted in each bucket.
+    pub fn by_bucket(&self) -> [u64; BUCKETS] {
+        self.by_class.map(|classes| classes.iter().sum())
+    }
+
+    fn add(&mut self, other: &Counts) {
+        for (mine, theirs) in self.by_class.iter_mut().zip(&other.by_class) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+        for (a, b) in self.cond_taken.iter_mut().zip(&other.cond_taken) {
+            *a += b;
+        }
+        self.retired += other.retired;
+    }
+}
+
+/// One model's stateful-simulator outcomes in one bucket.
+#[derive(Debug, Clone, Copy, Default)]
+struct Misses {
+    icache: u64,
+    dcache: u64,
+    cond: u64,
+    /// Target predictor and RAS.
+    indirect: u64,
 }
 
 /// A full microarchitecture cost model: per-class costs plus cache and
 /// branch-predictor simulation, parameterized by an [`ArchProfile`].
 ///
-/// Use it directly as an [`ExecutionObserver`] for whole-run costing, or
-/// call [`ArchModel::cost_of`] per event when the embedder needs to
-/// attribute cycles (the SDT buckets them by instruction origin). A
-/// driver that sees dispatch events rather than retired instructions
-/// (sampled replay) drives the same predictors through
-/// [`predict_indirect`](Self::predict_indirect),
+/// Cost is counted on the retire path and priced when read. Retiring an
+/// instruction counts it ([`Counts`]) and steps the stateful simulators —
+/// I-cache, D-cache, conditional predictor, target predictor and RAS —
+/// which count their misses per bucket. [`stats`](Self::stats),
+/// [`total_cycles`](Self::total_cycles) and
+/// [`cycles_by_bucket`](Self::cycles_by_bucket) are then a dot product of
+/// those counts with the profile's prices: integer sums commute, so this
+/// is exactly the per-event sum.
+///
+/// Use it directly as an [`ExecutionObserver`] for whole-run costing
+/// (bucket 0), or call [`ArchModel::cost_of`] per event for its cycles. A
+/// run priced under several models shares one [`Counts`], steps each
+/// model with [`simulate`](Self::simulate) and hands it the counts at the
+/// end ([`absorb`](Self::absorb)); the SDT does this to bucket by
+/// instruction origin. A driver that sees dispatch events rather than
+/// retired instructions (sampled replay) drives the same predictors
+/// through [`predict_indirect`](Self::predict_indirect),
 /// [`push_return`](Self::push_return) and
 /// [`predict_return`](Self::predict_return).
 #[derive(Debug)]
 pub struct ArchModel {
     profile: ArchProfile,
     /// `(base_cycles, flags_tax)` per [`InstrClass`], indexed by
-    /// [`InstrClass::index`] — one load on the retire fast path instead of
-    /// a per-event match over profile fields.
+    /// [`InstrClass::index`].
     class_costs: [(u64, u64); InstrClass::COUNT],
     icache: CacheSim,
     dcache: CacheSim,
@@ -64,11 +186,13 @@ pub struct ArchModel {
     /// direct-mapped BTB, keeping historical charge streams bit-identical.
     target: Target,
     ras: Ras,
-    stats: ModelStats,
-    /// Mispredictions, counted here where the verdicts are acted on: the
-    /// predictors keep none.
-    indirect_mispredicts: u64,
-    cond_mispredicts: u64,
+    /// What this model retired itself, plus every absorbed [`Counts`].
+    counts: Counts,
+    /// Mispredictions and cache misses per bucket, counted here where the
+    /// verdicts are acted on: the predictors keep none.
+    misses: [Misses; BUCKETS],
+    /// Host-side translator charges ([`charge_translator`](Self::charge_translator)).
+    translator_cycles: u64,
 }
 
 /// Base cost and flags tax for one class under `p` — the single source of
@@ -117,9 +241,9 @@ impl ArchModel {
             ),
             target: spec.build(&profile),
             ras: Ras::new(profile.ras_depth),
-            stats: ModelStats::default(),
-            indirect_mispredicts: 0,
-            cond_mispredicts: 0,
+            counts: Counts::default(),
+            misses: [Misses::default(); BUCKETS],
+            translator_cycles: 0,
             profile,
         }
     }
@@ -129,14 +253,65 @@ impl ArchModel {
         &self.profile
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &ModelStats {
-        &self.stats
+    /// Accumulated statistics, priced now. Boxed, it reads like the
+    /// reference it stands for: `*model.stats()` copies the numbers.
+    pub fn stats(&self) -> Box<ModelStats> {
+        let mut stats = ModelStats::default();
+        for bucket in 0..BUCKETS {
+            stats.add(&self.bucket_stats(bucket));
+        }
+        stats.trap_cycles += self.translator_cycles;
+        Box::new(stats)
     }
 
     /// Total cycles charged so far.
     pub fn total_cycles(&self) -> u64 {
-        self.stats.total()
+        self.stats().total()
+    }
+
+    /// Cycles charged to each bucket, translator charges left out (they
+    /// belong to no retired instruction).
+    pub fn cycles_by_bucket(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|bucket| self.bucket_stats(bucket).total())
+    }
+
+    /// Retired instructions so far.
+    pub fn instructions(&self) -> u64 {
+        self.counts.retired()
+    }
+
+    /// Host-side translator cycles charged so far (part of the trap
+    /// cycles).
+    pub fn translator_cycles(&self) -> u64 {
+        self.translator_cycles
+    }
+
+    /// One bucket's counts priced under the profile: the dot product
+    /// every reading is built from.
+    fn bucket_stats(&self, bucket: usize) -> ModelStats {
+        let p = &self.profile;
+        let (classes, misses) = (&self.counts.by_class[bucket], &self.misses[bucket]);
+        let mut stats = ModelStats::default();
+        let mut taken = self.counts.cond_taken[bucket];
+        for class in InstrClass::ALL {
+            let n = classes[class.index()];
+            let (base, flags_tax) = self.class_costs[class.index()];
+            stats.instructions += n;
+            stats.base_cycles += n * base;
+            stats.flags_cycles += n * flags_tax;
+            if always_taken(class) {
+                taken += n;
+            }
+            if indirect(class) {
+                stats.indirect_transfers += n;
+            }
+        }
+        stats.icache_stall_cycles = misses.icache * p.icache_miss_penalty;
+        stats.dcache_stall_cycles = misses.dcache * p.dcache_miss_penalty;
+        stats.branch_stall_cycles =
+            taken * p.taken_branch_cost + (misses.cond + misses.indirect) * p.mispredict_penalty;
+        stats.trap_cycles = classes[InstrClass::Trap.index()] * p.trap_cost;
+        stats
     }
 
     /// The instruction-cache simulator (for miss-rate reporting).
@@ -151,12 +326,12 @@ impl ArchModel {
 
     /// Indirect-transfer mispredictions (target predictor + RAS) so far.
     pub fn indirect_mispredicts(&self) -> u64 {
-        self.indirect_mispredicts
+        self.misses.iter().map(|m| m.indirect).sum()
     }
 
     /// Conditional-branch mispredictions so far.
     pub fn cond_mispredicts(&self) -> u64 {
-        self.cond_mispredicts
+        self.misses.iter().map(|m| m.cond).sum()
     }
 
     /// Predicts the indirect transfer at `pc` through the target
@@ -165,7 +340,7 @@ impl ArchModel {
     #[inline(always)]
     pub fn predict_indirect(&mut self, pc: u32, target: u32) -> bool {
         let correct = self.target.predict_and_update(pc, target);
-        self.indirect_mispredicts += u64::from(!correct);
+        self.misses[0].indirect += u64::from(!correct);
         correct
     }
 
@@ -180,93 +355,100 @@ impl ArchModel {
     #[inline(always)]
     pub fn predict_return(&mut self, target: u32) -> bool {
         let correct = self.ras.pop_and_check(target);
-        self.indirect_mispredicts += u64::from(!correct);
+        self.misses[0].indirect += u64::from(!correct);
         correct
     }
 
-    /// Charges one retired instruction, updating predictor/cache state, and
-    /// returns the cycles it cost.
+    /// Steps the stateful simulators — caches, conditional predictor,
+    /// target predictor, RAS — on one retired instruction, counting their
+    /// misses in `bucket`, and returns the stall cycles they cost. The
+    /// instruction itself is not counted: the caller counts it once in
+    /// the [`Counts`] it later [`absorb`](Self::absorb)s.
     ///
     /// Force-inlined: `Machine::exec` hands every dispatch arm an event
     /// whose `class`, `control.kind` and `mem.is_some()` are literals, so
     /// each copy keeps only the blocks its instruction shape can reach.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is not below [`BUCKETS`].
     #[inline(always)]
-    pub fn cost_of(&mut self, ev: &RetireEvent) -> u64 {
+    pub fn simulate(&mut self, bucket: usize, ev: &RetireEvent) -> u64 {
         let p = &self.profile;
-        self.stats.instructions += 1;
+        let misses = &mut self.misses[bucket];
+        let mut stall = 0;
 
-        // Base cost by class: one indexed load from the precomputed table.
-        let (base, flags_tax) = self.class_costs[ev.class.index()];
-        self.stats.base_cycles += base;
-        self.stats.flags_cycles += flags_tax;
-        let mut cycles = base + flags_tax;
-
-        // Instruction fetch.
         if !self.icache.access(ev.pc) {
-            self.stats.icache_stall_cycles += p.icache_miss_penalty;
-            cycles += p.icache_miss_penalty;
+            misses.icache += 1;
+            stall += p.icache_miss_penalty;
         }
-
-        // Data access.
         if let Some(mem) = ev.mem {
             if !self.dcache.access(mem.addr) {
-                self.stats.dcache_stall_cycles += p.dcache_miss_penalty;
-                cycles += p.dcache_miss_penalty;
+                misses.dcache += 1;
+                stall += p.dcache_miss_penalty;
             }
         }
 
-        // Control flow: the predictors are reached through the same
-        // methods sampled replay drives them with.
-        let (taken_cost, mispredict) = (p.taken_branch_cost, p.mispredict_penalty);
-        let trap_cost = p.trap_cost;
-        let mut branch_stall = 0;
-        match ev.control.kind {
-            ControlKind::None => {}
+        let correct = match ev.control.kind {
+            ControlKind::None | ControlKind::Direct => return stall,
             ControlKind::Conditional => {
-                if !self.cond.predict_and_update(ev.pc, ev.control.taken) {
-                    self.cond_mispredicts += 1;
-                    branch_stall += mispredict;
-                }
-                if ev.control.taken {
-                    branch_stall += taken_cost;
-                }
+                let correct = self.cond.predict_and_update(ev.pc, ev.control.taken);
+                misses.cond += u64::from(!correct);
+                correct
             }
-            ControlKind::Direct => branch_stall += taken_cost,
             ControlKind::Call => {
-                branch_stall += taken_cost;
-                self.push_return(ev.pc.wrapping_add(4));
-                if ev.control.indirect {
-                    self.stats.indirect_transfers += 1;
-                    if !self.predict_indirect(ev.pc, ev.control.target) {
-                        branch_stall += mispredict;
-                    }
+                self.ras.push(ev.pc.wrapping_add(4));
+                if !ev.control.indirect {
+                    return stall;
                 }
+                let correct = self.target.predict_and_update(ev.pc, ev.control.target);
+                misses.indirect += u64::from(!correct);
+                correct
             }
             ControlKind::Indirect => {
-                self.stats.indirect_transfers += 1;
-                branch_stall += taken_cost;
-                if !self.predict_indirect(ev.pc, ev.control.target) {
-                    branch_stall += mispredict;
-                }
+                let correct = self.target.predict_and_update(ev.pc, ev.control.target);
+                misses.indirect += u64::from(!correct);
+                correct
             }
             ControlKind::Return => {
-                self.stats.indirect_transfers += 1;
-                branch_stall += taken_cost;
-                if !self.predict_return(ev.control.target) {
-                    branch_stall += mispredict;
-                }
+                let correct = self.ras.pop_and_check(ev.control.target);
+                misses.indirect += u64::from(!correct);
+                correct
             }
+        };
+        if !correct {
+            stall += p.mispredict_penalty;
         }
-        self.stats.branch_stall_cycles += branch_stall;
-        cycles += branch_stall;
+        stall
+    }
 
-        // Trap crossing.
+    /// Adds a run's shared counts to this model's: after a run that
+    /// [`simulate`](Self::simulate)d every instruction of `counts`, the
+    /// model prices that run.
+    pub fn absorb(&mut self, counts: &Counts) {
+        self.counts.add(counts);
+    }
+
+    /// Charges one retired instruction in bucket 0 and returns the cycles
+    /// it cost.
+    #[inline(always)]
+    pub fn cost_of(&mut self, ev: &RetireEvent) -> u64 {
+        self.counts.count(0, ev);
+        let p = &self.profile;
+        let (base, flags_tax) = self.class_costs[ev.class.index()];
+        let mut cycles = base + flags_tax;
+        let taken = match ev.control.kind {
+            ControlKind::None => false,
+            ControlKind::Conditional => ev.control.taken,
+            _ => true,
+        };
+        if taken {
+            cycles += p.taken_branch_cost;
+        }
         if ev.class == InstrClass::Trap {
-            self.stats.trap_cycles += trap_cost;
-            cycles += trap_cost;
+            cycles += p.trap_cost;
         }
-
-        cycles
+        cycles + self.simulate(0, ev)
     }
 
     /// Charges host-side translator work: `instrs` newly translated
@@ -276,7 +458,7 @@ impl ArchModel {
     pub fn charge_translator(&mut self, instrs: u64, lookups: u64) -> u64 {
         let cycles = instrs * self.profile.translation_cost_per_instr
             + lookups * self.profile.translator_lookup_cost;
-        self.stats.trap_cycles += cycles;
+        self.translator_cycles += cycles;
         cycles
     }
 }
@@ -292,7 +474,8 @@ impl From<ArchProfile> for ArchModel {
 impl ExecutionObserver for ArchModel {
     #[inline(always)]
     fn on_retire(&mut self, event: &RetireEvent) {
-        self.cost_of(event);
+        self.counts.count(0, event);
+        self.simulate(0, event);
     }
 }
 
@@ -484,6 +667,58 @@ mod tests {
             legacy_cycles, default_cycles,
             "ArchModel::new defaults to the legacy spec"
         );
+    }
+
+    /// Pricing at read time is exact: the dot product of the counts with
+    /// the profile's prices equals the sum of every event's own cycles,
+    /// under every profile and predictor family.
+    #[test]
+    fn priced_total_equals_the_sum_of_per_event_cycles() {
+        let src = r"
+            li r1, 24
+            li r9, body
+            li r2, 0x300000
+        top:
+            callr r9
+            pushf
+            popf
+            sw r1, 0(r2)
+            addi r2, r2, 64
+            cmpi r1, 0
+            bne top
+            trap 0x1
+            halt
+        body:
+            addi r1, r1, -1
+            ret
+        ";
+        let code = assemble(layout::APP_BASE, src).unwrap();
+        let specs = [
+            PredictorSpec::Legacy,
+            PredictorSpec::None,
+            PredictorSpec::Ittage { tables: 2 },
+            PredictorSpec::Ideal,
+        ];
+        let mut profiles = ArchProfile::all();
+        profiles.push(ArchProfile::ideal());
+        for (profile, spec) in profiles.into_iter().zip(specs) {
+            struct Summing(ArchModel, u64);
+            impl ExecutionObserver for Summing {
+                fn on_retire(&mut self, ev: &RetireEvent) {
+                    self.1 += self.0.cost_of(ev);
+                }
+            }
+            let mut m = Machine::new(layout::DEFAULT_MEM_BYTES);
+            m.write_code(layout::APP_BASE, &code).unwrap();
+            m.cpu_mut().pc = layout::APP_BASE;
+            let mut sum = Summing(ArchModel::with_predictor_spec(profile, spec), 0);
+            while m.run(&mut sum, 1_000_000).unwrap() != StepOutcome::Halted {}
+            let Summing(model, cycles) = sum;
+            let name = model.profile().name;
+            assert_eq!(model.total_cycles(), cycles, "{name}");
+            assert_eq!(model.cycles_by_bucket()[0], cycles, "{name}");
+            assert_eq!(model.stats().instructions, model.instructions(), "{name}");
+        }
     }
 
     #[test]

@@ -123,6 +123,8 @@ fn fold(h: u64, len: u32, bits: u32) -> u32 {
 const ITTAGE_TAG_BITS: u32 = 9;
 const ITTAGE_BASE_BITS: u32 = 9;
 const ITTAGE_TABLE_BITS: u32 = 8;
+/// Most tagged components an [`Ittage`] takes.
+const ITTAGE_MAX_TABLES: usize = 8;
 
 /// An ITTAGE-class indirect target predictor: a tagless direct-mapped base
 /// table plus `tables` tagged components indexed by folded global target
@@ -148,7 +150,10 @@ impl Ittage {
     ///
     /// Panics if `tables` is not in `1..=8`.
     pub fn new(tables: u32) -> Ittage {
-        assert!((1..=8).contains(&tables), "ittage tables must be in 1..=8");
+        assert!(
+            (1..=ITTAGE_MAX_TABLES as u32).contains(&tables),
+            "ittage tables must be in 1..=8"
+        );
         Ittage {
             base: vec![(u32::MAX, 0); 1 << ITTAGE_BASE_BITS],
             tables: (0..tables)
@@ -171,12 +176,17 @@ impl TargetPredictor for Ittage {
         let base_idx = ((pc >> 2) as usize) & (self.base.len() - 1);
 
         // Provider: the longest-history tagged component whose entry
-        // matches, else the base table.
+        // matches, else the base table. The walk folds each table's index
+        // and tag once into `slots`; it visits every table above the
+        // provider (all of them without one), which is exactly the set
+        // the allocation walk below reads.
+        let mut slots = [(0usize, 0u32); ITTAGE_MAX_TABLES];
         let mut provider: Option<(usize, usize)> = None;
         for (t, table) in self.tables.iter().enumerate().rev() {
-            let idx = table.index(pc, self.ghr);
+            let (idx, tag) = (table.index(pc, self.ghr), table.tag(pc, self.ghr));
+            slots[t] = (idx, tag);
             let e = &table.entries[idx];
-            if e.valid && e.tag == table.tag(pc, self.ghr) {
+            if e.valid && e.tag == tag {
                 provider = Some((t, idx));
                 break;
             }
@@ -222,10 +232,9 @@ impl TargetPredictor for Ittage {
         // candidate victim is still protected).
         if !correct {
             let from = provider.map_or(0, |(t, _)| t + 1);
+            let slots = &slots[..self.tables.len()];
             let mut allocated = false;
-            for t in from..self.tables.len() {
-                let idx = self.tables[t].index(pc, self.ghr);
-                let tag = self.tables[t].tag(pc, self.ghr);
+            for (t, &(idx, tag)) in slots.iter().enumerate().skip(from) {
                 let e = &mut self.tables[t].entries[idx];
                 if !e.valid || e.useful == 0 {
                     *e = TaggedEntry {
@@ -240,8 +249,7 @@ impl TargetPredictor for Ittage {
                 }
             }
             if !allocated {
-                for t in from..self.tables.len() {
-                    let idx = self.tables[t].index(pc, self.ghr);
+                for (t, &(idx, _)) in slots.iter().enumerate().skip(from) {
                     let e = &mut self.tables[t].entries[idx];
                     e.useful = e.useful.saturating_sub(1);
                 }

@@ -42,7 +42,7 @@ impl NativeRun {
         NativeRun {
             checksum,
             total_cycles: model.total_cycles(),
-            instructions: model.stats().instructions,
+            instructions: model.instructions(),
             indirect_jumps: census.indirect_jumps,
             indirect_calls: census.indirect_calls,
             returns: census.returns,
@@ -95,16 +95,36 @@ pub fn run_native_with_model(
     fuel: u64,
     tier: ExecTier,
 ) -> Result<NativeRun, SdtError> {
-    let mut obs = Chain::new(model, BranchCensus::default());
+    let mut runs = run_native_models(program, vec![model], fuel, tier)?;
+    Ok(runs.remove(0))
+}
+
+/// Runs `program` natively once, priced under every model of `models`:
+/// one [`NativeRun`] per model, in order, each equal to what
+/// [`run_native_with_model`] reports for that model alone.
+///
+/// # Errors
+///
+/// Same contract as [`run_native`].
+///
+/// # Panics
+///
+/// Panics if `models` is empty.
+pub fn run_native_models(
+    program: &Program,
+    models: Vec<ArchModel>,
+    fuel: u64,
+    tier: ExecTier,
+) -> Result<Vec<NativeRun>, SdtError> {
+    let mut obs = Chain::new(models, BranchCensus::default());
     let (checksum, machine) = run_to_halt(program, tier, fuel, &mut obs, |o| {
-        o.first().stats().instructions
+        o.first()[0].instructions()
     })?;
-    Ok(NativeRun::new(
-        checksum,
-        obs.first(),
-        obs.second(),
-        &machine,
-    ))
+    let (models, census) = obs.into_inner();
+    Ok(models
+        .iter()
+        .map(|model| NativeRun::new(checksum, model, &census, &machine))
+        .collect())
 }
 
 #[cfg(test)]

@@ -89,7 +89,7 @@ pub use config::{
 };
 pub use error::SdtError;
 pub use fragment::FragKind;
-pub use harness::{run_native, run_native_with_model, NativeRun};
+pub use harness::{run_native, run_native_models, run_native_with_model, NativeRun};
 pub use inspect::CacheLine;
 pub use meta::{
     AdaptiveSiteMeta, AdaptiveStageMeta, BindMeta, CacheMeta, ExitSiteMeta, FragmentMeta,

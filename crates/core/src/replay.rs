@@ -21,10 +21,9 @@
 //!
 //! A replay is handed the [`ArchModel`] it is priced under, as an exact
 //! [`Sdt::run`] is. Translator work is charged to it, and its own
-//! indirect-target predictor and return-address stack predict every
-//! replayed dispatch — through the methods [`ArchModel::cost_of`] uses
-//! on the exact retire stream, keyed by dispatch-site shape (see
-//! [`Key`]).
+//! indirect-target predictor and return-address stack — the ones
+//! [`ArchModel::simulate`] steps on the exact retire stream — predict
+//! every replayed dispatch, keyed by dispatch-site shape (see [`Key`]).
 
 use std::collections::HashSet;
 

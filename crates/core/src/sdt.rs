@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use strata_arch::ArchModel;
+use strata_arch::{ArchModel, Counts, BUCKETS};
 use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
 use strata_machine::{
     layout, ExecutionObserver, Machine, MachineError, Program, RetireEvent, StepOutcome,
@@ -302,10 +302,29 @@ impl Sdt {
     /// execution with `model` — the one model the run is priced under;
     /// an [`ArchProfile`](strata_arch::ArchProfile) means its
     /// legacy-predictor model, `ArchModel::with_predictor_spec` any other.
+    /// [`Sdt::run_models`] with one model.
     ///
     /// `fuel` bounds retired guest instructions (application plus all
     /// translation overhead). A second call continues with a warm fragment
     /// cache; the returned checksum is cumulative across runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sdt::run_models`].
+    pub fn run(&mut self, model: impl Into<ArchModel>, fuel: u64) -> Result<RunReport, SdtError> {
+        let mut reports = self.run_models(vec![model.into()], fuel)?;
+        Ok(reports.remove(0))
+    }
+
+    /// Executes the program under translation until `halt` once, priced
+    /// under every model of `models`: one [`RunReport`] per model, in
+    /// order, each equal to what [`Sdt::run`] reports for that model
+    /// alone. Translation does not depend on the model, so only the
+    /// pricing differs: each retired instruction is counted once, by
+    /// origin, for all models ([`Counts`]), and steps each model's caches
+    /// and predictors; translator work is charged to each model. A
+    /// report's cycle and miss totals are its model's, so a model handed
+    /// in cold prices exactly this run.
     ///
     /// Translated code runs through the fused [`Machine::run`] loop, like
     /// a native run: a *segment* lasts until a `trap` (translator miss or
@@ -330,45 +349,67 @@ impl Sdt {
     /// It therefore wins over a later fault, over fuel exhaustion and over
     /// the trap that ended the segment: no syscall is folded into the
     /// checksum and nothing is translated after the store.
-    pub fn run(&mut self, model: impl Into<ArchModel>, fuel: u64) -> Result<RunReport, SdtError> {
-        let mut model = model.into();
-        let mut buckets = Buckets::default();
-        let mut translator_cycles = 0u64;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `models` is empty.
+    pub fn run_models(
+        &mut self,
+        mut models: Vec<ArchModel>,
+        fuel: u64,
+    ) -> Result<Vec<RunReport>, SdtError> {
+        assert!(
+            !models.is_empty(),
+            "a run is priced under at least one model"
+        );
+        let mut counts = Counts::default();
+        let mut marks = Marks::default();
+        let charge = |models: &mut [ArchModel], instrs: u64, lookups: u64| {
+            for model in models {
+                model.charge_translator(instrs, lookups);
+            }
+        };
 
         let before = self.state.stats.translated_app_instrs;
         let frag = self
             .state
             .ensure_fragment_flushing(self.machine.mem_mut(), self.entry, FragKind::Body)?
             .0;
-        translator_cycles +=
-            model.charge_translator(self.state.stats.translated_app_instrs - before, 1);
+        charge(
+            &mut models,
+            self.state.stats.translated_app_instrs - before,
+            1,
+        );
         self.machine.cpu_mut().pc = frag.entry;
 
         loop {
-            let used: u64 = buckets.instrs.iter().sum();
+            let budget = fuel.saturating_sub(counts.retired());
+            let (first, rest) = models.split_at_mut(1);
             let result = self.machine.run(
                 &mut Attributing {
-                    model: &mut model,
+                    counts: &mut counts,
+                    first: &mut first[0],
+                    rest,
                     cache: &self.state.cache,
-                    buckets: &mut buckets,
+                    marks: &mut marks,
                     app_code: self.app_code.clone(),
                 },
-                fuel.saturating_sub(used),
+                budget,
             );
             // Before `result` is looked at: a store into application code
             // outranks whatever ended the segment after it.
-            if let Some((pc, addr)) = buckets.smc {
+            if let Some((pc, addr)) = marks.smc {
                 return Err(SdtError::SelfModifyingCode { pc, addr });
             }
             match result {
                 Ok(StepOutcome::Halted) => break,
                 Ok(StepOutcome::Trap(TRAP_MISS)) => {
                     let w = self.state.handle_trap_miss(&mut self.machine)?;
-                    translator_cycles += model.charge_translator(w.new_instrs, w.lookups);
+                    charge(&mut models, w.new_instrs, w.lookups);
                 }
                 Ok(StepOutcome::Trap(TRAP_RC_MISS)) => {
                     let w = self.state.handle_trap_rc_miss(&mut self.machine)?;
-                    translator_cycles += model.charge_translator(w.new_instrs, w.lookups);
+                    charge(&mut models, w.new_instrs, w.lookups);
                 }
                 Ok(StepOutcome::Trap(code)) if code >= SDT_TRAP_BASE => {
                     unreachable!("translator never emits unknown SDT traps ({code:#x})")
@@ -399,68 +440,77 @@ impl Sdt {
             ClassReport {
                 class: BranchClass::Jump.label(),
                 mechanism: jump_bind.strategy.describe(),
-                dispatches: buckets.jump_dispatches,
+                dispatches: marks.jump_dispatches,
                 misses: jump_bind.misses,
                 promotions: promotions(jump_bind),
             },
             ClassReport {
                 class: BranchClass::Call.label(),
                 mechanism: call_bind.strategy.describe(),
-                dispatches: buckets.call_dispatches,
+                dispatches: marks.call_dispatches,
                 misses: call_bind.misses,
                 promotions: promotions(call_bind),
             },
             ClassReport {
                 class: BranchClass::Ret.label(),
                 mechanism: st.ret_strat.describe(),
-                dispatches: buckets.ret_dispatches,
+                dispatches: marks.ret_dispatches,
                 misses: s.rc_misses,
                 promotions: 0,
             },
         ];
-        Ok(RunReport {
-            config: st.cfg.describe(),
-            arch: model.profile().name,
-            halted: true,
-            checksum: self.syscalls.checksum(),
-            instructions: buckets.instrs.iter().sum(),
-            total_cycles: model.total_cycles(),
-            cycles_by_origin: buckets.cycles,
-            instrs_by_origin: buckets.instrs,
-            translator_cycles,
-            mech: MechanismStats {
-                ib_dispatches: buckets.jump_dispatches + buckets.call_dispatches,
-                jump_dispatches: buckets.jump_dispatches,
-                call_dispatches: buckets.call_dispatches,
-                ib_misses: s.ib_misses,
-                ret_dispatches: buckets.ret_dispatches,
-                rc_misses: s.rc_misses,
-                exit_misses: s.exit_misses,
-                exit_links: s.exit_links,
-                translator_entries: s.translator_entries,
-                fragments: s.fragments,
-                translated_app_instrs: s.translated_app_instrs,
-                cache_used_bytes: st.cache.used_bytes() as u64,
-                cache_flushes: s.cache_flushes,
-                elided_jumps: s.elided_jumps,
-                adaptive_promotions: st.binds.iter().map(promotions).sum(),
-                sieve_mean_chain,
-                sieve_max_chain,
-            },
-            per_class,
-            icache_misses: model.icache().misses(),
-            dcache_misses: model.dcache().misses(),
-            indirect_mispredicts: model.indirect_mispredicts(),
-            cond_mispredicts: model.cond_mispredicts(),
-        })
+        let mech = MechanismStats {
+            ib_dispatches: marks.jump_dispatches + marks.call_dispatches,
+            jump_dispatches: marks.jump_dispatches,
+            call_dispatches: marks.call_dispatches,
+            ib_misses: s.ib_misses,
+            ret_dispatches: marks.ret_dispatches,
+            rc_misses: s.rc_misses,
+            exit_misses: s.exit_misses,
+            exit_links: s.exit_links,
+            translator_entries: s.translator_entries,
+            fragments: s.fragments,
+            translated_app_instrs: s.translated_app_instrs,
+            cache_used_bytes: st.cache.used_bytes() as u64,
+            cache_flushes: s.cache_flushes,
+            elided_jumps: s.elided_jumps,
+            adaptive_promotions: st.binds.iter().map(promotions).sum(),
+            sieve_mean_chain,
+            sieve_max_chain,
+        };
+        let (config, checksum) = (st.cfg.describe(), self.syscalls.checksum());
+        Ok(models
+            .iter_mut()
+            .map(|model| {
+                model.absorb(&counts);
+                RunReport {
+                    config: config.clone(),
+                    arch: model.profile().name,
+                    halted: true,
+                    checksum,
+                    instructions: counts.retired(),
+                    total_cycles: model.total_cycles(),
+                    cycles_by_origin: model.cycles_by_bucket(),
+                    instrs_by_origin: counts.by_bucket(),
+                    translator_cycles: model.translator_cycles(),
+                    mech,
+                    per_class: per_class.clone(),
+                    icache_misses: model.icache().misses(),
+                    dcache_misses: model.dcache().misses(),
+                    indirect_mispredicts: model.indirect_mispredicts(),
+                    cond_mispredicts: model.cond_mispredicts(),
+                }
+            })
+            .collect())
     }
 }
 
-/// Per-run accumulation split by instruction origin.
+// Origins are the cost model's attribution buckets.
+const _: () = assert!(Origin::ALL.len() == BUCKETS);
+
+/// Per-run dispatch marks and the self-modifying-code watch.
 #[derive(Debug, Default)]
-struct Buckets {
-    cycles: [u64; 6],
-    instrs: [u64; 6],
+struct Marks {
     jump_dispatches: u64,
     call_dispatches: u64,
     ret_dispatches: u64,
@@ -470,36 +520,43 @@ struct Buckets {
 }
 
 /// The observer wired into the machine while running under translation:
-/// costs each retired instruction with the architecture model and buckets
-/// the cycles by the emitting code's [`Origin`].
+/// counts each retired instruction once under the emitting code's
+/// [`Origin`], and steps every model's caches and predictors on it.
 struct Attributing<'a> {
-    model: &'a mut ArchModel,
+    counts: &'a mut Counts,
+    /// The models, as the first and the rest: a run has at least one, and
+    /// stepping it outside the loop keeps the common one-model run from
+    /// paying for a loop on every retired instruction.
+    first: &'a mut ArchModel,
+    rest: &'a mut [ArchModel],
     cache: &'a Cache,
-    buckets: &'a mut Buckets,
+    marks: &'a mut Marks,
     app_code: std::ops::Range<u32>,
 }
 
 impl ExecutionObserver for Attributing<'_> {
     #[inline(always)]
     fn on_retire(&mut self, ev: &RetireEvent) {
-        let cycles = self.model.cost_of(ev);
         let (origin, mark) = self
             .cache
             .tags_at(ev.pc)
             .unwrap_or((Origin::App, Mark::None));
-        let i = origin.index();
-        self.buckets.cycles[i] += cycles;
-        self.buckets.instrs[i] += 1;
+        let bucket = origin.index();
+        self.counts.count(bucket, ev);
+        self.first.simulate(bucket, ev);
+        for model in self.rest.iter_mut() {
+            model.simulate(bucket, ev);
+        }
         match mark {
             Mark::None => {}
-            Mark::JumpEntry => self.buckets.jump_dispatches += 1,
-            Mark::CallEntry => self.buckets.call_dispatches += 1,
-            Mark::RetEntry => self.buckets.ret_dispatches += 1,
+            Mark::JumpEntry => self.marks.jump_dispatches += 1,
+            Mark::CallEntry => self.marks.call_dispatches += 1,
+            Mark::RetEntry => self.marks.ret_dispatches += 1,
         }
-        if self.buckets.smc.is_none() {
+        if self.marks.smc.is_none() {
             if let Some(mem) = ev.mem {
                 if mem.is_store && self.app_code.contains(&mem.addr) {
-                    self.buckets.smc = Some((ev.pc, mem.addr));
+                    self.marks.smc = Some((ev.pc, mem.addr));
                 }
             }
         }

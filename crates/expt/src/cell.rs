@@ -77,14 +77,31 @@ impl CellKey {
     /// `SdtConfig::describe()` covers every configuration field, so two
     /// distinct configurations always render distinct strings.
     pub fn key_string(&self) -> String {
-        let kind = match &self.kind {
-            RunKind::Native => "native".to_string(),
-            RunKind::Translated(cfg) => format!("sdt:{}", cfg.describe()),
-        };
         format!(
             "{}|{}|{}|s{}v{}",
-            self.workload, kind, self.profile.name, self.params.scale, self.params.variant
+            self.workload,
+            self.kind_label(),
+            self.profile.name,
+            self.params.scale,
+            self.params.variant
         )
+    }
+
+    /// The key of this cell's execution: the key string without the
+    /// profile. Cells that differ only in profile run the same guest
+    /// instructions through the same translator, so one execution priced
+    /// under each profile serves them all.
+    pub(crate) fn execution_key(&self) -> String {
+        let (workload, kind) = (self.workload, self.kind_label());
+        let (scale, variant) = (self.params.scale, self.params.variant);
+        format!("{workload}|{kind}|s{scale}v{variant}")
+    }
+
+    fn kind_label(&self) -> String {
+        match &self.kind {
+            RunKind::Native => "native".to_string(),
+            RunKind::Translated(cfg) => format!("sdt:{}", cfg.describe()),
+        }
     }
 
     /// File name for the on-disk cell cache (hash of the key string).

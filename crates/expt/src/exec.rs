@@ -8,13 +8,17 @@
 //! (natives first, each kind in manifest order), and [`program_for`] is
 //! where every cell's `Program` comes from. [`execute`] here, the fleet
 //! coordinator and the fleet worker consume that one plan and differ only
-//! in who pulls the next cell: `execute` lets a `--jobs N` pool of scoped
-//! threads claim indices off a shared atomic counter.
+//! in who pulls the next unit: `execute` lets a `--jobs N` pool of scoped
+//! threads claim execution groups off a shared atomic counter.
 //!
-//! Execution runs in two phases — the order's native prefix, then its
-//! translated rest — so that every translated cell can verify its
-//! checksum against an already-memoized native result without ever racing
-//! another thread to compute the same baseline.
+//! An execution group ([`execution_groups`]) is the cells that differ
+//! only in profile: one execution serves them all, priced under each
+//! cell's model, and each result lands under its own key.
+//!
+//! Execution runs in two phases — the native groups, then the translated
+//! rest — so that every translated cell can verify its checksum against
+//! an already-memoized native result without ever racing another thread
+//! to compute the same baseline.
 //!
 //! Parallelism and scheduling order only change *when* results land in
 //! the [`Store`]; the results themselves are deterministic functions of
@@ -22,10 +26,12 @@
 //! output is bit-identical for every `--jobs` value.
 
 use std::collections::{HashMap, HashSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use strata_core::{run_native_with_model, Sdt};
+use strata_arch::ArchModel;
+use strata_core::{run_native_models, Sdt};
 use strata_machine::{ExecTier, Program};
 use strata_workloads::{by_name, Params, SAMPLED_ONLY_SCALE};
 
@@ -62,6 +68,10 @@ pub fn exec_tier() -> ExecTier {
 /// fetches it only once it knows it has to run something: a store hit
 /// never builds.
 ///
+/// The build runs outside the cache's lock, so one worker's build never
+/// holds up another's lookup. Two workers may race to build the same
+/// program; programs are deterministic, and the first one inserted wins.
+///
 /// # Errors
 ///
 /// Returns a message for a workload the registry does not know.
@@ -69,51 +79,118 @@ pub fn program_for(workload: &str, params: Params) -> Result<Arc<Program>, Strin
     type ProgramKey = (String, u32, u64);
     static CACHE: OnceLock<Mutex<HashMap<ProgramKey, Arc<Program>>>> = OnceLock::new();
     let spec = by_name(workload).ok_or_else(|| format!("unknown workload `{workload}`"))?;
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("program cache lock");
-    Ok(Arc::clone(
-        cache
-            .entry((workload.to_string(), params.scale, params.variant))
-            .or_insert_with(|| Arc::new((spec.build)(&params))),
-    ))
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    let key = (workload.to_string(), params.scale, params.variant);
+    if let Some(program) = cache.lock().expect("program cache lock").get(&key) {
+        return Ok(Arc::clone(program));
+    }
+    let built = Arc::new((spec.build)(&params));
+    let mut cache = cache.lock().expect("program cache lock");
+    Ok(Arc::clone(cache.entry(key).or_insert(built)))
 }
 
-/// Computes (or recalls) the result of one cell — the one producer of
-/// results, in both modes. Exact translated cells verify their checksum
-/// against the memoized native baseline, looked up first.
+/// Computes (or recalls) the result of one cell: `cell_results` for a
+/// group of one, the way the views and the fleet worker ask.
+pub fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
+    cell_results(store, std::slice::from_ref(key)).remove(0)
+}
+
+/// Computes (or recalls) the results of an execution group — cells that
+/// differ only in profile (see [`execution_groups`]) — the one producer
+/// of results, in both modes and for groups of any size. Exact
+/// translated cells verify their checksum against their memoized native
+/// baselines, looked up first.
 ///
-/// How the cell is produced is the store's [`RunContext`]: in sampled
+/// How the cells are produced is the store's [`RunContext`]: in sampled
 /// mode natives are served from the trace header's per-profile baselines
-/// and translated cells are estimated (see [`crate::sampled`]); exact
-/// runs are priced under the context's predictor. A step that fails makes
-/// the cell a [`CellResult::Failed`] naming its [`Stage`] — including an
-/// exact run at a scale only sampled mode runs, which
+/// and translated cells are estimated one by one (see [`crate::sampled`]);
+/// an exact group executes once, priced under each missing cell's model
+/// (the context's predictor over the cell's profile). A step that fails
+/// makes a cell a [`CellResult::Failed`] naming its [`Stage`] — a failed
+/// execution fails every cell it was priced for — including an exact run
+/// at a scale only sampled mode runs, which
 /// [`SuiteOptions::manifest`](crate::SuiteOptions::manifest) already
 /// refuses before any cell starts.
-pub fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
+fn cell_results(store: &Store, group: &[CellKey]) -> Vec<Arc<CellResult>> {
+    debug_assert!(group
+        .iter()
+        .all(|key| key.execution_key() == group[0].execution_key()));
     let ctx = store.context();
-    let exact_translated = ctx.traces_dir().is_none() && key.kind != RunKind::Native;
-    let native = exact_translated.then(|| cell_result(store, &key.native_counterpart()));
-    store.get_or_compute(key, || {
-        compute(ctx, key, native.as_deref())
-            .unwrap_or_else(|(stage, error)| CellResult::Failed { stage, error })
+    let exact = ctx.traces_dir().is_none();
+    let natives: Vec<Option<Arc<CellResult>>> = group
+        .iter()
+        .map(|key| {
+            (exact && key.kind != RunKind::Native)
+                .then(|| cell_result(store, &key.native_counterpart()))
+        })
+        .collect();
+    store.get_or_compute(group, |missing| {
+        let keys: Vec<&CellKey> = missing.iter().map(|&i| &group[i]).collect();
+        let natives: Vec<Option<&CellResult>> =
+            missing.iter().map(|&i| natives[i].as_deref()).collect();
+        compute(ctx, &keys, &natives)
     })
 }
 
-/// [`cell_result`] on a store miss; `native` is an exact translated
-/// cell's baseline.
+/// [`cell_results`] on a store miss: the results of `keys`, one
+/// execution group's missing cells; `natives` are exact translated
+/// cells' baselines.
 fn compute(
     ctx: &RunContext,
-    key: &CellKey,
-    native: Option<&CellResult>,
-) -> Result<CellResult, (Stage, String)> {
+    keys: &[&CellKey],
+    natives: &[Option<&CellResult>],
+) -> Vec<CellResult> {
+    let failed = |(stage, error)| CellResult::Failed { stage, error };
+    if let Some(dir) = ctx.traces_dir() {
+        let estimate = |key: &&CellKey| estimate(ctx, dir, key).unwrap_or_else(failed);
+        return keys.iter().map(estimate).collect();
+    }
+    let head = keys[0];
+    if head.params.scale >= SAMPLED_ONLY_SCALE {
+        return keys
+            .iter()
+            .map(|key| failed((Stage::Scale, sampled_only(key))))
+            .collect();
+    }
+    // A cell over a failed baseline fails at it; the rest share one run.
+    let mut results: Vec<Option<CellResult>> = natives
+        .iter()
+        .map(|native| {
+            let (stage, error) = native.and_then(CellResult::as_failed)?;
+            let why = format!("baseline failed at {stage}: {error}");
+            Some(failed(at(Stage::Native)(why)))
+        })
+        .collect();
+    let runnable: Vec<usize> = (0..keys.len()).filter(|&i| results[i].is_none()).collect();
+    if runnable.is_empty() {
+        return results.into_iter().flatten().collect();
+    }
+    let models = runnable.iter().map(|&i| ctx.model(keys[i].profile.clone()));
+    let checksums = runnable.iter().map(|&i| {
+        let native = natives[i].and_then(CellResult::as_native);
+        native.map(|n| n.checksum)
+    });
+    match run_exact(head, models.collect(), checksums) {
+        Ok(ran) => {
+            for (i, result) in runnable.into_iter().zip(ran) {
+                results[i] = Some(result);
+            }
+        }
+        Err(why) => {
+            for i in runnable {
+                results[i] = Some(failed(why.clone()));
+            }
+        }
+    }
+    results.into_iter().flatten().collect()
+}
+
+/// A sampled-mode cell: a native served from its trace header, a
+/// translated cell estimated from the trace.
+fn estimate(ctx: &RunContext, dir: &Path, key: &CellKey) -> Result<CellResult, (Stage, String)> {
     let (workload, params, arch) = (key.workload, key.params, key.profile.name);
-    let model = || ctx.model(key.profile.clone());
-    let failed_native = native.and_then(CellResult::as_failed);
-    match (&key.kind, ctx.traces_dir(), failed_native) {
-        (RunKind::Native, Some(dir), _) => {
+    match &key.kind {
+        RunKind::Native => {
             let bundle = ensure_bundle(dir, workload, params).map_err(at(Stage::Estimate))?;
             let lacks =
                 || at(Stage::Estimate)(format!("{workload}'s trace lacks a {arch} baseline"));
@@ -121,28 +198,47 @@ fn compute(
                 bundle.header.native_for(arch).ok_or_else(lacks)?.clone(),
             ))
         }
-        (RunKind::Translated(cfg), Some(dir), _) => {
-            let cell = estimate_cell(dir, workload, params, *cfg, model());
+        RunKind::Translated(cfg) => {
+            let model = ctx.model(key.profile.clone());
+            let cell = estimate_cell(dir, workload, params, *cfg, model);
             let report = cell.map_err(at(Stage::Estimate))?.report;
             Ok(CellResult::Translated(Box::new(report)))
         }
-        _ if params.scale >= SAMPLED_ONLY_SCALE => Err((Stage::Scale, sampled_only(key))),
-        (_, _, Some((stage, error))) => Err(at(Stage::Native)(format!(
-            "baseline failed at {stage}: {error}"
-        ))),
-        (RunKind::Native, None, _) => {
-            let program = program_for(workload, params).map_err(at(Stage::Build))?;
-            let run = run_native_with_model(&program, model(), FUEL, exec_tier());
-            Ok(CellResult::Native(run.map_err(at(Stage::Native))?))
+    }
+}
+
+/// One exact execution of `head`'s workload and kind, priced under
+/// `models`: a result per model, in order. A translated run checks each
+/// report against its native baseline's checksum (`checksums`, one per
+/// model).
+fn run_exact(
+    head: &CellKey,
+    models: Vec<ArchModel>,
+    checksums: impl Iterator<Item = Option<u32>>,
+) -> Result<Vec<CellResult>, (Stage, String)> {
+    let program = program_for(head.workload, head.params).map_err(at(Stage::Build))?;
+    match &head.kind {
+        RunKind::Native => {
+            let runs = run_native_models(&program, models, FUEL, exec_tier());
+            Ok(runs
+                .map_err(at(Stage::Native))?
+                .into_iter()
+                .map(CellResult::Native)
+                .collect())
         }
-        (RunKind::Translated(cfg), None, _) => {
-            let program = program_for(workload, params).map_err(at(Stage::Build))?;
+        RunKind::Translated(cfg) => {
             let mut sdt = Sdt::new(*cfg, &program).map_err(at(Stage::Translate))?;
-            let report = sdt.run(model(), FUEL).map_err(at(Stage::Run))?;
-            if native.and_then(CellResult::as_native).map(|n| n.checksum) != Some(report.checksum) {
-                return Err(at(Stage::Checksum)("translated run diverged from native"));
-            }
-            Ok(CellResult::Translated(Box::new(report)))
+            let reports = sdt.run_models(models, FUEL).map_err(at(Stage::Run))?;
+            reports
+                .into_iter()
+                .zip(checksums)
+                .map(|(report, native)| {
+                    if native != Some(report.checksum) {
+                        return Err(at(Stage::Checksum)("translated run diverged from native"));
+                    }
+                    Ok(CellResult::Translated(Box::new(report)))
+                })
+                .collect()
         }
     }
 }
@@ -190,26 +286,45 @@ pub fn dispatch_order(cells: &[CellKey]) -> Vec<usize> {
     [natives, translated].concat()
 }
 
+/// The execution groups of `cells`: the cells sharing workload, kind and
+/// params (their [`CellKey::execution_key`]) — under one store, the
+/// context too — and so one execution, which prices each cell under its
+/// own profile. Groups are listed in the [`dispatch_order`] of their first
+/// cell, natives first, and keep that order inside.
+pub(crate) fn execution_groups(cells: &[CellKey]) -> Vec<Vec<CellKey>> {
+    let mut slot_of = HashMap::new();
+    let mut groups: Vec<Vec<CellKey>> = Vec::new();
+    for i in dispatch_order(cells) {
+        let slot = *slot_of.entry(cells[i].execution_key()).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[slot].push(cells[i].clone());
+    }
+    groups
+}
+
 /// Executes `cells` (deduped) on `jobs` worker threads, populating `store`.
 ///
 /// Every translated cell's native counterpart is scheduled too, so after
 /// this returns the store can answer any slowdown query the cells imply.
+/// The unit of work is an execution group (`execution_groups`): one
+/// execution per group, priced under each of its cells' profiles.
 pub fn execute(store: &Store, cells: &[CellKey], jobs: usize) {
-    let cells = with_implied_natives(cells.iter().cloned());
-    let order = dispatch_order(&cells);
-    let natives = order.partition_point(|&i| cells[i].kind == RunKind::Native);
-    for phase in [&order[..natives], &order[natives..]] {
-        run_phase(store, &cells, phase, jobs.max(1));
+    let groups = execution_groups(&with_implied_natives(cells.iter().cloned()));
+    let natives = groups.partition_point(|group| group[0].kind == RunKind::Native);
+    for phase in [&groups[..natives], &groups[natives..]] {
+        run_phase(store, phase, jobs.max(1));
     }
 }
 
-fn run_phase(store: &Store, cells: &[CellKey], phase: &[usize], jobs: usize) {
+fn run_phase(store: &Store, groups: &[Vec<CellKey>], jobs: usize) {
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(phase.len()) {
+        for _ in 0..jobs.min(groups.len()) {
             scope.spawn(|| {
-                while let Some(&i) = phase.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    cell_result(store, &cells[i]);
+                while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    cell_results(store, group);
                 }
             });
         }
@@ -252,6 +367,47 @@ mod tests {
         assert_eq!(dispatch_order(&set), [1, 3, 0, 2]);
         assert_eq!(dispatch_order(&set[..1]), [0]);
         assert!(dispatch_order(&[]).is_empty());
+    }
+
+    /// Grouping only shares executions: the cells that differ only in
+    /// profile form one group, groups go out natives first in the order
+    /// of their first cell, and the store `execute` leaves holds exactly
+    /// what computing every cell on its own does, counters included.
+    #[test]
+    fn grouped_execution_equals_per_cell_computation() {
+        let p = Params::default();
+        let mut cells = Vec::new();
+        for workload in ["mcf", "gzip"] {
+            for cfg in [SdtConfig::ibtc_inline(512), SdtConfig::reentry()] {
+                for profile in ArchProfile::all() {
+                    cells.push(CellKey::translated(workload, cfg, profile, p));
+                }
+            }
+        }
+        let planned = with_implied_natives(cells.clone());
+        let groups = execution_groups(&planned);
+        let heads: Vec<String> = groups.iter().map(|g| g[0].key_string()).collect();
+        let order = dispatch_order(&planned);
+        let mut firsts: Vec<String> = order.iter().map(|&i| planned[i].key_string()).collect();
+        firsts.retain(|key| heads.contains(key));
+        assert_eq!(heads, firsts, "groups in the order of their first cell");
+        assert_eq!(
+            groups.len(),
+            6,
+            "a native and two configurations per workload"
+        );
+        assert!(groups.iter().all(|g| g.len() == 3), "one cell per profile");
+
+        let alone = Store::in_memory();
+        for i in order {
+            cell_result(&alone, &planned[i]);
+        }
+        for jobs in [1, 2] {
+            let grouped = Store::in_memory();
+            execute(&grouped, &cells, jobs);
+            assert_eq!(grouped.snapshot(), alone.snapshot(), "--jobs {jobs}");
+            assert_eq!(grouped.stats(), alone.stats(), "--jobs {jobs}");
+        }
     }
 
     #[test]

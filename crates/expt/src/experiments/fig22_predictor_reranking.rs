@@ -15,9 +15,10 @@
 //! between predictor models — the paper's claim is that this count is
 //! nonzero, i.e. no mechanism ranking is predictor-independent.
 //!
-//! Each (mechanism, predictor) cell is handed the model
-//! [`RunContext::model`] builds for that predictor: in exact mode it
-//! prices a full [`Sdt::run`], under `--sampled` a SimPoint estimate via
+//! Each (mechanism, predictor) cell is priced under the model
+//! [`RunContext::model`] builds for that predictor: in exact mode one
+//! [`Sdt::run_models`] per mechanism prices its execution under all five
+//! models at once, under `--sampled` each cell is a SimPoint estimate via
 //! [`estimate_cell`]. Both are deterministic functions of the workload
 //! (and, in sampled mode, its recorded trace), so the render is
 //! byte-stable. Like fig21,
@@ -26,7 +27,7 @@
 //! untouched.
 
 use strata_arch::{ArchProfile, PredictorSpec};
-use strata_core::{ClassPolicy, Sdt, SdtConfig};
+use strata_core::{ClassPolicy, RunReport, Sdt, SdtConfig};
 use strata_stats::Table;
 
 use super::{fx, Output};
@@ -77,21 +78,29 @@ pub fn cells(params: strata_workloads::Params) -> Vec<CellKey> {
     vec![CellKey::native(WORKLOAD, ArchProfile::x86_like(), params)]
 }
 
-/// Total cycles for one (mechanism, predictor) cell, exact or sampled,
-/// with the run's indirect-mispredict count.
-fn cell_cycles(view: &View, cfg: SdtConfig, spec: PredictorSpec) -> Result<(u64, u64), String> {
-    let ctx = RunContext {
-        predictor: spec,
-        ..view.context().clone()
-    };
-    let model = ctx.model(ArchProfile::x86_like());
-    let report = match ctx.traces_dir() {
-        Some(dir) => estimate_cell(dir, WORKLOAD, view.params(), cfg, model)?.report,
+/// Total cycles and indirect-mispredict count of one mechanism under
+/// every predictor, in [`predictors`] order. Exact mode runs the
+/// mechanism once, priced under all five models; sampled mode estimates
+/// each (mechanism, predictor) cell from the trace.
+fn mechanism_cycles(view: &View, cfg: SdtConfig) -> Result<Vec<(u64, u64)>, String> {
+    let models = predictors().map(|predictor| {
+        let ctx = RunContext {
+            predictor,
+            ..view.context().clone()
+        };
+        ctx.model(ArchProfile::x86_like())
+    });
+    let reports = match view.context().traces_dir() {
+        Some(dir) => models
+            .into_iter()
+            .map(|model| Ok(estimate_cell(dir, WORKLOAD, view.params(), cfg, model)?.report))
+            .collect::<Result<Vec<_>, String>>()?,
         None => Sdt::new(cfg, &*program_for(WORKLOAD, view.params())?)
-            .and_then(|mut s| s.run(model, FUEL))
+            .and_then(|mut s| s.run_models(models.into(), FUEL))
             .map_err(|e| format!("{}: {e}", cfg.describe()))?,
     };
-    Ok((report.total_cycles, report.indirect_mispredicts))
+    let cycles = |r: RunReport| (r.total_cycles, r.indirect_mispredicts);
+    Ok(reports.into_iter().map(cycles).collect())
 }
 
 /// Renders Figure 22, or why one of its runs failed.
@@ -111,12 +120,13 @@ pub fn render(view: &View) -> Result<Output, String> {
 
     // rankings[p] = mechanism indices sorted best (fewest cycles) first
     // under predictor p; ties break on mechanism order for stability.
+    let grid: Vec<Vec<(u64, u64)>> = mechanisms()
+        .iter()
+        .map(|&(_, cfg)| mechanism_cycles(view, cfg))
+        .collect::<Result<_, _>>()?;
     let mut rankings: Vec<(String, Vec<usize>)> = Vec::new();
-    for spec in predictors() {
-        let cells: Vec<(u64, u64)> = mechanisms()
-            .iter()
-            .map(|&(_, cfg)| cell_cycles(view, cfg, spec))
-            .collect::<Result<_, _>>()?;
+    for (p, spec) in predictors().into_iter().enumerate() {
+        let cells: Vec<(u64, u64)> = grid.iter().map(|row| row[p]).collect();
         let mut order: Vec<usize> = (0..cells.len()).collect();
         order.sort_by_key(|&m| (cells[m].0, m));
         let rank_of = |m: usize| order.iter().position(|&o| o == m).unwrap() + 1;

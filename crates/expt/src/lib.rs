@@ -14,6 +14,9 @@
 //!   is simulated exactly once per suite run however many experiments
 //!   request it. An optional on-disk cache (`results/cache/`) makes
 //!   re-runs resumable.
+//! * **Shared executions** — cells that differ only in profile run the
+//!   guest once, priced under each profile's cost model, and each result
+//!   is stored under its own key.
 //! * **Determinism** — simulations are pure; parallelism only changes
 //!   when results land in the store. Rendering is serial and ordered, so
 //!   `--jobs N` output is byte-identical to `--jobs 1` (a test asserts

@@ -143,8 +143,13 @@ impl Store {
         failed.collect()
     }
 
-    /// Returns the result for `key`, computing it with `compute` on a
-    /// miss (after consulting the disk cache, when configured).
+    /// Returns the results for `keys`, in order, computing the missing
+    /// ones with one call to `compute` (after consulting the disk cache,
+    /// when configured). `compute` is handed the indices into `keys` of
+    /// the cells neither memoized nor on disk and returns their results
+    /// in that order — a group of cells that share an execution computes
+    /// them together. Each key counts as one memo hit, one disk hit or
+    /// one computed cell, whatever the size of its group.
     ///
     /// The lock is not held while computing, so independent cells proceed
     /// in parallel. The orchestrator dedupes its work list by key, so two
@@ -152,20 +157,29 @@ impl Store {
     /// (both may race past the initial lookup), the first inserted result
     /// wins and the duplicate — identical, since simulation is pure — is
     /// discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compute` returns a different number of results than it
+    /// was handed indices.
     pub fn get_or_compute(
         &self,
-        key: &CellKey,
-        compute: impl FnOnce() -> CellResult,
-    ) -> Arc<CellResult> {
-        let ks = self.eff_key(key);
-        if let Some(hit) = self.memoized(&ks) {
-            return hit;
+        keys: &[CellKey],
+        compute: impl FnOnce(&[usize]) -> Vec<CellResult>,
+    ) -> Vec<Arc<CellResult>> {
+        let mut held: Vec<Option<Arc<CellResult>>> =
+            keys.iter().map(|key| self.cached(key)).collect();
+        let missing: Vec<usize> = (0..keys.len()).filter(|&i| held[i].is_none()).collect();
+        if !missing.is_empty() {
+            self.computed
+                .fetch_add(missing.len() as u64, Ordering::Relaxed);
+            let results = compute(&missing);
+            assert_eq!(results.len(), missing.len(), "one result per missing cell");
+            for (i, result) in missing.into_iter().zip(results) {
+                held[i] = Some(self.insert(self.eff_key(&keys[i]), result, true));
+            }
         }
-        if let Some(result) = self.load_from_disk(&ks) {
-            return self.insert(ks, result, false);
-        }
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        self.insert(ks, compute(), true)
+        held.into_iter().flatten().collect()
     }
 
     /// Inserts an externally computed result — e.g. one streamed back
@@ -637,11 +651,11 @@ mod tests {
             let store = Store::with_disk_cache(dir.clone());
             let mut calls = 0;
             for _ in 0..2 {
-                let result = store.get_or_compute(&key, || {
+                let result = store.get_or_compute(std::slice::from_ref(&key), |_| {
                     calls += 1;
-                    sample_failure()
+                    vec![sample_failure()]
                 });
-                assert_eq!(*result, sample_failure());
+                assert_eq!(*result[0], sample_failure());
             }
             assert_eq!(calls, 1, "run {run}: computed once, then memoized");
             assert_eq!(store.failures().len(), 1);
@@ -697,9 +711,9 @@ mod tests {
         );
         let mut calls = 0;
         for _ in 0..3 {
-            store.get_or_compute(&key, || {
+            store.get_or_compute(std::slice::from_ref(&key), |_| {
                 calls += 1;
-                CellResult::Native(sample_native())
+                vec![CellResult::Native(sample_native())]
             });
         }
         assert_eq!(calls, 1);

@@ -50,7 +50,7 @@ pub fn record(program: &Program, fuel: u64, tier: ExecTier) -> Result<Recorded, 
         Chain::new(RetireLog::new(), BranchCensus::default()),
     );
     let (checksum, machine) = run_to_halt(program, tier, fuel, &mut obs, |o| {
-        o.first()[0].stats().instructions
+        o.first()[0].instructions()
     })?;
     let (models, tail) = obs.into_inner();
     let (log, census) = tail.into_inner();

@@ -63,11 +63,12 @@ impl TargetPredictor for Target {
     }
 }
 
-/// One ITTAGE tagged-table entry.
+/// One ITTAGE tagged-table entry, eight bytes.
 #[derive(Debug, Clone, Copy)]
 struct TaggedEntry {
-    valid: bool,
-    tag: u32,
+    /// The entry's tag; [`NO_TAG`], which no tag equals, while the entry
+    /// has never been allocated.
+    tag: u16,
     target: u32,
     /// Saturating confidence (0..=3): replacement target on 0.
     conf: u8,
@@ -75,49 +76,51 @@ struct TaggedEntry {
     useful: u8,
 }
 
+/// The tag of an entry never allocated: tags are `ITTAGE_TAG_BITS` wide.
+const NO_TAG: u16 = u16::MAX;
+
 const TAGGED_EMPTY: TaggedEntry = TaggedEntry {
-    valid: false,
-    tag: 0,
+    tag: NO_TAG,
     target: 0,
     conf: 0,
     useful: 0,
 };
 
-/// One tagged component with its geometric history length.
-#[derive(Debug)]
-struct TaggedTable {
-    hist_len: u32,
-    entries: Vec<TaggedEntry>,
-    index_bits: u32,
+/// One tagged component's entries. Sized by type, like [`Ittage`]'s base
+/// table, so an index masked to the width needs no bounds check.
+type TaggedTable = Box<[TaggedEntry; 1 << ITTAGE_TABLE_BITS]>;
+
+/// The entry index and tag of the transfer at `pc` under history `ghr` in
+/// component `t`, whose history length is `4 << t`.
+#[inline(always)]
+fn slot(pc: u32, ghr: u64, t: usize) -> (usize, u16) {
+    let h = ghr & history_mask(4 << t);
+    let index = ((pc >> 2) ^ fold(h, ITTAGE_TABLE_BITS)) & ((1 << ITTAGE_TABLE_BITS) - 1);
+    // A different fold width decorrelates the tag from the index.
+    let folded = fold(h, ITTAGE_TAG_BITS).rotate_left(3);
+    let tag = ((pc >> 2) ^ (pc >> 9) ^ folded) & ((1 << ITTAGE_TAG_BITS) - 1);
+    (index as usize, tag as u16)
 }
 
-impl TaggedTable {
-    fn index(&self, pc: u32, ghr: u64) -> usize {
-        let folded = fold(ghr, self.hist_len, self.index_bits);
-        (((pc >> 2) ^ folded) & ((1 << self.index_bits) - 1)) as usize
+/// Folds `h` into `bits` bits: the XOR of its `bits`-wide chunks. Each
+/// shift-XOR doubles the span folded onto the low chunk, so a 64-bit word
+/// takes `log2(64 / bits)` steps, rounded up, whatever its chunk count. A
+/// constant `bits` unrolls them, and a step that shifts past every bit
+/// `h` is known to hold drops out.
+#[inline(always)]
+fn fold(mut h: u64, bits: u32) -> u32 {
+    let mut span = bits;
+    while span < u64::BITS {
+        h ^= h >> span;
+        span *= 2;
     }
-
-    fn tag(&self, pc: u32, ghr: u64) -> u32 {
-        // A different fold width decorrelates the tag from the index.
-        let folded = fold(ghr, self.hist_len, ITTAGE_TAG_BITS);
-        ((pc >> 2) ^ (pc >> 9) ^ folded.rotate_left(3)) & ((1 << ITTAGE_TAG_BITS) - 1)
-    }
+    (h & ((1 << bits) - 1)) as u32
 }
 
-/// Folds the low `len` bits of `h` into `bits`-wide chunks by XOR.
-fn fold(h: u64, len: u32, bits: u32) -> u32 {
-    let mut h = if len >= 64 {
-        h
-    } else {
-        h & ((1u64 << len) - 1)
-    };
-    let mut f = 0u64;
-    let chunk = (1u64 << bits) - 1;
-    while h != 0 {
-        f ^= h & chunk;
-        h >>= bits;
-    }
-    f as u32
+/// The global-history bits a component of history length `len` reads:
+/// the low `len`, all 64 from 64 on.
+fn history_mask(len: u32) -> u64 {
+    u64::MAX >> u64::BITS.saturating_sub(len)
 }
 
 const ITTAGE_TAG_BITS: u32 = 9;
@@ -137,7 +140,8 @@ const ITTAGE_MAX_TABLES: usize = 8;
 #[derive(Debug)]
 pub struct Ittage {
     /// Direct-mapped `(pc, target)` base pairs (`pc == u32::MAX` invalid).
-    base: Vec<(u32, u32)>,
+    base: Box<[(u32, u32); 1 << ITTAGE_BASE_BITS]>,
+    /// The tagged components, shortest history first.
     tables: Vec<TaggedTable>,
     /// Global target-path history: two target bits shifted in per transfer.
     ghr: u64,
@@ -155,24 +159,24 @@ impl Ittage {
             "ittage tables must be in 1..=8"
         );
         Ittage {
-            base: vec![(u32::MAX, 0); 1 << ITTAGE_BASE_BITS],
+            base: Box::new([(u32::MAX, 0); 1 << ITTAGE_BASE_BITS]),
             tables: (0..tables)
-                .map(|i| TaggedTable {
-                    hist_len: 4 << i,
-                    entries: vec![TAGGED_EMPTY; 1 << ITTAGE_TABLE_BITS],
-                    index_bits: ITTAGE_TABLE_BITS,
-                })
+                .map(|_| Box::new([TAGGED_EMPTY; 1 << ITTAGE_TABLE_BITS]))
                 .collect(),
             ghr: 0,
         }
     }
-}
 
-impl TargetPredictor for Ittage {
-    /// Out of line: the table walk stays out of the retire arms the BTB
-    /// is inlined into.
-    #[inline(never)]
-    fn predict_and_update(&mut self, pc: u32, target: u32) -> bool {
+    /// [`predict_and_update`](TargetPredictor::predict_and_update) with
+    /// `N` tagged components. With `N` a constant both walks unroll, and
+    /// each component's folds keep only the steps its history length
+    /// needs.
+    #[inline(always)]
+    fn update<const N: usize>(&mut self, pc: u32, target: u32) -> bool {
+        let ghr = self.ghr;
+        let tables: &mut [TaggedTable; N] = (&mut self.tables[..])
+            .try_into()
+            .expect("called with the component count");
         let base_idx = ((pc >> 2) as usize) & (self.base.len() - 1);
 
         // Provider: the longest-history tagged component whose entry
@@ -180,19 +184,18 @@ impl TargetPredictor for Ittage {
         // and tag once into `slots`; it visits every table above the
         // provider (all of them without one), which is exactly the set
         // the allocation walk below reads.
-        let mut slots = [(0usize, 0u32); ITTAGE_MAX_TABLES];
+        let mut slots = [(0usize, NO_TAG); N];
         let mut provider: Option<(usize, usize)> = None;
-        for (t, table) in self.tables.iter().enumerate().rev() {
-            let (idx, tag) = (table.index(pc, self.ghr), table.tag(pc, self.ghr));
+        for (t, table) in tables.iter().enumerate().rev() {
+            let (idx, tag) = slot(pc, ghr, t);
             slots[t] = (idx, tag);
-            let e = &table.entries[idx];
-            if e.valid && e.tag == tag {
+            if table[idx].tag == tag {
                 provider = Some((t, idx));
                 break;
             }
         }
         let predicted = match provider {
-            Some((t, idx)) => Some(self.tables[t].entries[idx].target),
+            Some((t, idx)) => Some(tables[t][idx].target),
             None => {
                 let (tag, tgt) = self.base[base_idx];
                 (tag == pc).then_some(tgt)
@@ -203,7 +206,7 @@ impl TargetPredictor for Ittage {
         // Train the provider.
         match provider {
             Some((t, idx)) => {
-                let e = &mut self.tables[t].entries[idx];
+                let e = &mut tables[t][idx];
                 if e.target == target {
                     e.conf = (e.conf + 1).min(3);
                     e.useful = (e.useful + 1).min(3);
@@ -232,13 +235,12 @@ impl TargetPredictor for Ittage {
         // candidate victim is still protected).
         if !correct {
             let from = provider.map_or(0, |(t, _)| t + 1);
-            let slots = &slots[..self.tables.len()];
             let mut allocated = false;
             for (t, &(idx, tag)) in slots.iter().enumerate().skip(from) {
-                let e = &mut self.tables[t].entries[idx];
-                if !e.valid || e.useful == 0 {
+                let e = &mut tables[t][idx];
+                // An entry never allocated is never useful.
+                if e.useful == 0 {
                     *e = TaggedEntry {
-                        valid: true,
                         tag,
                         target,
                         conf: 1,
@@ -250,7 +252,7 @@ impl TargetPredictor for Ittage {
             }
             if !allocated {
                 for (t, &(idx, _)) in slots.iter().enumerate().skip(from) {
-                    let e = &mut self.tables[t].entries[idx];
+                    let e = &mut tables[t][idx];
                     e.useful = e.useful.saturating_sub(1);
                 }
             }
@@ -260,8 +262,26 @@ impl TargetPredictor for Ittage {
         // folded from the whole word, so any pair of distinct targets
         // produces distinct history symbols (aligned targets share their
         // low bits).
-        self.ghr = (self.ghr << 2) | (fold((target >> 2) as u64, 32, 2) as u64);
+        self.ghr = (ghr << 2) | u64::from(fold(u64::from(target >> 2), 2));
         correct
+    }
+}
+
+impl TargetPredictor for Ittage {
+    /// Out of line: the table walk stays out of the retire arms the BTB
+    /// is inlined into. One [`Ittage::update`] per component count.
+    #[inline(never)]
+    fn predict_and_update(&mut self, pc: u32, target: u32) -> bool {
+        match self.tables.len() {
+            1 => self.update::<1>(pc, target),
+            2 => self.update::<2>(pc, target),
+            3 => self.update::<3>(pc, target),
+            4 => self.update::<4>(pc, target),
+            5 => self.update::<5>(pc, target),
+            6 => self.update::<6>(pc, target),
+            7 => self.update::<7>(pc, target),
+            _ => self.update::<ITTAGE_MAX_TABLES>(pc, target),
+        }
     }
 }
 
@@ -587,6 +607,64 @@ mod tests {
         let mut it = Ittage::new(4);
         misses(&mut it, &[(0x4000, 0x50000); 8]);
         assert_eq!(misses(&mut it, &[(0x4000, 0x50000); 100]), 0);
+    }
+
+    /// The chunk-by-chunk fold the shift-XOR one replaces.
+    fn fold_by_chunks(h: u64, len: u32, bits: u32) -> u32 {
+        let mut h = if len >= 64 {
+            h
+        } else {
+            h & ((1u64 << len) - 1)
+        };
+        let mut f = 0u64;
+        while h != 0 {
+            f ^= h & ((1u64 << bits) - 1);
+            h >>= bits;
+        }
+        f as u32
+    }
+
+    #[test]
+    fn folds_equal_the_chunk_loop_for_every_width_ittage_uses() {
+        let mut rng = SmallRng::seed_from_u64(0xF01D);
+        let words = [0, 1, u64::MAX, 0x8000_0000_0000_0000, 0x5555_5555_5555_5555];
+        let words: Vec<u64> = words
+            .into_iter()
+            .chain((0..2000).map(|_| rng.next_u64()))
+            .collect();
+        // Every component `ittage:1..=8` builds folds its history into an
+        // index and a tag; the history push folds a 30-bit target.
+        let pairs = (0..ITTAGE_MAX_TABLES as u32)
+            .map(|i| 4 << i)
+            .flat_map(|len| [(len, ITTAGE_TABLE_BITS), (len, ITTAGE_TAG_BITS)])
+            .chain([(32, 2)]);
+        for (len, bits) in pairs {
+            for &h in &words {
+                let h = if len == 32 { h >> 34 } else { h };
+                let want = fold_by_chunks(h, len, bits);
+                assert_eq!(
+                    fold(h & history_mask(len), bits),
+                    want,
+                    "{h:#x} {len} {bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_component_count_predicts_as_the_chunk_loop_folds_did() {
+        // Mispredictions per component count on two seeded traces, as
+        // counted when every fold walked its history chunk by chunk and
+        // one walk served every count.
+        let pinned = [
+            (11, [6889, 6871, 6898, 7023, 7142, 7145, 7143, 7143]),
+            (5, [11041, 10947, 11001, 11067, 11104, 11105, 11105, 11105]),
+        ];
+        for (seed, want) in pinned {
+            let trace = synthetic_trace(seed, 20_000);
+            let got = (1..=8).map(|n| misses(&mut Ittage::new(n), &trace));
+            assert_eq!(got.collect::<Vec<_>>(), want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -19,11 +19,16 @@
 //! (SimPoint) execution instead [`seek`](DispatchReplay::seek)s between
 //! intervals and pays only for the events it measures.
 //!
-//! A replay is handed the [`ArchModel`] it is priced under, as an exact
-//! [`Sdt::run`] is. Translator work is charged to it, and its own
-//! indirect-target predictor and return-address stack — the ones
-//! [`ArchModel::simulate`] steps on the exact retire stream — predict
+//! A replay is handed the [`ArchModel`]s it is priced under, as an exact
+//! [`Sdt::run_models`] is. Translator work is charged to each, and each
+//! model's own indirect-target predictor and return-address stack — the
+//! ones [`ArchModel::simulate`] steps on the exact retire stream — predict
 //! every replayed dispatch, keyed by dispatch-site shape (see [`Key`]).
+//! The replay path itself never reads a model: which fragment is entered,
+//! which probe hits and what the translator does follow from the
+//! configuration and the event stream alone. That is why one replay
+//! serves any number of models, each priced exactly as if it had been
+//! replayed alone.
 
 use std::collections::HashSet;
 
@@ -45,10 +50,14 @@ use crate::{Sdt, SdtConfig, SdtError};
 #[derive(Debug)]
 pub struct DispatchReplay {
     sdt: Sdt,
-    /// The model the replay is priced under: translator work is charged
-    /// to it and its predictors see every dispatch. Predictor state
-    /// survives cache flushes: it models the CPU, not the translator.
-    model: ArchModel,
+    /// The models the replay is priced under: translator work is charged
+    /// to each and each one's predictors see every dispatch. Predictor
+    /// state survives cache flushes: it models the CPU, not the
+    /// translator.
+    models: Vec<ArchModel>,
+    /// Per model, in `models` order: mispredicted jump, call and return
+    /// dispatches — the rows of [`rate::class`].
+    mispredicts: Vec<[u64; 3]>,
     jump_dispatches: u64,
     call_dispatches: u64,
     ret_dispatches: u64,
@@ -65,9 +74,6 @@ pub struct DispatchReplay {
     jump_key: Key,
     call_key: Key,
     ret_key: Key,
-    jump_mispredicts: u64,
-    call_mispredicts: u64,
-    ret_mispredicts: u64,
 }
 
 /// Where each counter sits in [`DispatchReplay::rate_counters`].
@@ -143,7 +149,8 @@ fn dispatch_key(cfg: &SdtConfig, class: BranchClass) -> Key {
 impl DispatchReplay {
     /// Builds a replay instance: a fresh [`Sdt`] for `config` and
     /// `program`, priced under `model` — an [`ArchProfile`] means its
-    /// legacy-predictor model.
+    /// legacy-predictor model. [`DispatchReplay::with_models`] with one
+    /// model.
     ///
     /// [`ArchProfile`]: strata_arch::ArchProfile
     ///
@@ -155,6 +162,30 @@ impl DispatchReplay {
         program: &Program,
         model: impl Into<ArchModel>,
     ) -> Result<DispatchReplay, SdtError> {
+        DispatchReplay::with_models(config, program, vec![model.into()])
+    }
+
+    /// Builds a replay instance priced under every model of `models`: one
+    /// walk, whose counters each model reads as if it had been replayed
+    /// alone ([`rate_counters_of`](Self::rate_counters_of),
+    /// [`model_at`](Self::model_at)).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Sdt::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `models` is empty.
+    pub fn with_models(
+        config: SdtConfig,
+        program: &Program,
+        models: Vec<ArchModel>,
+    ) -> Result<DispatchReplay, SdtError> {
+        assert!(
+            !models.is_empty(),
+            "a replay is priced under at least one model"
+        );
         let sdt = Sdt::new(config, program)?;
         let cfg = sdt.config();
         let depth = match cfg.ret {
@@ -166,7 +197,8 @@ impl DispatchReplay {
             call_key: dispatch_key(cfg, BranchClass::Call),
             ret_key: dispatch_key(cfg, BranchClass::Ret),
             sdt,
-            model: model.into(),
+            mispredicts: vec![[0; 3]; models.len()],
+            models,
             jump_dispatches: 0,
             call_dispatches: 0,
             ret_dispatches: 0,
@@ -174,9 +206,6 @@ impl DispatchReplay {
             sim_sieve: HashSet::new(),
             shadow_slots: vec![0; depth],
             shadow_sp: 0,
-            jump_mispredicts: 0,
-            call_mispredicts: 0,
-            ret_mispredicts: 0,
         })
     }
 
@@ -258,15 +287,13 @@ impl DispatchReplay {
             }
             Terminal::DirectCall { site, ret_app } => {
                 self.shadow_push(ret_app);
-                self.model.push_return(ret_app);
+                self.push_return(ret_app);
                 self.traverse_exit(site, ev.target)?;
                 self.cur = Some((ev.target, FragKind::Body));
             }
             Terminal::IndirectJump { site } => {
                 self.jump_dispatches += 1;
-                if !self.predicted(self.jump_key, ev) {
-                    self.jump_mispredicts += 1;
-                }
+                self.predict(0, self.jump_key, ev);
                 let bind = self.sdt.state.bind_for(BranchClass::Jump);
                 self.dispatch_ib(bind, site, ev.target)?;
                 self.cur = Some((ev.target, FragKind::Body));
@@ -274,18 +301,14 @@ impl DispatchReplay {
             Terminal::IndirectCall { site, ret_app } => {
                 self.call_dispatches += 1;
                 self.shadow_push(ret_app);
-                self.model.push_return(ret_app);
-                if !self.predicted(self.call_key, ev) {
-                    self.call_mispredicts += 1;
-                }
+                self.push_return(ret_app);
+                self.predict(1, self.call_key, ev);
                 let bind = self.sdt.state.bind_for(BranchClass::Call);
                 self.dispatch_ib(bind, site, ev.target)?;
                 self.cur = Some((ev.target, FragKind::Body));
             }
             Terminal::Ret { site } => {
-                if !self.predicted(self.ret_key, ev) {
-                    self.ret_mispredicts += 1;
-                }
+                self.predict(2, self.ret_key, ev);
                 self.replay_ret(site, ev.target)?;
             }
             Terminal::Halt => {
@@ -298,14 +321,33 @@ impl DispatchReplay {
         Ok(())
     }
 
-    /// Whether the model's predictors, keyed `key`, saw the dispatch
-    /// transfer ending at `ev.target` coming (and trains them on it).
+    /// Has each model's predictors, keyed `key`, predict the dispatch
+    /// transfer ending at `ev.target` (and train on it), counting a miss
+    /// in row `row` of that model's mispredicts.
     #[inline(always)]
-    fn predicted(&mut self, key: Key, ev: &CompactRetire) -> bool {
-        match key {
-            Key::Site => self.model.predict_indirect(ev.pc, ev.target),
-            Key::Shared(pc) => self.model.predict_indirect(pc, ev.target),
-            Key::ReturnStack => self.model.predict_return(ev.target),
+    fn predict(&mut self, row: usize, key: Key, ev: &CompactRetire) {
+        for (model, missed) in self.models.iter_mut().zip(&mut self.mispredicts) {
+            let correct = match key {
+                Key::Site => model.predict_indirect(ev.pc, ev.target),
+                Key::Shared(pc) => model.predict_indirect(pc, ev.target),
+                Key::ReturnStack => model.predict_return(ev.target),
+            };
+            missed[row] += u64::from(!correct);
+        }
+    }
+
+    /// Pushes a call's return address onto each model's return-address
+    /// stack.
+    fn push_return(&mut self, ret_app: u32) {
+        for model in &mut self.models {
+            model.push_return(ret_app);
+        }
+    }
+
+    /// Charges translator work to each model.
+    fn charge_translator(&mut self, instrs: u64, lookups: u64) {
+        for model in &mut self.models {
+            model.charge_translator(instrs, lookups);
         }
     }
 
@@ -387,8 +429,7 @@ impl DispatchReplay {
             app_pc,
             FragKind::Body,
         )?;
-        self.model
-            .charge_translator(self.sdt.state.stats.translated_app_instrs - before, 1);
+        self.charge_translator(self.sdt.state.stats.translated_app_instrs - before, 1);
         if self.sdt.state.stats.cache_flushes > flushes_before {
             self.clear_sim();
         }
@@ -554,7 +595,7 @@ impl DispatchReplay {
         mem.write_u32(SLOT_SITE, site_word)?;
         let flushes_before = self.sdt.state.stats.cache_flushes;
         let w = self.sdt.state.handle_trap_miss(&mut self.sdt.machine)?;
-        self.model.charge_translator(w.new_instrs, w.lookups);
+        self.charge_translator(w.new_instrs, w.lookups);
         let flushed = self.sdt.state.stats.cache_flushes > flushes_before;
         if flushed {
             self.clear_sim();
@@ -567,7 +608,7 @@ impl DispatchReplay {
         self.sdt.machine.mem_mut().write_u32(SLOT_TARGET, target)?;
         let flushes_before = self.sdt.state.stats.cache_flushes;
         let w = self.sdt.state.handle_trap_rc_miss(&mut self.sdt.machine)?;
-        self.model.charge_translator(w.new_instrs, w.lookups);
+        self.charge_translator(w.new_instrs, w.lookups);
         if self.sdt.state.stats.cache_flushes > flushes_before {
             self.clear_sim();
         }
@@ -668,10 +709,22 @@ impl DispatchReplay {
 
     /// The counters sampled replay extrapolates, cheap enough to read
     /// around every measured interval and laid out as [`rate`] names
-    /// them. [`stats`](Self::stats) and [`per_class`](Self::per_class)
-    /// report these numbers; the three `*_MISPREDICTS` sum to the
-    /// model's [`indirect_mispredicts`](ArchModel::indirect_mispredicts).
+    /// them, with the first model's mispredicts. [`stats`](Self::stats)
+    /// and [`per_class`](Self::per_class) report these numbers; the three
+    /// `*_MISPREDICTS` sum to the model's
+    /// [`indirect_mispredicts`](ArchModel::indirect_mispredicts).
     pub fn rate_counters(&self) -> [u64; rate::COUNT] {
+        self.rate_counters_of(0)
+    }
+
+    /// [`rate_counters`](Self::rate_counters) with the mispredicts of
+    /// model `model` (an index into the models the replay was built
+    /// with); every other counter is the same for all models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is out of range.
+    pub fn rate_counters_of(&self, model: usize) -> [u64; rate::COUNT] {
         let st = &self.sdt.state;
         let mut c = [0; rate::COUNT];
         c[rate::IB_DISPATCHES] = self.jump_dispatches + self.call_dispatches;
@@ -689,18 +742,30 @@ impl DispatchReplay {
             let (dispatches, misses) = rate::class(row);
             (c[dispatches], c[misses]) = (dispatched, missed);
         }
-        c[rate::JUMP_MISPREDICTS] = self.jump_mispredicts;
-        c[rate::CALL_MISPREDICTS] = self.call_mispredicts;
-        c[rate::RET_MISPREDICTS] = self.ret_mispredicts;
+        [
+            c[rate::JUMP_MISPREDICTS],
+            c[rate::CALL_MISPREDICTS],
+            c[rate::RET_MISPREDICTS],
+        ] = self.mispredicts[model];
         c
     }
 
-    /// The model the replay is priced under. The replay charges it
-    /// nothing but translator work, so its `trap_cycles` are exact mode's
-    /// [`RunReport::translator_cycles`](crate::RunReport) (translation
-    /// work plus fragment-map lookups).
+    /// The (first) model the replay is priced under. The replay charges
+    /// it nothing but translator work, so its `trap_cycles` are exact
+    /// mode's [`RunReport::translator_cycles`](crate::RunReport)
+    /// (translation work plus fragment-map lookups).
     pub fn model(&self) -> &ArchModel {
-        &self.model
+        self.model_at(0)
+    }
+
+    /// Model `model` of the ones the replay is priced under, as
+    /// [`model`](Self::model) reads the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is out of range.
+    pub fn model_at(&self, model: usize) -> &ArchModel {
+        &self.models[model]
     }
 }
 

@@ -6,7 +6,9 @@
 //! that model alone, field for field — for every registered mechanism,
 //! re-entry, unlinked fragments and a fragment cache small enough to
 //! flush, under every profile and every predictor family. The same holds
-//! for a native run priced under several models.
+//! for a native run priced under several models, and for a trace replay
+//! ([`DispatchReplay::with_models`]): the replay path never reads a model,
+//! so one replay under k models is k replays.
 //!
 //! The retire path is force-inlined, which takes its real shape only
 //! under optimisation, so CI also runs this test in release.
@@ -15,9 +17,11 @@ use std::collections::BTreeSet;
 
 use strata_arch::{ArchModel, ArchProfile, PredictorSpec};
 use strata_core::{
-    run_native_models, run_native_with_model, ClassPolicy, RetMechanism, Sdt, SdtConfig,
+    run_native_models, run_native_with_model, ClassPolicy, DispatchReplay, RetMechanism, Sdt,
+    SdtConfig,
 };
-use strata_machine::{ExecTier, Program};
+use strata_machine::observers::{CompactRetire, RetireLog};
+use strata_machine::{run_to_halt, ExecTier, Program};
 use strata_workloads::Params;
 
 const FUEL: u64 = 200_000_000;
@@ -151,4 +155,79 @@ fn one_native_execution_prices_like_one_run_per_model() {
             assert_eq!(run, &alone.expect("runs"), "{workload} on {arch}");
         }
     }
+}
+
+/// The control records of `program`'s native retire stream, the only
+/// ones a replay acts on.
+fn control_stream(program: &Program) -> Vec<CompactRetire> {
+    let mut log = RetireLog::new();
+    let retired = |log: &RetireLog| log.records().len() as u64;
+    run_to_halt(program, ExecTier::Interp, FUEL, &mut log, retired).expect("runs to halt");
+    let records = log.into_records().into_iter();
+    records.filter(CompactRetire::is_control).collect()
+}
+
+/// Replays the configurations `configs()` deals to `workload` once under
+/// five models and once per model alone — a third of the stream, a seek
+/// past the next third, the rest, as sampled replay walks — and holds
+/// every model's counters and costs to its lone replay's.
+fn check_replayed(workload: &str) {
+    let program = program(workload);
+    let stream = control_stream(&program);
+    let third = stream.len() / 3;
+    let replay = |rp: &mut DispatchReplay| {
+        rp.seek(program.entry).expect("entry translates");
+        let step = |rp: &mut DispatchReplay, events: &[CompactRetire]| {
+            for ev in events {
+                rp.step(ev).expect("the native stream replays");
+            }
+        };
+        step(rp, &stream[..third]);
+        rp.seek(stream[2 * third].pc).expect("seek translates");
+        step(rp, &stream[2 * third..]);
+    };
+    let dealt = configs().into_iter().enumerate();
+    let mine = dealt.filter(|(i, _)| WORKLOADS[i % WORKLOADS.len()] == workload);
+    for (turn, cfg) in mine {
+        let what = format!("{workload} replayed under {}", cfg.describe());
+        let mut shared = DispatchReplay::with_models(cfg, &program, models(turn)).expect("valid");
+        replay(&mut shared);
+        for (m, model) in models(turn).into_iter().enumerate() {
+            let arch = format!("model {m} ({})", model.profile().name);
+            let mut alone = DispatchReplay::new(cfg, &program, model).expect("valid");
+            replay(&mut alone);
+            assert_eq!(
+                shared.rate_counters_of(m),
+                alone.rate_counters(),
+                "{what} on {arch}"
+            );
+            assert_eq!(shared.stats(), alone.stats(), "{what} on {arch}");
+            assert_eq!(shared.per_class(), alone.per_class(), "{what} on {arch}");
+            let (priced, lone) = (shared.model_at(m), alone.model());
+            assert_eq!(priced.stats(), lone.stats(), "{what} on {arch}");
+            assert_eq!(
+                priced.indirect_mispredicts(),
+                lone.indirect_mispredicts(),
+                "{what} on {arch}"
+            );
+        }
+        assert_eq!(shared.rate_counters(), shared.rate_counters_of(0), "{what}");
+        let flushes = shared.stats().cache_flushes;
+        assert_eq!(flushes > 0, cfg.cache_limit.is_some(), "{what}");
+    }
+}
+
+#[test]
+fn gcc_replays_once_priced_like_one_replay_per_model() {
+    check_replayed("gcc");
+}
+
+#[test]
+fn perlbmk_replays_once_priced_like_one_replay_per_model() {
+    check_replayed("perlbmk");
+}
+
+#[test]
+fn eon_replays_once_priced_like_one_replay_per_model() {
+    check_replayed("eon");
 }

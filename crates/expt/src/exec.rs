@@ -12,8 +12,9 @@
 //! threads claim execution groups off a shared atomic counter.
 //!
 //! An execution group ([`execution_groups`]) is the cells that differ
-//! only in profile: one execution serves them all, priced under each
-//! cell's model, and each result lands under its own key.
+//! only in profile: one execution — in sampled mode, one trace replay —
+//! serves them all, priced under each cell's model, and each result
+//! lands under its own key.
 //!
 //! Execution runs in two phases — the native groups, then the translated
 //! rest — so that every translated cell can verify its checksum against
@@ -37,7 +38,7 @@ use strata_workloads::{by_name, Params, SAMPLED_ONLY_SCALE};
 
 use crate::cell::{CellKey, CellResult, RunKind, Stage};
 use crate::context::RunContext;
-use crate::sampled::{ensure_bundle, estimate_cell};
+use crate::sampled::{ensure_bundle, estimate_cells, SampledCell};
 use crate::store::Store;
 
 /// Fuel ceiling for every run — far above any workload at default scale.
@@ -103,9 +104,10 @@ pub fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
 ///
 /// How the cells are produced is the store's [`RunContext`]: in sampled
 /// mode natives are served from the trace header's per-profile baselines
-/// and translated cells are estimated one by one (see [`crate::sampled`]);
-/// an exact group executes once, priced under each missing cell's model
-/// (the context's predictor over the cell's profile). A step that fails
+/// and a translated group is estimated by one replay (see
+/// [`crate::sampled`]); an exact group executes once. Either way each
+/// missing cell is priced under its own model (the context's predictor
+/// over the cell's profile). A step that fails
 /// makes a cell a [`CellResult::Failed`] naming its [`Stage`] — a failed
 /// execution fails every cell it was priced for — including an exact run
 /// at a scale only sampled mode runs, which
@@ -142,8 +144,11 @@ fn compute(
 ) -> Vec<CellResult> {
     let failed = |(stage, error)| CellResult::Failed { stage, error };
     if let Some(dir) = ctx.traces_dir() {
-        let estimate = |key: &&CellKey| estimate(ctx, dir, key).unwrap_or_else(failed);
-        return keys.iter().map(estimate).collect();
+        let estimated = estimate(ctx, dir, keys);
+        return estimated
+            .into_iter()
+            .map(|r| r.unwrap_or_else(failed))
+            .collect();
     }
     let head = keys[0];
     if head.params.scale >= SAMPLED_ONLY_SCALE {
@@ -185,25 +190,45 @@ fn compute(
     results.into_iter().flatten().collect()
 }
 
-/// A sampled-mode cell: a native served from its trace header, a
-/// translated cell estimated from the trace.
-fn estimate(ctx: &RunContext, dir: &Path, key: &CellKey) -> Result<CellResult, (Stage, String)> {
-    let (workload, params, arch) = (key.workload, key.params, key.profile.name);
-    match &key.kind {
-        RunKind::Native => {
-            let bundle = ensure_bundle(dir, workload, params).map_err(at(Stage::Estimate))?;
-            let lacks =
-                || at(Stage::Estimate)(format!("{workload}'s trace lacks a {arch} baseline"));
-            Ok(CellResult::Native(
-                bundle.header.native_for(arch).ok_or_else(lacks)?.clone(),
-            ))
-        }
+/// A sampled-mode group: natives served from their trace header's
+/// baselines, translated cells estimated from the trace by one replay
+/// priced under each cell's model (the context's predictor over the
+/// cell's profile). A bundle or replay failure fails every cell; a
+/// profile the trace has no baseline for fails its own cell.
+fn estimate(
+    ctx: &RunContext,
+    dir: &Path,
+    keys: &[&CellKey],
+) -> Vec<Result<CellResult, (Stage, String)>> {
+    let (workload, params) = (keys[0].workload, keys[0].params);
+    let estimated: Result<Vec<Result<CellResult, String>>, String> = match &keys[0].kind {
+        RunKind::Native => ensure_bundle(dir, workload, params).map(|bundle| {
+            let native = |key: &&CellKey| {
+                let arch = key.profile.name;
+                let lacks = || format!("{workload}'s trace lacks a {arch} baseline");
+                let baseline = bundle.header.native_for(arch).ok_or_else(lacks)?;
+                Ok(CellResult::Native(baseline.clone()))
+            };
+            keys.iter().map(native).collect()
+        }),
         RunKind::Translated(cfg) => {
-            let model = ctx.model(key.profile.clone());
-            let cell = estimate_cell(dir, workload, params, *cfg, model);
-            let report = cell.map_err(at(Stage::Estimate))?.report;
-            Ok(CellResult::Translated(Box::new(report)))
+            let models = keys.iter().map(|key| ctx.model(key.profile.clone()));
+            let cells = estimate_cells(dir, workload, params, *cfg, models.collect());
+            let translated = |cell: Result<SampledCell, String>| {
+                Ok(CellResult::Translated(Box::new(cell?.report)))
+            };
+            cells.map(|cells| cells.into_iter().map(translated).collect())
         }
+    };
+    match estimated {
+        Ok(cells) => cells
+            .into_iter()
+            .map(|cell| cell.map_err(at(Stage::Estimate)))
+            .collect(),
+        Err(why) => keys
+            .iter()
+            .map(|_| Err(at(Stage::Estimate)(&why)))
+            .collect(),
     }
 }
 
@@ -372,7 +397,8 @@ mod tests {
     /// Grouping only shares executions: the cells that differ only in
     /// profile form one group, groups go out natives first in the order
     /// of their first cell, and the store `execute` leaves holds exactly
-    /// what computing every cell on its own does, counters included.
+    /// what computing every cell on its own does, counters included —
+    /// exact runs and sampled replays alike.
     #[test]
     fn grouped_execution_equals_per_cell_computation() {
         let p = Params::default();
@@ -398,16 +424,28 @@ mod tests {
         );
         assert!(groups.iter().all(|g| g.len() == 3), "one cell per profile");
 
-        let alone = Store::in_memory();
-        for i in order {
-            cell_result(&alone, &planned[i]);
+        let traces = std::env::temp_dir().join(format!("strata-grouped-{}", std::process::id()));
+        let sampled = RunContext {
+            mode: crate::Mode::Sampled {
+                traces_dir: traces.clone(),
+            },
+            ..RunContext::default()
+        };
+        for ctx in [RunContext::default(), sampled] {
+            let alone = Store::new(ctx.clone(), None);
+            for &i in &order {
+                cell_result(&alone, &planned[i]);
+            }
+            assert!(alone.failures().is_empty(), "{:?}", alone.failures());
+            for jobs in [1, 2] {
+                let what = format!("{} --jobs {jobs}", ctx.namespace());
+                let grouped = Store::new(ctx.clone(), None);
+                execute(&grouped, &cells, jobs);
+                assert_eq!(grouped.snapshot(), alone.snapshot(), "{what}");
+                assert_eq!(grouped.stats(), alone.stats(), "{what}");
+            }
         }
-        for jobs in [1, 2] {
-            let grouped = Store::in_memory();
-            execute(&grouped, &cells, jobs);
-            assert_eq!(grouped.snapshot(), alone.snapshot(), "--jobs {jobs}");
-            assert_eq!(grouped.stats(), alone.stats(), "--jobs {jobs}");
-        }
+        let _ = std::fs::remove_dir_all(&traces);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! figure family (re-entry, IBTC, sieve, tuned returns) on three
 //! IB-diverse workloads, it computes both the **exact** whole-trace
 //! counters (a full [`DispatchReplay`] over every record — proven equal
-//! to exact execution by the replay-exactness tests) and the **sampled**
+//! to exact execution by the replay-exactness tests; one streamed pass
+//! per workload steps all four configurations) and the **sampled**
 //! estimate with its 95% confidence interval, then reports relative
 //! error, interval coverage, and the work reduction. The
 //! `pred_mispredicts` row does the same for the mispredicts of the
@@ -33,7 +34,7 @@ use strata_stats::{Estimate, Table};
 
 use super::Output;
 use crate::cell::CellKey;
-use crate::sampled::{ensure_bundle, estimate_cell, full_trace_counters};
+use crate::sampled::{ensure_bundle, estimate_cell, full_trace_pass};
 use crate::view::View;
 
 /// CI gate: maximum relative error of any gated dispatch-count estimate.
@@ -125,10 +126,10 @@ pub fn render(view: &View) -> Result<Output, String> {
             bundle.points.points.len(),
             bundle.points.coverage() * 100.0,
         ));
-        for (figure, cfg) in representatives() {
+        let cfgs = representatives().map(|(_, cfg)| cfg);
+        let truths = full_trace_pass(&bundle, workload, view.params(), &cfgs, model)?;
+        for ((figure, cfg), (truth, counters)) in representatives().into_iter().zip(truths) {
             let cell = estimate_cell(dir, workload, view.params(), cfg, model())?;
-            let (truth, counters) =
-                full_trace_counters(&bundle, workload, view.params(), cfg, model)?;
             max_work = max_work.max(cell.work_fraction());
             trace_total += cell.trace_records;
             replayed_total += cell.replayed_records;

@@ -16,10 +16,10 @@
 //! nonzero, i.e. no mechanism ranking is predictor-independent.
 //!
 //! Each (mechanism, predictor) cell is priced under the model
-//! [`RunContext::model`] builds for that predictor: in exact mode one
-//! [`Sdt::run_models`] per mechanism prices its execution under all five
-//! models at once, under `--sampled` each cell is a SimPoint estimate via
-//! [`estimate_cell`]. Both are deterministic functions of the workload
+//! [`RunContext::model`] builds for that predictor, and each mechanism
+//! runs once under all five models: in exact mode one
+//! [`Sdt::run_models`], under `--sampled` one SimPoint replay via
+//! [`estimate_cells`]. Both are deterministic functions of the workload
 //! (and, in sampled mode, its recorded trace), so the render is
 //! byte-stable. Like fig21,
 //! `cells` contributes only the shared native baseline — the sweep
@@ -33,7 +33,7 @@ use strata_stats::Table;
 use super::{fx, Output};
 use crate::cell::CellKey;
 use crate::exec::{program_for, FUEL};
-use crate::sampled::estimate_cell;
+use crate::sampled::estimate_cells;
 use crate::view::View;
 use crate::RunContext;
 
@@ -79,9 +79,9 @@ pub fn cells(params: strata_workloads::Params) -> Vec<CellKey> {
 }
 
 /// Total cycles and indirect-mispredict count of one mechanism under
-/// every predictor, in [`predictors`] order. Exact mode runs the
-/// mechanism once, priced under all five models; sampled mode estimates
-/// each (mechanism, predictor) cell from the trace.
+/// every predictor, in [`predictors`] order: the mechanism runs once,
+/// priced under all five models — exactly, or, in sampled mode, as one
+/// replay of the trace's elected intervals.
 fn mechanism_cycles(view: &View, cfg: SdtConfig) -> Result<Vec<(u64, u64)>, String> {
     let models = predictors().map(|predictor| {
         let ctx = RunContext {
@@ -91,9 +91,9 @@ fn mechanism_cycles(view: &View, cfg: SdtConfig) -> Result<Vec<(u64, u64)>, Stri
         ctx.model(ArchProfile::x86_like())
     });
     let reports = match view.context().traces_dir() {
-        Some(dir) => models
+        Some(dir) => estimate_cells(dir, WORKLOAD, view.params(), cfg, models.into())?
             .into_iter()
-            .map(|model| Ok(estimate_cell(dir, WORKLOAD, view.params(), cfg, model)?.report))
+            .map(|cell| Ok(cell?.report))
             .collect::<Result<Vec<_>, String>>()?,
         None => Sdt::new(cfg, &*program_for(WORKLOAD, view.params())?)
             .and_then(|mut s| s.run_models(models.into(), FUEL))

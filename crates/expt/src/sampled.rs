@@ -11,14 +11,16 @@
 //!    the control transfers of the elected intervals and their warmups
 //!    (a [`DispatchReplay`] returns at once on anything else), plus the
 //!    pc each of those intervals starts at.
-//! 2. **Estimate** ([`estimate_cell`]): a [`DispatchReplay`], handed
-//!    the [`ArchModel`] the cell is priced under, walks only the elected
-//!    intervals (plus one warmup interval each), snapshots its
-//!    [`rate_counters`](DispatchReplay::rate_counters) around every
+//! 2. **Estimate** ([`estimate_cells`]): one [`DispatchReplay`], handed
+//!    the [`ArchModel`]s an execution group's cells are priced under (one
+//!    per profile or predictor; [`estimate_cell`] is the one-model case),
+//!    walks only the elected intervals (plus one warmup interval each),
+//!    snapshots each model's
+//!    [`rate_counters_of`](DispatchReplay::rate_counters_of) around every
 //!    measured interval, and feeds the per-cluster deltas through
 //!    [`strata_stats::stratified_estimate`]. Rate counters (dispatches,
 //!    misses, the model's mispredicts) are extrapolated with 95%
-//!    confidence intervals, one [`Estimate`] per [`rate`] name;
+//!    confidence intervals, one [`Estimate`] per [`rate`] name and model;
 //!    structural counters (fragments, cache bytes, translator work) come
 //!    from the replay's final state.
 //! 3. **Synthesize**: the estimates are assembled into an ordinary
@@ -43,7 +45,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use strata_arch::ArchModel;
-use strata_core::{rate, ClassReport, DispatchReplay, MechanismStats, RunReport, SdtConfig};
+use strata_core::{
+    rate, ClassReport, DispatchReplay, MechanismStats, RunReport, SdtConfig, SdtError,
+};
 use strata_machine::observers::CompactRetire;
 use strata_stats::{stratified_estimate, Estimate, Stratum};
 use strata_trace::{record, select, BlockWalker, SimPoints, Trace, TraceHeader};
@@ -391,17 +395,11 @@ impl SampledCell {
 
 /// Estimates one translated cell from its workload's bundle, priced
 /// under `model` (an [`ArchProfile`](strata_arch::ArchProfile) means its
-/// legacy-predictor model): replays the elected intervals (each preceded
-/// by a warmup interval unless the replay is already positioned there),
-/// stratifies the per-interval counter deltas by phase cluster, and
-/// synthesizes a [`RunReport`] from the whole-run estimates plus the
-/// replay's structural state.
+/// legacy-predictor model): [`estimate_cells`] with one model.
 ///
 /// # Errors
 ///
-/// Returns a message when the bundle cannot be produced or the replay
-/// desynchronizes (which would mean a recorder/replayer bug — the
-/// equivalence tests pin this).
+/// As [`estimate_cells`], both levels in one.
 pub fn estimate_cell(
     dir: &Path,
     workload: &str,
@@ -409,24 +407,51 @@ pub fn estimate_cell(
     cfg: SdtConfig,
     model: impl Into<ArchModel>,
 ) -> Result<SampledCell, String> {
-    let bundle = ensure_bundle(dir, workload, params)?;
-    estimate_bundle(&bundle, workload, params, cfg, model.into())
+    estimate_cells(dir, workload, params, cfg, vec![model.into()])?.remove(0)
 }
 
-/// [`estimate_cell`] over a bundle already in hand.
+/// Estimates the translated cells of one execution group — `cfg` on
+/// `workload` at `params`, priced under each of `models` — from the
+/// workload's bundle, with one replay: it replays the elected intervals
+/// (each preceded by a warmup interval unless the replay is already
+/// positioned there) under every model at once. Per model, it stratifies
+/// the per-interval counter deltas by phase cluster and synthesizes a
+/// [`RunReport`] from the whole-run estimates plus the replay's
+/// structural state. The replay does not depend on the models, so each
+/// cell equals what [`estimate_cell`] gives for its model alone.
+///
+/// # Errors
+///
+/// The outer error, for every cell: the bundle cannot be produced or the
+/// replay desynchronizes (which would mean a recorder/replayer bug — the
+/// equivalence tests pin this). An inner error fails that model's cell
+/// alone: its profile has no native baseline in the trace.
+pub fn estimate_cells(
+    dir: &Path,
+    workload: &str,
+    params: Params,
+    cfg: SdtConfig,
+    models: Vec<ArchModel>,
+) -> Result<Vec<Result<SampledCell, String>>, String> {
+    let bundle = ensure_bundle(dir, workload, params)?;
+    estimate_bundle(&bundle, workload, params, cfg, models)
+}
+
+/// [`estimate_cells`] over a bundle already in hand.
 fn estimate_bundle(
     bundle: &Bundle,
     workload: &str,
     params: Params,
     cfg: SdtConfig,
-    model: ArchModel,
-) -> Result<SampledCell, String> {
+    models: Vec<ArchModel>,
+) -> Result<Vec<Result<SampledCell, String>>, String> {
     let program = program_for(workload, params)?;
     let pts = &bundle.points;
     let interval = pts.interval.max(1);
     let n_intervals = pts.intervals.max(1);
+    let n_models = models.len();
 
-    let mut rp = DispatchReplay::new(cfg, &program, model)
+    let mut rp = DispatchReplay::with_models(cfg, &program, models)
         .map_err(|e| format!("{workload}/{}: {e}", cfg.describe()))?;
     let fail = |e: strata_core::SdtError| format!("{workload}/{}: replay: {e}", cfg.describe());
 
@@ -438,14 +463,18 @@ fn estimate_bundle(
         }
         Ok(((i + 1) * interval).min(pts.instructions) - i * interval)
     };
+    // Every model's counters, in model order.
+    let counters = |rp: &DispatchReplay| -> Vec<[u64; rate::COUNT]> {
+        (0..n_models).map(|m| rp.rate_counters_of(m)).collect()
+    };
 
     let mut replayed: u64 = 0;
     // The next interval index the replay is positioned at (having
     // consumed the stream contiguously up to its first record).
     let mut cursor: Option<u64> = None;
-    // (cluster, per-counter deltas) per measured point, in point order;
-    // counters at their `rate` positions.
-    let mut samples: Vec<(u32, [f64; rate::COUNT])> = Vec::with_capacity(pts.points.len());
+    // (cluster, per-model per-counter deltas) per measured point, in
+    // point order; counters at their `rate` positions.
+    let mut samples: Vec<(u32, Vec<[f64; rate::COUNT]>)> = Vec::with_capacity(pts.points.len());
 
     for p in &pts.points {
         let idx = p.interval;
@@ -460,18 +489,20 @@ fn estimate_bundle(
         for i in warm_from..idx {
             replayed += run_interval(&mut rp, i)?;
         }
-        let before = rp.rate_counters();
+        let before = counters(&rp);
         replayed += run_interval(&mut rp, idx)?;
-        let after = rp.rate_counters();
-        samples.push((
-            p.cluster,
-            std::array::from_fn(|c| (after[c] - before[c]) as f64),
-        ));
+        let deltas = before
+            .iter()
+            .zip(counters(&rp))
+            .map(|(before, after)| std::array::from_fn(|c| (after[c] - before[c]) as f64))
+            .collect();
+        samples.push((p.cluster, deltas));
         cursor = Some(idx + 1);
     }
 
     // Per-cluster strata: weight = the cluster's share of all intervals,
-    // samples = its measured points' deltas for one counter at a time.
+    // samples = its measured points' deltas for one model's counter at a
+    // time.
     let cluster_weight: HashMap<u32, u64> = {
         let mut w: HashMap<u32, u64> = HashMap::new();
         for p in &pts.points {
@@ -481,7 +512,7 @@ fn estimate_bundle(
     };
     let mut clusters: Vec<u32> = cluster_weight.keys().copied().collect();
     clusters.sort_unstable();
-    let estimate = |counter: usize| -> Estimate {
+    let estimate = |model: usize, counter: usize| -> Estimate {
         let strata: Vec<Stratum> = clusters
             .iter()
             .map(|&c| Stratum {
@@ -489,7 +520,7 @@ fn estimate_bundle(
                 samples: samples
                     .iter()
                     .filter(|(sc, _)| *sc == c)
-                    .map(|(_, d)| d[counter])
+                    .map(|(_, d)| d[model][counter])
                     .collect(),
             })
             .collect();
@@ -503,24 +534,27 @@ fn estimate_bundle(
         }
     };
 
-    let est = std::array::from_fn(estimate);
-    let report = synthesize_report(
-        &bundle.header,
-        rp.model(),
-        cfg,
-        &est,
-        rp.stats(),
-        rp.per_class(),
-    )?;
-
-    Ok(SampledCell {
-        report,
-        est,
-        intervals: pts.intervals,
-        points: pts.points.len(),
-        trace_records: pts.instructions,
-        replayed_records: replayed,
-    })
+    let (mech, per_class) = (rp.stats(), rp.per_class());
+    let cell = |model: usize| {
+        let est = std::array::from_fn(|counter| estimate(model, counter));
+        let report = synthesize_report(
+            &bundle.header,
+            rp.model_at(model),
+            cfg,
+            &est,
+            mech,
+            per_class.clone(),
+        )?;
+        Ok(SampledCell {
+            report,
+            est,
+            intervals: pts.intervals,
+            points: pts.points.len(),
+            trace_records: pts.instructions,
+            replayed_records: replayed,
+        })
+    };
+    Ok((0..n_models).map(cell).collect())
 }
 
 fn round_u64(e: &Estimate) -> u64 {
@@ -625,17 +659,12 @@ fn synthesize_report(
 }
 
 /// Exact whole-trace mechanism counters for a configuration, beside the
-/// replay's [`rate_counters`](DispatchReplay::rate_counters) (the model's
-/// mispredicts among them) — the fidelity experiment's ground truth.
-/// Replays *every* record (no sampling), streamed off the bundle's
-/// `.strace` a block at a time, under a fresh model from `model`; the
-/// replay-exactness tests prove this equals exact-mode counters. A file
-/// that has gone missing or bad since the bundle was cut is re-recorded,
-/// as a bundle load would, and replayed under another fresh model.
+/// replay's [`rate_counters`](DispatchReplay::rate_counters):
+/// [`full_trace_pass`] with one configuration.
 ///
 /// # Errors
 ///
-/// Returns a message on construction failure or desync.
+/// As [`full_trace_pass`].
 pub fn full_trace_counters(
     bundle: &Bundle,
     workload: &str,
@@ -643,33 +672,88 @@ pub fn full_trace_counters(
     cfg: SdtConfig,
     model: impl Fn() -> ArchModel,
 ) -> Result<(MechanismStats, [u64; rate::COUNT]), String> {
+    Ok(full_trace_pass(bundle, workload, params, &[cfg], model)?.remove(0))
+}
+
+/// Exact whole-trace mechanism counters for each of `cfgs`, in order,
+/// beside each replay's [`rate_counters`](DispatchReplay::rate_counters)
+/// (the model's mispredicts among them) — the fidelity experiment's
+/// ground truth. One pass streams *every* record (no sampling) off the
+/// bundle's `.strace` a block at a time and steps one replay per
+/// configuration on it, each under a fresh model from `model`; the
+/// replay-exactness tests prove this equals exact-mode counters.
+///
+/// A file that cannot be opened or verified, or whose header is no
+/// longer the bundle's, is re-recorded, as a bundle load would, and
+/// replayed from memory under fresh replays. A replay that desyncs on a
+/// sound file is reported, not answered by re-recording: the recording is
+/// deterministic, so it would desync again.
+///
+/// # Errors
+///
+/// Returns a message on construction failure or desync.
+pub fn full_trace_pass(
+    bundle: &Bundle,
+    workload: &str,
+    params: Params,
+    cfgs: &[SdtConfig],
+    model: impl Fn() -> ArchModel,
+) -> Result<Vec<(MechanismStats, [u64; rate::COUNT])>, String> {
     let program = program_for(workload, params)?;
-    let fail = |e: strata_core::SdtError| format!("{workload}/{}: {e}", cfg.describe());
-    let replay = |mut source: Source, records: u64| {
-        let mut rp = DispatchReplay::new(cfg, &program, model()).map_err(fail)?;
-        rp.seek(program.entry).map_err(fail)?;
-        let mut desync = None;
-        source.visit(std::slice::from_ref(&(0..records)), |_, ev| {
-            if ev.is_control() && desync.is_none() {
-                desync = rp.step(&ev).err();
-            }
-        })?;
-        desync.map_or(Ok(()), |e| Err(fail(e)))?;
-        Ok((rp.stats(), rp.rate_counters()))
+    let fail = |cfg: &SdtConfig, e| format!("{workload}/{}: {e}", cfg.describe());
+    // One replay per configuration, at the program's entry, with the
+    // first desync it meets once stepped.
+    let fresh = || -> Result<Vec<(DispatchReplay, Option<SdtError>)>, String> {
+        let start = |cfg: &SdtConfig| {
+            let mut rp = DispatchReplay::new(*cfg, &program, model())?;
+            rp.seek(program.entry)?;
+            Ok((rp, None))
+        };
+        cfgs.iter()
+            .map(|cfg| start(cfg).map_err(|e| fail(cfg, e)))
+            .collect()
     };
+    let mut replays = fresh()?;
     let streamed = BlockWalker::open_path(&bundle.path)
         .ok()
         .filter(|walker| walker.header() == &bundle.header)
-        .and_then(|walker| replay(Source::File(walker), bundle.header.instructions).ok());
-    if let Some(counters) = streamed {
-        return Ok(counters);
+        .is_some_and(|walker| {
+            let records = bundle.header.instructions;
+            step_all(&mut replays, Source::File(walker), records).is_ok()
+        });
+    if !streamed {
+        let dir = bundle.path.parent().unwrap_or(Path::new(""));
+        let (trace, _) = record_trace(dir, workload, params)?;
+        replays = fresh()?;
+        let records = trace.records.len() as u64;
+        step_all(&mut replays, Source::Recording(&trace.records), records)?;
     }
-    let dir = bundle.path.parent().unwrap_or(Path::new(""));
-    let (trace, _) = record_trace(dir, workload, params)?;
-    replay(
-        Source::Recording(&trace.records),
-        trace.records.len() as u64,
-    )
+    replays
+        .into_iter()
+        .zip(cfgs)
+        .map(|((rp, desync), cfg)| match desync {
+            Some(e) => Err(fail(cfg, e)),
+            None => Ok((rp.stats(), rp.rate_counters())),
+        })
+        .collect()
+}
+
+/// Steps every replay of `replays` not yet desynchronized on each of the
+/// first `records` records of `source`, keeping the first desync each
+/// meets. The error is the source's: it could not be read.
+fn step_all(
+    replays: &mut [(DispatchReplay, Option<SdtError>)],
+    mut source: Source,
+    records: u64,
+) -> Result<(), String> {
+    source.visit(std::slice::from_ref(&(0..records)), |_, ev| {
+        if !ev.is_control() {
+            return;
+        }
+        for (rp, desync) in replays.iter_mut().filter(|(_, d)| d.is_none()) {
+            *desync = rp.step(&ev).err();
+        }
+    })
 }
 
 #[cfg(test)]
@@ -880,7 +964,9 @@ mod tests {
             };
             for cfg in [SdtConfig::ibtc_inline(512), SdtConfig::tuned(512, 128)] {
                 let estimate = |b: &Bundle| {
-                    estimate_bundle(b, name, params, cfg, x86.clone().into()).expect("estimates")
+                    let models = vec![x86.clone().into()];
+                    let cells = estimate_bundle(b, name, params, cfg, models);
+                    cells.expect("replays").remove(0).expect("estimates")
                 };
                 let cell = estimate(&read);
                 // The work a cell stands for is the span it replays, as
@@ -894,6 +980,57 @@ mod tests {
                 );
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_truth_pass_equals_a_pass_per_configuration() {
+        let dir = temp_dir("one-pass");
+        let params = Params::default();
+        let bundle = load_bundle(&dir, "perlbmk", params).expect("records");
+        let cfgs = [
+            SdtConfig::reentry(),
+            SdtConfig::ibtc_inline(512),
+            SdtConfig::sieve(256),
+            SdtConfig::tuned(512, 128),
+        ];
+        let model = || {
+            let spec = strata_arch::PredictorSpec::Ittage { tables: 4 };
+            ArchModel::with_predictor_spec(ArchProfile::x86_like(), spec)
+        };
+        let one_pass = full_trace_pass(&bundle, "perlbmk", params, &cfgs, model).unwrap();
+        let per_config: Vec<_> = cfgs
+            .iter()
+            .map(|&cfg| full_trace_counters(&bundle, "perlbmk", params, cfg, model).unwrap())
+            .collect();
+        assert_eq!(one_pass, per_config);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every file of `dir` with its bytes.
+    fn contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_desync_on_a_sound_trace_is_reported_not_re_recorded() {
+        let dir = temp_dir("desync");
+        let params = Params::default();
+        let bundle = load_bundle(&dir, "gzip", params).expect("records");
+        let before = contents(&dir);
+        // gzip's trace replayed against perlbmk's program.
+        let x86 = || ArchModel::new(ArchProfile::x86_like());
+        let cfgs = [SdtConfig::ibtc_inline(512), SdtConfig::reentry()];
+        let err = full_trace_pass(&bundle, "perlbmk", params, &cfgs, x86).unwrap_err();
+        assert!(err.contains("desynchronized"), "{err}");
+        assert_eq!(contents(&dir), before, "nothing re-recorded");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Golden snapshot of the JSON report shapes `strata verify` emits.
 //!
-//! Downstream tooling (CI scrapers, the fleet dashboards) keys on the
+//! Downstream tooling (CI scrapers, dashboards) keys on the
 //! report layout, so the shape is versioned: `schema_version` must be
 //! bumped whenever a key is added, removed, or renamed, and this test
 //! pins the full rendered JSON — both the static `VerifyReport` and the

@@ -454,8 +454,8 @@ impl PredictorSpec {
         }
     }
 
-    /// Canonical stable label — used to salt manifest fingerprints and
-    /// store keys, and as the row label in fig22.
+    /// Canonical stable label — used in store-key namespaces and as the
+    /// row label in fig22.
     pub fn label(&self) -> String {
         match *self {
             PredictorSpec::Legacy => "legacy".to_string(),

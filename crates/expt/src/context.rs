@@ -1,14 +1,14 @@
 //! The run context: every setting that changes *which result a cell key
 //! names*.
 //!
-//! A [`CellKey`] spells out workload, configuration, profile and params,
-//! but two more axes decide what the number behind it means: whether it
-//! was simulated exactly or estimated from a trace ([`Mode`]), and which
-//! hardware target-predictor model priced its indirect transfers
-//! ([`PredictorSpec`]). A [`RunContext`] carries exactly those two, is
-//! owned by the [`Store`](crate::Store), and is the only place their
-//! consequences for a result's identity are derived: the store-key
-//! namespace and the fleet-handshake fingerprint.
+//! A [`CellKey`](crate::CellKey) spells out workload, configuration,
+//! profile and params, but two more axes decide what the number behind it
+//! means: whether it was simulated exactly or estimated from a trace
+//! ([`Mode`]), and which hardware target-predictor model priced its
+//! indirect transfers ([`PredictorSpec`]). A [`RunContext`] carries
+//! exactly those two, is owned by the [`Store`](crate::Store), and is the
+//! only place their consequence for a result's identity is derived: the
+//! store-key namespace.
 //!
 //! Host-only settings — `--jobs`, `--tier`, the cache directory — change
 //! how fast a result arrives, never what it is, and stay out.
@@ -16,9 +16,6 @@
 use std::path::{Path, PathBuf};
 
 use strata_arch::{ArchModel, ArchProfile, PredictorSpec};
-use strata_trace::fnv1a64;
-
-use crate::cell::CellKey;
 
 /// Namespace component of estimated (sampled-mode) results.
 const SAMPLED_NS: &str = "sampled/";
@@ -80,28 +77,5 @@ impl RunContext {
             ns.push_str(&format!("{PREDICTOR_NS}{}/", self.predictor.label()));
         }
         ns
-    }
-
-    /// A stable fingerprint of a work manifest under this context (FNV-1a
-    /// over a mode salt, a predictor salt, then every key string in
-    /// order). Coordinator and workers compare fingerprints during the
-    /// fleet handshake: a mismatch means the two sides expand different
-    /// cell sets (version skew) or would produce different results for
-    /// the same keys (a sampled coordinator and an exact worker, or two
-    /// predictor models), and the worker refuses the session instead of
-    /// mixing result kinds in one store.
-    pub fn fingerprint(&self, cells: &[CellKey]) -> u64 {
-        let mut joined = String::new();
-        if self.traces_dir().is_some() {
-            joined.push_str("sampled\n");
-        }
-        if self.predictor != PredictorSpec::Legacy {
-            joined.push_str(&format!("predictor {}\n", self.predictor.label()));
-        }
-        for cell in cells {
-            joined.push_str(&cell.key_string());
-            joined.push('\n');
-        }
-        fnv1a64(joined.as_bytes())
     }
 }

@@ -6,10 +6,9 @@
 //! before the first translated cell implying it — [`with_implied_natives`]
 //! is that completion step), [`dispatch_order`] says *in what order*
 //! (natives first, each kind in manifest order), and [`program_for`] is
-//! where every cell's `Program` comes from. [`execute`] here, the fleet
-//! coordinator and the fleet worker consume that one plan and differ only
-//! in who pulls the next unit: `execute` lets a `--jobs N` pool of scoped
-//! threads claim execution groups off a shared atomic counter.
+//! where every cell's `Program` comes from. [`execute`] consumes that one
+//! plan: a `--jobs N` pool of scoped threads claims execution groups off a
+//! shared atomic counter.
 //!
 //! An execution group ([`execution_groups`]) is the cells that differ
 //! only in profile: one execution — in sampled mode, one trace replay —
@@ -48,7 +47,7 @@ pub const FUEL: u64 = 4_000_000_000;
 ///
 /// Tier choice cannot change any rendered number — retire streams are
 /// bit-identical across tiers — so it is host-only configuration like
-/// `--jobs`: in no cell key, no fingerprint, and not in the
+/// `--jobs`: in no cell key and not in the
 /// [`RunContext`](crate::RunContext). Set once by [`set_exec_tier`] (the
 /// CLI's `--tier` flag); the interpreter otherwise.
 static EXEC_TIER: OnceLock<ExecTier> = OnceLock::new();
@@ -59,7 +58,7 @@ pub fn set_exec_tier(tier: ExecTier) {
 }
 
 /// The process-wide execution tier.
-pub fn exec_tier() -> ExecTier {
+pub(crate) fn exec_tier() -> ExecTier {
     *EXEC_TIER.get_or_init(|| ExecTier::Interp)
 }
 
@@ -76,7 +75,7 @@ pub fn exec_tier() -> ExecTier {
 /// # Errors
 ///
 /// Returns a message for a workload the registry does not know.
-pub fn program_for(workload: &str, params: Params) -> Result<Arc<Program>, String> {
+pub(crate) fn program_for(workload: &str, params: Params) -> Result<Arc<Program>, String> {
     type ProgramKey = (String, u32, u64);
     static CACHE: OnceLock<Mutex<HashMap<ProgramKey, Arc<Program>>>> = OnceLock::new();
     let spec = by_name(workload).ok_or_else(|| format!("unknown workload `{workload}`"))?;
@@ -91,8 +90,8 @@ pub fn program_for(workload: &str, params: Params) -> Result<Arc<Program>, Strin
 }
 
 /// Computes (or recalls) the result of one cell: `cell_results` for a
-/// group of one, the way the views and the fleet worker ask.
-pub fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
+/// group of one, the way the views ask.
+pub(crate) fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
     cell_results(store, std::slice::from_ref(key)).remove(0)
 }
 
@@ -303,9 +302,8 @@ pub(crate) fn with_implied_natives(cells: impl IntoIterator<Item = CellKey>) -> 
 
 /// The order `cells` are dispatched in, as indices into `cells`: native
 /// baselines first (translated cells verify against them), each kind in
-/// manifest order. The local executor and the fleet coordinator both hand
-/// out work in this order.
-pub fn dispatch_order(cells: &[CellKey]) -> Vec<usize> {
+/// manifest order.
+pub(crate) fn dispatch_order(cells: &[CellKey]) -> Vec<usize> {
     let (natives, translated): (Vec<usize>, Vec<usize>) =
         (0..cells.len()).partition(|&i| cells[i].kind == RunKind::Native);
     [natives, translated].concat()

@@ -21,8 +21,8 @@
 //! `STRATA_TIER_TIMING=1` to time both tiers per workload and emit the
 //! measurements as notes. The gate ignores notes, and the default
 //! render omits them entirely so suite output stays byte-identical
-//! across runs (the fleet end-to-end tests and the warm-cache
-//! determinism tests rely on that).
+//! across runs (the merged-cache and warm-cache determinism tests rely
+//! on that).
 
 use std::time::Instant;
 

@@ -1,13 +1,13 @@
 //! Crash-safe writes for the disk-cache artifacts.
 //!
 //! Cell records, traces and SimPoint sidecars are consumed by later runs
-//! (and by fleet merges), so a process killed mid-write must never leave
-//! a truncated file behind: a half-written `*.cell` only fails its key
-//! check and is recomputed, but a torn write racing a concurrent reader
-//! could feed it garbage. All cache writes therefore go through
-//! [`atomic_write`]: the content lands in a uniquely named temp file in
-//! the same directory and is `rename(2)`d into place, which is atomic on
-//! POSIX filesystems.
+//! (and by merges of split runs' caches), so a process killed mid-write
+//! must never leave a truncated file behind: a half-written `*.cell` only
+//! fails its key check and is recomputed, but a torn write racing a
+//! concurrent reader could feed it garbage. All cache writes therefore go
+//! through [`atomic_write`]: the content lands in a uniquely named temp
+//! file in the same directory and is `rename(2)`d into place, which is
+//! atomic on POSIX filesystems.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +26,7 @@ static SEQ: AtomicU64 = AtomicU64::new(0);
 /// # Errors
 ///
 /// Propagates the underlying I/O error; the temp file is cleaned up.
-pub fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
+pub(crate) fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
     atomic_write_bytes(path, contents.as_bytes())
 }
 
@@ -36,7 +36,7 @@ pub fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Propagates the underlying I/O error; the temp file is cleaned up.
-pub fn atomic_write_bytes(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+pub(crate) fn atomic_write_bytes(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),

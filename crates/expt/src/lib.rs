@@ -47,7 +47,7 @@ pub mod cell;
 pub mod context;
 pub mod exec;
 pub mod experiments;
-pub mod fsutil;
+mod fsutil;
 pub mod registry;
 pub mod sampled;
 pub mod store;
@@ -56,10 +56,9 @@ pub mod view;
 
 pub use cell::{CellKey, CellResult, RunKind, Stage};
 pub use context::{Mode, RunContext};
-pub use exec::{cell_result, dispatch_order, exec_tier, execute, program_for, set_exec_tier, FUEL};
+pub use exec::{execute, set_exec_tier, FUEL};
 pub use experiments::Output;
-pub use fsutil::{atomic_write, atomic_write_bytes};
-pub use registry::{by_id, registry, Experiment};
+pub use registry::{registry, Experiment};
 pub use sampled::{SampledCell, DEFAULT_TRACES_DIR};
 pub use store::{parse_record, render_record, Store, StoreStats};
 /// The workspace's one FNV-1a 64 (defined beside the trace checksums).

@@ -131,7 +131,7 @@ pub fn registry() -> &'static [Experiment] {
 }
 
 /// Looks an experiment up by id.
-pub fn by_id(id: &str) -> Option<&'static Experiment> {
+pub(crate) fn by_id(id: &str) -> Option<&'static Experiment> {
     registry().iter().find(|e| e.id == id)
 }
 

@@ -182,10 +182,9 @@ impl Store {
         held.into_iter().flatten().collect()
     }
 
-    /// Inserts an externally computed result — e.g. one streamed back
-    /// from a fleet worker — exactly as if it had been computed locally.
-    /// The first result for a key wins; a duplicate (at-least-once
-    /// delivery) returns the existing result unchanged.
+    /// Inserts an externally computed result — e.g. one a test plants —
+    /// exactly as if it had been computed locally. The first result for a
+    /// key wins; a duplicate returns the existing result unchanged.
     pub fn put(&self, key: &CellKey, result: CellResult) -> Arc<CellResult> {
         let ks = self.eff_key(key);
         self.memoized(&ks)
@@ -193,8 +192,8 @@ impl Store {
     }
 
     /// The result for `key` from memory or the disk cache, **without
-    /// computing it** on a miss. Lets a resumed fleet run mark already
-    /// cached cells done before dispatching anything.
+    /// computing it** on a miss, so a caller can tell what a cache holds
+    /// without filling it.
     pub fn cached(&self, key: &CellKey) -> Option<Arc<CellResult>> {
         let ks = self.eff_key(key);
         self.memoized(&ks).or_else(|| {
@@ -258,17 +257,12 @@ fn disk_file_name(ks: &str) -> String {
 // One `field=value` pair per line; u64 arrays comma-separated; f64 stored
 // as IEEE-754 bit patterns in hex so round-trips are exact.
 //
-// The same records travel over the fleet wire: workers serialize results
-// with `render_record` and the coordinator validates them with
-// `parse_record` against the assigned key, so the on-disk format and the
-// streaming format can never diverge.
-//
 // A failed cell is a record too (`kind=failed`, its stage, and its error
-// escaped onto one line). It crosses the wire but never reaches disk, so
-// adding it left `DISK_VERSION` alone.
+// escaped onto one line). It never reaches disk, so adding it left
+// `DISK_VERSION` alone.
 
 /// Serializes a cell result as a versioned flat-text record embedding its
-/// full key — the on-disk `*.cell` format and the fleet result payload.
+/// full key — the on-disk `*.cell` format.
 pub fn render_record(key: &str, result: &CellResult) -> String {
     let mut out = String::new();
     out.push_str(DISK_VERSION);
@@ -364,8 +358,8 @@ pub fn render_record(key: &str, result: &CellResult) -> String {
 
 /// Parses a flat-text cell record, validating its version header and
 /// embedded key against `expected_key`. Returns `None` for truncated,
-/// stale-version, corrupt, or mis-keyed records — callers recompute (disk
-/// cache) or requeue (fleet) instead of trusting the bytes.
+/// stale-version, corrupt, or mis-keyed records — the disk cache
+/// recomputes instead of trusting the bytes.
 pub fn parse_record(text: &str, expected_key: &str) -> Option<CellResult> {
     let mut lines = text.lines();
     if lines.next()? != DISK_VERSION {

@@ -82,8 +82,7 @@ impl Default for SuiteOptions {
 
 impl SuiteOptions {
     /// The [`work_manifest`] of this selection, checked against the
-    /// context it is about to run under — what [`run_suite`] and the fleet
-    /// coordinator both plan from.
+    /// context it is about to run under — what [`run_suite`] plans from.
     ///
     /// # Errors
     ///
@@ -186,12 +185,9 @@ pub fn validate_filter(filter: Option<&str>) -> Result<(), String> {
 /// in deterministic order — each native counterpart directly precedes the
 /// first translated cell that implies it.
 ///
-/// A local run executes this list; in a fleet, coordinator and workers
-/// both derive it independently from (filter, params), so work can be
-/// assigned by *manifest index* over the wire and verified against the
-/// full key string; no cell-key codec is needed, and any registry skew
-/// between the two binaries is caught by [`RunContext::fingerprint`]
-/// before any work is handed out.
+/// A run executes this list. Runs of two selections share the cells their
+/// manifests share, under the same keys, so the disk caches of `--filter`
+/// halves merge into the cache of their union.
 ///
 /// # Errors
 ///
@@ -216,10 +212,10 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, String> {
 }
 
 /// Renders the selected experiments from an already-populated store — the
-/// tail half of [`run_suite`], shared with the fleet coordinator. Cells
-/// missing from the store are computed on the spot by the [`View`]'s lazy
-/// path (serially), so the output is total regardless of how the store
-/// was filled — and byte-identical to a local run over the same cells.
+/// tail half of [`run_suite`]. Cells missing from the store are computed
+/// on the spot by the [`View`]'s lazy path (serially), so the output is
+/// total regardless of how the store was filled — and byte-identical to a
+/// local run over the same cells.
 /// An experiment whose render errs, or which declares a failed cell, gets
 /// a section of one note saying so instead; every other section is what a
 /// clean run prints.

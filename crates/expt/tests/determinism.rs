@@ -244,9 +244,10 @@ fn disk_cache_round_trips_suite_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The recipe for machines that cannot reach a coordinator: each runs its
-/// own `--filter … --cache`, the `*.cell` files are copied into one
-/// directory, and a run of the union renders from it without simulating.
+/// The one way to split a run across machines: each runs its own
+/// `--filter … --cache`, the `*.cell` files are copied into one
+/// directory, and a run of the union renders from it without simulating —
+/// byte for byte what one in-memory run of the union prints.
 #[test]
 fn caches_of_filtered_runs_merge_and_render_from_disk() {
     let root = std::env::temp_dir().join(format!("strata-expt-merge-{}", std::process::id()));
@@ -257,24 +258,29 @@ fn caches_of_filtered_runs_merge_and_render_from_disk() {
         cache_dir: cache,
         ..SuiteOptions::default()
     };
-    let (a, b) = (root.join("a"), root.join("b"));
-    run_suite(&opts("fig14", Some(a.clone()))).expect("machine a");
-    run_suite(&opts("fig2", Some(b.clone()))).expect("machine b");
-    for entry in std::fs::read_dir(&b).expect("cache b") {
-        let path = entry.expect("entry").path();
-        if path.extension().is_some_and(|e| e == "cell") {
-            std::fs::copy(&path, a.join(path.file_name().expect("name"))).expect("copy");
+    let merged_dir = root.join("merged");
+    std::fs::create_dir_all(&merged_dir).expect("merged cache dir");
+    for half in ["fig2", "fig4"] {
+        let dir = root.join(half);
+        let run = run_suite(&opts(half, Some(dir.clone()))).expect("half run");
+        assert!(run.store_stats.computed > 0, "{half} simulated nothing");
+        for entry in std::fs::read_dir(&dir).expect("half cache") {
+            let path = entry.expect("entry").path();
+            if path.extension().is_some_and(|e| e == "cell") {
+                let name = path.file_name().expect("name");
+                std::fs::copy(&path, merged_dir.join(name)).expect("copy");
+            }
         }
     }
-    let merged = run_suite(&opts("fig2,fig14", Some(a))).expect("merged render");
+    let merged = run_suite(&opts("fig2,fig4", Some(merged_dir))).expect("merged render");
     assert_eq!(
         merged.store_stats.computed, 0,
         "the merge must not simulate"
     );
-    let fresh = run_suite(&opts("fig2,fig14", None)).expect("fresh run");
-    assert_eq!(merged.unique_cells, fresh.unique_cells);
-    assert_eq!(merged.rendered, fresh.rendered);
-    assert_eq!(merged.artifacts, fresh.artifacts);
+    let local = run_suite(&opts("fig2,fig4", None)).expect("local run");
+    assert_eq!(merged.unique_cells, local.unique_cells);
+    assert_eq!(merged.rendered, local.rendered);
+    assert_eq!(merged.artifacts, local.artifacts);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -293,8 +299,7 @@ fn store_counts_are_consistent() {
     let report = run_suite(&opts).expect("suite runs");
     // fig2: reentry config across all 12 workloads + 12 natives.
     assert_eq!(report.unique_cells, 24);
-    // The store holds exactly the manifest: a local run and a fleet run
-    // (which leases manifest entries) compute the same set.
+    // The store holds exactly the manifest.
     let manifest = work_manifest(Some("fig2"), opts.params).expect("manifest");
     assert_eq!(report.unique_cells, manifest.len());
     assert!(report.rendered.starts_with("# fig2:"));

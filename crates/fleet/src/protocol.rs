@@ -1,5 +1,6 @@
 //! The fleet wire protocol: versioned, length-prefixed, checksummed
-//! frames over TCP.
+//! frames. The coordinator and worker that spoke it over TCP are gone
+//! (see the crate docs); the codec stays for the benchmark harness.
 //!
 //! The encoding is hand-rolled and serde-free, consistent with the
 //! cell-store's flat-text records: fixed-width little-endian integers,
@@ -17,20 +18,18 @@
 //! ```
 //!
 //! Every decode error is a value, never a panic. [`Frame::decode`] is the
-//! one decoder, and [`Frame::next`] feeds it a connection's bytes as they
+//! one decoder, and [`Frame::next`] feeds it a stream's bytes as they
 //! arrive: [`ProtoError::Truncated`] means "wait for more bytes"; any
 //! other error — a flipped bit, an oversized length, an unknown
-//! discriminant — is what the caller maps to "drop this connection"
-//! (coordinator) or "reconnect with backoff" (worker). The property tests
+//! discriminant — means the stream cannot be trusted. The property tests
 //! stream randomized frames in random chunks and mutilate them
 //! bit-by-bit to pin this down.
 //!
-//! Work assignment rides on *manifest indices*, not serialized cell keys:
-//! coordinator and workers independently derive the same
+//! Work assignment rode on *manifest indices*, not serialized cell keys:
+//! both sides derived the same
 //! [`work_manifest`](strata_expt::work_manifest) from the (filter,
-//! params) announced in [`Frame::Welcome`], verify agreement via the
-//! manifest fingerprint, and then name cells by index — with the full key
-//! string echoed alongside as a belt-and-braces check.
+//! params) announced in [`Frame::Welcome`] and named cells by index, with
+//! the full key string echoed alongside.
 
 use strata_expt::fnv1a64;
 
@@ -60,7 +59,7 @@ pub enum Frame {
         variant: u64,
         /// Number of cells in the canonical manifest.
         manifest_len: u32,
-        /// [`strata_expt::RunContext::fingerprint`] of the manifest.
+        /// A hash of the manifest's key strings under the run context.
         fingerprint: u64,
     },
     /// Worker → coordinator: manifest verified, ready for work.

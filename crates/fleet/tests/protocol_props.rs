@@ -1,9 +1,9 @@
-//! Property tests for the fleet wire protocol, through the streaming
-//! buffer both state machines decode with ([`Frame::next`]): randomized
-//! frame sequences fed in random chunk sizes come out exactly as encoded,
-//! every proper prefix of a frame is "need more" and never an error, and
-//! every single-bit flip is an error — a [`ProtoError`] value, never a
-//! panic and never a silently wrong frame.
+//! Property tests for the fleet wire protocol, through its streaming
+//! decoder ([`Frame::next`]): randomized frame sequences fed in random
+//! chunk sizes come out exactly as encoded, every proper prefix of a frame
+//! is "need more" and never an error, and every single-bit flip is an
+//! error — a [`ProtoError`] value, never a panic and never a silently
+//! wrong frame.
 
 use strata_fleet::protocol::{Frame, ProtoError, MAGIC};
 use strata_stats::rng::SmallRng;

@@ -13,9 +13,8 @@
 //!    baselines for free.
 //! 2. **Store** ([`file`]): the stream is delta/varint packed into
 //!    length-prefixed, FNV-1a-checksummed blocks (~1.5 bytes per
-//!    instruction) — the same framing discipline as the fleet wire
-//!    protocol, so truncation and corruption are decode *errors*, never
-//!    panics.
+//!    instruction), so truncation and corruption are decode *errors*,
+//!    never panics.
 //! 3. **Phase analysis** ([`bbv`], [`kmeans`], [`simpoints`]): fixed-size
 //!    intervals are summarized as hashed basic-block vectors, clustered
 //!    with a seeded deterministic k-means, and each cluster elects
@@ -39,8 +38,7 @@ pub use record::{record, Recorded};
 pub use simpoints::{select, SimPoint, SimPoints};
 
 /// FNV-1a 64-bit hash — the workspace's one checksum: trace block and
-/// header checksums here, cell-cache file names and manifest
-/// fingerprints in `strata-expt`, frame checksums in `strata-fleet`.
+/// header checksums here, cell-cache file names in `strata-expt`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -1,18 +1,16 @@
 //! `strata` — command-line driver for the SDT laboratory: `list`, `run`,
-//! `compare`, `verify`, `bench`, `fleet serve|work` and
-//! `trace record|info|simpoints`. [`VERBS`] holds each verb's usage
-//! synopsis, which is also the table of `--flags` the verb reads: a flag
-//! that is not in it exits 2 naming the flag and the verb instead of
-//! running on defaults.
+//! `compare`, `verify`, `bench` and `trace record|info|simpoints`.
+//! [`VERBS`] holds each verb's usage synopsis, which is also the table of
+//! `--flags` the verb reads: a flag that is not in it exits 2 naming the
+//! flag and the verb instead of running on defaults.
 //!
 //! `bench --baseline DIR` diffs the run's artifacts against the committed
 //! snapshot under `DIR` and exits nonzero when any metric drifts more
 //! than `--tolerance` percent (default 5) — the CI regression gate.
 //!
-//! A run is partitioned across machines by `strata fleet serve` /
-//! `strata fleet work`; machines that cannot reach a coordinator each run
-//! their own `bench --filter … --cache`, and a plain `bench --cache` over
-//! the merged `*.cell` files renders the union.
+//! A run is split across machines by running `bench --filter … --cache`
+//! on each; a plain `bench --cache` over the merged `*.cell` files renders
+//! the union, byte-identical to one local run.
 //!
 //! Config specs mirror `SdtConfig::describe()` loosely:
 //! `reentry`, `ibtc:<entries>`, `ibtc-outline:<entries>`,
@@ -27,13 +25,12 @@ use std::process::ExitCode;
 
 use strata_lab::arch::ArchProfile;
 use strata_lab::cli::{
-    check_flags, parse_arch, parse_config, parse_context, parse_flag, parse_params, parse_policy,
-    parse_suite, parse_tier, usage_verb, SuiteArgs,
+    check_flags, check_verb, parse_arch, parse_config, parse_context, parse_flag, parse_params,
+    parse_policy, parse_suite, parse_tier, usage_verb,
 };
 use strata_lab::core::{run_native_with_model, Origin, RetMechanism, Sdt, SdtConfig};
 use strata_lab::expt::sampled;
 use strata_lab::expt::{self, SuiteReport};
-use strata_lab::fleet;
 use strata_lab::machine::{ExecTier, TierConfig};
 use strata_lab::stats::Table;
 use strata_lab::workloads::{by_name, registry, Params};
@@ -59,7 +56,7 @@ type Verb = fn(&[String]) -> Result<(), String>;
 /// the verb (`cli::usage_verb`), is what `strata` prints without one, and
 /// is the table of `--flags` the verb reads (`cli::check_flags`) — a flag
 /// a verb starts reading has to be added here to be accepted at all.
-const VERBS: [(&str, Verb); 10] = [
+const VERBS: [(&str, Verb); 8] = [
     ("strata list", list_cmd),
     (
         "strata run <workload> [--config SPEC] [--ib-policy SPEC] [--arch x86|sparc|mips]\n\
@@ -85,18 +82,6 @@ const VERBS: [(&str, Verb); 10] = [
          \x20            [--list] [--sampled] [--traces DIR]\n\
          \x20            [--tier interp|threaded[:M]] [--tier-threshold M] [--predictor SPEC]",
         bench_cmd,
-    ),
-    (
-        "strata fleet serve [--bind ADDR] [--filter IDS] [--format text|csv|json]\n\
-         \x20            [--scale N] [--variant N] [--cache] [--lease SECS]\n\
-         \x20            [--progress text|json|none] [--no-artifacts]\n\
-         \x20            [--artifacts-dir DIR] [--sampled] [--traces DIR] [--predictor SPEC]",
-        fleet_serve_cmd,
-    ),
-    (
-        "strata fleet work --connect ADDR [--name NAME] [--retries N] [--tier SPEC]\n\
-         \x20            [--tier-threshold M] [--sampled] [--traces DIR] [--predictor SPEC]",
-        fleet_work_cmd,
     ),
     (
         "strata trace record <workload|all> [--scale N] [--variant N]\n\
@@ -130,6 +115,10 @@ fn main() -> ExitCode {
         }
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(message) = check_verb(&args) {
+        eprintln!("{message}");
+        return ExitCode::from(2);
+    }
     for (usage, run) in VERBS {
         let named = usage_verb(usage).count();
         if !usage_verb(usage).eq(args.iter().take(named)) {
@@ -281,18 +270,6 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints a rendered suite and writes its JSON artifacts — the report
-/// tail `bench` and `fleet serve` share.
-fn report_suite(report: &SuiteReport, suite: &SuiteArgs) -> Result<(), String> {
-    print!("{}", report.rendered);
-    if suite.write_artifacts {
-        let dir = &suite.artifacts_dir;
-        let written = expt::write_artifacts(report, dir.as_ref())?;
-        eprintln!("wrote {} artifact(s) under {dir}/", written.len());
-    }
-    Ok(())
-}
-
 /// One stderr line per failed cell — its key, stage and error — and the
 /// error the verb exits 1 with; `Ok` when every cell has a result.
 fn failed_cells(report: &SuiteReport) -> Result<(), String> {
@@ -360,7 +337,12 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
     };
 
     let report = expt::run_suite(&suite.opts)?;
-    report_suite(&report, &suite)?;
+    print!("{}", report.rendered);
+    if suite.write_artifacts {
+        let dir = &suite.artifacts_dir;
+        let written = expt::write_artifacts(&report, dir.as_ref())?;
+        eprintln!("wrote {} artifact(s) under {dir}/", written.len());
+    }
     let s = report.store_stats;
     eprintln!(
         "cells: {} unique ({} simulated, {} memo hits, {} disk hits) on {} job(s)",
@@ -399,106 +381,6 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
         }
     }
     failed
-}
-
-/// `strata fleet serve` — hosts a coordinator that leases the selected
-/// suite's cells to TCP workers and renders the merged result exactly like
-/// a local `strata bench`.
-fn fleet_serve_cmd(args: &[String]) -> Result<(), String> {
-    let suite = parse_suite(args)?;
-    let mut serve = fleet::ServeOptions {
-        suite: suite.opts.clone(),
-        ..fleet::ServeOptions::default()
-    };
-    if let Some(bind) = parse_flag(args, "--bind") {
-        serve.bind = bind;
-    }
-    if let Some(lease) = parse_flag(args, "--lease") {
-        let secs: u64 = lease
-            .parse()
-            .map_err(|_| format!("bad --lease `{lease}`"))?;
-        serve.lease = std::time::Duration::from_secs(secs);
-        if serve.lease < fleet::MIN_LEASE {
-            // A usage error like an unknown flag: a connection silent for
-            // a lease is closed, so live workers would lose their cells.
-            eprintln!(
-                "--lease must be at least {} seconds: workers heartbeat every {} s, and a \
-                 connection silent for a lease is closed",
-                fleet::MIN_LEASE.as_secs(),
-                fleet::HEARTBEAT.as_secs()
-            );
-            std::process::exit(2);
-        }
-    }
-    if let Some(mode) = parse_flag(args, "--progress") {
-        serve.progress = fleet::Progress::parse(&mode)?;
-    }
-
-    let report = fleet::serve(serve, |addr| {
-        eprintln!(
-            "fleet: serving on {addr}; point workers at it with \
-             `strata fleet work --connect <host:port>`"
-        )
-    })?;
-    report_suite(&report.suite, &suite)?;
-    let s = &report.stats;
-    let per_worker = s
-        .per_worker
-        .iter()
-        .map(|(name, n)| format!("{name}:{n}"))
-        .collect::<Vec<_>>()
-        .join(" ");
-    eprintln!(
-        "fleet: {} cell(s): {} preloaded, {} received, {} requeued, \
-         {} duplicate(s), {} rejected, {} worker(s){}",
-        s.cells,
-        s.preloaded,
-        s.received,
-        s.requeued,
-        s.duplicates,
-        s.rejected,
-        s.workers_seen,
-        if per_worker.is_empty() {
-            String::new()
-        } else {
-            format!(" [{per_worker}]")
-        },
-    );
-    failed_cells(&report.suite)
-}
-
-/// `strata fleet work` — connects to a coordinator and executes cells
-/// until the suite is done.
-fn fleet_work_cmd(args: &[String]) -> Result<(), String> {
-    // Workers run native cells through the same process-global tier as
-    // `strata bench`; results are bit-identical either way, so tier
-    // choice is per-worker and never part of the protocol.
-    if let Some(tier) = parse_tier(args)? {
-        expt::set_exec_tier(tier);
-    }
-    let mut opts = fleet::WorkOptions {
-        connect: parse_flag(args, "--connect").ok_or("fleet work needs --connect <host:port>")?,
-        // Must match the coordinator's — the suite fingerprint is salted
-        // by it, so a mismatched worker is refused at handshake rather
-        // than mixing result kinds.
-        context: parse_context(args, false)?,
-        ..fleet::WorkOptions::default()
-    };
-    if let Some(name) = parse_flag(args, "--name") {
-        opts.name = name;
-    }
-    if let Some(retries) = parse_flag(args, "--retries") {
-        opts.retries = retries
-            .parse()
-            .map_err(|_| format!("bad --retries `{retries}`"))?;
-    }
-    let name = opts.name.clone();
-    let report = fleet::work(opts)?;
-    eprintln!(
-        "fleet: {name} executed {} cell(s), {} reconnect(s)",
-        report.executed, report.reconnects
-    );
-    Ok(())
 }
 
 /// The traces directory the `trace` verbs work on: their context is

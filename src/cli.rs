@@ -17,16 +17,34 @@ pub fn parse_flag(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The one way to split a run across machines, named wherever an earlier
+/// way to partition one (`--shard`, `strata fleet`) is asked for.
+const SPLIT_A_RUN: &str = "run `bench --filter IDS --cache` on each machine, merge the \
+                           `results/cache/*.cell` files, and render with `bench --cache`";
+
 /// Flags earlier versions read, with what to do instead. Naming one is
 /// an error like any unknown flag, with the replacement spelled out.
-const REMOVED_FLAGS: [(&str, &str); 1] = [(
-    "--shard",
-    "partition a run with strata fleet serve / strata fleet work \
-     (or --filter … --cache per machine)",
-)];
+const REMOVED_FLAGS: [(&str, &str); 1] = [("--shard", SPLIT_A_RUN)];
 
-/// The words of a usage synopsis that name its verb: `fleet`, `work` for
-/// `strata fleet work --connect ADDR [--name NAME] …`.
+/// Verbs earlier versions had, with what to do instead.
+const REMOVED_VERBS: [(&str, &str); 1] = [("fleet", SPLIT_A_RUN)];
+
+/// Refuses a verb earlier versions had — `strata fleet serve`, `strata
+/// fleet work` — whatever follows it, with the replacement spelled out.
+///
+/// # Errors
+///
+/// Returns the message the driver exits 2 on.
+pub fn check_verb(args: &[String]) -> Result<(), String> {
+    let first = args.first().map(String::as_str);
+    match REMOVED_VERBS.iter().find(|(verb, _)| first == Some(verb)) {
+        Some((verb, instead)) => Err(format!("strata {verb} is gone; {instead}")),
+        None => Ok(()),
+    }
+}
+
+/// The words of a usage synopsis that name its verb: `trace`, `record`
+/// for `strata trace record <workload|all> [--scale N] …`.
 pub fn usage_verb(usage: &str) -> impl Iterator<Item = &str> {
     let words = usage.split_whitespace().skip(1);
     words.take_while(|w| w.chars().all(char::is_alphabetic))
@@ -130,8 +148,8 @@ pub fn parse_context(args: &[String], always_sampled: bool) -> Result<RunContext
     })
 }
 
-/// The suite selection `bench` and `fleet serve` share: what to run and
-/// render, and where its artifacts go.
+/// The suite selection `bench` reads: what to run and render, and where
+/// its artifacts go.
 #[derive(Debug)]
 pub struct SuiteArgs {
     /// Filter, format, params, cache directory and context (`jobs` stays

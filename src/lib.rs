@@ -16,9 +16,11 @@
 //! * [`stats`] — tables/series for the experiment binaries,
 //! * [`expt`] — the parallel experiment orchestrator behind `strata bench`,
 //! * [`trace`] — compressed retire-trace recording plus BBV/SimPoint
-//!   phase analysis, the substrate of `strata trace` and `bench --sampled`,
-//! * [`fleet`] — the coordinator/worker pair behind `strata fleet`, for
-//!   spreading a suite run across machines over TCP.
+//!   phase analysis, the substrate of `strata trace` and `bench --sampled`.
+//!
+//! A suite run splits across machines with `strata bench --filter IDS
+//! --cache` on each and one `strata bench --cache` over the merged
+//! `*.cell` files; nothing is shared but those files.
 //!
 //! See `examples/quickstart.rs` for a end-to-end tour and
 //! `strata bench --filter <id>` for regenerating each table and figure of
@@ -31,7 +33,6 @@ pub use strata_arch as arch;
 pub use strata_asm as asm;
 pub use strata_core as core;
 pub use strata_expt as expt;
-pub use strata_fleet as fleet;
 pub use strata_isa as isa;
 pub use strata_machine as machine;
 pub use strata_stats as stats;

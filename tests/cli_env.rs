@@ -15,6 +15,10 @@ const REMOVED: [(&str, &str); 6] = [
     ("STRATA_CSV", "--format csv"),
 ];
 
+/// What replaces every earlier way to partition a run.
+const SPLIT: &str = "run `bench --filter IDS --cache` on each machine, merge the \
+                     `results/cache/*.cell` files, and render with `bench --cache`";
+
 fn strata(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_strata"));
     for (name, _) in REMOVED {
@@ -64,8 +68,6 @@ fn flags_a_verb_does_not_read_are_rejected_by_name() {
         "compare",
         "verify",
         "bench",
-        "fleet serve",
-        "fleet work",
         "trace record",
         "trace info",
         "trace simpoints",
@@ -79,8 +81,8 @@ fn flags_a_verb_does_not_read_are_rejected_by_name() {
     // Another verb's flag is not this verb's, and a value is not optional.
     for (args, message) in [
         (
-            &["fleet", "serve", "--jobs", "2"][..],
-            "unknown flag `--jobs` for `strata fleet serve`",
+            &["trace", "info", "--jobs", "2"][..],
+            "unknown flag `--jobs` for `strata trace info`",
         ),
         (
             &["bench", "--jobs"],
@@ -88,24 +90,24 @@ fn flags_a_verb_does_not_read_are_rejected_by_name() {
         ),
         (
             &["bench", "--shard", "0/2"],
-            "--shard is gone; partition a run with strata fleet serve / strata fleet work \
-             (or --filter … --cache per machine)",
+            format!("--shard is gone; {SPLIT}").as_str(),
         ),
     ] {
         assert_refused(strata(args), 2, message);
     }
 }
 
-/// A connection silent for a lease is closed, so a lease live workers'
-/// heartbeats cannot keep alive would steal their cells: refused up
-/// front, naming the heartbeat.
+/// The fleet's verbs are gone, whatever follows them: each names the one
+/// way left to split a run.
 #[test]
-fn fleet_serve_refuses_a_lease_shorter_than_two_heartbeats() {
-    let message = "--lease must be at least 5 seconds: workers heartbeat every 2 s, and a \
-                   connection silent for a lease is closed";
-    for lease in ["0", "4"] {
-        let args = ["fleet", "serve", "--filter", "table1", "--lease", lease];
-        assert_refused(strata(&args), 2, message);
+fn fleet_verbs_are_gone_naming_the_split() {
+    let message = format!("strata fleet is gone; {SPLIT}");
+    for args in [
+        &["fleet", "serve", "--filter", "table1", "--lease", "4"][..],
+        &["fleet", "work", "--connect", "127.0.0.1:7841"],
+        &["fleet"],
+    ] {
+        assert_refused(strata(args), 2, &message);
     }
 }
 

@@ -7,23 +7,27 @@
 //! is that completion step), [`dispatch_order`] says *in what order*
 //! (natives first, each kind in manifest order), and [`program_for`] is
 //! where every cell's `Program` comes from. [`execute`] consumes that one
-//! plan: a `--jobs N` pool of scoped threads claims execution groups off a
-//! shared atomic counter.
+//! plan: a `--jobs N` pool of scoped threads claims tasks — execution
+//! groups and, for a suite, renders — off a shared atomic counter.
 //!
 //! An execution group ([`execution_groups`]) is the cells that differ
 //! only in profile: one execution — in sampled mode, one trace replay —
 //! serves them all, priced under each cell's model, and each result
 //! lands under its own key.
 //!
-//! Execution runs in two phases — the native groups, then the translated
-//! rest — so that every translated cell can verify its checksum against
-//! an already-memoized native result without ever racing another thread
-//! to compute the same baseline.
+//! The pool runs three phases ([`schedule`]): the native groups; then the
+//! renders that read natives only, followed by the translated groups;
+//! then every other render. So every translated cell verifies its
+//! checksum against an already-memoized native result without ever
+//! racing another thread to compute the same baseline, and every render
+//! starts once the cells it declares are in the store — the ones that
+//! simulate on the spot (fig20–22) beside the translated groups.
 //!
 //! Parallelism and scheduling order only change *when* results land in
-//! the [`Store`]; the results themselves are deterministic functions of
-//! their keys, and all rendering happens serially afterwards, so suite
-//! output is bit-identical for every `--jobs` value.
+//! the [`Store`] and when a render runs; the results are deterministic
+//! functions of their keys, a render reads only the cells its experiment
+//! declares, and the suite assembles sections in registry order, so
+//! suite output is bit-identical for every `--jobs` value.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -334,20 +338,62 @@ pub(crate) fn execution_groups(cells: &[CellKey]) -> Vec<Vec<CellKey>> {
 /// The unit of work is an execution group (`execution_groups`): one
 /// execution per group, priced under each of its cells' profiles.
 pub fn execute(store: &Store, cells: &[CellKey], jobs: usize) {
+    schedule(store, cells, jobs, &[], |_| {});
+}
+
+/// One unit of pool work.
+enum Task<'a> {
+    /// Compute (or recall) an execution group.
+    Execute(&'a [CellKey]),
+    /// Run render `i` of [`schedule`]'s list.
+    Render(usize),
+}
+
+/// [`execute`] with renders on the same pool: `render(i)` runs once for
+/// each `i` in `0..natives_only.len()`, as soon as the cells render `i`
+/// reads are in the store. A render that reads natives only
+/// (`natives_only[i]`) heads the translated phase's queue, in list order;
+/// every other render runs after the last translated group. The caller
+/// collects what the renders produce and orders it.
+pub(crate) fn schedule(
+    store: &Store,
+    cells: &[CellKey],
+    jobs: usize,
+    natives_only: &[bool],
+    render: impl Fn(usize) + Sync,
+) {
     let groups = execution_groups(&with_implied_natives(cells.iter().cloned()));
     let natives = groups.partition_point(|group| group[0].kind == RunKind::Native);
-    for phase in [&groups[..natives], &groups[natives..]] {
-        run_phase(store, phase, jobs.max(1));
+    let (native_groups, translated) = groups.split_at(natives);
+    let renders = |early: bool| {
+        let at = (0..natives_only.len()).filter(move |&i| natives_only[i] == early);
+        at.map(Task::Render)
+    };
+    let phases: [Vec<Task>; 3] = [
+        native_groups.iter().map(|g| Task::Execute(g)).collect(),
+        renders(true)
+            .chain(translated.iter().map(|g| Task::Execute(g)))
+            .collect(),
+        renders(false).collect(),
+    ];
+    for tasks in &phases {
+        run_phase(tasks, jobs.max(1), |task| match *task {
+            Task::Execute(group) => {
+                cell_results(store, group);
+            }
+            Task::Render(i) => render(i),
+        });
     }
 }
 
-fn run_phase(store: &Store, groups: &[Vec<CellKey>], jobs: usize) {
+/// Runs every task on `jobs` scoped threads claiming them in order.
+fn run_phase(tasks: &[Task], jobs: usize, run: impl Fn(&Task) + Sync) {
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(groups.len()) {
+        for _ in 0..jobs.min(tasks.len()) {
             scope.spawn(|| {
-                while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    cell_results(store, group);
+                while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    run(task);
                 }
             });
         }

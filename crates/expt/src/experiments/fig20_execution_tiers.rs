@@ -19,10 +19,12 @@
 //! The host wall-clock comparison — the entire point of the tier — is
 //! inherently machine- and run-dependent, so it is opt-in: set
 //! `STRATA_TIER_TIMING=1` to time both tiers per workload and emit the
-//! measurements as notes. The gate ignores notes, and the default
-//! render omits them entirely so suite output stays byte-identical
-//! across runs (the merged-cache and warm-cache determinism tests rely
-//! on that).
+//! measurements as notes. This render runs on the `--jobs` pool beside
+//! the translated cells, so with more than one job the times are taken
+//! while other tasks share the host; `--jobs 1` times each tier alone.
+//! The gate ignores notes, and the default render omits them entirely
+//! so suite output stays byte-identical across runs (the merged-cache
+//! and warm-cache determinism tests rely on that).
 
 use std::time::Instant;
 

@@ -18,9 +18,10 @@
 //!   guest once, priced under each profile's cost model, and each result
 //!   is stored under its own key.
 //! * **Determinism** — simulations are pure; parallelism only changes
-//!   when results land in the store. Rendering is serial and ordered, so
-//!   `--jobs N` output is byte-identical to `--jobs 1` (a test asserts
-//!   this).
+//!   when results land in the store and when each render runs. Renders
+//!   share the worker pool, each starting once the cells it declares are
+//!   in, and sections are assembled in registry order, so `--jobs N`
+//!   output is byte-identical to `--jobs 1` (a test asserts this).
 //! * **Structured results** — every experiment renders aligned text, CSV,
 //!   and JSON (via the hand-rolled writer in `strata-stats`), with
 //!   per-experiment artifacts written to `results/*.json`.

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -54,6 +54,12 @@ pub struct Store {
     computed: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
+    /// Whether any result held is [`CellResult::Failed`]. Set under the
+    /// cells lock and read with `Relaxed`: it publishes no data (a reader
+    /// takes the lock to see the cells), and the reader that needs a set
+    /// flag — a render's failure check — is ordered after the insert by
+    /// the pool's phase boundary, a thread join.
+    any_failed: AtomicBool,
 }
 
 impl Store {
@@ -69,6 +75,7 @@ impl Store {
             computed: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
+            any_failed: AtomicBool::new(false),
         }
     }
 
@@ -141,6 +148,12 @@ impl Store {
         let cells = self.snapshot().into_iter();
         let failed = cells.filter_map(|(k, r)| r.as_failed().map(|(s, e)| (k, s, e.to_string())));
         failed.collect()
+    }
+
+    /// Whether the store holds a failed cell — what
+    /// [`Store::failures`] answers without listing them.
+    pub(crate) fn holds_failures(&self) -> bool {
+        self.any_failed.load(Ordering::Relaxed)
     }
 
     /// Returns the results for `keys`, in order, computing the missing
@@ -218,7 +231,11 @@ impl Store {
             self.save_to_disk(&ks, &result);
         }
         let mut cells = self.cells.lock().expect("store lock");
-        Arc::clone(cells.entry(ks).or_insert_with(|| Arc::new(result)))
+        let held = Arc::clone(cells.entry(ks).or_insert_with(|| Arc::new(result)));
+        if held.as_failed().is_some() {
+            self.any_failed.store(true, Ordering::Relaxed);
+        }
+        held
     }
 
     /// The record under `ks` in the disk cache, counted as a disk hit.

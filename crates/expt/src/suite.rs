@@ -1,22 +1,24 @@
 //! Suite orchestration: select experiments, expand them into the one
-//! [`work_manifest`], execute it in parallel, then render every
-//! experiment serially — text, CSV, or JSON — with per-experiment JSON
+//! [`work_manifest`], execute it and render every experiment on one
+//! parallel pool — text, CSV, or JSON — with per-experiment JSON
 //! artifacts.
 //!
-//! Rendering happens strictly after execution and in registry order, so
-//! the output is byte-identical for any `--jobs` value (the parallel
-//! phase only changes *when* each memoized result appears, never what it
+//! A render starts only once every cell it declares is in the store, and
+//! sections are assembled in registry order, so the output is
+//! byte-identical for any `--jobs` value (the pool only changes *when*
+//! each memoized result appears and each render runs, never what either
 //! contains).
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use strata_stats::baseline::{self, DeltaReport, Snapshot};
 use strata_stats::Json;
 use strata_workloads::{Params, SAMPLED_ONLY_SCALE};
 
-use crate::cell::{CellKey, Stage};
+use crate::cell::{CellKey, RunKind, Stage};
 use crate::context::RunContext;
-use crate::exec::{execute, sampled_only, with_implied_natives};
+use crate::exec::{sampled_only, schedule, with_implied_natives};
 use crate::experiments::Output;
 use crate::registry::{by_id, registry, Experiment};
 use crate::store::{Store, StoreStats};
@@ -199,7 +201,9 @@ pub fn work_manifest(filter: Option<&str>, params: Params) -> Result<Vec<CellKey
     ))
 }
 
-/// Runs the suite: execute all selected cells in parallel, then render.
+/// Runs the suite: executes the selection's [`SuiteOptions::manifest`]
+/// and renders every selected experiment on one `--jobs` pool (see
+/// [`render_from_store`]).
 ///
 /// # Errors
 ///
@@ -207,15 +211,15 @@ pub fn work_manifest(filter: Option<&str>, params: Params) -> Result<Vec<CellKey
 pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, String> {
     let cells = opts.manifest()?;
     let store = Store::new(opts.context.clone(), opts.cache_dir.clone());
-    execute(&store, &cells, opts.jobs);
-    render_from_store(&store, opts)
+    Ok(render(&store, opts, &cells))
 }
 
-/// Renders the selected experiments from an already-populated store — the
-/// tail half of [`run_suite`]. Cells missing from the store are computed
-/// on the spot by the [`View`]'s lazy path (serially), so the output is
-/// total regardless of how the store was filled — and byte-identical to a
-/// local run over the same cells.
+/// Renders the selected experiments from `store`, computing first the
+/// cells of the selection's [`work_manifest`] that it does not hold —
+/// none, when `store` was filled by [`execute`](crate::execute) over that
+/// manifest. Cells are computed, and renders run, on the `opts.jobs`
+/// pool (see [`crate::exec`]), so the output is total however the store
+/// was filled, and byte-identical to a local run over the same cells.
 /// An experiment whose render errs, or which declares a failed cell, gets
 /// a section of one note saying so instead; every other section is what a
 /// clean run prints.
@@ -224,18 +228,40 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, String> {
 ///
 /// Returns an error when any filter pattern matches no experiment.
 pub fn render_from_store(store: &Store, opts: &SuiteOptions) -> Result<SuiteReport, String> {
-    validate_filter(opts.filter.as_deref())?;
-    let selected = select(opts.filter.as_deref());
-    let unique_cells = store.len();
+    let cells = work_manifest(opts.filter.as_deref(), opts.params)?;
+    Ok(render(store, opts, &cells))
+}
 
+/// Computes `cells` — the selection's manifest — into `store` and renders
+/// the selected experiments beside them on one pool: a render whose
+/// declared cells are all natives runs as soon as the natives are in,
+/// every other render after the last translated group. Sections and
+/// artifacts are assembled in registry order afterwards.
+fn render(store: &Store, opts: &SuiteOptions, cells: &[CellKey]) -> SuiteReport {
+    let selected = select(opts.filter.as_deref());
     let view = View::new(store, opts.params);
-    let failures = store.failures();
+    let natives_only: Vec<bool> = selected
+        .iter()
+        .map(|e| {
+            (e.cells)(opts.params)
+                .iter()
+                .all(|c| c.kind == RunKind::Native)
+        })
+        .collect();
+    let outputs: Vec<OnceLock<Output>> = selected.iter().map(|_| OnceLock::new()).collect();
+    schedule(store, cells, opts.jobs, &natives_only, |i| {
+        let section = render_section(selected[i], &view, store);
+        outputs[i].set(section).expect("each render runs once");
+    });
     let sections: Vec<SuiteSection> = selected
         .iter()
-        .map(|e| SuiteSection {
+        .zip(outputs)
+        .map(|(e, output)| SuiteSection {
             id: e.id,
             title: e.title,
-            output: render_section(e, &view, store, !failures.is_empty()),
+            output: output
+                .into_inner()
+                .expect("every selected experiment rendered"),
         })
         .collect();
 
@@ -278,22 +304,26 @@ pub fn render_from_store(store: &Store, opts: &SuiteOptions) -> Result<SuiteRepo
         }
     };
 
-    Ok(SuiteReport {
+    SuiteReport {
         sections,
         rendered,
         artifacts,
-        unique_cells,
+        unique_cells: store.len(),
         store_stats: store.stats(),
-        failures,
-    })
+        failures: store.failures(),
+    }
 }
 
 /// `e`'s section, or a one-note failure section when its render errs or
 /// a cell it declares (or a native those imply) failed. The cells are
 /// only looked at when the store holds a failure at all, and a render
-/// reads only the cells its experiment declares.
-fn render_section(e: &Experiment, view: &View, store: &Store, any_failed: bool) -> Output {
-    let cells = any_failed.then(|| with_implied_natives((e.cells)(view.params())));
+/// reads only the cells its experiment declares. Run when those cells are
+/// final (see [`render`]) — for a render of natives only, while
+/// translated cells may still be landing; it looks at none of them.
+fn render_section(e: &Experiment, view: &View, store: &Store) -> Output {
+    let cells = store
+        .holds_failures()
+        .then(|| with_implied_natives((e.cells)(view.params())));
     let failed = cells.into_iter().flatten().find_map(|cell| {
         let result = store.get(&cell)?;
         let (stage, error) = result.as_failed()?;

@@ -3,10 +3,11 @@
 //! A [`View`] wraps the shared [`Store`] and the suite's workload
 //! [`Params`], exposing the vocabulary experiments are written in
 //! (`native`, `translated`, `slowdown`, `geomean_slowdown`).
-//! The parallel executor pre-warms every declared cell, so renders are
-//! normally pure store lookups that build no program; a cell an
-//! experiment forgot to declare is computed on the spot (serially) rather
-//! than crashing the suite.
+//! The pool runs a render only once every cell it declares is in the
+//! store, so renders are normally pure store lookups that build no
+//! program; a cell an experiment forgot to declare is computed on the
+//! spot by the rendering worker rather than crashing the suite (a test
+//! holds a suite run to simulating exactly its manifest).
 
 use strata_arch::ArchProfile;
 use strata_core::{NativeRun, RunReport, SdtConfig};

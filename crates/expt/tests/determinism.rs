@@ -112,6 +112,10 @@ fn baseline_cells_are_exactly_the_manifest() {
     assert_eq!(keys.len(), 1176);
 }
 
+/// Renders run on the pool beside the cells, so besides matching the
+/// serial run byte for byte, neither run may simulate a cell outside the
+/// manifest: a render reading an undeclared cell would compute it on the
+/// spot, racing the pool.
 #[test]
 fn parallel_suite_is_byte_identical_to_serial() {
     let serial = suite(1, OutputFormat::Text);
@@ -125,6 +129,55 @@ fn parallel_suite_is_byte_identical_to_serial() {
         "JSON artifacts depend on --jobs"
     );
     assert_eq!(serial.unique_cells, parallel.unique_cells);
+    let manifest = work_manifest(Some(FILTER), Params::default()).expect("manifest");
+    for report in [&serial, &parallel] {
+        assert_eq!(report.store_stats.computed as usize, manifest.len());
+    }
+}
+
+/// A render whose cells are all natives runs before the translated cells
+/// are in; its failure check sees the same failed native a late render
+/// does. table1 (early) and fig2 (late) over a failed x86 gzip native,
+/// rendered from a store holding nothing else: both sections are the one
+/// note naming it, and the translated gzip cell fails over it.
+#[test]
+fn an_early_render_reports_its_failed_native() {
+    let opts = SuiteOptions {
+        jobs: 2,
+        filter: Some("table1,fig2".into()),
+        ..SuiteOptions::default()
+    };
+    let x86 = ArchProfile::x86_like();
+    let native = CellKey::native("gzip", x86.clone(), opts.params);
+    let over = CellKey::translated("gzip", SdtConfig::reentry(), x86, opts.params);
+    let store = Store::in_memory();
+    let planted = CellResult::Failed {
+        stage: Stage::Run,
+        error: "planted".into(),
+    };
+    store.put(&native, planted);
+    let report = render_from_store(&store, &opts).expect("renders");
+
+    let key = native.key_string();
+    let note = format!("NOT RENDERED: cell {key} failed at run: planted");
+    let ids: Vec<&str> = report.sections.iter().map(|s| s.id).collect();
+    assert_eq!(ids, ["table1", "fig2"]);
+    for section in &report.sections {
+        assert!(section.output.tables.is_empty(), "{}", section.id);
+        assert_eq!(
+            section.output.notes,
+            std::slice::from_ref(&note),
+            "{}",
+            section.id
+        );
+    }
+    let baseline = "baseline failed at run: planted".to_string();
+    let mut expected = vec![
+        (key, Stage::Run, "planted".to_string()),
+        (over.key_string(), Stage::Native, baseline),
+    ];
+    expected.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(report.failures, expected);
 }
 
 #[test]

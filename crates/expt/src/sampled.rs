@@ -40,6 +40,8 @@
 //! with exact cells (see [`crate::store`]).
 
 use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::io::BufReader;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -124,7 +126,7 @@ struct Run {
 /// Where a bundle's records come from: the `.strace` being walked, or a
 /// recording still in memory.
 enum Source<'a> {
-    File(BlockWalker<std::fs::File>),
+    File(BlockWalker<BufReader<File>>),
     Recording(&'a [CompactRetire]),
 }
 
@@ -280,7 +282,10 @@ fn load_bundle(dir: &Path, workload: &str, params: Params) -> Result<Bundle, Str
 
 /// The bundle of the `.strace` at `path`, if that is a sound trace of
 /// `workload` at `params`: every block is verified, and only the blocks
-/// under [`resident_ranges`] are unpacked.
+/// under [`resident_ranges`] are unpacked. Blocks end on interval
+/// boundaries and the ranges are whole intervals, so an unpacked block
+/// holds only records the bundle keeps. A file of the previous layout
+/// fails to open (`BadMagic`), so the caller re-records it.
 fn read_bundle(dir: &Path, path: &Path, workload: &str, params: Params) -> Option<Bundle> {
     let walker = BlockWalker::open_path(path).ok()?;
     let h = walker.header().clone();
@@ -761,6 +766,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use strata_arch::ArchProfile;
+    use strata_trace::TraceError;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("strata-sampled-{tag}-{}", std::process::id()));
@@ -1034,6 +1040,112 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `bytes`, a `.strace` image, under the magic of the previous format
+    /// (fixed 64 Ki-record blocks).
+    fn previous_format(bytes: &[u8]) -> Vec<u8> {
+        [b"STRACE01", &bytes[8..]].concat()
+    }
+
+    /// The inode of `path`: a re-recording renames a new file into place.
+    fn inode(path: &Path) -> u64 {
+        std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).unwrap())
+    }
+
+    /// Each block frame of the `.strace` image `bytes`: its byte offset
+    /// and the records it holds.
+    fn frames(bytes: &[u8]) -> Vec<(usize, Range<u64>)> {
+        let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let mut at = 8 + 4 + 8 + field(8) as usize;
+        let mut records = 0..0;
+        let mut out = Vec::new();
+        while field(at) != u32::MAX {
+            records = records.end..records.end + u64::from(field(at + 4));
+            out.push((at, records.clone()));
+            at += 16 + field(at) as usize;
+        }
+        out
+    }
+
+    #[test]
+    fn a_block_outside_the_resident_ranges_is_verified_but_never_unpacked() {
+        let params = Params::default();
+        let cells = |b: &Bundle| {
+            let models = vec![ArchProfile::x86_like().into()];
+            let cells = estimate_bundle(b, "gzip", params, SdtConfig::tuned(512, 128), models);
+            format!("{:?}", cells.expect("replays"))
+        };
+        // The first block no resident range touches, as (frame offset,
+        // payload byte range), and the file's sound image.
+        let unread = |bundle: &Bundle| {
+            let on_disk = std::fs::read(&bundle.path).unwrap();
+            let ranges = resident_ranges(&bundle.points);
+            let all = frames(&on_disk);
+            let k = all
+                .iter()
+                .position(|(_, r)| ranges.iter().all(|w| w.end <= r.start || r.end <= w.start))
+                .expect("a block replay never reads");
+            let end = all.get(k + 1).map_or(on_disk.len() - 4, |f| f.0);
+            (all[k].0, all[k].0 + 16..end, on_disk)
+        };
+
+        // A payload that checksums but does not decode: the bundle loads
+        // from the file and estimates as the sound trace does.
+        let dir = temp_dir("unread-garbage");
+        let sound = load_bundle(&dir, "gzip", params).expect("records");
+        let (at, payload, on_disk) = unread(&sound);
+        let mut bad = on_disk.clone();
+        bad[payload.start] = 0xFF;
+        let sum = strata_trace::fnv1a64(&bad[payload]);
+        bad[at + 8..at + 16].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&sound.path, &bad).unwrap();
+        let unpacked = Trace::read(&sound.path);
+        assert!(
+            matches!(unpacked, Err(TraceError::Codec(_))),
+            "{unpacked:?}"
+        );
+        let read = load_bundle(&dir, "gzip", params).expect("loads");
+        assert_eq!(std::fs::read(&sound.path).unwrap(), bad, "not re-recorded");
+        assert_eq!(read.resident, sound.resident);
+        assert_eq!(cells(&read), cells(&sound));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // One flipped bit in the same payload, checksum left alone: the
+        // file is refused and re-recorded.
+        let dir = temp_dir("unread-flip");
+        let sound = load_bundle(&dir, "gzip", params).expect("records");
+        let (_, payload, on_disk) = unread(&sound);
+        let mut bad = on_disk.clone();
+        bad[payload.start + payload.len() / 2] ^= 0x10;
+        std::fs::write(&sound.path, &bad).unwrap();
+        assert!(read_bundle(&dir, &sound.path, "gzip", params).is_none());
+        let again = load_bundle(&dir, "gzip", params).expect("re-records");
+        assert_eq!(std::fs::read(&sound.path).unwrap(), on_disk, "re-recorded");
+        assert_eq!(cells(&again), cells(&sound));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_trace_of_the_previous_format_is_re_recorded_once() {
+        let dir = temp_dir("previous-format");
+        let params = Params::default();
+        let fresh = load_bundle(&dir, "gzip", params).expect("records");
+        let on_disk = std::fs::read(&fresh.path).unwrap();
+        std::fs::write(&fresh.path, previous_format(&on_disk)).unwrap();
+        let upgraded = load_bundle(&dir, "gzip", params).expect("re-records");
+        assert_eq!(std::fs::read(&fresh.path).unwrap(), on_disk, "re-recorded");
+        let recorded = inode(&fresh.path);
+        let again = load_bundle(&dir, "gzip", params).expect("reads");
+        assert_eq!(inode(&fresh.path), recorded, "read, not recorded again");
+        for bundle in [&upgraded, &again] {
+            assert_eq!(
+                (&bundle.header, &bundle.points),
+                (&fresh.header, &fresh.points)
+            );
+            assert_eq!(bundle.resident, fresh.resident);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn full_trace_counters_re_records_a_trace_that_went_missing_or_bad() {
         let dir = temp_dir("fallback");
@@ -1057,6 +1169,14 @@ mod tests {
         std::fs::write(&bundle.path, &bad).unwrap();
         assert_eq!(truth(), streamed, "corrupt mid-stream");
         assert_eq!(std::fs::read(&bundle.path).unwrap(), on_disk, "re-recorded");
+
+        // A trace of the previous format is re-recorded, and only once.
+        std::fs::write(&bundle.path, previous_format(&on_disk)).unwrap();
+        assert_eq!(truth(), streamed, "previous format");
+        assert_eq!(std::fs::read(&bundle.path).unwrap(), on_disk, "re-recorded");
+        let upgraded = inode(&bundle.path);
+        assert_eq!(truth(), streamed, "upgraded");
+        assert_eq!(inode(&bundle.path), upgraded, "read, not recorded again");
 
         // A directory that cannot be created or written (a file sits in
         // its place): the recording is replayed from memory.

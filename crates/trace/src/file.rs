@@ -1,7 +1,7 @@
 //! The on-disk `.strace` container: header + checksummed record blocks.
 //!
 //! ```text
-//! magic   8 bytes  "STRACE01"
+//! magic   8 bytes  "STRACE02"
 //! header  u32 len ‖ u64 fnv1a64(payload) ‖ payload
 //! blocks  repeated: u32 payload_len ‖ u32 record_count ‖
 //!         u64 fnv1a64(payload) ‖ payload   (codec-packed records)
@@ -27,11 +27,17 @@
 //! ([`Trace::info`], which unpacks nothing) and the records of a few
 //! ranges (which unpacks only the blocks they overlap) are all walks of
 //! it. Blocks are
-//! self-contained (the codec's pc delta restarts in each) and every block
-//! but the last holds exactly [`BLOCK_RECORDS`], which the walker checks,
-//! so block *k* starts at record *k* × 65 536 without an index.
+//! self-contained (the codec's pc delta restarts in each) and end on the
+//! header's sampling-interval boundaries: a block ends at the next
+//! multiple of `interval` or after [`BLOCK_RECORDS`] records, whichever
+//! comes first (64 Ki records a block when `interval` is 0). The walker
+//! checks every block's count against that rule, so where each block
+//! starts follows from the checksummed header without an index, and a
+//! range of whole intervals — what a SimPoint bundle reads — covers whole
+//! blocks only: no block is unpacked for records nobody wants.
 
-use std::io::Read;
+use std::fs::File;
+use std::io::{BufReader, Read};
 use std::ops::Range;
 use std::path::Path;
 
@@ -42,12 +48,15 @@ use strata_machine::observers::CompactRetire;
 use crate::codec::{encode_block, visit_block, CodecError};
 use crate::fnv1a64;
 
-/// File magic, first eight bytes of every `.strace`.
-pub const MAGIC: &[u8; 8] = b"STRACE01";
+/// File magic, first eight bytes of every `.strace`. `STRACE01` files
+/// (fixed 64 Ki-record blocks) fail to open as [`TraceError::BadMagic`];
+/// recording is deterministic, so their readers re-record them.
+pub const MAGIC: &[u8; 8] = b"STRACE02";
 
-/// Records per block. 64 Ki records keeps blocks around 100 KiB packed —
-/// large enough to amortize framing, small enough to bound the damage of
-/// a bad length field.
+/// Most records in one block. Blocks also end on every interval boundary
+/// (see the module doc); within an interval longer than this, 64 Ki
+/// records keeps blocks around 100 KiB packed — large enough to amortize
+/// framing, small enough to bound the damage of a bad length field.
 pub const BLOCK_RECORDS: usize = 1 << 16;
 
 /// Upper bound on any length field; a corrupt length cannot OOM the
@@ -170,6 +179,19 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
     push_u16(out, bytes.len() as u16);
     out.extend_from_slice(bytes);
+}
+
+/// Records in the block that starts at record `at` of a trace of
+/// `records` records cut for `interval`: up to the next multiple of
+/// `interval` (none when it is 0), at most [`BLOCK_RECORDS`], and no
+/// further than the trace. The writer cuts by it and the walker checks
+/// every block against it.
+fn block_len(at: u64, records: u64, interval: u64) -> u64 {
+    let boundary = at
+        .checked_div(interval)
+        .map_or(u64::MAX, |k| (k + 1).saturating_mul(interval));
+    let end = records.min(at.saturating_add(BLOCK_RECORDS as u64));
+    end.min(boundary).saturating_sub(at)
 }
 
 /// Fills `buf` from `src`; a short source is [`TraceError::Truncated`].
@@ -316,16 +338,17 @@ pub struct BlockWalker<R> {
     records: u64,
 }
 
-impl BlockWalker<std::fs::File> {
-    /// [`BlockWalker::open`] on the file at `path`.
+impl BlockWalker<BufReader<File>> {
+    /// [`BlockWalker::open`] on the file at `path`, buffered so the small
+    /// frame fields are not a read call each.
     ///
     /// # Errors
     ///
     /// Filesystem failures surface as [`TraceError::Io`]; structural
     /// defects as the other variants.
     pub fn open_path(path: &Path) -> Result<Self, TraceError> {
-        let file = std::fs::File::open(path).map_err(|e| TraceError::Io(e.to_string()))?;
-        BlockWalker::open(file)
+        let file = File::open(path).map_err(|e| TraceError::Io(e.to_string()))?;
+        BlockWalker::open(BufReader::new(file))
     }
 }
 
@@ -391,11 +414,12 @@ impl<R: Read> BlockWalker<R> {
             return Err(TraceError::Oversized(payload_len));
         }
         let count = u32::from_le_bytes(take(&mut self.src)?);
-        let expected = (self.header.instructions - self.records).min(BLOCK_RECORDS as u64);
+        let h = &self.header;
+        let expected = block_len(self.records, h.instructions, h.interval);
         if count == 0 || u64::from(count) != expected {
             return Err(TraceError::Malformed(format!(
-                "block {} holds {count} records, expected {expected}",
-                self.records / BLOCK_RECORDS as u64
+                "block at record {} holds {count} records, expected {expected}",
+                self.records
             )));
         }
         let sum = u64::from_le_bytes(take(&mut self.src)?);
@@ -489,7 +513,12 @@ impl Trace {
         push_u32(&mut out, header.len() as u32);
         push_u64(&mut out, fnv1a64(&header));
         out.extend_from_slice(&header);
-        for chunk in self.records.chunks(BLOCK_RECORDS) {
+        let n = self.records.len() as u64;
+        let mut at = 0;
+        while at < n {
+            let len = block_len(at, n, self.interval);
+            let chunk = &self.records[at as usize..(at + len) as usize];
+            at += len;
             let payload = encode_block(chunk);
             push_u32(&mut out, payload.len() as u32);
             push_u32(&mut out, chunk.len() as u32);
@@ -612,13 +641,36 @@ mod tests {
         }
     }
 
+    /// [`sample_trace`] cut for `interval`.
+    fn cut_for(n: usize, interval: u64) -> Trace {
+        Trace {
+            interval,
+            ..sample_trace(n)
+        }
+    }
+
     #[test]
     fn round_trips_including_multi_block() {
-        for n in [0usize, 5, BLOCK_RECORDS, BLOCK_RECORDS + 13] {
-            let t = sample_trace(n);
+        let b = BLOCK_RECORDS;
+        let cases = [
+            (0, 2000),
+            (5, 2000),
+            (1999, 2000),
+            (2001, 2000),
+            (b + 13, 2000),
+            (0, 0),
+            (5, 0),
+            (b, 0),
+            (b + 13, 0),
+            (b + 13, b as u64 + 1),
+            (2 * b + 13, b as u64 + 7),
+        ];
+        for (n, interval) in cases {
+            let t = cut_for(n, interval);
             let bytes = t.to_bytes();
+            assert_eq!(frame_counts(&bytes), block_counts(n as u64, interval));
             let back = Trace::from_bytes(&bytes).unwrap();
-            assert_eq!(back, t, "n = {n}");
+            assert_eq!(back, t, "n = {n}, interval = {interval}");
         }
     }
 
@@ -665,11 +717,75 @@ mod tests {
         }
     }
 
-    /// Three full blocks and a partial one, with its file image.
-    fn multi_block() -> (Trace, Vec<u8>) {
-        let t = sample_trace(3 * BLOCK_RECORDS + 1234);
-        let bytes = t.to_bytes();
-        (t, bytes)
+    /// The two multi-block layouts, each with its file image: four whole
+    /// intervals of 7000 records (which does not divide [`BLOCK_RECORDS`])
+    /// and a partial one, a block each; and intervals of 100 000 records,
+    /// so each is cut at [`BLOCK_RECORDS`] as well as at its end.
+    fn multi_block() -> [(Trace, Vec<u8>); 2] {
+        [
+            cut_for(4 * 7000 + 1234, 7000),
+            cut_for(3 * BLOCK_RECORDS + 1234, 100_000),
+        ]
+        .map(|t| {
+            let bytes = t.to_bytes();
+            (t, bytes)
+        })
+    }
+
+    /// The record count of each block of a trace of `n` records cut for
+    /// `interval`, derived from the rule afresh: every interval (the
+    /// whole trace when `interval` is 0) is cut into [`BLOCK_RECORDS`]
+    /// pieces, the last possibly shorter.
+    fn block_counts(n: u64, interval: u64) -> Vec<u32> {
+        let span = if interval == 0 { n.max(1) } else { interval };
+        let mut out = Vec::new();
+        for start in (0..n).step_by(span as usize) {
+            let len = span.min(n - start);
+            for at in (0..len).step_by(BLOCK_RECORDS) {
+                out.push((len - at).min(BLOCK_RECORDS as u64) as u32);
+            }
+        }
+        out
+    }
+
+    /// The record count field of each block frame of `bytes`.
+    fn frame_counts(bytes: &[u8]) -> Vec<u32> {
+        let frames = frame_offsets(bytes);
+        let field = |at: usize| u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
+        frames[..frames.len() - 1]
+            .iter()
+            .map(|&at| field(at))
+            .collect()
+    }
+
+    /// The index of each block's first record, then the record count.
+    fn block_starts(t: &Trace) -> Vec<u64> {
+        let counts = block_counts(t.records.len() as u64, t.interval);
+        let mut at = 0;
+        let mut out = vec![0];
+        out.extend(counts.iter().map(|&c| {
+            at += u64::from(c);
+            at
+        }));
+        out
+    }
+
+    #[test]
+    fn blocks_end_on_interval_boundaries() {
+        let [(small, small_bytes), (big, big_bytes)] = multi_block();
+        assert_eq!(frame_counts(&small_bytes), [7000, 7000, 7000, 7000, 1234]);
+        let b = BLOCK_RECORDS as u32;
+        let tail = 3 * b + 1234 - 100_000 - b;
+        assert_eq!(frame_counts(&big_bytes), [b, 100_000 - b, b, tail]);
+        assert_eq!(block_starts(&big)[..3], [0, b.into(), 100_000]);
+        // Every block lies within one interval, so a range of whole
+        // intervals covers whole blocks.
+        for t in [&small, &big] {
+            let starts = block_starts(t);
+            for w in starts.windows(2) {
+                assert_eq!(w[0] / t.interval, (w[1] - 1) / t.interval, "{w:?}");
+            }
+        }
     }
 
     /// The streamed visit of `ranges`, as (index, record) pairs.
@@ -685,46 +801,53 @@ mod tests {
     #[test]
     #[allow(clippy::single_range_in_vec_init)]
     fn ranged_reads_equal_slices_of_the_full_read() {
-        let (t, bytes) = multi_block();
-        let full = Trace::from_bytes(&bytes).unwrap().records;
-        assert_eq!(full, t.records);
-        let (b, n) = (BLOCK_RECORDS as u64, full.len() as u64);
-        let mut sets: Vec<Vec<Range<u64>>> = vec![
-            vec![],
-            vec![5..5],
-            vec![b - 3..b + 3],
-            vec![n - 100..n],
-            vec![n - 100..n + 500],
-            vec![n + 1..n + 9],
-            vec![0..n],
-            vec![0..u64::MAX],
-            vec![0..1, b - 1..b, b..b + 1, 2 * b - 7..3 * b + 7],
-            // The last interval of a trace is partial, and may be alone
-            // in the last block.
-            vec![3 * b - 2000..3 * b, 3 * b..n],
-        ];
-        let mut rng = SmallRng::seed_from_u64(17);
-        for _ in 0..40 {
-            let mut cuts: Vec<u64> = (0..2 * rng.gen_range(0usize..6))
-                .map(|_| rng.gen_range(0..n + 1))
-                .collect();
-            cuts.sort_unstable();
-            sets.push(cuts.chunks(2).map(|c| c[0]..c[1]).collect());
-        }
-        for ranges in sets {
-            let want: Vec<(u64, CompactRetire)> = ranges
-                .iter()
-                .flat_map(|r| r.start.min(n)..r.end.min(n))
-                .map(|i| (i, full[i as usize]))
-                .collect();
-            assert_eq!(ranged(&bytes, &ranges).unwrap(), want, "{ranges:?}");
-        }
-        // One pass cannot serve ranges that overlap or go backwards.
-        for ranges in [vec![b..2 * b + 5, 7..b + 9], vec![0..9, 8..20]] {
-            assert!(
-                matches!(ranged(&bytes, &ranges), Err(TraceError::Malformed(_))),
-                "{ranges:?}"
-            );
+        for (t, bytes) in multi_block() {
+            let full = Trace::from_bytes(&bytes).unwrap().records;
+            assert_eq!(full, t.records);
+            let starts = block_starts(&t);
+            let (s1, s2, s3) = (starts[1], starts[2], starts[3]);
+            let last = starts[starts.len() - 2];
+            let n = full.len() as u64;
+            let mut sets: Vec<Vec<Range<u64>>> = vec![
+                vec![],
+                vec![5..5],
+                vec![s1 - 3..s1 + 3],
+                vec![n - 100..n],
+                vec![n - 100..n + 500],
+                vec![n + 1..n + 9],
+                vec![0..n],
+                vec![0..u64::MAX],
+                vec![0..1, s1 - 1..s1, s1..s1 + 1, s2 - 7..s3 + 7],
+                // Whole blocks, adjacent and not.
+                vec![0..s1, s2..s3],
+                vec![s1..s2, s2..s3, last..n],
+                // The last interval of a trace is partial, and may be alone
+                // in the last block.
+                vec![last - 2000..last, last..n],
+            ];
+            let mut rng = SmallRng::seed_from_u64(17);
+            for _ in 0..40 {
+                let mut cuts: Vec<u64> = (0..2 * rng.gen_range(0usize..6))
+                    .map(|_| rng.gen_range(0..n + 1))
+                    .collect();
+                cuts.sort_unstable();
+                sets.push(cuts.chunks(2).map(|c| c[0]..c[1]).collect());
+            }
+            for ranges in sets {
+                let want: Vec<(u64, CompactRetire)> = ranges
+                    .iter()
+                    .flat_map(|r| r.start.min(n)..r.end.min(n))
+                    .map(|i| (i, full[i as usize]))
+                    .collect();
+                assert_eq!(ranged(&bytes, &ranges).unwrap(), want, "{ranges:?}");
+            }
+            // One pass cannot serve ranges that overlap or go backwards.
+            for ranges in [vec![s1..s2 + 5, 7..s1 + 9], vec![0..9, 8..20]] {
+                assert!(
+                    matches!(ranged(&bytes, &ranges), Err(TraceError::Malformed(_))),
+                    "{ranges:?}"
+                );
+            }
         }
     }
 
@@ -741,15 +864,25 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::single_range_in_vec_init)]
     fn a_skipped_block_is_verified_like_a_decoded_one() {
         // A read of records from block 1 alone, a header-only walk and a
         // full decode must all reject the same damage with the same
         // error, wherever in the file it sits.
-        let (_, bytes) = multi_block();
-        let b = BLOCK_RECORDS as u64;
-        let frames = frame_offsets(&bytes);
-        assert_eq!(frames.len(), 5, "four blocks and the eof mark");
+        for (t, bytes) in multi_block() {
+            a_skipped_block_is_verified_in(&t, &bytes);
+        }
+    }
+
+    #[allow(clippy::single_range_in_vec_init)]
+    fn a_skipped_block_is_verified_in(t: &Trace, bytes: &[u8]) {
+        let starts = block_starts(t);
+        let (s1, s2, n) = (starts[1], starts[2], t.records.len() as u64);
+        let frames = frame_offsets(bytes);
+        assert_eq!(
+            frames.len(),
+            starts.len(),
+            "a frame per block and the eof mark"
+        );
         let walk_only = |bytes: &[u8]| -> Result<(), TraceError> {
             let mut w = BlockWalker::open(bytes)?;
             while w.next_block()?.is_some() {}
@@ -757,7 +890,11 @@ mod tests {
         };
         let check = |bad: &[u8], what: String| {
             let full = Trace::from_bytes(bad).map(|_| ()).unwrap_err();
-            assert_eq!(ranged(bad, &[b + 10..b + 20]).unwrap_err(), full, "{what}");
+            assert_eq!(
+                ranged(bad, &[s1 + 10..s1 + 20]).unwrap_err(),
+                full,
+                "{what}"
+            );
             assert_eq!(walk_only(bad).unwrap_err(), full, "{what}");
         };
 
@@ -770,7 +907,7 @@ mod tests {
                 .chain([payload.start, payload.end - 1])
                 .chain((0..24).map(|_| rng.gen_range(payload.clone())));
             for i in flips.collect::<Vec<_>>() {
-                let mut bad = bytes.clone();
+                let mut bad = bytes.to_vec();
                 bad[i] ^= 1 << rng.gen_range(0u32..8);
                 check(&bad, format!("flip at byte {i} (block {k})"));
             }
@@ -783,37 +920,42 @@ mod tests {
         }
 
         // A payload that checksums but does not unpack is a codec error
-        // to whoever unpacks it, mid-visit as in a full read.
-        let mut bad = bytes.clone();
+        // to whoever unpacks it, mid-visit as in a full read; a read of
+        // whole blocks on both sides of it never unpacks it.
+        let mut bad = bytes.to_vec();
         bad[frames[1] + 16] = 0xFF;
         let sum = fnv1a64(&bad[frames[1] + 16..frames[2]]);
         bad[frames[1] + 8..frames[1] + 16].copy_from_slice(&sum.to_le_bytes());
         let full = Trace::from_bytes(&bad).map(|_| ()).unwrap_err();
         assert!(matches!(full, TraceError::Codec(_)), "{full:?}");
-        assert_eq!(ranged(&bad, &[b - 1..b + 20]).unwrap_err(), full);
-        assert_eq!(ranged(&bad, &[0..b, 2 * b..3 * b]).map(|_| ()), Ok(()));
+        assert_eq!(ranged(&bad, &[s1 - 1..s1 + 20]).unwrap_err(), full);
+        assert_eq!(ranged(&bad, &[s2 - 1..s2 + 1]).unwrap_err(), full);
+        assert_eq!(ranged(&bad, &[0..s1, s2..n]).map(|_| ()), Ok(()));
     }
 
     #[test]
     fn info_counts_blocks_without_decoding() {
-        let (t, bytes) = multi_block();
-        let path = std::env::temp_dir().join(format!("strata-info-{}.strace", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let info = Trace::info(&path).unwrap();
-        assert_eq!(info.header, t.header());
-        assert_eq!((info.blocks, info.file_bytes), (4, bytes.len() as u64));
+        for (k, (t, bytes)) in multi_block().into_iter().enumerate() {
+            let name = format!("strata-info-{}-{k}.strace", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, &bytes).unwrap();
+            let info = Trace::info(&path).unwrap();
+            assert_eq!(info.header, t.header());
+            let blocks = block_starts(&t).len() as u64 - 1;
+            assert_eq!((info.blocks, info.file_bytes), (blocks, bytes.len() as u64));
 
-        // A payload that checksums but does not decode: `read` refuses
-        // it, `info` never looks inside.
-        let frames = frame_offsets(&bytes);
-        let mut bad = bytes.clone();
-        bad[frames[0] + 16] = 0xFF;
-        let sum = fnv1a64(&bad[frames[0] + 16..frames[1]]);
-        bad[frames[0] + 8..frames[0] + 16].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(Trace::read(&path), Err(TraceError::Codec(_))));
-        assert_eq!(Trace::info(&path).unwrap(), info);
-        let _ = std::fs::remove_file(&path);
+            // A payload that checksums but does not decode: `read` refuses
+            // it, `info` never looks inside.
+            let frames = frame_offsets(&bytes);
+            let mut bad = bytes.clone();
+            bad[frames[0] + 16] = 0xFF;
+            let sum = fnv1a64(&bad[frames[0] + 16..frames[1]]);
+            bad[frames[0] + 8..frames[0] + 16].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            assert!(matches!(Trace::read(&path), Err(TraceError::Codec(_))));
+            assert_eq!(Trace::info(&path).unwrap(), info);
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

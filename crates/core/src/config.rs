@@ -274,14 +274,7 @@ impl SdtConfig {
                 scope: IbtcScope::Shared,
                 placement: IbtcPlacement::Inline,
             },
-            ret: RetMechanism::AsIb,
-            flags: FlagsPolicy::Always,
-            link_fragments: true,
-            cache_limit: None,
-            instrument_blocks: false,
-            elide_direct_jumps: false,
-            ibtc_ways: 1,
-            policy: DispatchPolicy::default(),
+            ..SdtConfig::reentry()
         }
     }
 

@@ -44,7 +44,7 @@ pub const SLOT_TARGET: u32 = SAVE_AREA_BASE + 24;
 pub const SLOT_SITE: u32 = SAVE_AREA_BASE + 28;
 /// Base of the 16-word full register save area (`r0` at `+0` … `r15` at
 /// `+60`).
-pub const SLOT_REGS: u32 = SAVE_AREA_BASE + 32;
+pub(crate) const SLOT_REGS: u32 = SAVE_AREA_BASE + 32;
 /// Current byte offset into the shadow return stack (circular; only used
 /// under [`RetMechanism::ShadowStack`](crate::RetMechanism::ShadowStack)).
 pub const SLOT_SHADOW_SP: u32 = SAVE_AREA_BASE + 96;
@@ -63,30 +63,30 @@ pub const TRAP_RC_MISS: u16 = SDT_TRAP_BASE + 1;
 
 /// [`SLOT_SITE`] sentinel: the miss came from the shared (site-less)
 /// lookup path of a shared IBTC or the sieve.
-pub const SITE_SHARED: u32 = u32::MAX;
+pub(crate) const SITE_SHARED: u32 = u32::MAX;
 
 /// [`SLOT_SITE`] sentinel: resolve the target but update no lookup
 /// structure (shadow-stack return fallbacks — the next balanced call will
 /// repopulate the shadow entry itself).
-pub const SITE_NOFILL: u32 = u32::MAX - 1;
+pub(crate) const SITE_NOFILL: u32 = u32::MAX - 1;
 
 /// Base of the per-binding [`SLOT_SITE`] sentinel range used by mixed
 /// dispatch policies: binding `k`'s miss glue reports
 /// `SITE_BIND_BASE - k`. Single-binding configurations keep using
 /// [`SITE_SHARED`], which is how legacy configurations stay bit-identical.
-pub const SITE_BIND_BASE: u32 = u32::MAX - 2;
+pub(crate) const SITE_BIND_BASE: u32 = u32::MAX - 2;
 
 /// Maximum strategy bindings a policy can resolve to (bounds the sentinel
 /// range; a policy has at most one jump and one call binding today).
-pub const MAX_BINDS: usize = 4;
+pub(crate) const MAX_BINDS: usize = 4;
 
 /// The [`SLOT_SITE`] sentinel for binding `k`'s shared miss glue.
-pub const fn bind_sentinel(bind: usize) -> u32 {
+pub(crate) const fn bind_sentinel(bind: usize) -> u32 {
     SITE_BIND_BASE - bind as u32
 }
 
 /// Decodes a per-binding sentinel back to its binding index.
-pub fn sentinel_bind(site: u32) -> Option<usize> {
+pub(crate) fn sentinel_bind(site: u32) -> Option<usize> {
     if site <= SITE_BIND_BASE && site > SITE_BIND_BASE - MAX_BINDS as u32 {
         Some((SITE_BIND_BASE - site) as usize)
     } else {

@@ -42,7 +42,6 @@ use crate::fragment::{FragKind, Site, Terminal};
 use crate::protocol::{bind_sentinel, SITE_NOFILL, SITE_SHARED, SLOT_SITE, SLOT_TARGET};
 use crate::report::{ClassReport, MechanismStats};
 use crate::strategy::adaptive::AdaptiveStage;
-use crate::strategy::Bind;
 use crate::tables::TableRef;
 use crate::{Sdt, SdtConfig, SdtError};
 
@@ -647,64 +646,25 @@ impl DispatchReplay {
     /// full trace these equal the exact run's
     /// [`RunReport::mech`](crate::RunReport).
     pub fn stats(&self) -> MechanismStats {
-        let st = &self.sdt.state;
-        let s = &st.stats;
         let c = self.rate_counters();
-        let (sieve_mean_chain, sieve_max_chain) = st.sieve_chain_stats();
-        let promotions = |b: &Bind| b.promotions_to_ibtc + b.promotions_to_sieve;
-        MechanismStats {
-            ib_dispatches: c[rate::IB_DISPATCHES],
-            jump_dispatches: c[rate::JUMP_DISPATCHES],
-            call_dispatches: c[rate::CALL_DISPATCHES],
-            ib_misses: c[rate::IB_MISSES],
-            ret_dispatches: c[rate::RET_DISPATCHES],
-            rc_misses: c[rate::RC_MISSES],
-            exit_misses: s.exit_misses,
-            exit_links: s.exit_links,
-            translator_entries: s.translator_entries,
-            fragments: s.fragments,
-            translated_app_instrs: s.translated_app_instrs,
-            cache_used_bytes: st.cache.used_bytes() as u64,
-            cache_flushes: s.cache_flushes,
-            elided_jumps: s.elided_jumps,
-            adaptive_promotions: st.binds.iter().map(promotions).sum(),
-            sieve_mean_chain,
-            sieve_max_chain,
-        }
+        self.sdt.state.mechanism_stats(
+            [
+                c[rate::JUMP_DISPATCHES],
+                c[rate::CALL_DISPATCHES],
+                c[rate::RET_DISPATCHES],
+            ],
+            c[rate::IB_MISSES],
+            c[rate::RC_MISSES],
+        )
     }
 
     /// Per-branch-class dispatch breakdown, exact-mode shape.
     pub fn per_class(&self) -> Vec<ClassReport> {
-        let st = &self.sdt.state;
         let c = self.rate_counters();
-        let promotions = |b: &Bind| b.promotions_to_ibtc + b.promotions_to_sieve;
-        let jump_bind = &st.binds[st.class_bind[0]];
-        let call_bind = &st.binds[st.class_bind[1]];
-        let row = |row, class: BranchClass, mechanism, promotions| {
+        self.sdt.state.class_reports(std::array::from_fn(|row| {
             let (dispatches, misses) = rate::class(row);
-            ClassReport {
-                class: class.label(),
-                mechanism,
-                dispatches: c[dispatches],
-                misses: c[misses],
-                promotions,
-            }
-        };
-        vec![
-            row(
-                0,
-                BranchClass::Jump,
-                jump_bind.strategy.describe(),
-                promotions(jump_bind),
-            ),
-            row(
-                1,
-                BranchClass::Call,
-                call_bind.strategy.describe(),
-                promotions(call_bind),
-            ),
-            row(2, BranchClass::Ret, st.ret_strat.describe(), 0),
-        ]
+            (c[dispatches], c[misses])
+        }))
     }
 
     /// The counters sampled replay extrapolates, cheap enough to read

@@ -213,33 +213,8 @@ impl SdtState {
         )?;
         self.cache.emit(mem, Instr::Beq { off: 1 }, d)?;
         let link = self.cache.emit(mem, Instr::Jmp { target: glue }, d)?;
-        if self.cfg.flags == FlagsPolicy::Always {
-            self.cache.emit(mem, Instr::Popf, d)?;
-        }
-        self.cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: Reg::R1,
-                addr: crate::protocol::SLOT_R1,
-            },
-            d,
-        )?;
-        self.cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: Reg::R2,
-                addr: crate::protocol::SLOT_R2,
-            },
-            d,
-        )?;
-        self.cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: Reg::R3,
-                addr: crate::protocol::SLOT_R3,
-            },
-            d,
-        )?;
+        let popf = self.cfg.flags == FlagsPolicy::Always;
+        self.cache.emit_scratch_restore(mem, popf, d)?;
         // The sieve's defining property: a hit ends in a DIRECT jump.
         self.cache.emit(mem, Instr::Jmp { target: frag_entry }, d)?;
 

@@ -13,7 +13,7 @@ use crate::protocol::{bind_sentinel, MAX_BINDS, TRAP_MISS, TRAP_RC_MISS};
 use crate::report::{ClassReport, HostStats, MechanismStats};
 use crate::strategy::adaptive::AdaptiveSite;
 use crate::strategy::{resolve_binds, Bind, RetStrategy, StrategySpec};
-use crate::stubs::{emit_bind_glue, emit_stubs, Stubs};
+use crate::stubs::{emit_stubs, Stubs};
 use crate::tables::TableRef;
 use crate::{Origin, RunReport, SdtConfig, SdtError};
 
@@ -71,6 +71,71 @@ impl SdtState {
     /// policy, the legacy shared glue otherwise.
     pub(crate) fn glue_for(&self, bind: usize) -> u32 {
         self.binds[bind].glue.unwrap_or(self.stubs.shared_miss_glue)
+    }
+
+    /// The per-class report rows — jump, call, ret — from each class's
+    /// `(dispatches, misses)`; the mechanism labels and promotions come
+    /// from the binding (or return strategy) serving the class.
+    pub(crate) fn class_reports(&self, counts: [(u64, u64); 3]) -> Vec<ClassReport> {
+        let jump = &self.binds[self.class_bind[0]];
+        let call = &self.binds[self.class_bind[1]];
+        let rows = [
+            (
+                BranchClass::Jump,
+                jump.strategy.describe(),
+                jump.promotions(),
+            ),
+            (
+                BranchClass::Call,
+                call.strategy.describe(),
+                call.promotions(),
+            ),
+            (BranchClass::Ret, self.ret_strat.describe(), 0),
+        ];
+        rows.into_iter()
+            .zip(counts)
+            .map(
+                |((class, mechanism, promotions), (dispatches, misses))| ClassReport {
+                    class: class.label(),
+                    mechanism,
+                    dispatches,
+                    misses,
+                    promotions,
+                },
+            )
+            .collect()
+    }
+
+    /// The run's [`MechanismStats`] from its jump, call and return
+    /// dispatches and its indirect-branch and return misses; everything
+    /// else is read off the translator's own counters.
+    pub(crate) fn mechanism_stats(
+        &self,
+        [jump, call, ret]: [u64; 3],
+        ib_misses: u64,
+        rc_misses: u64,
+    ) -> MechanismStats {
+        let s = &self.stats;
+        let (sieve_mean_chain, sieve_max_chain) = self.sieve_chain_stats();
+        MechanismStats {
+            ib_dispatches: jump + call,
+            jump_dispatches: jump,
+            call_dispatches: call,
+            ib_misses,
+            ret_dispatches: ret,
+            rc_misses,
+            exit_misses: s.exit_misses,
+            exit_links: s.exit_links,
+            translator_entries: s.translator_entries,
+            fragments: s.fragments,
+            translated_app_instrs: s.translated_app_instrs,
+            cache_used_bytes: self.cache.used_bytes() as u64,
+            cache_flushes: s.cache_flushes,
+            elided_jumps: s.elided_jumps,
+            adaptive_promotions: self.binds.iter().map(Bind::promotions).sum(),
+            sieve_mean_chain,
+            sieve_max_chain,
+        }
     }
 
     /// (Re)initializes every binding's and the return mechanism's guest
@@ -179,12 +244,9 @@ impl Sdt {
         let multi = binds.len() > 1;
         for (i, bind) in binds.iter_mut().enumerate() {
             if multi {
-                bind.glue = Some(emit_bind_glue(
-                    &mut cache,
-                    machine.mem_mut(),
-                    &stubs,
-                    bind_sentinel(i),
-                )?);
+                let tail = stubs.miss_tail_stack_flags;
+                bind.glue =
+                    Some(cache.emit_site_glue(machine.mem_mut(), bind_sentinel(i), tail)?);
             }
             let miss_glue = bind.glue.unwrap_or(stubs.shared_miss_glue);
             let strat = bind.strategy.clone();
@@ -426,58 +488,23 @@ impl Sdt {
             }
         }
 
-        let (sieve_mean_chain, sieve_max_chain) = self.state.sieve_chain_stats();
         let st = &self.state;
         let s = &st.stats;
-        let promotions = |b: &Bind| b.promotions_to_ibtc + b.promotions_to_sieve;
-        let jump_bind = &st.binds[st.class_bind[0]];
-        let call_bind = &st.binds[st.class_bind[1]];
         // Classes resolving to the same binding share its tables, and with
         // them the miss counter: the jump and call rows then report the
         // same (combined) misses. Returns-as-IB misses also land in the
         // jump binding's counter.
-        let per_class = vec![
-            ClassReport {
-                class: BranchClass::Jump.label(),
-                mechanism: jump_bind.strategy.describe(),
-                dispatches: marks.jump_dispatches,
-                misses: jump_bind.misses,
-                promotions: promotions(jump_bind),
-            },
-            ClassReport {
-                class: BranchClass::Call.label(),
-                mechanism: call_bind.strategy.describe(),
-                dispatches: marks.call_dispatches,
-                misses: call_bind.misses,
-                promotions: promotions(call_bind),
-            },
-            ClassReport {
-                class: BranchClass::Ret.label(),
-                mechanism: st.ret_strat.describe(),
-                dispatches: marks.ret_dispatches,
-                misses: s.rc_misses,
-                promotions: 0,
-            },
+        let per_class = st.class_reports([
+            (marks.jump_dispatches, st.binds[st.class_bind[0]].misses),
+            (marks.call_dispatches, st.binds[st.class_bind[1]].misses),
+            (marks.ret_dispatches, s.rc_misses),
+        ]);
+        let dispatches = [
+            marks.jump_dispatches,
+            marks.call_dispatches,
+            marks.ret_dispatches,
         ];
-        let mech = MechanismStats {
-            ib_dispatches: marks.jump_dispatches + marks.call_dispatches,
-            jump_dispatches: marks.jump_dispatches,
-            call_dispatches: marks.call_dispatches,
-            ib_misses: s.ib_misses,
-            ret_dispatches: marks.ret_dispatches,
-            rc_misses: s.rc_misses,
-            exit_misses: s.exit_misses,
-            exit_links: s.exit_links,
-            translator_entries: s.translator_entries,
-            fragments: s.fragments,
-            translated_app_instrs: s.translated_app_instrs,
-            cache_used_bytes: st.cache.used_bytes() as u64,
-            cache_flushes: s.cache_flushes,
-            elided_jumps: s.elided_jumps,
-            adaptive_promotions: st.binds.iter().map(promotions).sum(),
-            sieve_mean_chain,
-            sieve_max_chain,
-        };
+        let mech = st.mechanism_stats(dispatches, s.ib_misses, s.rc_misses);
         let (config, checksum) = (st.cfg.describe(), self.syscalls.checksum());
         Ok(models
             .iter_mut()

@@ -27,11 +27,12 @@ use strata_isa::{Instr, Reg};
 use strata_machine::Memory;
 
 use crate::config::BranchClass;
-use crate::dispatch::ibtc_table_ref;
 use crate::emitter::TableAlloc;
-use crate::fragment::{Fragment, SieveBucket, Site};
+use crate::fragment::{Fragment, Site};
 use crate::protocol::SLOT_JUMP_TARGET;
 use crate::sdt::SdtState;
+use crate::strategy::ibtc::alloc_site_table;
+use crate::strategy::sieve::Sieve;
 use crate::strategy::{Bind, IbStrategy};
 use crate::tables::TableRef;
 use crate::{Origin, SdtError};
@@ -74,7 +75,8 @@ pub(crate) enum AdaptiveStage {
 #[derive(Debug)]
 pub(crate) struct Adaptive {
     pub ibtc_entries: u32,
-    pub sieve_buckets: u32,
+    /// The promotion sieve, shared by every site of the binding.
+    pub sieve: Sieve,
     pub sieve_arity: u32,
 }
 
@@ -86,27 +88,18 @@ impl IbStrategy for Adaptive {
     fn describe(&self) -> String {
         format!(
             "adaptive({},{},{})",
-            self.ibtc_entries, self.sieve_buckets, self.sieve_arity
+            self.ibtc_entries, self.sieve.buckets, self.sieve_arity
         )
     }
 
     fn alloc_fixed(&self, bind: &mut Bind, alloc: &mut TableAlloc) -> Result<(), SdtError> {
         // The promotion sieve's bucket table is fixed; per-site IBTC
         // tables are allocated at promotion time above the flush floor.
-        let base = alloc.alloc(self.sieve_buckets * 4, 0x1_0000)?;
-        bind.table = Some(TableRef {
-            base,
-            mask: self.sieve_buckets - 1,
-            entry_bytes: 4,
-        });
-        Ok(())
+        self.sieve.alloc_fixed(bind, alloc)
     }
 
     fn reset(&self, bind: &mut Bind, mem: &mut Memory, miss_glue: u32) -> Result<(), SdtError> {
-        let t = bind.table.expect("adaptive sieve allocated");
-        t.fill_all(mem, miss_glue)?;
-        bind.sieve_buckets = vec![SieveBucket::default(); self.sieve_buckets as usize];
-        Ok(())
+        self.sieve.reset(bind, mem, miss_glue)
     }
 
     fn emit_probe(
@@ -116,54 +109,34 @@ impl IbStrategy for Adaptive {
         bind: usize,
         _class: BranchClass,
     ) -> Result<(), SdtError> {
-        let d = Origin::Dispatch;
-        // Patchable entry jump, initially falling through to the inline
-        // probe emitted right after it.
-        let entry_jmp = st.cache.addr();
-        st.cache.emit(
-            mem,
-            Instr::Jmp {
-                target: entry_jmp + 4,
-            },
-            d,
-        )?;
-        let idx = st.adaptive.len() as u32;
-        let site = st.new_site(Site::Adaptive {
-            bind: bind as u8,
-            idx,
-        });
-        let tag_li = st.cache.emit_li(mem, Reg::R2, 0, d)?;
-        st.cache.emit(
-            mem,
-            Instr::Cmp {
-                rs1: Reg::R1,
-                rs2: Reg::R2,
-            },
-            d,
-        )?;
-        let bne = st.cache.emit(mem, Instr::Bne { off: 0 }, d)?;
-        let frag_li = st.cache.emit_li(mem, Reg::R3, 0, d)?;
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R3,
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
-        st.emit_hit_epilogue(mem)?;
-        let miss = st.cache.addr();
-        st.cache
-            .patch_branch(mem, bne, Instr::Bne { off: 0 }, miss)?;
-        st.emit_site_miss_path(mem, site)?;
-        st.adaptive.push(AdaptiveSite {
-            entry_jmp,
-            stage: AdaptiveStage::Inline { tag_li, frag_li },
-            targets: Vec::new(),
-            counts: Vec::new(),
-            frags: Vec::new(),
-        });
-        Ok(())
+        emit_promoting_site(st, mem, bind, |st, mem, site| {
+            // Stage 0: compare against one patchable target constant and
+            // jump straight to its patchable fragment address.
+            let d = Origin::Dispatch;
+            let tag_li = st.cache.emit_li(mem, Reg::R2, 0, d)?;
+            st.cache.emit(
+                mem,
+                Instr::Cmp {
+                    rs1: Reg::R1,
+                    rs2: Reg::R2,
+                },
+                d,
+            )?;
+            let bne = st.cache.emit(mem, Instr::Bne { off: 0 }, d)?;
+            let frag_li = st.cache.emit_li(mem, Reg::R3, 0, d)?;
+            st.cache.emit(
+                mem,
+                Instr::Swa {
+                    rs: Reg::R3,
+                    addr: SLOT_JUMP_TARGET,
+                },
+                d,
+            )?;
+            st.close_way(mem, bne)?;
+            st.cache
+                .emit_site_glue(mem, site, st.stubs.miss_tail_stack_flags)?;
+            Ok(AdaptiveStage::Inline { tag_li, frag_li })
+        })
     }
 
     fn on_shared_miss(
@@ -175,7 +148,7 @@ impl IbStrategy for Adaptive {
         frag_entry: u32,
     ) -> Result<(), SdtError> {
         // A sieve-stage probe missed: grow the stanza chain.
-        st.sieve_install(mem, bind, target, frag_entry)
+        self.sieve.on_shared_miss(st, mem, bind, target, frag_entry)
     }
 
     fn on_site_miss(
@@ -208,7 +181,7 @@ impl IbStrategy for Adaptive {
             }
             AdaptiveStage::Ibtc { table } => {
                 if arity > self.sieve_arity {
-                    self.promote_to_sieve(st, mem, bind, idx, target, frag.entry)?;
+                    promote_to_sieve(st, mem, bind, idx, &[(target, frag.entry)])?;
                 } else {
                     table.fill_tagged(mem, target, frag.entry)?;
                 }
@@ -241,69 +214,86 @@ impl Adaptive {
         target: u32,
         frag_entry: u32,
     ) -> Result<(), SdtError> {
-        let base = st.alloc.alloc(self.ibtc_entries * 8, 16)?;
-        for i in 0..self.ibtc_entries * 2 {
-            mem.write_u32(base + i * 4, 0)?;
-        }
-        let table = ibtc_table_ref(base, self.ibtc_entries, 1)?;
+        let table = alloc_site_table(st, mem, self.ibtc_entries, 1)?;
         let stub = st.cache.addr();
         let glue = st.glue_for(bind);
-        st.emit_inline_ibtc_probe(mem, table, Some(site), glue)?;
-        let entry_jmp = st.adaptive[idx].entry_jmp;
-        st.cache
-            .patch(mem, entry_jmp, Instr::Jmp { target: stub }, None)?;
+        st.cache.emit_hash(mem, table)?;
+        st.emit_tag_probe(mem, Reg::R2, Reg::R3, 1, Some(site), glue)?;
+        repoint_site(st, mem, idx, stub)?;
         table.fill_tagged(mem, target, frag_entry)?;
         st.adaptive[idx].stage = AdaptiveStage::Ibtc { table };
         st.binds[bind].promotions_to_ibtc += 1;
         Ok(())
     }
+}
 
-    /// Re-emits the site as a sieve hash probe into the binding's shared
-    /// bucket table and repatches the entry jump onto it. The abandoned
-    /// per-site IBTC table is reclaimed at the next cache flush.
-    fn promote_to_sieve(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        idx: usize,
-        target: u32,
-        frag_entry: u32,
-    ) -> Result<(), SdtError> {
-        let d = Origin::Dispatch;
-        let table = st.binds[bind].table.expect("adaptive sieve allocated");
-        let stub = st.cache.addr();
-        st.emit_hash(mem, table, 2)?;
-        st.cache.emit(
-            mem,
-            Instr::Lw {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                off: 0,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R2,
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Jmem {
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
-        let entry_jmp = st.adaptive[idx].entry_jmp;
-        st.cache
-            .patch(mem, entry_jmp, Instr::Jmp { target: stub }, None)?;
+/// Emits a promoting site: a patchable entry `jmp` falling through to the
+/// stage-0 probe `probe` emits for the new site id, and registers the
+/// site in the stage `probe` returns.
+pub(crate) fn emit_promoting_site(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    bind: usize,
+    probe: impl FnOnce(&mut SdtState, &mut Memory, u32) -> Result<AdaptiveStage, SdtError>,
+) -> Result<(), SdtError> {
+    let entry_jmp = st.cache.addr();
+    st.cache.emit(
+        mem,
+        Instr::Jmp {
+            target: entry_jmp + 4,
+        },
+        Origin::Dispatch,
+    )?;
+    let idx = st.adaptive.len() as u32;
+    let site = st.new_site(Site::Adaptive {
+        bind: bind as u8,
+        idx,
+    });
+    let stage = probe(st, mem, site)?;
+    st.adaptive.push(AdaptiveSite {
+        entry_jmp,
+        stage,
+        targets: Vec::new(),
+        counts: Vec::new(),
+        frags: Vec::new(),
+    });
+    Ok(())
+}
+
+/// Repatches promoting site `idx`'s entry jump onto the probe at `stub`.
+fn repoint_site(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    idx: usize,
+    stub: u32,
+) -> Result<(), SdtError> {
+    let entry_jmp = st.adaptive[idx].entry_jmp;
+    st.cache
+        .patch(mem, entry_jmp, Instr::Jmp { target: stub }, None)
+}
+
+/// Re-emits promoting site `idx` as a sieve probe into the binding's
+/// shared bucket table, repatches the entry jump onto it, and installs
+/// the `(target, fragment)` stanzas in order — the sieve appends at each
+/// chain's tail, so install order is probe order. An abandoned per-site
+/// IBTC table is reclaimed at the next cache flush; on
+/// [`SdtError::CacheFull`] the site is left unpromoted (the caller
+/// flushes anyway, which discards the whole site).
+pub(crate) fn promote_to_sieve(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    bind: usize,
+    idx: usize,
+    installs: &[(u32, u32)],
+) -> Result<(), SdtError> {
+    let table = st.binds[bind].table.expect("promotion sieve allocated");
+    let stub = st.cache.addr();
+    st.cache.emit_sieve_probe(mem, table)?;
+    repoint_site(st, mem, idx, stub)?;
+    for &(target, frag_entry) in installs {
         st.sieve_install(mem, bind, target, frag_entry)?;
-        st.adaptive[idx].stage = AdaptiveStage::Sieve;
-        st.binds[bind].promotions_to_sieve += 1;
-        Ok(())
     }
+    st.adaptive[idx].stage = AdaptiveStage::Sieve;
+    st.binds[bind].promotions_to_sieve += 1;
+    Ok(())
 }

@@ -11,7 +11,6 @@ use crate::config::{BranchClass, IbtcPlacement, IbtcScope};
 use crate::dispatch::ibtc_table_ref;
 use crate::emitter::{Cache, TableAlloc};
 use crate::fragment::{Fragment, Site};
-use crate::protocol::SLOT_JUMP_TARGET;
 use crate::sdt::SdtState;
 use crate::strategy::{Bind, IbStrategy};
 use crate::tables::TableRef;
@@ -87,89 +86,8 @@ impl IbStrategy for Ibtc {
             .expect("out-of-line IBTC requires the shared table");
         let d = Origin::Dispatch;
         let at = cache.addr();
-        cache.emit(
-            mem,
-            Instr::Srli {
-                rd: Reg::R2,
-                rs1: Reg::R1,
-                shamt: 2,
-            },
-            d,
-        )?;
-        cache.emit(
-            mem,
-            Instr::Andi {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                imm: table.mask as u16,
-            },
-            d,
-        )?;
-        cache.emit(
-            mem,
-            Instr::Slli {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                shamt: 3,
-            },
-            d,
-        )?;
-        if table.base & 0xFFFF == 0 {
-            cache.emit(
-                mem,
-                Instr::Lui {
-                    rd: Reg::R3,
-                    imm: (table.base >> 16) as u16,
-                },
-                d,
-            )?;
-        } else {
-            cache.emit_li(mem, Reg::R3, table.base, d)?;
-        }
-        cache.emit(
-            mem,
-            Instr::Add {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                rs2: Reg::R3,
-            },
-            d,
-        )?;
-        cache.emit(
-            mem,
-            Instr::Lw {
-                rd: Reg::R3,
-                rs1: Reg::R2,
-                off: 0,
-            },
-            d,
-        )?;
-        cache.emit(
-            mem,
-            Instr::Cmp {
-                rs1: Reg::R3,
-                rs2: Reg::R1,
-            },
-            d,
-        )?;
-        let bne = cache.emit(mem, Instr::Bne { off: 0 }, d)?;
-        cache.emit(
-            mem,
-            Instr::Lw {
-                rd: Reg::R3,
-                rs1: Reg::R2,
-                off: 4,
-            },
-            d,
-        )?;
-        cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R3,
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
+        cache.emit_hash(mem, table)?;
+        let bne = cache.emit_tag_way(mem, Reg::R2, Reg::R3, 0)?;
         cache.emit(mem, Instr::Ret, d)?;
         let miss = cache.addr();
         cache.emit(mem, Instr::Pop { rd: Reg::R2 }, d)?; // discard return addr
@@ -203,26 +121,17 @@ impl IbStrategy for Ibtc {
                         (st.binds[bind].table.expect("shared IBTC allocated"), None)
                     }
                     IbtcScope::PerSite => {
-                        let base = st.alloc.alloc(self.entries * 8, 16)?;
-                        // The region may be recycled from before a cache
-                        // flush; stale tags must not survive.
-                        for i in 0..self.entries * 2 {
-                            mem.write_u32(base + i * 4, 0)?;
-                        }
-                        let table = ibtc_table_ref(base, self.entries, self.ways)?;
+                        let table = alloc_site_table(st, mem, self.entries, self.ways)?;
                         let site = st.new_site(Site::Ib {
                             bind: bind as u8,
-                            table: Some(base),
+                            table: Some(table.base),
                         });
                         (table, Some(site))
                     }
                 };
                 let glue = st.glue_for(bind);
-                if self.ways == 2 {
-                    st.emit_inline_ibtc_probe_2way(mem, table, site, glue)?;
-                } else {
-                    st.emit_inline_ibtc_probe(mem, table, site, glue)?;
-                }
+                st.cache.emit_hash(mem, table)?;
+                st.emit_tag_probe(mem, Reg::R2, Reg::R3, self.ways, site, glue)?;
             }
             IbtcPlacement::OutOfLine => {
                 let routine = st.binds[bind]
@@ -266,4 +175,20 @@ impl IbStrategy for Ibtc {
         let t = ibtc_table_ref(base, self.entries, self.ways)?;
         self.fill(t, mem, target, frag.entry)
     }
+}
+
+/// Allocates a per-site IBTC table of `entries` entries under `ways`
+/// above the flush floor and zeroes it: the region may be recycled from
+/// before a cache flush, and stale tags must not survive.
+pub(crate) fn alloc_site_table(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    entries: u32,
+    ways: u8,
+) -> Result<TableRef, SdtError> {
+    let base = st.alloc.alloc(entries * 8, 16)?;
+    for i in 0..entries * 2 {
+        mem.write_u32(base + i * 4, 0)?;
+    }
+    ibtc_table_ref(base, entries, ways)
 }

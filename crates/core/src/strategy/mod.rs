@@ -149,6 +149,11 @@ impl Bind {
             promotions_to_sieve: 0,
         }
     }
+
+    /// Adaptive-site promotions of either kind.
+    pub(crate) fn promotions(&self) -> u64 {
+        self.promotions_to_ibtc + self.promotions_to_sieve
+    }
 }
 
 /// The common interface every indirect-branch mechanism implements.
@@ -298,14 +303,18 @@ pub(crate) fn instantiate(spec: StrategySpec) -> Arc<dyn IbStrategy> {
             sieve_arity,
         } => Arc::new(adaptive::Adaptive {
             ibtc_entries,
-            sieve_buckets,
+            sieve: sieve::Sieve {
+                buckets: sieve_buckets,
+            },
             sieve_arity,
         }),
         StrategySpec::Predictive {
             sieve_buckets,
             probation,
         } => Arc::new(predictive::Predictive {
-            sieve_buckets,
+            sieve: sieve::Sieve {
+                buckets: sieve_buckets,
+            },
             probation,
         }),
     }

@@ -28,18 +28,16 @@
 //! [`Site::Adaptive`] ids; a cache flush discards every site, so they
 //! re-observe afterwards.
 
-use strata_isa::{Instr, Reg};
 use strata_machine::Memory;
 
 use crate::config::BranchClass;
 use crate::emitter::TableAlloc;
-use crate::fragment::{Fragment, SieveBucket, Site};
-use crate::protocol::SLOT_JUMP_TARGET;
+use crate::fragment::{Fragment, Site};
 use crate::sdt::SdtState;
-use crate::strategy::adaptive::{AdaptiveSite, AdaptiveStage};
+use crate::strategy::adaptive::{emit_promoting_site, promote_to_sieve, AdaptiveStage};
+use crate::strategy::sieve::Sieve;
 use crate::strategy::{Bind, IbStrategy};
-use crate::tables::TableRef;
-use crate::{Origin, SdtError};
+use crate::SdtError;
 
 /// Cap on distinct targets tracked (and pre-installed) per site; a
 /// megamorphic site's tail targets install through the ordinary sieve
@@ -48,7 +46,8 @@ const MAX_OBSERVED: usize = 64;
 
 #[derive(Debug)]
 pub(crate) struct Predictive {
-    pub sieve_buckets: u32,
+    /// The sieve every site of the binding promotes into.
+    pub sieve: Sieve,
     pub probation: u32,
 }
 
@@ -58,24 +57,15 @@ impl IbStrategy for Predictive {
     }
 
     fn describe(&self) -> String {
-        format!("predictive({},{})", self.sieve_buckets, self.probation)
+        format!("predictive({},{})", self.sieve.buckets, self.probation)
     }
 
     fn alloc_fixed(&self, bind: &mut Bind, alloc: &mut TableAlloc) -> Result<(), SdtError> {
-        let base = alloc.alloc(self.sieve_buckets * 4, 0x1_0000)?;
-        bind.table = Some(TableRef {
-            base,
-            mask: self.sieve_buckets - 1,
-            entry_bytes: 4,
-        });
-        Ok(())
+        self.sieve.alloc_fixed(bind, alloc)
     }
 
     fn reset(&self, bind: &mut Bind, mem: &mut Memory, miss_glue: u32) -> Result<(), SdtError> {
-        let t = bind.table.expect("predictive sieve allocated");
-        t.fill_all(mem, miss_glue)?;
-        bind.sieve_buckets = vec![SieveBucket::default(); self.sieve_buckets as usize];
-        Ok(())
+        self.sieve.reset(bind, mem, miss_glue)
     }
 
     fn emit_probe(
@@ -85,32 +75,14 @@ impl IbStrategy for Predictive {
         bind: usize,
         _class: BranchClass,
     ) -> Result<(), SdtError> {
-        let d = Origin::Dispatch;
-        // Patchable entry jump falling straight through to the site miss
-        // path: during observation every dispatch traps, which is what
-        // makes the tallied frequencies exact.
-        let entry_jmp = st.cache.addr();
-        st.cache.emit(
-            mem,
-            Instr::Jmp {
-                target: entry_jmp + 4,
-            },
-            d,
-        )?;
-        let idx = st.adaptive.len() as u32;
-        let site = st.new_site(Site::Adaptive {
-            bind: bind as u8,
-            idx,
-        });
-        st.emit_site_miss_path(mem, site)?;
-        st.adaptive.push(AdaptiveSite {
-            entry_jmp,
-            stage: AdaptiveStage::Observe,
-            targets: Vec::new(),
-            counts: Vec::new(),
-            frags: Vec::new(),
-        });
-        Ok(())
+        // The entry jump falls straight through to the site miss path:
+        // during observation every dispatch traps, which is what makes
+        // the tallied frequencies exact.
+        emit_promoting_site(st, mem, bind, |st, mem, site| {
+            st.cache
+                .emit_site_glue(mem, site, st.stubs.miss_tail_stack_flags)?;
+            Ok(AdaptiveStage::Observe)
+        })
     }
 
     fn on_shared_miss(
@@ -123,7 +95,7 @@ impl IbStrategy for Predictive {
     ) -> Result<(), SdtError> {
         // A promoted probe's hash led to a chain without this target:
         // extend the chain, exactly like a plain sieve.
-        st.sieve_install(mem, bind, target, frag_entry)
+        self.sieve.on_shared_miss(st, mem, bind, target, frag_entry)
     }
 
     fn on_site_miss(
@@ -176,50 +148,13 @@ impl Predictive {
         bind: usize,
         idx: usize,
     ) -> Result<(), SdtError> {
-        let d = Origin::Dispatch;
-        let table = st.binds[bind].table.expect("predictive sieve allocated");
-        let stub = st.cache.addr();
-        st.emit_hash(mem, table, 2)?;
-        st.cache.emit(
-            mem,
-            Instr::Lw {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                off: 0,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R2,
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Jmem {
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
-        let entry_jmp = st.adaptive[idx].entry_jmp;
-        st.cache
-            .patch(mem, entry_jmp, Instr::Jmp { target: stub }, None)?;
         // The sieve appends at each chain's tail, so installing in
         // descending-frequency order puts the hottest target first in
         // its chain. Ties break on first-seen order for determinism.
         let a = &st.adaptive[idx];
         let mut order: Vec<usize> = (0..a.targets.len()).collect();
-        let counts = a.counts.clone();
-        order.sort_by(|&x, &y| counts[y].cmp(&counts[x]).then(x.cmp(&y)));
+        order.sort_by(|&x, &y| a.counts[y].cmp(&a.counts[x]).then(x.cmp(&y)));
         let pairs: Vec<(u32, u32)> = order.iter().map(|&i| (a.targets[i], a.frags[i])).collect();
-        for (target, frag_entry) in pairs {
-            st.sieve_install(mem, bind, target, frag_entry)?;
-        }
-        st.adaptive[idx].stage = AdaptiveStage::Sieve;
-        st.binds[bind].promotions_to_sieve += 1;
-        Ok(())
+        promote_to_sieve(st, mem, bind, idx, &pairs)
     }
 }

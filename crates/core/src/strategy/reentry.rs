@@ -34,7 +34,9 @@ impl IbStrategy for Reentry {
             bind: bind as u8,
             table: None,
         });
-        st.emit_site_miss_path(mem, site)
+        st.cache
+            .emit_site_glue(mem, site, st.stubs.miss_tail_stack_flags)?;
+        Ok(())
     }
 
     fn on_shared_miss(

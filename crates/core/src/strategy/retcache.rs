@@ -9,9 +9,9 @@
 use strata_isa::{Instr, Reg};
 use strata_machine::Memory;
 
-use crate::config::FlagsPolicy;
+use crate::config::BranchClass;
 use crate::dispatch::{CallPush, TargetSource};
-use crate::emitter::{Mark, TableAlloc};
+use crate::emitter::TableAlloc;
 use crate::sdt::SdtState;
 use crate::strategy::{RetStrategy, RetTables};
 use crate::tables::TableRef;
@@ -55,13 +55,14 @@ impl RetStrategy for ReturnCache {
 
     fn emit_ret(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
         let d = Origin::Dispatch;
-        let entry = st.emit_dispatch_prologue(mem, TargetSource::PoppedReturn, d)?;
-        st.cache.set_mark(entry, Mark::RetEntry);
-        if st.cfg.flags == FlagsPolicy::Always {
-            st.cache.emit(mem, Instr::Pushf, d)?;
-        }
+        st.emit_dispatch_frame(
+            mem,
+            TargetSource::PoppedReturn,
+            CallPush::None,
+            BranchClass::Ret,
+        )?;
         let table = st.rc_tab.expect("return cache allocated");
-        st.emit_hash(mem, table, 2)?;
+        st.cache.emit_hash(mem, table)?;
         st.cache.emit(
             mem,
             Instr::Lw {

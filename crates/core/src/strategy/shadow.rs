@@ -7,10 +7,10 @@
 use strata_isa::{Instr, Reg};
 use strata_machine::Memory;
 
-use crate::config::FlagsPolicy;
+use crate::config::BranchClass;
 use crate::dispatch::{CallPush, TargetSource};
-use crate::emitter::{Mark, TableAlloc};
-use crate::protocol::{SLOT_JUMP_TARGET, SLOT_R1, SLOT_R2, SLOT_R3, SLOT_SHADOW_SP};
+use crate::emitter::TableAlloc;
+use crate::protocol::{SLOT_R1, SLOT_R2, SLOT_R3, SLOT_SHADOW_SP};
 use crate::sdt::SdtState;
 use crate::strategy::{RetStrategy, RetTables};
 use crate::{Origin, SdtError};
@@ -51,11 +51,12 @@ impl RetStrategy for ShadowStack {
     fn emit_ret(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
         let d = Origin::Dispatch;
         let (base, mask) = st.shadow.expect("shadow stack allocated");
-        let entry = st.emit_dispatch_prologue(mem, TargetSource::PoppedReturn, d)?;
-        st.cache.set_mark(entry, Mark::RetEntry);
-        if st.cfg.flags == FlagsPolicy::Always {
-            st.cache.emit(mem, Instr::Pushf, d)?;
-        }
+        st.emit_dispatch_frame(
+            mem,
+            TargetSource::PoppedReturn,
+            CallPush::None,
+            BranchClass::Ret,
+        )?;
         st.cache.emit(
             mem,
             Instr::Lwa {
@@ -103,53 +104,10 @@ impl RetStrategy for ShadowStack {
             },
             d,
         )?;
-        st.cache.emit(
-            mem,
-            Instr::Lw {
-                rd: Reg::R2,
-                rs1: Reg::R3,
-                off: 0,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Cmp {
-                rs1: Reg::R2,
-                rs2: Reg::R1,
-            },
-            d,
-        )?;
-        let bne = st.cache.emit(mem, Instr::Bne { off: 0 }, d)?;
-        st.cache.emit(
-            mem,
-            Instr::Lw {
-                rd: Reg::R3,
-                rs1: Reg::R3,
-                off: 4,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R3,
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
-        st.emit_hit_epilogue(mem)?;
-        let miss = st.cache.addr();
-        st.cache
-            .patch_branch(mem, bne, Instr::Bne { off: 0 }, miss)?;
-        st.cache.emit(
-            mem,
-            Instr::Jmp {
-                target: st.stubs.nofill_miss_glue,
-            },
-            Origin::ContextSwitch,
-        )?;
-        Ok(())
+        // The popped pair is a one-way tag compare: application address
+        // as the tag, translated address as the fragment.
+        let nofill = st.stubs.nofill_miss_glue;
+        st.emit_tag_probe(mem, Reg::R3, Reg::R2, 1, None, nofill)
     }
 
     fn emit_direct_call(

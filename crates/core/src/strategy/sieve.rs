@@ -2,18 +2,20 @@
 //! at chains of compare-and-branch stanzas in the code cache; a hit ends
 //! in a *direct* jump (no BTB-hostile indirect transfer). Stanzas are
 //! installed lazily by the runtime as targets are first seen.
+//!
+//! The promoting strategies ([`Adaptive`](super::adaptive::Adaptive),
+//! [`Predictive`](super::predictive::Predictive)) end their sites in a
+//! sieve and hold one of these for its bucket table.
 
-use strata_isa::{Instr, Reg};
 use strata_machine::Memory;
 
 use crate::config::BranchClass;
 use crate::emitter::TableAlloc;
 use crate::fragment::{Fragment, SieveBucket};
-use crate::protocol::SLOT_JUMP_TARGET;
 use crate::sdt::SdtState;
 use crate::strategy::{Bind, IbStrategy};
 use crate::tables::TableRef;
-use crate::{Origin, SdtError};
+use crate::SdtError;
 
 #[derive(Debug)]
 pub(crate) struct Sieve {
@@ -53,34 +55,8 @@ impl IbStrategy for Sieve {
         bind: usize,
         _class: BranchClass,
     ) -> Result<(), SdtError> {
-        let d = Origin::Dispatch;
         let table = st.binds[bind].table.expect("sieve table allocated");
-        st.emit_hash(mem, table, 2)?;
-        st.cache.emit(
-            mem,
-            Instr::Lw {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                off: 0,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R2,
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Jmem {
-                addr: SLOT_JUMP_TARGET,
-            },
-            d,
-        )?;
-        Ok(())
+        st.cache.emit_sieve_probe(mem, table)
     }
 
     fn on_shared_miss(

@@ -17,8 +17,8 @@ use strata_machine::Memory;
 use crate::config::FlagsPolicy;
 use crate::emitter::Cache;
 use crate::protocol::{
-    reg_slot, SITE_NOFILL, SITE_SHARED, SLOT_FLAGS, SLOT_R1, SLOT_R2, SLOT_R3, SLOT_RESUME,
-    SLOT_SITE, SLOT_TARGET, TRAP_MISS, TRAP_RC_MISS,
+    reg_slot, SITE_NOFILL, SITE_SHARED, SLOT_FLAGS, SLOT_RESUME, SLOT_TARGET, TRAP_MISS,
+    TRAP_RC_MISS,
 };
 use crate::{Origin, SdtConfig, SdtError};
 
@@ -64,18 +64,17 @@ pub(crate) fn emit_stubs(
     let save_flags = cfg.flags == FlagsPolicy::Always;
     let o = Origin::ContextSwitch;
 
+    let restore_bulk = |cache: &mut Cache, mem: &mut Memory| {
+        for r in bulk_regs() {
+            let addr = reg_slot(r.index() as u32);
+            cache.emit(mem, Instr::Lwa { rd: r, addr }, o)?;
+        }
+        Ok::<(), SdtError>(())
+    };
+
     // --- restore stub -----------------------------------------------------
     let restore = cache.addr();
-    for r in bulk_regs() {
-        cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: r,
-                addr: reg_slot(r.index() as u32),
-            },
-            o,
-        )?;
-    }
+    restore_bulk(cache, mem)?;
     if save_flags {
         cache.emit(
             mem,
@@ -86,153 +85,65 @@ pub(crate) fn emit_stubs(
             o,
         )?;
         cache.emit(mem, Instr::Push { rs: Reg::R3 }, o)?;
-        cache.emit(mem, Instr::Popf, o)?;
     }
-    cache.emit(
-        mem,
-        Instr::Lwa {
-            rd: Reg::R1,
-            addr: SLOT_R1,
-        },
-        o,
-    )?;
-    cache.emit(
-        mem,
-        Instr::Lwa {
-            rd: Reg::R2,
-            addr: SLOT_R2,
-        },
-        o,
-    )?;
-    cache.emit(
-        mem,
-        Instr::Lwa {
-            rd: Reg::R3,
-            addr: SLOT_R3,
-        },
-        o,
-    )?;
+    cache.emit_scratch_restore(mem, save_flags, o)?;
     cache.emit(mem, Instr::Jmem { addr: SLOT_RESUME }, o)?;
 
     // --- return-cache partial restore --------------------------------------
     let rc_restore = cache.addr();
-    for r in bulk_regs() {
-        cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: r,
-                addr: reg_slot(r.index() as u32),
-            },
-            o,
-        )?;
-    }
+    restore_bulk(cache, mem)?;
     cache.emit(mem, Instr::Jmem { addr: SLOT_RESUME }, o)?;
 
-    // --- miss tails --------------------------------------------------------
-    let emit_tail = |cache: &mut Cache, mem: &mut Memory, flags_on_stack: bool| {
-        let at = cache.addr();
-        cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R1,
-                addr: SLOT_TARGET,
-            },
-            o,
-        )?;
-        if save_flags {
-            if !flags_on_stack {
-                cache.emit(mem, Instr::Pushf, o)?;
+    // --- trap tails ----------------------------------------------------------
+    // Spill the target, save the context and trap with `code`. The flags
+    // are saved when `flags_on_stack` is set: popped off the application
+    // stack where the caller pushed them, or pushed first if still live.
+    let emit_tail =
+        |cache: &mut Cache, mem: &mut Memory, flags_on_stack: Option<bool>, code: u16| {
+            let at = cache.addr();
+            cache.emit(
+                mem,
+                Instr::Swa {
+                    rs: Reg::R1,
+                    addr: SLOT_TARGET,
+                },
+                o,
+            )?;
+            if let Some(on_stack) = flags_on_stack {
+                if !on_stack {
+                    cache.emit(mem, Instr::Pushf, o)?;
+                }
+                cache.emit(mem, Instr::Pop { rd: Reg::R3 }, o)?;
+                cache.emit(
+                    mem,
+                    Instr::Swa {
+                        rs: Reg::R3,
+                        addr: SLOT_FLAGS,
+                    },
+                    o,
+                )?;
             }
-            cache.emit(mem, Instr::Pop { rd: Reg::R3 }, o)?;
-            cache.emit(
-                mem,
-                Instr::Swa {
-                    rs: Reg::R3,
-                    addr: SLOT_FLAGS,
-                },
-                o,
-            )?;
-        }
-        for r in bulk_regs() {
-            cache.emit(
-                mem,
-                Instr::Swa {
-                    rs: r,
-                    addr: reg_slot(r.index() as u32),
-                },
-                o,
-            )?;
-        }
-        cache.emit(mem, Instr::Trap { code: TRAP_MISS }, o)?;
-        Ok::<u32, SdtError>(at)
-    };
-    let miss_tail_stack_flags = emit_tail(cache, mem, true)?;
+            for r in bulk_regs() {
+                let addr = reg_slot(r.index() as u32);
+                cache.emit(mem, Instr::Swa { rs: r, addr }, o)?;
+            }
+            cache.emit(mem, Instr::Trap { code }, o)?;
+            Ok::<u32, SdtError>(at)
+        };
+    let miss_tail_stack_flags = emit_tail(cache, mem, save_flags.then_some(true), TRAP_MISS)?;
     let miss_tail_reg_flags = if save_flags {
-        emit_tail(cache, mem, false)?
+        emit_tail(cache, mem, Some(false), TRAP_MISS)?
     } else {
         // Without flags saving the two tails are identical; share one.
         miss_tail_stack_flags
     };
 
-    // --- shared miss glue ----------------------------------------------------
-    let shared_miss_glue = cache.addr();
-    cache.emit_li(mem, Reg::R2, SITE_SHARED, o)?;
-    cache.emit(
-        mem,
-        Instr::Swa {
-            rs: Reg::R2,
-            addr: SLOT_SITE,
-        },
-        o,
-    )?;
-    cache.emit(
-        mem,
-        Instr::Jmp {
-            target: miss_tail_stack_flags,
-        },
-        o,
-    )?;
+    // --- shared and no-fill (shadow-stack fallback) miss glue -----------------
+    let shared_miss_glue = cache.emit_site_glue(mem, SITE_SHARED, miss_tail_stack_flags)?;
+    let nofill_miss_glue = cache.emit_site_glue(mem, SITE_NOFILL, miss_tail_stack_flags)?;
 
-    // --- no-fill miss glue (shadow-stack fallbacks) ----------------------------
-    let nofill_miss_glue = cache.addr();
-    cache.emit_li(mem, Reg::R2, SITE_NOFILL, o)?;
-    cache.emit(
-        mem,
-        Instr::Swa {
-            rs: Reg::R2,
-            addr: SLOT_SITE,
-        },
-        o,
-    )?;
-    cache.emit(
-        mem,
-        Instr::Jmp {
-            target: miss_tail_stack_flags,
-        },
-        o,
-    )?;
-
-    // --- return-cache miss stub ----------------------------------------------
-    let rc_miss = cache.addr();
-    cache.emit(
-        mem,
-        Instr::Swa {
-            rs: Reg::R1,
-            addr: SLOT_TARGET,
-        },
-        o,
-    )?;
-    for r in bulk_regs() {
-        cache.emit(
-            mem,
-            Instr::Swa {
-                rs: r,
-                addr: reg_slot(r.index() as u32),
-            },
-            o,
-        )?;
-    }
-    cache.emit(mem, Instr::Trap { code: TRAP_RC_MISS }, o)?;
+    // --- return-cache miss stub: partial save, flags left alone ----------------
+    let rc_miss = emit_tail(cache, mem, None, TRAP_RC_MISS)?;
 
     Ok(Stubs {
         restore,
@@ -245,39 +156,10 @@ pub(crate) fn emit_stubs(
     })
 }
 
-/// Emits one strategy binding's miss glue: records the binding's
-/// [`SLOT_SITE`] sentinel and falls into the stack-flags miss tail. Only
-/// emitted under multi-binding policies.
-pub(crate) fn emit_bind_glue(
-    cache: &mut Cache,
-    mem: &mut Memory,
-    stubs: &Stubs,
-    sentinel: u32,
-) -> Result<u32, SdtError> {
-    let o = Origin::ContextSwitch;
-    let at = cache.addr();
-    cache.emit_li(mem, Reg::R2, sentinel, o)?;
-    cache.emit(
-        mem,
-        Instr::Swa {
-            rs: Reg::R2,
-            addr: SLOT_SITE,
-        },
-        o,
-    )?;
-    cache.emit(
-        mem,
-        Instr::Jmp {
-            target: stubs.miss_tail_stack_flags,
-        },
-        o,
-    )?;
-    Ok(at)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{SLOT_R1, SLOT_R2, SLOT_R3, SLOT_SITE};
     use strata_machine::layout;
 
     fn setup(cfg: SdtConfig) -> (Cache, Memory, Stubs) {
@@ -466,10 +348,13 @@ mod tests {
     #[test]
     fn bind_glue_is_distinct_from_shared_glue() {
         let (mut cache, mut mem, s) = setup(SdtConfig::ibtc_inline(256));
-        let g0 =
-            emit_bind_glue(&mut cache, &mut mem, &s, crate::protocol::bind_sentinel(0)).unwrap();
-        let g1 =
-            emit_bind_glue(&mut cache, &mut mem, &s, crate::protocol::bind_sentinel(1)).unwrap();
+        let tail = s.miss_tail_stack_flags;
+        let g0 = cache
+            .emit_site_glue(&mut mem, crate::protocol::bind_sentinel(0), tail)
+            .unwrap();
+        let g1 = cache
+            .emit_site_glue(&mut mem, crate::protocol::bind_sentinel(1), tail)
+            .unwrap();
         assert_ne!(g0, s.shared_miss_glue);
         assert_ne!(g0, g1);
         assert_eq!(cache.origin_at(g0), Some(Origin::ContextSwitch));

@@ -78,33 +78,8 @@ impl SdtState {
                     d,
                 )?;
                 let restore = self.cache.addr();
-                if self.cfg.flags == crate::FlagsPolicy::Always {
-                    self.cache.emit(mem, Instr::Popf, d)?;
-                }
-                self.cache.emit(
-                    mem,
-                    Instr::Lwa {
-                        rd: Reg::R1,
-                        addr: SLOT_R1,
-                    },
-                    d,
-                )?;
-                self.cache.emit(
-                    mem,
-                    Instr::Lwa {
-                        rd: Reg::R2,
-                        addr: SLOT_R2,
-                    },
-                    d,
-                )?;
-                self.cache.emit(
-                    mem,
-                    Instr::Lwa {
-                        rd: Reg::R3,
-                        addr: SLOT_R3,
-                    },
-                    d,
-                )?;
+                let popf = self.cfg.flags == crate::FlagsPolicy::Always;
+                self.cache.emit_scratch_restore(mem, popf, d)?;
                 restore
             }
             FragKind::Body => entry,

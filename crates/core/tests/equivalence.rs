@@ -4,8 +4,10 @@
 
 use strata_arch::ArchProfile;
 use strata_asm::assemble;
-use strata_core::{run_native, FlagsPolicy, RetMechanism, Sdt, SdtConfig};
+use strata_core::{run_native, FlagsPolicy, Sdt, SdtConfig};
 use strata_machine::{layout, Program};
+
+mod common;
 
 const FUEL: u64 = 2_000_000;
 
@@ -14,62 +16,9 @@ fn program(name: &str, src: &str) -> Program {
     Program::new(name, code, Vec::new())
 }
 
-/// All configurations exercised by the equivalence suite.
-fn configs() -> Vec<SdtConfig> {
-    let mut cfgs = vec![
-        SdtConfig::reentry(),
-        SdtConfig::ibtc_inline(4), // tiny: forces conflict misses
-        SdtConfig::ibtc_inline(1024),
-        SdtConfig::ibtc_out_of_line(256),
-        SdtConfig::sieve(4),
-        SdtConfig::sieve(256),
-        SdtConfig::tuned(512, 128),
-    ];
-    // Per-site IBTC.
-    cfgs.push(SdtConfig {
-        ib: strata_core::IbMechanism::Ibtc {
-            entries: 16,
-            scope: strata_core::IbtcScope::PerSite,
-            placement: strata_core::IbtcPlacement::Inline,
-        },
-        ..SdtConfig::ibtc_inline(16)
-    });
-    // Fast returns.
-    let mut fast = SdtConfig::ibtc_inline(256);
-    fast.ret = RetMechanism::FastReturn;
-    cfgs.push(fast);
-    // Shadow return stack (tiny, to exercise wrap/fallback paths).
-    let mut shadow = SdtConfig::ibtc_inline(256);
-    shadow.ret = RetMechanism::ShadowStack { depth: 8 };
-    cfgs.push(shadow);
-    // Cross-mechanism combinations: every ret mechanism must compose with
-    // every IB mechanism.
-    let mut sieve_shadow = SdtConfig::sieve(64);
-    sieve_shadow.ret = RetMechanism::ShadowStack { depth: 16 };
-    cfgs.push(sieve_shadow);
-    let mut sieve_rc = SdtConfig::sieve(64);
-    sieve_rc.ret = RetMechanism::ReturnCache { entries: 16 };
-    cfgs.push(sieve_rc);
-    let mut outline_rc = SdtConfig::ibtc_out_of_line(64);
-    outline_rc.ret = RetMechanism::ReturnCache { entries: 16 };
-    cfgs.push(outline_rc);
-    let mut reentry_fast = SdtConfig::reentry();
-    reentry_fast.ret = RetMechanism::FastReturn;
-    cfgs.push(reentry_fast);
-    let mut elide_2way = SdtConfig::ibtc_inline(64);
-    elide_2way.elide_direct_jumps = true;
-    elide_2way.ibtc_ways = 2;
-    cfgs.push(elide_2way);
-    // Unlinked fragments.
-    let mut nolink = SdtConfig::ibtc_inline(256);
-    nolink.link_fragments = false;
-    cfgs.push(nolink);
-    cfgs
-}
-
 fn check_equivalence(prog: &Program) {
     let native = run_native(prog, ArchProfile::x86_like(), FUEL).expect("native run succeeds");
-    for cfg in configs() {
+    for (_, cfg) in common::configs() {
         let mut sdt = Sdt::new(cfg, prog).expect("sdt constructs");
         let report = sdt
             .run(ArchProfile::x86_like(), FUEL * 20)

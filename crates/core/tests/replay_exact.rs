@@ -6,13 +6,12 @@
 
 use strata_arch::{ArchModel, ArchProfile, PredictorSpec};
 use strata_asm::assemble;
-use strata_core::{
-    rate, ClassPolicy, DispatchReplay, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, Sdt,
-    SdtConfig,
-};
+use strata_core::{rate, ClassPolicy, DispatchReplay, RetMechanism, Sdt, SdtConfig};
 use strata_machine::observers::{CompactRetire, RetireLog};
 use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
 use strata_machine::{layout, Machine, Program, StepOutcome};
+
+mod common;
 
 const FUEL: u64 = 20_000_000;
 
@@ -40,67 +39,10 @@ fn native_log(prog: &Program) -> Vec<CompactRetire> {
     log.into_records()
 }
 
-/// Mechanism configurations the replay must track exactly.
+/// Mechanism configurations the replay must track exactly: the shared
+/// list.
 fn configs() -> Vec<SdtConfig> {
-    let mut cfgs = vec![
-        SdtConfig::reentry(),
-        SdtConfig::ibtc_inline(4), // tiny: forces conflict misses
-        SdtConfig::ibtc_inline(1024),
-        SdtConfig::ibtc_out_of_line(256),
-        SdtConfig::sieve(4),
-        SdtConfig::sieve(256),
-        SdtConfig::tuned(512, 128),
-    ];
-    cfgs.push(SdtConfig {
-        ib: IbMechanism::Ibtc {
-            entries: 16,
-            scope: IbtcScope::PerSite,
-            placement: IbtcPlacement::Inline,
-        },
-        ..SdtConfig::ibtc_inline(16)
-    });
-    let mut fast = SdtConfig::ibtc_inline(256);
-    fast.ret = RetMechanism::FastReturn;
-    cfgs.push(fast);
-    let mut shadow = SdtConfig::ibtc_inline(256);
-    shadow.ret = RetMechanism::ShadowStack { depth: 8 };
-    cfgs.push(shadow);
-    let mut sieve_shadow = SdtConfig::sieve(64);
-    sieve_shadow.ret = RetMechanism::ShadowStack { depth: 16 };
-    cfgs.push(sieve_shadow);
-    let mut sieve_rc = SdtConfig::sieve(64);
-    sieve_rc.ret = RetMechanism::ReturnCache { entries: 16 };
-    cfgs.push(sieve_rc);
-    let mut outline_rc = SdtConfig::ibtc_out_of_line(64);
-    outline_rc.ret = RetMechanism::ReturnCache { entries: 16 };
-    cfgs.push(outline_rc);
-    let mut two_way = SdtConfig::ibtc_inline(64);
-    two_way.ibtc_ways = 2;
-    cfgs.push(two_way);
-    // Unlinked fragments: every exit traversal must trap, every time.
-    let mut nolink = SdtConfig::ibtc_inline(256);
-    nolink.link_fragments = false;
-    cfgs.push(nolink);
-    // Adaptive promotion chain: inline → per-site IBTC → sieve.
-    let mut adaptive = SdtConfig::ibtc_inline(256);
-    adaptive.policy.jump = ClassPolicy::Adaptive {
-        ibtc_entries: 16,
-        sieve_buckets: 64,
-        sieve_arity: 2,
-    };
-    cfgs.push(adaptive);
-    // Split policy: distinct jump/call bindings (multi-bind sentinels).
-    let mut split = SdtConfig::ibtc_inline(256);
-    split.policy.call = ClassPolicy::Fixed {
-        mech: IbMechanism::Sieve { buckets: 32 },
-        ways: 1,
-    };
-    cfgs.push(split);
-    // Tiny cache: exercises flush handling through the replay path.
-    let mut tiny = SdtConfig::ibtc_inline(64);
-    tiny.cache_limit = Some(8192);
-    cfgs.push(tiny);
-    cfgs
+    common::configs().into_iter().map(|(_, cfg)| cfg).collect()
 }
 
 fn check_replay_exact(prog: &Program) {

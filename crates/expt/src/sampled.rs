@@ -102,7 +102,7 @@ pub struct Bundle {
     pub header: TraceHeader,
     /// The elected simulation points.
     pub points: SimPoints,
-    /// The `.strace` the bundle was cut from; [`full_trace_counters`]
+    /// The `.strace` the bundle was cut from; [`full_trace_pass`]
     /// streams it.
     pub path: PathBuf,
     /// What is held of the records of [`resident_ranges`], a run each.
@@ -663,23 +663,6 @@ fn synthesize_report(
     })
 }
 
-/// Exact whole-trace mechanism counters for a configuration, beside the
-/// replay's [`rate_counters`](DispatchReplay::rate_counters):
-/// [`full_trace_pass`] with one configuration.
-///
-/// # Errors
-///
-/// As [`full_trace_pass`].
-pub fn full_trace_counters(
-    bundle: &Bundle,
-    workload: &str,
-    params: Params,
-    cfg: SdtConfig,
-    model: impl Fn() -> ArchModel,
-) -> Result<(MechanismStats, [u64; rate::COUNT]), String> {
-    Ok(full_trace_pass(bundle, workload, params, &[cfg], model)?.remove(0))
-}
-
 /// Exact whole-trace mechanism counters for each of `cfgs`, in order,
 /// beside each replay's [`rate_counters`](DispatchReplay::rate_counters)
 /// (the model's mispredicts among them) — the fidelity experiment's
@@ -854,7 +837,7 @@ mod tests {
         assert_eq!(cell.report.checksum, bundle.header.checksum);
 
         let x86 = || ArchModel::new(ArchProfile::x86_like());
-        let (truth, _) = full_trace_counters(&bundle, "gzip", params, cfg, x86).unwrap();
+        let (truth, _) = full_trace_pass(&bundle, "gzip", params, &[cfg], x86).unwrap()[0];
         let ib = &cell.est[rate::IB_DISPATCHES];
         let err = ib.rel_error(truth.ib_dispatches as f64);
         assert!(
@@ -1007,7 +990,7 @@ mod tests {
         let one_pass = full_trace_pass(&bundle, "perlbmk", params, &cfgs, model).unwrap();
         let per_config: Vec<_> = cfgs
             .iter()
-            .map(|&cfg| full_trace_counters(&bundle, "perlbmk", params, cfg, model).unwrap())
+            .flat_map(|&cfg| full_trace_pass(&bundle, "perlbmk", params, &[cfg], model).unwrap())
             .collect();
         assert_eq!(one_pass, per_config);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1153,8 +1136,8 @@ mod tests {
         let bundle = load_bundle(&dir, "gzip", params).expect("records");
         let truth = || {
             let x86 = || ArchModel::new(ArchProfile::x86_like());
-            full_trace_counters(&bundle, "gzip", params, SdtConfig::ibtc_inline(512), x86)
-                .expect("counters")
+            let cfg = SdtConfig::ibtc_inline(512);
+            full_trace_pass(&bundle, "gzip", params, &[cfg], x86).expect("counters")
         };
         let streamed = truth();
         let on_disk = std::fs::read(&bundle.path).unwrap();

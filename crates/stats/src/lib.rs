@@ -16,7 +16,6 @@
 //! ```
 
 pub mod baseline;
-mod histogram;
 pub mod json;
 pub mod rng;
 mod sampling;
@@ -24,7 +23,6 @@ mod summary;
 mod table;
 
 pub use baseline::{diff, Delta, DeltaReport, Snapshot};
-pub use histogram::Histogram;
 pub use json::Json;
 pub use sampling::{stratified_estimate, weighted_mean, Estimate, Stratum};
 pub use summary::{geomean, mean, ratio};

@@ -2,7 +2,7 @@
 //! deterministic [`SmallRng`].
 
 use strata_stats::rng::SmallRng;
-use strata_stats::{geomean, mean, ratio, Histogram, Table};
+use strata_stats::{geomean, mean, ratio, Table};
 
 fn rand_f64(rng: &mut SmallRng, lo: f64, hi: f64) -> f64 {
     let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
@@ -60,30 +60,6 @@ fn ratio_never_nan() {
     }
     assert!(!ratio(0, 0).is_nan());
     assert!(!ratio(u64::MAX, 0).is_nan());
-}
-
-#[test]
-fn histogram_percentiles_are_monotone() {
-    let mut rng = SmallRng::seed_from_u64(0x57A7_0005);
-    for _ in 0..100 {
-        let samples: Vec<usize> = (0..rng.gen_range(1usize..200))
-            .map(|_| rng.gen_range(0usize..64))
-            .collect();
-        let mut h = Histogram::new();
-        for s in &samples {
-            h.record(*s);
-        }
-        let mut last = 0usize;
-        for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            let v = h.percentile(p).expect("nonempty");
-            assert!(v >= last, "percentile({p}) = {v} < {last}");
-            last = v;
-        }
-        assert_eq!(h.percentile(100.0), h.max());
-        assert_eq!(h.count(), samples.len() as u64);
-        let expected_mean = samples.iter().sum::<usize>() as f64 / samples.len() as f64;
-        assert!((h.mean() - expected_mean).abs() < 1e-9);
-    }
 }
 
 #[test]

@@ -36,8 +36,9 @@ impl Severity {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lint {
     /// Overhead code executes a flags-writing instruction while the
-    /// application's flags are live (under [`FlagsPolicy::Always`]
-    /// (strata_core::FlagsPolicy::Always) they must first be saved).
+    /// application's flags are live (under
+    /// [`FlagsPolicy::Always`](strata_core::FlagsPolicy::Always) they must
+    /// first be saved).
     FlagsClobber,
     /// `popf` executed when the top of stack is not a flags word pushed by
     /// overhead code.

@@ -89,31 +89,80 @@ impl CacheSim {
     /// without searching the set. That is exact under LRU: nothing
     /// intervened, so the line is resident and already at the front of its
     /// set. Most instruction fetches take this path.
-    #[inline(always)]
+    ///
+    /// This is the batch step a [`Pricer`](crate::Pricer) drives, over one
+    /// address: a cache steps one way per event and in a batch.
+    #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
-        let line = (addr >> self.line_shift) as u64;
-        if line == self.last_line {
-            self.hits += 1;
-            return true;
-        }
-        self.last_line = line;
-        let ways = self.config.ways as usize;
-        let base = ((line as u32) & self.set_mask) as usize * ways;
-        let set = &mut self.tags[base..base + ways];
-        let (way, hit) = match set.iter().position(|&tag| tag == line) {
-            Some(way) => (way, true),
-            None => (ways - 1, false),
-        };
-        for i in (1..=way).rev() {
-            set[i] = set[i - 1];
-        }
-        set[0] = line;
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
+        let mut hit = true;
+        self.access_all(std::slice::from_ref(&addr), |&a| a, |_| hit = false);
         hit
+    }
+
+    /// Steps the cache over `items` in order, as [`access`](Self::access)
+    /// on each item's `addr`, and calls `on_miss` with every item that
+    /// missed. The set search is specialised on the geometry's way count
+    /// once per call, not per access.
+    #[inline]
+    pub(crate) fn access_all<T>(
+        &mut self,
+        items: &[T],
+        addr: impl Fn(&T) -> u32,
+        on_miss: impl FnMut(&T),
+    ) {
+        match self.config.ways {
+            1 => self.search::<1, T>(items, addr, on_miss),
+            2 => self.search::<2, T>(items, addr, on_miss),
+            4 => self.search::<4, T>(items, addr, on_miss),
+            8 => self.search::<8, T>(items, addr, on_miss),
+            _ => self.search::<0, T>(items, addr, on_miss),
+        }
+    }
+
+    /// Books `n` accesses known to repeat the previous access's line: hits
+    /// that [`access`](Self::access) would answer without searching.
+    pub(crate) fn book_hits(&mut self, n: u64) {
+        self.hits += n;
+    }
+
+    /// The set search: [`access_all`](Self::access_all) with `W` ways, or
+    /// the geometry's way count when `W` is 0. With `W` a constant the way
+    /// scan and the move-to-front unroll. The previous line and the
+    /// counters live in locals for the whole batch.
+    #[inline(always)]
+    fn search<const W: usize, T>(
+        &mut self,
+        items: &[T],
+        addr: impl Fn(&T) -> u32,
+        mut on_miss: impl FnMut(&T),
+    ) {
+        let ways = if W == 0 { self.config.ways as usize } else { W };
+        let (shift, set_mask) = (self.line_shift, self.set_mask);
+        let tags = &mut self.tags[..];
+        let mut last = self.last_line;
+        let mut misses = 0;
+        for item in items {
+            let line = u64::from(addr(item) >> shift);
+            if line == last {
+                continue;
+            }
+            last = line;
+            let base = ((line as u32) & set_mask) as usize * ways;
+            let set = &mut tags[base..base + ways];
+            let found = set.iter().position(|&tag| tag == line);
+            let way = found.unwrap_or(ways - 1);
+            for i in (1..=way).rev() {
+                set[i] = set[i - 1];
+            }
+            set[0] = line;
+            if found.is_none() {
+                misses += 1;
+                on_miss(item);
+            }
+        }
+        self.last_line = last;
+        self.misses += misses;
+        self.hits += items.len() as u64 - misses;
     }
 
     /// Number of hits so far.

@@ -7,12 +7,12 @@
 //! pressure all differ between the x86 and SPARC machines they measured.
 //!
 //! This crate models exactly those quantities. An [`ArchModel`] consumes the
-//! per-retired-instruction [`RetireEvent`]s produced by `strata-machine` and
-//! charges cycles from:
+//! per-retired-instruction [`RetireEvent`](strata_machine::RetireEvent)s
+//! produced by `strata-machine` and charges cycles from:
 //!
 //! * a per-[`InstrClass`](strata_isa::InstrClass) base cost table,
 //! * set-associative L1 instruction and data cache simulators ([`CacheSim`]),
-//! * a gshare conditional-branch predictor ([`CondPredictor`]),
+//! * a gshare conditional-branch predictor,
 //! * an indirect-target predictor from a closed zoo ([`PredictorSpec`],
 //!   `--predictor`): the profile's direct-mapped [`Btb`] by default —
 //!   profiles may have none, modeling era SPARC/MIPS parts with no
@@ -24,11 +24,13 @@
 //! * per-event costs for flags save/restore and traps.
 //!
 //! Cost is counted, then priced: the retire path counts instructions by
-//! class ([`Counts`]) and steps only the stateful simulators, and the
-//! cycles are a dot product of those counts with the profile's prices,
-//! taken when read. One execution can therefore be priced under many
-//! models at once — the counts are shared, and each model steps its own
-//! caches and predictors.
+//! class and steps only the stateful simulators, and the cycles are a dot
+//! product of those counts with the profile's prices, taken when read. One
+//! execution is priced under many models at once by a [`Pricer`]: it
+//! counts each retire once for all of them and logs the events the
+//! simulators read, and each model steps its caches and predictors over
+//! that log a batch at a time — exact, because no simulator reads
+//! another's state and each sees its own events in order.
 //!
 //! Three ready-made profiles bracket the design space:
 //! [`ArchProfile::x86_like`], [`ArchProfile::sparc_like`], and
@@ -54,13 +56,14 @@
 mod cache;
 mod model;
 mod predictor;
+mod pricer;
 mod profile;
 mod target;
 
 pub use cache::{CacheConfig, CacheSim};
-pub use model::{ArchModel, Counts, ModelStats, BUCKETS};
-pub use predictor::{Btb, CondPredictor, Ras};
+pub use model::{ArchModel, ModelStats, BUCKETS};
+pub(crate) use predictor::CondPredictor;
+pub use predictor::{Btb, Ras};
+pub use pricer::Pricer;
 pub use profile::ArchProfile;
 pub use target::{Ittage, PredictorParseError, PredictorSpec, TargetPredictor};
-
-pub use strata_machine::RetireEvent;

@@ -1,6 +1,7 @@
 use strata_isa::{ControlKind, InstrClass};
 use strata_machine::{ExecutionObserver, RetireEvent};
 
+use crate::pricer::{Control, Log, Transfer};
 use crate::target::{PredictorSpec, Target, TargetPredictor};
 use crate::{ArchProfile, CacheSim, CondPredictor, Ras};
 
@@ -32,7 +33,7 @@ pub struct ModelStats {
 
 impl ModelStats {
     /// Total cycles across all components.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.base_cycles
             + self.icache_stall_cycles
             + self.dcache_stall_cycles
@@ -57,13 +58,13 @@ impl ModelStats {
 /// instructions by [`InstrClass`] and taken conditional branches. Every
 /// model pricing the same stream shares them, so a run under several
 /// models counts each instruction once ([`Counts::count`]) and steps only
-/// each model's stateful simulators ([`ArchModel::simulate`]).
+/// each model's stateful simulators.
 ///
 /// A class fixes an instruction's control kind (`Instr::class` and
 /// `Instr::control_kind` agree), so the taken-branch bubbles and the
 /// indirect transfers are read off the class counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counts {
+pub(crate) struct Counts {
     by_class: [[u64; InstrClass::COUNT]; BUCKETS],
     cond_taken: [u64; BUCKETS],
     /// The sum of `by_class`, kept as it goes: a run loop reads it once
@@ -153,8 +154,8 @@ struct Misses {
 /// A full microarchitecture cost model: per-class costs plus cache and
 /// branch-predictor simulation, parameterized by an [`ArchProfile`].
 ///
-/// Cost is counted on the retire path and priced when read. Retiring an
-/// instruction counts it ([`Counts`]) and steps the stateful simulators —
+/// Cost is counted on the retire path and priced when read. A retired
+/// instruction is counted by class and steps the stateful simulators —
 /// I-cache, D-cache, conditional predictor, target predictor and RAS —
 /// which count their misses per bucket. [`stats`](Self::stats),
 /// [`total_cycles`](Self::total_cycles) and
@@ -162,14 +163,19 @@ struct Misses {
 /// those counts with the profile's prices: integer sums commute, so this
 /// is exactly the per-event sum.
 ///
-/// Use it directly as an [`ExecutionObserver`] for whole-run costing
-/// (bucket 0), or call [`ArchModel::cost_of`] per event for its cycles. A
-/// run priced under several models shares one [`Counts`], steps each
-/// model with [`simulate`](Self::simulate) and hands it the counts at the
-/// end ([`absorb`](Self::absorb)); the SDT does this to bucket by
-/// instruction origin. A driver that sees dispatch events rather than
-/// retired instructions (sampled replay) drives the same predictors
-/// through [`predict_indirect`](Self::predict_indirect),
+/// Runs are priced in batches by a [`Pricer`](crate::Pricer): it counts
+/// each retire once for all its models, logs the events each structure
+/// reads, and steps every model's I-cache over the fetches, D-cache over
+/// the data accesses and predictors over the transfers, one structure at
+/// a time. No structure reads another's state, and each sees its own
+/// events in retirement order, so a batch leaves every structure, count
+/// and miss exactly as stepping event by event would; the SDT and native
+/// drivers price this way. Driven directly, as an [`ExecutionObserver`]
+/// (bucket 0) or through [`ArchModel::cost_of`] for one event's cycles,
+/// the model steps the same structures on each event as it retires. A
+/// driver that sees dispatch events rather than retired instructions
+/// (sampled replay) drives the same predictors through
+/// [`predict_indirect`](Self::predict_indirect),
 /// [`push_return`](Self::push_return) and
 /// [`predict_return`](Self::predict_return).
 #[derive(Debug)]
@@ -362,22 +368,12 @@ impl ArchModel {
     /// Steps the stateful simulators — caches, conditional predictor,
     /// target predictor, RAS — on one retired instruction, counting their
     /// misses in `bucket`, and returns the stall cycles they cost. The
-    /// instruction itself is not counted: the caller counts it once in
-    /// the [`Counts`] it later [`absorb`](Self::absorb)s.
-    ///
-    /// Force-inlined: `Machine::exec` hands every dispatch arm an event
-    /// whose `class`, `control.kind` and `mem.is_some()` are literals, so
-    /// each copy keeps only the blocks its instruction shape can reach.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket` is not below [`BUCKETS`].
+    /// instruction itself is not counted.
     #[inline(always)]
-    pub fn simulate(&mut self, bucket: usize, ev: &RetireEvent) -> u64 {
+    pub(crate) fn step(&mut self, bucket: usize, ev: &RetireEvent) -> u64 {
         let p = &self.profile;
         let misses = &mut self.misses[bucket];
         let mut stall = 0;
-
         if !self.icache.access(ev.pc) {
             misses.icache += 1;
             stall += p.icache_miss_penalty;
@@ -388,44 +384,78 @@ impl ArchModel {
                 stall += p.dcache_miss_penalty;
             }
         }
-
-        let correct = match ev.control.kind {
-            ControlKind::None | ControlKind::Direct => return stall,
-            ControlKind::Conditional => {
-                let correct = self.cond.predict_and_update(ev.pc, ev.control.taken);
-                misses.cond += u64::from(!correct);
-                correct
+        if let Some(transfer) = Transfer::of(ev) {
+            if !self.step_transfer(bucket, transfer) {
+                stall += self.profile.mispredict_penalty;
             }
-            ControlKind::Call => {
-                self.ras.push(ev.pc.wrapping_add(4));
-                if !ev.control.indirect {
-                    return stall;
-                }
-                let correct = self.target.predict_and_update(ev.pc, ev.control.target);
-                misses.indirect += u64::from(!correct);
-                correct
-            }
-            ControlKind::Indirect => {
-                let correct = self.target.predict_and_update(ev.pc, ev.control.target);
-                misses.indirect += u64::from(!correct);
-                correct
-            }
-            ControlKind::Return => {
-                let correct = self.ras.pop_and_check(ev.control.target);
-                misses.indirect += u64::from(!correct);
-                correct
-            }
-        };
-        if !correct {
-            stall += p.mispredict_penalty;
         }
         stall
     }
 
-    /// Adds a run's shared counts to this model's: after a run that
-    /// [`simulate`](Self::simulate)d every instruction of `counts`, the
-    /// model prices that run.
-    pub fn absorb(&mut self, counts: &Counts) {
+    /// Steps the predictor `transfer` reaches — the conditional predictor,
+    /// the target predictor, the RAS or both of the last two — counting a
+    /// misprediction in `bucket`. Returns whether it was predicted; a
+    /// direct call only pushes its return address and counts as predicted.
+    #[inline(always)]
+    fn step_transfer(&mut self, bucket: usize, transfer: Transfer) -> bool {
+        let misses = &mut self.misses[bucket];
+        match transfer {
+            Transfer::Cond { pc, taken } => {
+                let correct = self.cond.predict_and_update(pc, taken);
+                misses.cond += u64::from(!correct);
+                correct
+            }
+            Transfer::Call { pc } => {
+                self.ras.push(pc.wrapping_add(4));
+                true
+            }
+            Transfer::IndirectCall { pc, target } => {
+                self.ras.push(pc.wrapping_add(4));
+                let correct = self.target.predict_and_update(pc, target);
+                misses.indirect += u64::from(!correct);
+                correct
+            }
+            Transfer::Indirect { pc, target } => {
+                let correct = self.target.predict_and_update(pc, target);
+                misses.indirect += u64::from(!correct);
+                correct
+            }
+            Transfer::Return { target } => {
+                let correct = self.ras.pop_and_check(target);
+                misses.indirect += u64::from(!correct);
+                correct
+            }
+        }
+    }
+
+    /// Steps every structure over a [`Log`]'s events, one structure at a
+    /// time: the I-cache over the fetches (the same-line ones, which the
+    /// log only counts, are hits), the D-cache over the data accesses and
+    /// the predictors over the transfers. Each structure sees its events
+    /// in retirement order, so this is [`step`](Self::step) on every
+    /// logged retire, miss for miss.
+    pub(crate) fn step_log(&mut self, log: &Log) {
+        let misses = &mut self.misses;
+        self.icache.book_hits(log.same_line);
+        self.icache.access_all(
+            log.fetch.entries(),
+            |a| a.addr,
+            |a| misses[usize::from(a.bucket)].icache += 1,
+        );
+        self.dcache.access_all(
+            log.data.entries(),
+            |a| a.addr,
+            |a| misses[usize::from(a.bucket)].dcache += 1,
+        );
+        for &Control { bucket, transfer } in log.control.entries() {
+            self.step_transfer(usize::from(bucket), transfer);
+        }
+    }
+
+    /// Adds a run's shared counts to this model's: after a run whose every
+    /// instruction of `counts` stepped this model, the model prices that
+    /// run.
+    pub(crate) fn absorb(&mut self, counts: &Counts) {
         self.counts.add(counts);
     }
 
@@ -448,7 +478,7 @@ impl ArchModel {
         if ev.class == InstrClass::Trap {
             cycles += p.trap_cost;
         }
-        cycles + self.simulate(0, ev)
+        cycles + self.step(0, ev)
     }
 
     /// Charges host-side translator work: `instrs` newly translated
@@ -475,7 +505,7 @@ impl ExecutionObserver for ArchModel {
     #[inline(always)]
     fn on_retire(&mut self, event: &RetireEvent) {
         self.counts.count(0, event);
-        self.simulate(0, event);
+        self.step(0, event);
     }
 }
 

@@ -2,17 +2,8 @@ use crate::TargetPredictor;
 
 /// A gshare conditional-branch predictor: a table of 2-bit saturating
 /// counters indexed by `pc ⊕ global-history`.
-///
-/// ```
-/// use strata_arch::CondPredictor;
-/// let mut p = CondPredictor::new(10);
-/// // An always-taken branch trains once the global history saturates.
-/// let pc = 0x1000;
-/// for _ in 0..16 { p.predict_and_update(pc, true); }
-/// assert!(p.predict_and_update(pc, true));
-/// ```
 #[derive(Debug, Clone)]
-pub struct CondPredictor {
+pub(crate) struct CondPredictor {
     counters: Vec<u8>,
     mask: u32,
     index_bits: u32,
@@ -30,6 +21,7 @@ impl CondPredictor {
     /// # Panics
     ///
     /// Panics if `index_bits` is 0 or greater than 24.
+    #[cfg(test)]
     pub fn new(index_bits: u32) -> CondPredictor {
         CondPredictor::with_history(index_bits, index_bits)
     }

@@ -269,7 +269,7 @@ impl Ittage {
 
 impl TargetPredictor for Ittage {
     /// Out of line: the table walk stays out of the retire arms the BTB
-    /// is inlined into. One [`Ittage::update`] per component count.
+    /// is inlined into. One `Ittage::update` per component count.
     #[inline(never)]
     fn predict_and_update(&mut self, pc: u32, target: u32) -> bool {
         match self.tables.len() {

@@ -1,7 +1,7 @@
 //! Native (untranslated) execution — the baseline every slowdown is
 //! measured against.
 
-use strata_arch::{ArchModel, ArchProfile};
+use strata_arch::{ArchModel, ArchProfile, Pricer};
 use strata_isa::Reg;
 use strata_machine::observers::Chain;
 use strata_machine::{run_to_halt, BranchCensus, ExecTier, Machine, Program};
@@ -116,12 +116,11 @@ pub fn run_native_models(
     fuel: u64,
     tier: ExecTier,
 ) -> Result<Vec<NativeRun>, SdtError> {
-    let mut obs = Chain::new(models, BranchCensus::default());
-    let (checksum, machine) = run_to_halt(program, tier, fuel, &mut obs, |o| {
-        o.first()[0].instructions()
-    })?;
-    let (models, census) = obs.into_inner();
-    Ok(models
+    let mut obs = Chain::new(Pricer::new(models), BranchCensus::default());
+    let (checksum, machine) = run_to_halt(program, tier, fuel, &mut obs, |o| o.first().retired())?;
+    let (pricer, census) = obs.into_inner();
+    Ok(pricer
+        .finish()
         .iter()
         .map(|model| NativeRun::new(checksum, model, &census, &machine))
         .collect())

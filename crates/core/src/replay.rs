@@ -22,8 +22,9 @@
 //! A replay is handed the [`ArchModel`]s it is priced under, as an exact
 //! [`Sdt::run_models`] is. Translator work is charged to each, and each
 //! model's own indirect-target predictor and return-address stack — the
-//! ones [`ArchModel::simulate`] steps on the exact retire stream — predict
-//! every replayed dispatch, keyed by dispatch-site shape (see [`Key`]).
+//! ones a [`Pricer`](strata_arch::Pricer) steps over the exact retire
+//! stream — predict every replayed dispatch, keyed by dispatch-site shape
+//! (see [`Key`]).
 //! The replay path itself never reads a model: which fragment is entered,
 //! which probe hits and what the translator does follow from the
 //! configuration and the event stream alone. That is why one replay

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use strata_arch::{ArchModel, Counts, BUCKETS};
+use strata_arch::{ArchModel, Pricer, BUCKETS};
 use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
 use strata_machine::{
     layout, ExecutionObserver, Machine, MachineError, Program, RetireEvent, StepOutcome,
@@ -382,11 +382,13 @@ impl Sdt {
     /// under every model of `models`: one [`RunReport`] per model, in
     /// order, each equal to what [`Sdt::run`] reports for that model
     /// alone. Translation does not depend on the model, so only the
-    /// pricing differs: each retired instruction is counted once, by
-    /// origin, for all models ([`Counts`]), and steps each model's caches
-    /// and predictors; translator work is charged to each model. A
-    /// report's cycle and miss totals are its model's, so a model handed
-    /// in cold prices exactly this run.
+    /// pricing differs. One [`Pricer`] prices the run: it counts each
+    /// retired instruction once, by origin, for all models and logs the
+    /// events their caches and predictors read, and every model steps
+    /// over that log a batch at a time (exact: each structure sees its own
+    /// events in retirement order). Translator work is charged to each
+    /// model. A report's cycle and miss totals are its model's, so a model
+    /// handed in cold prices exactly this run.
     ///
     /// Translated code runs through the fused [`Machine::run`] loop, like
     /// a native run: a *segment* lasts until a `trap` (translator miss or
@@ -417,41 +419,25 @@ impl Sdt {
     /// Panics if `models` is empty.
     pub fn run_models(
         &mut self,
-        mut models: Vec<ArchModel>,
+        models: Vec<ArchModel>,
         fuel: u64,
     ) -> Result<Vec<RunReport>, SdtError> {
-        assert!(
-            !models.is_empty(),
-            "a run is priced under at least one model"
-        );
-        let mut counts = Counts::default();
+        let mut pricer = Pricer::new(models);
         let mut marks = Marks::default();
-        let charge = |models: &mut [ArchModel], instrs: u64, lookups: u64| {
-            for model in models {
-                model.charge_translator(instrs, lookups);
-            }
-        };
 
         let before = self.state.stats.translated_app_instrs;
         let frag = self
             .state
             .ensure_fragment_flushing(self.machine.mem_mut(), self.entry, FragKind::Body)?
             .0;
-        charge(
-            &mut models,
-            self.state.stats.translated_app_instrs - before,
-            1,
-        );
+        pricer.charge_translator(self.state.stats.translated_app_instrs - before, 1);
         self.machine.cpu_mut().pc = frag.entry;
 
         loop {
-            let budget = fuel.saturating_sub(counts.retired());
-            let (first, rest) = models.split_at_mut(1);
+            let budget = fuel.saturating_sub(pricer.retired());
             let result = self.machine.run(
                 &mut Attributing {
-                    counts: &mut counts,
-                    first: &mut first[0],
-                    rest,
+                    pricer: &mut pricer,
                     cache: &self.state.cache,
                     marks: &mut marks,
                     app_code: self.app_code.clone(),
@@ -467,11 +453,11 @@ impl Sdt {
                 Ok(StepOutcome::Halted) => break,
                 Ok(StepOutcome::Trap(TRAP_MISS)) => {
                     let w = self.state.handle_trap_miss(&mut self.machine)?;
-                    charge(&mut models, w.new_instrs, w.lookups);
+                    pricer.charge_translator(w.new_instrs, w.lookups);
                 }
                 Ok(StepOutcome::Trap(TRAP_RC_MISS)) => {
                     let w = self.state.handle_trap_rc_miss(&mut self.machine)?;
-                    charge(&mut models, w.new_instrs, w.lookups);
+                    pricer.charge_translator(w.new_instrs, w.lookups);
                 }
                 Ok(StepOutcome::Trap(code)) if code >= SDT_TRAP_BASE => {
                     unreachable!("translator never emits unknown SDT traps ({code:#x})")
@@ -506,27 +492,26 @@ impl Sdt {
         ];
         let mech = st.mechanism_stats(dispatches, s.ib_misses, s.rc_misses);
         let (config, checksum) = (st.cfg.describe(), self.syscalls.checksum());
-        Ok(models
-            .iter_mut()
-            .map(|model| {
-                model.absorb(&counts);
-                RunReport {
-                    config: config.clone(),
-                    arch: model.profile().name,
-                    halted: true,
-                    checksum,
-                    instructions: counts.retired(),
-                    total_cycles: model.total_cycles(),
-                    cycles_by_origin: model.cycles_by_bucket(),
-                    instrs_by_origin: counts.by_bucket(),
-                    translator_cycles: model.translator_cycles(),
-                    mech,
-                    per_class: per_class.clone(),
-                    icache_misses: model.icache().misses(),
-                    dcache_misses: model.dcache().misses(),
-                    indirect_mispredicts: model.indirect_mispredicts(),
-                    cond_mispredicts: model.cond_mispredicts(),
-                }
+        let (instructions, instrs_by_origin) = (pricer.retired(), pricer.by_bucket());
+        Ok(pricer
+            .finish()
+            .iter()
+            .map(|model| RunReport {
+                config: config.clone(),
+                arch: model.profile().name,
+                halted: true,
+                checksum,
+                instructions,
+                total_cycles: model.total_cycles(),
+                cycles_by_origin: model.cycles_by_bucket(),
+                instrs_by_origin,
+                translator_cycles: model.translator_cycles(),
+                mech,
+                per_class: per_class.clone(),
+                icache_misses: model.icache().misses(),
+                dcache_misses: model.dcache().misses(),
+                indirect_mispredicts: model.indirect_mispredicts(),
+                cond_mispredicts: model.cond_mispredicts(),
             })
             .collect())
     }
@@ -547,15 +532,10 @@ struct Marks {
 }
 
 /// The observer wired into the machine while running under translation:
-/// counts each retired instruction once under the emitting code's
-/// [`Origin`], and steps every model's caches and predictors on it.
+/// records each retired instruction once in the pricer, under the
+/// emitting code's [`Origin`].
 struct Attributing<'a> {
-    counts: &'a mut Counts,
-    /// The models, as the first and the rest: a run has at least one, and
-    /// stepping it outside the loop keeps the common one-model run from
-    /// paying for a loop on every retired instruction.
-    first: &'a mut ArchModel,
-    rest: &'a mut [ArchModel],
+    pricer: &'a mut Pricer,
     cache: &'a Cache,
     marks: &'a mut Marks,
     app_code: std::ops::Range<u32>,
@@ -568,12 +548,7 @@ impl ExecutionObserver for Attributing<'_> {
             .cache
             .tags_at(ev.pc)
             .unwrap_or((Origin::App, Mark::None));
-        let bucket = origin.index();
-        self.counts.count(bucket, ev);
-        self.first.simulate(bucket, ev);
-        for model in self.rest.iter_mut() {
-            model.simulate(bucket, ev);
-        }
+        self.pricer.record(origin.index(), ev);
         match mark {
             Mark::None => {}
             Mark::JumpEntry => self.marks.jump_dispatches += 1,

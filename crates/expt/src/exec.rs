@@ -3,19 +3,19 @@
 //! A run's plan is decided in three places, each the only one of its
 //! kind: [`work_manifest`](crate::work_manifest) says *which* cells (the
 //! selected experiments' cells, deduped, each native baseline directly
-//! before the first translated cell implying it — [`with_implied_natives`]
-//! is that completion step), [`dispatch_order`] says *in what order*
-//! (natives first, each kind in manifest order), and [`program_for`] is
+//! before the first translated cell implying it — `with_implied_natives`
+//! is that completion step), `dispatch_order` says *in what order*
+//! (natives first, each kind in manifest order), and `program_for` is
 //! where every cell's `Program` comes from. [`execute`] consumes that one
 //! plan: a `--jobs N` pool of scoped threads claims tasks — execution
 //! groups and, for a suite, renders — off a shared atomic counter.
 //!
-//! An execution group ([`execution_groups`]) is the cells that differ
+//! An execution group (`execution_groups`) is the cells that differ
 //! only in profile: one execution — in sampled mode, one trace replay —
 //! serves them all, priced under each cell's model, and each result
 //! lands under its own key.
 //!
-//! The pool runs three phases ([`schedule`]): the native groups; then the
+//! The pool runs three phases (`schedule`): the native groups; then the
 //! renders that read natives only, followed by the translated groups;
 //! then every other render. So every translated cell verifies its
 //! checksum against an already-memoized native result without ever

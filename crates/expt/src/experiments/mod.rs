@@ -3,7 +3,7 @@
 //! Each module exports `cells(params)` — the simulation cells the
 //! experiment needs, expanded for the parallel executor — and
 //! `render(view)` — the pure read-side pass that turns memoized cells
-//! into tables and reading notes, or returns why it cannot. The registry in [`crate::registry`]
+//! into tables and reading notes, or returns why it cannot. The registry in [`crate::registry`](mod@crate::registry)
 //! binds them to stable experiment ids.
 
 pub mod fig10_cross_arch;

@@ -150,7 +150,7 @@ fn pattern_selects(pattern: &str, id: &str) -> bool {
 }
 
 /// Selects experiments matching `filter` (comma-separated patterns, see
-/// [`pattern_selects`]; `None` or empty selects all), in registry order.
+/// `pattern_selects`; `None` or empty selects all), in registry order.
 pub fn select(filter: Option<&str>) -> Vec<&'static Experiment> {
     let patterns = patterns(filter);
     registry()

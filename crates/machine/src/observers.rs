@@ -144,18 +144,6 @@ impl<A: ExecutionObserver, B: ExecutionObserver> ExecutionObserver for Chain<A, 
     }
 }
 
-/// Runs every observer in the vector on every retired instruction, in
-/// order. Force-inlined like [`Chain`]: native runs price through a
-/// `Vec` of cost models, one per profile.
-impl<O: ExecutionObserver> ExecutionObserver for Vec<O> {
-    #[inline(always)]
-    fn on_retire(&mut self, event: &RetireEvent) {
-        for observer in self {
-            observer.on_retire(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

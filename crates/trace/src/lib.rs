@@ -4,14 +4,14 @@
 //! every workload × mechanism × profile cell re-executes the guest from
 //! scratch. This crate converts that cost into "trace bytes streamed":
 //!
-//! 1. **Record** ([`record`]): one reference native run per workload
+//! 1. **Record** ([`record`](fn@record)): one reference native run per workload
 //!    captures every retired instruction as a
 //!    [`CompactRetire`](strata_machine::observers::CompactRetire) — pc,
 //!    control-flow outcome, target, mem-access class — while charging all
 //!    four architecture cost models in the same pass, so the trace header
 //!    carries the exact per-profile [`NativeRun`](strata_core::NativeRun)
 //!    baselines for free.
-//! 2. **Store** ([`file`]): the stream is delta/varint packed into
+//! 2. **Store** ([`file`](mod@file)): the stream is delta/varint packed into
 //!    length-prefixed, FNV-1a-checksummed blocks (~1.5 bytes per
 //!    instruction), so truncation and corruption are decode *errors*,
 //!    never panics.

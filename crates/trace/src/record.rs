@@ -1,13 +1,13 @@
 //! Reference-run recording: one native run priced under every recording
 //! profile, with its retire stream.
 //!
-//! A recording is [`run_to_halt`] with one [`ArchModel`] per profile, a
-//! [`RetireLog`] and a [`BranchCensus`] chained onto the single
-//! execution, so the resulting [`Trace`] header carries the native
+//! A recording is [`run_to_halt`] with a [`Pricer`] over one [`ArchModel`]
+//! per profile, a [`RetireLog`] and a [`BranchCensus`] chained onto the
+//! single execution, so the resulting [`Trace`] header carries the native
 //! baseline of *every* profile while the guest runs once. Each baseline
 //! equals what [`strata_core::run_native`] reports for that profile.
 
-use strata_arch::{ArchModel, ArchProfile};
+use strata_arch::{ArchModel, ArchProfile, Pricer};
 use strata_core::{NativeRun, SdtError};
 use strata_machine::observers::{Chain, RetireLog};
 use strata_machine::{run_to_halt, BranchCensus, ExecTier, Program};
@@ -46,13 +46,12 @@ pub fn record(program: &Program, fuel: u64, tier: ExecTier) -> Result<Recorded, 
     let profiles = recording_profiles();
     let models: Vec<ArchModel> = profiles.iter().cloned().map(ArchModel::new).collect();
     let mut obs = Chain::new(
-        models,
+        Pricer::new(models),
         Chain::new(RetireLog::new(), BranchCensus::default()),
     );
-    let (checksum, machine) = run_to_halt(program, tier, fuel, &mut obs, |o| {
-        o.first()[0].instructions()
-    })?;
-    let (models, tail) = obs.into_inner();
+    let (checksum, machine) = run_to_halt(program, tier, fuel, &mut obs, |o| o.first().retired())?;
+    let (pricer, tail) = obs.into_inner();
+    let models = pricer.finish();
     let (log, census) = tail.into_inner();
     let natives = profiles
         .iter()

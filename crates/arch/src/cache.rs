@@ -90,12 +90,23 @@ impl CacheSim {
     /// intervened, so the line is resident and already at the front of its
     /// set. Most instruction fetches take this path.
     ///
-    /// This is the batch step a [`Pricer`](crate::Pricer) drives, over one
-    /// address: a cache steps one way per event and in a batch.
-    #[inline]
+    /// One access is stepped here; a [`Pricer`](crate::Pricer) steps a
+    /// batch of them at once. Both search the set with the same body.
+    #[inline(always)]
     pub fn access(&mut self, addr: u32) -> bool {
-        let mut hit = true;
-        self.access_all(std::slice::from_ref(&addr), |&a| a, |_| hit = false);
+        let line = u64::from(addr >> self.line_shift);
+        if line == self.last_line {
+            self.hits += 1;
+            return true;
+        }
+        self.last_line = line;
+        let ways = self.config.ways as usize;
+        let hit = Self::probe::<0>(&mut self.tags, self.set_mask, ways, line);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
         hit
     }
 
@@ -111,11 +122,11 @@ impl CacheSim {
         on_miss: impl FnMut(&T),
     ) {
         match self.config.ways {
-            1 => self.search::<1, T>(items, addr, on_miss),
-            2 => self.search::<2, T>(items, addr, on_miss),
-            4 => self.search::<4, T>(items, addr, on_miss),
-            8 => self.search::<8, T>(items, addr, on_miss),
-            _ => self.search::<0, T>(items, addr, on_miss),
+            1 => self.access_all_in::<1, T>(items, addr, on_miss),
+            2 => self.access_all_in::<2, T>(items, addr, on_miss),
+            4 => self.access_all_in::<4, T>(items, addr, on_miss),
+            8 => self.access_all_in::<8, T>(items, addr, on_miss),
+            _ => self.access_all_in::<0, T>(items, addr, on_miss),
         }
     }
 
@@ -125,18 +136,17 @@ impl CacheSim {
         self.hits += n;
     }
 
-    /// The set search: [`access_all`](Self::access_all) with `W` ways, or
-    /// the geometry's way count when `W` is 0. With `W` a constant the way
-    /// scan and the move-to-front unroll. The previous line and the
-    /// counters live in locals for the whole batch.
+    /// [`access_all`](Self::access_all) with the way count `W` (0: the
+    /// geometry's). The previous line and the counters live in locals for
+    /// the whole batch.
     #[inline(always)]
-    fn search<const W: usize, T>(
+    fn access_all_in<const W: usize, T>(
         &mut self,
         items: &[T],
         addr: impl Fn(&T) -> u32,
         mut on_miss: impl FnMut(&T),
     ) {
-        let ways = if W == 0 { self.config.ways as usize } else { W };
+        let ways = self.config.ways as usize;
         let (shift, set_mask) = (self.line_shift, self.set_mask);
         let tags = &mut self.tags[..];
         let mut last = self.last_line;
@@ -147,15 +157,7 @@ impl CacheSim {
                 continue;
             }
             last = line;
-            let base = ((line as u32) & set_mask) as usize * ways;
-            let set = &mut tags[base..base + ways];
-            let found = set.iter().position(|&tag| tag == line);
-            let way = found.unwrap_or(ways - 1);
-            for i in (1..=way).rev() {
-                set[i] = set[i - 1];
-            }
-            set[0] = line;
-            if found.is_none() {
+            if !Self::probe::<W>(tags, set_mask, ways, line) {
                 misses += 1;
                 on_miss(item);
             }
@@ -163,6 +165,25 @@ impl CacheSim {
         self.last_line = last;
         self.misses += misses;
         self.hits += items.len() as u64 - misses;
+    }
+
+    /// The set search, the one every access takes that leaves the previous
+    /// access's line: finds `line` in its set of `tags` and moves it to the
+    /// front, or on a miss moves it into the last way, and returns whether
+    /// it was resident. `W` is the way count, or 0 to read `ways`: with `W`
+    /// a constant the way scan and the move-to-front unroll.
+    #[inline(always)]
+    fn probe<const W: usize>(tags: &mut [u64], set_mask: u32, ways: usize, line: u64) -> bool {
+        let ways = if W == 0 { ways } else { W };
+        let base = ((line as u32) & set_mask) as usize * ways;
+        let set = &mut tags[base..base + ways];
+        let found = set.iter().position(|&tag| tag == line);
+        let way = found.unwrap_or(ways - 1);
+        for i in (1..=way).rev() {
+            set[i] = set[i - 1];
+        }
+        set[0] = line;
+        found.is_some()
     }
 
     /// Number of hits so far.

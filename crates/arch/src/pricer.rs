@@ -90,7 +90,7 @@ impl<T: Copy> Stream<T> {
             items: vec![fill; LOG_CAPACITY]
                 .into_boxed_slice()
                 .try_into()
-                .unwrap_or_else(|_| unreachable!()),
+                .unwrap_or_else(|_| unreachable!("the vec holds LOG_CAPACITY items")),
             len: 0,
         }
     }

@@ -58,6 +58,7 @@ mod model;
 mod predictor;
 mod pricer;
 mod profile;
+mod spec;
 mod target;
 
 pub use cache::{CacheConfig, CacheSim};
@@ -66,4 +67,5 @@ pub(crate) use predictor::CondPredictor;
 pub use predictor::{Btb, Ras};
 pub use pricer::Pricer;
 pub use profile::ArchProfile;
-pub use target::{Ittage, PredictorParseError, PredictorSpec, TargetPredictor};
+pub use spec::SpecError;
+pub use target::{Ittage, PredictorSpec, TargetPredictor};

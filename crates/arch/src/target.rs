@@ -33,7 +33,7 @@
 //! (through `strata_expt::RunContext::model`) and how fig22 sweeps the
 //! zoo in one process.
 
-use crate::{ArchProfile, Btb};
+use crate::{ArchProfile, Btb, SpecError};
 
 /// An indirect-branch target predictor: one `predict → train` step per
 /// indirect transfer.
@@ -318,61 +318,31 @@ pub enum PredictorSpec {
     },
 }
 
-/// A `--predictor` parse failure, with the byte span of the offending
-/// token inside the original spec (for caret diagnostics).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PredictorParseError {
-    /// What was wrong.
-    pub msg: String,
-    /// Byte offset of the offending token.
-    pub start: usize,
-    /// Byte length of the offending token (at least 1).
-    pub len: usize,
-}
-
-impl PredictorParseError {
-    fn new(msg: impl Into<String>, start: usize, len: usize) -> PredictorParseError {
-        PredictorParseError {
-            msg: msg.into(),
-            start,
-            len: len.max(1),
-        }
-    }
-}
-
-impl std::fmt::Display for PredictorParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.msg)
-    }
-}
-
-impl std::error::Error for PredictorParseError {}
-
-fn parse_num(s: &str, what: &str, at: usize) -> Result<u32, PredictorParseError> {
+fn parse_num(s: &str, what: &str, at: usize) -> Result<u32, SpecError> {
     if s.is_empty() {
-        return Err(PredictorParseError::new(format!("missing {what}"), at, 1));
+        return Err(SpecError::new(format!("missing {what}"), at, 1));
     }
     if !s.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(PredictorParseError::new(
+        return Err(SpecError::new(
             format!("{what} must be a number, got '{s}'"),
             at,
             s.len(),
         ));
     }
     s.parse::<u32>()
-        .map_err(|_| PredictorParseError::new(format!("{what} '{s}' out of range"), at, s.len()))
+        .map_err(|_| SpecError::new(format!("{what} '{s}' out of range"), at, s.len()))
 }
 
 impl PredictorSpec {
     /// Parses a `--predictor` spec. Errors carry the offending token's
     /// span for caret diagnostics.
-    pub fn parse(spec: &str) -> Result<PredictorSpec, PredictorParseError> {
+    pub fn parse(spec: &str) -> Result<PredictorSpec, SpecError> {
         let (head, arg) = match spec.find(':') {
             Some(i) => (&spec[..i], Some((&spec[i + 1..], i + 1))),
             None => (spec, None),
         };
         let no_arg = |v: PredictorSpec| match arg {
-            Some((a, at)) => Err(PredictorParseError::new(
+            Some((a, at)) => Err(SpecError::new(
                 format!("'{head}' takes no argument"),
                 at,
                 a.len(),
@@ -385,7 +355,7 @@ impl PredictorSpec {
             "ideal" => no_arg(PredictorSpec::Ideal),
             "btb" => {
                 let (a, at) = arg.ok_or_else(|| {
-                    PredictorParseError::new(
+                    SpecError::new(
                         "btb needs a size: btb:<entries> or btb:<sets>x<ways>",
                         spec.len(),
                         1,
@@ -395,7 +365,7 @@ impl PredictorSpec {
                     Some(i) => {
                         let sets = parse_num(&a[..i], "btb sets", at)?;
                         if !sets.is_power_of_two() || sets > 65536 {
-                            return Err(PredictorParseError::new(
+                            return Err(SpecError::new(
                                 format!("btb sets {sets} must be a power of two in 1..=65536"),
                                 at,
                                 i,
@@ -403,7 +373,7 @@ impl PredictorSpec {
                         }
                         let ways = parse_num(&a[i + 1..], "btb ways", at + i + 1)?;
                         if !(1..=16).contains(&ways) {
-                            return Err(PredictorParseError::new(
+                            return Err(SpecError::new(
                                 format!("btb ways {ways} must be in 1..=16"),
                                 at + i + 1,
                                 a.len() - i - 1,
@@ -414,7 +384,7 @@ impl PredictorSpec {
                     None => {
                         let entries = parse_num(a, "btb entries", at)?;
                         if entries != 0 && (!entries.is_power_of_two() || entries > 65536) {
-                            return Err(PredictorParseError::new(
+                            return Err(SpecError::new(
                                 format!("btb entries {entries} must be 0 or a power of two in 1..=65536"),
                                 at,
                                 a.len(),
@@ -432,7 +402,7 @@ impl PredictorSpec {
                     Some((a, at)) => {
                         let t = parse_num(a, "ittage tables", at)?;
                         if !(1..=8).contains(&t) {
-                            return Err(PredictorParseError::new(
+                            return Err(SpecError::new(
                                 format!("ittage tables {t} must be in 1..=8"),
                                 at,
                                 a.len(),
@@ -444,7 +414,7 @@ impl PredictorSpec {
                 };
                 Ok(PredictorSpec::Ittage { tables })
             }
-            other => Err(PredictorParseError::new(
+            other => Err(SpecError::new(
                 format!(
                     "unknown predictor '{other}' (expected legacy, none, ideal, btb:<n>, btb:<s>x<w>, or ittage[:<t>])"
                 ),

@@ -1,3 +1,13 @@
+//! The SDT configuration — which mechanism serves each class of control
+//! transfer, and the knobs around it — with its printer
+//! ([`SdtConfig::describe`]) and its two spec grammars beside it:
+//! `--config` ([`SdtConfig::parse`]) and `--ib-policy`
+//! ([`SdtConfig::parse_policy`]). Each mechanism token and each return
+//! token is parsed by one function, whichever grammar it appears in, and
+//! every parse error is a [`SpecError`] spanning the offending token.
+
+use strata_arch::SpecError;
+
 use crate::SdtError;
 
 /// Which indirect-branch handling mechanism translated code uses for
@@ -506,6 +516,332 @@ impl SdtConfig {
         }
         format!("{ib}{ret}{flags}{link}{cache}{instr}{elide}{ways}{policy}")
     }
+
+    /// Parses a `--config` spec: a head, then any of the modifiers
+    /// `+noflags` and `+nolink`. The head is a mechanism token —
+    /// `reentry`, `ibtc:<entries>`, `ibtc-outline:<entries>`,
+    /// `ibtc-persite:<entries>`, `sieve:<buckets>`, the jump/call
+    /// strategies of [`SdtConfig::parse_policy`] without their `x2`
+    /// suffix (associativity is set per class) — or an inline IBTC plus
+    /// the return mechanism of the same `ret=` token: `tuned:<ibtc>,<rc>`,
+    /// `fastret:<ibtc>`, `shadow:<ibtc>,<depth>`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] spanning the offending token: an unknown
+    /// head or modifier, a malformed size, an argument to `reentry`.
+    /// (Range validation happens later in [`SdtConfig::validate`].)
+    pub fn parse(spec: &str) -> Result<SdtConfig, SpecError> {
+        if let Some(at) = spec.find(char::is_whitespace) {
+            return Err(SpecError::new("whitespace in config", at, 1));
+        }
+        let mut parts = spec.split('+');
+        let head = parts.next().unwrap_or_default();
+        let token = Token::new(head, 0);
+        let mut cfg = match token.kind {
+            "tuned" | "fastret" | "shadow" => {
+                let (args, at) = token.arg();
+                let (ibtc, ret_args) = match args.split_once(',') {
+                    Some((ibtc, ret)) => (ibtc, Some((ret, at + ibtc.len() + 1))),
+                    None if token.kind == "fastret" => (args, None),
+                    None => {
+                        let ret = if token.kind == "tuned" { "rc" } else { "depth" };
+                        let msg = format!("{} needs `<ibtc>,<{ret}>`", token.kind);
+                        return Err(SpecError::new(msg, at, args.len()));
+                    }
+                };
+                let mut cfg = SdtConfig::ibtc_inline(size(ibtc, at)?);
+                let kind = if token.kind == "tuned" {
+                    "rc"
+                } else {
+                    token.kind
+                };
+                cfg.ret = parse_ret(Token {
+                    kind,
+                    args: ret_args,
+                    ..token
+                })?;
+                cfg
+            }
+            _ => match parse_mech(token)? {
+                Some((ib, 1)) => SdtConfig {
+                    ib,
+                    ..SdtConfig::reentry()
+                },
+                Some(_) => {
+                    let (args, at) = token.arg();
+                    let msg = format!("bad size `{args}` (a 2-way IBTC is a per-class policy)");
+                    return Err(SpecError::new(msg, at, args.len()));
+                }
+                None => return Err(token.unknown("config kind")),
+            },
+        };
+        let mut at = head.len();
+        for modifier in parts {
+            match modifier {
+                "noflags" => cfg.flags = FlagsPolicy::None,
+                "nolink" => cfg.link_fragments = false,
+                other => {
+                    let msg = format!("unknown config modifier `+{other}`");
+                    return Err(SpecError::new(msg, at, other.len() + 1));
+                }
+            }
+            at += modifier.len() + 1;
+        }
+        Ok(cfg)
+    }
+
+    /// Parses an `--ib-policy` spec and applies it to this configuration.
+    ///
+    /// The spec is a comma-separated list of `class=strategy` assignments:
+    ///
+    /// ```text
+    /// jump=sieve:4096,call=ibtc:512x2,ret=retcache:1024
+    /// ```
+    ///
+    /// Classes: `jump`, `call` (indirect-branch strategies) and `ret`
+    /// (return mechanisms). Jump/call strategies: `inherit`, `reentry`,
+    /// `ibtc:<entries>[x2]`, `ibtc-outline:<entries>`,
+    /// `ibtc-persite:<entries>[x2]`, `sieve:<buckets>`,
+    /// `adaptive[:<ibtc>,<sieve>[,<arity>]]` (defaults `512,1024,8`), and
+    /// `predictive[:<sieve>,<probation>]` (defaults `1024,64`). Ret
+    /// mechanisms: `asib`, `retcache:<entries>` (alias `rc:<entries>`),
+    /// `fastret`, `shadow:<depth>`. A segment without `=` continues the
+    /// previous assignment, so parameter lists may hold commas.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] spanning the offending token: an unknown
+    /// class or strategy, a malformed size or associativity, an argument
+    /// to a strategy that takes none, a class assigned twice. (Range
+    /// validation happens later in [`SdtConfig::validate`].)
+    pub fn parse_policy(&mut self, spec: &str) -> Result<(), SpecError> {
+        // Byte ranges of each `class=strategy` assignment in `spec`.
+        let mut assignments: Vec<(usize, usize)> = Vec::new();
+        let mut cursor = 0usize;
+        for segment in spec.split(',') {
+            let (start, end) = (cursor, cursor + segment.len());
+            cursor = end + 1;
+            if segment.contains('=') {
+                assignments.push((start, end));
+            } else if let Some(last) = assignments.last_mut() {
+                last.1 = end;
+            } else {
+                let msg = "bad --ib-policy (expected `class=strategy,...`)";
+                return Err(SpecError::new(msg, start, segment.len()));
+            }
+        }
+        let mut seen: Vec<&str> = Vec::new();
+        for (start, end) in assignments {
+            let raw = &spec[start..end];
+            let at = start + raw.len() - raw.trim_start().len();
+            let (class, strategy) = raw.trim().split_once('=').expect("segment holds `=`");
+            let class_error = |msg| SpecError::new(msg, at, class.len());
+            if seen.contains(&class) {
+                return Err(class_error(format!("class `{class}` assigned twice")));
+            }
+            seen.push(class);
+            let token = Token::new(strategy, at + class.len() + 1);
+            match class {
+                "jump" => self.policy.jump = parse_class(token)?,
+                "call" => self.policy.call = parse_class(token)?,
+                "ret" => self.ret = parse_ret(token)?,
+                other => {
+                    let msg = format!("unknown policy class `{other}` (jump|call|ret)");
+                    return Err(class_error(msg));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One `kind[:args]` token of a spec, with the byte offsets its errors
+/// point at.
+#[derive(Clone, Copy)]
+struct Token<'a> {
+    kind: &'a str,
+    /// Offset of `kind`.
+    at: usize,
+    /// What follows the first `:`, and its offset.
+    args: Option<(&'a str, usize)>,
+}
+
+impl<'a> Token<'a> {
+    fn new(token: &'a str, at: usize) -> Token<'a> {
+        let (kind, args) = match token.split_once(':') {
+            Some((kind, args)) => (kind, Some((args, at + kind.len() + 1))),
+            None => (token, None),
+        };
+        Token { kind, at, args }
+    }
+
+    /// The argument, or an empty one where its `:` would end, the spot a
+    /// caret for a missing size points at.
+    fn arg(self) -> (&'a str, usize) {
+        self.args.unwrap_or(("", self.at + self.kind.len() + 1))
+    }
+
+    /// The argument as one size.
+    fn size(self) -> Result<u32, SpecError> {
+        let (args, at) = self.arg();
+        size(args, at)
+    }
+
+    /// `value`, unless the token has an argument: it takes none
+    /// (`reentry:5`).
+    fn no_arg<T>(self, value: T) -> Result<T, SpecError> {
+        let Some((args, at)) = self.args else {
+            return Ok(value);
+        };
+        let msg = format!("`{}` takes no argument", self.kind);
+        Err(SpecError::new(msg, at, args.len()))
+    }
+
+    fn unknown(self, what: &str) -> SpecError {
+        let msg = format!("unknown {what} `{}`", self.kind);
+        SpecError::new(msg, self.at, self.kind.len())
+    }
+}
+
+/// Parses one size at byte offset `at`.
+fn size(s: &str, at: usize) -> Result<u32, SpecError> {
+    let n = s.trim();
+    n.parse()
+        .map_err(|_| SpecError::new(format!("bad size `{n}`"), at, s.len()))
+}
+
+/// `<entries>` with an optional `x2` associativity suffix.
+fn sized_ways(token: Token) -> Result<(u32, u8), SpecError> {
+    let (args, at) = token.arg();
+    match args.split_once('x') {
+        Some((n, "2")) => Ok((size(n, at)?, 2)),
+        Some((n, w)) => Err(SpecError::new(
+            format!("bad associativity `x{w}` (only x2)"),
+            at + n.len(),
+            w.len() + 1,
+        )),
+        None => Ok((size(args, at)?, 1)),
+    }
+}
+
+/// Parses a mechanism token — `reentry | ibtc:N[x2] | ibtc-outline:N |
+/// ibtc-persite:N[x2] | sieve:N`, a `--config` head and a jump/call
+/// strategy alike — into the mechanism and its IBTC ways; `None` when the
+/// token names no mechanism.
+fn parse_mech(token: Token) -> Result<Option<(IbMechanism, u8)>, SpecError> {
+    let (scope, placement) = match token.kind {
+        "reentry" => return token.no_arg(Some((IbMechanism::Reentry, 1))),
+        "sieve" => {
+            let buckets = token.size()?;
+            return Ok(Some((IbMechanism::Sieve { buckets }, 1)));
+        }
+        "ibtc" => (IbtcScope::Shared, IbtcPlacement::Inline),
+        "ibtc-outline" => (IbtcScope::Shared, IbtcPlacement::OutOfLine),
+        "ibtc-persite" => (IbtcScope::PerSite, IbtcPlacement::Inline),
+        _ => return Ok(None),
+    };
+    // Only an inline probe can be two-way.
+    let (entries, ways) = match placement {
+        IbtcPlacement::Inline => sized_ways(token)?,
+        IbtcPlacement::OutOfLine => (token.size()?, 1),
+    };
+    let mech = IbMechanism::Ibtc {
+        entries,
+        scope,
+        placement,
+    };
+    Ok(Some((mech, ways)))
+}
+
+/// Parses a jump/call strategy: `inherit`, an `adaptive` or `predictive`
+/// policy, or a mechanism token.
+fn parse_class(token: Token) -> Result<ClassPolicy, SpecError> {
+    Ok(match token.kind {
+        "inherit" => token.no_arg(ClassPolicy::Inherit)?,
+        "adaptive" => {
+            let usage = "<ibtc>,<sieve>[,<arity>]";
+            let [ibtc_entries, sieve_buckets, sieve_arity] =
+                parse_params(token, usage, [512, 1024, 8])?;
+            ClassPolicy::Adaptive {
+                ibtc_entries,
+                sieve_buckets,
+                sieve_arity,
+            }
+        }
+        "predictive" => {
+            let [sieve_buckets, probation] =
+                parse_params(token, "<sieve>,<probation>", [1024, 64])?;
+            ClassPolicy::Predictive {
+                sieve_buckets,
+                probation,
+            }
+        }
+        _ => match parse_mech(token)? {
+            Some((mech, ways)) => ClassPolicy::Fixed { mech, ways },
+            None => return Err(token.unknown("class strategy")),
+        },
+    })
+}
+
+/// Parses a return-mechanism token — `asib | retcache:N | rc:N | fastret
+/// | shadow:N` — for a `ret=` assignment and for the return half of the
+/// `tuned`, `fastret` and `shadow` `--config` heads.
+fn parse_ret(token: Token) -> Result<RetMechanism, SpecError> {
+    Ok(match token.kind {
+        "asib" => token.no_arg(RetMechanism::AsIb)?,
+        "retcache" | "rc" => RetMechanism::ReturnCache {
+            entries: token.size()?,
+        },
+        "fastret" => token.no_arg(RetMechanism::FastReturn)?,
+        "shadow" => RetMechanism::ShadowStack {
+            depth: token.size()?,
+        },
+        _ => return Err(token.unknown("ret strategy")),
+    })
+}
+
+/// The parameter list of an `adaptive` or `predictive` strategy, whose
+/// `usage` (`<ibtc>,<sieve>[,<arity>]`) brackets the optional ones:
+/// absent or empty, it is `defaults`. Each error points at its own
+/// parameter.
+fn parse_params<const N: usize>(
+    token: Token,
+    usage: &str,
+    defaults: [u32; N],
+) -> Result<[u32; N], SpecError> {
+    let Some((list, at)) = token.args.filter(|(list, _)| !list.is_empty()) else {
+        return Ok(defaults);
+    };
+    let mut params = Vec::new();
+    let mut p_at = at;
+    for p in list.split(',') {
+        params.push((p, p_at));
+        p_at += p.len() + 1;
+    }
+    if let Some(&(_, extra)) = params.get(N) {
+        let most = usage.replace(['[', ']'], "");
+        let msg = format!("too many {} parameters (at most `{most}`)", token.kind);
+        return Err(SpecError::new(msg, extra, at + list.len() - extra));
+    }
+    let required = usage
+        .split('[')
+        .next()
+        .unwrap_or_default()
+        .split(',')
+        .count();
+    let mut values = defaults;
+    for (i, value) in values.iter_mut().enumerate() {
+        match params.get(i) {
+            Some(&(p, p_at)) => *value = size(p, p_at)?,
+            None if i < required => {
+                let msg = format!("{} needs `{usage}`", token.kind);
+                return Err(SpecError::new(msg, at, list.len()));
+            }
+            None => {}
+        }
+    }
+    Ok(values)
 }
 
 #[cfg(test)]
@@ -592,6 +928,19 @@ mod tests {
             "reentry+jump=adaptive(512,1024,8)+call=ibtc(512,shared,inline)x2"
         );
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn return_heads_are_an_inline_ibtc_plus_a_ret_token() {
+        for (head, ret) in [
+            ("fastret:64", "ret=fastret"),
+            ("shadow:64,16", "ret=shadow:16"),
+            ("tuned:64,512", "ret=rc:512"),
+        ] {
+            let mut cfg = SdtConfig::parse("ibtc:64").unwrap();
+            cfg.parse_policy(ret).unwrap();
+            assert_eq!(SdtConfig::parse(head), Ok(cfg), "{head}");
+        }
     }
 
     #[test]

@@ -15,18 +15,20 @@
 //! Config specs mirror `SdtConfig::describe()` loosely:
 //! `reentry`, `ibtc:<entries>`, `ibtc-outline:<entries>`,
 //! `ibtc-persite:<entries>`, `sieve:<buckets>`, `tuned:<ibtc>,<rc>`,
-//! `fastret:<ibtc>`, `shadow:<ibtc>,<depth>`; append `+noflags` or `+nolink`.
+//! `fastret:<ibtc>`, `shadow:<ibtc>,<depth>`; append `+noflags` or `+nolink`
+//! (grammar: `SdtConfig::parse`).
 //!
 //! `--ib-policy` overrides per-branch-class dispatch strategies on top of
 //! the base config, e.g. `--ib-policy jump=sieve:4096,call=ibtc:512x2,ret=retcache:1024`
-//! (see `strata_lab::cli::parse_policy` for the full grammar).
+//! (grammar: `SdtConfig::parse_policy`). [`SPECS`], printed with the
+//! usage, lists both grammars and `--predictor`'s.
 
 use std::process::ExitCode;
 
 use strata_lab::arch::ArchProfile;
 use strata_lab::cli::{
     check_flags, check_verb, parse_arch, parse_config, parse_context, parse_flag, parse_params,
-    parse_policy, parse_suite, parse_tier, usage_verb,
+    parse_policy, parse_suite, parse_tier, usage_verb, VERIFY_SWEEP,
 };
 use strata_lab::core::{run_native_with_model, Origin, RetMechanism, Sdt, SdtConfig};
 use strata_lab::expt::sampled;
@@ -654,28 +656,6 @@ fn verify_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The `verify --all` sweep: every registered mechanism in its canonical
-/// shapes plus the mixed-policy configurations of the fig. 18 experiment.
-const VERIFY_SWEEP: &[(&str, &str)] = &[
-    ("reentry", ""),
-    ("ibtc:4096", ""),
-    ("ibtc-outline:4096", ""),
-    ("ibtc-persite:64", ""),
-    ("ibtc:512", "jump=ibtc:512x2,call=ibtc:512x2"),
-    ("sieve:4096", ""),
-    ("ibtc:512", "jump=adaptive:64,256,4,call=adaptive:64,256,4"),
-    ("tuned:512,1024", ""),
-    ("fastret:4096", ""),
-    ("shadow:4096,1024", ""),
-    ("ibtc:4096+noflags", ""),
-    ("tuned:512,1024", "jump=sieve:4096,call=ibtc:512x2"),
-    ("tuned:4096,1024", "call=sieve:1024"),
-    (
-        "tuned:512,1024",
-        "jump=sieve:4096,call=ibtc:512x2,ret=shadow:1024",
-    ),
-];
-
 fn compare_cmd(args: &[String]) -> Result<(), String> {
     let common = parse_common(args)?;
     // Both sides are priced under `--predictor` (legacy by default).
@@ -714,4 +694,62 @@ fn compare_cmd(args: &[String]) -> Result<(), String> {
     }
     println!("{}", t.render_text());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use strata_lab::cli::parse_predictor;
+
+    /// The words of `text` that are concrete specs, not placeholders
+    /// (`ibtc:N[x2]`, `ittage[:T]`) or prose: no capitals, no brackets.
+    fn concrete(text: &str) -> impl Iterator<Item = &str> {
+        text.split(|c: char| c.is_whitespace() || c == '|' || c == ';')
+            .map(|w| w.trim_matches(|c| c == '(' || c == ')' || c == ','))
+            .filter(|w| !w.is_empty() && !w.contains(|c: char| c.is_ascii_uppercase() || c == '['))
+    }
+
+    #[test]
+    fn every_concrete_spec_in_the_usage_text_parses() {
+        let config = SPECS.strip_prefix("config SPECs:").expect("config section");
+        let (config, policy) = config.split_once("policy SPECs:").expect("policy section");
+        let (policy, predictor) = policy.split_once("predictor SPECs:").expect("predictor");
+        // Modifiers (`+noflags`) are listed bare, to append to a head.
+        let configs: Vec<String> = concrete(config)
+            .map(|s| {
+                if s.starts_with('+') {
+                    format!("reentry{s}")
+                } else {
+                    s.to_string()
+                }
+            })
+            .collect();
+        let (example, strategies) = policy.trim_start().split_once('\n').expect("example");
+        let (jump, ret) = strategies.split_once("ret:").expect("ret strategies");
+        let jump = jump
+            .split_once("strategies")
+            .expect("jump/call strategies")
+            .1;
+        let policies: Vec<String> = std::iter::once(example.to_string())
+            .chain(concrete(jump).map(|s| format!("jump={s}")))
+            .chain(concrete(ret).map(|s| format!("ret={s}")))
+            .collect();
+        let predictors: Vec<&str> = concrete(predictor).collect();
+        // 8 heads and 2 modifiers; the example, `inherit`, `reentry`,
+        // `asib` and `fastret`; `legacy`, `none` and `ideal`.
+        assert_eq!(
+            (configs.len(), policies.len(), predictors.len()),
+            (10, 5, 3)
+        );
+        for spec in &configs {
+            parse_config(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        }
+        for spec in &policies {
+            let mut cfg = SdtConfig::reentry();
+            parse_policy(spec, &mut cfg).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        }
+        for spec in predictors {
+            parse_predictor(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        }
+    }
 }

@@ -1,10 +1,13 @@
-//! Parsing helpers for the `strata` command-line driver, kept in the
-//! library so they are unit-testable.
+//! Flag plumbing for the `strata` command-line driver, kept in the
+//! library so it is unit-testable. The spec grammars live beside what
+//! they build — `--config` and `--ib-policy` in
+//! [`SdtConfig::parse`]/[`SdtConfig::parse_policy`], `--predictor` in
+//! [`PredictorSpec::parse`] — and return a span-carrying [`SpecError`];
+//! the thin wrappers here render it with the one caret renderer, so this
+//! module builds no mechanism itself.
 
-use strata_arch::{ArchProfile, PredictorSpec};
-use strata_core::{
-    ClassPolicy, FlagsPolicy, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, SdtConfig,
-};
+use strata_arch::{ArchProfile, PredictorSpec, SpecError};
+use strata_core::SdtConfig;
 use strata_expt::{Mode, OutputFormat, RunContext, SuiteOptions, DEFAULT_TRACES_DIR};
 use strata_machine::{ExecTier, TierConfig};
 use strata_workloads::Params;
@@ -206,42 +209,33 @@ pub fn parse_tier(args: &[String]) -> Result<Option<ExecTier>, String> {
         Some(spec) => match ExecTier::parse(&spec) {
             Ok(t) => Some(t),
             Err(_) => {
-                return Err(match spec.strip_prefix("threaded:") {
-                    Some(n) => point_at(
-                        &spec,
+                let e = match spec.strip_prefix("threaded:") {
+                    Some(n) => SpecError::new(
+                        format!("bad --tier threshold `{n}` (expected a number, e.g. threaded:32)"),
                         "threaded:".len(),
                         n.len(),
-                        format!("bad --tier threshold `{n}` (expected a number, e.g. threaded:32)"),
                     ),
-                    None => point_at(
-                        &spec,
+                    None => SpecError::new(
+                        format!("unknown execution tier `{spec}` (interp|threaded[:threshold])"),
                         0,
                         spec.len(),
-                        format!("unknown execution tier `{spec}` (interp|threaded[:threshold])"),
                     ),
-                });
+                };
+                return Err(point_at(&spec, e));
             }
         },
         None => None,
     };
     if let Some(raw) = parse_flag(args, "--tier-threshold") {
         let threshold: u32 = raw.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            point_at(
-                &raw,
-                0,
-                raw.len(),
-                format!("bad --tier-threshold `{raw}` (expected an integer >= 1)"),
-            )
+            let msg = format!("bad --tier-threshold `{raw}` (expected an integer >= 1)");
+            point_at(&raw, SpecError::new(msg, 0, raw.len()))
         })?;
         match &mut tier {
             Some(ExecTier::Threaded(cfg)) => cfg.threshold = threshold,
             Some(ExecTier::Interp) => {
-                return Err(point_at(
-                    "interp",
-                    0,
-                    "interp".len(),
-                    "--tier-threshold needs --tier threaded".into(),
-                ));
+                let msg = "--tier-threshold needs --tier threaded";
+                return Err(point_at("interp", SpecError::new(msg, 0, "interp".len())));
             }
             None => {
                 tier = Some(ExecTier::Threaded(TierConfig {
@@ -254,346 +248,55 @@ pub fn parse_tier(args: &[String]) -> Result<Option<ExecTier>, String> {
     Ok(tier)
 }
 
-/// Parses a CLI configuration spec into an [`SdtConfig`].
-///
-/// Specs: `reentry`, `ibtc:<entries>`, `ibtc-outline:<entries>`,
-/// `ibtc-persite:<entries>`, `sieve:<buckets>`, `tuned:<ibtc>,<rc>`,
-/// `fastret:<ibtc>`, `shadow:<ibtc>,<depth>`, with optional `+noflags` /
-/// `+nolink` modifiers.
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown kinds, malformed sizes, and
-/// unknown modifiers. (Range validation happens later in
-/// [`SdtConfig::validate`].)
-pub fn parse_config(spec: &str) -> Result<SdtConfig, String> {
-    let mut parts = spec.split('+');
-    let head = parts.next().unwrap_or_default();
-    let (kind, sizes) = match head.split_once(':') {
-        Some((k, s)) => (k, s),
-        None => (head, ""),
-    };
-    let size = |s: &str| -> Result<u32, String> {
-        s.parse()
-            .map_err(|_| format!("bad size `{s}` in config `{spec}`"))
-    };
-    let mut cfg = match kind {
-        "reentry" => SdtConfig::reentry(),
-        "ibtc" => SdtConfig::ibtc_inline(size(sizes)?),
-        "ibtc-outline" => SdtConfig::ibtc_out_of_line(size(sizes)?),
-        "ibtc-persite" => SdtConfig {
-            ib: IbMechanism::Ibtc {
-                entries: size(sizes)?,
-                scope: IbtcScope::PerSite,
-                placement: IbtcPlacement::Inline,
-            },
-            ..SdtConfig::ibtc_inline(64)
-        },
-        "sieve" => SdtConfig::sieve(size(sizes)?),
-        "tuned" => {
-            let (a, b) = sizes
-                .split_once(',')
-                .ok_or_else(|| format!("tuned needs `<ibtc>,<rc>`, got `{sizes}`"))?;
-            SdtConfig::tuned(size(a)?, size(b)?)
-        }
-        "fastret" => {
-            let mut c = SdtConfig::ibtc_inline(size(sizes)?);
-            c.ret = RetMechanism::FastReturn;
-            c
-        }
-        "shadow" => {
-            let (a, b) = sizes
-                .split_once(',')
-                .ok_or_else(|| format!("shadow needs `<ibtc>,<depth>`, got `{sizes}`"))?;
-            let mut c = SdtConfig::ibtc_inline(size(a)?);
-            c.ret = RetMechanism::ShadowStack { depth: size(b)? };
-            c
-        }
-        other => return Err(format!("unknown config kind `{other}`")),
-    };
-    for modifier in parts {
-        match modifier {
-            "noflags" => cfg.flags = FlagsPolicy::None,
-            "nolink" => cfg.link_fragments = false,
-            other => return Err(format!("unknown config modifier `+{other}`")),
-        }
-    }
-    Ok(cfg)
-}
-
-/// Renders a parse error pointing at the offending token of `spec`:
+/// Renders a spec error with a caret line under the offending token —
+/// the one diagnostic shape of `--config`, `--ib-policy`, `--predictor`
+/// and `--tier`:
 ///
 /// ```text
 /// bad associativity `x` (only x2)
 ///   jump=ibtc:512x,call=sieve:64
 ///                ^
 /// ```
-fn point_at(spec: &str, start: usize, len: usize, msg: String) -> String {
-    let start = start.min(spec.len());
-    let len = len.clamp(1, (spec.len() - start).max(1));
+fn point_at(spec: &str, e: SpecError) -> String {
+    let start = e.start.min(spec.len());
+    let len = e.len.clamp(1, (spec.len() - start).max(1));
     format!(
         "{msg}\n  {spec}\n  {blank}{carets}",
+        msg = e.msg,
         blank = " ".repeat(start),
         carets = "^".repeat(len)
     )
 }
 
-/// Parses an `--ib-policy` spec and applies it to `cfg`.
-///
-/// The spec is a comma-separated list of `class=strategy` assignments:
-///
-/// ```text
-/// jump=sieve:4096,call=ibtc:512x2,ret=retcache:1024
-/// ```
-///
-/// Classes: `jump`, `call` (indirect-branch strategies) and `ret`
-/// (return mechanisms). Jump/call strategies: `inherit`, `reentry`,
-/// `ibtc:<entries>[x2]`, `ibtc-outline:<entries>`,
-/// `ibtc-persite:<entries>[x2]`, `sieve:<buckets>`,
-/// `adaptive[:<ibtc>,<sieve>[,<arity>]]` (defaults `512,1024,8`), and
-/// `predictive[:<sieve>,<probation>]` (defaults `1024,64`). Ret
-/// mechanisms: `asib`, `retcache:<entries>` (alias `rc:<entries>`),
-/// `fastret`, `shadow:<depth>`.
-///
-/// Commas inside `adaptive:...` / `predictive:...` parameter lists are
-/// handled: a segment without `=` continues the previous assignment.
+/// Parses a `--config` spec into an [`SdtConfig`]. The grammar lives in
+/// [`SdtConfig::parse`]; this wrapper renders its errors with a caret.
 ///
 /// # Errors
 ///
 /// Returns a multi-line message with a caret line pointing at the
-/// offending token — unknown classes or strategies, malformed sizes and
-/// associativities, and duplicate class assignments. (Range validation
-/// happens later in [`SdtConfig::validate`].)
-pub fn parse_policy(spec: &str, cfg: &mut SdtConfig) -> Result<(), String> {
-    // Byte ranges of each `class=strategy` assignment in `spec`. A
-    // comma-separated segment without `=` continues the previous
-    // assignment (adaptive's parameter list contains commas).
-    let mut assignments: Vec<(usize, usize)> = Vec::new();
-    let mut cursor = 0usize;
-    for segment in spec.split(',') {
-        let (start, end) = (cursor, cursor + segment.len());
-        cursor = end + 1;
-        if segment.contains('=') {
-            assignments.push((start, end));
-        } else if let Some(last) = assignments.last_mut() {
-            last.1 = end;
-        } else {
-            return Err(point_at(
-                spec,
-                start,
-                segment.len(),
-                "bad --ib-policy (expected `class=strategy,...`)".into(),
-            ));
-        }
-    }
-    let mut seen = [false; 3];
-    for &(start, end) in &assignments {
-        let raw = &spec[start..end];
-        let lead = raw.len() - raw.trim_start().len();
-        let a_start = start + lead;
-        let assignment = raw.trim();
-        let Some((class, strategy)) = assignment.split_once('=') else {
-            return Err(point_at(
-                spec,
-                a_start,
-                assignment.len(),
-                format!("bad policy assignment `{assignment}`"),
-            ));
-        };
-        let strat_start = a_start + class.len() + 1;
-        let slot = match class {
-            "jump" => 0,
-            "call" => 1,
-            "ret" => 2,
-            other => {
-                return Err(point_at(
-                    spec,
-                    a_start,
-                    class.len(),
-                    format!("unknown policy class `{other}` (jump|call|ret)"),
-                ))
-            }
-        };
-        if seen[slot] {
-            return Err(point_at(
-                spec,
-                a_start,
-                class.len(),
-                format!("class `{class}` assigned twice"),
-            ));
-        }
-        seen[slot] = true;
-        if slot == 2 {
-            cfg.ret = parse_ret_strategy(strategy, spec, strat_start)?;
-        } else {
-            let policy = parse_class_strategy(strategy, spec, strat_start)?;
-            match slot {
-                0 => cfg.policy.jump = policy,
-                _ => cfg.policy.call = policy,
-            }
-        }
-    }
-    Ok(())
+/// offending token.
+pub fn parse_config(spec: &str) -> Result<SdtConfig, String> {
+    SdtConfig::parse(spec).map_err(|e| point_at(spec, e))
 }
 
-/// Parses the `strategy` half of a jump/call assignment. `at` is the
-/// strategy's byte offset in `spec`, used to anchor caret diagnostics.
-fn parse_class_strategy(strategy: &str, spec: &str, at: usize) -> Result<ClassPolicy, String> {
-    let (kind, sizes) = match strategy.split_once(':') {
-        Some((k, s)) => (k, s),
-        None => (strategy, ""),
-    };
-    let sizes_at = at + kind.len() + 1;
-    let size = |s: &str, s_at: usize| -> Result<u32, String> {
-        s.trim()
-            .parse()
-            .map_err(|_| point_at(spec, s_at, s.len(), format!("bad size `{}`", s.trim())))
-    };
-    // `<entries>` with an optional `x2` associativity suffix.
-    let sized_ways = |s: &str, s_at: usize| -> Result<(u32, u8), String> {
-        match s.split_once('x') {
-            Some((n, "2")) => Ok((size(n, s_at)?, 2)),
-            Some((n, w)) => Err(point_at(
-                spec,
-                s_at + n.len(),
-                w.len() + 1,
-                format!("bad associativity `x{w}` (only x2)"),
-            )),
-            None => Ok((size(s, s_at)?, 1)),
-        }
-    };
-    let fixed = |mech: IbMechanism, ways: u8| ClassPolicy::Fixed { mech, ways };
-    Ok(match kind {
-        "inherit" => ClassPolicy::Inherit,
-        "reentry" => fixed(IbMechanism::Reentry, 1),
-        "ibtc" => {
-            let (entries, ways) = sized_ways(sizes, sizes_at)?;
-            fixed(
-                IbMechanism::Ibtc {
-                    entries,
-                    scope: IbtcScope::Shared,
-                    placement: IbtcPlacement::Inline,
-                },
-                ways,
-            )
-        }
-        "ibtc-outline" => fixed(
-            IbMechanism::Ibtc {
-                entries: size(sizes, sizes_at)?,
-                scope: IbtcScope::Shared,
-                placement: IbtcPlacement::OutOfLine,
-            },
-            1,
-        ),
-        "ibtc-persite" => {
-            let (entries, ways) = sized_ways(sizes, sizes_at)?;
-            fixed(
-                IbMechanism::Ibtc {
-                    entries,
-                    scope: IbtcScope::PerSite,
-                    placement: IbtcPlacement::Inline,
-                },
-                ways,
-            )
-        }
-        "sieve" => fixed(
-            IbMechanism::Sieve {
-                buckets: size(sizes, sizes_at)?,
-            },
-            1,
-        ),
-        "adaptive" => {
-            let (ibtc_entries, sieve_buckets, sieve_arity) = if sizes.is_empty() {
-                (512, 1024, 8)
-            } else {
-                // Track each parameter's offset for precise carets.
-                let mut parts = Vec::new();
-                let mut p_at = sizes_at;
-                for p in sizes.split(',') {
-                    parts.push((p, p_at));
-                    p_at += p.len() + 1;
-                }
-                if parts.len() > 3 {
-                    return Err(point_at(
-                        spec,
-                        parts[3].1,
-                        sizes_at + sizes.len() - parts[3].1,
-                        "too many adaptive parameters (at most `<ibtc>,<sieve>,<arity>`)".into(),
-                    ));
-                }
-                let i = size(parts[0].0, parts[0].1)?;
-                let Some(&(s, s_at)) = parts.get(1) else {
-                    return Err(point_at(
-                        spec,
-                        sizes_at,
-                        sizes.len(),
-                        "adaptive needs `<ibtc>,<sieve>[,<arity>]`".into(),
-                    ));
-                };
-                let s = size(s, s_at)?;
-                let a = match parts.get(2) {
-                    Some(&(a, a_at)) => size(a, a_at)?,
-                    None => 8,
-                };
-                (i, s, a)
-            };
-            ClassPolicy::Adaptive {
-                ibtc_entries,
-                sieve_buckets,
-                sieve_arity,
-            }
-        }
-        "predictive" => {
-            let (sieve_buckets, probation) = if sizes.is_empty() {
-                (1024, 64)
-            } else {
-                let mut parts = Vec::new();
-                let mut p_at = sizes_at;
-                for p in sizes.split(',') {
-                    parts.push((p, p_at));
-                    p_at += p.len() + 1;
-                }
-                if parts.len() > 2 {
-                    return Err(point_at(
-                        spec,
-                        parts[2].1,
-                        sizes_at + sizes.len() - parts[2].1,
-                        "too many predictive parameters (at most `<sieve>,<probation>`)".into(),
-                    ));
-                }
-                let s = size(parts[0].0, parts[0].1)?;
-                let Some(&(p, p_at)) = parts.get(1) else {
-                    return Err(point_at(
-                        spec,
-                        sizes_at,
-                        sizes.len(),
-                        "predictive needs `<sieve>,<probation>`".into(),
-                    ));
-                };
-                (s, size(p, p_at)?)
-            };
-            ClassPolicy::Predictive {
-                sieve_buckets,
-                probation,
-            }
-        }
-        other => {
-            return Err(point_at(
-                spec,
-                at,
-                kind.len(),
-                format!("unknown class strategy `{other}`"),
-            ))
-        }
-    })
+/// Parses an `--ib-policy` spec and applies it to `cfg`. The grammar
+/// lives in [`SdtConfig::parse_policy`]; this wrapper renders its errors
+/// with a caret.
+///
+/// # Errors
+///
+/// Returns a multi-line message with a caret line pointing at the
+/// offending token.
+pub fn parse_policy(spec: &str, cfg: &mut SdtConfig) -> Result<(), String> {
+    cfg.parse_policy(spec).map_err(|e| point_at(spec, e))
 }
 
 /// Parses a `--predictor` spec into a [`PredictorSpec`]. The grammar
-/// lives in [`PredictorSpec::parse`]; this wrapper renders its
-/// span-carrying errors with the same caret style as `--ib-policy`:
+/// lives in [`PredictorSpec::parse`]; this wrapper renders its errors
+/// with a caret:
 ///
 /// ```text
-/// bad --predictor: sets `12` must be a power of two
+/// bad --predictor: btb sets 12 must be a power of two in 1..=65536
 ///   btb:12x4
 ///       ^^
 /// ```
@@ -603,41 +306,39 @@ fn parse_class_strategy(strategy: &str, spec: &str, at: usize) -> Result<ClassPo
 /// Returns a multi-line message with a caret line pointing at the
 /// offending token.
 pub fn parse_predictor(spec: &str) -> Result<PredictorSpec, String> {
-    PredictorSpec::parse(spec)
-        .map_err(|e| point_at(spec, e.start, e.len, format!("bad --predictor: {}", e.msg)))
-}
-
-/// Parses the `strategy` half of a `ret=` assignment; `at` anchors carets.
-fn parse_ret_strategy(strategy: &str, spec: &str, at: usize) -> Result<RetMechanism, String> {
-    let (kind, sizes) = match strategy.split_once(':') {
-        Some((k, s)) => (k, s),
-        None => (strategy, ""),
-    };
-    let sizes_at = at + kind.len() + 1;
-    let size = |s: &str| -> Result<u32, String> {
-        s.trim()
-            .parse()
-            .map_err(|_| point_at(spec, sizes_at, s.len(), format!("bad size `{}`", s.trim())))
-    };
-    Ok(match kind {
-        "asib" => RetMechanism::AsIb,
-        "retcache" | "rc" => RetMechanism::ReturnCache {
-            entries: size(sizes)?,
-        },
-        "fastret" => RetMechanism::FastReturn,
-        "shadow" => RetMechanism::ShadowStack {
-            depth: size(sizes)?,
-        },
-        other => {
-            return Err(point_at(
-                spec,
-                at,
-                kind.len(),
-                format!("unknown ret strategy `{other}`"),
-            ))
-        }
+    PredictorSpec::parse(spec).map_err(|e| {
+        let msg = format!("bad --predictor: {}", e.msg);
+        point_at(spec, SpecError { msg, ..e })
     })
 }
+
+/// The `verify --all` sweep, as `(--config, --ib-policy)` specs: every
+/// registered mechanism in its canonical shapes (each IB mechanism
+/// shared/per-site, inline/outline, 1/2-way, adaptive, predictive; each
+/// return mechanism; flags elided), then the mixed-policy configurations
+/// of the fig. 18 experiment, whose jump and call classes differ.
+pub const VERIFY_SWEEP: [(&str, &str); 17] = [
+    ("reentry", ""),
+    ("ibtc:4096", ""),
+    ("ibtc-outline:4096", ""),
+    ("ibtc-persite:64", ""),
+    ("ibtc:512", "jump=ibtc:512x2,call=ibtc:512x2"),
+    ("sieve:4096", ""),
+    ("ibtc:512", "jump=adaptive:64,256,4,call=adaptive:64,256,4"),
+    ("ibtc:512", "jump=predictive:256,64,call=predictive:256,64"),
+    ("tuned:512,1024", ""),
+    ("fastret:4096", ""),
+    ("shadow:4096,1024", ""),
+    ("ibtc:4096+noflags", ""),
+    ("sieve:1024+noflags", ""),
+    ("tuned:512,1024", "jump=sieve:4096,call=ibtc:512x2"),
+    ("tuned:4096,1024", "call=sieve:1024"),
+    (
+        "tuned:512,1024",
+        "jump=sieve:4096,call=ibtc:512x2,ret=shadow:1024",
+    ),
+    ("tuned:512,1024", "jump=predictive:1024,64,call=ibtc:512x2"),
+];
 
 #[cfg(test)]
 mod tests {
@@ -671,6 +372,7 @@ mod tests {
             "shadow:256",
             "ibtc:256+wat",
             "",
+            "reentry:5",
         ] {
             assert!(parse_config(bad).is_err(), "`{bad}` must be rejected");
         }
@@ -746,6 +448,10 @@ mod tests {
             "jump=predictive:512",
             "jump=predictive:1,2,3",
             "jump=predictive:abc,64",
+            "jump=inherit:1",
+            "jump=reentry:9",
+            "ret=asib:2",
+            "ret=fastret:9",
         ] {
             let mut cfg = SdtConfig::ibtc_inline(4096);
             assert!(
@@ -788,10 +494,48 @@ mod tests {
                 1,
             ),
             ("call=predictive:64,many", "bad size `many`", 19, 4),
+            ("jump=inherit:1", "`inherit` takes no argument", 13, 1),
+            ("jump=reentry:9", "`reentry` takes no argument", 13, 1),
+            ("ret=asib:2", "`asib` takes no argument", 9, 1),
+            ("ret=fastret:9", "`fastret` takes no argument", 12, 1),
         ] {
             let mut cfg = SdtConfig::ibtc_inline(4096);
             let err =
                 parse_policy(spec, &mut cfg).expect_err(&format!("`{spec}` must be rejected"));
+            let lines: Vec<&str> = err.lines().collect();
+            assert!(lines[0].contains(msg), "`{spec}`: {err}");
+            assert_eq!(lines[1], format!("  {spec}"), "`{spec}` echoed");
+            assert_eq!(
+                lines[2],
+                format!("  {}{}", " ".repeat(col), "^".repeat(width)),
+                "`{spec}` caret must sit under the offending token:\n{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn config_errors_point_at_offending_token() {
+        // (spec, expected message fragment, caret column, caret width) —
+        // the same diagnostic shape as `--ib-policy` errors above.
+        for (spec, msg, col, width) in [
+            ("frob", "unknown config kind `frob`", 0, 4),
+            ("ibtc:abc", "bad size `abc`", 5, 3),
+            ("ibtc:512x2", "bad size `512x2`", 5, 5),
+            ("ibtc:512x4", "bad associativity `x4`", 8, 2),
+            ("tuned:4096", "tuned needs `<ibtc>,<rc>`", 6, 4),
+            ("shadow:256", "shadow needs `<ibtc>,<depth>`", 7, 3),
+            ("shadow:256,deep", "bad size `deep`", 11, 4),
+            ("fastret:256,5", "`fastret` takes no argument", 12, 1),
+            (
+                "sieve:64+noflags+wat",
+                "unknown config modifier `+wat`",
+                16,
+                4,
+            ),
+            ("reentry:5", "`reentry` takes no argument", 8, 1),
+            ("ibtc:64 ", "whitespace in config", 7, 1),
+        ] {
+            let err = parse_config(spec).expect_err(&format!("`{spec}` must be rejected"));
             let lines: Vec<&str> = err.lines().collect();
             assert!(lines[0].contains(msg), "`{spec}`: {err}");
             assert_eq!(lines[1], format!("  {spec}"), "`{spec}` echoed");

@@ -1,46 +1,17 @@
-//! `strata verify` over every registered mechanism and the mixed-policy
-//! configurations of the fig. 18 experiment: the checker must come back
-//! clean on everything the translator emits, and a deliberately
-//! corrupted cache must be flagged.
+//! `strata verify` over its `--all` sweep ([`VERIFY_SWEEP`]): every
+//! registered mechanism and the mixed-policy configurations of the
+//! fig. 18 experiment. The checker must come back clean on everything the
+//! translator emits, the sweep must reach every registered mechanism, and
+//! a deliberately corrupted cache must be flagged.
 
 use strata_analysis::{self as analysis, CacheImage, Lint};
 use strata_arch::ArchProfile;
 use strata_core::{Sdt, SdtConfig};
 use strata_isa::{encode, Instr, Reg};
-use strata_lab::cli::{parse_config, parse_policy};
+use strata_lab::cli::{parse_config, parse_policy, VERIFY_SWEEP};
 use strata_workloads::{by_name, Params};
 
 const FUEL: u64 = 400_000_000;
-
-/// Every single-mechanism configuration in `mechanism_registry()`, as CLI
-/// specs: each IB mechanism in each shape (shared/per-site, inline/outline,
-/// 1/2-way, adaptive) and each return mechanism.
-const SINGLE_CONFIGS: &[(&str, &str)] = &[
-    ("reentry", ""),
-    ("ibtc:4096", ""),
-    ("ibtc-outline:4096", ""),
-    ("ibtc-persite:64", ""),
-    ("ibtc:512", "jump=ibtc:512x2,call=ibtc:512x2"),
-    ("sieve:4096", ""),
-    ("ibtc:512", "jump=adaptive:64,256,4,call=adaptive:64,256,4"),
-    ("ibtc:512", "jump=predictive:256,64,call=predictive:256,64"),
-    ("tuned:512,1024", ""),
-    ("fastret:4096", ""),
-    ("shadow:4096,1024", ""),
-    ("ibtc:4096+noflags", ""),
-    ("sieve:1024+noflags", ""),
-];
-
-/// CLI mirrors of the fig. 18 mixed-policy configurations.
-const MIXED_CONFIGS: &[(&str, &str)] = &[
-    ("tuned:512,1024", "jump=sieve:4096,call=ibtc:512x2"),
-    ("tuned:4096,1024", "call=sieve:1024"),
-    (
-        "tuned:512,1024",
-        "jump=sieve:4096,call=ibtc:512x2,ret=shadow:1024",
-    ),
-    ("tuned:512,1024", "jump=predictive:1024,64,call=ibtc:512x2"),
-];
 
 fn config_for(spec: &str, policy: &str) -> SdtConfig {
     let mut cfg = parse_config(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
@@ -77,18 +48,52 @@ fn assert_clean(workload: &str, spec: &str, policy: &str) {
     );
 }
 
+/// The sweep's entries whose jump and call classes share one strategy
+/// (`mixed == false`) or bind different ones (`mixed == true`).
+fn sweep(mixed: bool) -> impl Iterator<Item = (&'static str, &'static str)> {
+    VERIFY_SWEEP.into_iter().filter(move |&(spec, policy)| {
+        let cfg = config_for(spec, policy);
+        (cfg.policy.jump != cfg.policy.call) == mixed
+    })
+}
+
 #[test]
 fn all_single_mechanism_configs_verify_clean() {
-    for (spec, policy) in SINGLE_CONFIGS {
+    for (spec, policy) in sweep(false) {
         assert_clean("perlbmk", spec, policy);
     }
 }
 
 #[test]
 fn mixed_policy_configs_verify_clean() {
-    for (spec, policy) in MIXED_CONFIGS {
+    for (spec, policy) in sweep(true) {
         assert_clean("perlbmk", spec, policy);
     }
+}
+
+#[test]
+fn verify_sweep_covers_every_registered_mechanism() {
+    let program = (by_name("perlbmk").unwrap().build)(&Params::default());
+    let mut covered = Vec::new();
+    for (spec, policy) in VERIFY_SWEEP {
+        let sdt = Sdt::new(config_for(spec, policy), &program).expect("sdt constructs");
+        covered.extend(sdt.policy_summary().into_iter().map(|(_, mech)| mech));
+    }
+    // A strategy reports itself by its description, which starts with its
+    // id (a return cache describes itself as `rc(n)`).
+    for info in strata_core::mechanism_registry() {
+        let name = if info.id == "retcache" { "rc" } else { info.id };
+        let seen = covered.iter().any(|m| m.starts_with(name));
+        assert!(
+            seen,
+            "`verify --all` never reaches `{}`: {covered:?}",
+            info.id
+        );
+    }
+    assert_eq!(
+        sweep(false).count() + sweep(true).count(),
+        VERIFY_SWEEP.len()
+    );
 }
 
 #[test]

@@ -676,10 +676,10 @@ impl<'a> Token<'a> {
         Token { kind, at, args }
     }
 
-    /// The argument, or an empty one where its `:` would end, the spot a
+    /// The argument, or an empty one at the end of the token, the spot a
     /// caret for a missing size points at.
     fn arg(self) -> (&'a str, usize) {
-        self.args.unwrap_or(("", self.at + self.kind.len() + 1))
+        self.args.unwrap_or(("", self.at + self.kind.len()))
     }
 
     /// The argument as one size.

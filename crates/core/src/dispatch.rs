@@ -6,9 +6,10 @@
 //! `jmem [SLOT_JUMP_TARGET]` (hit) or fall into a miss path that completes
 //! a full context save and traps into the translator.
 //!
-//! The probe itself is owned by the branch class's bound
-//! [`IbStrategy`](crate::strategy::IbStrategy) (or, for returns, the
-//! [`RetStrategy`](crate::strategy::RetStrategy)). This module owns every
+//! The probe itself is owned by the mechanism of the branch class's
+//! binding ([`StrategySpec`](crate::strategy::StrategySpec)) or, for
+//! returns, the configured
+//! [`RetMechanism`](crate::config::RetMechanism). This module owns every
 //! sequence those probes share, one emitter each:
 //!
 //! * the dispatch frame — spill prologue, entry mark, call glue, flags
@@ -296,8 +297,7 @@ impl SdtState {
     ) -> Result<Option<u32>, SdtError> {
         let push_patch = self.emit_dispatch_frame(mem, source, push, class)?;
         let bind = self.bind_for(class);
-        let strat = self.binds[bind].strategy.clone();
-        strat.emit_probe(self, mem, bind, class)?;
+        self.binds[bind].spec.emit_probe(self, mem, bind)?;
         Ok(push_patch)
     }
 

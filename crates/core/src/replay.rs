@@ -43,6 +43,7 @@ use crate::fragment::{FragKind, Site, Terminal};
 use crate::protocol::{bind_sentinel, SITE_NOFILL, SITE_SHARED, SLOT_SITE, SLOT_TARGET};
 use crate::report::{ClassReport, MechanismStats};
 use crate::strategy::adaptive::AdaptiveStage;
+use crate::strategy::StrategySpec;
 use crate::tables::TableRef;
 use crate::{Sdt, SdtConfig, SdtError};
 
@@ -505,10 +506,12 @@ impl DispatchReplay {
         // Mirror stanza installs: a miss serviced by (or promoting into)
         // a sieve appended a chain entry for this target.
         let now_sieve = match site {
-            None => matches!(
-                self.sdt.state.binds[bind].strategy.id(),
-                "sieve" | "predictive"
-            ),
+            None => match self.sdt.state.binds[bind].spec {
+                StrategySpec::Sieve { .. }
+                | StrategySpec::Adaptive { .. }
+                | StrategySpec::Predictive { .. } => true,
+                StrategySpec::Ibtc { .. } | StrategySpec::Reentry => false,
+            },
             Some(s) => match self.sdt.state.sites[s as usize] {
                 Site::Adaptive { idx, .. } => matches!(
                     self.sdt.state.adaptive[idx as usize].stage,
@@ -544,12 +547,16 @@ impl DispatchReplay {
         let st = &self.sdt.state;
         let mem = self.sdt.machine.mem();
         let hit = match site {
-            None => match st.binds[bind].strategy.id() {
-                "sieve" | "predictive" => self.sim_sieve.contains(&(bind, target)),
-                _ => {
+            // A site-less dispatch probes the binding's shared structure.
+            None => match st.binds[bind].spec {
+                StrategySpec::Sieve { .. }
+                | StrategySpec::Adaptive { .. }
+                | StrategySpec::Predictive { .. } => self.sim_sieve.contains(&(bind, target)),
+                StrategySpec::Ibtc { .. } => {
                     let table = st.binds[bind].table.expect("shared table allocated");
                     probe_tagged(mem, table, target)?
                 }
+                StrategySpec::Reentry => false,
             },
             Some(s) => match st.sites[s as usize] {
                 // Translator re-entry: every dispatch is a full context
@@ -559,7 +566,7 @@ impl DispatchReplay {
                     table: Some(base), ..
                 } => {
                     let (entries, ways) = st.binds[bind]
-                        .strategy
+                        .spec
                         .site_table_geometry()
                         .expect("per-site table has a geometry");
                     probe_tagged(mem, ibtc_table_ref(base, entries, ways)?, target)?

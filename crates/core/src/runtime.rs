@@ -26,7 +26,7 @@ pub(crate) struct TranslatorWork {
 impl SdtState {
     /// Whether the fragment cache may be flushed when full.
     fn can_flush(&self) -> bool {
-        !self.ret_strat.forbids_flush()
+        !self.cfg.ret.forbids_flush()
     }
 
     /// Discards every fragment, site, and lookup-structure entry, keeping
@@ -97,8 +97,8 @@ impl SdtState {
             self.stats.ib_misses += 1;
             self.binds[bind].misses += 1;
             frag = self.fill_catching_flush(machine.mem_mut(), target, frag, |st, mem| {
-                let strat = st.binds[bind].strategy.clone();
-                strat.on_shared_miss(st, mem, bind, target, frag.entry)
+                let spec = st.binds[bind].spec;
+                spec.on_shared_miss(st, mem, bind, target, frag.entry)
             })?;
         } else {
             match self.sites[site as usize] {
@@ -124,8 +124,8 @@ impl SdtState {
                     self.binds[bind].misses += 1;
                     frag =
                         self.fill_catching_flush(machine.mem_mut(), target, frag, |st, mem| {
-                            let strat = st.binds[bind].strategy.clone();
-                            strat.on_site_miss(st, mem, bind, site, target, frag)
+                            let spec = st.binds[bind].spec;
+                            spec.on_site_miss(st, mem, bind, site, target, frag.entry)
                         })?;
                 }
             }

@@ -1,5 +1,3 @@
-use std::sync::Arc;
-
 use strata_arch::{ArchModel, Pricer, BUCKETS};
 use strata_machine::syscall::{SyscallState, SDT_TRAP_BASE};
 use strata_machine::{
@@ -12,7 +10,7 @@ use crate::fragment::{FragKind, FragMetaTable, FragmentMap, Site};
 use crate::protocol::{bind_sentinel, MAX_BINDS, TRAP_MISS, TRAP_RC_MISS};
 use crate::report::{ClassReport, HostStats, MechanismStats};
 use crate::strategy::adaptive::AdaptiveSite;
-use crate::strategy::{resolve_binds, Bind, RetStrategy, StrategySpec};
+use crate::strategy::{resolve_binds, Bind, StrategySpec};
 use crate::stubs::{emit_stubs, Stubs};
 use crate::tables::TableRef;
 use crate::{Origin, RunReport, SdtConfig, SdtError};
@@ -33,8 +31,6 @@ pub(crate) struct SdtState {
     pub class_bind: [usize; 2],
     /// Host-side records of adaptive dispatch sites (cleared on flush).
     pub adaptive: Vec<AdaptiveSite>,
-    /// The configured return mechanism.
-    pub ret_strat: Arc<dyn RetStrategy>,
     pub rc_tab: Option<TableRef>,
     /// Shadow return stack region: (base, byte mask) when enabled.
     pub shadow: Option<(u32, u32)>,
@@ -80,17 +76,9 @@ impl SdtState {
         let jump = &self.binds[self.class_bind[0]];
         let call = &self.binds[self.class_bind[1]];
         let rows = [
-            (
-                BranchClass::Jump,
-                jump.strategy.describe(),
-                jump.promotions(),
-            ),
-            (
-                BranchClass::Call,
-                call.strategy.describe(),
-                call.promotions(),
-            ),
-            (BranchClass::Ret, self.ret_strat.describe(), 0),
+            (BranchClass::Jump, jump.spec.describe(), jump.promotions()),
+            (BranchClass::Call, call.spec.describe(), call.promotions()),
+            (BranchClass::Ret, self.cfg.ret.describe(), 0),
         ];
         rows.into_iter()
             .zip(counts)
@@ -145,12 +133,11 @@ impl SdtState {
         mem: &mut strata_machine::Memory,
     ) -> Result<(), SdtError> {
         for i in 0..self.binds.len() {
-            let strat = self.binds[i].strategy.clone();
             let glue = self.glue_for(i);
-            strat.reset(&mut self.binds[i], mem, glue)?;
+            let bind = &mut self.binds[i];
+            bind.spec.reset(bind, mem, glue)?;
         }
-        let ret = self.ret_strat.clone();
-        ret.reset(self, mem)
+        self.cfg.ret.reset(self, mem)
     }
 }
 
@@ -220,21 +207,10 @@ impl Sdt {
             binds.len() <= MAX_BINDS,
             "policy resolved to too many bindings"
         );
-        let registered = |id: &str| {
-            crate::strategy::mechanism_registry()
-                .iter()
-                .any(|m| m.id == id)
-        };
-        for bind in &binds {
-            assert!(registered(bind.strategy.id()), "unregistered strategy");
-        }
         for bind in binds.iter_mut() {
-            let strat = bind.strategy.clone();
-            strat.alloc_fixed(bind, &mut alloc)?;
+            bind.table = bind.spec.alloc_fixed(&mut alloc)?;
         }
-        let ret_strat = crate::strategy::instantiate_ret(config.ret);
-        assert!(registered(ret_strat.id()), "unregistered return strategy");
-        let (rc_tab, shadow) = ret_strat.alloc_fixed(&mut alloc)?;
+        let (rc_tab, shadow) = config.ret.alloc_fixed(&mut alloc)?;
 
         let stubs = emit_stubs(&mut cache, machine.mem_mut(), &config)?;
         // Per-binding miss glue (only under multi-bind policies — the
@@ -249,8 +225,12 @@ impl Sdt {
                     Some(cache.emit_site_glue(machine.mem_mut(), bind_sentinel(i), tail)?);
             }
             let miss_glue = bind.glue.unwrap_or(stubs.shared_miss_glue);
-            let strat = bind.strategy.clone();
-            strat.emit_stub_support(&mut cache, machine.mem_mut(), bind, miss_glue)?;
+            bind.lookup_routine = bind.spec.emit_stub_support(
+                &mut cache,
+                machine.mem_mut(),
+                bind.table,
+                miss_glue,
+            )?;
         }
         let post_stub_cursor = cache.addr();
         let alloc_floor = alloc.used_bytes();
@@ -265,7 +245,6 @@ impl Sdt {
             binds,
             class_bind,
             adaptive: Vec::new(),
-            ret_strat,
             rc_tab,
             shadow,
             stats: HostStats::default(),
@@ -314,13 +293,13 @@ impl Sdt {
         vec![
             (
                 BranchClass::Jump.label(),
-                st.binds[st.class_bind[0]].strategy.describe(),
+                st.binds[st.class_bind[0]].spec.describe(),
             ),
             (
                 BranchClass::Call.label(),
-                st.binds[st.class_bind[1]].strategy.describe(),
+                st.binds[st.class_bind[1]].spec.describe(),
             ),
-            (BranchClass::Ret.label(), st.ret_strat.describe()),
+            (BranchClass::Ret.label(), st.cfg.ret.describe()),
         ]
     }
 

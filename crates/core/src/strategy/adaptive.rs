@@ -26,14 +26,10 @@
 use strata_isa::{Instr, Reg};
 use strata_machine::Memory;
 
-use crate::config::BranchClass;
-use crate::emitter::TableAlloc;
-use crate::fragment::{Fragment, Site};
+use crate::fragment::Site;
 use crate::protocol::SLOT_JUMP_TARGET;
 use crate::sdt::SdtState;
 use crate::strategy::ibtc::alloc_site_table;
-use crate::strategy::sieve::Sieve;
-use crate::strategy::{Bind, IbStrategy};
 use crate::tables::TableRef;
 use crate::{Origin, SdtError};
 
@@ -72,159 +68,114 @@ pub(crate) enum AdaptiveStage {
     Observe,
 }
 
-#[derive(Debug)]
-pub(crate) struct Adaptive {
-    pub ibtc_entries: u32,
-    /// The promotion sieve, shared by every site of the binding.
-    pub sieve: Sieve,
-    pub sieve_arity: u32,
+/// Emits an adaptive site of binding `bind` in stage 0: compare against
+/// one patchable target constant and jump straight to its patchable
+/// fragment address.
+pub(crate) fn emit_probe(st: &mut SdtState, mem: &mut Memory, bind: usize) -> Result<(), SdtError> {
+    emit_promoting_site(st, mem, bind, |st, mem, site| {
+        let d = Origin::Dispatch;
+        let tag_li = st.cache.emit_li(mem, Reg::R2, 0, d)?;
+        st.cache.emit(
+            mem,
+            Instr::Cmp {
+                rs1: Reg::R1,
+                rs2: Reg::R2,
+            },
+            d,
+        )?;
+        let bne = st.cache.emit(mem, Instr::Bne { off: 0 }, d)?;
+        let frag_li = st.cache.emit_li(mem, Reg::R3, 0, d)?;
+        st.cache.emit(
+            mem,
+            Instr::Swa {
+                rs: Reg::R3,
+                addr: SLOT_JUMP_TARGET,
+            },
+            d,
+        )?;
+        st.close_way(mem, bne)?;
+        st.cache
+            .emit_site_glue(mem, site, st.stubs.miss_tail_stack_flags)?;
+        Ok(AdaptiveStage::Inline { tag_li, frag_li })
+    })
 }
 
-impl IbStrategy for Adaptive {
-    fn id(&self) -> &'static str {
-        "adaptive"
+/// Services a miss at adaptive site `site`: records the target and fills
+/// the site's current stage, promoting it once the observed arity
+/// outgrows the stage (a second target → per-site IBTC of
+/// `ibtc_entries`, more than `sieve_arity` → the binding's sieve).
+pub(crate) fn on_site_miss(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    site: u32,
+    target: u32,
+    frag_entry: u32,
+    ibtc_entries: u32,
+    sieve_arity: u32,
+) -> Result<(), SdtError> {
+    let Site::Adaptive { bind, idx } = st.sites[site as usize] else {
+        unreachable!("adaptive site misses carry an adaptive site id");
+    };
+    let (bind, idx) = (bind as usize, idx as usize);
+    let a = &mut st.adaptive[idx];
+    if !a.targets.contains(&target) && a.targets.len() <= sieve_arity as usize {
+        a.targets.push(target);
     }
-
-    fn describe(&self) -> String {
-        format!(
-            "adaptive({},{},{})",
-            self.ibtc_entries, self.sieve.buckets, self.sieve_arity
-        )
-    }
-
-    fn alloc_fixed(&self, bind: &mut Bind, alloc: &mut TableAlloc) -> Result<(), SdtError> {
-        // The promotion sieve's bucket table is fixed; per-site IBTC
-        // tables are allocated at promotion time above the flush floor.
-        self.sieve.alloc_fixed(bind, alloc)
-    }
-
-    fn reset(&self, bind: &mut Bind, mem: &mut Memory, miss_glue: u32) -> Result<(), SdtError> {
-        self.sieve.reset(bind, mem, miss_glue)
-    }
-
-    fn emit_probe(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        _class: BranchClass,
-    ) -> Result<(), SdtError> {
-        emit_promoting_site(st, mem, bind, |st, mem, site| {
-            // Stage 0: compare against one patchable target constant and
-            // jump straight to its patchable fragment address.
-            let d = Origin::Dispatch;
-            let tag_li = st.cache.emit_li(mem, Reg::R2, 0, d)?;
-            st.cache.emit(
-                mem,
-                Instr::Cmp {
-                    rs1: Reg::R1,
-                    rs2: Reg::R2,
-                },
-                d,
-            )?;
-            let bne = st.cache.emit(mem, Instr::Bne { off: 0 }, d)?;
-            let frag_li = st.cache.emit_li(mem, Reg::R3, 0, d)?;
-            st.cache.emit(
-                mem,
-                Instr::Swa {
-                    rs: Reg::R3,
-                    addr: SLOT_JUMP_TARGET,
-                },
-                d,
-            )?;
-            st.close_way(mem, bne)?;
-            st.cache
-                .emit_site_glue(mem, site, st.stubs.miss_tail_stack_flags)?;
-            Ok(AdaptiveStage::Inline { tag_li, frag_li })
-        })
-    }
-
-    fn on_shared_miss(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        target: u32,
-        frag_entry: u32,
-    ) -> Result<(), SdtError> {
-        // A sieve-stage probe missed: grow the stanza chain.
-        self.sieve.on_shared_miss(st, mem, bind, target, frag_entry)
-    }
-
-    fn on_site_miss(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        site: u32,
-        target: u32,
-        frag: Fragment,
-    ) -> Result<(), SdtError> {
-        let Site::Adaptive { idx, .. } = st.sites[site as usize] else {
-            unreachable!("adaptive site misses carry an adaptive site id");
-        };
-        let idx = idx as usize;
-        let a = &mut st.adaptive[idx];
-        if !a.targets.contains(&target) && a.targets.len() <= self.sieve_arity as usize {
-            a.targets.push(target);
-        }
-        let arity = a.targets.len() as u32;
-        let stage = a.stage;
-        match stage {
-            AdaptiveStage::Inline { tag_li, frag_li } => {
-                if arity <= 1 {
-                    st.cache.patch_li(mem, tag_li, Reg::R2, target)?;
-                    st.cache.patch_li(mem, frag_li, Reg::R3, frag.entry)?;
-                } else {
-                    self.promote_to_ibtc(st, mem, bind, idx, site, target, frag.entry)?;
-                }
-            }
-            AdaptiveStage::Ibtc { table } => {
-                if arity > self.sieve_arity {
-                    promote_to_sieve(st, mem, bind, idx, &[(target, frag.entry)])?;
-                } else {
-                    table.fill_tagged(mem, target, frag.entry)?;
-                }
-            }
-            AdaptiveStage::Sieve => {
-                // The hash led to an un-installed chain slot for this
-                // target; extend the chain exactly like a shared miss.
-                st.sieve_install(mem, bind, target, frag.entry)?;
-            }
-            AdaptiveStage::Observe => {
-                unreachable!("observation sites belong to the predictive strategy")
+    let arity = a.targets.len() as u32;
+    let stage = a.stage;
+    match stage {
+        AdaptiveStage::Inline { tag_li, frag_li } => {
+            if arity <= 1 {
+                st.cache.patch_li(mem, tag_li, Reg::R2, target)?;
+                st.cache.patch_li(mem, frag_li, Reg::R3, frag_entry)?;
+            } else {
+                promote_to_ibtc(st, mem, bind, idx, site, ibtc_entries, target, frag_entry)?;
             }
         }
-        Ok(())
+        AdaptiveStage::Ibtc { table } => {
+            if arity > sieve_arity {
+                promote_to_sieve(st, mem, bind, idx, &[(target, frag_entry)])?;
+            } else {
+                table.fill_tagged(mem, target, frag_entry)?;
+            }
+        }
+        AdaptiveStage::Sieve => {
+            // The hash led to an un-installed chain slot for this
+            // target; extend the chain exactly like a shared miss.
+            st.sieve_install(mem, bind, target, frag_entry)?;
+        }
+        AdaptiveStage::Observe => {
+            unreachable!("observation sites belong to the predictive strategy")
+        }
     }
+    Ok(())
 }
 
-impl Adaptive {
-    /// Re-emits the site as a per-site IBTC probe at the cache frontier
-    /// and repatches the entry jump onto it. On [`SdtError::CacheFull`]
-    /// the site is left unpromoted (the caller flushes anyway).
-    #[allow(clippy::too_many_arguments)]
-    fn promote_to_ibtc(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        idx: usize,
-        site: u32,
-        target: u32,
-        frag_entry: u32,
-    ) -> Result<(), SdtError> {
-        let table = alloc_site_table(st, mem, self.ibtc_entries, 1)?;
-        let stub = st.cache.addr();
-        let glue = st.glue_for(bind);
-        st.cache.emit_hash(mem, table)?;
-        st.emit_tag_probe(mem, Reg::R2, Reg::R3, 1, Some(site), glue)?;
-        repoint_site(st, mem, idx, stub)?;
-        table.fill_tagged(mem, target, frag_entry)?;
-        st.adaptive[idx].stage = AdaptiveStage::Ibtc { table };
-        st.binds[bind].promotions_to_ibtc += 1;
-        Ok(())
-    }
+/// Re-emits the site as a per-site IBTC probe of `entries` entries at
+/// the cache frontier and repatches the entry jump onto it. On
+/// [`SdtError::CacheFull`] the site is left unpromoted (the caller
+/// flushes anyway).
+#[allow(clippy::too_many_arguments)]
+fn promote_to_ibtc(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    bind: usize,
+    idx: usize,
+    site: u32,
+    entries: u32,
+    target: u32,
+    frag_entry: u32,
+) -> Result<(), SdtError> {
+    let table = alloc_site_table(st, mem, entries, 1)?;
+    let stub = st.cache.addr();
+    let glue = st.glue_for(bind);
+    st.cache.emit_hash(mem, table)?;
+    st.emit_tag_probe(mem, Reg::R2, Reg::R3, 1, Some(site), glue)?;
+    repoint_site(st, mem, idx, stub)?;
+    table.fill_tagged(mem, target, frag_entry)?;
+    st.adaptive[idx].stage = AdaptiveStage::Ibtc { table };
+    st.binds[bind].promotions_to_ibtc += 1;
+    Ok(())
 }
 
 /// Emits a promoting site: a patchable entry `jmp` falling through to the

@@ -8,42 +8,15 @@ use strata_machine::Memory;
 use crate::config::BranchClass;
 use crate::dispatch::{CallPush, TargetSource};
 use crate::sdt::SdtState;
-use crate::strategy::RetStrategy;
 use crate::SdtError;
 
-#[derive(Debug)]
-pub(crate) struct AsIb;
-
-impl RetStrategy for AsIb {
-    fn id(&self) -> &'static str {
-        "asib"
-    }
-
-    fn describe(&self) -> String {
-        "asib".into()
-    }
-
-    fn call_push(&self, ret_app: u32) -> CallPush {
-        CallPush::AppAddr(ret_app)
-    }
-
-    fn emit_ret(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
-        st.emit_ib_dispatch(
-            mem,
-            TargetSource::PoppedReturn,
-            CallPush::None,
-            BranchClass::Ret,
-        )?;
-        Ok(())
-    }
-
-    fn emit_direct_call(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        target: u32,
-        ret_app: u32,
-    ) -> Result<(), SdtError> {
-        st.emit_transparent_direct_call(mem, target, ret_app)
-    }
+/// Emits a `ret` as an indirect dispatch of the popped return address.
+pub(crate) fn emit_ret(st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
+    st.emit_ib_dispatch(
+        mem,
+        TargetSource::PoppedReturn,
+        CallPush::None,
+        BranchClass::Ret,
+    )?;
+    Ok(())
 }

@@ -7,71 +7,47 @@
 use strata_isa::Instr;
 use strata_machine::Memory;
 
-use crate::dispatch::CallPush;
 use crate::fragment::FragKind;
 use crate::sdt::SdtState;
-use crate::strategy::RetStrategy;
 use crate::{Origin, SdtError};
 
-#[derive(Debug)]
-pub(crate) struct FastReturn;
+/// Emits a `ret` as itself: the stack holds a translated address, so a
+/// plain ret is both correct and RAS-predictable.
+pub(crate) fn emit_ret(st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
+    st.cache.emit(mem, Instr::Ret, Origin::App)?;
+    Ok(())
+}
 
-impl RetStrategy for FastReturn {
-    fn id(&self) -> &'static str {
-        "fastret"
-    }
-
-    fn describe(&self) -> String {
-        "fastret".into()
-    }
-
-    fn forbids_flush(&self) -> bool {
-        // Translated return addresses live on the application stack;
-        // flushing would dangle them.
-        true
-    }
-
-    fn call_push(&self, _ret_app: u32) -> CallPush {
-        CallPush::TranslatedPlaceholder
-    }
-
-    fn emit_ret(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
-        // The stack holds a translated address; a plain ret is both
-        // correct and RAS-predictable.
-        st.cache.emit(mem, Instr::Ret, Origin::App)?;
-        Ok(())
-    }
-
-    fn emit_direct_call(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        target: u32,
-        ret_app: u32,
-    ) -> Result<(), SdtError> {
-        let call_at = st.cache.emit(
-            mem,
-            Instr::Call {
-                target: call_at_placeholder(),
-            },
-            Origin::App,
-        )?;
-        // The pushed return address is the cache word after the call:
-        // make that the return-site fragment (or a jump to it).
-        match st.map.get(ret_app, FragKind::Body) {
-            Some(f) => {
-                st.cache
-                    .emit(mem, Instr::Jmp { target: f.entry }, Origin::Trampoline)?;
-            }
-            None => {
-                st.translate_fragment(mem, ret_app, FragKind::Body)?;
-            }
+/// Translates a direct call returning to `ret_app` as a native call whose
+/// pushed return address is the return-site fragment.
+pub(crate) fn emit_direct_call(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    target: u32,
+    ret_app: u32,
+) -> Result<(), SdtError> {
+    let call_at = st.cache.emit(
+        mem,
+        Instr::Call {
+            target: call_at_placeholder(),
+        },
+        Origin::App,
+    )?;
+    // The pushed return address is the cache word after the call:
+    // make that the return-site fragment (or a jump to it).
+    match st.map.get(ret_app, FragKind::Body) {
+        Some(f) => {
+            st.cache
+                .emit(mem, Instr::Jmp { target: f.entry }, Origin::Trampoline)?;
         }
-        let tramp = st.emit_exit(mem, target)?;
-        st.cache
-            .patch(mem, call_at, Instr::Call { target: tramp }, None)?;
-        Ok(())
+        None => {
+            st.translate_fragment(mem, ret_app, FragKind::Body)?;
+        }
     }
+    let tramp = st.emit_exit(mem, target)?;
+    st.cache
+        .patch(mem, call_at, Instr::Call { target: tramp }, None)?;
+    Ok(())
 }
 
 /// Placeholder target for a call whose real target is patched in once the

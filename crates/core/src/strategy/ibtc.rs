@@ -7,174 +7,155 @@
 use strata_isa::{Instr, Reg};
 use strata_machine::Memory;
 
-use crate::config::{BranchClass, IbtcPlacement, IbtcScope};
+use crate::config::{IbtcPlacement, IbtcScope};
 use crate::dispatch::ibtc_table_ref;
 use crate::emitter::{Cache, TableAlloc};
-use crate::fragment::{Fragment, Site};
+use crate::fragment::Site;
 use crate::sdt::SdtState;
-use crate::strategy::{Bind, IbStrategy};
 use crate::tables::TableRef;
 use crate::{Origin, SdtError};
 
-#[derive(Debug)]
-pub(crate) struct Ibtc {
-    pub entries: u32,
-    pub scope: IbtcScope,
-    pub placement: IbtcPlacement,
-    pub ways: u8,
+/// The report label, e.g. `ibtc(4096,shared,inline)` or
+/// `ibtc(512,persite,inline)x2`.
+pub(crate) fn describe(
+    entries: u32,
+    scope: IbtcScope,
+    placement: IbtcPlacement,
+    ways: u8,
+) -> String {
+    let scope = match scope {
+        IbtcScope::Shared => "shared",
+        IbtcScope::PerSite => "persite",
+    };
+    let placement = match placement {
+        IbtcPlacement::Inline => "inline",
+        IbtcPlacement::OutOfLine => "outline",
+    };
+    let ways = if ways == 2 { "x2" } else { "" };
+    format!("ibtc({entries},{scope},{placement}){ways}")
 }
 
-impl Ibtc {
-    fn fill(
-        &self,
-        table: TableRef,
-        mem: &mut Memory,
-        target: u32,
-        entry: u32,
-    ) -> Result<(), SdtError> {
-        if self.ways == 2 {
-            table.fill_tagged_2way(mem, target, entry)?;
-        } else {
-            table.fill_tagged(mem, target, entry)?;
-        }
-        Ok(())
-    }
+/// Allocates the shared table of `entries` entries under `ways`.
+pub(crate) fn alloc_shared(
+    alloc: &mut TableAlloc,
+    entries: u32,
+    ways: u8,
+) -> Result<TableRef, SdtError> {
+    let base = alloc.alloc(entries * 8, 0x1_0000)?;
+    ibtc_table_ref(base, entries, ways)
 }
 
-impl IbStrategy for Ibtc {
-    fn id(&self) -> &'static str {
-        "ibtc"
-    }
+/// Emits the out-of-line lookup routine over the shared `table`, whose
+/// miss path jumps to `miss_glue`, and returns its address.
+pub(crate) fn emit_lookup_routine(
+    cache: &mut Cache,
+    mem: &mut Memory,
+    table: TableRef,
+    miss_glue: u32,
+) -> Result<u32, SdtError> {
+    let d = Origin::Dispatch;
+    let at = cache.addr();
+    cache.emit_hash(mem, table)?;
+    let bne = cache.emit_tag_way(mem, Reg::R2, Reg::R3, 0)?;
+    cache.emit(mem, Instr::Ret, d)?;
+    let miss = cache.addr();
+    cache.emit(mem, Instr::Pop { rd: Reg::R2 }, d)?; // discard return addr
+    cache.emit(mem, Instr::Jmp { target: miss_glue }, d)?;
+    cache.patch_branch(mem, bne, Instr::Bne { off: 0 }, miss)?;
+    Ok(at)
+}
 
-    fn describe(&self) -> String {
-        let scope = match self.scope {
-            IbtcScope::Shared => "shared",
-            IbtcScope::PerSite => "persite",
-        };
-        let placement = match self.placement {
-            IbtcPlacement::Inline => "inline",
-            IbtcPlacement::OutOfLine => "outline",
-        };
-        let ways = if self.ways == 2 { "x2" } else { "" };
-        format!("ibtc({},{scope},{placement}){ways}", self.entries)
-    }
-
-    fn site_table_geometry(&self) -> Option<(u32, u8)> {
-        Some((self.entries, self.ways))
-    }
-
-    fn alloc_fixed(&self, bind: &mut Bind, alloc: &mut TableAlloc) -> Result<(), SdtError> {
-        if self.scope == IbtcScope::Shared {
-            let base = alloc.alloc(self.entries * 8, 0x1_0000)?;
-            bind.table = Some(ibtc_table_ref(base, self.entries, self.ways)?);
+/// Empties the shared table, if the binding has one.
+pub(crate) fn reset(table: Option<TableRef>, mem: &mut Memory) -> Result<(), SdtError> {
+    if let Some(t) = table {
+        // Zeroing the whole table empties it (no code lives at 0).
+        for off in (0..t.size_bytes()).step_by(4) {
+            mem.write_u32(t.base + off, 0)?;
         }
-        Ok(())
     }
+    Ok(())
+}
 
-    fn emit_stub_support(
-        &self,
-        cache: &mut Cache,
-        mem: &mut Memory,
-        bind: &mut Bind,
-        miss_glue: u32,
-    ) -> Result<(), SdtError> {
-        if self.placement != IbtcPlacement::OutOfLine {
-            return Ok(());
+/// Emits an IBTC site of binding `bind`: an inline probe of the shared
+/// table or of a fresh per-site one, or a call of the out-of-line
+/// routine.
+pub(crate) fn emit_probe(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    bind: usize,
+    entries: u32,
+    scope: IbtcScope,
+    placement: IbtcPlacement,
+    ways: u8,
+) -> Result<(), SdtError> {
+    match placement {
+        IbtcPlacement::Inline => {
+            let (table, site) = match scope {
+                IbtcScope::Shared => (st.binds[bind].table.expect("shared IBTC allocated"), None),
+                IbtcScope::PerSite => {
+                    let table = alloc_site_table(st, mem, entries, ways)?;
+                    let site = st.new_site(Site::Ib {
+                        bind: bind as u8,
+                        table: Some(table.base),
+                    });
+                    (table, Some(site))
+                }
+            };
+            let glue = st.glue_for(bind);
+            st.cache.emit_hash(mem, table)?;
+            st.emit_tag_probe(mem, Reg::R2, Reg::R3, ways, site, glue)?;
         }
-        let table = bind
-            .table
-            .expect("out-of-line IBTC requires the shared table");
-        let d = Origin::Dispatch;
-        let at = cache.addr();
-        cache.emit_hash(mem, table)?;
-        let bne = cache.emit_tag_way(mem, Reg::R2, Reg::R3, 0)?;
-        cache.emit(mem, Instr::Ret, d)?;
-        let miss = cache.addr();
-        cache.emit(mem, Instr::Pop { rd: Reg::R2 }, d)?; // discard return addr
-        cache.emit(mem, Instr::Jmp { target: miss_glue }, d)?;
-        cache.patch_branch(mem, bne, Instr::Bne { off: 0 }, miss)?;
-        bind.lookup_routine = Some(at);
-        Ok(())
-    }
-
-    fn reset(&self, bind: &mut Bind, mem: &mut Memory, _miss_glue: u32) -> Result<(), SdtError> {
-        if let Some(t) = bind.table {
-            // Zeroing the whole table empties it (no code lives at 0).
-            for off in (0..t.size_bytes()).step_by(4) {
-                mem.write_u32(t.base + off, 0)?;
-            }
+        IbtcPlacement::OutOfLine => {
+            let routine = st.binds[bind]
+                .lookup_routine
+                .expect("out-of-line routine emitted");
+            st.cache
+                .emit(mem, Instr::Call { target: routine }, Origin::Dispatch)?;
+            st.emit_hit_epilogue(mem)?;
         }
-        Ok(())
     }
+    Ok(())
+}
 
-    fn emit_probe(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        _class: BranchClass,
-    ) -> Result<(), SdtError> {
-        match self.placement {
-            IbtcPlacement::Inline => {
-                let (table, site) = match self.scope {
-                    IbtcScope::Shared => {
-                        (st.binds[bind].table.expect("shared IBTC allocated"), None)
-                    }
-                    IbtcScope::PerSite => {
-                        let table = alloc_site_table(st, mem, self.entries, self.ways)?;
-                        let site = st.new_site(Site::Ib {
-                            bind: bind as u8,
-                            table: Some(table.base),
-                        });
-                        (table, Some(site))
-                    }
-                };
-                let glue = st.glue_for(bind);
-                st.cache.emit_hash(mem, table)?;
-                st.emit_tag_probe(mem, Reg::R2, Reg::R3, self.ways, site, glue)?;
-            }
-            IbtcPlacement::OutOfLine => {
-                let routine = st.binds[bind]
-                    .lookup_routine
-                    .expect("out-of-line routine emitted");
-                st.cache
-                    .emit(mem, Instr::Call { target: routine }, Origin::Dispatch)?;
-                st.emit_hit_epilogue(mem)?;
-            }
-        }
-        Ok(())
+/// Fills `target → entry` into `table` under `ways`.
+pub(crate) fn fill(
+    table: TableRef,
+    ways: u8,
+    mem: &mut Memory,
+    target: u32,
+    entry: u32,
+) -> Result<(), SdtError> {
+    if ways == 2 {
+        table.fill_tagged_2way(mem, target, entry)?;
+    } else {
+        table.fill_tagged(mem, target, entry)?;
     }
+    Ok(())
+}
 
-    fn on_shared_miss(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        target: u32,
-        frag_entry: u32,
-    ) -> Result<(), SdtError> {
-        let table = st.binds[bind].table.expect("shared IBTC allocated");
-        self.fill(table, mem, target, frag_entry)
-    }
-
-    fn on_site_miss(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        _bind: usize,
-        site: u32,
-        target: u32,
-        frag: Fragment,
-    ) -> Result<(), SdtError> {
-        let Site::Ib {
-            table: Some(base), ..
-        } = st.sites[site as usize]
-        else {
-            unreachable!("IBTC site misses carry a per-site table");
-        };
-        let t = ibtc_table_ref(base, self.entries, self.ways)?;
-        self.fill(t, mem, target, frag.entry)
-    }
+/// Services a miss at per-site IBTC site `site`: fills its table.
+pub(crate) fn on_site_miss(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    site: u32,
+    target: u32,
+    frag_entry: u32,
+    entries: u32,
+    ways: u8,
+) -> Result<(), SdtError> {
+    let Site::Ib {
+        table: Some(base), ..
+    } = st.sites[site as usize]
+    else {
+        unreachable!("IBTC site misses carry a per-site table");
+    };
+    fill(
+        ibtc_table_ref(base, entries, ways)?,
+        ways,
+        mem,
+        target,
+        frag_entry,
+    )
 }
 
 /// Allocates a per-site IBTC table of `entries` entries under `ways`

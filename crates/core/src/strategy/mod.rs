@@ -1,14 +1,17 @@
-//! The pluggable indirect-branch strategy layer.
+//! The indirect-branch strategy layer: a closed set of mechanisms.
 //!
-//! Each handling mechanism is a self-contained module implementing
-//! [`IbStrategy`] (table allocation, stub support, per-site dispatch
-//! emission, miss servicing, flush behaviour) or — for return-specific
-//! mechanisms — [`RetStrategy`]. A [`DispatchPolicy`] resolves each branch
-//! class to a [`StrategySpec`]; classes resolving to the same spec share
-//! one [`Bind`] (tables, miss glue, counters), which is how the legacy
-//! single-mechanism configurations stay bit-identical: they resolve to a
-//! single bind whose allocation and emission order match the pre-strategy
-//! code exactly.
+//! A jump/call mechanism is a [`StrategySpec`] variant, a return
+//! mechanism a [`RetMechanism`] variant. Each behaviour — table
+//! allocation, stub support, reset, per-site dispatch emission, miss
+//! servicing, return glue, flush policy, labels — is one exhaustive
+//! `match` below that dispatches to plain functions in the mechanism's
+//! module, so a new mechanism fails to compile until every behaviour
+//! names it. A [`DispatchPolicy`](crate::config::DispatchPolicy)
+//! resolves each branch class to a [`StrategySpec`]; classes resolving
+//! to the same spec share one [`Bind`] (tables, miss glue, counters),
+//! which is how the legacy single-mechanism configurations stay
+//! bit-identical: they resolve to a single bind whose allocation and
+//! emission order match the pre-strategy code exactly.
 //!
 //! Misses route back to their bind through `SLOT_SITE`: single-bind
 //! configurations use the legacy `SITE_SHARED` sentinel, multi-bind
@@ -25,14 +28,14 @@ pub(crate) mod retcache;
 pub(crate) mod shadow;
 pub(crate) mod sieve;
 
-use std::sync::Arc;
-
 use strata_machine::Memory;
 
-use crate::config::{BranchClass, ClassPolicy, IbMechanism, RetMechanism, SdtConfig};
+use crate::config::{
+    BranchClass, ClassPolicy, IbMechanism, IbtcPlacement, IbtcScope, RetMechanism, SdtConfig,
+};
 use crate::dispatch::CallPush;
 use crate::emitter::{Cache, TableAlloc};
-use crate::fragment::{Fragment, SieveBucket};
+use crate::fragment::SieveBucket;
 use crate::sdt::SdtState;
 use crate::tables::TableRef;
 use crate::SdtError;
@@ -44,8 +47,8 @@ pub(crate) enum StrategySpec {
     Reentry,
     Ibtc {
         entries: u32,
-        scope: crate::config::IbtcScope,
-        placement: crate::config::IbtcPlacement,
+        scope: IbtcScope,
+        placement: IbtcPlacement,
         ways: u8,
     },
     Sieve {
@@ -110,13 +113,321 @@ impl StrategySpec {
             },
         }
     }
+
+    /// Registry key: the id [`mechanism_registry`] lists.
+    pub(crate) fn id(self) -> &'static str {
+        match self {
+            Self::Reentry => "reentry",
+            Self::Ibtc { .. } => "ibtc",
+            Self::Sieve { .. } => "sieve",
+            Self::Adaptive { .. } => "adaptive",
+            Self::Predictive { .. } => "predictive",
+        }
+    }
+
+    /// Stable parameterized label for reports.
+    pub(crate) fn describe(self) -> String {
+        match self {
+            Self::Reentry => "reentry".into(),
+            Self::Ibtc {
+                entries,
+                scope,
+                placement,
+                ways,
+            } => ibtc::describe(entries, scope, placement, ways),
+            Self::Sieve { buckets } => format!("sieve({buckets})"),
+            Self::Adaptive {
+                ibtc_entries,
+                sieve_buckets,
+                sieve_arity,
+            } => format!("adaptive({ibtc_entries},{sieve_buckets},{sieve_arity})"),
+            Self::Predictive {
+                sieve_buckets,
+                probation,
+            } => format!("predictive({sieve_buckets},{probation})"),
+        }
+    }
+
+    /// Geometry `(entries, ways)` of the IBTC tables this strategy hangs
+    /// off individual sites ([`Site::Ib`](crate::fragment::Site::Ib) with
+    /// a table base). `None` for strategies whose sites carry no private
+    /// table. Used by cache-metadata export and trace replay to
+    /// reconstruct per-site [`TableRef`]s.
+    pub(crate) fn site_table_geometry(self) -> Option<(u32, u8)> {
+        match self {
+            Self::Ibtc { entries, ways, .. } => Some((entries, ways)),
+            Self::Reentry
+            | Self::Sieve { .. }
+            | Self::Adaptive { .. }
+            | Self::Predictive { .. } => None,
+        }
+    }
+
+    /// Allocates the binding's fixed guest table at construction time:
+    /// the shared IBTC, or the sieve bucket table (for the promoting
+    /// strategies, the sieve their sites promote into). Per-site IBTC
+    /// tables are allocated at translation time above the flush floor.
+    pub(crate) fn alloc_fixed(self, alloc: &mut TableAlloc) -> Result<Option<TableRef>, SdtError> {
+        Ok(match self {
+            Self::Ibtc {
+                entries,
+                scope: IbtcScope::Shared,
+                ways,
+                ..
+            } => Some(ibtc::alloc_shared(alloc, entries, ways)?),
+            Self::Sieve { buckets }
+            | Self::Adaptive {
+                sieve_buckets: buckets,
+                ..
+            }
+            | Self::Predictive {
+                sieve_buckets: buckets,
+                ..
+            } => Some(sieve::alloc_table(alloc, buckets)?),
+            Self::Reentry
+            | Self::Ibtc {
+                scope: IbtcScope::PerSite,
+                ..
+            } => None,
+        })
+    }
+
+    /// Emits per-binding stub support right after the shared stubs: the
+    /// out-of-line IBTC lookup routine, whose miss path jumps to
+    /// `miss_glue`. Returns the routine's address.
+    pub(crate) fn emit_stub_support(
+        self,
+        cache: &mut Cache,
+        mem: &mut Memory,
+        table: Option<TableRef>,
+        miss_glue: u32,
+    ) -> Result<Option<u32>, SdtError> {
+        match self {
+            Self::Ibtc {
+                placement: IbtcPlacement::OutOfLine,
+                ..
+            } => {
+                let table = table.expect("out-of-line IBTC requires the shared table");
+                ibtc::emit_lookup_routine(cache, mem, table, miss_glue).map(Some)
+            }
+            Self::Reentry
+            | Self::Ibtc {
+                placement: IbtcPlacement::Inline,
+                ..
+            }
+            | Self::Sieve { .. }
+            | Self::Adaptive { .. }
+            | Self::Predictive { .. } => Ok(None),
+        }
+    }
+
+    /// (Re)initializes `bind`'s tables — called once after stub emission
+    /// and again after every cache flush.
+    pub(crate) fn reset(
+        self,
+        bind: &mut Bind,
+        mem: &mut Memory,
+        miss_glue: u32,
+    ) -> Result<(), SdtError> {
+        match self {
+            Self::Reentry => Ok(()),
+            Self::Ibtc { .. } => ibtc::reset(bind.table, mem),
+            Self::Sieve { buckets }
+            | Self::Adaptive {
+                sieve_buckets: buckets,
+                ..
+            }
+            | Self::Predictive {
+                sieve_buckets: buckets,
+                ..
+            } => sieve::reset(bind, mem, miss_glue, buckets),
+        }
+    }
+
+    /// Emits the probe portion of one dispatch site of binding `bind`
+    /// (the caller has already emitted the dispatch frame).
+    pub(crate) fn emit_probe(
+        self,
+        st: &mut SdtState,
+        mem: &mut Memory,
+        bind: usize,
+    ) -> Result<(), SdtError> {
+        match self {
+            Self::Reentry => reentry::emit_probe(st, mem, bind),
+            Self::Ibtc {
+                entries,
+                scope,
+                placement,
+                ways,
+            } => ibtc::emit_probe(st, mem, bind, entries, scope, placement, ways),
+            Self::Sieve { .. } => sieve::emit_probe(st, mem, bind),
+            Self::Adaptive { .. } => adaptive::emit_probe(st, mem, bind),
+            Self::Predictive { .. } => predictive::emit_probe(st, mem, bind),
+        }
+    }
+
+    /// Services a miss that arrived through binding `bind`'s shared glue
+    /// (no site id — shared IBTC and sieve paths, and sieve-stage
+    /// promoted probes).
+    pub(crate) fn on_shared_miss(
+        self,
+        st: &mut SdtState,
+        mem: &mut Memory,
+        bind: usize,
+        target: u32,
+        frag_entry: u32,
+    ) -> Result<(), SdtError> {
+        match self {
+            Self::Reentry => unreachable!("re-entry sites always carry a site id"),
+            Self::Ibtc { ways, .. } => {
+                let table = st.binds[bind].table.expect("shared IBTC allocated");
+                ibtc::fill(table, ways, mem, target, frag_entry)
+            }
+            // Grow the stanza chain (for the promoting strategies, a
+            // sieve-stage probe missed).
+            Self::Sieve { .. } | Self::Adaptive { .. } | Self::Predictive { .. } => {
+                st.sieve_install(mem, bind, target, frag_entry)
+            }
+        }
+    }
+
+    /// Services a miss at site `site`, owned by binding `bind`.
+    pub(crate) fn on_site_miss(
+        self,
+        st: &mut SdtState,
+        mem: &mut Memory,
+        bind: usize,
+        site: u32,
+        target: u32,
+        frag_entry: u32,
+    ) -> Result<(), SdtError> {
+        match self {
+            // A bare re-entry site has nothing to fill: the next
+            // execution traps again.
+            Self::Reentry => Ok(()),
+            Self::Ibtc { entries, ways, .. } => {
+                ibtc::on_site_miss(st, mem, site, target, frag_entry, entries, ways)
+            }
+            Self::Sieve { .. } => unreachable!("sieve dispatches carry no site id"),
+            Self::Adaptive {
+                ibtc_entries,
+                sieve_arity,
+                ..
+            } => {
+                adaptive::on_site_miss(st, mem, site, target, frag_entry, ibtc_entries, sieve_arity)
+            }
+            Self::Predictive { probation, .. } => {
+                predictive::on_site_miss(st, mem, bind, site, target, frag_entry, probation)
+            }
+        }
+    }
+}
+
+/// Fixed guest structures a return mechanism allocates at construction:
+/// the return-cache table and the shadow-stack region (base address and
+/// size mask), either of which may be absent.
+pub(crate) type RetTables = (Option<TableRef>, Option<(u32, u32)>);
+
+impl RetMechanism {
+    /// Registry key: the id [`mechanism_registry`] lists.
+    #[cfg(test)]
+    pub(crate) fn id(self) -> &'static str {
+        match self {
+            RetMechanism::AsIb => "asib",
+            RetMechanism::ReturnCache { .. } => "retcache",
+            RetMechanism::FastReturn => "fastret",
+            RetMechanism::ShadowStack { .. } => "shadow",
+        }
+    }
+
+    /// Stable parameterized label for reports.
+    pub(crate) fn describe(self) -> String {
+        match self {
+            RetMechanism::AsIb => "asib".into(),
+            RetMechanism::ReturnCache { entries } => format!("rc({entries})"),
+            RetMechanism::FastReturn => "fastret".into(),
+            RetMechanism::ShadowStack { depth } => format!("shadow({depth})"),
+        }
+    }
+
+    /// Allocates fixed guest structures: `(return cache, shadow region)`.
+    pub(crate) fn alloc_fixed(self, alloc: &mut TableAlloc) -> Result<RetTables, SdtError> {
+        Ok(match self {
+            RetMechanism::ReturnCache { entries } => {
+                (Some(retcache::alloc_table(alloc, entries)?), None)
+            }
+            RetMechanism::ShadowStack { depth } => {
+                (None, Some(shadow::alloc_region(alloc, depth)?))
+            }
+            RetMechanism::AsIb | RetMechanism::FastReturn => (None, None),
+        })
+    }
+
+    /// (Re)initializes the mechanism's structures — called once after stub
+    /// emission and again after every cache flush.
+    pub(crate) fn reset(self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
+        match self {
+            RetMechanism::ReturnCache { .. } => retcache::reset(st, mem),
+            RetMechanism::ShadowStack { .. } => shadow::reset(st, mem),
+            RetMechanism::AsIb | RetMechanism::FastReturn => Ok(()),
+        }
+    }
+
+    /// Whether cache flushing must be disabled: fast returns leave
+    /// translated return addresses live on the application stack, and
+    /// flushing would dangle them.
+    pub(crate) fn forbids_flush(self) -> bool {
+        match self {
+            RetMechanism::FastReturn => true,
+            RetMechanism::AsIb
+            | RetMechanism::ReturnCache { .. }
+            | RetMechanism::ShadowStack { .. } => false,
+        }
+    }
+
+    /// The return-address push glue an indirect call must emit before
+    /// dispatching, for a call returning to application address `ret_app`.
+    pub(crate) fn call_push(self, ret_app: u32) -> CallPush {
+        match self {
+            RetMechanism::AsIb | RetMechanism::ReturnCache { .. } => CallPush::AppAddr(ret_app),
+            RetMechanism::FastReturn => CallPush::TranslatedPlaceholder,
+            RetMechanism::ShadowStack { .. } => CallPush::AppAddrWithShadow(ret_app),
+        }
+    }
+
+    /// Emits the dispatch sequence for a translated `ret`.
+    pub(crate) fn emit_ret(self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
+        match self {
+            RetMechanism::AsIb => asib::emit_ret(st, mem),
+            RetMechanism::ReturnCache { .. } => retcache::emit_ret(st, mem),
+            RetMechanism::FastReturn => fastret::emit_ret(st, mem),
+            RetMechanism::ShadowStack { .. } => shadow::emit_ret(st, mem),
+        }
+    }
+
+    /// Translates a direct call returning to `ret_app`.
+    pub(crate) fn emit_direct_call(
+        self,
+        st: &mut SdtState,
+        mem: &mut Memory,
+        target: u32,
+        ret_app: u32,
+    ) -> Result<(), SdtError> {
+        match self {
+            RetMechanism::AsIb | RetMechanism::ReturnCache { .. } => {
+                st.emit_transparent_direct_call(mem, target, ret_app)
+            }
+            RetMechanism::FastReturn => fastret::emit_direct_call(st, mem, target, ret_app),
+            RetMechanism::ShadowStack { .. } => shadow::emit_direct_call(st, mem, target, ret_app),
+        }
+    }
 }
 
 /// Per-binding mutable state: one binding per distinct [`StrategySpec`]
 /// in the active policy, shared by every class that resolved to it.
 #[derive(Debug)]
 pub(crate) struct Bind {
-    pub strategy: Arc<dyn IbStrategy>,
+    pub spec: StrategySpec,
     /// The binding's fixed shared table (IBTC table, sieve bucket table,
     /// or the adaptive promotion sieve), if the strategy uses one.
     pub table: Option<TableRef>,
@@ -137,9 +448,9 @@ pub(crate) struct Bind {
 }
 
 impl Bind {
-    fn new(strategy: Arc<dyn IbStrategy>) -> Bind {
+    fn new(spec: StrategySpec) -> Bind {
         Bind {
-            strategy,
+            spec,
             table: None,
             sieve_buckets: Vec::new(),
             lookup_routine: None,
@@ -156,190 +467,16 @@ impl Bind {
     }
 }
 
-/// The common interface every indirect-branch mechanism implements.
-///
-/// Strategy objects are immutable parameter carriers (`Arc`-shared so the
-/// runtime can clone them out of [`SdtState`] before re-borrowing it);
-/// all mutable state lives in the [`Bind`] and [`SdtState`].
-pub(crate) trait IbStrategy: std::fmt::Debug + Send + Sync {
-    /// Registry key ("reentry", "ibtc", "sieve", "adaptive").
-    fn id(&self) -> &'static str;
-
-    /// Stable parameterized label for reports.
-    fn describe(&self) -> String;
-
-    /// Allocates the binding's fixed guest tables at construction time.
-    fn alloc_fixed(&self, _bind: &mut Bind, _alloc: &mut TableAlloc) -> Result<(), SdtError> {
-        Ok(())
-    }
-
-    /// Geometry `(entries, ways)` of the IBTC tables this strategy hangs
-    /// off individual sites ([`Site::Ib`](crate::fragment::Site::Ib) with
-    /// a table base). `None` for strategies whose sites carry no private
-    /// table. Used by cache-metadata export to reconstruct per-site
-    /// [`TableRef`]s for external auditing.
-    fn site_table_geometry(&self) -> Option<(u32, u8)> {
-        None
-    }
-
-    /// Emits per-binding stub support (out-of-line probe routines) right
-    /// after the shared stubs. `miss_glue` is where a routine's miss path
-    /// must jump.
-    fn emit_stub_support(
-        &self,
-        _cache: &mut Cache,
-        _mem: &mut Memory,
-        _bind: &mut Bind,
-        _miss_glue: u32,
-    ) -> Result<(), SdtError> {
-        Ok(())
-    }
-
-    /// (Re)initializes the binding's tables — called once after stub
-    /// emission and again after every cache flush.
-    fn reset(&self, _bind: &mut Bind, _mem: &mut Memory, _miss_glue: u32) -> Result<(), SdtError> {
-        Ok(())
-    }
-
-    /// Emits the probe portion of one dispatch site (the caller has
-    /// already emitted the spill prologue, call glue, and flags push).
-    fn emit_probe(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        class: BranchClass,
-    ) -> Result<(), SdtError>;
-
-    /// Services a miss that arrived through the binding's shared glue
-    /// (no site id — shared IBTC and sieve paths).
-    fn on_shared_miss(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        target: u32,
-        frag_entry: u32,
-    ) -> Result<(), SdtError>;
-
-    /// Services a miss at a site owned by this binding.
-    fn on_site_miss(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        site: u32,
-        target: u32,
-        frag: Fragment,
-    ) -> Result<(), SdtError>;
-}
-
-/// Fixed guest structures a return mechanism allocates at construction:
-/// the return-cache table and the shadow-stack region (base address and
-/// size mask), either of which may be absent.
-pub(crate) type RetTables = (Option<TableRef>, Option<(u32, u32)>);
-
-/// The common interface every return mechanism implements.
-pub(crate) trait RetStrategy: std::fmt::Debug + Send + Sync {
-    /// Registry key ("asib", "retcache", "fastret", "shadow").
-    fn id(&self) -> &'static str;
-
-    /// Stable parameterized label for reports.
-    fn describe(&self) -> String;
-
-    /// Allocates fixed guest structures: `(return cache, shadow region)`.
-    fn alloc_fixed(&self, _alloc: &mut TableAlloc) -> Result<RetTables, SdtError> {
-        Ok((None, None))
-    }
-
-    /// (Re)initializes the mechanism's structures — called once after stub
-    /// emission and again after every cache flush.
-    fn reset(&self, _st: &mut SdtState, _mem: &mut Memory) -> Result<(), SdtError> {
-        Ok(())
-    }
-
-    /// Whether cache flushing must be disabled (fast returns leave
-    /// translated return addresses live on the application stack).
-    fn forbids_flush(&self) -> bool {
-        false
-    }
-
-    /// The return-address push glue an indirect call must emit before
-    /// dispatching, for a call returning to application address `ret_app`.
-    fn call_push(&self, ret_app: u32) -> CallPush;
-
-    /// Emits the dispatch sequence for a translated `ret`.
-    fn emit_ret(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError>;
-
-    /// Translates a direct call returning to `ret_app`.
-    fn emit_direct_call(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        target: u32,
-        ret_app: u32,
-    ) -> Result<(), SdtError>;
-}
-
-/// Instantiates the strategy object for a resolved spec.
-pub(crate) fn instantiate(spec: StrategySpec) -> Arc<dyn IbStrategy> {
-    match spec {
-        StrategySpec::Reentry => Arc::new(reentry::Reentry),
-        StrategySpec::Ibtc {
-            entries,
-            scope,
-            placement,
-            ways,
-        } => Arc::new(ibtc::Ibtc {
-            entries,
-            scope,
-            placement,
-            ways,
-        }),
-        StrategySpec::Sieve { buckets } => Arc::new(sieve::Sieve { buckets }),
-        StrategySpec::Adaptive {
-            ibtc_entries,
-            sieve_buckets,
-            sieve_arity,
-        } => Arc::new(adaptive::Adaptive {
-            ibtc_entries,
-            sieve: sieve::Sieve {
-                buckets: sieve_buckets,
-            },
-            sieve_arity,
-        }),
-        StrategySpec::Predictive {
-            sieve_buckets,
-            probation,
-        } => Arc::new(predictive::Predictive {
-            sieve: sieve::Sieve {
-                buckets: sieve_buckets,
-            },
-            probation,
-        }),
-    }
-}
-
-/// Instantiates the return strategy for a configuration.
-pub(crate) fn instantiate_ret(ret: RetMechanism) -> Arc<dyn RetStrategy> {
-    match ret {
-        RetMechanism::AsIb => Arc::new(asib::AsIb),
-        RetMechanism::ReturnCache { entries } => Arc::new(retcache::ReturnCache { entries }),
-        RetMechanism::FastReturn => Arc::new(fastret::FastReturn),
-        RetMechanism::ShadowStack { depth } => Arc::new(shadow::ShadowStack { depth }),
-    }
-}
-
 /// Resolves the configuration's class policies into bindings: one
 /// [`Bind`] per distinct spec, plus the `[jump, call]` class→bind map.
 pub(crate) fn resolve_binds(cfg: &SdtConfig) -> (Vec<Bind>, [usize; 2]) {
     let jump = StrategySpec::resolve(cfg, BranchClass::Jump);
     let call = StrategySpec::resolve(cfg, BranchClass::Call);
-    let mut binds = vec![Bind::new(instantiate(jump))];
+    let mut binds = vec![Bind::new(jump)];
     let call_idx = if call == jump {
         0
     } else {
-        binds.push(Bind::new(instantiate(call)));
+        binds.push(Bind::new(call));
         1
     };
     (binds, [0, call_idx])
@@ -411,7 +548,6 @@ pub fn mechanism_registry() -> &'static [MechanismInfo] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{IbtcPlacement, IbtcScope};
 
     #[test]
     fn inherit_resolves_to_single_bind() {
@@ -419,7 +555,7 @@ mod tests {
         let (binds, class_bind) = resolve_binds(&cfg);
         assert_eq!(binds.len(), 1);
         assert_eq!(class_bind, [0, 0]);
-        assert_eq!(binds[0].strategy.id(), "ibtc");
+        assert_eq!(binds[0].spec.id(), "ibtc");
     }
 
     #[test]
@@ -432,8 +568,8 @@ mod tests {
         let (binds, class_bind) = resolve_binds(&cfg);
         assert_eq!(binds.len(), 2);
         assert_eq!(class_bind, [0, 1]);
-        assert_eq!(binds[0].strategy.id(), "ibtc");
-        assert_eq!(binds[1].strategy.id(), "sieve");
+        assert_eq!(binds[0].spec.id(), "ibtc");
+        assert_eq!(binds[1].spec.id(), "sieve");
     }
 
     #[test]
@@ -449,6 +585,60 @@ mod tests {
         let (binds, class_bind) = resolve_binds(&cfg);
         assert_eq!(binds.len(), 1);
         assert_eq!(class_bind, [0, 0]);
+    }
+
+    #[test]
+    fn every_mechanism_variant_is_registered() {
+        let registered = |id| mechanism_registry().iter().any(|m| m.id == id);
+        // One sample per variant. Each walk is a match with no wildcard,
+        // so a new variant breaks this build until it has a slot here,
+        // and the slot check holds the samples to one per slot.
+        let specs = [
+            StrategySpec::Reentry,
+            StrategySpec::Ibtc {
+                entries: 64,
+                scope: IbtcScope::Shared,
+                placement: IbtcPlacement::Inline,
+                ways: 1,
+            },
+            StrategySpec::Sieve { buckets: 64 },
+            StrategySpec::Adaptive {
+                ibtc_entries: 64,
+                sieve_buckets: 64,
+                sieve_arity: 4,
+            },
+            StrategySpec::Predictive {
+                sieve_buckets: 64,
+                probation: 16,
+            },
+        ];
+        let slot = |spec| match spec {
+            StrategySpec::Reentry => 0,
+            StrategySpec::Ibtc { .. } => 1,
+            StrategySpec::Sieve { .. } => 2,
+            StrategySpec::Adaptive { .. } => 3,
+            StrategySpec::Predictive { .. } => 4,
+        };
+        assert_eq!(specs.map(slot), [0, 1, 2, 3, 4]);
+        for spec in specs {
+            assert!(registered(spec.id()), "{} unregistered", spec.id());
+        }
+        let rets = [
+            RetMechanism::AsIb,
+            RetMechanism::ReturnCache { entries: 64 },
+            RetMechanism::FastReturn,
+            RetMechanism::ShadowStack { depth: 64 },
+        ];
+        let slot = |ret| match ret {
+            RetMechanism::AsIb => 0,
+            RetMechanism::ReturnCache { .. } => 1,
+            RetMechanism::FastReturn => 2,
+            RetMechanism::ShadowStack { .. } => 3,
+        };
+        assert_eq!(rets.map(slot), [0, 1, 2, 3]);
+        for ret in rets {
+            assert!(registered(ret.id()), "{} unregistered", ret.id());
+        }
     }
 
     #[test]

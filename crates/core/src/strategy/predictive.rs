@@ -30,13 +30,9 @@
 
 use strata_machine::Memory;
 
-use crate::config::BranchClass;
-use crate::emitter::TableAlloc;
-use crate::fragment::{Fragment, Site};
+use crate::fragment::Site;
 use crate::sdt::SdtState;
 use crate::strategy::adaptive::{emit_promoting_site, promote_to_sieve, AdaptiveStage};
-use crate::strategy::sieve::Sieve;
-use crate::strategy::{Bind, IbStrategy};
 use crate::SdtError;
 
 /// Cap on distinct targets tracked (and pre-installed) per site; a
@@ -44,117 +40,68 @@ use crate::SdtError;
 /// miss path after promotion instead.
 const MAX_OBSERVED: usize = 64;
 
-#[derive(Debug)]
-pub(crate) struct Predictive {
-    /// The sieve every site of the binding promotes into.
-    pub sieve: Sieve,
-    pub probation: u32,
+/// Emits a predictive site of binding `bind` in its observation stage:
+/// the entry jump falls straight through to the site miss path, so every
+/// dispatch traps, which is what makes the tallied frequencies exact.
+pub(crate) fn emit_probe(st: &mut SdtState, mem: &mut Memory, bind: usize) -> Result<(), SdtError> {
+    emit_promoting_site(st, mem, bind, |st, mem, site| {
+        st.cache
+            .emit_site_glue(mem, site, st.stubs.miss_tail_stack_flags)?;
+        Ok(AdaptiveStage::Observe)
+    })
 }
 
-impl IbStrategy for Predictive {
-    fn id(&self) -> &'static str {
-        "predictive"
-    }
-
-    fn describe(&self) -> String {
-        format!("predictive({},{})", self.sieve.buckets, self.probation)
-    }
-
-    fn alloc_fixed(&self, bind: &mut Bind, alloc: &mut TableAlloc) -> Result<(), SdtError> {
-        self.sieve.alloc_fixed(bind, alloc)
-    }
-
-    fn reset(&self, bind: &mut Bind, mem: &mut Memory, miss_glue: u32) -> Result<(), SdtError> {
-        self.sieve.reset(bind, mem, miss_glue)
-    }
-
-    fn emit_probe(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        _class: BranchClass,
-    ) -> Result<(), SdtError> {
-        // The entry jump falls straight through to the site miss path:
-        // during observation every dispatch traps, which is what makes
-        // the tallied frequencies exact.
-        emit_promoting_site(st, mem, bind, |st, mem, site| {
-            st.cache
-                .emit_site_glue(mem, site, st.stubs.miss_tail_stack_flags)?;
-            Ok(AdaptiveStage::Observe)
-        })
-    }
-
-    fn on_shared_miss(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        target: u32,
-        frag_entry: u32,
-    ) -> Result<(), SdtError> {
-        // A promoted probe's hash led to a chain without this target:
-        // extend the chain, exactly like a plain sieve.
-        self.sieve.on_shared_miss(st, mem, bind, target, frag_entry)
-    }
-
-    fn on_site_miss(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        site: u32,
-        target: u32,
-        frag: Fragment,
-    ) -> Result<(), SdtError> {
-        let Site::Adaptive { idx, .. } = st.sites[site as usize] else {
-            unreachable!("predictive site misses carry an adaptive site id");
-        };
-        let idx = idx as usize;
-        let stage = st.adaptive[idx].stage;
-        match stage {
-            AdaptiveStage::Observe => {
-                let a = &mut st.adaptive[idx];
-                if let Some(i) = a.targets.iter().position(|&t| t == target) {
-                    a.counts[i] += 1;
-                } else if a.targets.len() < MAX_OBSERVED {
-                    a.targets.push(target);
-                    a.counts.push(1);
-                    a.frags.push(frag.entry);
-                }
-                let observed: u64 = a.counts.iter().sum();
-                if observed >= self.probation as u64 {
-                    self.promote(st, mem, bind, idx)?;
-                }
+/// Services a miss at predictive site `site` of binding `bind`: tallies
+/// the target while observing and promotes the site once `probation`
+/// dispatches have been observed; a promoted site extends its chain.
+pub(crate) fn on_site_miss(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    bind: usize,
+    site: u32,
+    target: u32,
+    frag_entry: u32,
+    probation: u32,
+) -> Result<(), SdtError> {
+    let Site::Adaptive { idx, .. } = st.sites[site as usize] else {
+        unreachable!("predictive site misses carry an adaptive site id");
+    };
+    let idx = idx as usize;
+    let stage = st.adaptive[idx].stage;
+    match stage {
+        AdaptiveStage::Observe => {
+            let a = &mut st.adaptive[idx];
+            if let Some(i) = a.targets.iter().position(|&t| t == target) {
+                a.counts[i] += 1;
+            } else if a.targets.len() < MAX_OBSERVED {
+                a.targets.push(target);
+                a.counts.push(1);
+                a.frags.push(frag_entry);
             }
-            AdaptiveStage::Sieve => {
-                st.sieve_install(mem, bind, target, frag.entry)?;
+            let observed: u64 = a.counts.iter().sum();
+            if observed >= probation as u64 {
+                promote(st, mem, bind, idx)?;
             }
-            _ => unreachable!("predictive sites only observe or sieve"),
         }
-        Ok(())
+        AdaptiveStage::Sieve => {
+            st.sieve_install(mem, bind, target, frag_entry)?;
+        }
+        _ => unreachable!("predictive sites only observe or sieve"),
     }
+    Ok(())
 }
 
-impl Predictive {
-    /// Re-emits the site as a sieve hash probe and pre-installs every
-    /// observed target's stanza in descending (count, first-seen) order.
-    /// On [`SdtError::CacheFull`] the site is left unpromoted (the
-    /// caller flushes anyway, which discards the whole site).
-    fn promote(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        bind: usize,
-        idx: usize,
-    ) -> Result<(), SdtError> {
-        // The sieve appends at each chain's tail, so installing in
-        // descending-frequency order puts the hottest target first in
-        // its chain. Ties break on first-seen order for determinism.
-        let a = &st.adaptive[idx];
-        let mut order: Vec<usize> = (0..a.targets.len()).collect();
-        order.sort_by(|&x, &y| a.counts[y].cmp(&a.counts[x]).then(x.cmp(&y)));
-        let pairs: Vec<(u32, u32)> = order.iter().map(|&i| (a.targets[i], a.frags[i])).collect();
-        promote_to_sieve(st, mem, bind, idx, &pairs)
-    }
+/// Re-emits the site as a sieve hash probe and pre-installs every
+/// observed target's stanza in descending (count, first-seen) order.
+/// On [`SdtError::CacheFull`] the site is left unpromoted (the caller
+/// flushes anyway, which discards the whole site).
+fn promote(st: &mut SdtState, mem: &mut Memory, bind: usize, idx: usize) -> Result<(), SdtError> {
+    // The sieve appends at each chain's tail, so installing in
+    // descending-frequency order puts the hottest target first in its
+    // chain. Ties break on first-seen order for determinism.
+    let a = &st.adaptive[idx];
+    let mut order: Vec<usize> = (0..a.targets.len()).collect();
+    order.sort_by(|&x, &y| a.counts[y].cmp(&a.counts[x]).then(x.cmp(&y)));
+    let pairs: Vec<(u32, u32)> = order.iter().map(|&i| (a.targets[i], a.frags[i])).collect();
+    promote_to_sieve(st, mem, bind, idx, &pairs)
 }

@@ -13,78 +13,49 @@ use crate::config::BranchClass;
 use crate::dispatch::{CallPush, TargetSource};
 use crate::emitter::TableAlloc;
 use crate::sdt::SdtState;
-use crate::strategy::{RetStrategy, RetTables};
 use crate::tables::TableRef;
 use crate::{Origin, SdtError};
 
-#[derive(Debug)]
-pub(crate) struct ReturnCache {
-    pub entries: u32,
+/// Allocates a return cache of `entries` entries.
+pub(crate) fn alloc_table(alloc: &mut TableAlloc, entries: u32) -> Result<TableRef, SdtError> {
+    let base = alloc.alloc(entries * 4, 0x1_0000)?;
+    Ok(TableRef {
+        base,
+        mask: entries - 1,
+        entry_bytes: 4,
+    })
 }
 
-impl RetStrategy for ReturnCache {
-    fn id(&self) -> &'static str {
-        "retcache"
-    }
+/// Points every return-cache entry at the miss stub.
+pub(crate) fn reset(st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
+    let t = st.rc_tab.expect("return cache allocated");
+    t.fill_all(mem, st.stubs.rc_miss)?;
+    Ok(())
+}
 
-    fn describe(&self) -> String {
-        format!("rc({})", self.entries)
-    }
-
-    fn alloc_fixed(&self, alloc: &mut TableAlloc) -> Result<RetTables, SdtError> {
-        let base = alloc.alloc(self.entries * 4, 0x1_0000)?;
-        Ok((
-            Some(TableRef {
-                base,
-                mask: self.entries - 1,
-                entry_bytes: 4,
-            }),
-            None,
-        ))
-    }
-
-    fn reset(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
-        let t = st.rc_tab.expect("return cache allocated");
-        t.fill_all(mem, st.stubs.rc_miss)?;
-        Ok(())
-    }
-
-    fn call_push(&self, ret_app: u32) -> CallPush {
-        CallPush::AppAddr(ret_app)
-    }
-
-    fn emit_ret(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
-        let d = Origin::Dispatch;
-        st.emit_dispatch_frame(
-            mem,
-            TargetSource::PoppedReturn,
-            CallPush::None,
-            BranchClass::Ret,
-        )?;
-        let table = st.rc_tab.expect("return cache allocated");
-        st.cache.emit_hash(mem, table)?;
-        st.cache.emit(
-            mem,
-            Instr::Lw {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                off: 0,
-            },
-            d,
-        )?;
-        // r1–r3 are dead until the target's restore sequence reloads them,
-        // so the transfer can go straight through r2 — no jump slot needed.
-        st.cache.emit(mem, Instr::Jr { rs: Reg::R2 }, d)?;
-        Ok(())
-    }
-
-    fn emit_direct_call(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        target: u32,
-        ret_app: u32,
-    ) -> Result<(), SdtError> {
-        st.emit_transparent_direct_call(mem, target, ret_app)
-    }
+/// Emits a `ret` as a hash of the popped return address and an
+/// unconditional jump through the cache.
+pub(crate) fn emit_ret(st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
+    let d = Origin::Dispatch;
+    st.emit_dispatch_frame(
+        mem,
+        TargetSource::PoppedReturn,
+        CallPush::None,
+        BranchClass::Ret,
+    )?;
+    let table = st.rc_tab.expect("return cache allocated");
+    st.cache.emit_hash(mem, table)?;
+    st.cache.emit(
+        mem,
+        Instr::Lw {
+            rd: Reg::R2,
+            rs1: Reg::R2,
+            off: 0,
+        },
+        d,
+    )?;
+    // r1–r3 are dead until the target's restore sequence reloads them,
+    // so the transfer can go straight through r2 — no jump slot needed.
+    st.cache.emit(mem, Instr::Jr { rs: Reg::R2 }, d)?;
+    Ok(())
 }

@@ -12,168 +12,152 @@ use crate::dispatch::{CallPush, TargetSource};
 use crate::emitter::TableAlloc;
 use crate::protocol::{SLOT_R1, SLOT_R2, SLOT_R3, SLOT_SHADOW_SP};
 use crate::sdt::SdtState;
-use crate::strategy::{RetStrategy, RetTables};
 use crate::{Origin, SdtError};
 
-#[derive(Debug)]
-pub(crate) struct ShadowStack {
-    pub depth: u32,
+/// Allocates a shadow stack of `depth` pairs: `(base, byte mask)`.
+pub(crate) fn alloc_region(alloc: &mut TableAlloc, depth: u32) -> Result<(u32, u32), SdtError> {
+    let base = alloc.alloc(depth * 8, 8)?;
+    Ok((base, depth * 8 - 1))
 }
 
-impl RetStrategy for ShadowStack {
-    fn id(&self) -> &'static str {
-        "shadow"
+/// Empties the stack: its entries point at discarded code.
+pub(crate) fn reset(st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
+    let (base, mask) = st.shadow.expect("shadow stack allocated");
+    for off in (0..=mask).step_by(4) {
+        mem.write_u32(base + off, 0)?;
     }
+    mem.write_u32(SLOT_SHADOW_SP, 0)?;
+    Ok(())
+}
 
-    fn describe(&self) -> String {
-        format!("shadow({})", self.depth)
-    }
+/// Emits a `ret` as a shadow-stack pop verified against the popped
+/// application return address.
+pub(crate) fn emit_ret(st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
+    let d = Origin::Dispatch;
+    let (base, mask) = st.shadow.expect("shadow stack allocated");
+    st.emit_dispatch_frame(
+        mem,
+        TargetSource::PoppedReturn,
+        CallPush::None,
+        BranchClass::Ret,
+    )?;
+    st.cache.emit(
+        mem,
+        Instr::Lwa {
+            rd: Reg::R2,
+            addr: SLOT_SHADOW_SP,
+        },
+        d,
+    )?;
+    st.cache.emit(
+        mem,
+        Instr::Addi {
+            rd: Reg::R2,
+            rs1: Reg::R2,
+            imm: -8,
+        },
+        d,
+    )?;
+    st.cache.emit(
+        mem,
+        Instr::Andi {
+            rd: Reg::R2,
+            rs1: Reg::R2,
+            imm: mask as u16,
+        },
+        d,
+    )?;
+    st.cache.emit_li(mem, Reg::R3, base, d)?;
+    st.cache.emit(
+        mem,
+        Instr::Add {
+            rd: Reg::R3,
+            rs1: Reg::R3,
+            rs2: Reg::R2,
+        },
+        d,
+    )?;
+    // Commit the pop before the verify: on fallback the translator
+    // resolves the target anyway and stale shadow entries only cost
+    // another fallback.
+    st.cache.emit(
+        mem,
+        Instr::Swa {
+            rs: Reg::R2,
+            addr: SLOT_SHADOW_SP,
+        },
+        d,
+    )?;
+    // The popped pair is a one-way tag compare: application address
+    // as the tag, translated address as the fragment.
+    let nofill = st.stubs.nofill_miss_glue;
+    st.emit_tag_probe(mem, Reg::R3, Reg::R2, 1, None, nofill)
+}
 
-    fn alloc_fixed(&self, alloc: &mut TableAlloc) -> Result<RetTables, SdtError> {
-        let base = alloc.alloc(self.depth * 8, 8)?;
-        Ok((None, Some((base, self.depth * 8 - 1))))
-    }
-
-    fn reset(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
-        // Shadow entries point at discarded code; empty the stack.
-        let (base, mask) = st.shadow.expect("shadow stack allocated");
-        for off in (0..=mask).step_by(4) {
-            mem.write_u32(base + off, 0)?;
-        }
-        mem.write_u32(SLOT_SHADOW_SP, 0)?;
-        Ok(())
-    }
-
-    fn call_push(&self, ret_app: u32) -> CallPush {
-        CallPush::AppAddrWithShadow(ret_app)
-    }
-
-    fn emit_ret(&self, st: &mut SdtState, mem: &mut Memory) -> Result<(), SdtError> {
-        let d = Origin::Dispatch;
-        let (base, mask) = st.shadow.expect("shadow stack allocated");
-        st.emit_dispatch_frame(
-            mem,
-            TargetSource::PoppedReturn,
-            CallPush::None,
-            BranchClass::Ret,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: Reg::R2,
-                addr: SLOT_SHADOW_SP,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Addi {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                imm: -8,
-            },
-            d,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Andi {
-                rd: Reg::R2,
-                rs1: Reg::R2,
-                imm: mask as u16,
-            },
-            d,
-        )?;
-        st.cache.emit_li(mem, Reg::R3, base, d)?;
-        st.cache.emit(
-            mem,
-            Instr::Add {
-                rd: Reg::R3,
-                rs1: Reg::R3,
-                rs2: Reg::R2,
-            },
-            d,
-        )?;
-        // Commit the pop before the verify: on fallback the translator
-        // resolves the target anyway and stale shadow entries only cost
-        // another fallback.
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R2,
-                addr: SLOT_SHADOW_SP,
-            },
-            d,
-        )?;
-        // The popped pair is a one-way tag compare: application address
-        // as the tag, translated address as the fragment.
-        let nofill = st.stubs.nofill_miss_glue;
-        st.emit_tag_probe(mem, Reg::R3, Reg::R2, 1, None, nofill)
-    }
-
-    fn emit_direct_call(
-        &self,
-        st: &mut SdtState,
-        mem: &mut Memory,
-        target: u32,
-        ret_app: u32,
-    ) -> Result<(), SdtError> {
-        let g = Origin::CallGlue;
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R1,
-                addr: SLOT_R1,
-            },
-            g,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R2,
-                addr: SLOT_R2,
-            },
-            g,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Swa {
-                rs: Reg::R3,
-                addr: SLOT_R3,
-            },
-            g,
-        )?;
-        st.cache.emit_li(mem, Reg::R1, ret_app, g)?;
-        st.cache.emit(mem, Instr::Push { rs: Reg::R1 }, g)?;
-        let patch = emit_shadow_push(st, mem, ret_app)?;
-        st.cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: Reg::R3,
-                addr: SLOT_R3,
-            },
-            g,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: Reg::R2,
-                addr: SLOT_R2,
-            },
-            g,
-        )?;
-        st.cache.emit(
-            mem,
-            Instr::Lwa {
-                rd: Reg::R1,
-                addr: SLOT_R1,
-            },
-            g,
-        )?;
-        st.emit_exit(mem, target)?;
-        let ret_frag = st.ensure_fragment(mem, ret_app, crate::fragment::FragKind::Body)?;
-        st.cache.patch_li(mem, patch, Reg::R2, ret_frag.entry)?;
-        Ok(())
-    }
+/// Translates a direct call returning to `ret_app`: push the application
+/// return address and the shadow pair, then exit to the callee.
+pub(crate) fn emit_direct_call(
+    st: &mut SdtState,
+    mem: &mut Memory,
+    target: u32,
+    ret_app: u32,
+) -> Result<(), SdtError> {
+    let g = Origin::CallGlue;
+    st.cache.emit(
+        mem,
+        Instr::Swa {
+            rs: Reg::R1,
+            addr: SLOT_R1,
+        },
+        g,
+    )?;
+    st.cache.emit(
+        mem,
+        Instr::Swa {
+            rs: Reg::R2,
+            addr: SLOT_R2,
+        },
+        g,
+    )?;
+    st.cache.emit(
+        mem,
+        Instr::Swa {
+            rs: Reg::R3,
+            addr: SLOT_R3,
+        },
+        g,
+    )?;
+    st.cache.emit_li(mem, Reg::R1, ret_app, g)?;
+    st.cache.emit(mem, Instr::Push { rs: Reg::R1 }, g)?;
+    let patch = emit_shadow_push(st, mem, ret_app)?;
+    st.cache.emit(
+        mem,
+        Instr::Lwa {
+            rd: Reg::R3,
+            addr: SLOT_R3,
+        },
+        g,
+    )?;
+    st.cache.emit(
+        mem,
+        Instr::Lwa {
+            rd: Reg::R2,
+            addr: SLOT_R2,
+        },
+        g,
+    )?;
+    st.cache.emit(
+        mem,
+        Instr::Lwa {
+            rd: Reg::R1,
+            addr: SLOT_R1,
+        },
+        g,
+    )?;
+    st.emit_exit(mem, target)?;
+    let ret_frag = st.ensure_fragment(mem, ret_app, crate::fragment::FragKind::Body)?;
+    st.cache.patch_li(mem, patch, Reg::R2, ret_frag.entry)?;
+    Ok(())
 }
 
 /// Emits the shadow-stack push: stores `(app_ret, translated_ret)` at the

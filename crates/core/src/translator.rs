@@ -1,9 +1,9 @@
 //! The basic-block translator: decodes application code and emits
 //! fragments into the cache. Indirect control transfers are delegated to
-//! the branch class's bound [`IbStrategy`](crate::strategy::IbStrategy)
-//! (jumps/calls) or the configured
-//! [`RetStrategy`](crate::strategy::RetStrategy) (returns, direct-call
-//! return glue).
+//! the mechanism of the branch class's binding
+//! ([`StrategySpec`](crate::strategy::StrategySpec), jumps/calls) or the
+//! configured [`RetMechanism`](crate::config::RetMechanism) (returns,
+//! direct-call return glue).
 
 use strata_isa::{Instr, Reg};
 use strata_machine::syscall::SDT_TRAP_BASE;
@@ -226,8 +226,7 @@ impl SdtState {
                 }
                 Instr::Call { target } => {
                     let scratch_base = self.exit_scratch.len();
-                    let ret = self.ret_strat.clone();
-                    ret.emit_direct_call(self, mem, target, next)?;
+                    self.cfg.ret.emit_direct_call(self, mem, target, next)?;
                     debug_assert_eq!(
                         self.exit_scratch.len(),
                         scratch_base + 1,
@@ -242,7 +241,7 @@ impl SdtState {
                     );
                 }
                 Instr::Callr { rs } => {
-                    let push = self.ret_strat.call_push(next);
+                    let push = self.cfg.ret.call_push(next);
                     let sites_before = self.sites.len();
                     let patch =
                         self.emit_ib_dispatch(mem, TargetSource::Reg(rs), push, BranchClass::Call)?;
@@ -283,8 +282,7 @@ impl SdtState {
                 }
                 Instr::Ret => {
                     let sites_before = self.sites.len();
-                    let ret = self.ret_strat.clone();
-                    ret.emit_ret(self, mem)?;
+                    self.cfg.ret.emit_ret(self, mem)?;
                     let site = (self.sites.len() > sites_before).then_some(sites_before as u32);
                     break (pc, Terminal::Ret { site });
                 }

@@ -34,7 +34,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use strata_arch::ArchModel;
+use strata_arch::{ArchModel, PredictorSpec};
 use strata_core::{run_native_models, Sdt};
 use strata_machine::{ExecTier, Program};
 use strata_workloads::{by_name, Params, SAMPLED_ONLY_SCALE};
@@ -197,7 +197,9 @@ fn compute(
 /// baselines, translated cells estimated from the trace by one replay
 /// priced under each cell's model (the context's predictor over the
 /// cell's profile). A bundle or replay failure fails every cell; a
-/// profile the trace has no baseline for fails its own cell.
+/// profile the trace has no baseline for fails its own cell. The
+/// header's baselines are priced under the legacy predictor, so under
+/// any other the natives fail rather than mix two predictors.
 fn estimate(
     ctx: &RunContext,
     dir: &Path,
@@ -205,6 +207,11 @@ fn estimate(
 ) -> Vec<Result<CellResult, (Stage, String)>> {
     let (workload, params) = (keys[0].workload, keys[0].params);
     let estimated: Result<Vec<Result<CellResult, String>>, String> = match &keys[0].kind {
+        RunKind::Native if ctx.predictor != PredictorSpec::Legacy => Err(format!(
+            "sampled native baselines are priced under the legacy predictor, \
+             not {}",
+            ctx.predictor.label()
+        )),
         RunKind::Native => ensure_bundle(dir, workload, params).map(|bundle| {
             let native = |key: &&CellKey| {
                 let arch = key.profile.name;
@@ -490,6 +497,30 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&traces);
+    }
+
+    /// A trace's native baselines are priced under the legacy predictor,
+    /// so a sampled native under another fails at estimation, naming
+    /// why, before any trace is recorded.
+    #[test]
+    fn sampled_natives_refuse_a_non_legacy_predictor() {
+        let traces = std::env::temp_dir().join(format!("strata-pred-{}", std::process::id()));
+        let ctx = RunContext {
+            mode: crate::Mode::Sampled {
+                traces_dir: traces.clone(),
+            },
+            predictor: PredictorSpec::Ittage { tables: 4 },
+        };
+        let store = Store::new(ctx, None);
+        let native = CellKey::native("gzip", ArchProfile::x86_like(), Params::default());
+        let failed = cell_result(&store, &native);
+        let (stage, error) = failed.as_failed().expect("a failed cell");
+        assert_eq!(stage, Stage::Estimate);
+        assert!(
+            error.contains("legacy") && error.contains("ittage:4"),
+            "{error}"
+        );
+        assert!(!traces.exists(), "no trace recorded for a refused cell");
     }
 
     #[test]

@@ -550,8 +550,15 @@ fn verify_cmd(args: &[String]) -> Result<(), String> {
         Some(other) => return Err(format!("unknown --format `{other}` (text|json)")),
     };
 
-    // (config spec, policy spec) pairs to verify.
-    let specs: Vec<(String, String)> = if args.iter().any(|a| a == "--all") {
+    // (config spec, policy spec) pairs to verify. `--all` is its own
+    // sweep: a spec beside it would be ignored, so it is refused.
+    let all = args.iter().any(|a| a == "--all");
+    if all && args.iter().any(|a| a == "--config" || a == "--ib-policy") {
+        return Err(
+            "--all verifies its own sweep; it takes neither --config nor --ib-policy".into(),
+        );
+    }
+    let specs: Vec<(String, String)> = if all {
         VERIFY_SWEEP
             .iter()
             .map(|&(c, p)| (c.to_string(), p.to_string()))
@@ -579,7 +586,7 @@ fn verify_cmd(args: &[String]) -> Result<(), String> {
     // on the superblocks a real native run of each workload promotes.
     let mut tier_entries: Vec<(&'static str, &'static str, analysis::TierReport)> = Vec::new();
     if args.iter().any(|a| a == "--validate-tiers") {
-        let sweep: Vec<&'static str> = if args.iter().any(|a| a == "--all") {
+        let sweep: Vec<&'static str> = if all {
             registry().iter().map(|w| w.name).collect()
         } else {
             vec![workload.name]

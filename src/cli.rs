@@ -128,13 +128,26 @@ pub fn parse_params(args: &[String]) -> Result<Params, String> {
 ///
 /// # Errors
 ///
-/// Returns a message for a stray `--traces` or a malformed `--predictor`
-/// (see [`parse_predictor`]).
+/// Returns a message for a stray `--traces`, a malformed `--predictor`
+/// (see [`parse_predictor`]), or a predictor other than `legacy` in
+/// sampled mode: its native baselines come from the trace header, which
+/// is priced under the legacy predictor, so the ratio would mix two.
 pub fn parse_context(args: &[String], always_sampled: bool) -> Result<RunContext, String> {
     let sampled = always_sampled || args.iter().any(|a| a == "--sampled");
     let traces = parse_flag(args, "--traces");
     if traces.is_some() && !sampled {
         return Err("--traces only applies with --sampled".into());
+    }
+    let predictor = match parse_flag(args, "--predictor") {
+        Some(spec) => parse_predictor(&spec)?,
+        None => PredictorSpec::Legacy,
+    };
+    if sampled && predictor != PredictorSpec::Legacy {
+        return Err(format!(
+            "--predictor {} prices exact runs only: sampled (--sampled) native baselines \
+             come from the trace, priced under the legacy predictor",
+            predictor.label()
+        ));
     }
     Ok(RunContext {
         mode: if sampled {
@@ -144,10 +157,7 @@ pub fn parse_context(args: &[String], always_sampled: bool) -> Result<RunContext
         } else {
             Mode::Exact
         },
-        predictor: match parse_flag(args, "--predictor") {
-            Some(spec) => parse_predictor(&spec)?,
-            None => PredictorSpec::Legacy,
-        },
+        predictor,
     })
 }
 
@@ -171,7 +181,8 @@ pub struct SuiteArgs {
 /// # Errors
 ///
 /// Returns a message for a malformed `--format`, `--scale`, `--variant`,
-/// `--predictor`, or a stray `--traces`.
+/// `--predictor`, a stray `--traces`, or `--sampled` with a non-legacy
+/// `--predictor`.
 pub fn parse_suite(args: &[String]) -> Result<SuiteArgs, String> {
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let mut opts = SuiteOptions {
@@ -498,6 +509,11 @@ mod tests {
             ("jump=reentry:9", "`reentry` takes no argument", 13, 1),
             ("ret=asib:2", "`asib` takes no argument", 9, 1),
             ("ret=fastret:9", "`fastret` takes no argument", 12, 1),
+            // A missing size points at the end of its own token, also
+            // where that token ends the spec.
+            ("ret=rc,jump=sieve:64", "bad size ``", 6, 1),
+            ("ret=rc", "bad size ``", 6, 1),
+            ("jump=sieve,call=ibtc:64", "bad size ``", 10, 1),
         ] {
             let mut cfg = SdtConfig::ibtc_inline(4096);
             let err =
@@ -632,11 +648,15 @@ mod tests {
         );
         assert_eq!(
             parse(
-                &["--sampled", "--traces", "t", "--predictor", "ittage"],
+                &["--sampled", "--traces", "t", "--predictor", "legacy"],
                 false
             ),
-            Ok(sampled("t", PredictorSpec::Ittage { tables: 4 }))
+            Ok(sampled("t", PredictorSpec::Legacy))
         );
+        // Sampled natives come from the trace, priced under the legacy
+        // predictor: any other would divide cycles of two predictors.
+        let err = parse(&["--sampled", "--predictor", "ittage"], false).unwrap_err();
+        assert!(err.contains("--predictor ittage:4") && err.contains("legacy"));
         // `trace` verbs are sampled by construction; elsewhere a stray
         // `--traces` is an error, not a silent exact run.
         assert_eq!(

@@ -118,3 +118,31 @@ fn exact_mode_refuses_sampled_only_scales_with_an_error() {
     let message = "error: gzip at scale 10 is sampled-only; run with --sampled";
     assert_refused(strata(&args), 1, message);
 }
+
+#[test]
+fn verify_all_refuses_the_specs_it_would_ignore() {
+    // `verify --all --config frob` used to verify the sweep and exit 0.
+    let message = "error: --all verifies its own sweep; it takes neither --config nor --ib-policy";
+    for args in [
+        &["verify", "--all", "--config", "frob"][..],
+        &["verify", "perlbmk", "--ib-policy", "jump=sieve:64", "--all"],
+    ] {
+        assert_refused(strata(args), 1, message);
+    }
+}
+
+#[test]
+fn sampled_bench_refuses_a_non_legacy_predictor() {
+    // Sampled natives come from the trace header, priced under the
+    // legacy predictor: any other would divide cycles of two predictors.
+    let args = [
+        "bench",
+        "--sampled",
+        "--predictor",
+        "ittage",
+        "--no-artifacts",
+    ];
+    let message = "error: --predictor ittage:4 prices exact runs only: sampled (--sampled) \
+                   native baselines come from the trace, priced under the legacy predictor";
+    assert_refused(strata(&args), 1, message);
+}

@@ -26,15 +26,13 @@
 //! [`DispatchReplay`]: strata_core::DispatchReplay
 //! [`RunContext::model`]: crate::RunContext::model
 
-use std::path::Path;
-
 use strata_arch::ArchProfile;
 use strata_core::{rate, SdtConfig};
 use strata_stats::{Estimate, Table};
 
 use super::Output;
 use crate::cell::CellKey;
-use crate::sampled::{ensure_bundle, estimate_cell, full_trace_pass};
+use crate::sampled::{estimate_bundle, full_trace_pass};
 use crate::view::View;
 
 /// CI gate: maximum relative error of any gated dispatch-count estimate.
@@ -87,13 +85,6 @@ fn bar(e: &Estimate) -> f64 {
 /// Renders Figure 21, or why a bundle, estimate or replay failed.
 pub fn render(view: &View) -> Result<Output, String> {
     let x86 = ArchProfile::x86_like();
-    // The traces directory this render reads (and, on first run, records
-    // into): the context's in sampled mode, otherwise the default
-    // reference location.
-    let dir = view
-        .context()
-        .traces_dir()
-        .unwrap_or(Path::new(crate::sampled::DEFAULT_TRACES_DIR));
     let model = || view.context().model(x86.clone());
     let mut out = Output::default();
     let mut t = Table::new(
@@ -117,7 +108,10 @@ pub fn render(view: &View) -> Result<Output, String> {
     let mut coverage_notes = Vec::new();
 
     for &workload in &WORKLOADS {
-        let bundle = ensure_bundle(dir, workload, view.params())?;
+        // Read from the run's traces directory: the context's in sampled
+        // mode, otherwise the default reference location (recorded there
+        // on first run).
+        let bundle = view.bundles().read(workload, view.params())?;
         coverage_notes.push(format!(
             "  {:<8} {} intervals of {} instrs, {} simulation points ({:.1}% coverage)",
             workload,
@@ -129,7 +123,8 @@ pub fn render(view: &View) -> Result<Output, String> {
         let cfgs = representatives().map(|(_, cfg)| cfg);
         let truths = full_trace_pass(&bundle, workload, view.params(), &cfgs, model)?;
         for ((figure, cfg), (truth, counters)) in representatives().into_iter().zip(truths) {
-            let cell = estimate_cell(dir, workload, view.params(), cfg, model())?;
+            let models = vec![model()];
+            let cell = estimate_bundle(&bundle, workload, view.params(), cfg, models)?.remove(0)?;
             max_work = max_work.max(cell.work_fraction());
             trace_total += cell.trace_records;
             replayed_total += cell.replayed_records;

@@ -18,8 +18,9 @@
 //! Each (mechanism, predictor) cell is priced under the model
 //! [`RunContext::model`] builds for that predictor, and each mechanism
 //! runs once under all five models: in exact mode one
-//! [`Sdt::run_models`], under `--sampled` one SimPoint replay via
-//! [`estimate_cells`]. Both are deterministic functions of the workload
+//! [`Sdt::run_models`], under `--sampled` one SimPoint replay of the
+//! run's bundle (the one
+//! [`estimate_cells`](crate::sampled::estimate_cells) would load). Both are deterministic functions of the workload
 //! (and, in sampled mode, its recorded trace), so the render is
 //! byte-stable. Like fig21,
 //! `cells` contributes only the shared native baseline — the sweep
@@ -33,7 +34,7 @@ use strata_stats::Table;
 use super::{fx, Output};
 use crate::cell::CellKey;
 use crate::exec::{program_for, FUEL};
-use crate::sampled::estimate_cells;
+use crate::sampled::{estimate_bundle, SampledCell};
 use crate::view::View;
 use crate::RunContext;
 
@@ -90,12 +91,18 @@ fn mechanism_cycles(view: &View, cfg: SdtConfig) -> Result<Vec<(u64, u64)>, Stri
         };
         ctx.model(ArchProfile::x86_like())
     });
+    let params = view.params();
     let reports = match view.context().traces_dir() {
-        Some(dir) => estimate_cells(dir, WORKLOAD, view.params(), cfg, models.into())?
-            .into_iter()
-            .map(|cell| Ok(cell?.report))
-            .collect::<Result<Vec<_>, String>>()?,
-        None => Sdt::new(cfg, &*program_for(WORKLOAD, view.params())?)
+        Some(_) => {
+            let bundle = view.bundles().read(WORKLOAD, params)?;
+            let cells = estimate_bundle(&bundle, WORKLOAD, params, cfg, models.into())?;
+            let report = |cell: Result<SampledCell, String>| Ok(cell?.report);
+            cells
+                .into_iter()
+                .map(report)
+                .collect::<Result<_, String>>()?
+        }
+        None => Sdt::new(cfg, &*program_for(WORKLOAD, params)?)
             .and_then(|mut s| s.run_models(models.into(), FUEL))
             .map_err(|e| format!("{}: {e}", cfg.describe()))?,
     };

@@ -19,15 +19,22 @@ pub struct Experiment {
     pub cells: fn(Params) -> Vec<CellKey>,
     /// Renders tables + notes from memoized cells, or says why it cannot.
     pub render: fn(&View) -> Result<Output, String>,
+    /// Whether the render may read the trace bundles of the (workload,
+    /// params) its cells are at, which then stay resident until it ends.
+    pub reads_bundles: bool,
 }
 
 macro_rules! experiment {
     ($id:literal, $module:ident, $title:literal) => {
+        experiment!($id, $module, $title, reads_bundles: false)
+    };
+    ($id:literal, $module:ident, $title:literal, reads_bundles: $reads:literal) => {
         Experiment {
             id: $id,
             title: $title,
             cells: experiments::$module::cells,
             render: experiments::$module::render,
+            reads_bundles: $reads,
         }
     };
 }
@@ -114,12 +121,14 @@ pub fn registry() -> &'static [Experiment] {
         experiment!(
             "fig21",
             fig21_sampled_fidelity,
-            "Sampled-simulation fidelity: estimates vs exact trace replay"
+            "Sampled-simulation fidelity: estimates vs exact trace replay",
+            reads_bundles: true
         ),
         experiment!(
             "fig22",
             fig22_predictor_reranking,
-            "Mechanism re-ranking across hardware target-predictor models"
+            "Mechanism re-ranking across hardware target-predictor models",
+            reads_bundles: true
         ),
         experiment!(
             "table2",

@@ -8,7 +8,9 @@
 //! stale or hash-colliding files are ignored rather than trusted. A
 //! failed cell is memoized like any result but never written to disk
 //! (see [`Store::failures`]). The store is only that memo and that disk
-//! cache; it reads no other file in the cache directory and deletes none.
+//! cache, plus the run's trace bundles (held while the cells and renders
+//! that read them run; see [`crate::sampled`]); it reads no other file
+//! in the cache directory and deletes none.
 //!
 //! Every store belongs to one [`RunContext`] and keeps its memo entries
 //! and disk records under that context's
@@ -18,7 +20,7 @@
 //! disjoint.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -29,6 +31,7 @@ use strata_trace::fnv1a64;
 use crate::cell::{CellKey, CellResult, Stage};
 use crate::context::RunContext;
 use crate::fsutil::atomic_write;
+use crate::sampled::{Bundles, DEFAULT_TRACES_DIR};
 
 /// On-disk record format version; bump on any layout change.
 const DISK_VERSION: &str = "strata-cell-v2";
@@ -60,6 +63,9 @@ pub struct Store {
     /// flag — a render's failure check — is ordered after the insert by
     /// the pool's phase boundary, a thread join.
     any_failed: AtomicBool,
+    /// The run's trace bundles, from the context's traces directory (the
+    /// default one in exact mode, where fig21 alone reads them).
+    bundles: Bundles,
 }
 
 impl Store {
@@ -67,6 +73,10 @@ impl Store {
     /// cells are additionally persisted there (created on first write)
     /// and read back from it on a memo miss.
     pub fn new(context: RunContext, disk_dir: Option<PathBuf>) -> Store {
+        let traces = context
+            .traces_dir()
+            .unwrap_or(Path::new(DEFAULT_TRACES_DIR));
+        let bundles = Bundles::new(traces.to_path_buf());
         Store {
             cells: Mutex::new(HashMap::new()),
             disk: disk_dir,
@@ -76,6 +86,7 @@ impl Store {
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             any_failed: AtomicBool::new(false),
+            bundles,
         }
     }
 
@@ -93,6 +104,11 @@ impl Store {
     /// The context this store's results are produced under.
     pub fn context(&self) -> &RunContext {
         &self.context
+    }
+
+    /// The run's trace bundles.
+    pub(crate) fn bundles(&self) -> &Bundles {
+        &self.bundles
     }
 
     /// The namespaced key string results are stored under. In the default

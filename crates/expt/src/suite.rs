@@ -18,7 +18,7 @@ use strata_workloads::{Params, SAMPLED_ONLY_SCALE};
 
 use crate::cell::{CellKey, RunKind, Stage};
 use crate::context::RunContext;
-use crate::exec::{sampled_only, schedule, with_implied_natives};
+use crate::exec::{sampled_only, schedule, with_implied_natives, RenderNeeds};
 use crate::experiments::Output;
 use crate::registry::{by_id, registry, Experiment};
 use crate::store::{Store, StoreStats};
@@ -235,21 +235,31 @@ pub fn render_from_store(store: &Store, opts: &SuiteOptions) -> Result<SuiteRepo
 /// Computes `cells` — the selection's manifest — into `store` and renders
 /// the selected experiments beside them on one pool: a render whose
 /// declared cells are all natives runs as soon as the natives are in,
-/// every other render after the last translated group. Sections and
-/// artifacts are assembled in registry order afterwards.
+/// every other render after the last translated group. A render that
+/// reads trace bundles counts among the users of those of its cells'
+/// (workload, params). Sections and artifacts are assembled in registry
+/// order afterwards.
 fn render(store: &Store, opts: &SuiteOptions, cells: &[CellKey]) -> SuiteReport {
     let selected = select(opts.filter.as_deref());
     let view = View::new(store, opts.params);
-    let natives_only: Vec<bool> = selected
+    let needs: Vec<RenderNeeds> = selected
         .iter()
         .map(|e| {
-            (e.cells)(opts.params)
-                .iter()
-                .all(|c| c.kind == RunKind::Native)
+            let cells = (e.cells)(opts.params);
+            let mut bundles: Vec<(&'static str, Params)> = Vec::new();
+            for cell in cells.iter().filter(|_| e.reads_bundles) {
+                if !bundles.contains(&(cell.workload, cell.params)) {
+                    bundles.push((cell.workload, cell.params));
+                }
+            }
+            RenderNeeds {
+                natives_only: cells.iter().all(|c| c.kind == RunKind::Native),
+                bundles,
+            }
         })
         .collect();
     let outputs: Vec<OnceLock<Output>> = selected.iter().map(|_| OnceLock::new()).collect();
-    schedule(store, cells, opts.jobs, &natives_only, |i| {
+    schedule(store, cells, opts.jobs, &needs, |i| {
         let section = render_section(selected[i], &view, store);
         outputs[i].set(section).expect("each render runs once");
     });

@@ -17,6 +17,7 @@ use strata_workloads::{registry, Params};
 use crate::cell::{CellKey, CellResult};
 use crate::context::RunContext;
 use crate::exec::cell_result;
+use crate::sampled::Bundles;
 use crate::store::Store;
 
 /// Accessor for memoized cell results at a fixed parameter point.
@@ -40,6 +41,12 @@ impl<'a> View<'a> {
     /// renders that simulate on the spot (fig20–22) must match.
     pub fn context(&self) -> &'a RunContext {
         self.store.context()
+    }
+
+    /// The run's trace bundles — what the renders that read bundles
+    /// (fig21, and fig22 under `--sampled`) read them through.
+    pub(crate) fn bundles(&self) -> &'a Bundles {
+        self.store.bundles()
     }
 
     /// Benchmark names in presentation order.

@@ -70,16 +70,20 @@ fn contexts_sharing_a_cache_directory_never_serve_each_others_cells() {
     let mut cycles = BTreeSet::new();
     for (context, namespace) in contexts() {
         let store = Store::new(context, Some(dir.clone()));
-        let result = store.cached(&cell).expect("disk hit");
-        // A sampled native under a non-legacy predictor fails (the trace
-        // header's baselines are legacy-priced), and a failed cell is
-        // never written, so that context finds its translated cell alone.
+        // A sampled cell under a non-legacy predictor fails (the trace
+        // header's baselines are legacy-priced, and a translated cell's
+        // cycles are built on them), and a failed cell is never written,
+        // so that context finds no record of its own.
         let refused = namespace == "sampled/pred-ittage:4/";
         assert_eq!(store.cached(&native).is_none(), refused, "`{namespace}`");
-        let own = if refused { 1 } else { 2 };
+        let result = store.cached(&cell);
+        assert_eq!(result.is_none(), refused, "`{namespace}`");
+        let own = if refused { 0 } else { 2 };
         assert_eq!(store.stats().disk_hits, own, "`{namespace}`");
-        let report = result.as_translated().expect("a translated result");
-        cycles.insert((namespace.starts_with("sampled/"), report.total_cycles));
+        if let Some(result) = result {
+            let report = result.as_translated().expect("a translated result");
+            cycles.insert((namespace.starts_with("sampled/"), report.total_cycles));
+        }
     }
     // Exact and estimated cycles differ, so a mix-up would have shown.
     assert!(cycles.len() >= 2, "{cycles:?}");

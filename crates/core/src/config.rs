@@ -8,6 +8,7 @@
 
 use strata_arch::SpecError;
 
+use crate::strategy::StrategySpec;
 use crate::SdtError;
 
 /// Which indirect-branch handling mechanism translated code uses for
@@ -317,6 +318,76 @@ impl SdtConfig {
             },
             ..SdtConfig::ibtc_inline(ibtc_entries)
         }
+    }
+
+    /// The mechanism label of each branch class — jump, call and return,
+    /// in that order — as reports print it: the one definition of a
+    /// class's label, which [`Sdt::policy_summary`](crate::Sdt::policy_summary)
+    /// and every [`RunReport`](crate::RunReport) use.
+    pub fn class_mechanisms(&self) -> [(BranchClass, String); 3] {
+        let ib = |class| StrategySpec::resolve(self, class).describe();
+        [
+            (BranchClass::Jump, ib(BranchClass::Jump)),
+            (BranchClass::Call, ib(BranchClass::Call)),
+            (BranchClass::Ret, self.ret.describe()),
+        ]
+    }
+
+    /// This configuration with the size of every fixed table — a shared
+    /// IBTC, a sieve's buckets (the promoting strategies' too) and a
+    /// return cache — set to 0. Configurations that differ only in those
+    /// sizes share it: a *size class*, whose runs may serve one another
+    /// (see [`Sdt::serves`](crate::Sdt::serves)). Per-site IBTC sizes and
+    /// shadow-stack depths are kept.
+    pub fn size_class(&self) -> SdtConfig {
+        let mut class = *self;
+        for size in class.fixed_sizes_mut() {
+            *size = 0;
+        }
+        class
+    }
+
+    /// The entries of every fixed table of [`SdtConfig::size_class`],
+    /// summed. A configuration no larger than another in every table is
+    /// no larger here either, so sorting a class by it, largest first,
+    /// puts every member after each member that may serve it.
+    pub fn fixed_table_entries(&self) -> u64 {
+        let mut cfg = *self;
+        let sizes = cfg.fixed_sizes_mut().into_iter();
+        sizes.map(|size| *size as u64).sum()
+    }
+
+    /// The size field of every fixed table [`SdtConfig::size_class`]
+    /// erases.
+    fn fixed_sizes_mut(&mut self) -> Vec<&mut u32> {
+        fn of(mech: &mut IbMechanism) -> Option<&mut u32> {
+            match mech {
+                IbMechanism::Ibtc {
+                    entries,
+                    scope: IbtcScope::Shared,
+                    ..
+                }
+                | IbMechanism::Sieve { buckets: entries } => Some(entries),
+                IbMechanism::Reentry
+                | IbMechanism::Ibtc {
+                    scope: IbtcScope::PerSite,
+                    ..
+                } => None,
+            }
+        }
+        let mut sizes: Vec<&mut u32> = of(&mut self.ib).into_iter().collect();
+        for policy in [&mut self.policy.jump, &mut self.policy.call] {
+            sizes.extend(match policy {
+                ClassPolicy::Inherit => None,
+                ClassPolicy::Fixed { mech, .. } => of(mech),
+                ClassPolicy::Adaptive { sieve_buckets, .. }
+                | ClassPolicy::Predictive { sieve_buckets, .. } => Some(sieve_buckets),
+            });
+        }
+        if let RetMechanism::ReturnCache { entries } = &mut self.ret {
+            sizes.push(entries);
+        }
+        sizes
     }
 
     /// Checks size parameters.

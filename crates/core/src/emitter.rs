@@ -225,6 +225,8 @@ impl Cache {
 pub(crate) struct TableAlloc {
     cursor: u32,
     limit: u32,
+    /// The highest the cursor has been: resets do not lower it.
+    peak: u32,
 }
 
 impl TableAlloc {
@@ -232,6 +234,7 @@ impl TableAlloc {
         TableAlloc {
             cursor: base,
             limit,
+            peak: base,
         }
     }
 
@@ -248,12 +251,18 @@ impl TableAlloc {
             return Err(SdtError::TableSpaceExhausted { requested: bytes });
         }
         self.cursor = end;
+        self.peak = self.peak.max(end);
         Ok(start)
     }
 
     /// Bytes of table space used.
     pub fn used_bytes(&self) -> u32 {
         self.cursor
+    }
+
+    /// The most table space ever used, across resets.
+    pub fn peak_bytes(&self) -> u32 {
+        self.peak
     }
 
     /// Resets the bump pointer to `addr` (frees every allocation at or

@@ -97,6 +97,6 @@ pub use meta::{
 };
 pub use origin::Origin;
 pub use replay::{rate, DispatchReplay};
-pub use report::{ClassReport, MechanismStats, RunReport};
+pub use report::{ClassReport, FixedTable, MechanismStats, RunReport};
 pub use sdt::Sdt;
 pub use strategy::{mechanism_registry, MechanismInfo};

@@ -37,7 +37,7 @@ use crate::dispatch::CallPush;
 use crate::emitter::{Cache, TableAlloc};
 use crate::fragment::SieveBucket;
 use crate::sdt::SdtState;
-use crate::tables::TableRef;
+use crate::tables::{TableRef, Witness};
 use crate::SdtError;
 
 /// A fully-resolved per-class strategy choice. Two classes with equal
@@ -190,6 +190,23 @@ impl StrategySpec {
                 ..
             } => None,
         })
+    }
+
+    /// What [`StrategySpec::alloc_fixed`] places, for reports: `ibtc` or
+    /// `sieve` (the promoting strategies' sieve too).
+    pub(crate) fn fixed_table_name(self) -> Option<&'static str> {
+        match self {
+            Self::Ibtc {
+                scope: IbtcScope::Shared,
+                ..
+            } => Some("ibtc"),
+            Self::Sieve { .. } | Self::Adaptive { .. } | Self::Predictive { .. } => Some("sieve"),
+            Self::Reentry
+            | Self::Ibtc {
+                scope: IbtcScope::PerSite,
+                ..
+            } => None,
+        }
     }
 
     /// Emits per-binding stub support right after the shared stubs: the
@@ -431,6 +448,8 @@ pub(crate) struct Bind {
     /// The binding's fixed shared table (IBTC table, sieve bucket table,
     /// or the adaptive promotion sieve), if the strategy uses one.
     pub table: Option<TableRef>,
+    /// The highest index the host has hashed into `table`.
+    pub hashed: Witness,
     /// Host-side sieve chain bookkeeping (sieve and adaptive bindings).
     pub sieve_buckets: Vec<SieveBucket>,
     /// Out-of-line probe routine address, if the strategy emits one.
@@ -452,6 +471,7 @@ impl Bind {
         Bind {
             spec,
             table: None,
+            hashed: Witness::default(),
             sieve_buckets: Vec::new(),
             lookup_routine: None,
             glue: None,
@@ -464,6 +484,14 @@ impl Bind {
     /// Adaptive-site promotions of either kind.
     pub(crate) fn promotions(&self) -> u64 {
         self.promotions_to_ibtc + self.promotions_to_sieve
+    }
+
+    /// Notes in the witness that the host hashed `target` into the
+    /// binding's fixed table, if it has one.
+    pub(crate) fn note_hashed(&mut self, target: u32) {
+        if let Some(table) = self.table {
+            self.hashed.note(table, target);
+        }
     }
 }
 

@@ -97,6 +97,22 @@ impl CellKey {
         format!("{workload}|{kind}|s{scale}v{variant}")
     }
 
+    /// The key of this cell's size class: its execution key with every
+    /// fixed-table size erased ([`SdtConfig::size_class`]). The exact
+    /// translated executions of one class may serve one another (see
+    /// [`strata_core::Sdt::serves`]); a native's class is its execution.
+    pub(crate) fn class_key(&self) -> String {
+        let kind = match &self.kind {
+            RunKind::Native => RunKind::Native,
+            RunKind::Translated(cfg) => RunKind::Translated(cfg.size_class()),
+        };
+        let erased = CellKey {
+            kind,
+            ..self.clone()
+        };
+        erased.execution_key()
+    }
+
     fn kind_label(&self) -> String {
         match &self.kind {
             RunKind::Native => "native".to_string(),

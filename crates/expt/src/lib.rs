@@ -61,7 +61,7 @@ pub use exec::{execute, set_exec_tier, FUEL};
 pub use experiments::Output;
 pub use registry::{registry, Experiment};
 pub use sampled::{SampledCell, DEFAULT_TRACES_DIR};
-pub use store::{parse_record, render_record, Store, StoreStats};
+pub use store::{parse_record, render_record, ExecutionStats, Store, StoreStats};
 /// The workspace's one FNV-1a 64 (defined beside the trace checksums).
 pub use strata_trace::fnv1a64;
 pub use suite::{

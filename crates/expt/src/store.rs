@@ -47,6 +47,20 @@ pub struct StoreStats {
     pub disk_hits: u64,
 }
 
+/// What the exact translated executions behind a run's cells did — the
+/// work, where [`StoreStats`] counts cells. Only exact translated
+/// executions count: natives and sampled replays do not.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecutionStats {
+    /// Translated executions started (a run that fails counts too).
+    pub run: u64,
+    /// Execution groups served by a larger member of their size class
+    /// instead of running (see [`strata_core::Sdt::serves`]).
+    pub served: u64,
+    /// Guest instructions the executions that ran to the end retired.
+    pub instructions: u64,
+}
+
 /// Concurrent memoizing store for cell results.
 pub struct Store {
     cells: Mutex<HashMap<String, Arc<CellResult>>>,
@@ -57,6 +71,10 @@ pub struct Store {
     computed: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
+    /// [`ExecutionStats`]' counters.
+    runs: AtomicU64,
+    served: AtomicU64,
+    retired: AtomicU64,
     /// Whether any result held is [`CellResult::Failed`]. Set under the
     /// cells lock and read with `Relaxed`: it publishes no data (a reader
     /// takes the lock to see the cells), and the reader that needs a set
@@ -85,6 +103,9 @@ impl Store {
             computed: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
+            runs: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            retired: AtomicU64::new(0),
             any_failed: AtomicBool::new(false),
             bundles,
         }
@@ -135,6 +156,28 @@ impl Store {
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
         }
+    }
+
+    /// What this store's exact translated executions did so far.
+    pub fn executions(&self) -> ExecutionStats {
+        ExecutionStats {
+            run: self.runs.load(Ordering::Relaxed),
+            served: self.served.load(Ordering::Relaxed),
+            instructions: self.retired.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Counts one translated execution started, and the instructions it
+    /// retired if it ran to the end.
+    pub(crate) fn count_run(&self, instructions: Option<u64>) {
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        let retired = instructions.unwrap_or(0);
+        self.retired.fetch_add(retired, Ordering::Relaxed);
+    }
+
+    /// Counts one execution group served by a larger member of its class.
+    pub(crate) fn count_served(&self) {
+        self.served.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The memoized result for `key`, if already present in memory.

@@ -21,7 +21,7 @@ use crate::context::RunContext;
 use crate::exec::{sampled_only, schedule, with_implied_natives, RenderNeeds};
 use crate::experiments::Output;
 use crate::registry::{by_id, registry, Experiment};
-use crate::store::{Store, StoreStats};
+use crate::store::{ExecutionStats, Store, StoreStats};
 use crate::view::View;
 
 /// Stdout rendering format for `strata bench`.
@@ -126,6 +126,8 @@ pub struct SuiteReport {
     pub unique_cells: usize,
     /// Store counters (computed / memo hits / disk hits).
     pub store_stats: StoreStats,
+    /// What the exact translated executions behind the cells did.
+    pub executions: ExecutionStats,
     /// Every failed cell as `(key, stage, error)` (see [`Store::failures`]).
     pub failures: Vec<(String, Stage, String)>,
 }
@@ -320,6 +322,7 @@ fn render(store: &Store, opts: &SuiteOptions, cells: &[CellKey]) -> SuiteReport 
         artifacts,
         unique_cells: store.len(),
         store_stats: store.stats(),
+        executions: store.executions(),
         failures: store.failures(),
     }
 }

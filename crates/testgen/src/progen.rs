@@ -40,6 +40,14 @@ pub fn rand_action(rng: &mut SmallRng, functions: usize) -> Action {
 /// Register roles: r4 accumulator, r5 outer-loop counter, r8 function-table
 /// base, r7 scratch target.
 pub fn build_program(actions: &[Action], functions: usize, iters: u8) -> Program {
+    build_program_padded(actions, functions, iters, 0)
+}
+
+/// [`build_program`] with `pad` `nop`s between the initialisation and the
+/// loop: every indirect target and return address — everything a lookup
+/// table hashes — moves `pad` words up, so a test can place the highest
+/// one at a chosen table index.
+pub fn build_program_padded(actions: &[Action], functions: usize, iters: u8, pad: u32) -> Program {
     let mut b = CodeBuilder::new(layout::APP_BASE);
     let table = layout::APP_DATA_BASE;
 
@@ -53,6 +61,9 @@ pub fn build_program(actions: &[Action], functions: usize, iters: u8) -> Program
     }
     b.li(Reg::R4, 0x1234);
     b.li(Reg::R5, iters as u32);
+    for _ in 0..pad {
+        b.nop();
+    }
 
     let top = b.here();
     for (idx, action) in actions.iter().enumerate() {

@@ -240,6 +240,19 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
     t.row(["fragments", &report.mech.fragments.to_string()]);
     t.row(["cache bytes", &report.mech.cache_used_bytes.to_string()]);
     t.row(["cache flushes", &report.mech.cache_flushes.to_string()]);
+    for table in sdt.fixed_tables() {
+        let size = match table.ways {
+            1 => format!("{} entries", table.slots),
+            ways => format!("{} sets of {ways}", table.slots),
+        };
+        let highest = table
+            .highest_hashed
+            .map_or("none".into(), |i| i.to_string());
+        t.row([
+            format!("{} table", table.name),
+            format!("{size}, highest index hashed {highest}"),
+        ]);
+    }
     println!("{}", t.render_text());
 
     let mut ct = Table::new(
@@ -349,6 +362,13 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
     eprintln!(
         "cells: {} unique ({} simulated, {} memo hits, {} disk hits) on {} job(s)",
         report.unique_cells, s.computed, s.memo_hits, s.disk_hits, suite.opts.jobs
+    );
+    let e = report.executions;
+    eprintln!(
+        "executions: {} run, {} served by a larger table, {:.2} G guest instructions",
+        e.run,
+        e.served,
+        e.instructions as f64 / 1e9
     );
     let failed = failed_cells(&report);
 

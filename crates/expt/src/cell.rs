@@ -129,8 +129,6 @@ impl CellKey {
 /// The step of a cell's computation that failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// An exact run was asked for a scale only sampled mode runs.
-    Scale,
     /// Building the workload's program: no such workload.
     Build,
     /// The native run, or a translated cell's native baseline.
@@ -156,7 +154,7 @@ impl Stage {
     /// The stage a record or message names, if any.
     pub fn parse(name: &str) -> Option<Stage> {
         use Stage::*;
-        let all = [Scale, Build, Native, Translate, Run, Checksum, Estimate];
+        let all = [Build, Native, Translate, Run, Checksum, Estimate];
         all.into_iter().find(|s| s.to_string() == name)
     }
 }

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use strata_arch::{ArchModel, PredictorSpec};
 use strata_core::{run_native_models, RunReport, Sdt, SdtConfig};
 use strata_machine::{ExecTier, Program};
-use strata_workloads::{by_name, Params, SAMPLED_ONLY_SCALE};
+use strata_workloads::{by_name, Params};
 
 use crate::cell::{CellKey, CellResult, RunKind, Stage};
 use crate::context::RunContext;
@@ -121,10 +121,7 @@ pub(crate) fn cell_result(store: &Store, key: &CellKey) -> Arc<CellResult> {
 /// missing cell is priced under its own model (the context's predictor
 /// over the cell's profile). A step that fails
 /// makes a cell a [`CellResult::Failed`] naming its [`Stage`] — a failed
-/// execution fails every cell it was priced for — including an exact run
-/// at a scale only sampled mode runs, which
-/// [`SuiteOptions::manifest`](crate::SuiteOptions::manifest) already
-/// refuses before any cell starts.
+/// execution fails every cell it was priced for.
 fn cell_results(store: &Store, group: &[CellKey]) -> Vec<Arc<CellResult>> {
     debug_assert!(group
         .iter()
@@ -159,13 +156,6 @@ fn compute(store: &Store, keys: &[&CellKey], natives: &[Option<&CellResult>]) ->
             .map(|r| r.unwrap_or_else(failed))
             .collect();
     }
-    let head = keys[0];
-    if head.params.scale >= SAMPLED_ONLY_SCALE {
-        return keys
-            .iter()
-            .map(|key| failed((Stage::Scale, sampled_only(key))))
-            .collect();
-    }
     // A cell over a failed baseline fails at it; the rest share runs.
     let mut results: Vec<Option<CellResult>> = natives
         .iter()
@@ -181,6 +171,7 @@ fn compute(store: &Store, keys: &[&CellKey], natives: &[Option<&CellResult>]) ->
     }
     let cells: Vec<(&CellKey, Option<&CellResult>)> =
         runnable.iter().map(|&i| (keys[i], natives[i])).collect();
+    let head = keys[0];
     let program = program_for(head.workload, head.params).map_err(at(Stage::Build));
     let ran = program.and_then(|program| match &head.kind {
         RunKind::Native => {
@@ -371,12 +362,6 @@ fn estimate(
 /// Tags an error with the stage it happened at.
 fn at<E: ToString>(stage: Stage) -> impl Fn(E) -> (Stage, String) {
     move |e| (stage, e.to_string())
-}
-
-/// Why an exact run refuses `cell`, whose scale only sampled mode runs.
-pub(crate) fn sampled_only(cell: &CellKey) -> String {
-    let (workload, scale) = (cell.workload, cell.params.scale);
-    format!("{workload} at scale {scale} is sampled-only; run with --sampled")
 }
 
 /// Completes a cell list into a work list: deduped by key string in
@@ -1007,12 +992,14 @@ mod tests {
         let x86 = ArchProfile::x86_like();
         let p = Params::default();
         let big = Params {
-            scale: strata_workloads::SAMPLED_ONLY_SCALE,
+            scale: 10,
             variant: 0,
         };
         let good = vec![
             CellKey::translated("gzip", SdtConfig::ibtc_inline(512), x86.clone(), p),
             CellKey::translated("mcf", SdtConfig::reentry(), x86.clone(), p),
+            // Exact mode runs every scale, the reference tier's too.
+            CellKey::native("gzip", x86.clone(), big),
         ];
         let bad = [
             // An unknown workload, and a translated cell over its failed
@@ -1020,8 +1007,6 @@ mod tests {
             CellKey::translated("ghost", SdtConfig::reentry(), x86.clone(), p),
             // A table size `Sdt::new` refuses.
             CellKey::translated("gzip", SdtConfig::ibtc_inline(3), x86.clone(), p),
-            // An exact cell at a scale only sampled mode runs.
-            CellKey::native("gzip", x86.clone(), big),
         ];
         let store = Store::in_memory();
         let all: Vec<CellKey> = good.iter().chain(&bad).cloned().collect();
@@ -1030,21 +1015,24 @@ mod tests {
         let stage_of = |key: CellKey| store.get(&key).and_then(|r| r.as_failed().map(|f| f.0));
         let ghost = CellKey::native("ghost", x86.clone(), p);
         assert_eq!(stage_of(ghost), Some(Stage::Build));
-        let [over_ghost, bad_config, sampled_only] = bad;
+        let [over_ghost, bad_config] = bad;
         assert_eq!(stage_of(over_ghost.clone()), Some(Stage::Native));
         assert_eq!(stage_of(bad_config), Some(Stage::Translate));
-        assert_eq!(stage_of(sampled_only), Some(Stage::Scale));
         let reason = store.get(&over_ghost).expect("held");
         assert_eq!(
             reason.as_failed().map(|f| f.1),
             Some("baseline failed at build: unknown workload `ghost`")
         );
         let failures = store.failures();
-        assert_eq!(failures.len(), 4, "{failures:?}");
+        assert_eq!(failures.len(), 3, "{failures:?}");
 
         let clean = Store::in_memory();
         execute(&clean, &good, 1);
-        assert_eq!(clean.len(), 4, "two translated cells and their natives");
+        assert_eq!(
+            clean.len(),
+            5,
+            "two translated cells, their natives and one at scale 10"
+        );
         let held: HashMap<String, Arc<CellResult>> = store.snapshot().into_iter().collect();
         for (key, result) in clean.snapshot() {
             assert_eq!(held.get(&key), Some(&result), "{key}");

@@ -588,13 +588,13 @@ fn fixed6(v: Vec<u64>) -> Option<[u64; 6]> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use strata_arch::ArchProfile;
     use strata_core::SdtConfig;
     use strata_workloads::Params;
 
-    fn sample_native() -> NativeRun {
+    pub(crate) fn sample_native() -> NativeRun {
         NativeRun {
             checksum: 0xDEAD_BEEF,
             total_cycles: 123_456_789,
@@ -610,7 +610,7 @@ mod tests {
         }
     }
 
-    fn sample_report() -> RunReport {
+    pub(crate) fn sample_report() -> RunReport {
         RunReport {
             config: "ibtc(64,shared,inline)".into(),
             arch: ArchProfile::x86_like().name,
@@ -699,12 +699,7 @@ mod tests {
         assert!(text.contains("kind=failed\nstage=checksum\n"), "{text}");
         // An unknown stage does not parse.
         assert!(parse_record(&text.replace("=checksum", "=rerun"), "k").is_none());
-        for stage in [
-            Stage::Scale,
-            Stage::Build,
-            Stage::Translate,
-            Stage::Estimate,
-        ] {
+        for stage in [Stage::Build, Stage::Translate, Stage::Estimate] {
             assert_eq!(Stage::parse(&stage.to_string()), Some(stage));
         }
     }

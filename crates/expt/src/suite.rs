@@ -14,11 +14,11 @@ use std::sync::OnceLock;
 
 use strata_stats::baseline::{self, DeltaReport, Snapshot};
 use strata_stats::Json;
-use strata_workloads::{Params, SAMPLED_ONLY_SCALE};
+use strata_workloads::Params;
 
 use crate::cell::{CellKey, RunKind, Stage};
 use crate::context::RunContext;
-use crate::exec::{sampled_only, schedule, with_implied_natives, RenderNeeds};
+use crate::exec::{schedule, with_implied_natives, RenderNeeds};
 use crate::experiments::Output;
 use crate::registry::{by_id, registry, Experiment};
 use crate::store::{ExecutionStats, Store, StoreStats};
@@ -79,26 +79,6 @@ impl Default for SuiteOptions {
             cache_dir: None,
             context: RunContext::default(),
         }
-    }
-}
-
-impl SuiteOptions {
-    /// The [`work_manifest`] of this selection, checked against the
-    /// context it is about to run under — what [`run_suite`] plans from.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when any filter pattern matches no experiment, or
-    /// when an exact context is asked for a scale only sampled mode runs.
-    pub fn manifest(&self) -> Result<Vec<CellKey>, String> {
-        let cells = work_manifest(self.filter.as_deref(), self.params)?;
-        if self.context.traces_dir().is_none() {
-            let sampled_only_cell = cells.iter().find(|c| c.params.scale >= SAMPLED_ONLY_SCALE);
-            if let Some(cell) = sampled_only_cell {
-                return Err(sampled_only(cell));
-            }
-        }
-        Ok(cells)
     }
 }
 
@@ -203,15 +183,15 @@ pub fn work_manifest(filter: Option<&str>, params: Params) -> Result<Vec<CellKey
     ))
 }
 
-/// Runs the suite: executes the selection's [`SuiteOptions::manifest`]
-/// and renders every selected experiment on one `--jobs` pool (see
+/// Runs the suite: executes the selection's [`work_manifest`] and
+/// renders every selected experiment on one `--jobs` pool (see
 /// [`render_from_store`]).
 ///
 /// # Errors
 ///
-/// As [`SuiteOptions::manifest`]; nothing is simulated on an error.
+/// As [`work_manifest`]; nothing is simulated on an error.
 pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, String> {
-    let cells = opts.manifest()?;
+    let cells = work_manifest(opts.filter.as_deref(), opts.params)?;
     let store = Store::new(opts.context.clone(), opts.cache_dir.clone());
     Ok(render(&store, opts, &cells))
 }
@@ -494,35 +474,6 @@ mod tests {
         };
         let err = run_suite(&opts).unwrap_err();
         assert!(err.contains("table1"), "{err}");
-    }
-
-    #[test]
-    fn exact_runs_refuse_sampled_only_scales_before_any_cell_starts() {
-        let exact = SuiteOptions {
-            filter: Some("table1".into()),
-            params: Params {
-                scale: strata_workloads::SAMPLED_ONLY_SCALE,
-                variant: 0,
-            },
-            ..SuiteOptions::default()
-        };
-        let err = run_suite(&exact).unwrap_err();
-        assert_eq!(err, "gzip at scale 10 is sampled-only; run with --sampled");
-        // The same selection is a plan under a sampled context, and one
-        // scale down it is a plan under an exact one.
-        let sampled = SuiteOptions {
-            context: RunContext {
-                mode: crate::Mode::Sampled {
-                    traces_dir: "unused".into(),
-                },
-                ..RunContext::default()
-            },
-            ..exact.clone()
-        };
-        assert_eq!(sampled.manifest().map(|m| m.len()), Ok(12));
-        let mut below = exact;
-        below.params.scale -= 1;
-        assert_eq!(below.manifest().map(|m| m.len()), Ok(12));
     }
 
     #[test]

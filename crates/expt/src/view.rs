@@ -119,7 +119,10 @@ impl<'a> View<'a> {
     /// `cells.json` artifact rendered from it pins `total_cycles` and
     /// dispatch counts per cell, so a drift localized to one
     /// (workload, config, profile) point names itself in the delta report
-    /// instead of hiding inside a geomean.
+    /// instead of hiding inside a geomean. A row is named by its
+    /// [`CellKey::key_string`], without the store's namespace, so a
+    /// sampled run or one under another predictor gates cell by cell
+    /// against an exact baseline.
     pub fn cells_table(&self) -> Table {
         let mut t = Table::new(
             "per-cell metrics",
@@ -131,6 +134,7 @@ impl<'a> View<'a> {
                 "ret_dispatches",
             ],
         );
+        let namespace = self.context().namespace();
         for (key, result) in self.store.snapshot() {
             let (cycles, instructions, ib, ret) = match &*result {
                 CellResult::Native(n) => {
@@ -146,8 +150,60 @@ impl<'a> View<'a> {
                 // say that it failed.
                 CellResult::Failed { .. } => continue,
             };
+            let key = key.strip_prefix(&namespace).unwrap_or(&key).to_string();
             t.row([key, cycles.to_string(), instructions.to_string(), ib, ret]);
         }
         t
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::Mode;
+    use crate::store::tests::{sample_native, sample_report};
+    use strata_arch::PredictorSpec;
+
+    /// A sampled store and one under another predictor name their rows as
+    /// an exact store does, so `--baseline` pairs each of their cells with
+    /// an exact baseline's.
+    #[test]
+    fn cells_table_names_rows_by_cell_key_in_every_context() {
+        let p = Params::default();
+        let x86 = ArchProfile::x86_like();
+        let native = CellKey::native("gzip", x86.clone(), p);
+        let translated = CellKey::translated("gzip", SdtConfig::ibtc_inline(64), x86, p);
+        let sampled = Mode::Sampled {
+            traces_dir: "unused".into(),
+        };
+        let contexts = [
+            RunContext::default(),
+            RunContext {
+                mode: sampled,
+                ..RunContext::default()
+            },
+            RunContext {
+                predictor: PredictorSpec::Ittage { tables: 4 },
+                ..RunContext::default()
+            },
+        ];
+        let tables = contexts.map(|context| {
+            let store = Store::new(context, None);
+            store.put(&native, CellResult::Native(sample_native()));
+            let report = Box::new(sample_report());
+            store.put(&translated, CellResult::Translated(report));
+            View::new(&store, p).cells_table()
+        });
+        let [exact, sampled, ittage] = tables;
+        let names: Vec<&str> = exact
+            .rows_as_cells()
+            .iter()
+            .map(|r| r[0].as_str())
+            .collect();
+        let mut keys = [native.key_string(), translated.key_string()];
+        keys.sort();
+        assert_eq!(names, keys);
+        assert_eq!(sampled.rows_as_cells(), exact.rows_as_cells());
+        assert_eq!(ittage.rows_as_cells(), exact.rows_as_cells());
     }
 }

@@ -49,7 +49,11 @@ fn a_failed_cell_replaces_only_the_sections_that_read_it() {
         error: "planted".into(),
     };
     store.put(&failed_cell, planted);
-    execute(&store, &opts.manifest().expect("plan"), 2);
+    execute(
+        &store,
+        &work_manifest(opts.filter.as_deref(), opts.params).expect("plan"),
+        2,
+    );
     let report = render_from_store(&store, &opts).expect("renders");
 
     assert_eq!(

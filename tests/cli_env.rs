@@ -112,11 +112,21 @@ fn fleet_verbs_are_gone_naming_the_split() {
 }
 
 #[test]
-fn exact_mode_refuses_sampled_only_scales_with_an_error() {
-    // Used to be exit 101 with a worker-thread backtrace.
-    let args = ["bench", "--filter", "table1", "--scale", "10"];
-    let message = "error: gzip at scale 10 is sampled-only; run with --sampled";
-    assert_refused(strata(&args), 1, message);
+fn exact_mode_runs_at_sampled_scales() {
+    // The reference tier's scales are not sampled-only: exact mode runs
+    // them, so a sampled run there has an exact baseline to gate against.
+    let args = [
+        "bench",
+        "--filter",
+        "table1",
+        "--scale",
+        "10",
+        "--no-artifacts",
+    ];
+    let out = strata(&args).output().expect("strata runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("cells: 12 unique"), "{stderr}");
 }
 
 #[test]

@@ -991,10 +991,7 @@ mod tests {
     fn failed_cells_are_results_and_leave_the_rest_alone() {
         let x86 = ArchProfile::x86_like();
         let p = Params::default();
-        let big = Params {
-            scale: 10,
-            variant: 0,
-        };
+        let big = Params::at_scale(10);
         let good = vec![
             CellKey::translated("gzip", SdtConfig::ibtc_inline(512), x86.clone(), p),
             CellKey::translated("mcf", SdtConfig::reentry(), x86.clone(), p),

@@ -173,13 +173,12 @@ mod tests {
         let x86 = ArchProfile::x86_like();
         let native = CellKey::native("gzip", x86.clone(), p);
         let translated = CellKey::translated("gzip", SdtConfig::ibtc_inline(64), x86, p);
-        let sampled = Mode::Sampled {
-            traces_dir: "unused".into(),
-        };
         let contexts = [
             RunContext::default(),
             RunContext {
-                mode: sampled,
+                mode: Mode::Sampled {
+                    traces_dir: "unused".into(),
+                },
                 ..RunContext::default()
             },
             RunContext {

@@ -1,8 +1,9 @@
 //! No silently ignored configuration, through the real binary: the
 //! `STRATA_*` variables earlier versions read as flag fallbacks are
 //! rejected by name with the flag that replaces each, a `--flag` the verb
-//! does not read is rejected by name instead of running on defaults, and
-//! a selection that is no plan is an error before any cell starts.
+//! does not read is rejected by name instead of running on defaults, a
+//! selection that is no plan is an error before any cell starts, and one
+//! that is a plan runs: exact mode at the reference tier's scales too.
 
 use std::process::Command;
 
